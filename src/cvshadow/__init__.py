@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .phase_space import (
     CharGrid,
     Rotation2,
-    bessel_i0,
     char_coherent_dyad,
     char_fock_dyad,
     char_gaussian_raw,
@@ -24,29 +23,21 @@ from .states import (
     cat_char,
     cat_position_pdf,
     chain_ground_state,
-    char_gaussian,
     fock_matrix_of,
 )
 from .measurement import (
     SampleBatch,
-    ShadowRecord,
     heterodyne_pdf,
     homodyne_pdf,
-    sample_heterodyne,
     sample_heterodyne_batch,
-    sample_homodyne,
     sample_homodyne_batch,
     stream_rng,
 )
 from .shadows import (
     QuadratureRule,
     ShadowAverage,
-    ShadowMatrix,
     WindowSpec,
-    build_heterodyne_shadow,
-    build_homodyne_shadow,
     default_window,
-    empirical_average,
     heterodyne_shadow_entry,
     homodyne_shadow_entry,
     project_PM,

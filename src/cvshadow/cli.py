@@ -231,7 +231,7 @@ def _thread_count() -> int:
 def _batch_entries_parallel(batch: SampleBatch, subset, truncation: int, window):
     """Shadow entries for a batch, chunked over CVSHADOW_THREADS workers.
 
-    Chunks are concatenated in record order, so the result is identical to
+    Chunks are concatenated in batch order, so the result is identical to
     the single-threaded path.
     """
     threads = _thread_count()
@@ -243,11 +243,7 @@ def _batch_entries_parallel(batch: SampleBatch, subset, truncation: int, window)
     if batch.protocol == HETERODYNE:
         s_cap = batch_radius_cap(batch, subset)
     bounds = np.linspace(0, batch.n, threads + 1, dtype=int)
-    chunks = [
-        SampleBatch(batch.records[a:b], state_descriptor=batch.state_descriptor)
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
+    chunks = [batch[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(
             pool.map(
@@ -316,7 +312,7 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
     lo = grid_cfg.get("lo", -2.0)
     hi = grid_cfg.get("hi", 2.0)
     points = grid_cfg.get("points", 81)
-    modes = batch.records[0].modes
+    modes = batch.modes
     files: list[Path] = []
     metrics: dict = {"n_samples": batch.n, "protocol": batch.protocol}
 

@@ -13,7 +13,7 @@ Protocol conventions (shared with :mod:`cvshadow.shadows`):
 
 Samplers take an explicit ``numpy.random.Generator``; batches derive their
 generator deterministically from a ``seed_path`` string, so identical paths
-reproduce bit-identical record streams.  There is no global RNG.
+reproduce bit-identical batches.  There is no global RNG.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .phase_space import alpha_of
+from .phase_space import alpha_of, hermite_stack
 from .states import (
     CatStateSpec,
     FockMatrix,
@@ -46,91 +46,113 @@ _CDF_GRID_POINTS = 4096
 
 
 @dataclass
-class ShadowRecord:
-    """One protocol round: angles (homodyne only), outcomes, RNG provenance."""
+class SampleBatch:
+    """N rounds of one protocol, drawn from one RNG stream, stored as arrays.
+
+    ``outcomes`` has shape (N, m) for homodyne and (N, m, 2) for heterodyne;
+    ``thetas`` has shape (N, m) for homodyne and is ``None`` for heterodyne.
+    ``seed_path`` names the stream every round was drawn from.
+    """
 
     protocol: str
-    thetas: np.ndarray | None
-    outcome: np.ndarray
+    outcomes: np.ndarray
+    thetas: np.ndarray | None = None
     seed_path: str = ""
-
-    def __post_init__(self):
-        if self.protocol not in (HOMODYNE, HETERODYNE):
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-        self.outcome = np.asarray(self.outcome, dtype=float)
-        if self.protocol == HOMODYNE:
-            self.thetas = np.asarray(self.thetas, dtype=float)
-            if self.thetas.shape != self.outcome.shape:
-                raise ValueError("homodyne records need one angle per outcome")
-        else:
-            self.thetas = None
-            if self.outcome.ndim != 2 or self.outcome.shape[1] != 2:
-                raise ValueError("heterodyne outcomes must have shape (modes, 2)")
-        if not np.all(np.isfinite(self.outcome)):
-            raise ValueError("outcomes must be finite")
-
-    @property
-    def modes(self) -> int:
-        return self.outcome.shape[0]
-
-    def to_json(self) -> str:
-        payload = {
-            "protocol": self.protocol,
-            "thetas": None if self.thetas is None else self.thetas.tolist(),
-            "outcome": self.outcome.tolist(),
-            "seed_path": self.seed_path,
-        }
-        return json.dumps(payload, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, line: str) -> "ShadowRecord":
-        payload = json.loads(line)
-        return cls(
-            protocol=payload["protocol"],
-            thetas=payload["thetas"],
-            outcome=payload["outcome"],
-            seed_path=payload.get("seed_path", ""),
-        )
-
-
-@dataclass
-class SampleBatch:
-    """Ordered, protocol-homogeneous list of measurement records."""
-
-    records: list[ShadowRecord]
     state_descriptor: dict | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        protocols = {r.protocol for r in self.records}
-        if len(protocols) > 1:
-            raise ValueError(f"batch mixes protocols: {sorted(protocols)}")
+        if self.protocol not in (HOMODYNE, HETERODYNE):
+            raise ValueError(f"unknown protocol {self.protocol!r}")
+        self.outcomes = np.asarray(self.outcomes, dtype=float)
+        if self.protocol == HOMODYNE:
+            self.thetas = np.asarray(self.thetas, dtype=float)
+            if self.outcomes.ndim != 2 or self.thetas.shape != self.outcomes.shape:
+                raise ValueError(
+                    "homodyne batches need outcomes and angles of one shape (N, modes)"
+                )
+        else:
+            self.thetas = None
+            if self.outcomes.ndim != 3 or self.outcomes.shape[2] != 2:
+                raise ValueError("heterodyne outcomes must have shape (N, modes, 2)")
+        if not np.all(np.isfinite(self.outcomes)):
+            raise ValueError("outcomes must be finite")
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return self.outcomes.shape[0]
 
     @property
-    def protocol(self) -> str:
-        return self.records[0].protocol if self.records else ""
+    def modes(self) -> int:
+        return self.outcomes.shape[1]
 
-    def thetas_array(self) -> np.ndarray:
-        return np.stack([r.thetas for r in self.records])
-
-    def outcomes_array(self) -> np.ndarray:
-        return np.stack([r.outcome for r in self.records])
+    def __getitem__(self, rows: slice) -> "SampleBatch":
+        """The rounds in the slice ``rows``, as a batch of the same stream."""
+        thetas = None if self.thetas is None else self.thetas[rows]
+        return replace(self, outcomes=self.outcomes[rows], thetas=thetas)
 
     def to_jsonl(self, path) -> None:
+        """One JSON line per round: protocol, thetas, outcome, seed_path."""
         with open(path, "w") as fh:
-            for record in self.records:
-                fh.write(record.to_json())
+            for i in range(self.n):
+                payload = {
+                    "protocol": self.protocol,
+                    "thetas": None if self.thetas is None else self.thetas[i].tolist(),
+                    "outcome": self.outcomes[i].tolist(),
+                    "seed_path": self.seed_path,
+                }
+                fh.write(json.dumps(payload, separators=(",", ":")))
                 fh.write("\n")
 
     @classmethod
     def from_jsonl(cls, path, state_descriptor: dict | None = None) -> "SampleBatch":
+        """Parse a file written by ``to_jsonl``.
+
+        Every line must name the protocol and ``seed_path`` of line 1: a batch
+        is one protocol drawn from one RNG stream.
+        """
         with open(path) as fh:
-            records = [ShadowRecord.from_json(line) for line in fh if line.strip()]
-        return cls(records, state_descriptor=state_descriptor)
+            lines = [(k, line) for k, line in enumerate(fh, 1) if line.strip()]
+        if not lines:
+            raise ValueError(f"{path}: no records")
+        protocol, seed_path, _, outcome = _fields(path, *lines[0])
+        shape = np.shape(outcome)
+        outcomes = np.empty((len(lines),) + shape)
+        thetas = np.empty(outcomes.shape) if protocol == HOMODYNE else None
+        for i, (k, line) in enumerate(lines):
+            line_protocol, line_seed_path, line_thetas, outcome = _fields(path, k, line)
+            if line_protocol != protocol or line_seed_path != seed_path:
+                raise ValueError(
+                    f"{path}: line {k} has protocol {line_protocol!r} and "
+                    f"seed_path {line_seed_path!r}; line {lines[0][0]} has "
+                    f"{protocol!r} and {seed_path!r} (a batch file holds one "
+                    "protocol drawn from one RNG stream)"
+                )
+            outcomes[i] = _row(outcome, shape, path, k)
+            if thetas is not None:
+                thetas[i] = _row(line_thetas, shape, path, k)
+        return cls(protocol, outcomes, thetas, seed_path, state_descriptor)
+
+
+def _fields(path, line: int, text: str) -> tuple:
+    """(protocol, seed_path, thetas, outcome) of one JSONL record line."""
+    payload = json.loads(text)
+    try:
+        return (
+            payload["protocol"],
+            payload.get("seed_path", ""),
+            payload.get("thetas"),
+            payload["outcome"],
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: line {line} is not a record ({exc!r})") from None
+
+
+def _row(values, shape: tuple, path, line: int) -> np.ndarray:
+    row = np.asarray(values, dtype=float)
+    if row.shape != shape:
+        raise ValueError(f"{path}: line {line} has shape {row.shape}, expected {shape}")
+    return row
 
 
 def stream_rng(seed_path: str) -> np.random.Generator:
@@ -148,25 +170,10 @@ def stream_rng(seed_path: str) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _hermite_stack(n_max: int, q: np.ndarray) -> np.ndarray:
-    """psi_n(q) for all n <= n_max, shape (n_max + 1, len(q))."""
-    q = np.asarray(q, dtype=float)
-    out = np.empty((n_max + 1, q.size))
-    psi_prev = np.zeros_like(q)
-    psi = np.pi ** (-0.25) * np.exp(-0.5 * q * q)
-    out[0] = psi
-    for n in range(n_max):
-        psi_prev, psi = psi, q * np.sqrt(2.0 / (n + 1)) * psi - np.sqrt(
-            n / (n + 1.0)
-        ) * psi_prev
-        out[n + 1] = psi
-    return out
-
-
 def _fock_gd(fock: FockMatrix, q: np.ndarray) -> np.ndarray:
     """Rows g_d(q) = sum_n rho[n+d, n] psi_{n+d}(q) psi_n(q) for d = 0..M."""
     m = fock.truncation
-    psi = _hermite_stack(m, q)
+    psi = hermite_stack(m, q)
     rho = fock.entries
     g = np.zeros((m + 1, q.size), dtype=complex)
     for d in range(m + 1):
@@ -261,7 +268,7 @@ def _as_fock(state) -> FockMatrix:
 def _rotated_position_stats(
     spec: GaussianStateSpec, thetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance of the measured quadratures, per record.
+    """Mean vector and covariance of the measured quadratures, per round.
 
     ``thetas`` has shape (n, m); returns means (n, m) and covariances
     (n, m, m) of the joint law of the m simultaneously measured rotated
@@ -301,10 +308,8 @@ def _invert_cdf_monotone(
     if np.any(total <= 0):
         raise ValueError("density vanished on the whole sampling grid")
     target = np.clip(u, 1e-15, 1.0 - 1e-15) * total
-    k = np.empty(pdf.shape[0], dtype=np.int64)
-    for i in range(pdf.shape[0]):
-        k[i] = np.searchsorted(cdf[i], target[i])
-    k = np.clip(k, 1, cdf.shape[1] - 1)
+    # rows of cdf are non-decreasing, so this count is searchsorted(cdf[i], target[i])
+    k = np.clip((cdf < target[:, None]).sum(axis=1), 1, cdf.shape[1] - 1)
     rows = np.arange(pdf.shape[0])
     c0, c1 = cdf[rows, k - 1], cdf[rows, k]
     q0, q1 = qgrid[k - 1], qgrid[k]
@@ -377,25 +382,7 @@ def sample_homodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
         thetas, qs = _sample_fock_homodyne(fock, n, rng)
     else:
         raise ValueError(f"unsupported state kind: {type(state).__name__}")
-    records = [
-        ShadowRecord(HOMODYNE, thetas[i], qs[i], seed_path=f"{seed_path}/{i}")
-        for i in range(n)
-    ]
-    return SampleBatch(records, state_descriptor=describe_state(state))
-
-
-def sample_homodyne(state, rng: np.random.Generator, seed_path: str = "") -> ShadowRecord:
-    """Draw a single randomized homodyne round (see ``sample_homodyne_batch``)."""
-    if isinstance(state, GaussianStateSpec):
-        m = state.modes
-        thetas = rng.uniform(-np.pi, np.pi, size=(1, m))
-        mean, cov = _rotated_position_stats(state, thetas)
-        chol = np.linalg.cholesky(cov[0])
-        q = mean[0] + chol @ rng.standard_normal(m)
-        return ShadowRecord(HOMODYNE, thetas[0], q, seed_path=seed_path)
-    fock = _as_fock(state)
-    thetas, qs = _sample_fock_homodyne(fock, 1, rng)
-    return ShadowRecord(HOMODYNE, thetas[0], qs[0], seed_path=seed_path)
+    return SampleBatch(HOMODYNE, qs, thetas, seed_path, describe_state(state))
 
 
 # ---------------------------------------------------------------------------
@@ -489,22 +476,7 @@ def sample_heterodyne_batch(
             raise ValueError("rejection heterodyne sampling is single mode")
         pts, acceptance = _rejection_heterodyne_draws(fock, n, rng, c_env=c_env)
         meta["acceptance"] = acceptance
-    records = [
-        ShadowRecord(HETERODYNE, None, pts[i], seed_path=f"{seed_path}/{i}")
-        for i in range(n)
-    ]
-    return SampleBatch(records, state_descriptor=describe_state(state), meta=meta)
-
-
-def sample_heterodyne(
-    state, rng: np.random.Generator, seed_path: str = ""
-) -> ShadowRecord:
-    """Draw a single heterodyne round (see ``sample_heterodyne_batch``)."""
-    if isinstance(state, GaussianStateSpec):
-        pts = _gaussian_heterodyne_draws(state, 1, rng)
-    else:
-        pts, _ = _rejection_heterodyne_draws(_as_fock(state), 1, rng)
-    return ShadowRecord(HETERODYNE, None, pts[0], seed_path=seed_path)
+    return SampleBatch(HETERODYNE, pts, None, seed_path, describe_state(state), meta)
 
 
 def describe_state(state) -> dict:

@@ -23,16 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, i0, i0e
-
-
-def mode_count(u) -> int:
-    """Number of modes of a phase-space vector (its length must be even)."""
-    u = np.asarray(u)
-    n = u.shape[-1]
-    if n % 2 != 0:
-        raise ValueError(f"phase-space vector length must be even, got {n}")
-    return n // 2
+from scipy.special import gammaln
 
 
 def as_phase_point(u, modes: int | None = None) -> np.ndarray:
@@ -136,48 +127,37 @@ def laguerre(k: int, j: int, x):
 _HERMITE_MAX_N = 200
 
 
+def hermite_stack(n_max: int, q) -> np.ndarray:
+    """``psi_n(q)`` for all ``n <= n_max``, shape ``(n_max + 1,) + q.shape``.
+
+    Uses the stable three-term recurrence on the normalized functions.
+    """
+    q = np.asarray(q, dtype=float)
+    out = np.empty((n_max + 1,) + q.shape)
+    psi_prev = np.zeros_like(q)
+    psi = np.pi ** (-0.25) * np.exp(-0.5 * q * q)
+    out[0] = psi
+    for n in range(n_max):
+        psi_prev, psi = psi, q * np.sqrt(2.0 / (n + 1)) * psi - np.sqrt(
+            n / (n + 1.0)
+        ) * psi_prev
+        out[n + 1] = psi
+    return out
+
+
 def hermite_wavefunction(n: int, q):
     """L2-normalized harmonic-oscillator eigenfunction ``psi_n(q)``.
 
     Convention ``X = (a + a^dag)/sqrt(2)``, i.e. ``psi_0(q) =
-    pi^(-1/4) exp(-q^2/2)`` and ``int psi_n^2 dq = 1``.  Uses the stable
-    three-term recurrence on the normalized functions.  Vectorized in ``q``.
+    pi^(-1/4) exp(-q^2/2)`` and ``int psi_n^2 dq = 1``.  Row ``n`` of
+    :func:`hermite_stack`.  Vectorized in ``q``.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > _HERMITE_MAX_N:
         raise ValueError(f"n={n} out of range (supported up to {_HERMITE_MAX_N})")
-    q = np.asarray(q, dtype=float)
-    psi_prev = np.zeros_like(q)
-    psi = np.pi ** (-0.25) * np.exp(-0.5 * q * q)
-    for i in range(n):
-        psi_prev, psi = psi, q * np.sqrt(2.0 / (i + 1)) * psi - np.sqrt(
-            i / (i + 1.0)
-        ) * psi_prev
+    psi = hermite_stack(n, q)[n]
     return psi if psi.ndim else float(psi)
-
-
-_BESSEL_SCALED_THRESHOLD = 30.0
-
-
-def bessel_i0(x: float):
-    """Modified Bessel function ``I_0(x)`` for ``x >= 0``.
-
-    For ``x <= 30`` returns the plain value.  Beyond that ``I_0`` heads toward
-    overflow when composed into ratios, so the exponentially-scaled pair
-    ``(exp(-x) I_0(x), x)`` is returned instead; callers re-assemble ratios
-    such as ``exp(-x) I_0(x)`` without ever forming ``I_0`` itself.
-    """
-    if x < 0:
-        raise ValueError("bessel_i0 requires x >= 0")
-    if x > _BESSEL_SCALED_THRESHOLD:
-        return float(i0e(x)), float(x)
-    return float(i0(x))
-
-
-def bessel_i0_scaled(x) -> np.ndarray:
-    """``exp(-|x|) I_0(x)``, overflow-free for any argument.  Vectorized."""
-    return i0e(x)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +229,37 @@ def char_fock_dyad(n1: int, n2: int, u):
     phi = np.arctan2(u[..., 1], u[..., 0])
     out = coeff * radial(rho) * np.exp(1j * d * phi)
     return out if np.ndim(out) else complex(out)
+
+
+def fock_pairing_matrix(char, truncation: int, half: float, nodes: int, window=None):
+    """Fock-basis matrix of an operator from its characteristic function.
+
+    Entry ``(n1, n2)`` is the Plancherel pairing ``int conj(chi_{|n1><n2|}(u))
+    window(u) char(u) d^2u / (2 pi)``, i.e. ``<n1| T |n2>`` for the operator
+    ``T`` with characteristic function ``window * char``.  The integral runs
+    over a Gauss-Legendre tensor grid with ``nodes`` points per axis on
+    ``[-half, half]^2``; ``window`` (default 1) maps points ``(..., 2)`` to
+    real weights.  Returns the Hermitian ``(M+1, M+1)`` complex array.
+    """
+    x, wts = np.polynomial.legendre.leggauss(nodes)
+    pts = half * x
+    ux, up = np.meshgrid(pts, pts, indexing="ij")
+    grid = np.stack([ux, up], axis=-1)
+    weighted = np.outer(wts, wts) * (half * half) * char(grid) / (2.0 * np.pi)
+    if window is not None:
+        weighted = weighted * window(grid)
+    rho = np.sqrt(ux * ux + up * up)
+    phi = np.arctan2(up, ux)
+    dim = truncation + 1
+    mat = np.zeros((dim, dim), dtype=complex)
+    for n1 in range(dim):
+        for n2 in range(n1, dim):
+            coeff, d, radial = fock_dyad_radial(n1, n2)
+            dyad = coeff * radial(rho) * np.exp(1j * d * phi)
+            val = np.sum(np.conj(dyad) * weighted)
+            mat[n1, n2] = val
+            mat[n2, n1] = np.conj(val)
+    return mat
 
 
 def displacement_oracle(u, m_osc: int) -> np.ndarray:

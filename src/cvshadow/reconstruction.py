@@ -75,8 +75,7 @@ def reconstruct_single_mode(
     if batch.protocol != HETERODYNE:
         raise ValueError("grid reconstruction needs heterodyne records")
     pts = square_grid(lo, hi, points)
-    outcomes = batch.outcomes_array()[:, 0, :]
-    recon_vals = trial_char_single_mode(outcomes, pts)
+    recon_vals = trial_char_single_mode(batch.outcomes[:, 0, :], pts)
     exact_vals = state.char(pts)
     step = (hi - lo) / (points - 1)
     exact = CharGrid((lo, lo), (step, step), (points, points), exact_vals, "exact")
@@ -104,7 +103,7 @@ def reconstruct_pair_section(
         raise ValueError("grid reconstruction needs heterodyne records")
     i, j = pair
     axis = np.linspace(lo, hi, points)
-    outcomes = batch.outcomes_array()
+    outcomes = batch.outcomes
     recon_vals = trial_char_pair_section(outcomes[:, i, :], outcomes[:, j, :], axis, axis)
     marg = chain_state.marginal([i, j])
     gx, gy = np.meshgrid(axis, axis, indexing="ij")

@@ -25,15 +25,21 @@ import json
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import i0e, jv
 
-from .measurement import HETERODYNE, HOMODYNE, SampleBatch, ShadowRecord
-from .phase_space import fock_dyad_radial, laguerre, mode_pair, symplectic_product
+from .measurement import HETERODYNE, HOMODYNE, SampleBatch
+from .phase_space import (
+    fock_dyad_radial,
+    fock_pairing_matrix,
+    laguerre,
+    mode_pair,
+    symplectic_product,
+)
 from .states import FockMatrix, multi_indices
 
 # Normalization of the homodyne per-mode entry relative to `int dy |y| ...`;
@@ -97,16 +103,6 @@ class QuadratureRule:
             raise ValueError("budget must be positive")
 
 
-@dataclass
-class ShadowMatrix:
-    """A single-round shadow estimate with provenance."""
-
-    fock: FockMatrix
-    protocol: str
-    sample_index: int
-    subset: tuple[int, ...]
-
-
 # ---------------------------------------------------------------------------
 # noise multiplier f_{mu,T} and pointwise shadow characteristic functions
 # ---------------------------------------------------------------------------
@@ -126,20 +122,32 @@ def f_mu_homodyne(rho, s: float):
     return out if np.ndim(out) else float(out)
 
 
-def shadow_char_eval(record: ShadowRecord, u, s: float | None = None):
-    """Improper characteristic function of one shadow at phase-space point u.
+def shadow_char_eval(protocol: str, thetas, outcome, u, s: float | None = None):
+    """Improper characteristic function of one round's shadow at point u.
 
-    Heterodyne records have the closed form ``exp(|u|^2/4 - i u^T Omega x)``.
-    Homodyne records require a finite squeezing ``s``; the idealized s -> inf
-    homodyne shadow is a delta line and cannot be evaluated pointwise (use
-    ``homodyne_shadow_entry`` instead).
+    A round is given by its arrays: ``outcome`` of shape (m, 2) for
+    heterodyne, with ``thetas`` unused; ``thetas`` and ``outcome`` of shape
+    (m,) for homodyne.  Heterodyne rounds have the closed form
+    ``exp(|u|^2/4 - i u^T Omega x)``.  Homodyne rounds require a finite
+    squeezing ``s``; the idealized s -> inf homodyne shadow is a delta line
+    and cannot be evaluated pointwise (use ``homodyne_shadow_entry`` instead).
     """
     u = np.asarray(u, dtype=float)
-    m = record.modes
+    outcome = np.asarray(outcome, dtype=float)
+    if protocol == HETERODYNE:
+        if outcome.ndim != 2 or outcome.shape[1] != 2:
+            raise ValueError("heterodyne outcomes must have shape (modes, 2)")
+    elif protocol == HOMODYNE:
+        thetas = np.asarray(thetas, dtype=float)
+        if outcome.ndim != 1 or thetas.shape != outcome.shape:
+            raise ValueError("homodyne rounds need one angle per outcome")
+    else:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    m = outcome.shape[0]
     if u.shape[-1] != 2 * m:
         raise ValueError(f"u must have {2 * m} coordinates")
-    if record.protocol == HETERODYNE:
-        x_flat = np.concatenate([record.outcome[:, 0], record.outcome[:, 1]])
+    if protocol == HETERODYNE:
+        x_flat = np.concatenate([outcome[:, 0], outcome[:, 1]])
         out = np.exp(
             0.25 * np.sum(u * u, axis=-1) - 1j * symplectic_product(u, x_flat)
         )
@@ -153,14 +161,14 @@ def shadow_char_eval(record: ShadowRecord, u, s: float | None = None):
     out = np.ones(u.shape[:-1], dtype=complex)
     for j in range(m):
         uj = mode_pair(u, j)
-        theta = float(record.thetas[j])
+        theta = float(thetas[j])
         c, sn = np.cos(theta), np.sin(theta)
         rot_x = c * uj[..., 0] - sn * uj[..., 1]
         rot_p = sn * uj[..., 0] + c * uj[..., 1]
         squeezed = np.exp(-2.0 * s) * rot_x**2 + np.exp(2.0 * s) * rot_p**2
         rho_j = np.sqrt(np.sum(uj * uj, axis=-1))
         # counter-rotated outcome embedding: x_emb = R_{-theta} (q, 0)
-        x_emb = record.outcome[j] * np.array([c, -sn])
+        x_emb = outcome[j] * np.array([c, -sn])
         sym = uj[..., 0] * x_emb[1] - uj[..., 1] * x_emb[0]  # u^T Omega x_emb
         out = out * np.exp(-0.25 * squeezed - 1j * sym) / f_mu_homodyne(rho_j, s)
     return out if np.ndim(out) else complex(out)
@@ -419,61 +427,17 @@ def heterodyne_entries_batch(
 
 
 # ---------------------------------------------------------------------------
-# per-record builders and averaging
+# batch entries and averaging
 # ---------------------------------------------------------------------------
 
 
-def _tensor_entries(per_mode: list[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, per_mode)
-
-
-def build_homodyne_shadow(
-    record: ShadowRecord,
-    subset,
-    truncation: int,
-    rule: QuadratureRule | None = None,
-) -> ShadowMatrix:
-    """Truncated shadow matrix of one homodyne round on mode subset ``A``.
-
-    Per-mode matrices are tensored in the order of ``subset`` and symmetrized
-    to their Hermitian part (the expectation is Hermitian; symmetrizing is a
-    linear variance reduction and cannot bias).
-    """
-    if record.protocol != HOMODYNE:
-        raise ValueError("record is not a homodyne round")
+def _checked_subset(batch: SampleBatch, subset) -> tuple[int, ...]:
     subset = tuple(int(j) for j in np.atleast_1d(subset))
-    if any(j < 0 or j >= record.modes for j in subset):
-        raise ValueError(f"subset {subset} outside measured modes")
-    per_mode = [
-        homodyne_entries_batch(record.thetas[j], record.outcome[j], truncation)[0]
-        for j in subset
-    ]
-    mat = _tensor_entries(per_mode)
-    fock = FockMatrix(len(subset), truncation, 0.5 * (mat + mat.conj().T))
-    return ShadowMatrix(fock, HOMODYNE, 0, subset)
-
-
-def build_heterodyne_shadow(
-    record: ShadowRecord,
-    subset,
-    truncation: int,
-    w: WindowSpec | None = None,
-    rule: QuadratureRule | None = None,
-) -> ShadowMatrix:
-    """Truncated windowed shadow matrix of one heterodyne round on ``A``."""
-    if record.protocol != HETERODYNE:
-        raise ValueError("record is not a heterodyne round")
-    w = w or default_window(truncation)
-    subset = tuple(int(j) for j in np.atleast_1d(subset))
-    if any(j < 0 or j >= record.modes for j in subset):
-        raise ValueError(f"subset {subset} outside measured modes")
-    per_mode = [
-        heterodyne_entries_batch(record.outcome[j][None, :], truncation, w)[0]
-        for j in subset
-    ]
-    mat = _tensor_entries(per_mode)
-    fock = FockMatrix(len(subset), truncation, 0.5 * (mat + mat.conj().T))
-    return ShadowMatrix(fock, HETERODYNE, 0, subset)
+    if not subset or any(j < 0 or j >= batch.modes for j in subset):
+        raise ValueError(
+            f"subset {subset} outside measured modes 0..{batch.modes - 1}"
+        )
+    return subset
 
 
 def batch_radius_cap(batch: SampleBatch, subset) -> float:
@@ -482,8 +446,7 @@ def batch_radius_cap(batch: SampleBatch, subset) -> float:
     Chunked evaluations must share this whole-batch value to stay
     bit-identical with the serial path.
     """
-    subset = tuple(int(j) for j in np.atleast_1d(subset))
-    outs = batch.outcomes_array()[:, subset, :]
+    outs = batch.outcomes[:, _checked_subset(batch, subset), :]
     s_all = np.hypot(outs[..., 0], outs[..., 1])
     return float(np.ceil(s_all.max() + 1.0)) if s_all.size else 1.0
 
@@ -495,31 +458,30 @@ def shadow_batch_entries(
     w: WindowSpec | None = None,
     s_cap: float | None = None,
 ) -> np.ndarray:
-    """Stacked Hermitian shadow matrices for every record of a batch.
+    """Stacked Hermitian shadow matrices for every round of a batch.
 
-    Returns shape ``(N, dim, dim)`` with ``dim = (M+1)^len(subset)``; rows are
-    ordered by sample index.  This is the vectorized equivalent of calling
-    ``build_*_shadow`` per record.
+    Returns shape ``(N, dim, dim)`` with ``dim = (M+1)^len(subset)``; rows
+    follow the batch order, and per-mode matrices are tensored in the order
+    of ``subset``.  Symmetrizing to the Hermitian part is a linear variance
+    reduction (the expectation is Hermitian) and cannot bias.  A subset
+    naming a mode the batch did not measure raises ``ValueError``.
     """
-    subset = tuple(int(j) for j in np.atleast_1d(subset))
+    subset = _checked_subset(batch, subset)
     n = batch.n
     per_mode = []
     if batch.protocol == HOMODYNE:
-        thetas = batch.thetas_array()
-        qs = batch.outcomes_array()
         for j in subset:
-            per_mode.append(homodyne_entries_batch(thetas[:, j], qs[:, j], truncation))
-    elif batch.protocol == HETERODYNE:
+            per_mode.append(
+                homodyne_entries_batch(batch.thetas[:, j], batch.outcomes[:, j], truncation)
+            )
+    else:
         w = w or default_window(truncation)
         if s_cap is None:
             s_cap = batch_radius_cap(batch, subset)
-        outcomes = batch.outcomes_array()
         for j in subset:
             per_mode.append(
-                heterodyne_entries_batch(outcomes[:, j], truncation, w, s_cap=s_cap)
+                heterodyne_entries_batch(batch.outcomes[:, j], truncation, w, s_cap=s_cap)
             )
-    else:
-        raise ValueError(f"unsupported protocol {batch.protocol!r}")
     mats = per_mode[0]
     for other in per_mode[1:]:
         mats = np.einsum("nij,nkl->nikjl", mats, other).reshape(
@@ -599,8 +561,9 @@ def average_entries(
 ) -> ShadowAverage:
     """Mean and standard errors of stacked shadow matrices (axis 0 = sample).
 
-    Uses the deterministic pairwise reduction in canonical (sample index)
-    order, so permuting the input batch does not change the result bits.
+    Rows are summed pairwise in the order given, so the same rows in the
+    same order give the same bits; a permuted input may differ in the last
+    digits.
     """
     n = stacked.shape[0]
     if n == 0:
@@ -619,18 +582,6 @@ def average_entries(
         mean=mean,
         stderr=stderr,
         count=n,
-    )
-
-
-def empirical_average(shadows: list[ShadowMatrix]) -> ShadowAverage:
-    """Average a list of per-round shadows (canonical order by sample index)."""
-    if not shadows:
-        raise ValueError("cannot average an empty list of shadows")
-    first = shadows[0]
-    ordered = sorted(shadows, key=lambda sm: sm.sample_index)
-    stacked = np.stack([sm.fock.entries for sm in ordered])
-    return average_entries(
-        stacked, first.subset, first.fock.truncation, first.protocol
     )
 
 
@@ -671,22 +622,5 @@ def project_PM_tilde(
     if getattr(state, "modes", 1) != 1:
         raise ValueError("project_PM_tilde supports single-mode states")
     nodes = max(int(rule.budget), 64)
-    x, wts = np.polynomial.legendre.leggauss(nodes)
-    pts = w.radius * x
-    w2d = np.outer(wts, wts) * w.radius**2
-    ux, up = np.meshgrid(pts, pts, indexing="ij")
-    grid = np.stack([ux, up], axis=-1)
-    chi_rho = state.char(grid)
-    xi_vals = w.xi(grid)
-    rho = np.sqrt(ux * ux + up * up)
-    phi = np.arctan2(up, ux)
-    dim = truncation + 1
-    mat = np.zeros((dim, dim), dtype=complex)
-    for n1 in range(dim):
-        for n2 in range(n1, dim):
-            coeff, d, radial = fock_dyad_radial(n1, n2)
-            dyad = coeff * radial(rho) * np.exp(1j * d * phi)
-            val = np.sum(w2d * np.conj(dyad) * xi_vals * chi_rho) / (2.0 * np.pi)
-            mat[n1, n2] = val
-            mat[n2, n1] = np.conj(val)
+    mat = fock_pairing_matrix(state.char, truncation, w.radius, nodes, window=w.xi)
     return FockMatrix(1, truncation, mat)

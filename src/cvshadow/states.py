@@ -17,7 +17,7 @@ from scipy.special import gammaln
 from .phase_space import (
     char_coherent_dyad,
     char_gaussian_raw,
-    fock_dyad_radial,
+    fock_pairing_matrix,
     omega_matrix,
     symplectic_product,
 )
@@ -159,11 +159,6 @@ class GaussianStateSpec:
         return np.sort(np.abs(lam.real))[::2]
 
 
-def char_gaussian(spec: GaussianStateSpec, u):
-    """Characteristic function of a Gaussian state spec at ``u``."""
-    return spec.char(u)
-
-
 # ---------------------------------------------------------------------------
 # cat states
 # ---------------------------------------------------------------------------
@@ -273,18 +268,25 @@ def cat_position_pdf(spec: CatStateSpec, x):
     return out if np.ndim(out) else float(out)
 
 
+def coherent_fock_coefficients(alpha: complex, truncation: int) -> np.ndarray:
+    """Fock amplitudes ``<n|alpha>`` of a coherent state, ``n = 0..truncation``.
+
+    Magnitudes are built in the log domain, so large ``n`` does not overflow.
+    """
+    if alpha == 0:
+        coeffs = np.zeros(truncation + 1, dtype=complex)
+        coeffs[0] = 1.0
+        return coeffs
+    n = np.arange(truncation + 1)
+    log_mag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
+    return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
+
+
 def cat_fock_coefficients(spec: CatStateSpec, truncation: int) -> np.ndarray:
     """Fock expansion coefficients of the cat state up to ``truncation``."""
     w_plus, w_minus = spec.coherent_weights()
     n = np.arange(truncation + 1)
-    log_mag = -0.5 * abs(spec.alpha) ** 2 + n * np.log(
-        np.maximum(abs(spec.alpha), 1e-300)
-    ) - 0.5 * gammaln(n + 1.0)
-    phase = np.exp(1j * n * np.angle(spec.alpha))
-    coh = np.exp(log_mag) * phase
-    if abs(spec.alpha) == 0.0:
-        coh = np.zeros(truncation + 1, dtype=complex)
-        coh[0] = 1.0
+    coh = coherent_fock_coefficients(spec.alpha, truncation)
     return w_plus * coh + w_minus * coh * (-1.0) ** n
 
 
@@ -392,26 +394,9 @@ def _gaussian_fock(spec: GaussianStateSpec, truncation: int) -> FockMatrix:
     """Single-mode Gaussian state via the Plancherel pairing with Fock dyads."""
     if spec.modes != 1:
         raise ValueError("Fock matrices of Gaussian states supported for one mode")
-    # Gauss-Legendre tensor grid; integrand decays at least like exp(-|u|^2/4).
+    # the integrand decays at least like exp(-|u|^2/4)
     half = 10.0 + np.sqrt(np.linalg.eigvalsh(spec.cov).max()) + np.linalg.norm(spec.mean)
-    nodes, weights = np.polynomial.legendre.leggauss(180)
-    pts = half * nodes
-    w2d = np.outer(weights, weights) * half * half
-    ux, up = np.meshgrid(pts, pts, indexing="ij")
-    grid = np.stack([ux, up], axis=-1)
-    chi_rho = spec.char(grid)
-    dim = truncation + 1
-    mat = np.zeros((dim, dim), dtype=complex)
-    rho = np.sqrt(ux * ux + up * up)
-    phi = np.arctan2(up, ux)
-    for n1 in range(dim):
-        for n2 in range(n1, dim):
-            coeff, d, radial = fock_dyad_radial(n1, n2)
-            dyad = coeff * radial(rho) * np.exp(1j * d * phi)
-            val = np.sum(w2d * np.conj(dyad) * chi_rho) / (2.0 * np.pi)
-            mat[n1, n2] = val
-            mat[n2, n1] = np.conj(val)
-    fm = FockMatrix(1, truncation, mat)
+    fm = FockMatrix(1, truncation, fock_pairing_matrix(spec.char, truncation, half, 180))
     fm.trace_deficit = 1.0 - fm.trace().real
     return fm
 
@@ -437,14 +422,7 @@ def fock_matrix_of(state, truncation: int) -> FockMatrix:
             return _thermal_fock(0.5 * (cov[0, 0] - 1.0), truncation)
         if iso and np.isclose(cov[0, 0], 1.0, atol=1e-12):
             alpha = complex(state.mean[0], state.mean[1]) / np.sqrt(2.0)
-            n = np.arange(truncation + 1)
-            log_mag = -0.5 * abs(alpha) ** 2 + n * np.log(max(abs(alpha), 1e-300)) \
-                - 0.5 * gammaln(n + 1.0)
-            coeffs = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
-            if abs(alpha) == 0.0:
-                coeffs = np.zeros(truncation + 1, dtype=complex)
-                coeffs[0] = 1.0
-            return _pure_fock(coeffs, truncation)
+            return _pure_fock(coherent_fock_coefficients(alpha, truncation), truncation)
         return _gaussian_fock(state, truncation)
     raise ValueError(f"unsupported state kind: {type(state).__name__}")
 

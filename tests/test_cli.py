@@ -328,6 +328,14 @@ class TestMainEntrypoint:
             == 0
         )
 
+    def test_subset_outside_batch_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(samples=10, subset=[2]))
+        out, batch = str(tmp_path / "s"), str(tmp_path / "s" / "records.jsonl")
+        assert cli.main(["sample", "--config", str(cfg_path), "--out", out]) == 0
+        argv = ["reconstruct", "--config", str(cfg_path), "--batch", batch]
+        assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 2
+        assert "error: subset (2,) outside measured modes" in capsys.readouterr().err
+
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"version": 1})
         assert cli.main(["sample", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2

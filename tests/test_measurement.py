@@ -1,5 +1,6 @@
 """Synthetic homodyne/heterodyne samplers and their outcome densities."""
 
+import json
 import math
 
 import numpy as np
@@ -8,16 +9,12 @@ from scipy.integrate import quad
 
 from cvshadow.measurement import (
     SampleBatch,
-    ShadowRecord,
     fock_husimi,
     heterodyne_covariance,
     heterodyne_pdf,
     homodyne_pdf,
-    sample_heterodyne,
     sample_heterodyne_batch,
-    sample_homodyne,
     sample_homodyne_batch,
-    stream_rng,
 )
 from cvshadow.states import (
     CatStateSpec,
@@ -93,24 +90,24 @@ class TestSampleHomodyne:
         state = GaussianStateSpec.vacuum()
         a = sample_homodyne_batch(state, 5, "seed42")
         b = sample_homodyne_batch(state, 5, "seed42")
-        assert np.array_equal(a.thetas_array(), b.thetas_array())
-        assert np.array_equal(a.outcomes_array(), b.outcomes_array())
+        assert np.array_equal(a.thetas, b.thetas)
+        assert np.array_equal(a.outcomes, b.outcomes)
 
     def test_vacuum_variance(self):
         batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 100_000, "var")
-        q = batch.outcomes_array()[:, 0]
+        q = batch.outcomes[:, 0]
         assert q.var() == pytest.approx(0.5, abs=0.01)
-        assert np.all(batch.thetas_array() >= -np.pi)
-        assert np.all(batch.thetas_array() < np.pi)
+        assert np.all(batch.thetas >= -np.pi)
+        assert np.all(batch.thetas < np.pi)
 
     def test_thermal_variance(self):
         batch = sample_homodyne_batch(GaussianStateSpec.thermal(1.0), 100_000, "th")
-        assert batch.outcomes_array()[:, 0].var() == pytest.approx(1.5, abs=0.02)
+        assert batch.outcomes[:, 0].var() == pytest.approx(1.5, abs=0.02)
 
     def test_uncoupled_chain_uncorrelated(self):
         state = chain_ground_state(ChainSpec(2, 0.0))
         batch = sample_homodyne_batch(state, 100_000, "chain0")
-        qs = batch.outcomes_array()
+        qs = batch.outcomes
         corr = np.corrcoef(qs[:, 0], qs[:, 1])[0, 1]
         assert abs(corr) < 0.01
 
@@ -119,8 +116,8 @@ class TestSampleHomodyne:
         # conditional on the angle, Var(q) = (R_theta V R_theta^T)_11 / 2
         state = GaussianStateSpec(np.zeros(2), np.diag([2.0, 0.6]))
         batch = sample_homodyne_batch(state, 200_000, "rotvar")
-        thetas = batch.thetas_array()[:, 0]
-        qs = batch.outcomes_array()[:, 0]
+        thetas = batch.thetas[:, 0]
+        qs = batch.outcomes[:, 0]
         mask = np.abs((thetas - theta + np.pi) % (2 * np.pi) - np.pi) < 0.06
         sel = qs[mask]
         row = np.array([np.cos(theta), -np.sin(theta)])
@@ -133,16 +130,18 @@ class TestSampleHomodyne:
         # angle-averaged E[q^2] = tr(rho (X^2 + P^2))/2 = <n> + 1/2
         spec = CatStateSpec(1 + 1j, "zero")
         batch = sample_homodyne_batch(spec, 50_000, "catmo")
-        qs = batch.outcomes_array()[:, 0]
+        qs = batch.outcomes[:, 0]
         coeffs = cat_fock_coefficients(spec, 40)
         expected = np.sum(np.arange(41) * np.abs(coeffs) ** 2) + 0.5
         stderr = (qs**2).std() / math.sqrt(len(qs))
         assert (qs**2).mean() == pytest.approx(expected, abs=4 * stderr)
 
     def test_single_record_api(self):
-        rec = sample_homodyne(GaussianStateSpec.vacuum(), stream_rng("one"), "one/0")
-        assert rec.protocol == "homodyne"
-        assert rec.thetas.shape == (1,)
+        batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 1, "one")
+        assert batch.protocol == "homodyne"
+        assert batch.thetas.shape == (1, 1)
+        assert batch.outcomes.shape == (1, 1)
+        assert batch.seed_path == "one"
 
 
 class TestHeterodynePdf:
@@ -182,14 +181,14 @@ class TestHeterodynePdf:
 class TestSampleHeterodyne:
     def test_vacuum_moments(self):
         batch = sample_heterodyne_batch(GaussianStateSpec.vacuum(), 100_000, "hvac")
-        pts = batch.outcomes_array()[:, 0, :]
+        pts = batch.outcomes[:, 0, :]
         assert np.allclose(pts.mean(axis=0), 0.0, atol=4.0 / math.sqrt(len(pts)))
         assert np.allclose(pts.var(axis=0), 1.0, rtol=0.02)
 
     def test_chain_covariance(self):
         state = chain_ground_state(ChainSpec(10, 0.99))
         batch = sample_heterodyne_batch(state, 100_000, "hchain")
-        pts = batch.outcomes_array()
+        pts = batch.outcomes
         flat = np.concatenate([pts[:, :, 0], pts[:, :, 1]], axis=1)
         emp = np.cov(flat.T, bias=False)
         # outcome covariance in the vacuum-is-identity normalization is 2x
@@ -202,7 +201,7 @@ class TestSampleHeterodyne:
         spec = CatStateSpec(1 + 1j, "one")
         batch = sample_heterodyne_batch(spec, 40_000, "hcat")
         assert batch.meta["acceptance"] >= 0.1
-        pts = batch.outcomes_array()[:, 0, :]
+        pts = batch.outcomes[:, 0, :]
         mean_expected, cov = fock_moments(fock_matrix_of(spec, 40))
         sigma = 0.5 * (cov + np.eye(2))
         stderr = np.sqrt(np.diag(sigma) / len(pts))
@@ -227,15 +226,16 @@ class TestSampleHeterodyne:
             meas.sample_heterodyne_batch(spec, 100, "abort")
 
     def test_single_record_api(self):
-        rec = sample_heterodyne(GaussianStateSpec.vacuum(), stream_rng("h1"), "h1/0")
-        assert rec.protocol == "heterodyne"
-        assert rec.outcome.shape == (1, 2)
+        batch = sample_heterodyne_batch(GaussianStateSpec.vacuum(), 1, "h1")
+        assert batch.protocol == "heterodyne"
+        assert batch.thetas is None
+        assert batch.outcomes.shape == (1, 1, 2)
 
     def test_uncoupled_chain_factorizes(self):
         n = 40_000
         state = chain_ground_state(ChainSpec(2, 0.0))
         batch = sample_heterodyne_batch(state, n, "hfact")
-        pts = batch.outcomes_array()
+        pts = batch.outcomes
         for a in range(2):
             for b in range(2):
                 corr = np.corrcoef(pts[:, 0, a], pts[:, 1, b])[0, 1]
@@ -249,32 +249,73 @@ class TestRecordsAndBatches:
         batch.to_jsonl(path)
         loaded = SampleBatch.from_jsonl(path)
         assert loaded.n == batch.n
-        for a, b in zip(batch.records, loaded.records):
-            assert a.protocol == b.protocol
-            assert np.array_equal(a.thetas, b.thetas)
-            assert np.array_equal(a.outcome, b.outcome)
-            assert a.seed_path == b.seed_path
+        assert loaded.protocol == batch.protocol
+        assert np.array_equal(loaded.thetas, batch.thetas)
+        assert np.array_equal(loaded.outcomes, batch.outcomes)
+        assert loaded.seed_path == batch.seed_path == "rt"
+        lines = path.read_text().splitlines()
+        assert len(lines) == 50
+        assert all(json.loads(line)["seed_path"] == "rt" for line in lines)
 
     def test_heterodyne_roundtrip(self, tmp_path):
         batch = sample_heterodyne_batch(GaussianStateSpec.vacuum(), 20, "rth")
         path = tmp_path / "records.jsonl"
         batch.to_jsonl(path)
         loaded = SampleBatch.from_jsonl(path)
-        assert np.array_equal(loaded.outcomes_array(), batch.outcomes_array())
+        assert np.array_equal(loaded.outcomes, batch.outcomes)
 
-    def test_mixed_protocols_rejected(self):
-        hom = sample_homodyne_batch(GaussianStateSpec.vacuum(), 1, "a").records
-        het = sample_heterodyne_batch(GaussianStateSpec.vacuum(), 1, "b").records
-        with pytest.raises(ValueError):
-            SampleBatch(hom + het)
+    def test_mixed_protocols_rejected(self, tmp_path):
+        hom = tmp_path / "hom.jsonl"
+        het = tmp_path / "het.jsonl"
+        sample_homodyne_batch(GaussianStateSpec.vacuum(), 2, "a").to_jsonl(hom)
+        sample_heterodyne_batch(GaussianStateSpec.vacuum(), 1, "a").to_jsonl(het)
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text(hom.read_text() + het.read_text())
+        with pytest.raises(ValueError, match="line 3 has protocol 'heterodyne'"):
+            SampleBatch.from_jsonl(mixed)
+
+    def test_two_streams_rejected(self, tmp_path):
+        a = tmp_path / "a.jsonl"
+        b = tmp_path / "b.jsonl"
+        sample_homodyne_batch(GaussianStateSpec.vacuum(), 3, "s/0").to_jsonl(a)
+        sample_homodyne_batch(GaussianStateSpec.vacuum(), 3, "s/1").to_jsonl(b)
+        joined = tmp_path / "joined.jsonl"
+        joined.write_text(a.read_text() + b.read_text())
+        with pytest.raises(ValueError, match="line 4 .*seed_path 's/1'"):
+            SampleBatch.from_jsonl(joined)
+
+    def test_malformed_files_rejected(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = '{"protocol":"homodyne","thetas":[0.1],"outcome":[0.5],"seed_path":"x"}'
+        cases = {
+            "\n": "no records",
+            good.replace('"outcome"', '"outcomes"'): "line 1 is not a record",
+            "[1, 2]\n": "line 1 is not a record",
+            good + "\n" + good.replace("[0.5]", "[0.5,0.6]"): r"line 2 has shape \(2,\)",
+        }
+        for text, message in cases.items():
+            path.write_text(text)
+            with pytest.raises(ValueError, match=message):
+                SampleBatch.from_jsonl(path)
 
     def test_bad_record_shapes(self):
         with pytest.raises(ValueError):
-            ShadowRecord("homodyne", [0.1, 0.2], [0.5], "x")
+            SampleBatch("homodyne", [[0.5]], [[0.1, 0.2]], "x")
         with pytest.raises(ValueError):
-            ShadowRecord("heterodyne", None, [0.5, 0.2], "x")
+            SampleBatch("heterodyne", [[0.5, 0.2]], None, "x")
+        with pytest.raises(ValueError):
+            SampleBatch("heterodyne", [[[0.5, np.nan]]], None, "x")
+        with pytest.raises(ValueError):
+            SampleBatch("quadrature", [[0.5]], [[0.1]], "x")
+
+    def test_slice_is_a_batch(self):
+        batch = sample_homodyne_batch(GaussianStateSpec.thermal(0.4, modes=2), 10, "sl")
+        part = batch[3:7]
+        assert (part.n, part.modes, part.seed_path) == (4, 2, "sl")
+        assert np.array_equal(part.thetas, batch.thetas[3:7])
+        assert np.array_equal(part.outcomes, batch.outcomes[3:7])
 
     def test_disjoint_streams_differ(self):
         a = sample_homodyne_batch(GaussianStateSpec.vacuum(), 10, "s/0")
         b = sample_homodyne_batch(GaussianStateSpec.vacuum(), 10, "s/1")
-        assert not np.array_equal(a.outcomes_array(), b.outcomes_array())
+        assert not np.array_equal(a.outcomes, b.outcomes)

@@ -12,7 +12,6 @@ from scipy.integrate import quad
 from cvshadow.phase_space import (
     CharGrid,
     Rotation2,
-    bessel_i0,
     char_coherent_dyad,
     char_fock_dyad,
     char_gaussian_raw,
@@ -114,26 +113,6 @@ class TestHermite:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             hermite_wavefunction(201, 0.0)
-
-
-class TestBesselI0:
-    def test_at_zero(self):
-        assert bessel_i0(0.0) == pytest.approx(1.0)
-
-    def test_series_oracle(self):
-        series = sum((0.5) ** (2 * k) / math.factorial(k) ** 2 for k in range(21))
-        assert bessel_i0(1.0) == pytest.approx(series, rel=1e-14)
-
-    def test_scaled_pair_matches_asymptotics(self):
-        scaled, x = bessel_i0(50.0)
-        assert x == 50.0
-        # e^{-x} I0(x) ~ (2 pi x)^{-1/2} (1 + 1/(8x) + 9/(128 x^2))
-        asym = (1.0 + 1 / 400.0 + 9 / 320000.0) / math.sqrt(2 * math.pi * 50.0)
-        assert scaled == pytest.approx(asym, rel=1e-6)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            bessel_i0(-1.0)
 
 
 class TestCoherentDyad:

@@ -7,21 +7,14 @@ import pytest
 from scipy.integrate import quad
 
 from cvshadow.bounds import delta0
-from cvshadow.measurement import (
-    ShadowRecord,
-    sample_heterodyne_batch,
-    sample_homodyne_batch,
-)
+from cvshadow.measurement import sample_heterodyne_batch, sample_homodyne_batch
 from cvshadow.phase_space import char_fock_dyad
 from cvshadow.shadows import (
     QuadratureRule,
     ShadowAverage,
     WindowSpec,
     average_entries,
-    build_heterodyne_shadow,
-    build_homodyne_shadow,
     default_window,
-    empirical_average,
     f_mu_homodyne,
     heterodyne_entries_batch,
     heterodyne_shadow_entry,
@@ -106,17 +99,13 @@ class TestHomodyneEntry:
 
     def test_unbiased_on_vacuum(self):
         batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 30_000, "ub00")
-        entries = homodyne_entries_batch(
-            batch.thetas_array()[:, 0], batch.outcomes_array()[:, 0], 1
-        )
+        entries = homodyne_entries_batch(batch.thetas[:, 0], batch.outcomes[:, 0], 1)
         val = entries[:, 0, 0].real
         assert val.mean() == pytest.approx(1.0, abs=3 * val.std() / math.sqrt(val.size))
 
     def test_unbiased_on_fock_one(self):
         batch = sample_homodyne_batch(fock_state(1, 6), 30_000, "ub11")
-        entries = homodyne_entries_batch(
-            batch.thetas_array()[:, 0], batch.outcomes_array()[:, 0], 1
-        )
+        entries = homodyne_entries_batch(batch.thetas[:, 0], batch.outcomes[:, 0], 1)
         val = entries[:, 0, 0].real
         assert val.mean() == pytest.approx(0.0, abs=3 * val.std() / math.sqrt(val.size))
 
@@ -180,7 +169,7 @@ class TestHeterodyneEntry:
     def test_unbiased_entry_00(self):
         w = default_window(0)
         batch = sample_heterodyne_batch(GaussianStateSpec.vacuum(), 30_000, "uh00")
-        entries = heterodyne_entries_batch(batch.outcomes_array()[:, 0], 0, w)
+        entries = heterodyne_entries_batch(batch.outcomes[:, 0], 0, w)
         vals = entries[:, 0, 0].real
         target = project_PM_tilde(GaussianStateSpec.vacuum(), 0, w).entries[0, 0].real
         assert vals.mean() == pytest.approx(
@@ -221,28 +210,27 @@ class TestHeterodyneEntry:
 
 class TestBuilders:
     def test_single_mode_m0_reduces_to_entry(self):
-        rec = sample_homodyne_batch(GaussianStateSpec.vacuum(), 1, "b0").records[0]
-        shadow = build_homodyne_shadow(rec, [0], 0)
-        expected = homodyne_shadow_entry(0, 0, rec.thetas[0], rec.outcome[0])
-        assert shadow.fock.entries[0, 0] == pytest.approx(expected)
+        batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 1, "b0")
+        shadow = shadow_batch_entries(batch, [0], 0)
+        expected = homodyne_shadow_entry(
+            0, 0, batch.thetas[0, 0], batch.outcomes[0, 0]
+        )
+        assert shadow[0, 0, 0] == pytest.approx(expected)
 
     def test_two_mode_factorization(self):
         state = GaussianStateSpec.thermal(0.4, modes=2)
-        rec = sample_homodyne_batch(state, 1, "b2").records[0]
-        shadow = build_homodyne_shadow(rec, [0, 1], 1)
-        per0 = homodyne_entries_batch(rec.thetas[0], rec.outcome[0], 1)[0]
-        per1 = homodyne_entries_batch(rec.thetas[1], rec.outcome[1], 1)[0]
-        assert np.allclose(shadow.fock.entries, np.kron(per0, per1), atol=1e-12)
+        batch = sample_homodyne_batch(state, 1, "b2")
+        shadow = shadow_batch_entries(batch, [0, 1], 1)
+        per0 = homodyne_entries_batch(batch.thetas[:, 0], batch.outcomes[:, 0], 1)[0]
+        per1 = homodyne_entries_batch(batch.thetas[:, 1], batch.outcomes[:, 1], 1)[0]
+        assert np.allclose(shadow[0], np.kron(per0, per1), atol=1e-12)
 
     def test_subset_validation(self):
-        rec = sample_homodyne_batch(GaussianStateSpec.vacuum(), 1, "b3").records[0]
-        with pytest.raises(ValueError):
-            build_homodyne_shadow(rec, [1], 2)
-        het = sample_heterodyne_batch(GaussianStateSpec.vacuum(), 1, "b4").records[0]
-        with pytest.raises(ValueError):
-            build_homodyne_shadow(het, [0], 2)
-        with pytest.raises(ValueError):
-            build_heterodyne_shadow(rec, [0], 2)
+        for sample in (sample_homodyne_batch, sample_heterodyne_batch):
+            batch = sample(GaussianStateSpec.vacuum(), 1, "b3")
+            for subset in ([1], [-1], [0, 1], []):
+                with pytest.raises(ValueError, match="outside measured modes"):
+                    shadow_batch_entries(batch, subset, 2)
 
     def test_shadows_hermitian(self):
         batch = sample_heterodyne_batch(CatStateSpec(1 + 1j, "zero"), 8, "b5")
@@ -252,30 +240,22 @@ class TestBuilders:
 
 class TestAveraging:
     def test_single_shadow_identity(self):
-        rec = sample_homodyne_batch(GaussianStateSpec.vacuum(), 1, "a1").records[0]
-        shadow = build_homodyne_shadow(rec, [0], 2)
-        avg = empirical_average([shadow])
-        assert np.array_equal(avg.mean, shadow.fock.entries)
+        batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 1, "a1")
+        stacked = shadow_batch_entries(batch, [0], 2)
+        avg = average_entries(stacked, (0,), 2, "homodyne")
+        assert np.array_equal(avg.mean, stacked[0])
         assert np.all(avg.stderr == 0)
 
-    def test_permutation_invariance_bitwise(self):
+    def test_same_order_bit_identity(self):
         batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 33, "a2")
-        shadows = []
-        for i, rec in enumerate(batch.records):
-            sm = build_homodyne_shadow(rec, [0], 2)
-            sm.sample_index = i
-            shadows.append(sm)
-        fwd = empirical_average(shadows)
-        rng = np.random.default_rng(0)
-        shuffled = list(shadows)
-        rng.shuffle(shuffled)
-        back = empirical_average(shuffled)
-        assert np.array_equal(fwd.mean, back.mean)
-        assert np.array_equal(fwd.stderr, back.stderr)
+        first = average_entries(shadow_batch_entries(batch, [0], 2), (0,), 2, "homodyne")
+        again = average_entries(shadow_batch_entries(batch, [0], 2), (0,), 2, "homodyne")
+        assert np.array_equal(first.mean, again.mean)
+        assert np.array_equal(first.stderr, again.stderr)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            empirical_average([])
+            average_entries(np.zeros((0, 3, 3), dtype=complex), (0,), 2, "homodyne")
 
     def test_vacuum_heterodyne_average(self):
         w = default_window(2)
@@ -391,31 +371,30 @@ class TestProjections:
 
 class TestShadowCharEval:
     def test_heterodyne_at_origin(self):
-        rec = ShadowRecord("heterodyne", None, [[0.4, -0.7]], "c1")
-        assert shadow_char_eval(rec, np.zeros(2)) == pytest.approx(1.0)
+        assert shadow_char_eval("heterodyne", None, [[0.4, -0.7]], np.zeros(2)) == (
+            pytest.approx(1.0)
+        )
 
     def test_heterodyne_form(self):
-        rec = ShadowRecord("heterodyne", None, [[0.4, -0.7]], "c2")
+        outcome = np.array([[0.4, -0.7]])
         u = np.array([0.5, 0.2])
         expected = np.exp(0.25 * np.dot(u, u)) * np.exp(
-            -1j * (u[0] * rec.outcome[0][1] - u[1] * rec.outcome[0][0])
+            -1j * (u[0] * outcome[0][1] - u[1] * outcome[0][0])
         )
-        assert shadow_char_eval(rec, u) == pytest.approx(expected)
+        assert shadow_char_eval("heterodyne", None, outcome, u) == pytest.approx(expected)
 
     def test_ideal_homodyne_rejected(self):
-        rec = ShadowRecord("homodyne", [0.3], [0.9], "c3")
         with pytest.raises(ValueError, match="distributional"):
-            shadow_char_eval(rec, np.zeros(2))
+            shadow_char_eval("homodyne", [0.3], [0.9], np.zeros(2))
 
     def test_finite_squeezing_magnitude_asymptote(self):
         # |chi(u)| ~ sqrt(pi sinh 2s) |u| exp(|u|^2 e^{-2s}/4) on the rotated
         # axis (R_theta u)_2 = 0, up to the 1/(8z) Bessel correction
-        rec = ShadowRecord("homodyne", [0.7], [1.3], "c4")
         s = 2.0
         theta = 0.7
         for rho in (1.0, 1.5, 2.5):
             u = rho * np.array([np.cos(theta), -np.sin(theta)])
-            val = abs(shadow_char_eval(rec, u, s))
+            val = abs(shadow_char_eval("homodyne", [theta], [1.3], u, s))
             asym = math.sqrt(math.pi * math.sinh(2 * s)) * rho * math.exp(
                 0.25 * rho * rho * math.exp(-2 * s)
             )
