@@ -10,10 +10,8 @@ the config hash, the tool version and wall time.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -36,7 +34,6 @@ from .shadows import (
     ShadowAverage,
     WindowSpec,
     average_entries,
-    batch_radius_cap,
     default_window,
     shadow_batch_entries,
 )
@@ -221,39 +218,6 @@ def write_manifest(out_dir: Path, config: dict, files: list[Path], elapsed: floa
     return path
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CVSHADOW_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _batch_entries_parallel(batch: SampleBatch, subset, truncation: int, window):
-    """Shadow entries for a batch, chunked over CVSHADOW_THREADS workers.
-
-    Chunks are concatenated in batch order, so the result is identical to
-    the single-threaded path.
-    """
-    threads = _thread_count()
-    if threads == 1 or batch.n < 2 * threads:
-        return shadow_batch_entries(batch, subset, truncation, window)
-    # pin the heterodyne tabulation range to the whole batch, so the chunked
-    # result is bit-identical to the serial one
-    s_cap = None
-    if batch.protocol == HETERODYNE:
-        s_cap = batch_radius_cap(batch, subset)
-    bounds = np.linspace(0, batch.n, threads + 1, dtype=int)
-    chunks = [batch[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(
-                lambda c: shadow_batch_entries(c, subset, truncation, window, s_cap),
-                chunks,
-            )
-        )
-    return np.concatenate(parts, axis=0)
-
-
 def _seeded(config: dict, seed_override: int | None) -> dict:
     config = dict(config)
     if seed_override is not None:
@@ -355,7 +319,7 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
         truncation = config["truncation"]
         subset = tuple(config.get("subset", range(min(modes, 1))))
         window = config_window(config) if batch.protocol == HETERODYNE else None
-        stacked = _batch_entries_parallel(batch, subset, truncation, window)
+        stacked = shadow_batch_entries(batch, subset, truncation, window)
         avg = average_entries(stacked, subset, truncation, batch.protocol)
         avg_path = out / "shadow_average.json"
         avg.to_json(avg_path)

@@ -297,10 +297,10 @@ def _invert_cdf_monotone(
     ``pdf`` has one row per sample; each row is inverted at its own uniform
     ``u``.  The inverse CDF is interpolated with a monotone cubic Hermite
     whose exact slopes ``dq/dc = 1/pdf`` are clamped per Fritsch-Carlson.
-    Works in unnormalized CDF units to avoid full-array divisions.
+    Works in unnormalized CDF units to avoid full-array divisions.  ``pdf``
+    must be non-negative.
     """
     dq = float(qgrid[1] - qgrid[0])
-    pdf = np.maximum(pdf, 0.0)
     cdf = np.empty_like(pdf)
     cdf[:, 0] = 0.0
     np.cumsum(0.5 * (pdf[:, 1:] + pdf[:, :-1]) * dq, axis=1, out=cdf[:, 1:])
@@ -351,7 +351,8 @@ def _sample_fock_homodyne(
         phases = np.concatenate(
             [weight * np.cos(angles), weight * np.sin(angles)], axis=1
         )
-        pdf = np.maximum(phases @ g_stack, 0.0)
+        pdf = phases @ g_stack
+        np.maximum(pdf, 0.0, out=pdf)
         qs[sl] = _invert_cdf_monotone(qgrid, pdf, rng.random(pdf.shape[0]))
     return thetas[:, None], qs[:, None]
 

@@ -19,44 +19,48 @@ from .measurement import HETERODYNE, SampleBatch
 from .phase_space import CharGrid
 
 
-def square_grid(lo: float = -2.0, hi: float = 2.0, points: int = 81) -> np.ndarray:
-    """Flattened 2D grid over [lo, hi]^2, shape (points^2, 2)."""
-    axis = np.linspace(lo, hi, points)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    return np.stack([gx.ravel(), gy.ravel()], axis=-1)
+# Rounds per chunk of the factorised phase sum; fixed, so the summation
+# order (and the bits) do not depend on N.
+_ROUND_CHUNK = 4096
 
 
-def trial_char_single_mode(outcomes: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Reconstructed chi_N on single-mode points ``u`` (shape (..., 2)).
+def _trial_char_grid(a, ya, b, yb) -> np.ndarray:
+    """``exp((a_k^2 + b_l^2)/4) mean_n exp(i a_k ya_n) exp(i b_l yb_n)``.
 
-    ``outcomes`` is the (N, 2) array of heterodyne points of the mode.
+    Returns shape (len(a), len(b)).  The phase factorises per axis, so the
+    sum over rounds is ``A @ B.T`` accumulated over fixed-size chunks of
+    rounds in order, then divided by N; memory is axes x chunk, never
+    grid x N.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    total = np.zeros((a.size, b.size), dtype=complex)
+    for start in range(0, len(ya), _ROUND_CHUNK):
+        sl = slice(start, start + _ROUND_CHUNK)
+        total += np.exp(1j * np.outer(a, ya[sl])) @ np.exp(1j * np.outer(b, yb[sl])).T
+    grow = np.exp(0.25 * (np.square(a)[:, None] + np.square(b)[None, :]))
+    return grow * (total / len(ya))
+
+
+def trial_char_single_mode(outcomes: np.ndarray, a, b) -> np.ndarray:
+    """Reconstructed chi_N((a_k, b_l)) on the grid of axes ``a`` x ``b``.
+
+    ``outcomes`` is the (N, 2) array of heterodyne points (x, p) of the mode;
+    returns shape (len(a), len(b)).  With ``u^T Omega x = a p - b x`` the
+    phase is ``exp(-i a p) exp(i b x)``.
     """
     outcomes = np.asarray(outcomes, dtype=float).reshape(-1, 2)
-    u = np.asarray(u, dtype=float)
-    flat = u.reshape(-1, 2)
-    # u^T Omega x = u_x p - u_p x
-    phase = np.outer(flat[:, 0], outcomes[:, 1]) - np.outer(flat[:, 1], outcomes[:, 0])
-    est = np.exp(-1j * phase).mean(axis=1)
-    grow = np.exp(0.25 * np.sum(flat * flat, axis=-1))
-    return (grow * est).reshape(u.shape[:-1])
+    return _trial_char_grid(a, -outcomes[:, 1], b, outcomes[:, 0])
 
 
 def trial_char_pair_section(
-    outcomes_i: np.ndarray, outcomes_j: np.ndarray, a: np.ndarray, b: np.ndarray
+    outcomes_i: np.ndarray, outcomes_j: np.ndarray, a, b
 ) -> np.ndarray:
     """Reconstructed chi_N((a, 0), (b, 0)) for a pair of modes.
 
     ``a``/``b`` are the grid axes of the two x-type section coordinates;
-    returns shape (len(a), len(b)).  The per-mode phases separate, so the
-    double sum is two outer products.
+    returns shape (len(a), len(b)).  The phase is ``exp(-i a p_i) exp(-i b p_j)``.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    pha = np.exp(-1j * np.outer(a, outcomes_i[:, 1]))  # u = (a, 0): a * p_i
-    phb = np.exp(-1j * np.outer(b, outcomes_j[:, 1]))
-    est = (pha[:, None, :] * phb[None, :, :]).mean(axis=2)
-    grow = np.exp(0.25 * (a[:, None] ** 2 + b[None, :] ** 2))
-    return grow * est
+    return _trial_char_grid(a, -outcomes_i[:, 1], b, -outcomes_j[:, 1])
 
 
 def v_metric(exact: np.ndarray, recon: np.ndarray, volume: float) -> float:
@@ -68,22 +72,26 @@ def v_metric(exact: np.ndarray, recon: np.ndarray, volume: float) -> float:
     return float(np.sum(np.abs(exact - recon) ** 2) / (volume * exact.size))
 
 
+def _char_grids(lo, hi, points, exact_vals, recon_vals):
+    """Exact and reconstructed CharGrids on [lo, hi]^2 plus their V metric."""
+    step = (hi - lo) / (points - 1)
+    grid = ((lo, lo), (step, step), (points, points))
+    exact = CharGrid(*grid, exact_vals, "exact")
+    recon = CharGrid(*grid, recon_vals, "reconstructed")
+    return exact, recon, v_metric(exact_vals, recon_vals, (hi - lo) ** 2)
+
+
 def reconstruct_single_mode(
     batch: SampleBatch, state, lo: float = -2.0, hi: float = 2.0, points: int = 81
 ) -> tuple[CharGrid, CharGrid, float]:
     """Exact and reconstructed CharGrids plus V metric for a one-mode state."""
     if batch.protocol != HETERODYNE:
         raise ValueError("grid reconstruction needs heterodyne records")
-    pts = square_grid(lo, hi, points)
-    recon_vals = trial_char_single_mode(batch.outcomes[:, 0, :], pts)
-    exact_vals = state.char(pts)
-    step = (hi - lo) / (points - 1)
-    exact = CharGrid((lo, lo), (step, step), (points, points), exact_vals, "exact")
-    recon = CharGrid(
-        (lo, lo), (step, step), (points, points), recon_vals, "reconstructed"
-    )
-    vol = (hi - lo) ** 2
-    return exact, recon, v_metric(exact_vals, recon_vals, vol)
+    axis = np.linspace(lo, hi, points)
+    recon_vals = trial_char_single_mode(batch.outcomes[:, 0, :], axis, axis)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    exact_vals = state.char(np.stack([gx, gy], axis=-1))
+    return _char_grids(lo, hi, points, exact_vals, recon_vals)
 
 
 def reconstruct_pair_section(
@@ -97,11 +105,14 @@ def reconstruct_pair_section(
     """Exact vs reconstructed chi((a,0),(b,0)) for two modes of a Gaussian state.
 
     Only the reduced 4x4 covariance block of the pair is touched, so this
-    scales to chains of thousands of oscillators.
+    scales to chains of thousands of oscillators.  A pair naming a mode
+    outside ``0..m-1`` raises ``ValueError``.
     """
     if batch.protocol != HETERODYNE:
         raise ValueError("grid reconstruction needs heterodyne records")
-    i, j = pair
+    i, j = (int(k) for k in pair)
+    if not (0 <= i < batch.modes and 0 <= j < batch.modes):
+        raise ValueError(f"pair {pair} outside measured modes 0..{batch.modes - 1}")
     axis = np.linspace(lo, hi, points)
     outcomes = batch.outcomes
     recon_vals = trial_char_pair_section(outcomes[:, i, :], outcomes[:, j, :], axis, axis)
@@ -109,10 +120,4 @@ def reconstruct_pair_section(
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     u = np.stack([gx, gy, np.zeros_like(gx), np.zeros_like(gy)], axis=-1)
     exact_vals = marg.char(u)
-    step = (hi - lo) / (points - 1)
-    exact = CharGrid((lo, lo), (step, step), (points, points), exact_vals, "exact")
-    recon = CharGrid(
-        (lo, lo), (step, step), (points, points), recon_vals, "reconstructed"
-    )
-    vol = (hi - lo) ** 2
-    return exact, recon, v_metric(exact_vals, recon_vals, vol)
+    return _char_grids(lo, hi, points, exact_vals, recon_vals)

@@ -15,8 +15,16 @@ empirical shadow average to ``P_M(rho)`` / ``P_tilde_M(rho)``):
 
 Multimode shadows tensor per-mode matrices over the mode subset ``A``.  Both
 integrals reduce to one radial dimension (the angular part is a Bessel /
-cosine transform), which the batch builders exploit; the per-entry operations
-use adaptive quadrature and serve as the reference path.
+cosine transform), so entry ``(k + d, k)`` is ``phase_d(angle) *
+profile_{d,k}(r)``: homodyne ``r = |q|`` with the pattern function of homodyne
+tomography, heterodyne ``r = |x|`` with a windowed Bessel transform.  The
+per-entry operations use adaptive quadrature and serve as the reference path.
+
+The batch path reads profiles from one table per (protocol, M, window): value
+and r-derivative at nodes ``j * PROFILE_STEP``, computed in blocks of one unit
+of r with fixed array shapes, and cubic Hermite interpolation between the two
+nodes that bracket r.  The table grows by whole blocks up to
+``PROFILE_MAX_RADIUS``, and a round's entries depend on that round alone.
 """
 
 from __future__ import annotations
@@ -25,11 +33,9 @@ import json
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 from scipy.special import i0e, jv
 
 from .measurement import HETERODYNE, HOMODYNE, SampleBatch
@@ -211,59 +217,6 @@ def homodyne_shadow_entry(
     return complex(HOMODYNE_SHADOW_NORMALIZATION * 2.0 * coeff * unit * np.exp(-1j * d * beta) * val)
 
 
-@lru_cache(maxsize=8)
-def _homodyne_node_table(truncation: int, nodes: int = 600):
-    """Fixed Gauss-Legendre data for the batch homodyne entry evaluator.
-
-    Returns (t, W) where W[d][k] are quadrature weights folded with the
-    radial profile of the dyad (k, k + d); entries then only need cos/sin
-    transforms against the shared nodes.
-    """
-    upper = 16.0 + 2.0 * np.sqrt(truncation + 1.0)
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    t = 0.5 * upper * (x + 1.0)
-    wt = 0.5 * upper * w
-    tables = {}
-    for d in range(truncation + 1):
-        for k in range(truncation + 1 - d):
-            coeff, _, radial = fock_dyad_radial(k, k + d)
-            tables[(d, k)] = coeff * wt * t * radial(t)
-    return t, tables
-
-
-def homodyne_entries_batch(
-    thetas: np.ndarray, qs: np.ndarray, truncation: int, chunk: int = 20000
-) -> np.ndarray:
-    """All shadow entries for a batch of single-mode homodyne rounds.
-
-    Returns a complex array of shape ``(N, M+1, M+1)``.  Agrees with
-    ``homodyne_shadow_entry`` to quadrature accuracy (~1e-10) but shares the
-    cosine/sine transforms across entries and rounds.
-    """
-    thetas = np.asarray(thetas, dtype=float).reshape(-1)
-    qs = np.asarray(qs, dtype=float).reshape(-1)
-    t, tables = _homodyne_node_table(truncation)
-    n = thetas.size
-    dim = truncation + 1
-    out = np.empty((n, dim, dim), dtype=complex)
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        cos_t = np.cos(np.outer(qs[sl], t))
-        sin_t = np.sin(np.outer(qs[sl], t))
-        beta = 0.5 * np.pi - thetas[sl]
-        for d in range(dim):
-            phase = np.exp(-1j * d * beta) * (1j if d % 2 else 1.0)
-            trans = cos_t if d % 2 == 0 else sin_t
-            for k in range(dim - d):
-                vals = 2.0 * HOMODYNE_SHADOW_NORMALIZATION * phase * (
-                    trans @ tables[(d, k)]
-                )
-                out[sl, k, k + d] = vals
-                if d:
-                    out[sl, k + d, k] = np.conj(vals)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # windowed dyads and heterodyne shadow entries
 # ---------------------------------------------------------------------------
@@ -375,60 +328,158 @@ def _het_entry_qmc(n1, n2, x_a, w: WindowSpec, rule: QuadratureRule) -> complex:
     return complex(value)
 
 
-@lru_cache(maxsize=16)
-def _heterodyne_spline_table(
-    truncation: int, eta: float, radius: float, s_max: float, nodes: int = 400
-):
-    """Cubic splines of the radial Bessel integrals, per (d, k), over |x|."""
-    w = WindowSpec(eta, radius)
-    x, wts = np.polynomial.legendre.leggauss(nodes)
-    rho = 0.5 * radius * (x + 1.0)
-    wr = 0.5 * radius * wts
-    s_grid = np.linspace(0.0, s_max, 4097)
-    xi_vals = w.xi_radial(rho)
-    splines = {}
-    for d in range(truncation + 1):
-        bessel = jv(d, np.outer(rho, s_grid))
-        for k in range(truncation + 1 - d):
-            coeff, _, poly = _het_poly(k + d, k)
-            weights = wr * rho * poly(rho) * xi_vals
-            splines[(d, k)] = (coeff, CubicSpline(s_grid, weights @ bessel))
-    return splines
+# ---------------------------------------------------------------------------
+# profile tables and batch entries
+# ---------------------------------------------------------------------------
+
+# Node spacing (a power of two, so r / PROFILE_STEP is exact; 1/256 widens
+# the M = 3 heterodyne gap to the adaptive entry from 4e-7 to 2e-6) and the
+# largest outcome radius a table grows to.
+PROFILE_STEP = 1.0 / 512
+_BLOCK_NODES = 512  # nodes per unit of r
+PROFILE_MAX_RADIUS = 64.0
+
+_PROFILE_TABLES: dict = {}
 
 
-def heterodyne_entries_batch(
-    outcomes: np.ndarray, truncation: int, w: WindowSpec, s_cap: float | None = None
-) -> np.ndarray:
-    """All shadow entries for a batch of single-mode heterodyne rounds.
+def _dyads(truncation: int) -> list[tuple[int, int]]:
+    """Table rows: the lower-triangle entries (k + d, k), d-major."""
+    return [(d, k) for d in range(truncation + 1) for k in range(truncation + 1 - d)]
 
-    ``outcomes`` has shape ``(N, 2)``; returns ``(N, M+1, M+1)`` complex.
-    Radial integrals are tabulated once per (window, |x| range) and
-    interpolated with cubic splines (absolute error ~1e-9).  ``s_cap`` pins
-    the tabulation range; callers that split a batch into chunks must pass
-    the whole-batch cap so every chunk shares one table.
+
+def _homodyne_block(truncation: int):
+    """Homodyne pattern functions on one block of r, from a fixed 600-node rule.
+
+    ``profile_{d,k}(r) = coeff int t radial(t) osc_d(t r) dt`` with cos for even
+    and sin for odd d; the r-derivative is the same sum with one more factor t.
     """
-    outcomes = np.asarray(outcomes, dtype=float).reshape(-1, 2)
-    s = np.hypot(outcomes[:, 0], outcomes[:, 1])
-    if s_cap is None:
-        s_cap = float(np.ceil(s.max() + 1.0)) if s.size else 1.0
-    psi = np.arctan2(outcomes[:, 0], outcomes[:, 1])
-    splines = _heterodyne_spline_table(truncation, w.eta, w.radius, s_cap)
+    upper = 16.0 + 2.0 * np.sqrt(truncation + 1.0)
+    x, wts = np.polynomial.legendre.leggauss(600)
+    t = 0.5 * upper * (x + 1.0)
+    wt = 0.5 * upper * wts
+    dyads = _dyads(truncation)
+    rows = []
+    for d, k in dyads:
+        coeff, _, radial = fock_dyad_radial(k, k + d)
+        rows.append(coeff * wt * t * radial(t))
+    rows = np.array(rows)
+    odd = np.array([d % 2 == 1 for d, _ in dyads])[:, None]
+
+    def block(r):
+        tr = np.outer(t, r)
+        cos_t, sin_t = np.cos(tr), np.sin(tr)
+        vals = np.where(odd, rows @ sin_t, rows @ cos_t)
+        slopes = np.where(odd, (rows * t) @ cos_t, -((rows * t) @ sin_t))
+        return vals, slopes
+
+    return block
+
+
+def _heterodyne_block(truncation: int, w: WindowSpec):
+    """Windowed Bessel transforms on one block of s = |x|, from a fixed 400-node rule.
+
+    ``profile_{d,k}(s) = coeff int rho poly(rho) xi(rho) J_d(rho s) d rho``.
+    The s-derivative uses ``J_0' = -J_1`` and ``J_d' = J_{d-1} - d J_d / z``,
+    so it needs no Bessel order beyond those of the values (order 1 if M = 0).
+    """
+    x, wts = np.polynomial.legendre.leggauss(400)
+    rho = 0.5 * w.radius * (x + 1.0)
+    wr = 0.5 * w.radius * wts * rho * w.xi_radial(rho)
+    rows = [[] for _ in range(truncation + 1)]
+    for d, k in _dyads(truncation):
+        coeff, _, poly = _het_poly(k + d, k)
+        rows[d].append(coeff * wr * poly(rho))
+    rows = [np.array(rows_d) for rows_d in rows]
+
+    def block(s):
+        z = np.outer(rho, s)
+        bessel = [jv(d, z) for d in range(max(truncation, 1) + 1)]
+        vals, slopes = [], []
+        for d, rows_d in enumerate(rows):
+            if d == 0:
+                deriv = -bessel[1]
+            else:  # J_d(z) / z -> 1/2 (d = 1) or 0 (d > 1) at z = 0
+                limit = np.full_like(z, 0.5 if d == 1 else 0.0)
+                over_z = np.divide(bessel[d], z, out=limit, where=z > 0)
+                deriv = bessel[d - 1] - d * over_z
+            vals.append(rows_d @ bessel[d])
+            slopes.append((rows_d * rho) @ deriv)
+        return np.concatenate(vals), np.concatenate(slopes)
+
+    return block
+
+
+class _ProfileTable:
+    """Values and r-derivatives of every profile_{d,k} at r_j = j * PROFILE_STEP."""
+
+    def __init__(self, block, rows: int):
+        self._block = block
+        self.values = self.slopes = np.empty((rows, 0))
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """Cubic Hermite interpolation of every profile at radii ``r``: (rows, N)."""
+        if r.size and r.max() > PROFILE_MAX_RADIUS:
+            raise ValueError(
+                f"outcome radius {r.max():.6g} exceeds the profile-table limit "
+                f"{PROFILE_MAX_RADIUS}"
+            )
+        pos = r / PROFILE_STEP
+        i = pos.astype(np.int64)
+        while self.values.shape[1] < i.max(initial=0) + 2:
+            nodes = self.values.shape[1] + np.arange(_BLOCK_NODES)
+            vals, slopes = self._block(nodes * PROFILE_STEP)
+            self.values = np.concatenate([self.values, vals], axis=1)
+            self.slopes = np.concatenate([self.slopes, slopes], axis=1)
+        u = pos - i
+        one_u = 1.0 - u
+        v, s = self.values, self.slopes
+        return (
+            (1.0 + 2.0 * u) * one_u * one_u * v[:, i]
+            + u * u * (3.0 - 2.0 * u) * v[:, i + 1]
+            + PROFILE_STEP * u * one_u * (one_u * s[:, i] - u * s[:, i + 1])
+        )
+
+
+def _profile_table(protocol: str, truncation: int, w: WindowSpec | None):
+    key = (protocol, truncation, w)
+    if key not in _PROFILE_TABLES:
+        if protocol == HOMODYNE:
+            block = _homodyne_block(truncation)
+        else:
+            block = _heterodyne_block(truncation, w)
+        _PROFILE_TABLES[key] = _ProfileTable(block, len(_dyads(truncation)))
+    return _PROFILE_TABLES[key]
+
+
+def _mode_entries(
+    batch: SampleBatch, j: int, truncation: int, w: WindowSpec | None
+) -> np.ndarray:
+    """Shadow matrices of mode ``j`` for every round, shape (N, M+1, M+1)."""
     dim = truncation + 1
-    out = np.empty((outcomes.shape[0], dim, dim), dtype=complex)
-    for d in range(dim):
-        phase = (1j**d) * np.exp(-1j * d * psi)
-        for k in range(dim - d):
-            coeff, spline = splines[(d, k)]
-            vals = coeff * phase * spline(s)
-            out[:, k + d, k] = vals
-            if d:
-                out[:, k, k + d] = np.conj(vals)
+    if batch.protocol == HOMODYNE:
+        q = batch.outcomes[:, j]
+        r = np.abs(q)
+        sign = np.where(q < 0, -1.0, 1.0)
+        beta = 0.5 * np.pi - batch.thetas[:, j]
+        # entry (k, k + d) is 2 norm i^(d mod 2) e^{-i d beta} sign^d profile,
+        # so entry (k + d, k) carries the conjugate phase
+        phases = [
+            2.0 * HOMODYNE_SHADOW_NORMALIZATION * (-1j if d % 2 else 1.0)
+            * np.exp(1j * d * beta) * sign**d
+            for d in range(dim)
+        ]
+    else:
+        x = batch.outcomes[:, j, :]
+        r = np.hypot(x[:, 0], x[:, 1])
+        psi = np.arctan2(x[:, 0], x[:, 1])
+        phases = [(1j**d) * np.exp(-1j * d * psi) for d in range(dim)]
+    profiles = _profile_table(batch.protocol, truncation, w)(r)
+    out = np.empty((batch.n, dim, dim), dtype=complex)
+    for row, (d, k) in enumerate(_dyads(truncation)):
+        vals = phases[d] * profiles[row]
+        out[:, k, k + d] = np.conj(vals)
+        out[:, k + d, k] = vals
     return out
-
-
-# ---------------------------------------------------------------------------
-# batch entries and averaging
-# ---------------------------------------------------------------------------
 
 
 def _checked_subset(batch: SampleBatch, subset) -> tuple[int, ...]:
@@ -440,48 +491,24 @@ def _checked_subset(batch: SampleBatch, subset) -> tuple[int, ...]:
     return subset
 
 
-def batch_radius_cap(batch: SampleBatch, subset) -> float:
-    """Tabulation range for heterodyne outcomes of a batch on a mode subset.
-
-    Chunked evaluations must share this whole-batch value to stay
-    bit-identical with the serial path.
-    """
-    outs = batch.outcomes[:, _checked_subset(batch, subset), :]
-    s_all = np.hypot(outs[..., 0], outs[..., 1])
-    return float(np.ceil(s_all.max() + 1.0)) if s_all.size else 1.0
-
-
 def shadow_batch_entries(
-    batch: SampleBatch,
-    subset,
-    truncation: int,
-    w: WindowSpec | None = None,
-    s_cap: float | None = None,
+    batch: SampleBatch, subset, truncation: int, w: WindowSpec | None = None
 ) -> np.ndarray:
     """Stacked Hermitian shadow matrices for every round of a batch.
 
     Returns shape ``(N, dim, dim)`` with ``dim = (M+1)^len(subset)``; rows
     follow the batch order, and per-mode matrices are tensored in the order
-    of ``subset``.  Symmetrizing to the Hermitian part is a linear variance
-    reduction (the expectation is Hermitian) and cannot bias.  A subset
-    naming a mode the batch did not measure raises ``ValueError``.
+    of ``subset``.  Each row depends only on its own round, so any split of
+    the batch into chunks gives the same bits.  Symmetrizing to the
+    Hermitian part is a linear variance reduction (the expectation is
+    Hermitian) and cannot bias.  A subset naming a mode the batch did not
+    measure, or an outcome radius above ``PROFILE_MAX_RADIUS``, raises
+    ``ValueError``.  Heterodyne batches use ``w`` (default window for M).
     """
     subset = _checked_subset(batch, subset)
+    w = (w or default_window(truncation)) if batch.protocol == HETERODYNE else None
+    per_mode = [_mode_entries(batch, j, truncation, w) for j in subset]
     n = batch.n
-    per_mode = []
-    if batch.protocol == HOMODYNE:
-        for j in subset:
-            per_mode.append(
-                homodyne_entries_batch(batch.thetas[:, j], batch.outcomes[:, j], truncation)
-            )
-    else:
-        w = w or default_window(truncation)
-        if s_cap is None:
-            s_cap = batch_radius_cap(batch, subset)
-        for j in subset:
-            per_mode.append(
-                heterodyne_entries_batch(batch.outcomes[:, j], truncation, w, s_cap=s_cap)
-            )
     mats = per_mode[0]
     for other in per_mode[1:]:
         mats = np.einsum("nij,nkl->nikjl", mats, other).reshape(

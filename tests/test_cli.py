@@ -207,15 +207,21 @@ class TestReconstruct:
         metrics = cmd_reconstruct(cfg, tmp_path / "s" / "records.jsonl", tmp_path / "r")
         assert "warning" in metrics
 
-    def test_threaded_matches_serial(self, tmp_path, monkeypatch):
-        cfg = base_config(samples=90)
+    def test_one_shadow_batch_entries_call(self, tmp_path, monkeypatch):
+        # tracing wraps the name cvshadow.cli imports, so reconstruct must
+        # call it, once, under that name
+        calls = []
+        inner = cli.shadow_batch_entries
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "shadow_batch_entries", counted)
+        cfg = base_config(samples=40)
         cmd_sample(cfg, tmp_path / "s")
-        cmd_reconstruct(cfg, tmp_path / "s" / "records.jsonl", tmp_path / "serial")
-        monkeypatch.setenv("CVSHADOW_THREADS", "4")
-        cmd_reconstruct(cfg, tmp_path / "s" / "records.jsonl", tmp_path / "par")
-        assert (tmp_path / "serial" / "shadow_average.json").read_bytes() == (
-            tmp_path / "par" / "shadow_average.json"
-        ).read_bytes()
+        cmd_reconstruct(cfg, tmp_path / "s" / "records.jsonl", tmp_path / "r")
+        assert len(calls) == 1
 
 
 class TestBounds:
@@ -335,6 +341,19 @@ class TestMainEntrypoint:
         argv = ["reconstruct", "--config", str(cfg_path), "--batch", batch]
         assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 2
         assert "error: subset (2,) outside measured modes" in capsys.readouterr().err
+
+    def test_pair_outside_chain_exit_code(self, tmp_path, capsys):
+        cfg = base_config(
+            state={"kind": "chain", "m": 3, "kappa": 0.5},
+            samples=10,
+            grid={"points": 5, "pair": [0, 7]},
+        )
+        cfg_path = write_config(tmp_path, cfg)
+        out, batch = str(tmp_path / "s"), str(tmp_path / "s" / "records.jsonl")
+        assert cli.main(["sample", "--config", str(cfg_path), "--out", out]) == 0
+        argv = ["reconstruct", "--config", str(cfg_path), "--batch", batch]
+        assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 2
+        assert "error: pair (0, 7) outside measured modes 0..2" in capsys.readouterr().err
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"version": 1})

@@ -1,13 +1,15 @@
 """Shadow construction, windowing, projections, and averaging."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cvshadow import shadows
 from cvshadow.bounds import delta0
-from cvshadow.measurement import sample_heterodyne_batch, sample_homodyne_batch
+from cvshadow.measurement import SampleBatch, sample_heterodyne_batch, sample_homodyne_batch
 from cvshadow.phase_space import char_fock_dyad
 from cvshadow.shadows import (
     QuadratureRule,
@@ -16,9 +18,7 @@ from cvshadow.shadows import (
     average_entries,
     default_window,
     f_mu_homodyne,
-    heterodyne_entries_batch,
     heterodyne_shadow_entry,
-    homodyne_entries_batch,
     homodyne_shadow_entry,
     project_PM,
     project_PM_tilde,
@@ -38,6 +38,18 @@ def fock_state(n: int, truncation: int) -> FockMatrix:
     mat = np.zeros((truncation + 1, truncation + 1), dtype=complex)
     mat[n, n] = 1.0
     return FockMatrix(1, truncation, mat)
+
+
+def homodyne_entries(thetas, qs, truncation):
+    """Batch entries of single-mode homodyne rounds given as arrays."""
+    batch = SampleBatch("homodyne", np.reshape(qs, (-1, 1)), np.reshape(thetas, (-1, 1)))
+    return shadow_batch_entries(batch, [0], truncation)
+
+
+def heterodyne_entries(xs, truncation, w):
+    """Batch entries of single-mode heterodyne rounds given as an (N, 2) array."""
+    batch = SampleBatch("heterodyne", np.reshape(xs, (-1, 1, 2)))
+    return shadow_batch_entries(batch, [0], truncation, w)
 
 
 class TestWindow:
@@ -99,13 +111,13 @@ class TestHomodyneEntry:
 
     def test_unbiased_on_vacuum(self):
         batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 30_000, "ub00")
-        entries = homodyne_entries_batch(batch.thetas[:, 0], batch.outcomes[:, 0], 1)
+        entries = shadow_batch_entries(batch, [0], 1)
         val = entries[:, 0, 0].real
         assert val.mean() == pytest.approx(1.0, abs=3 * val.std() / math.sqrt(val.size))
 
     def test_unbiased_on_fock_one(self):
         batch = sample_homodyne_batch(fock_state(1, 6), 30_000, "ub11")
-        entries = homodyne_entries_batch(batch.thetas[:, 0], batch.outcomes[:, 0], 1)
+        entries = shadow_batch_entries(batch, [0], 1)
         val = entries[:, 0, 0].real
         assert val.mean() == pytest.approx(0.0, abs=3 * val.std() / math.sqrt(val.size))
 
@@ -113,7 +125,7 @@ class TestHomodyneEntry:
         rng = np.random.default_rng(9)
         thetas = rng.uniform(-np.pi, np.pi, 5)
         qs = rng.normal(0, 1.4, 5)
-        batch_vals = homodyne_entries_batch(thetas, qs, 3)
+        batch_vals = homodyne_entries(thetas, qs, 3)
         for i in range(5):
             for n1 in range(4):
                 for n2 in range(4):
@@ -169,7 +181,7 @@ class TestHeterodyneEntry:
     def test_unbiased_entry_00(self):
         w = default_window(0)
         batch = sample_heterodyne_batch(GaussianStateSpec.vacuum(), 30_000, "uh00")
-        entries = heterodyne_entries_batch(batch.outcomes[:, 0], 0, w)
+        entries = shadow_batch_entries(batch, [0], 0, w)
         vals = entries[:, 0, 0].real
         target = project_PM_tilde(GaussianStateSpec.vacuum(), 0, w).entries[0, 0].real
         assert vals.mean() == pytest.approx(
@@ -198,7 +210,7 @@ class TestHeterodyneEntry:
         w = default_window(2)
         rng = np.random.default_rng(12)
         xs = rng.normal(0, 1.2, size=(4, 2))
-        batch_vals = heterodyne_entries_batch(xs, 2, w)
+        batch_vals = heterodyne_entries(xs, 2, w)
         for i in range(4):
             for n1 in range(3):
                 for n2 in range(3):
@@ -221,8 +233,8 @@ class TestBuilders:
         state = GaussianStateSpec.thermal(0.4, modes=2)
         batch = sample_homodyne_batch(state, 1, "b2")
         shadow = shadow_batch_entries(batch, [0, 1], 1)
-        per0 = homodyne_entries_batch(batch.thetas[:, 0], batch.outcomes[:, 0], 1)[0]
-        per1 = homodyne_entries_batch(batch.thetas[:, 1], batch.outcomes[:, 1], 1)[0]
+        per0 = shadow_batch_entries(batch, [0], 1)[0]
+        per1 = shadow_batch_entries(batch, [1], 1)[0]
         assert np.allclose(shadow[0], np.kron(per0, per1), atol=1e-12)
 
     def test_subset_validation(self):
@@ -236,6 +248,61 @@ class TestBuilders:
         batch = sample_heterodyne_batch(CatStateSpec(1 + 1j, "zero"), 8, "b5")
         stacked = shadow_batch_entries(batch, [0], 3)
         assert np.allclose(stacked, np.conj(np.swapaxes(stacked, 1, 2)), atol=1e-12)
+
+
+class TestProfileTable:
+    def test_homodyne_table_matches_adaptive(self):
+        # rounds with |q| in each of the blocks [0, 1), ..., [3, 4)
+        rng = np.random.default_rng(31)
+        qs = np.array([0.0, 0.37, -1.21, 1.5 + 1 / 1024, -2.64, 3.05, -3.93])
+        thetas = rng.uniform(-np.pi, np.pi, qs.size)
+        batch_vals = homodyne_entries(thetas, qs, 3)
+        rule = QuadratureRule(tolerance=1e-12)
+        for i in range(qs.size):
+            for n1 in range(4):
+                for n2 in range(4):
+                    ref = homodyne_shadow_entry(n1, n2, thetas[i], qs[i], rule)
+                    assert batch_vals[i, n1, n2] == pytest.approx(ref, abs=1e-9)
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    def test_interpolation_adds_no_error_to_the_rule(self, protocol):
+        # interpolation adds at most 1e-10 of the profile scale to the fixed
+        # Gauss-Legendre transform it tabulates, evaluated at the exact radii
+        truncation = 2
+        w = default_window(truncation) if protocol == "heterodyne" else None
+        if protocol == "homodyne":
+            block = shadows._homodyne_block(truncation)
+        else:
+            block = shadows._heterodyne_block(truncation, w)
+        r = np.random.default_rng(5).uniform(0.0, 4.0, 64)
+        table = shadows._profile_table(protocol, truncation, w)
+        exact = block(r)[0]
+        assert np.abs(table(r) - exact).max() <= 1e-10 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    def test_chunked_batch_bit_identical(self, protocol, monkeypatch):
+        monkeypatch.setattr(shadows, "_PROFILE_TABLES", {})
+        state = GaussianStateSpec.thermal(0.3)
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        batch = sample(state, 90, f"chunks-{protocol}")
+        whole = shadow_batch_entries(batch, [0], 1)
+        chunks = ((0, 7), (7, 50), (50, 90))
+        parts = [shadow_batch_entries(batch[a:b], [0], 1) for a, b in chunks]
+        assert np.array_equal(whole, np.concatenate(parts))
+        # a far outcome grows the table; earlier rounds keep their bits
+        far = replace(batch[:1], outcomes=batch.outcomes[:1] + 9.0)
+        shadow_batch_entries(far, [0], 1)
+        assert np.array_equal(whole, shadow_batch_entries(batch, [0], 1))
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    def test_radius_limit(self, protocol):
+        r = shadows.PROFILE_MAX_RADIUS + 1.0
+        if protocol == "homodyne":
+            batch = SampleBatch("homodyne", [[0.2], [-r]], [[0.1], [0.4]])
+        else:
+            batch = SampleBatch("heterodyne", [[[0.2, 0.1]], [[0.0, r]]])
+        with pytest.raises(ValueError, match=f"outcome radius {r:g} exceeds"):
+            shadow_batch_entries(batch, [0], 1)
 
 
 class TestAveraging:
