@@ -205,13 +205,22 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir: Path, config: dict, files: list[Path], elapsed: float) -> Path:
+def write_manifest(
+    out_dir: Path,
+    config: dict,
+    files: list[Path],
+    elapsed: float,
+    sampler: dict | None = None,
+) -> Path:
+    """Write ``manifest.json``; ``sampler`` is the batch meta of a rejection sampler."""
     manifest = {
         "config_hash": _config_hash(config),
         "tool_version": __version__,
         "elapsed_seconds": elapsed,
         "inventory": {p.name: _file_sha256(p) for p in sorted(files)},
     }
+    if sampler:
+        manifest["sampler"] = sampler
     path = out_dir / "manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -240,7 +249,7 @@ def cmd_sample(config: dict, out_dir, seed: int | None = None) -> dict:
     records_path = out / "records.jsonl"
     batch.to_jsonl(records_path)
     files = [records_path]
-    write_manifest(out, config, files, time.perf_counter() - t0)
+    write_manifest(out, config, files, time.perf_counter() - t0, batch.meta)
     return {"records": str(records_path), "n": batch.n, "meta": batch.meta}
 
 

@@ -42,7 +42,8 @@ HOMODYNE = "homodyne"
 HETERODYNE = "heterodyne"
 
 _ENVELOPE_INFLATION = 2.5
-_CDF_GRID_POINTS = 4096
+_ENVELOPE_MARGIN = 1.2
+_REJECTION_CHUNK = 32768
 
 
 @dataclass
@@ -170,17 +171,25 @@ def stream_rng(seed_path: str) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _fock_gd(fock: FockMatrix, q: np.ndarray) -> np.ndarray:
-    """Rows g_d(q) = sum_n rho[n+d, n] psi_{n+d}(q) psi_n(q) for d = 0..M."""
-    m = fock.truncation
-    psi = hermite_stack(m, q)
-    rho = fock.entries
-    g = np.zeros((m + 1, q.size), dtype=complex)
-    for d in range(m + 1):
-        diag = np.diag(rho, k=-d)  # rho[n+d, n], n = 0..m-d
-        if np.any(diag != 0):
-            g[d] = np.einsum("n,nq,nq->q", diag, psi[d:], psi[: m + 1 - d])
-    return g
+def _expectation(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """``<v|rho|v>`` for every column ``v`` of ``kets`` (real part)."""
+    return np.sum(kets.conj() * (rho @ kets), axis=0).real
+
+
+def _homodyne_density(fock: FockMatrix, thetas, q: np.ndarray) -> np.ndarray:
+    """``p(q_i | theta_i)`` of a single-mode truncated state, one angle per point.
+
+    ``p(q|theta) = <v|rho|v>`` with ``v_n = exp(-i n theta) psi_n(q)``;
+    ``q`` is 1-D and ``thetas`` broadcasts to it.
+    """
+    kets = hermite_stack(fock.truncation, q).astype(complex)
+    # exp(-i n theta) by repeated multiplication: one complex exp per point
+    turn = np.exp(-1j * np.broadcast_to(thetas, q.shape))
+    phase = turn.copy()
+    for row in kets[1:]:
+        row *= phase
+        phase *= turn
+    return _expectation(fock.entries, kets)
 
 
 def homodyne_pdf(rho: FockMatrix, theta: float, q):
@@ -194,11 +203,7 @@ def homodyne_pdf(rho: FockMatrix, theta: float, q):
     if not np.allclose(rho.entries, rho.entries.conj().T, atol=1e-8):
         raise ValueError("homodyne_pdf requires a Hermitian state matrix")
     scalar = np.ndim(q) == 0
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    g = _fock_gd(rho, q)
-    d = np.arange(rho.truncation + 1)
-    coeff = np.where(d == 0, 1.0, 2.0) * np.exp(1j * d * theta)
-    vals = np.real(coeff @ g)
+    vals = _homodyne_density(rho, theta, np.atleast_1d(np.asarray(q, dtype=float)))
     return float(vals[0]) if scalar else vals
 
 
@@ -215,15 +220,22 @@ def fock_husimi(fock: FockMatrix, x) -> np.ndarray:
     flat = x.reshape(-1, 2)
     alpha = alpha_of(flat)
     dim = fock.truncation + 1
-    # c[:, n] = <n|x> without the overall Gaussian, built multiplicatively to
+    # c[n] = <n|x> without the overall Gaussian, built multiplicatively to
     # stay finite for large |alpha|.
-    c = np.empty((flat.shape[0], dim), dtype=complex)
-    c[:, 0] = np.exp(-0.25 * np.sum(flat * flat, axis=-1))
+    c = np.empty((dim, flat.shape[0]), dtype=complex)
+    c[0] = np.exp(-0.25 * np.sum(flat * flat, axis=-1))
     for n in range(1, dim):
-        c[:, n] = c[:, n - 1] * alpha / np.sqrt(n)
-    vals = np.einsum("in,nm,im->i", c.conj(), fock.entries, c).real / (2.0 * np.pi)
+        c[n] = c[n - 1] * alpha / np.sqrt(n)
+    vals = _expectation(fock.entries, c) / (2.0 * np.pi)
     out = np.maximum(vals, 0.0).reshape(x.shape[:-1])
     return out if np.ndim(out) else float(out)
+
+
+def _normal_pdf(diff: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """Density of ``N(0, chol chol^T)`` at the rows of ``diff``."""
+    z = np.linalg.solve(chol, diff.T)
+    norm = (2.0 * np.pi) ** (chol.shape[0] / 2.0) * np.prod(np.diag(chol))
+    return np.exp(-0.5 * np.sum(z * z, axis=0)) / norm
 
 
 def heterodyne_pdf(state, x):
@@ -234,14 +246,9 @@ def heterodyne_pdf(state, x):
     """
     if isinstance(state, GaussianStateSpec):
         x = np.asarray(x, dtype=float)
-        sigma = heterodyne_covariance(state)
-        dim = sigma.shape[0]
-        chol = np.linalg.cholesky(sigma)
-        diff = x - state.mean
-        z = np.linalg.solve(chol, diff.reshape(-1, dim).T)
-        quad = np.sum(z * z, axis=0)
-        norm = (2.0 * np.pi) ** (dim / 2.0) * np.prod(np.diag(chol))
-        out = (np.exp(-0.5 * quad) / norm).reshape(x.shape[:-1])
+        chol = np.linalg.cholesky(heterodyne_covariance(state))
+        diff = (x - state.mean).reshape(-1, chol.shape[0])
+        out = _normal_pdf(diff, chol).reshape(x.shape[:-1])
         return out if np.ndim(out) else float(out)
     if isinstance(state, CatStateSpec):
         return cat_position_pdf(state, x) / (2.0 * np.pi)
@@ -251,8 +258,16 @@ def heterodyne_pdf(state, x):
 
 
 # ---------------------------------------------------------------------------
-# homodyne sampling
+# sampling
 # ---------------------------------------------------------------------------
+
+
+def _gaussian_draws(
+    mean: np.ndarray, cov: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``n`` rows drawn from ``N(mean, cov)``: one Cholesky, one block of normals."""
+    chol = np.linalg.cholesky(cov)
+    return mean + rng.standard_normal((n, cov.shape[0])) @ chol.T
 
 
 @lru_cache(maxsize=16)
@@ -261,222 +276,174 @@ def _cat_sampling_fock(spec: CatStateSpec) -> FockMatrix:
     return fock_matrix_of(spec, trunc)
 
 
-def _as_fock(state) -> FockMatrix:
-    return _cat_sampling_fock(state) if isinstance(state, CatStateSpec) else state
+def _sampling_fock(state) -> FockMatrix:
+    """The single-mode truncated state a non-Gaussian sampler draws from.
 
-
-def _rotated_position_stats(
-    spec: GaussianStateSpec, thetas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance of the measured quadratures, per round.
-
-    ``thetas`` has shape (n, m); returns means (n, m) and covariances
-    (n, m, m) of the joint law of the m simultaneously measured rotated
-    quadratures (the position block of ``S V S^T`` halved).
+    Raises ``ValueError`` unless it is Hermitian, positive semidefinite (to
+    -1e-10) and of positive trace: the samplers never clip a density.
     """
-    m = spec.modes
-    c, s = np.cos(thetas), np.sin(thetas)
-    v_xx = spec.cov[:m, :m]
-    v_xp = spec.cov[:m, m:]
-    v_pp = spec.cov[m:, m:]
-    cov = (
-        np.einsum("ni,ij,nj->nij", c, v_xx, c)
-        - np.einsum("ni,ij,nj->nij", c, v_xp, s)
-        - np.einsum("ni,ij,nj->nij", s, v_xp.T, c)
-        + np.einsum("ni,ij,nj->nij", s, v_pp, s)
-    )
-    mean = c * spec.mean[:m] - s * spec.mean[m:]
-    return mean, 0.5 * cov
-
-
-def _invert_cdf_monotone(
-    qgrid: np.ndarray, pdf: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Vectorized monotone-cubic (PCHIP-style) inverse-CDF sampling.
-
-    ``pdf`` has one row per sample; each row is inverted at its own uniform
-    ``u``.  The inverse CDF is interpolated with a monotone cubic Hermite
-    whose exact slopes ``dq/dc = 1/pdf`` are clamped per Fritsch-Carlson.
-    Works in unnormalized CDF units to avoid full-array divisions.  ``pdf``
-    must be non-negative.
-    """
-    dq = float(qgrid[1] - qgrid[0])
-    cdf = np.empty_like(pdf)
-    cdf[:, 0] = 0.0
-    np.cumsum(0.5 * (pdf[:, 1:] + pdf[:, :-1]) * dq, axis=1, out=cdf[:, 1:])
-    total = cdf[:, -1]
-    if np.any(total <= 0):
-        raise ValueError("density vanished on the whole sampling grid")
-    target = np.clip(u, 1e-15, 1.0 - 1e-15) * total
-    # rows of cdf are non-decreasing, so this count is searchsorted(cdf[i], target[i])
-    k = np.clip((cdf < target[:, None]).sum(axis=1), 1, cdf.shape[1] - 1)
-    rows = np.arange(pdf.shape[0])
-    c0, c1 = cdf[rows, k - 1], cdf[rows, k]
-    q0, q1 = qgrid[k - 1], qgrid[k]
-    h = c1 - c0
-    flat = h <= 1e-300
-    h = np.where(flat, 1.0, h)
-    secant = (q1 - q0) / h
-    with np.errstate(divide="ignore"):
-        m0 = np.minimum(1.0 / np.maximum(pdf[rows, k - 1], 1e-300), 3.0 * secant)
-        m1 = np.minimum(1.0 / np.maximum(pdf[rows, k], 1e-300), 3.0 * secant)
-    t = np.clip((target - c0) / h, 0.0, 1.0)
-    t2, t3 = t * t, t * t * t
-    val = (
-        (2 * t3 - 3 * t2 + 1) * q0
-        + (t3 - 2 * t2 + t) * h * m0
-        + (-2 * t3 + 3 * t2) * q1
-        + (t3 - t2) * h * m1
-    )
-    return np.where(flat, 0.5 * (q0 + q1), val)
-
-
-def _sample_fock_homodyne(
-    fock: FockMatrix, n: int, rng: np.random.Generator, chunk: int = 8192
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (thetas, q) for n rounds on a single-mode truncated state."""
-    m_osc = fock.truncation
-    q_max = np.sqrt(2.0 * (2.0 * m_osc + 1.0)) + 5.0
-    qgrid = np.linspace(-q_max, q_max, _CDF_GRID_POINTS)
-    g = _fock_gd(fock, qgrid)
-    d = np.arange(m_osc + 1)
-    weight = np.where(d == 0, 1.0, 2.0)
-    # realified product: Re((w e^{i d theta}) @ g) as one real matmul
-    g_stack = np.concatenate([g.real, -g.imag], axis=0)
-    thetas = rng.uniform(-np.pi, np.pi, size=n)
-    qs = np.empty(n)
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        angles = np.outer(thetas[sl], d)
-        phases = np.concatenate(
-            [weight * np.cos(angles), weight * np.sin(angles)], axis=1
+    if isinstance(state, CatStateSpec):
+        return _cat_sampling_fock(state)
+    if not isinstance(state, FockMatrix):
+        raise ValueError(f"unsupported state kind: {type(state).__name__}")
+    if state.modes != 1:
+        raise ValueError("non-Gaussian sampling is single mode")
+    rho = state.entries
+    if not np.allclose(rho, rho.conj().T, atol=1e-8):
+        raise ValueError("cannot sample a non-Hermitian state matrix")
+    lowest = float(np.linalg.eigvalsh(rho).min())
+    if lowest < -1e-10 or np.trace(rho).real <= 0:
+        raise ValueError(
+            f"cannot sample a matrix that is not a state (minimum eigenvalue "
+            f"{lowest:.3e}, trace {np.trace(rho).real:.3e})"
         )
-        pdf = phases @ g_stack
-        np.maximum(pdf, 0.0, out=pdf)
-        qs[sl] = _invert_cdf_monotone(qgrid, pdf, rng.random(pdf.shape[0]))
-    return thetas[:, None], qs[:, None]
+    return state
+
+
+def _rejection_draws(
+    target, draw, envelope, probe: np.ndarray, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, dict]:
+    """Exact rejection sampling of ``n`` points from the density ``target``.
+
+    ``draw(rng, size)`` returns ``size`` proposal points as rows and
+    ``envelope`` their proposal density.  The dominating constant is
+    ``_ENVELOPE_MARGIN`` times the largest ratio ``target / envelope`` on the
+    ``probe`` points, re-checked at every proposal: a proposal above the
+    bound aborts, since clipping would silently bias the sampler.  Proposals
+    come in chunks of ``_REJECTION_CHUNK``, so memory does not grow with
+    ``n``.  Returns the points and ``{"acceptance", "proposals"}``, the
+    acceptance being accepted / proposed over every chunk drawn.
+    """
+    ratio = target(probe) / np.maximum(envelope(probe), 1e-300)
+    bound = _ENVELOPE_MARGIN * float(ratio.max())
+    out = np.empty((n, probe.shape[1]))
+    filled = accepted = proposed = 0
+    while filled < n:
+        pts = draw(rng, _REJECTION_CHUNK)
+        u = rng.random(_REJECTION_CHUNK)
+        density = target(pts)
+        ceiling = bound * envelope(pts)
+        if np.any(density > ceiling * (1.0 + 1e-9)):
+            worst = int(np.argmax(density - ceiling))
+            raise RuntimeError(
+                f"rejection envelope violated at {pts[worst]}: density "
+                f"{density[worst]:.3e} > envelope {ceiling[worst]:.3e}"
+            )
+        keep = pts[u * ceiling < density]
+        proposed += _REJECTION_CHUNK
+        accepted += keep.shape[0]
+        take = keep[: n - filled]
+        out[filled : filled + take.shape[0]] = take
+        filled += take.shape[0]
+    log.info("rejection sampling accepted %d of %d proposals", accepted, proposed)
+    acceptance = accepted / proposed if proposed else None
+    return out, {"acceptance": acceptance, "proposals": proposed}
+
+
+def _rejection_homodyne_draws(
+    fock: FockMatrix, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Draw (thetas, q) for n rounds on a single-mode truncated state.
+
+    Proposal: ``theta`` uniform, then ``q`` normal with the state's rotated
+    quadrature mean and variance, the variance floored at the vacuum's and
+    inflated by ``_ENVELOPE_INFLATION`` (so it dominates the ``exp(-q^2)``
+    tail of every truncated state).  The uniform angle density cancels.
+    """
+    t_fit, v_fit = fock_moments(fock)
+
+    def rotated(thetas):
+        c, s = np.cos(thetas), np.sin(thetas)
+        var = c * c * v_fit[0, 0] - 2.0 * c * s * v_fit[0, 1] + s * s * v_fit[1, 1]
+        std = np.sqrt(0.5 * _ENVELOPE_INFLATION * np.maximum(var, 1.0))
+        return c * t_fit[0] - s * t_fit[1], std
+
+    def draw(rng, size):
+        thetas = rng.uniform(-np.pi, np.pi, size)
+        mean, std = rotated(thetas)
+        return np.stack([thetas, mean + std * rng.standard_normal(size)], axis=-1)
+
+    def envelope(pts):
+        mean, std = rotated(pts[:, 0])
+        z = (pts[:, 1] - mean) / std
+        return np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * std)
+
+    def target(pts):
+        return _homodyne_density(fock, pts[:, 0], pts[:, 1])
+
+    grid_theta = np.linspace(-np.pi, np.pi, 129)
+    mean, std = rotated(grid_theta)
+    grid_q = mean[:, None] + std[:, None] * np.linspace(-6.0, 6.0, 513)
+    probe = np.stack([np.repeat(grid_theta, grid_q.shape[1]), grid_q.ravel()], axis=-1)
+    pts, meta = _rejection_draws(target, draw, envelope, probe, n, rng)
+    return pts[:, :1], pts[:, 1:], meta
 
 
 def sample_homodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
     """Draw ``n`` randomized homodyne rounds as a deterministic batch.
 
-    Gaussian states take the exact-normal path (correlated modes handled
-    jointly); cat states and truncated Fock matrices go through the gridded
-    inverse-CDF of :func:`homodyne_pdf`.
+    Gaussian states are sampled exactly, all modes jointly: a phase-space
+    point from the Wigner density ``N(t, V/2)``, then ``q_j = cos(theta_j)
+    x_j - sin(theta_j) p_j``.  Cat states and truncated Fock matrices use
+    exact rejection sampling of :func:`homodyne_pdf`; ``meta`` then holds its
+    acceptance and proposal count.
     """
     rng = stream_rng(seed_path)
+    meta: dict = {}
     if isinstance(state, GaussianStateSpec):
         m = state.modes
         thetas = rng.uniform(-np.pi, np.pi, size=(n, m))
-        mean, cov = _rotated_position_stats(state, thetas)
-        if m == 1:
-            std = np.sqrt(cov[:, 0, 0])
-            qs = mean[:, 0:1] + (std * rng.standard_normal(n))[:, None]
-        else:
-            chol = np.linalg.cholesky(cov)
-            z = rng.standard_normal((n, m))
-            qs = mean + np.einsum("nij,nj->ni", chol, z)
-    elif isinstance(state, (CatStateSpec, FockMatrix)):
-        fock = _as_fock(state)
-        if fock.modes != 1:
-            raise ValueError("Fock-path homodyne sampling is single mode")
-        thetas, qs = _sample_fock_homodyne(fock, n, rng)
+        x = _gaussian_draws(state.mean, 0.5 * state.cov, n, rng)
+        qs = np.cos(thetas) * x[:, :m] - np.sin(thetas) * x[:, m:]
     else:
-        raise ValueError(f"unsupported state kind: {type(state).__name__}")
-    return SampleBatch(HOMODYNE, qs, thetas, seed_path, describe_state(state))
-
-
-# ---------------------------------------------------------------------------
-# heterodyne sampling
-# ---------------------------------------------------------------------------
-
-
-def _gaussian_heterodyne_draws(
-    spec: GaussianStateSpec, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    sigma = heterodyne_covariance(spec)
-    chol = np.linalg.cholesky(sigma)
-    z = rng.standard_normal((n, sigma.shape[0]))
-    flat = spec.mean + z @ chol.T
-    m = spec.modes
-    return np.stack([flat[:, :m], flat[:, m:]], axis=-1)
+        thetas, qs, meta = _rejection_homodyne_draws(_sampling_fock(state), n, rng)
+    return SampleBatch(HOMODYNE, qs, thetas, seed_path, describe_state(state), meta)
 
 
 def _rejection_heterodyne_draws(
-    fock: FockMatrix,
-    n: int,
-    rng: np.random.Generator,
-    c_env: float = _ENVELOPE_INFLATION,
-) -> tuple[np.ndarray, float]:
-    """Exact rejection sampler for single-mode non-Gaussian states.
+    fock: FockMatrix, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, dict]:
+    """Draw n heterodyne outcomes of a single-mode truncated state.
 
-    The proposal is a Gaussian with the state's heterodyne moments inflated
-    by ``c_env``; the dominating constant is calibrated on a probe grid with
-    a safety margin and re-checked at every proposal.  A proposal with
-    ``pdf > envelope`` aborts: clipping would silently bias the sampler.
+    Proposal: a Gaussian with the state's heterodyne moments, its covariance
+    inflated by ``_ENVELOPE_INFLATION``.
     """
     t_fit, v_fit = fock_moments(fock)
-    sigma = c_env * 0.5 * (v_fit + np.eye(2))
+    sigma = _ENVELOPE_INFLATION * 0.5 * (v_fit + np.eye(2))
     chol = np.linalg.cholesky(sigma)
-    det = np.linalg.det(sigma)
+
+    def draw(rng, size):
+        return _gaussian_draws(t_fit, sigma, size, rng)
 
     def envelope(pts):
-        diff = pts - t_fit
-        z = np.linalg.solve(chol, diff.T)
-        return np.exp(-0.5 * np.sum(z * z, axis=0)) / (2.0 * np.pi * np.sqrt(det))
+        return _normal_pdf(pts - t_fit, chol)
+
+    def target(pts):
+        return fock_husimi(fock, pts)
 
     span = 6.0 * np.sqrt(np.diag(sigma))
     axes = [np.linspace(t_fit[i] - span[i], t_fit[i] + span[i], 201) for i in range(2)]
     gx, gy = np.meshgrid(*axes, indexing="ij")
     probe = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    ratio = fock_husimi(fock, probe) / np.maximum(envelope(probe), 1e-300)
-    bound = 1.2 * float(ratio.max())
-
-    out = np.empty((n, 2))
-    filled = 0
-    proposed = 0
-    while filled < n:
-        want = max(int(1.5 * (n - filled) * bound) + 16, 64)
-        z = rng.standard_normal((want, 2))
-        pts = t_fit + z @ chol.T
-        u = rng.random(want)
-        target = fock_husimi(fock, pts)
-        env = envelope(pts)
-        if np.any(target > bound * env * (1.0 + 1e-9)):
-            worst = int(np.argmax(target - bound * env))
-            raise RuntimeError(
-                "rejection envelope violated at "
-                f"x={pts[worst]}, pdf={target[worst]:.3e}, "
-                f"envelope={bound * env[worst]:.3e}; increase c_env"
-            )
-        accept = u * bound * env < target
-        proposed += want
-        take = pts[accept][: n - filled]
-        out[filled : filled + take.shape[0]] = take
-        filled += take.shape[0]
-    acceptance = n / proposed if proposed else 1.0
-    log.info("heterodyne rejection acceptance: %.3f (c_env=%.2f)", acceptance, c_env)
-    return out[:, None, :], acceptance
+    pts, meta = _rejection_draws(target, draw, envelope, probe, n, rng)
+    return pts[:, None, :], meta
 
 
-def sample_heterodyne_batch(
-    state, n: int, seed_path: str, c_env: float = _ENVELOPE_INFLATION
-) -> SampleBatch:
+def sample_heterodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
     """Draw ``n`` heterodyne rounds as a deterministic batch.
 
-    Gaussian states are sampled exactly; cat states and truncated Fock
-    matrices use exact rejection sampling with a Gaussian envelope.
+    Gaussian states are sampled exactly from ``N(t, (V+I)/2)``; cat states
+    and truncated Fock matrices use exact rejection sampling with a Gaussian
+    envelope, and ``meta`` then holds its acceptance and proposal count.
     """
     rng = stream_rng(seed_path)
     meta: dict = {}
     if isinstance(state, GaussianStateSpec):
-        pts = _gaussian_heterodyne_draws(state, n, rng)
+        flat = _gaussian_draws(state.mean, heterodyne_covariance(state), n, rng)
+        m = state.modes
+        pts = np.stack([flat[:, :m], flat[:, m:]], axis=-1)
     else:
-        fock = _as_fock(state)
-        if fock.modes != 1:
-            raise ValueError("rejection heterodyne sampling is single mode")
-        pts, acceptance = _rejection_heterodyne_draws(fock, n, rng, c_env=c_env)
-        meta["acceptance"] = acceptance
+        pts, meta = _rejection_heterodyne_draws(_sampling_fock(state), n, rng)
     return SampleBatch(HETERODYNE, pts, None, seed_path, describe_state(state), meta)
 
 

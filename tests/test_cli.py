@@ -128,6 +128,18 @@ class TestSample:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert "records.jsonl" in manifest["inventory"]
         assert manifest["config_hash"]
+        assert "sampler" not in manifest  # the Gaussian sampler rejects nothing
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    def test_manifest_records_rejection_acceptance(self, tmp_path, protocol):
+        cfg = base_config(
+            state={"kind": "cat", "alpha": [1.0, 1.0]}, protocol=protocol, samples=200
+        )
+        result = cmd_sample(cfg, tmp_path)
+        sampler = json.loads((tmp_path / "manifest.json").read_text())["sampler"]
+        assert sampler == result["meta"]
+        assert sampler["proposals"] > 0
+        assert 0.1 <= sampler["acceptance"] <= 1.0
 
 
 class TestReconstruct:

@@ -2,10 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
+from scipy.stats import kstest
 
 from cvshadow.measurement import (
     SampleBatch,
@@ -27,6 +29,7 @@ from cvshadow.states import (
     fock_matrix_of,
     fock_moments,
 )
+from cvshadow.phase_space import hermite_stack
 from cvshadow.qmc import BoxDomain, qmc_integrate
 
 
@@ -34,6 +37,22 @@ def fock_state(n: int, truncation: int) -> FockMatrix:
     mat = np.zeros((truncation + 1, truncation + 1), dtype=complex)
     mat[n, n] = 1.0
     return FockMatrix(1, truncation, mat)
+
+
+def traced_peak_mb(fn) -> float:
+    """Peak traced allocation of ``fn()`` in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+NOT_STATES = {
+    "negative": FockMatrix(1, 1, np.diag([1.2, -0.2])),
+    "non-hermitian": FockMatrix(1, 1, np.array([[0.5, 0.3], [0.0, 0.5]])),
+}
 
 
 class TestHomodynePdf:
@@ -77,6 +96,20 @@ class TestHomodynePdf:
         q = np.linspace(-8, 8, 401)
         for theta in np.linspace(-np.pi, np.pi, 7):
             assert homodyne_pdf(rho, theta, q).min() >= -1e-12
+
+    def test_one_angle_per_point_matches_double_sum(self):
+        # the sampler's density: p(q_i|theta_i) for its own angle per point
+        from cvshadow.measurement import _homodyne_density
+
+        rho = fock_matrix_of(CatStateSpec(1 + 1j, "plus"), 12)
+        rng = np.random.default_rng(3)
+        thetas, qs = rng.uniform(-np.pi, np.pi, 9), rng.normal(0.0, 2.0, 9)
+        n = np.arange(13)
+        for theta, q, val in zip(thetas, qs, _homodyne_density(rho, thetas, qs)):
+            psi = hermite_stack(12, q)
+            phase = np.exp(1j * np.subtract.outer(n, n) * theta)
+            expected = np.sum(rho.entries * phase * np.outer(psi, psi)).real
+            assert val == pytest.approx(expected, abs=1e-13)
 
     def test_non_hermitian_rejected(self):
         mat = np.zeros((3, 3), dtype=complex)
@@ -135,6 +168,59 @@ class TestSampleHomodyne:
         expected = np.sum(np.arange(41) * np.abs(coeffs) ** 2) + 0.5
         stderr = (qs**2).std() / math.sqrt(len(qs))
         assert (qs**2).mean() == pytest.approx(expected, abs=4 * stderr)
+
+    @pytest.mark.parametrize("name", ["cat", "fock1"])
+    def test_q_marginal_matches_angle_average(self, name):
+        # over uniform angles p(q) = sum_n rho_nn psi_n(q)^2: the off-diagonal
+        # terms average out
+        if name == "cat":
+            state = CatStateSpec(1 + 1j, "zero")
+            diag = np.diag(fock_matrix_of(state, 40).entries).real
+        else:
+            state = fock_state(1, 3)
+            diag = np.diag(state.entries).real
+        grid = np.linspace(-10.0, 10.0, 40_001)
+        pdf = diag @ hermite_stack(diag.size - 1, grid) ** 2
+        cdf = cumulative_trapezoid(pdf, grid, initial=0.0)
+        qs = sample_homodyne_batch(state, 20_000, f"ks/{name}").outcomes[:, 0]
+        result = kstest(qs, lambda q: np.interp(q, grid, cdf / cdf[-1]))
+        assert result.pvalue > 0.01
+
+    def test_envelope_violation_aborts(self, monkeypatch):
+        import cvshadow.measurement as meas
+
+        spec = CatStateSpec(1 + 1j, "zero")
+        real_density = meas._homodyne_density
+        probe_done: dict = {}
+
+        def spiked(fock, thetas, q):
+            vals = real_density(fock, thetas, q)
+            if probe_done.get("armed"):
+                return vals * 50.0  # violate the calibrated bound
+            probe_done["armed"] = True  # first call is the probe grid
+            return vals
+
+        monkeypatch.setattr(meas, "_homodyne_density", spiked)
+        with pytest.raises(RuntimeError, match="envelope"):
+            meas.sample_homodyne_batch(spec, 100, "abort")
+
+    def test_cat_batch_memory_bounded(self):
+        # proposals come in fixed chunks: no intermediate grows with N
+        spec = CatStateSpec(1 + 1j, "zero")
+        sample_homodyne_batch(spec, 10, "warm")
+        peak = traced_peak_mb(lambda: sample_homodyne_batch(spec, 100_000, "mem"))
+        assert peak < 150.0
+
+    def test_gaussian_chain_memory_bounded(self):
+        # one Cholesky of V/2 for the whole batch, no per-round covariances
+        state = chain_ground_state(ChainSpec(200, 0.99))
+        peak = traced_peak_mb(lambda: sample_homodyne_batch(state, 200, "mem200"))
+        assert peak < 10.0
+
+    @pytest.mark.parametrize("kind", sorted(NOT_STATES))
+    def test_not_a_state_rejected(self, kind):
+        with pytest.raises(ValueError, match="state"):
+            sample_homodyne_batch(NOT_STATES[kind], 10, "bad")
 
     def test_single_record_api(self):
         batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 1, "one")
@@ -207,6 +293,17 @@ class TestSampleHeterodyne:
         stderr = np.sqrt(np.diag(sigma) / len(pts))
         assert np.all(np.abs(pts.mean(axis=0) - mean_expected) < 3 * stderr + 1e-9)
 
+        # homodyne: E[q | theta] = cos(theta) t_x - sin(theta) t_p, so
+        # 2 E[q cos(theta)] = t_x and -2 E[q sin(theta)] = t_p
+        batch = sample_homodyne_batch(spec, 40_000, "hcat")
+        assert batch.meta["acceptance"] >= 0.1
+        # the acceptance counts every accepted proposal, surplus included
+        assert batch.meta["acceptance"] * batch.meta["proposals"] >= len(pts)
+        q, theta = batch.outcomes[:, 0], batch.thetas[:, 0]
+        proj = np.stack([2 * q * np.cos(theta), -2 * q * np.sin(theta)], axis=-1)
+        stderr = proj.std(axis=0) / math.sqrt(len(q))
+        assert np.all(np.abs(proj.mean(axis=0) - mean_expected) < 3 * stderr)
+
     def test_envelope_violation_aborts(self, monkeypatch):
         import cvshadow.measurement as meas
 
@@ -224,6 +321,11 @@ class TestSampleHeterodyne:
         monkeypatch.setattr(meas, "fock_husimi", spiked)
         with pytest.raises(RuntimeError, match="envelope"):
             meas.sample_heterodyne_batch(spec, 100, "abort")
+
+    @pytest.mark.parametrize("kind", sorted(NOT_STATES))
+    def test_not_a_state_rejected(self, kind):
+        with pytest.raises(ValueError, match="state"):
+            sample_heterodyne_batch(NOT_STATES[kind], 10, "bad")
 
     def test_single_record_api(self):
         batch = sample_heterodyne_batch(GaussianStateSpec.vacuum(), 1, "h1")
