@@ -34,11 +34,11 @@ from .measurement import (
     stream_rng,
 )
 from .shadows import (
-    QuadratureRule,
     ShadowAverage,
     WindowSpec,
     default_window,
     heterodyne_shadow_entry,
+    heterodyne_shadow_entry_qmc,
     homodyne_shadow_entry,
     project_PM,
     project_PM_tilde,

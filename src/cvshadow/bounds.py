@@ -223,7 +223,7 @@ def bernstein_tail(
 def _log_required_n(
     truncation: int,
     r: int,
-    epsilon: float,
+    log_epsilon: float,
     delta: float,
     sigma: float,
     additive: float,
@@ -234,10 +234,12 @@ def _log_required_n(
 
     ``N = (M+1)^(2r)/(3 eps^2) {24 Sigma^2 + 4 (Sigma + additive) eps}
     log(2 [m (M+1)]^r / delta)`` with ``m^r`` replaced by ``n_obs`` for the
-    fixed-observable variant.
+    fixed-observable variant.  The accuracy enters as ``log eps``, so an
+    ``eps`` below the smallest float (the entropy plan's ``eps'``) still
+    gives a finite log N.
     """
     log_dim = 2.0 * r * math.log(truncation + 1.0)
-    brace = 24.0 * sigma * sigma + 4.0 * (sigma + additive) * epsilon
+    brace = 24.0 * sigma * sigma + 4.0 * (sigma + additive) * math.exp(log_epsilon)
     if n_obs is None:
         log_union = math.log(2.0) + r * math.log(modes * (truncation + 1.0)) - math.log(delta)
     else:
@@ -249,7 +251,8 @@ def _log_required_n(
         )
     return (
         log_dim
-        - math.log(3.0 * epsilon * epsilon)
+        - math.log(3.0)
+        - 2.0 * log_epsilon
         + math.log(brace)
         + math.log(log_union)
     )
@@ -273,7 +276,7 @@ def required_samples_homodyne(
     m_chosen = math.ceil((4.0 * profile.e_n / epsilon) ** (2.0 / (profile.n - profile.alpha)))
     sigma = sigma_homodyne(m_chosen, r, profile.alpha)
     log_n = _log_required_n(
-        m_chosen, r, epsilon, delta, sigma, profile.e_alpha, modes, n_observables
+        m_chosen, r, math.log(epsilon), delta, sigma, profile.e_alpha, modes, n_observables
     )
     n_req = math.ceil(math.exp(log_n)) if log_n < 700 else math.inf
     return BoundReport(
@@ -292,6 +295,10 @@ def required_samples_homodyne(
             "profile": vars(profile),
         },
     )
+
+
+# Window inner radii eta scanned by the heterodyne sample-size calculator.
+_ETA_POINTS = 64
 
 
 def heterodyne_truncation_choice(
@@ -315,33 +322,35 @@ def required_samples_heterodyne(
     epsilon: float,
     delta: float,
     modes: int,
-    w: WindowSpec,
+    radius: float,
     n_observables: int | None = None,
     m_cap: int = 64,
-    eta_points: int = 64,
 ) -> BoundReport:
     """Sample size of the heterodyne protocol, minimized over the window radius.
 
-    For each eta on a logarithmic grid below the outer radius, the smallest
-    feasible truncation is selected (the bound statement uses the ``(1+M)``
-    truncation base); N is then the Bernstein expression with the windowed
-    norm ``Sigma~`` and the scan returns the minimizing (eta, M, N).  The
-    report is flagged infeasible when no truncation below ``m_cap`` meets the
-    eps/2 budget at any eta.
+    For each eta on a logarithmic grid of 64 values below the outer window
+    radius ``radius``, the smallest feasible truncation is selected (the
+    bound statement uses the ``(1+M)`` truncation base); N is then the
+    Bernstein expression with the windowed norm ``Sigma~`` and the scan
+    returns the minimizing (eta, M, N).  The report is flagged infeasible
+    when no truncation below ``m_cap`` meets the eps/2 budget at any eta.
     """
     if not 0 < epsilon <= 1 or not 0 < delta < 1:
         raise ValueError("epsilon must lie in (0, 1] and delta in (0, 1)")
-    etas = np.geomspace(1e-2, 0.99 * w.radius, eta_points)
+    if not radius > 0:
+        raise ValueError(f"window radius must be positive, got {radius}")
+    etas = np.geomspace(1e-2, 0.99 * radius, _ETA_POINTS)
     best: BoundReport | None = None
     for eta in etas:
         m_try = heterodyne_truncation_choice(profile, float(eta), epsilon, r, m_cap)
         if m_try is None:
             continue
-        window = WindowSpec(float(eta), w.radius)
+        window = WindowSpec(float(eta), radius)
         sigma = sigma_heterodyne(m_try, r, profile.alpha, window)
         d0 = delta0(float(eta), m_try, profile.alpha / 2.0, r)
         log_n = _log_required_n(
-            m_try, r, epsilon, delta, sigma, profile.e_alpha + d0, modes, n_observables
+            m_try, r, math.log(epsilon), delta, sigma, profile.e_alpha + d0, modes,
+            n_observables,
         )
         n_req = math.ceil(math.exp(log_n)) if log_n < 700 else math.inf
         if best is None or n_req < best.n_required:
@@ -359,7 +368,7 @@ def required_samples_heterodyne(
                     "m": modes,
                     "L": n_observables,
                     "eta": float(eta),
-                    "R": w.radius,
+                    "R": radius,
                     "profile": vars(profile),
                 },
             )
@@ -376,7 +385,7 @@ def required_samples_heterodyne(
                 "epsilon": epsilon,
                 "delta": delta,
                 "m": modes,
-                "R": w.radius,
+                "R": radius,
                 "cap": m_cap,
             },
         )

@@ -85,7 +85,6 @@ CONFIG_SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "squeezing": {"type": "number", "exclusiveMinimum": 0},
         "grid": {
             "type": "object",
             "properties": {
@@ -342,7 +341,7 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
     return metrics
 
 
-def cmd_bounds(config: dict, out_dir, seed: int | None = None) -> dict:
+def cmd_bounds(config: dict, out_dir) -> dict:
     """Evaluate the sample-size bounds named in the config."""
     t0 = time.perf_counter()
     out = Path(out_dir)
@@ -359,8 +358,7 @@ def cmd_bounds(config: dict, out_dir, seed: int | None = None) -> dict:
     else:
         radius = b.get("radius", default_window(config["truncation"]).radius)
         report = required_samples_heterodyne(
-            profile, b["r"], b["epsilon"], b["delta"], b["modes"],
-            WindowSpec(0.9 * radius, radius),
+            profile, b["r"], b["epsilon"], b["delta"], b["modes"], radius,
             n_observables=b.get("observables"),
         )
     report_path = out / "bounds.json"
@@ -381,7 +379,7 @@ def cmd_bounds(config: dict, out_dir, seed: int | None = None) -> dict:
     return report.to_dict()
 
 
-def cmd_entropy(config: dict, average_path, out_dir, seed: int | None = None) -> dict:
+def cmd_entropy(config: dict, average_path, out_dir) -> dict:
     """Entropy surrogate of a persisted shadow average, plus plan and reference."""
     t0 = time.perf_counter()
     out = Path(out_dir)
@@ -432,12 +430,13 @@ def main(argv=None) -> int:
 
     def add_common(p):
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=".", help="output directory")
 
-    add_common(sub.add_parser("sample", help="generate measurement records"))
+    p_sample = sub.add_parser("sample", help="generate measurement records")
     p_rec = sub.add_parser("reconstruct", help="grids + shadow average from records")
-    add_common(p_rec)
+    for p in (p_sample, p_rec):
+        add_common(p)
+        p.add_argument("--seed", type=int, default=None, help="override config seed")
     p_rec.add_argument("--batch", required=True, help="records.jsonl from `sample`")
     add_common(sub.add_parser("bounds", help="sample-size bound report"))
     p_ent = sub.add_parser("entropy", help="entropy of a persisted shadow average")
@@ -452,9 +451,9 @@ def main(argv=None) -> int:
         elif args.command == "reconstruct":
             cmd_reconstruct(config, args.batch, args.out, args.seed)
         elif args.command == "bounds":
-            cmd_bounds(config, args.out, args.seed)
+            cmd_bounds(config, args.out)
         elif args.command == "entropy":
-            cmd_entropy(config, args.average, args.out, args.seed)
+            cmd_entropy(config, args.average, args.out)
     except (ConfigError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

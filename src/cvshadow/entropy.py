@@ -139,18 +139,15 @@ def plan_entropy(
     eps_prime = 2.0**log2_eps_prime if log2_eps_prime > -1000 else 0.0
     log10_eps_prime = log2_eps_prime * math.log10(2.0)
 
-    from .bounds import sigma_homodyne
+    from .bounds import _log_required_n, sigma_homodyne
 
+    # the homodyne Bernstein sample size at accuracy 2 eps' with additive
+    # constant 1: N = (M+1)^{2r} (6 S^2 + 2 (S+1) eps') / (3 eps'^2)
+    # log(2 [m (M+1)]^r / delta)
     sigma = sigma_homodyne(truncation, r, 0.0)
-    log_eps_prime = log2_eps_prime * math.log(2.0)
-    log_brace = math.log(6.0 * sigma * sigma + 2.0 * (sigma + 1.0) * eps_prime)
-    # N = (M+1)^{2r} (6 S^2 + 2 (S+1) eps') / (3 eps'^2) log(2 [m (M+1)]^r / delta)
-    log_n = (
-        2.0 * r * math.log(truncation + 1.0)
-        + log_brace
-        - math.log(3.0)
-        - 2.0 * log_eps_prime
-        + math.log(math.log(2.0 * (modes * (truncation + 1.0)) ** r / delta))
+    log_two_eps_prime = (log2_eps_prime + 1.0) * math.log(2.0)
+    log_n = _log_required_n(
+        truncation, r, log_two_eps_prime, delta, sigma, 1.0, modes, None
     )
     return EntropyPlan(
         truncation=truncation,

@@ -354,7 +354,3 @@ class CharGrid:
 
     def axis_points(self, i: int) -> np.ndarray:
         return self.origin[i] + self.step[i] * np.arange(self.shape[i])
-
-    def meshgrid(self) -> list[np.ndarray]:
-        axes = [self.axis_points(i) for i in range(len(self.shape))]
-        return list(np.meshgrid(*axes, indexing="ij"))

@@ -100,7 +100,7 @@ class BoxDomain:
         return (2.0 * np.asarray(t, dtype=float) - 1.0) * hw
 
 
-def qmc_integrate(f, box: BoxDomain, budget: int, stream: HaltonStream | None = None):
+def qmc_integrate(f, box: BoxDomain, budget: int):
     """Integrate ``f`` over the box with ``budget`` Halton points.
 
     ``f`` must accept an ``(n, d)`` array of points and return ``n`` values
@@ -110,8 +110,7 @@ def qmc_integrate(f, box: BoxDomain, budget: int, stream: HaltonStream | None = 
     """
     if budget < 16:
         raise ValueError("QMC budget below 16 points is meaningless")
-    stream = stream or HaltonStream(box.dimension)
-    pts = box.map_unit(stream.points(budget))
+    pts = box.map_unit(HaltonStream(box.dimension).points(budget))
     vals = np.asarray(f(pts))
     if vals.shape != (budget,):
         raise ValueError("integrand must return one value per point")

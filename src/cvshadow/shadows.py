@@ -64,13 +64,10 @@ class WindowSpec:
 
     eta: float
     radius: float
-    profile_order: int = 5
 
     def __post_init__(self):
         if not 0 < self.eta < self.radius:
             raise ValueError(f"need 0 < eta < R, got eta={self.eta}, R={self.radius}")
-        if self.profile_order != 5:
-            raise ValueError("only the quintic smoothstep profile is implemented")
 
     def xi_radial(self, rho):
         """Window profile as a function of the radius |z|."""
@@ -92,21 +89,6 @@ def default_window(truncation: int) -> WindowSpec:
     """
     eta = max(6.0, math.sqrt(2.0) * truncation + 1.0)
     return WindowSpec(eta, eta + 2.0)
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """How to evaluate shadow-entry integrals."""
-
-    kind: str = "adaptive-1d"  # adaptive-1d | tensor-grid | qmc
-    budget: int = 2**14
-    tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.kind not in ("adaptive-1d", "tensor-grid", "qmc"):
-            raise ValueError(f"unknown quadrature kind {self.kind!r}")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +168,16 @@ def shadow_char_eval(protocol: str, thetas, outcome, u, s: float | None = None):
 
 
 def homodyne_shadow_entry(
-    n1: int, n2: int, theta: float, q: float, rule: QuadratureRule | None = None
+    n1: int, n2: int, theta: float, q: float, tol: float = 1e-8
 ) -> complex:
     """One matrix entry of the single-mode homodyne shadow at round (theta, q).
 
-    Adaptive quadrature of the folded radial integral; relative tolerance from
-    ``rule`` (default 1e-8).  The integrand decays like
-    ``t^(1+|n1-n2|) exp(-t^2/4)`` times an oscillation in ``t q``.
+    Adaptive quadrature of the folded radial integral to relative tolerance
+    ``tol``.  The integrand decays like ``t^(1+|n1-n2|) exp(-t^2/4)`` times
+    an oscillation in ``t q``.
     """
-    rule = rule or QuadratureRule()
     if n1 > n2:
-        return complex(np.conj(homodyne_shadow_entry(n2, n1, theta, q, rule)))
+        return complex(np.conj(homodyne_shadow_entry(n2, n1, theta, q, tol)))
     coeff, d, radial = fock_dyad_radial(n1, n2)
     osc = np.cos if d % 2 == 0 else np.sin
     upper = 14.0 + 2.0 * np.sqrt(d + 2.0)
@@ -209,7 +190,7 @@ def homodyne_shadow_entry(
         0.0,
         upper,
         epsabs=1e-13,
-        epsrel=rule.tolerance,
+        epsrel=tol,
         limit=400,
     )
     beta = 0.5 * np.pi - theta
@@ -268,11 +249,9 @@ def _het_poly(n1: int, n2: int):
     return coeff, d, poly
 
 
-def _het_entry_single(
-    n1: int, n2: int, x: np.ndarray, w: WindowSpec, rule: QuadratureRule
-) -> complex:
+def _het_entry_single(n1: int, n2: int, x: np.ndarray, w: WindowSpec, tol: float) -> complex:
     if n1 < n2:
-        return complex(np.conj(_het_entry_single(n2, n1, x, w, rule)))
+        return complex(np.conj(_het_entry_single(n2, n1, x, w, tol)))
     coeff, d, poly = _het_poly(n1, n2)
     s = float(np.hypot(x[0], x[1]))
     psi = math.atan2(x[0], x[1])
@@ -280,39 +259,39 @@ def _het_entry_single(
     def integrand(rho):
         return rho * poly(rho) * w.xi_radial(rho) * jv(d, rho * s)
 
-    val, _ = quad(
-        integrand, 0.0, w.radius, epsabs=1e-13, epsrel=rule.tolerance, limit=400
-    )
+    val, _ = quad(integrand, 0.0, w.radius, epsabs=1e-13, epsrel=tol, limit=400)
     return complex(coeff * (1j**d) * np.exp(-1j * d * psi) * val)
 
 
-def heterodyne_shadow_entry(n1, n2, x_a, w: WindowSpec, rule: QuadratureRule | None = None):
+def heterodyne_shadow_entry(n1, n2, x_a, w: WindowSpec, tol: float = 1e-7):
     """Entry ``(n1, n2)`` of the heterodyne shadow for outcomes ``x_a``.
 
     The 2r-dimensional windowed integral factorizes over modes (dyad, window
     and shadow kernel are all per-mode products), so it is evaluated as a
     product of per-mode disk integrals; each disk integral is reduced to an
-    adaptive radial quadrature (the angular part is an exact Bessel
-    transform).  With ``rule.kind == "qmc"`` the full-dimensional integral is
-    instead estimated with the Halton integrator  (testing path; also the
-    route for non-tensorizing experiments above r = 3).
+    adaptive radial quadrature to relative tolerance ``tol`` (the angular
+    part is an exact Bessel transform).
     """
-    rule = rule or QuadratureRule(tolerance=1e-7)
     x_a = np.asarray(x_a, dtype=float).reshape(-1, 2)
     r = x_a.shape[0]
     n1 = _as_multi_index(n1, r)
     n2 = _as_multi_index(n2, r)
-    if rule.kind == "qmc":
-        return _het_entry_qmc(n1, n2, x_a, w, rule)
     out = complex(1.0)
     for j in range(r):
-        out *= _het_entry_single(n1[j], n2[j], x_a[j], w, rule)
+        out *= _het_entry_single(n1[j], n2[j], x_a[j], w, tol)
     return out
 
 
-def _het_entry_qmc(n1, n2, x_a, w: WindowSpec, rule: QuadratureRule) -> complex:
+def heterodyne_shadow_entry_qmc(n1, n2, x_a, w: WindowSpec, budget: int) -> complex:
+    """The same entry as :func:`heterodyne_shadow_entry`, by quasi-Monte Carlo.
+
+    The full 2r-dimensional windowed integral over the box ``[-R, R]^(2r)``
+    is estimated from ``budget`` Halton points, without using the per-mode
+    factorization; a reference for the factorized quadrature.
+    """
     from .qmc import BoxDomain, qmc_integrate
 
+    x_a = np.asarray(x_a, dtype=float).reshape(-1, 2)
     r = x_a.shape[0]
     x_flat = np.concatenate([x_a[:, 0], x_a[:, 1]])
 
@@ -324,7 +303,7 @@ def _het_entry_qmc(n1, n2, x_a, w: WindowSpec, rule: QuadratureRule) -> complex:
         return chi * grow * phase / (2.0 * np.pi) ** r
 
     box = BoxDomain([w.radius] * (2 * r))
-    value, _ = qmc_integrate(integrand, box, rule.budget)
+    value, _ = qmc_integrate(integrand, box, budget)
     return complex(value)
 
 
@@ -630,12 +609,11 @@ def project_PM(big: FockMatrix, truncation: int) -> FockMatrix:
     return FockMatrix(big.modes, truncation, entries)
 
 
-def project_PM_tilde(
-    state,
-    truncation: int,
-    w: WindowSpec | None = None,
-    rule: QuadratureRule | None = None,
-) -> FockMatrix:
+# Gauss-Legendre nodes per axis of the P~_M tensor grid over [-R, R]^2.
+_PM_TILDE_NODES = 240
+
+
+def project_PM_tilde(state, truncation: int, w: WindowSpec | None = None) -> FockMatrix:
     """Window-smoothed projection ``P~_M(rho)`` of an exact state.
 
     Entries are the windowed Plancherel pairings ``Tr[Z~_{n2 n1} rho] =
@@ -645,9 +623,9 @@ def project_PM_tilde(
     multimode product states follow by tensoring.
     """
     w = w or default_window(truncation)
-    rule = rule or QuadratureRule(kind="tensor-grid", budget=240)
     if getattr(state, "modes", 1) != 1:
         raise ValueError("project_PM_tilde supports single-mode states")
-    nodes = max(int(rule.budget), 64)
-    mat = fock_pairing_matrix(state.char, truncation, w.radius, nodes, window=w.xi)
+    mat = fock_pairing_matrix(
+        state.char, truncation, w.radius, _PM_TILDE_NODES, window=w.xi
+    )
     return FockMatrix(1, truncation, mat)

@@ -63,10 +63,6 @@ class FockMatrix:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def hermitize(self) -> "FockMatrix":
-        sym = 0.5 * (self.entries + self.entries.conj().T)
-        return FockMatrix(self.modes, self.truncation, sym, self.trace_deficit)
-
     def photon_totals(self) -> np.ndarray:
         """Total photon number |n| for each raveled basis index."""
         return multi_indices(self.truncation, self.modes).sum(axis=1)
@@ -337,35 +333,23 @@ class ChainSpec:
         return h
 
 
-def _sqrtm_psd(mat: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Symmetric square root (or inverse root) with eigenvalue floor."""
-    lam, vec = np.linalg.eigh(0.5 * (mat + mat.T))
+def chain_ground_state(spec: ChainSpec) -> GaussianStateSpec:
+    """Gaussian ground state of the chain: mean 0, covariance diag(X, X^-1).
+
+    The general ``X = h_XX^{-1/2} sqrt(sqrt(h_XX) h_PP sqrt(h_XX))
+    h_XX^{-1/2}`` reduces to ``(2 h_XX)^{-1/2}`` at ``h_PP = I/2``, so ``X``
+    and ``X^-1 = (2 h_XX)^{1/2}`` both come from one symmetric
+    eigendecomposition of ``h_XX``.
+    """
+    lam, vec = np.linalg.eigh(spec.h_xx())
     if lam.min() < _EIG_FLOOR:
         raise ValueError(
             f"matrix not positive definite (min eigenvalue {lam.min():.3e}); "
             "kappa too close to a degenerate point"
         )
-    root = np.sqrt(lam)
-    if inverse:
-        root = 1.0 / root
-    return (vec * root) @ vec.T
-
-
-def chain_ground_state(spec: ChainSpec) -> GaussianStateSpec:
-    """Gaussian ground state of the chain: mean 0, covariance diag(X, X^-1).
-
-    ``X = h_XX^{-1/2} sqrt(sqrt(h_XX) h_PP sqrt(h_XX)) h_XX^{-1/2}`` with all
-    matrix roots taken by symmetric eigendecomposition.
-    """
-    h_xx = spec.h_xx()
-    h_pp = 0.5 * np.eye(spec.m)
-    root = _sqrtm_psd(h_xx)
-    inv_root = _sqrtm_psd(h_xx, inverse=True)
-    inner = _sqrtm_psd(root @ h_pp @ root)
-    x_mat = inv_root @ inner @ inv_root
-    x_mat = 0.5 * (x_mat + x_mat.T)
-    x_inv = np.linalg.inv(x_mat)
-    x_inv = 0.5 * (x_inv + x_inv.T)
+    root = np.sqrt(2.0 * lam)
+    x_mat = (vec / root) @ vec.T
+    x_inv = (vec * root) @ vec.T
     cov = np.block(
         [[x_mat, np.zeros_like(x_mat)], [np.zeros_like(x_mat), x_inv]]
     )

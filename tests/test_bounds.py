@@ -270,25 +270,28 @@ class TestRequiredSamplesHeterodyne:
         assert heterodyne_truncation_choice(self.PROFILE, 0.05, 0.5, 1, m_cap=4) is None
 
     def test_scan_returns_feasible(self):
-        report = required_samples_heterodyne(
-            self.PROFILE, 1, 0.5, 0.05, 4, WindowSpec(20.0, 24.0)
-        )
+        report = required_samples_heterodyne(self.PROFILE, 1, 0.5, 0.05, 4, 24.0)
         assert report.feasible
         assert report.m_chosen >= 0
         assert math.isfinite(report.log10_n_required)
 
     def test_n_decreasing_in_epsilon(self):
-        w = WindowSpec(20.0, 24.0)
-        big = required_samples_heterodyne(self.PROFILE, 1, 0.8, 0.05, 4, w)
-        small = required_samples_heterodyne(self.PROFILE, 1, 0.4, 0.05, 4, w)
+        radius = 24.0
+        big = required_samples_heterodyne(self.PROFILE, 1, 0.8, 0.05, 4, radius)
+        small = required_samples_heterodyne(self.PROFILE, 1, 0.4, 0.05, 4, radius)
         assert small.n_required >= big.n_required
 
     def test_infeasible_report(self):
         report = required_samples_heterodyne(
-            self.PROFILE, 1, 0.5, 0.05, 4, WindowSpec(0.5, 1.0), m_cap=2
+            self.PROFILE, 1, 0.5, 0.05, 4, 1.0, m_cap=2
         )
         assert not report.feasible
         assert report.n_required == math.inf
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+    def test_nonpositive_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            required_samples_heterodyne(self.PROFILE, 1, 0.5, 0.05, 4, radius)
 
     def test_report_serializes(self):
         report = BoundReport(3, 100.0, 0.1, 2.0)

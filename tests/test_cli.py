@@ -371,3 +371,21 @@ class TestMainEntrypoint:
         cfg_path = write_config(tmp_path, {"version": 1})
         assert cli.main(["sample", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert "$" in capsys.readouterr().err
+
+    def test_unread_squeezing_key_rejected(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(squeezing=0.3))
+        assert cli.main(["sample", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config invalid at $" in err and "'squeezing' was unexpected" in err
+        assert not (tmp_path / "records.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["bounds", "entropy"])
+    def test_seed_flag_only_on_sampling_commands(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, base_config())
+        argv = [command, "--config", str(cfg_path), "--seed", "3", "--out", str(tmp_path)]
+        if command == "entropy":
+            argv += ["--average", str(tmp_path / "avg.json")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err

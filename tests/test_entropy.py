@@ -116,6 +116,39 @@ class TestPlan:
         with pytest.raises(ValueError, match="precondition"):
             plan_entropy(1, 1, 0.5, 2.0)
 
+    @pytest.mark.parametrize(
+        "truncation,epsilon,energy",
+        [(3, 0.9, 0.4), (1, 1.0, 0.4), (6, 0.1, 1.2), (3, 0.5, 0.4), (6, 0.02, 1.2)],
+    )
+    def test_implied_n_is_the_bernstein_sample_size(self, truncation, epsilon, energy):
+        # N = (M+1)^2 (6 S^2 + 2 (S+1) eps') / (3 eps'^2) log(2 (M+1) / delta),
+        # the homodyne sample size at accuracy 2 eps' with additive constant
+        # 1, written out with log eps', so an eps' that underflows to 0
+        # (M = 6, eps = 0.02: eps' = 2^-1419) still gives a finite N
+        from cvshadow.bounds import _log_required_n, sigma_homodyne
+
+        dim, delta = truncation + 1, 0.05
+        log_eps_prime = (
+            math.log(epsilon**2 / (12 * dim * math.e)) - 4 * dim / epsilon * math.log(2)
+        )
+        eps_prime = math.exp(log_eps_prime)
+        sigma = sigma_homodyne(truncation, 1, 0.0)
+        log_n = (
+            2 * math.log(dim)
+            + math.log(6 * sigma**2 + 2 * (sigma + 1) * eps_prime)
+            - math.log(3)
+            - 2 * log_eps_prime
+            + math.log(math.log(2 * dim / delta))
+        )
+        plan = plan_entropy(truncation, 1, epsilon, energy)
+        assert math.isfinite(plan.log10_n_implied)
+        assert plan.log10_n_implied == pytest.approx(log_n / math.log(10), rel=1e-12)
+        via_bounds = _log_required_n(
+            truncation, 1, math.log(2) + log_eps_prime, delta, sigma, 1.0, 1, None
+        )
+        assert via_bounds == pytest.approx(log_n, rel=1e-12)
+        assert (plan.epsilon_prime == 0.0) == (eps_prime == 0.0) == (epsilon == 0.02)
+
     def test_astronomical_n_reported_in_logs(self):
         plan = plan_entropy(6, 1, 0.1, 1.2)
         assert plan.epsilon_prime == 0.0 or plan.epsilon_prime < 1e-80

@@ -130,14 +130,16 @@ class TestQmcIntegrate:
 
     def test_agrees_with_adaptive_on_shadow_integrand(self):
         # heterodyne shadow-entry integrand, r = 1, n1 = n2 = 0
-        from cvshadow.shadows import QuadratureRule, default_window, heterodyne_shadow_entry
+        from cvshadow.shadows import (
+            default_window,
+            heterodyne_shadow_entry,
+            heterodyne_shadow_entry_qmc,
+        )
 
         w = default_window(0)
         x = np.array([0.7, -0.3])
         ref = heterodyne_shadow_entry(0, 0, x, w)
-        qmc_val = heterodyne_shadow_entry(
-            0, 0, x, w, QuadratureRule(kind="qmc", budget=2**18)
-        )
+        qmc_val = heterodyne_shadow_entry_qmc(0, 0, x, w, budget=2**18)
         # 1e-4 at the scale of the entry (the integrand reaches ~R^2/2)
         assert abs(qmc_val - ref) < 1e-4 * (1.0 + abs(ref))
 

@@ -12,13 +12,13 @@ from cvshadow.bounds import delta0
 from cvshadow.measurement import SampleBatch, sample_heterodyne_batch, sample_homodyne_batch
 from cvshadow.phase_space import char_fock_dyad
 from cvshadow.shadows import (
-    QuadratureRule,
     ShadowAverage,
     WindowSpec,
     average_entries,
     default_window,
     f_mu_homodyne,
     heterodyne_shadow_entry,
+    heterodyne_shadow_entry_qmc,
     homodyne_shadow_entry,
     project_PM,
     project_PM_tilde,
@@ -142,8 +142,7 @@ class TestHeterodyneEntry:
     def test_exponent_cancellation(self):
         # for n1 = n2 = 0 the integrand modulus is exactly xi
         w = default_window(2)
-        rule = QuadratureRule(tolerance=1e-9)
-        val = heterodyne_shadow_entry(0, 0, np.zeros(2), w, rule)
+        val = heterodyne_shadow_entry(0, 0, np.zeros(2), w, tol=1e-9)
         area, _ = quad(lambda r: r * w.xi_radial(r), 0, w.radius, limit=200)
         assert val == pytest.approx(area, rel=1e-7)
 
@@ -201,9 +200,7 @@ class TestHeterodyneEntry:
         w = default_window(0)
         x = np.array([0.5, 0.1])
         ref = heterodyne_shadow_entry(0, 0, x, w)
-        qmc_val = heterodyne_shadow_entry(
-            0, 0, x, w, QuadratureRule(kind="qmc", budget=2**18)
-        )
+        qmc_val = heterodyne_shadow_entry_qmc(0, 0, x, w, budget=2**18)
         assert qmc_val == pytest.approx(ref, abs=1e-4 * (1 + abs(ref)))
 
     def test_batch_matches_adaptive(self):
@@ -214,9 +211,7 @@ class TestHeterodyneEntry:
         for i in range(4):
             for n1 in range(3):
                 for n2 in range(3):
-                    ref = heterodyne_shadow_entry(
-                        n1, n2, xs[i], w, QuadratureRule(tolerance=1e-10)
-                    )
+                    ref = heterodyne_shadow_entry(n1, n2, xs[i], w, tol=1e-10)
                     assert batch_vals[i, n1, n2] == pytest.approx(ref, abs=2e-7)
 
 
@@ -257,11 +252,10 @@ class TestProfileTable:
         qs = np.array([0.0, 0.37, -1.21, 1.5 + 1 / 1024, -2.64, 3.05, -3.93])
         thetas = rng.uniform(-np.pi, np.pi, qs.size)
         batch_vals = homodyne_entries(thetas, qs, 3)
-        rule = QuadratureRule(tolerance=1e-12)
         for i in range(qs.size):
             for n1 in range(4):
                 for n2 in range(4):
-                    ref = homodyne_shadow_entry(n1, n2, thetas[i], qs[i], rule)
+                    ref = homodyne_shadow_entry(n1, n2, thetas[i], qs[i], tol=1e-12)
                     assert batch_vals[i, n1, n2] == pytest.approx(ref, abs=1e-9)
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])

@@ -190,6 +190,24 @@ class TestChain:
         x_block = spec.cov[:10, :10]
         assert abs(x_block[0, 4]) < abs(x_block[0, 1])
 
+    def test_matches_general_three_root_formula(self):
+        # X = h^{-1/2} sqrt(h^{1/2} h_PP h^{1/2}) h^{-1/2} with h_PP = I/2,
+        # every root by its own eigendecomposition
+        spec = ChainSpec(50, 0.99, disorder=True)
+        h_xx, h_pp = spec.h_xx(), 0.5 * np.eye(spec.m)
+
+        def sqrtm(mat, power=0.5):
+            lam, vec = np.linalg.eigh(mat)
+            return (vec * lam**power) @ vec.T
+
+        inv_root = sqrtm(h_xx, -0.5)
+        root = sqrtm(h_xx)
+        x_mat = inv_root @ sqrtm(root @ h_pp @ root) @ inv_root
+        cov = chain_ground_state(spec).cov
+        assert np.abs(cov[:50, :50] - x_mat).max() < 1e-12
+        assert np.abs(cov[50:, 50:] - np.linalg.inv(x_mat)).max() < 1e-12
+        assert not cov[:50, 50:].any() and not cov[50:, :50].any()
+
     def test_degenerate_coupling_rejected(self):
         with pytest.raises(ValueError, match="positive definite|degenerate"):
             chain_ground_state(ChainSpec(2, 1.0))
