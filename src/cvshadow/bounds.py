@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln, gammaincc, logsumexp
 
 from .phase_space import laguerre
@@ -163,6 +162,8 @@ def sigma_homodyne(truncation: int, r: int, alpha: float) -> float:
     is looser than this package's estimator; the concentration tests rescale
     by ``HOMODYNE_SHADOW_NORMALIZATION`` so both sides share one constant.
     """
+    from scipy.integrate import quad
+
     dim = truncation + 1
     block = np.zeros((dim, dim))
     for n1 in range(dim):
@@ -188,6 +189,8 @@ def sigma_heterodyne(truncation: int, r: int, alpha: float, w: WindowSpec) -> fl
     d^2u/(2 pi)``; the dyad Gaussian cancels the growing exponential exactly,
     leaving a windowed polynomial radial integral.
     """
+    from scipy.integrate import quad
+
     dim = truncation + 1
     block = np.zeros((dim, dim))
     for n1 in range(dim):

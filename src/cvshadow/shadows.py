@@ -21,9 +21,12 @@ tomography, heterodyne ``r = |x|`` with a windowed Bessel transform.  The
 per-entry operations use adaptive quadrature and serve as the reference path.
 
 The batch path reads profiles from one table per (protocol, M, window): value
-and r-derivative at nodes ``j * PROFILE_STEP``, computed in blocks of one unit
-of r with fixed array shapes, and cubic Hermite interpolation between the two
-nodes that bracket r.  The table grows by whole blocks up to
+and r-derivative at nodes ``j * step`` (``PROFILE_STEPS``), computed in blocks
+of 512 nodes with fixed array shapes, and cubic Hermite interpolation between
+the two nodes that bracket r.  Homodyne nodes come from a fixed 600-node
+Gauss-Legendre cosine/sine transform; heterodyne nodes from Gauss-Legendre
+rules split at the window's inner radius eta, with Bessel orders above 1 by
+the forward recurrence.  The table grows by whole blocks up to
 ``PROFILE_MAX_RADIUS``, and a round's entries depend on that round alone.
 """
 
@@ -35,8 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import i0e, jv
+from scipy.special import i0e, j0, j1, jv
 
 from .measurement import HETERODYNE, HOMODYNE, SampleBatch
 from .phase_space import (
@@ -176,6 +178,8 @@ def homodyne_shadow_entry(
     ``tol``.  The integrand decays like ``t^(1+|n1-n2|) exp(-t^2/4)`` times
     an oscillation in ``t q``.
     """
+    from scipy.integrate import quad
+
     if n1 > n2:
         return complex(np.conj(homodyne_shadow_entry(n2, n1, theta, q, tol)))
     coeff, d, radial = fock_dyad_radial(n1, n2)
@@ -250,6 +254,8 @@ def _het_poly(n1: int, n2: int):
 
 
 def _het_entry_single(n1: int, n2: int, x: np.ndarray, w: WindowSpec, tol: float) -> complex:
+    from scipy.integrate import quad
+
     if n1 < n2:
         return complex(np.conj(_het_entry_single(n2, n1, x, w, tol)))
     coeff, d, poly = _het_poly(n1, n2)
@@ -259,7 +265,9 @@ def _het_entry_single(n1: int, n2: int, x: np.ndarray, w: WindowSpec, tol: float
     def integrand(rho):
         return rho * poly(rho) * w.xi_radial(rho) * jv(d, rho * s)
 
-    val, _ = quad(integrand, 0.0, w.radius, epsabs=1e-13, epsrel=tol, limit=400)
+    val, _ = quad(
+        integrand, 0.0, w.radius, epsabs=1e-13, epsrel=tol, limit=400, points=[w.eta]
+    )
     return complex(coeff * (1j**d) * np.exp(-1j * d * psi) * val)
 
 
@@ -311,11 +319,15 @@ def heterodyne_shadow_entry_qmc(n1, n2, x_a, w: WindowSpec, budget: int) -> comp
 # profile tables and batch entries
 # ---------------------------------------------------------------------------
 
-# Node spacing (a power of two, so r / PROFILE_STEP is exact; 1/256 widens
-# the M = 3 heterodyne gap to the adaptive entry from 4e-7 to 2e-6) and the
-# largest outcome radius a table grows to.
-PROFILE_STEP = 1.0 / 512
-_BLOCK_NODES = 512  # nodes per unit of r
+# Node spacing per protocol (powers of two, so r / step is exact), nodes per
+# block, and the largest outcome radius a table grows to.  Cubic Hermite
+# interpolation errs by O(step^4) times the fourth r-derivative.  The
+# heterodyne profiles oscillate at frequencies up to the window radius R, so
+# at step 1/512 the M = 3 table is 2.5e-7 from its rule (profile scale 9.5e3);
+# step 1/2048 brings that to about 1e-9.  Homodyne profiles decay like
+# exp(-t^2/4) in the conjugate variable and are within 1e-10 at 1/512.
+PROFILE_STEPS = {HOMODYNE: 1.0 / 512, HETERODYNE: 1.0 / 2048}
+_BLOCK_NODES = 512
 PROFILE_MAX_RADIUS = 64.0
 
 _PROFILE_TABLES: dict = {}
@@ -354,16 +366,50 @@ def _homodyne_block(truncation: int):
     return block
 
 
-def _heterodyne_block(truncation: int, w: WindowSpec):
-    """Windowed Bessel transforms on one block of s = |x|, from a fixed 400-node rule.
+# Gauss-Legendre nodes per unit of rho in the heterodyne rule, and the fewest
+# on either side of eta: 160 on [0, 6] and 60 on [6, 8] for the default
+# window at M <= 3.  n nodes on an interval of length L integrate J_d(rho s)
+# accurately while s L < 2 n with a margin, so the density keeps every s up
+# to PROFILE_MAX_RADIUS covered when eta grows with M.
+_HET_NODES_PER_RHO = 80.0 / 3.0
+_HET_MIN_NODES = 60
 
-    ``profile_{d,k}(s) = coeff int rho poly(rho) xi(rho) J_d(rho s) d rho``.
-    The s-derivative uses ``J_0' = -J_1`` and ``J_d' = J_{d-1} - d J_d / z``,
-    so it needs no Bessel order beyond those of the values (order 1 if M = 0).
+
+def _bessel_orders(top: int, z: np.ndarray) -> list[np.ndarray]:
+    """``J_0(z), ..., J_top(z)`` for ``z >= 0``.
+
+    Orders 0 and 1 come from ``j0``/``j1``; higher orders from the forward
+    recurrence ``J_{d+1} = (2d/z) J_d - J_{d-1}``, which is stable where
+    ``z >= d + 1`` (DLMF 10.6); ``jv`` fills only the entries below that.
     """
-    x, wts = np.polynomial.legendre.leggauss(400)
-    rho = 0.5 * w.radius * (x + 1.0)
-    wr = 0.5 * w.radius * wts * rho * w.xi_radial(rho)
+    out = [j0(z), j1(z)]
+    for d in range(1, top):
+        up = z >= d + 1
+        nxt = np.empty_like(z)
+        nxt[up] = (2.0 * d / z[up]) * out[d][up] - out[d - 1][up]
+        nxt[~up] = jv(d + 1, z[~up])
+        out.append(nxt)
+    return out[: top + 1]
+
+
+def _heterodyne_block(truncation: int, w: WindowSpec):
+    """Windowed Bessel transforms on one block of s = |x|, from a rule split at eta.
+
+    ``profile_{d,k}(s) = coeff int rho poly(rho) xi(rho) J_d(rho s) d rho``
+    from one Gauss-Legendre rule on [0, eta] and one on [eta, R] (the window's
+    third derivative jumps at eta), with Bessel orders from
+    :func:`_bessel_orders`.  The s-derivative uses ``J_0' = -J_1``
+    and ``J_d' = J_{d-1} - d J_d / z``, so it needs no Bessel order beyond
+    those of the values (order 1 if M = 0).
+    """
+    rho, wts = [], []
+    for lo, hi in ((0.0, w.eta), (w.eta, w.radius)):
+        n = max(_HET_MIN_NODES, math.ceil(_HET_NODES_PER_RHO * (hi - lo)))
+        x, wx = np.polynomial.legendre.leggauss(n)
+        rho.append(lo + 0.5 * (hi - lo) * (x + 1.0))
+        wts.append(0.5 * (hi - lo) * wx)
+    rho, wts = np.concatenate(rho), np.concatenate(wts)
+    wr = wts * rho * w.xi_radial(rho)
     rows = [[] for _ in range(truncation + 1)]
     for d, k in _dyads(truncation):
         coeff, _, poly = _het_poly(k + d, k)
@@ -372,7 +418,7 @@ def _heterodyne_block(truncation: int, w: WindowSpec):
 
     def block(s):
         z = np.outer(rho, s)
-        bessel = [jv(d, z) for d in range(max(truncation, 1) + 1)]
+        bessel = _bessel_orders(max(truncation, 1), z)
         vals, slopes = [], []
         for d, rows_d in enumerate(rows):
             if d == 0:
@@ -389,10 +435,11 @@ def _heterodyne_block(truncation: int, w: WindowSpec):
 
 
 class _ProfileTable:
-    """Values and r-derivatives of every profile_{d,k} at r_j = j * PROFILE_STEP."""
+    """Values and r-derivatives of every profile_{d,k} at r_j = j * step."""
 
-    def __init__(self, block, rows: int):
+    def __init__(self, block, rows: int, step: float):
         self._block = block
+        self.step = step
         self.values = self.slopes = np.empty((rows, 0))
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
@@ -402,20 +449,23 @@ class _ProfileTable:
                 f"outcome radius {r.max():.6g} exceeds the profile-table limit "
                 f"{PROFILE_MAX_RADIUS}"
             )
-        pos = r / PROFILE_STEP
+        pos = r / self.step
         i = pos.astype(np.int64)
-        while self.values.shape[1] < i.max(initial=0) + 2:
-            nodes = self.values.shape[1] + np.arange(_BLOCK_NODES)
-            vals, slopes = self._block(nodes * PROFILE_STEP)
-            self.values = np.concatenate([self.values, vals], axis=1)
-            self.slopes = np.concatenate([self.slopes, slopes], axis=1)
+        have = self.values.shape[1]
+        blocks = [
+            self._block((start + np.arange(_BLOCK_NODES)) * self.step)
+            for start in range(have, i.max(initial=0) + 2, _BLOCK_NODES)
+        ]
+        if blocks:
+            self.values = np.concatenate([self.values] + [b[0] for b in blocks], axis=1)
+            self.slopes = np.concatenate([self.slopes] + [b[1] for b in blocks], axis=1)
         u = pos - i
         one_u = 1.0 - u
         v, s = self.values, self.slopes
         return (
             (1.0 + 2.0 * u) * one_u * one_u * v[:, i]
             + u * u * (3.0 - 2.0 * u) * v[:, i + 1]
-            + PROFILE_STEP * u * one_u * (one_u * s[:, i] - u * s[:, i + 1])
+            + self.step * u * one_u * (one_u * s[:, i] - u * s[:, i + 1])
         )
 
 
@@ -426,7 +476,9 @@ def _profile_table(protocol: str, truncation: int, w: WindowSpec | None):
             block = _homodyne_block(truncation)
         else:
             block = _heterodyne_block(truncation, w)
-        _PROFILE_TABLES[key] = _ProfileTable(block, len(_dyads(truncation)))
+        _PROFILE_TABLES[key] = _ProfileTable(
+            block, len(_dyads(truncation)), PROFILE_STEPS[protocol]
+        )
     return _PROFILE_TABLES[key]
 
 

@@ -91,8 +91,9 @@ class FockMatrix:
 class GaussianStateSpec:
     """Gaussian state with mean ``t`` and covariance ``V`` (vacuum has V = I).
 
-    ``V`` must be symmetric with ``V + i Omega >= 0``; the check uses the
-    smallest eigenvalue of the Hermitian form with tolerance 1e-10.
+    ``V`` must be symmetric with ``V + i Omega >= 0`` to tolerance 1e-10,
+    that is ``V + i Omega + 1e-10 I`` positive semidefinite; see
+    :func:`_is_quantum_covariance`.
     """
 
     mean: np.ndarray
@@ -105,17 +106,18 @@ class GaussianStateSpec:
             raise ValueError("mean must be a flat even-length vector")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean {mean.shape}")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
         if not np.allclose(cov, cov.T, atol=1e-10):
             raise ValueError("covariance matrix must be symmetric")
-        herm = cov + 1j * omega_matrix(mean.size // 2)
-        lam = np.linalg.eigvalsh(herm)
-        if lam.min() < -_PSD_TOL:
+        cov = 0.5 * (cov + cov.T)
+        if not _is_quantum_covariance(cov):
             raise ValueError(
-                f"V + i Omega has negative eigenvalue {lam.min():.3e}; "
+                f"V + i Omega + {_PSD_TOL:g} I is not positive semidefinite; "
                 "not a valid quantum covariance matrix"
             )
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", 0.5 * (cov + cov.T))
+        object.__setattr__(self, "cov", cov)
 
     @property
     def modes(self) -> int:
@@ -153,6 +155,40 @@ class GaussianStateSpec:
         omega = omega_matrix(self.modes)
         lam = np.linalg.eigvals(1j * omega @ self.cov)
         return np.sort(np.abs(lam.real))[::2]
+
+
+def _is_quantum_covariance(cov: np.ndarray) -> bool:
+    """Whether ``V + i Omega + tau I >= 0`` for a symmetric xxpp ``V``, tau = 1e-10.
+
+    With ``V = [[A, C], [C^T, B]]`` the Hermitian form is ``[[A', K],
+    [K^H, B']]`` with ``A' = A + tau I``, ``B' = B + tau I`` and
+    ``K = C + i I``.  It is positive semidefinite exactly when ``A'`` is
+    positive definite and the Schur complement ``B' - K^H A'^{-1} K`` is
+    positive semidefinite, so two m x m Cholesky factorisations decide it
+    (on the boundary itself rounding decides, as it did for an eigenvalue
+    test); neither the 2m x 2m form nor its spectrum is built, and every
+    intermediate is m x m.
+    """
+    m = cov.shape[0] // 2
+    a = cov[:m, :m] + _PSD_TOL * np.eye(m)
+    k = cov[:m, m:] + 1j * np.eye(m)
+    try:
+        np.linalg.cholesky(a)
+        # A' is real, so one real solve gives X = A'^{-1} K column by column
+        # in (re, im) pairs; then K^H X = C^T X - i X
+        x = np.linalg.solve(a, k.view(float)).view(complex)
+        del a, k
+        schur = (cov[m:, :m] @ x.view(float)).view(complex)
+        schur *= -1.0
+        schur.real -= x.imag
+        schur.imag += x.real
+        del x
+        schur.real += cov[m:, m:]
+        schur.flat[:: m + 1] += _PSD_TOL
+        np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

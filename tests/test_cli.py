@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -389,3 +393,14 @@ class TestMainEntrypoint:
             cli.main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    def test_import_leaves_quadrature_unloaded(self):
+        # only the adaptive reference entries and the Sigma norms call quad,
+        # so importing the CLI must not pay for scipy.integrate
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, cvshadow.cli; print('scipy.integrate' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import jv
 
 from cvshadow import shadows
 from cvshadow.bounds import delta0
@@ -207,12 +208,15 @@ class TestHeterodyneEntry:
         w = default_window(2)
         rng = np.random.default_rng(12)
         xs = rng.normal(0, 1.2, size=(4, 2))
+        # rounds in far blocks too, at |x| = 12, 30 and 63.9
+        far = np.array([[12.0, 0.0], [0.0, -30.0], [63.9 * np.cos(1.0), 63.9 * np.sin(1.0)]])
+        xs = np.concatenate([xs, far])
         batch_vals = heterodyne_entries(xs, 2, w)
-        for i in range(4):
+        for i in range(len(xs)):
             for n1 in range(3):
                 for n2 in range(3):
                     ref = heterodyne_shadow_entry(n1, n2, xs[i], w, tol=1e-10)
-                    assert batch_vals[i, n1, n2] == pytest.approx(ref, abs=2e-7)
+                    assert batch_vals[i, n1, n2] == pytest.approx(ref, abs=1e-9)
 
 
 class TestBuilders:
@@ -272,6 +276,20 @@ class TestProfileTable:
         table = shadows._profile_table(protocol, truncation, w)
         exact = block(r)[0]
         assert np.abs(table(r) - exact).max() <= 1e-10 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("truncation", range(7))
+    def test_heterodyne_recurrence_matches_jv(self, truncation, monkeypatch):
+        # the same split rule with every Bessel order from jv, over s in
+        # [0, 64]; small s puts many nodes in the z < d branch
+        w = default_window(truncation)
+        s = np.concatenate([np.linspace(0.0, 1.0, 65), np.linspace(1.25, 64.0, 252)])
+        vals, slopes = shadows._heterodyne_block(truncation, w)(s)
+        monkeypatch.setattr(
+            shadows, "_bessel_orders", lambda top, z: [jv(d, z) for d in range(top + 1)]
+        )
+        ref_vals, ref_slopes = shadows._heterodyne_block(truncation, w)(s)
+        assert np.abs(vals - ref_vals).max() <= 1e-13 * np.abs(ref_vals).max()
+        assert np.abs(slopes - ref_slopes).max() <= 1e-13 * np.abs(ref_slopes).max()
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
     def test_chunked_batch_bit_identical(self, protocol, monkeypatch):

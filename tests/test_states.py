@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cvshadow.phase_space import char_coherent_dyad
 from cvshadow.states import (
@@ -49,6 +50,18 @@ class TestGaussianSpec:
         with pytest.raises(ValueError):
             GaussianStateSpec(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("where", ["mean", "diagonal", "off-diagonal"])
+    def test_non_finite_rejected(self, where):
+        mean, cov = np.zeros(2), np.eye(2)
+        if where == "mean":
+            mean[0] = np.nan
+        elif where == "diagonal":
+            cov[0, 0] = np.inf
+        else:
+            cov[0, 1] = cov[1, 0] = np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            GaussianStateSpec(mean, cov)
+
     def test_unphysical_cov_rejected(self):
         with pytest.raises(ValueError, match="covariance"):
             GaussianStateSpec(np.zeros(2), 0.5 * np.eye(2))
@@ -64,6 +77,73 @@ class TestGaussianSpec:
     def test_symplectic_eigenvalues_thermal(self):
         spec = GaussianStateSpec.thermal(1.0, modes=2)
         assert np.allclose(spec.symplectic_eigenvalues(), [3.0, 3.0])
+
+
+def eigenvalue_verdict(cov):
+    """The former check, written out: smallest eigenvalue of V + i Omega >= -1e-10."""
+    m = cov.shape[0] // 2
+    eye, zero = np.eye(m), np.zeros((m, m))
+    omega = np.block([[zero, eye], [-eye, zero]])
+    return bool(np.linalg.eigvalsh(cov + 1j * omega).min() >= -1e-10)
+
+
+def accepted(cov):
+    """Whether ``GaussianStateSpec`` takes ``cov``; a refusal names the reason."""
+    try:
+        GaussianStateSpec(np.zeros(cov.shape[0]), cov)
+    except ValueError as err:
+        assert "not a valid quantum covariance matrix" in str(err)
+        return False
+    return True
+
+
+class TestQuantumCovarianceCheck:
+    """The Schur-complement Cholesky check against the eigenvalue test."""
+
+    @pytest.mark.parametrize("delta, valid", [(0.5e-10, True), (2e-10, False)])
+    def test_single_mode_boundary(self, delta, valid):
+        cov = (1.0 - delta) * np.eye(2)
+        assert eigenvalue_verdict(cov) is valid
+        assert accepted(cov) is valid
+
+    def test_two_mode_with_xp_correlations(self):
+        # two-mode squeezed vacuum with mode 0 phase-rotated, so C != 0
+        c, s = np.cosh(1.2), np.sinh(1.2)
+        cov = np.array([[c, s, 0, 0], [s, c, 0, 0], [0, 0, c, -s], [0, 0, -s, c]])
+        rot = np.eye(4)
+        rot[np.ix_([0, 2], [0, 2])] = [[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]]
+        cov = rot @ cov @ rot.T
+        assert np.abs(cov[:2, 2:]).max() > 0.1
+        assert eigenvalue_verdict(cov) and accepted(cov)
+        shrunk = (1.0 - 2e-10) * cov
+        assert not eigenvalue_verdict(shrunk)
+        assert not accepted(shrunk)
+
+    def test_thousand_mode_chain(self):
+        cov = chain_ground_state(ChainSpec(1000, 0.99)).cov
+        assert accepted(cov)
+        shrunk = (1.0 - 2e-10) * cov
+        assert not accepted(shrunk)
+        assert not eigenvalue_verdict(shrunk)
+
+    def test_random_covariances_same_verdict(self):
+        # V = S diag(nu, nu) S^T scaled by f, with S = expm(Omega H) symplectic;
+        # nu = 1 on some modes puts V on the boundary before scaling
+        rng = np.random.default_rng(2026)
+        verdicts = []
+        for _ in range(200):
+            m = int(rng.integers(1, 7))
+            eye, zero = np.eye(m), np.zeros((m, m))
+            omega = np.block([[zero, eye], [-eye, zero]])
+            h = rng.normal(scale=0.3, size=(2 * m, 2 * m))
+            sym = expm(omega @ (h + h.T))
+            nu = np.where(rng.random(m) < 0.5, 1.0, 1.0 + rng.exponential(0.5, m))
+            cov = sym @ np.diag(np.concatenate([nu, nu])) @ sym.T
+            cov = rng.choice([1.0, 1.0 + 1e-9, 1.0 - 1e-6, 0.9]) * 0.5 * (cov + cov.T)
+            verdict = eigenvalue_verdict(cov)
+            assert accepted(cov) is verdict
+            verdicts.append(verdict)
+        assert 40 <= sum(verdicts) <= 160
 
 
 class TestCatState:
