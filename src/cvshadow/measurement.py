@@ -59,7 +59,6 @@ class SampleBatch:
     outcomes: np.ndarray
     thetas: np.ndarray | None = None
     seed_path: str = ""
-    state_descriptor: dict | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -106,7 +105,7 @@ class SampleBatch:
                 fh.write("\n")
 
     @classmethod
-    def from_jsonl(cls, path, state_descriptor: dict | None = None) -> "SampleBatch":
+    def from_jsonl(cls, path) -> "SampleBatch":
         """Parse a file written by ``to_jsonl``.
 
         Every line must name the protocol and ``seed_path`` of line 1: a batch
@@ -132,7 +131,7 @@ class SampleBatch:
             outcomes[i] = _row(outcome, shape, path, k)
             if thetas is not None:
                 thetas[i] = _row(line_thetas, shape, path, k)
-        return cls(protocol, outcomes, thetas, seed_path, state_descriptor)
+        return cls(protocol, outcomes, thetas, seed_path)
 
 
 def _fields(path, line: int, text: str) -> tuple:
@@ -171,25 +170,42 @@ def stream_rng(seed_path: str) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+def _factors(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam, u)`` with ``rho = sum_k lam_k u_k u_k^H``, from one ``eigh``.
+
+    Eigenpairs with ``|lam| <= dim eps max|lam|`` are dropped; the rest keep
+    their sign, so the factors hold for any Hermitian matrix, not only states.
+    A pure state (a cat, or Fock ``|n>``) keeps one pair.
+    """
+    lam, u = np.linalg.eigh(rho)
+    keep = np.abs(lam) > lam.size * np.finfo(float).eps * np.abs(lam).max(initial=0.0)
+    return lam[keep], u[:, keep]
+
+
 def _expectation(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """``<v|rho|v>`` for every column ``v`` of ``kets`` (real part)."""
-    return np.sum(kets.conj() * (rho @ kets), axis=0).real
+    """``<v|rho|v> = sum_k lam_k |u_k^H v|^2`` for every column ``v`` of ``kets``."""
+    lam, u = _factors(rho)
+    amps = u.conj().T @ kets
+    return lam @ (amps.real**2 + amps.imag**2)
 
 
 def _homodyne_density(fock: FockMatrix, thetas, q: np.ndarray) -> np.ndarray:
     """``p(q_i | theta_i)`` of a single-mode truncated state, one angle per point.
 
     ``p(q|theta) = <v|rho|v>`` with ``v_n = exp(-i n theta) psi_n(q)``;
-    ``q`` is 1-D and ``thetas`` broadcasts to it.
+    ``q`` is 1-D and ``thetas`` broadcasts to it.  Each factor's amplitude
+    ``sum_n conj(u_n) psi_n(q) z^n``, ``z = exp(-i theta)``, is one Horner
+    pass over the rows of :func:`hermite_stack`: O(dim) per point and factor.
     """
-    kets = hermite_stack(fock.truncation, q).astype(complex)
-    # exp(-i n theta) by repeated multiplication: one complex exp per point
-    turn = np.exp(-1j * np.broadcast_to(thetas, q.shape))
-    phase = turn.copy()
-    for row in kets[1:]:
-        row *= phase
-        phase *= turn
-    return _expectation(fock.entries, kets)
+    lam, u = _factors(fock.entries)
+    coeffs = u.conj()[:, :, None]
+    psi = hermite_stack(fock.truncation, q)
+    z = np.exp(-1j * np.broadcast_to(thetas, q.shape))
+    amps = coeffs[-1] * psi[-1]
+    for n in range(fock.truncation - 1, -1, -1):
+        amps *= z
+        amps += coeffs[n] * psi[n]
+    return lam @ (amps.real**2 + amps.imag**2)
 
 
 def homodyne_pdf(rho: FockMatrix, theta: float, q):
@@ -301,28 +317,34 @@ def _sampling_fock(state) -> FockMatrix:
 
 
 def _rejection_draws(
-    target, draw, envelope, probe: np.ndarray, n: int, rng: np.random.Generator
+    target,
+    draw,
+    probe: np.ndarray,
+    probe_density: np.ndarray,
+    n: int,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, dict]:
     """Exact rejection sampling of ``n`` points from the density ``target``.
 
-    ``draw(rng, size)`` returns ``size`` proposal points as rows and
-    ``envelope`` their proposal density.  The dominating constant is
-    ``_ENVELOPE_MARGIN`` times the largest ratio ``target / envelope`` on the
-    ``probe`` points, re-checked at every proposal: a proposal above the
-    bound aborts, since clipping would silently bias the sampler.  Proposals
-    come in chunks of ``_REJECTION_CHUNK``, so memory does not grow with
-    ``n``.  Returns the points and ``{"acceptance", "proposals"}``, the
-    acceptance being accepted / proposed over every chunk drawn.
+    ``draw(rng, size)`` returns ``size`` proposal points as rows and their
+    proposal density; ``probe_density`` is the proposal density at the
+    ``probe`` points.  The dominating constant is ``_ENVELOPE_MARGIN`` times
+    the largest ratio ``target / proposal`` on the probe, re-checked at every
+    proposal: a proposal above the bound aborts, since clipping would
+    silently bias the sampler.  Proposals come in chunks of
+    ``_REJECTION_CHUNK``, so memory does not grow with ``n``.  Returns the
+    points and ``{"acceptance", "proposals"}``, the acceptance being
+    accepted / proposed over every chunk drawn.
     """
-    ratio = target(probe) / np.maximum(envelope(probe), 1e-300)
+    ratio = target(probe) / np.maximum(probe_density, 1e-300)
     bound = _ENVELOPE_MARGIN * float(ratio.max())
     out = np.empty((n, probe.shape[1]))
     filled = accepted = proposed = 0
     while filled < n:
-        pts = draw(rng, _REJECTION_CHUNK)
+        pts, proposal = draw(rng, _REJECTION_CHUNK)
         u = rng.random(_REJECTION_CHUNK)
         density = target(pts)
-        ceiling = bound * envelope(pts)
+        ceiling = bound * proposal
         if np.any(density > ceiling * (1.0 + 1e-9)):
             worst = int(np.argmax(density - ceiling))
             raise RuntimeError(
@@ -352,30 +374,27 @@ def _rejection_homodyne_draws(
     """
     t_fit, v_fit = fock_moments(fock)
 
-    def rotated(thetas):
+    def proposals(thetas, z):
+        """Points ``(theta, mean + std z)`` and their density, one rotation each."""
         c, s = np.cos(thetas), np.sin(thetas)
         var = c * c * v_fit[0, 0] - 2.0 * c * s * v_fit[0, 1] + s * s * v_fit[1, 1]
         std = np.sqrt(0.5 * _ENVELOPE_INFLATION * np.maximum(var, 1.0))
-        return c * t_fit[0] - s * t_fit[1], std
+        mean = c * t_fit[0] - s * t_fit[1]
+        density = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * std)
+        return np.stack([thetas, mean + std * z], axis=-1), density
 
     def draw(rng, size):
         thetas = rng.uniform(-np.pi, np.pi, size)
-        mean, std = rotated(thetas)
-        return np.stack([thetas, mean + std * rng.standard_normal(size)], axis=-1)
-
-    def envelope(pts):
-        mean, std = rotated(pts[:, 0])
-        z = (pts[:, 1] - mean) / std
-        return np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * std)
+        return proposals(thetas, rng.standard_normal(size))
 
     def target(pts):
         return _homodyne_density(fock, pts[:, 0], pts[:, 1])
 
-    grid_theta = np.linspace(-np.pi, np.pi, 129)
-    mean, std = rotated(grid_theta)
-    grid_q = mean[:, None] + std[:, None] * np.linspace(-6.0, 6.0, 513)
-    probe = np.stack([np.repeat(grid_theta, grid_q.shape[1]), grid_q.ravel()], axis=-1)
-    pts, meta = _rejection_draws(target, draw, envelope, probe, n, rng)
+    grid_theta, grid_z = np.linspace(-np.pi, np.pi, 129), np.linspace(-6.0, 6.0, 513)
+    probe, probe_density = proposals(
+        np.repeat(grid_theta, grid_z.size), np.tile(grid_z, grid_theta.size)
+    )
+    pts, meta = _rejection_draws(target, draw, probe, probe_density, n, rng)
     return pts[:, :1], pts[:, 1:], meta
 
 
@@ -397,7 +416,7 @@ def sample_homodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
         qs = np.cos(thetas) * x[:, :m] - np.sin(thetas) * x[:, m:]
     else:
         thetas, qs, meta = _rejection_homodyne_draws(_sampling_fock(state), n, rng)
-    return SampleBatch(HOMODYNE, qs, thetas, seed_path, describe_state(state), meta)
+    return SampleBatch(HOMODYNE, qs, thetas, seed_path, meta)
 
 
 def _rejection_heterodyne_draws(
@@ -413,10 +432,8 @@ def _rejection_heterodyne_draws(
     chol = np.linalg.cholesky(sigma)
 
     def draw(rng, size):
-        return _gaussian_draws(t_fit, sigma, size, rng)
-
-    def envelope(pts):
-        return _normal_pdf(pts - t_fit, chol)
+        pts = _gaussian_draws(t_fit, sigma, size, rng)
+        return pts, _normal_pdf(pts - t_fit, chol)
 
     def target(pts):
         return fock_husimi(fock, pts)
@@ -425,7 +442,8 @@ def _rejection_heterodyne_draws(
     axes = [np.linspace(t_fit[i] - span[i], t_fit[i] + span[i], 201) for i in range(2)]
     gx, gy = np.meshgrid(*axes, indexing="ij")
     probe = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    pts, meta = _rejection_draws(target, draw, envelope, probe, n, rng)
+    probe_density = _normal_pdf(probe - t_fit, chol)
+    pts, meta = _rejection_draws(target, draw, probe, probe_density, n, rng)
     return pts[:, None, :], meta
 
 
@@ -444,19 +462,5 @@ def sample_heterodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
         pts = np.stack([flat[:, :m], flat[:, m:]], axis=-1)
     else:
         pts, meta = _rejection_heterodyne_draws(_sampling_fock(state), n, rng)
-    return SampleBatch(HETERODYNE, pts, None, seed_path, describe_state(state), meta)
+    return SampleBatch(HETERODYNE, pts, None, seed_path, meta)
 
-
-def describe_state(state) -> dict:
-    """JSON-friendly descriptor of a state spec, for batch provenance."""
-    if isinstance(state, GaussianStateSpec):
-        return {"kind": "gaussian", "modes": state.modes}
-    if isinstance(state, CatStateSpec):
-        return {
-            "kind": "cat",
-            "logical": state.logical,
-            "alpha": [state.alpha.real, state.alpha.imag],
-        }
-    if isinstance(state, FockMatrix):
-        return {"kind": "fock", "truncation": state.truncation}
-    return {"kind": type(state).__name__}

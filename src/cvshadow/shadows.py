@@ -329,6 +329,9 @@ def heterodyne_shadow_entry_qmc(n1, n2, x_a, w: WindowSpec, budget: int) -> comp
 PROFILE_STEPS = {HOMODYNE: 1.0 / 512, HETERODYNE: 1.0 / 2048}
 _BLOCK_NODES = 512
 PROFILE_MAX_RADIUS = 64.0
+# Rounds per chunk of the batch entries and of the averages: temporaries stay
+# one chunk large, and the averages' bits depend on this size.
+_CHUNK_ROUNDS = 4096
 
 _PROFILE_TABLES: dict = {}
 
@@ -442,23 +445,31 @@ class _ProfileTable:
         self.step = step
         self.values = self.slopes = np.empty((rows, 0))
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """Cubic Hermite interpolation of every profile at radii ``r``: (rows, N)."""
-        if r.size and r.max() > PROFILE_MAX_RADIUS:
+    def cover(self, r_max: float) -> None:
+        """Grow by whole blocks until nodes bracket ``r_max``.
+
+        Raises ``ValueError`` above ``PROFILE_MAX_RADIUS``, before building
+        any block.
+        """
+        if r_max > PROFILE_MAX_RADIUS:
             raise ValueError(
-                f"outcome radius {r.max():.6g} exceeds the profile-table limit "
+                f"outcome radius {r_max:.6g} exceeds the profile-table limit "
                 f"{PROFILE_MAX_RADIUS}"
             )
-        pos = r / self.step
-        i = pos.astype(np.int64)
         have = self.values.shape[1]
         blocks = [
             self._block((start + np.arange(_BLOCK_NODES)) * self.step)
-            for start in range(have, i.max(initial=0) + 2, _BLOCK_NODES)
+            for start in range(have, int(r_max / self.step) + 2, _BLOCK_NODES)
         ]
         if blocks:
             self.values = np.concatenate([self.values] + [b[0] for b in blocks], axis=1)
             self.slopes = np.concatenate([self.slopes] + [b[1] for b in blocks], axis=1)
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """Cubic Hermite interpolation of every profile at radii ``r``: (rows, N)."""
+        self.cover(r.max(initial=0.0))
+        pos = r / self.step
+        i = pos.astype(np.int64)
         u = pos - i
         one_u = 1.0 - u
         v, s = self.values, self.slopes
@@ -482,15 +493,20 @@ def _profile_table(protocol: str, truncation: int, w: WindowSpec | None):
     return _PROFILE_TABLES[key]
 
 
+def _radii(batch: SampleBatch, j: int) -> np.ndarray:
+    """Outcome radius of mode ``j`` in every round: ``|q|`` or ``|x|``."""
+    if batch.protocol == HOMODYNE:
+        return np.abs(batch.outcomes[:, j])
+    return np.hypot(batch.outcomes[:, j, 0], batch.outcomes[:, j, 1])
+
+
 def _mode_entries(
-    batch: SampleBatch, j: int, truncation: int, w: WindowSpec | None
+    batch: SampleBatch, j: int, truncation: int, table: _ProfileTable
 ) -> np.ndarray:
     """Shadow matrices of mode ``j`` for every round, shape (N, M+1, M+1)."""
     dim = truncation + 1
     if batch.protocol == HOMODYNE:
-        q = batch.outcomes[:, j]
-        r = np.abs(q)
-        sign = np.where(q < 0, -1.0, 1.0)
+        sign = np.where(batch.outcomes[:, j] < 0, -1.0, 1.0)
         beta = 0.5 * np.pi - batch.thetas[:, j]
         # entry (k, k + d) is 2 norm i^(d mod 2) e^{-i d beta} sign^d profile,
         # so entry (k + d, k) carries the conjugate phase
@@ -501,10 +517,9 @@ def _mode_entries(
         ]
     else:
         x = batch.outcomes[:, j, :]
-        r = np.hypot(x[:, 0], x[:, 1])
         psi = np.arctan2(x[:, 0], x[:, 1])
         phases = [(1j**d) * np.exp(-1j * d * psi) for d in range(dim)]
-    profiles = _profile_table(batch.protocol, truncation, w)(r)
+    profiles = table(_radii(batch, j))
     out = np.empty((batch.n, dim, dim), dtype=complex)
     for row, (d, k) in enumerate(_dyads(truncation)):
         vals = phases[d] * profiles[row]
@@ -529,34 +544,32 @@ def shadow_batch_entries(
 
     Returns shape ``(N, dim, dim)`` with ``dim = (M+1)^len(subset)``; rows
     follow the batch order, and per-mode matrices are tensored in the order
-    of ``subset``.  Each row depends only on its own round, so any split of
-    the batch into chunks gives the same bits.  Symmetrizing to the
-    Hermitian part is a linear variance reduction (the expectation is
-    Hermitian) and cannot bias.  A subset naming a mode the batch did not
-    measure, or an outcome radius above ``PROFILE_MAX_RADIUS``, raises
-    ``ValueError``.  Heterodyne batches use ``w`` (default window for M).
+    of ``subset``.  Rows are filled ``_CHUNK_ROUNDS`` rounds at a time, so
+    temporaries stay one chunk large.  Each row depends only on its own
+    round, so any split of the batch into chunks gives the same bits.  Each
+    per-mode matrix is filled with entry ``(k, k + d)`` the conjugate of
+    ``(k + d, k)``, so it and every Kronecker product of such matrices is
+    exactly Hermitian.  A subset naming a mode the batch did not measure, or
+    an outcome radius above ``PROFILE_MAX_RADIUS`` anywhere in the batch,
+    raises ``ValueError`` before any entry is built.  Heterodyne batches use
+    ``w`` (default window for M).
     """
     subset = _checked_subset(batch, subset)
     w = (w or default_window(truncation)) if batch.protocol == HETERODYNE else None
-    per_mode = [_mode_entries(batch, j, truncation, w) for j in subset]
-    n = batch.n
-    mats = per_mode[0]
-    for other in per_mode[1:]:
-        mats = np.einsum("nij,nkl->nikjl", mats, other).reshape(
-            n, mats.shape[1] * other.shape[1], -1
-        )
-    return 0.5 * (mats + np.conj(np.swapaxes(mats, 1, 2)))
-
-
-def _pairwise_sum(arr: np.ndarray) -> np.ndarray:
-    """Deterministic pairwise reduction along axis 0."""
-    a = arr
-    while a.shape[0] > 1:
-        tail = a[-1:] if a.shape[0] % 2 else None
-        a = a[0 : a.shape[0] - (a.shape[0] % 2) : 2] + a[1 :: 2]
-        if tail is not None:
-            a = np.concatenate([a, tail], axis=0)
-    return a[0]
+    table = _profile_table(batch.protocol, truncation, w)
+    table.cover(max(_radii(batch, j).max(initial=0.0) for j in subset))
+    dim = (truncation + 1) ** len(subset)
+    out = np.empty((batch.n, dim, dim), dtype=complex)
+    for a in range(0, batch.n, _CHUNK_ROUNDS):
+        part = batch[a : a + _CHUNK_ROUNDS]
+        mats = _mode_entries(part, subset[0], truncation, table)
+        for j in subset[1:]:
+            other = _mode_entries(part, j, truncation, table)
+            mats = np.einsum("nij,nkl->nikjl", mats, other).reshape(
+                part.n, mats.shape[1] * other.shape[1], -1
+            )
+        out[a : a + part.n] = mats
+    return out
 
 
 @dataclass
@@ -614,22 +627,36 @@ def _payload_checksum(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _chunked_sum(rows: np.ndarray, term) -> np.ndarray:
+    """Sum over axis 0 of ``term(chunk)``, chunk by chunk of ``_CHUNK_ROUNDS`` rows."""
+    total = 0.0
+    for a in range(0, rows.shape[0], _CHUNK_ROUNDS):
+        total = total + term(rows[a : a + _CHUNK_ROUNDS]).sum(axis=0)
+    return total
+
+
 def average_entries(
     stacked: np.ndarray, subset, truncation: int, protocol: str
 ) -> ShadowAverage:
     """Mean and standard errors of stacked shadow matrices (axis 0 = sample).
 
-    Rows are summed pairwise in the order given, so the same rows in the
-    same order give the same bits; a permuted input may differ in the last
-    digits.
+    Two passes over chunks of ``_CHUNK_ROUNDS`` rows, in order: the first
+    sums the rows, the second the squared deviations from their mean, so no
+    temporary is larger than one chunk.  The bits depend on the chunk size
+    and the row order: the same rows in the same order give the same bits; a
+    permuted input may differ in the last digits.
     """
     n = stacked.shape[0]
     if n == 0:
         raise ValueError("cannot average an empty list of shadows")
-    mean = _pairwise_sum(stacked) / n
+    mean = _chunked_sum(stacked, lambda rows: rows) / n
     if n > 1:
-        dev = stacked - mean
-        var = _pairwise_sum(dev.real**2 + dev.imag**2) / (n - 1)
+
+        def squared_deviation(rows):
+            dev = rows - mean
+            return dev.real**2 + dev.imag**2
+
+        var = _chunked_sum(stacked, squared_deviation) / (n - 1)
         stderr = np.sqrt(var / n)
     else:
         stderr = np.zeros_like(mean, dtype=float)

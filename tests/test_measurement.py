@@ -49,6 +49,27 @@ def traced_peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
+def dense_expectation(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """Reference ``<v|rho|v> = sum conj(v) (rho v)`` for every column ``v``."""
+    return np.sum(kets.conj() * (rho @ kets), axis=0).real
+
+
+def factored_inputs() -> dict:
+    """Matrices whose factored densities are pinned against the dense form."""
+    import cvshadow.measurement as meas
+
+    rng = np.random.default_rng(17)
+    mixed = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+    square = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    return {
+        "cat": meas._sampling_fock(CatStateSpec(1 + 1j, "zero")),
+        "fock3": fock_state(3, 5),
+        "rank3": FockMatrix(1, 7, mixed @ mixed.conj().T / np.sum(np.abs(mixed) ** 2)),
+        "thermal": fock_matrix_of(GaussianStateSpec.thermal(0.7), 10),
+        "not-psd": FockMatrix(1, 5, 0.5 * (square + square.conj().T)),
+    }
+
+
 NOT_STATES = {
     "negative": FockMatrix(1, 1, np.diag([1.2, -0.2])),
     "non-hermitian": FockMatrix(1, 1, np.array([[0.5, 0.3], [0.0, 0.5]])),
@@ -116,6 +137,21 @@ class TestHomodynePdf:
         mat[0, 1] = 1.0
         with pytest.raises(ValueError):
             homodyne_pdf(FockMatrix(1, 2, mat), 0.0, 0.0)
+
+    @pytest.mark.parametrize("name", sorted(factored_inputs()))
+    def test_factored_matches_dense(self, name):
+        # the rank-factored density against sum conj(v) (rho v), with
+        # v_n = exp(-i n theta) psi_n(q)
+        rho = factored_inputs()[name]
+        q = np.linspace(-6.0, 6.0, 61)
+        n = np.arange(rho.truncation + 1)[:, None]
+        for theta in (-2.5, 0.0, 0.7, 3.0):
+            kets = hermite_stack(rho.truncation, q) * np.exp(-1j * n * theta)
+            dense = dense_expectation(rho.entries, kets)
+            vals = homodyne_pdf(rho, theta, q)
+            assert np.abs(vals - dense).max() <= 1e-12 * np.abs(dense).max()
+            if name == "not-psd":  # both signs: the signed weights matter
+                assert dense.min() < 0 < dense.max()
 
 
 class TestSampleHomodyne:
@@ -186,6 +222,14 @@ class TestSampleHomodyne:
         result = kstest(qs, lambda q: np.interp(q, grid, cdf / cdf[-1]))
         assert result.pvalue > 0.01
 
+    def test_angles_uniform(self):
+        # the proposal width depends on the angle for this cat (rotated
+        # variance 0.86 to 8.9), so a wrong proposal density would tilt the
+        # accepted angles away from uniform
+        batch = sample_homodyne_batch(CatStateSpec(1 + 1j, "plus"), 20_000, "ks/theta")
+        result = kstest(batch.thetas[:, 0], "uniform", args=(-np.pi, 2 * np.pi))
+        assert result.pvalue > 0.01
+
     def test_envelope_violation_aborts(self, monkeypatch):
         import cvshadow.measurement as meas
 
@@ -204,12 +248,42 @@ class TestSampleHomodyne:
         with pytest.raises(RuntimeError, match="envelope"):
             meas.sample_homodyne_batch(spec, 100, "abort")
 
+    def test_single_proposal_violation_aborts(self, monkeypatch):
+        # one proposal of the first chunk above its bound aborts the batch
+        import cvshadow.measurement as meas
+
+        spec = CatStateSpec(1 + 1j, "zero")
+        real_density = meas._homodyne_density
+        calls: list = []
+
+        def spiked(fock, thetas, q):
+            vals = real_density(fock, thetas, q)
+            calls.append(q.size)
+            if len(calls) == 2:  # the first chunk, after the probe
+                vals[123] = 1e6
+            return vals
+
+        monkeypatch.setattr(meas, "_homodyne_density", spiked)
+        with pytest.raises(RuntimeError, match="envelope"):
+            meas.sample_homodyne_batch(spec, 100, "abort-one")
+        assert calls == [129 * 513, meas._REJECTION_CHUNK]
+
     def test_cat_batch_memory_bounded(self):
         # proposals come in fixed chunks: no intermediate grows with N
         spec = CatStateSpec(1 + 1j, "zero")
         sample_homodyne_batch(spec, 10, "warm")
         peak = traced_peak_mb(lambda: sample_homodyne_batch(spec, 100_000, "mem"))
         assert peak < 150.0
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    def test_cat_sampler_memory_at_2e5(self, protocol):
+        # fixed proposal chunks and an O(dim) target per point: the peak is
+        # the probe and one chunk, not the batch
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        spec = CatStateSpec(1 + 1j, "zero")
+        sample(spec, 10, "warm")
+        peak = traced_peak_mb(lambda: sample(spec, 200_000, "mem2e5"))
+        assert peak <= 32.0
 
     def test_gaussian_chain_memory_bounded(self):
         # one Cholesky of V/2 for the whole batch, no per-round covariances
@@ -244,6 +318,21 @@ class TestHeterodynePdf:
             assert heterodyne_pdf(spec, x) == pytest.approx(
                 cat_position_pdf(spec, x) / (2 * np.pi)
             )
+
+    @pytest.mark.parametrize("name", sorted(factored_inputs()))
+    def test_factored_husimi_matches_dense(self, name):
+        # <x|rho|x> / (2 pi) with <n|x> = exp(-|x|^2/4) alpha^n / sqrt(n!);
+        # fock_husimi clips below zero, which only the non-PSD input reaches
+        rho = factored_inputs()[name]
+        axis = np.linspace(-5.0, 5.0, 21)
+        x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        alpha = (x[:, 0] + 1j * x[:, 1]) / math.sqrt(2.0)
+        n = np.arange(rho.truncation + 1)[:, None]
+        norms = np.sqrt([float(math.factorial(k)) for k in range(rho.truncation + 1)])
+        kets = np.exp(-0.25 * np.sum(x * x, axis=1)) * alpha**n / norms[:, None]
+        dense = dense_expectation(rho.entries, kets) / (2.0 * np.pi)
+        vals = fock_husimi(rho, x)
+        assert np.abs(vals - np.maximum(dense, 0.0)).max() <= 1e-12 * np.abs(dense).max()
 
     def test_fock_path_matches_cat(self):
         spec = CatStateSpec(1 + 1j, "one")

@@ -248,6 +248,29 @@ class TestBuilders:
         stacked = shadow_batch_entries(batch, [0], 3)
         assert np.allclose(stacked, np.conj(np.swapaxes(stacked, 1, 2)), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "protocol, subset", [("homodyne", [0]), ("heterodyne", [0, 1])]
+    )
+    def test_rows_bitwise_hermitian(self, protocol, subset):
+        # per-mode matrices are filled Hermitian and so are their Kronecker
+        # products: no symmetrization is needed
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        batch = sample(GaussianStateSpec.thermal(0.4, modes=2), 500, f"herm-{protocol}")
+        mats = shadow_batch_entries(batch, subset, 3)
+        assert np.array_equal(mats, mats.conj().swapaxes(1, 2))
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    def test_chunks_of_rounds_bit_identical(self, protocol):
+        # rows are built in chunks of rounds; slices that straddle the chunk
+        # boundaries give the same bits as the whole batch
+        n = 3 * shadows._CHUNK_ROUNDS + 17
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        batch = sample(GaussianStateSpec.thermal(0.4, modes=2), n, f"rows-{protocol}")
+        whole = shadow_batch_entries(batch, [1, 0], 1)
+        cuts = (0, 1, 4000, 4097, 9000, 3 * shadows._CHUNK_ROUNDS, n)
+        parts = [shadow_batch_entries(batch[a:b], [1, 0], 1) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(whole, np.concatenate(parts))
+
 
 class TestProfileTable:
     def test_homodyne_table_matches_adaptive(self):
@@ -317,6 +340,25 @@ class TestProfileTable:
             shadow_batch_entries(batch, [0], 1)
 
 
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    def test_radius_checked_before_any_block(self, protocol, monkeypatch):
+        # an outcome past the limit in the last chunk raises before the first
+        # chunk grows the table
+        monkeypatch.setattr(shadows, "_PROFILE_TABLES", {})
+        n = shadows._CHUNK_ROUNDS + 1
+        far = shadows.PROFILE_MAX_RADIUS + 1.0
+        if protocol == "homodyne":
+            batch = SampleBatch("homodyne", np.full((n, 1), 0.5), np.zeros((n, 1)))
+            batch.outcomes[-1] = far
+        else:
+            batch = SampleBatch("heterodyne", np.full((n, 1, 2), 0.5))
+            batch.outcomes[-1, 0] = (0.0, far)
+        with pytest.raises(ValueError, match="exceeds the profile-table limit"):
+            shadow_batch_entries(batch, [0], 1)
+        (table,) = shadows._PROFILE_TABLES.values()
+        assert table.values.shape[1] == 0
+
+
 class TestAveraging:
     def test_single_shadow_identity(self):
         batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 1, "a1")
@@ -335,6 +377,36 @@ class TestAveraging:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             average_entries(np.zeros((0, 3, 3), dtype=complex), (0,), 2, "homodyne")
+
+    def test_chunked_passes_match_numpy(self):
+        # two passes over chunks of rows: the mean and the n - 1 variance,
+        # within the worst-case summation error n eps of the numpy forms
+        rng = np.random.default_rng(8)
+        n = 2 * shadows._CHUNK_ROUNDS + 5
+        stacked = 3.0 + rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+        avg = average_entries(stacked, (0,), 2, "homodyne")
+        tol = n * np.finfo(float).eps
+        assert np.abs(avg.mean - stacked.mean(axis=0)).max() <= tol * np.abs(stacked).max()
+        stderr = np.sqrt(np.var(stacked, axis=0, ddof=1) / n)
+        assert np.abs(avg.stderr / stderr - 1.0).max() <= tol
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    def test_entries_and_average_memory_bounded(self, protocol):
+        # r = 2, M = 1, N = 2e5: beyond the returned (N, 4, 4) array, both
+        # steps keep at most a chunk of rounds
+        import tracemalloc
+
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        batch = sample(GaussianStateSpec.thermal(0.4, modes=2), 200_000, f"mem-{protocol}")
+        shadow_batch_entries(batch, [0, 1], 1)  # warm the profile table
+        tracemalloc.start()
+        try:
+            stacked = shadow_batch_entries(batch, [0, 1], 1)
+            average_entries(stacked, (0, 1), 1, protocol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - stacked.nbytes) / 1e6 <= 16.0
 
     def test_vacuum_heterodyne_average(self):
         w = default_window(2)
