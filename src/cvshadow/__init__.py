@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .phase_space import (
     CharGrid,
-    Rotation2,
     char_coherent_dyad,
     char_fock_dyad,
     char_gaussian_raw,
@@ -42,7 +41,6 @@ from .shadows import (
     homodyne_shadow_entry,
     project_PM,
     project_PM_tilde,
-    shadow_char_eval,
     windowed_dyad_char,
 )
 from .bounds import (
@@ -64,4 +62,4 @@ from .entropy import (
     entropy_reference,
     plan_entropy,
 )
-from .qmc import BoxDomain, HaltonStream, halton_point, qmc_integrate, tv_estimate
+from .qmc import BoxDomain, halton_points, qmc_integrate, tv_estimate

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, gammaincc, logsumexp
 
-from .phase_space import laguerre
+from .phase_space import dyad_poly, fock_dyad_radial, laguerre
 from .shadows import WindowSpec
-from .states import FockMatrix
+from .states import FockMatrix, multi_indices
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,7 @@ def _weighted_opnorm(block: np.ndarray, r: int, truncation: int, alpha: float) -
     for _ in range(r - 1):
         mat = np.kron(mat, block)
     if alpha:
-        totals = FockMatrix(r, truncation, np.eye((truncation + 1) ** r)).photon_totals()
-        w = (1.0 + totals) ** (alpha / 2.0)
+        w = (1.0 + multi_indices(truncation, r).sum(axis=1)) ** (alpha / 2.0)
         mat = w[:, None] * mat * w[None, :]
     return float(np.linalg.norm(mat, ord=2))
 
@@ -195,13 +194,10 @@ def sigma_heterodyne(truncation: int, r: int, alpha: float, w: WindowSpec) -> fl
     block = np.zeros((dim, dim))
     for n1 in range(dim):
         for n2 in range(n1, dim):
-            d = n2 - n1
-            ratio = math.exp(0.5 * (gammaln(n1 + 1.0) - gammaln(n2 + 1.0)))
+            ratio, d, _ = fock_dyad_radial(n1, n2)
 
             def integrand(rho, d=d, lo=n1):
-                return rho * (rho / math.sqrt(2.0)) ** d * abs(
-                    laguerre(lo, d, 0.5 * rho * rho)
-                ) * w.xi_radial(rho)
+                return rho * abs(dyad_poly(lo, d, rho)) * w.xi_radial(rho)
 
             val, _ = quad(integrand, 0.0, w.radius, limit=400)
             block[n1, n2] = ratio * val
@@ -300,15 +296,17 @@ def required_samples_homodyne(
     )
 
 
-# Window inner radii eta scanned by the heterodyne sample-size calculator.
+# Window inner radii eta scanned by the heterodyne sample-size calculator, and
+# the largest truncation it tries at each eta.
 _ETA_POINTS = 64
+_TRUNCATION_CAP = 64
 
 
 def heterodyne_truncation_choice(
-    profile: MomentProfile, eta: float, epsilon: float, r: int, m_cap: int = 64
+    profile: MomentProfile, eta: float, epsilon: float, r: int
 ) -> int | None:
-    """Smallest M with ``eta^2 > 2 M^2`` and truncation + window error <= eps/2."""
-    for m_try in range(m_cap + 1):
+    """Smallest M <= 64 with ``eta^2 > 2 M^2`` and truncation + window error <= eps/2."""
+    for m_try in range(_TRUNCATION_CAP + 1):
         if eta * eta <= 2.0 * m_try * m_try:
             return None
         bound = truncation_error_bound(
@@ -327,7 +325,6 @@ def required_samples_heterodyne(
     modes: int,
     radius: float,
     n_observables: int | None = None,
-    m_cap: int = 64,
 ) -> BoundReport:
     """Sample size of the heterodyne protocol, minimized over the window radius.
 
@@ -336,7 +333,7 @@ def required_samples_heterodyne(
     bound statement uses the ``(1+M)`` truncation base); N is then the
     Bernstein expression with the windowed norm ``Sigma~`` and the scan
     returns the minimizing (eta, M, N).  The report is flagged infeasible
-    when no truncation below ``m_cap`` meets the eps/2 budget at any eta.
+    when no truncation up to 64 meets the eps/2 budget at any eta.
     """
     if not 0 < epsilon <= 1 or not 0 < delta < 1:
         raise ValueError("epsilon must lie in (0, 1] and delta in (0, 1)")
@@ -345,7 +342,7 @@ def required_samples_heterodyne(
     etas = np.geomspace(1e-2, 0.99 * radius, _ETA_POINTS)
     best: BoundReport | None = None
     for eta in etas:
-        m_try = heterodyne_truncation_choice(profile, float(eta), epsilon, r, m_cap)
+        m_try = heterodyne_truncation_choice(profile, float(eta), epsilon, r)
         if m_try is None:
             continue
         window = WindowSpec(float(eta), radius)
@@ -389,7 +386,7 @@ def required_samples_heterodyne(
                 "delta": delta,
                 "m": modes,
                 "R": radius,
-                "cap": m_cap,
+                "cap": _TRUNCATION_CAP,
             },
         )
     return best

@@ -109,20 +109,23 @@ def entropy_poly_from_power_sums(sigma, d_p: int) -> float:
     return dim - float(np.real(power_sums[1])) - series
 
 
+# Failure probability of the implied sample count in :func:`plan_entropy`.
+_PLAN_DELTA = 0.05
+
+
 def plan_entropy(
     truncation: int,
     r: int,
     epsilon: float,
     energy: float,
-    modes: int = 1,
-    delta: float = 0.05,
 ) -> EntropyPlan:
     """Select ``d_p`` and the per-entry accuracy ``eps'`` for the entropy run.
 
     Requires the proof precondition ``1 + M > 4 r^2 E^2``.  The implied sample
-    count (via the Bernstein expression at accuracy ``eps'``) is reported, not
-    enforced: it is astronomically large except at toy scales, so desk runs
-    demonstrate the pipeline on exact projections plus controlled noise.
+    count (via the Bernstein expression at accuracy ``eps'``, for one mode at
+    confidence 0.95) is reported, not enforced: it is astronomically large
+    except at toy scales, so desk runs demonstrate the pipeline on exact
+    projections plus controlled noise.
     """
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
@@ -143,11 +146,11 @@ def plan_entropy(
 
     # the homodyne Bernstein sample size at accuracy 2 eps' with additive
     # constant 1: N = (M+1)^{2r} (6 S^2 + 2 (S+1) eps') / (3 eps'^2)
-    # log(2 [m (M+1)]^r / delta)
+    # log(2 (M+1)^r / delta)
     sigma = sigma_homodyne(truncation, r, 0.0)
     log_two_eps_prime = (log2_eps_prime + 1.0) * math.log(2.0)
     log_n = _log_required_n(
-        truncation, r, log_two_eps_prime, delta, sigma, 1.0, modes, None
+        truncation, r, log_two_eps_prime, _PLAN_DELTA, sigma, 1.0, 1, None
     )
     return EntropyPlan(
         truncation=truncation,

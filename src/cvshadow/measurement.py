@@ -229,7 +229,11 @@ def heterodyne_covariance(spec: GaussianStateSpec) -> np.ndarray:
 
 
 def fock_husimi(fock: FockMatrix, x) -> np.ndarray:
-    """Heterodyne outcome density ``<x|rho|x> / (2 pi)`` of a truncated state."""
+    """Heterodyne outcome density ``<x|rho|x> / (2 pi)`` of a truncated state.
+
+    Signed, like :func:`homodyne_pdf`: for a Hermitian matrix that is not a
+    state it may read below zero.
+    """
     if fock.modes != 1:
         raise ValueError("fock_husimi supports single-mode matrices")
     x = np.asarray(x, dtype=float)
@@ -242,8 +246,7 @@ def fock_husimi(fock: FockMatrix, x) -> np.ndarray:
     c[0] = np.exp(-0.25 * np.sum(flat * flat, axis=-1))
     for n in range(1, dim):
         c[n] = c[n - 1] * alpha / np.sqrt(n)
-    vals = _expectation(fock.entries, c) / (2.0 * np.pi)
-    out = np.maximum(vals, 0.0).reshape(x.shape[:-1])
+    out = (_expectation(fock.entries, c) / (2.0 * np.pi)).reshape(x.shape[:-1])
     return out if np.ndim(out) else float(out)
 
 

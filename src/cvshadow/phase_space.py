@@ -20,6 +20,7 @@ All functions here are pure and safe for concurrent callers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,26 +82,6 @@ def alpha_of(u: np.ndarray) -> np.ndarray:
     return (u[..., 0] + 1j * u[..., 1]) / np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class Rotation2:
-    """A phase-space rotation of one mode by ``theta`` radians.
-
-    As a 2x2 matrix it is symplectic and orthogonal, and it commutes with the
-    single-mode symplectic form.
-    """
-
-    theta: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        c, s = np.cos(self.theta), np.sin(self.theta)
-        return np.array([[c, -s], [s, c]])
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return u @ self.matrix.T
-
-
 # ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
@@ -110,18 +91,18 @@ def laguerre(k: int, j: int, x):
     """Generalized Laguerre polynomial ``L_k^(j)(x)``.
 
     Evaluated with the three-term recurrence in ``k``; the explicit factorial
-    sum cancels catastrophically for k of a few tens.  Vectorized in ``x``.
+    sum cancels catastrophically for k of a few tens.  Vectorized in array
+    ``x``; a float ``x`` is used as given, so ``quad`` integrands pay for no
+    array conversion.
     """
     if k < 0 or j < 0:
         raise ValueError(f"laguerre indices must be non-negative, got k={k}, j={j}")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
     if k == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + j - x
+        return np.ones_like(x, dtype=float) if np.ndim(x) else 1.0
+    prev, cur = 1.0, 1.0 + j - x
     for i in range(2, k + 1):
         prev, cur = cur, ((2 * i - 1 + j - x) * cur - (i - 1 + j) * prev) / i
-    return cur if cur.ndim else float(cur)
+    return cur
 
 
 _HERMITE_MAX_N = 200
@@ -187,14 +168,25 @@ def _log_fact_ratio_sqrt(lo: int, hi: int) -> float:
     return 0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
 
 
+def dyad_poly(lo: int, d: int, rho):
+    """``(rho/sqrt2)^d L_lo^(d)(rho^2/2)``, the Fock-dyad profile without its Gaussian.
+
+    The dyads ``|lo><lo+d|`` and ``|lo+d><lo|`` have radial profile
+    ``sqrt(lo!/(lo+d)!) dyad_poly(lo, d, rho) exp(-rho^2/4)``.  ``rho`` is
+    used as given, so a ``quad`` integrand passing Python floats pays for no
+    array conversion.
+    """
+    return (rho / math.sqrt(2.0)) ** d * laguerre(lo, d, 0.5 * rho * rho)
+
+
 def fock_dyad_radial(n1: int, n2: int):
     """Polar decomposition of ``chi_{|n1><n2|}``.
 
     Writes ``chi_{|n1><n2|}(u) = c * radial(rho) * exp(i d phi)`` for
     ``u = rho (cos phi, sin phi)``, with ``d = n2 - n1``.  Returns
-    ``(c, d, radial)`` where ``c`` carries the sign convention of the
-    ``n1 > n2`` branch and ``radial`` maps ``rho >= 0`` arrays to the real
-    profile ``sqrt(lo!/hi!) (rho/sqrt2)^|d| exp(-rho^2/4) L_lo^(|d|)(rho^2/2)``.
+    ``(c, d, radial)`` where ``c = +-sqrt(lo!/hi!)`` carries the sign
+    convention of the ``n1 > n2`` branch and ``radial`` maps ``rho >= 0``
+    arrays to the real profile ``dyad_poly(lo, |d|, rho) exp(-rho^2/4)``.
     """
     if n1 < 0 or n2 < 0:
         raise ValueError("Fock indices must be non-negative")
@@ -205,10 +197,7 @@ def fock_dyad_radial(n1: int, n2: int):
 
     def radial(rho):
         rho = np.asarray(rho, dtype=float)
-        t = 0.5 * rho * rho
-        return (rho / np.sqrt(2.0)) ** abs(d) * np.exp(-0.5 * t) * laguerre(
-            lo, abs(d), t
-        )
+        return dyad_poly(lo, abs(d), rho) * np.exp(-0.25 * rho * rho)
 
     return coeff, d, radial
 
@@ -330,15 +319,12 @@ class CharGrid:
 
     ``values`` is stored row-major over the axes in order; axis ``i`` holds
     ``shape[i]`` points ``origin[i] + step[i] * arange(shape[i])``.
-    ``provenance`` records whether the values are exact evaluations or a
-    shadow reconstruction.
     """
 
     origin: tuple[float, ...]
     step: tuple[float, ...]
     shape: tuple[int, ...]
     values: np.ndarray = field(repr=False)
-    provenance: str = "exact"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)

@@ -36,42 +36,14 @@ def radical_inverse(indices, base: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class HaltonStream:
-    """Deterministic Halton sequence in pairwise-coprime bases.
+def halton_points(dimension: int, count: int) -> np.ndarray:
+    """Halton points with indices ``1 .. count``, shape ``(count, dimension)``.
 
-    Indexing starts at ``k = 1`` (the all-zeros point at index 0 is skipped).
-    Streams are value-like: forking by ``offset`` yields disjoint index
-    ranges of the same global sequence.
+    Axis ``j`` is the radical inverse in the ``j``-th prime; index 0, the
+    all-zeros point, is skipped.
     """
-
-    dimension: int
-    bases: tuple[int, ...] = ()
-    offset: int = 0
-
-    def __post_init__(self):
-        bases = self.bases or first_primes(self.dimension)
-        if len(bases) != self.dimension:
-            raise ValueError("need one base per dimension")
-        for i, b in enumerate(bases):
-            for b2 in bases[i + 1 :]:
-                if math.gcd(b, b2) != 1:
-                    raise ValueError(f"bases {b} and {b2} are not coprime")
-        object.__setattr__(self, "bases", tuple(int(b) for b in bases))
-
-    def points(self, count: int, start: int = 1) -> np.ndarray:
-        """Points with indices ``start .. start + count - 1``, shape (count, d)."""
-        if start < 1:
-            raise ValueError("Halton indices start at 1")
-        idx = np.arange(start, start + count) + self.offset
-        return np.stack([radical_inverse(idx, b) for b in self.bases], axis=-1)
-
-
-def halton_point(stream: HaltonStream, k: int) -> np.ndarray:
-    """The k-th point of the stream (k >= 1)."""
-    if k < 1:
-        raise ValueError("Halton indices start at 1")
-    return stream.points(1, start=k)[0]
+    idx = np.arange(1, count + 1)
+    return np.stack([radical_inverse(idx, b) for b in first_primes(dimension)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -110,7 +82,7 @@ def qmc_integrate(f, box: BoxDomain, budget: int):
     """
     if budget < 16:
         raise ValueError("QMC budget below 16 points is meaningless")
-    pts = box.map_unit(HaltonStream(box.dimension).points(budget))
+    pts = box.map_unit(halton_points(box.dimension, budget))
     vals = np.asarray(f(pts))
     if vals.shape != (budget,):
         raise ValueError("integrand must return one value per point")

@@ -76,8 +76,8 @@ def _char_grids(lo, hi, points, exact_vals, recon_vals):
     """Exact and reconstructed CharGrids on [lo, hi]^2 plus their V metric."""
     step = (hi - lo) / (points - 1)
     grid = ((lo, lo), (step, step), (points, points))
-    exact = CharGrid(*grid, exact_vals, "exact")
-    recon = CharGrid(*grid, recon_vals, "reconstructed")
+    exact = CharGrid(*grid, exact_vals)
+    recon = CharGrid(*grid, recon_vals)
     return exact, recon, v_metric(exact_vals, recon_vals, (hi - lo) ** 2)
 
 

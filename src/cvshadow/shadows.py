@@ -42,9 +42,9 @@ from scipy.special import i0e, j0, j1, jv
 
 from .measurement import HETERODYNE, HOMODYNE, SampleBatch
 from .phase_space import (
+    dyad_poly,
     fock_dyad_radial,
     fock_pairing_matrix,
-    laguerre,
     mode_pair,
     symplectic_product,
 )
@@ -94,7 +94,7 @@ def default_window(truncation: int) -> WindowSpec:
 
 
 # ---------------------------------------------------------------------------
-# noise multiplier f_{mu,T} and pointwise shadow characteristic functions
+# noise multiplier f_{mu,T}
 # ---------------------------------------------------------------------------
 
 
@@ -110,58 +110,6 @@ def f_mu_homodyne(rho, s: float):
     z = 0.5 * rho * rho
     out = np.exp(-z * np.exp(-2.0 * s)) * i0e(z * np.sinh(2.0 * s))
     return out if np.ndim(out) else float(out)
-
-
-def shadow_char_eval(protocol: str, thetas, outcome, u, s: float | None = None):
-    """Improper characteristic function of one round's shadow at point u.
-
-    A round is given by its arrays: ``outcome`` of shape (m, 2) for
-    heterodyne, with ``thetas`` unused; ``thetas`` and ``outcome`` of shape
-    (m,) for homodyne.  Heterodyne rounds have the closed form
-    ``exp(|u|^2/4 - i u^T Omega x)``.  Homodyne rounds require a finite
-    squeezing ``s``; the idealized s -> inf homodyne shadow is a delta line
-    and cannot be evaluated pointwise (use ``homodyne_shadow_entry`` instead).
-    """
-    u = np.asarray(u, dtype=float)
-    outcome = np.asarray(outcome, dtype=float)
-    if protocol == HETERODYNE:
-        if outcome.ndim != 2 or outcome.shape[1] != 2:
-            raise ValueError("heterodyne outcomes must have shape (modes, 2)")
-    elif protocol == HOMODYNE:
-        thetas = np.asarray(thetas, dtype=float)
-        if outcome.ndim != 1 or thetas.shape != outcome.shape:
-            raise ValueError("homodyne rounds need one angle per outcome")
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    m = outcome.shape[0]
-    if u.shape[-1] != 2 * m:
-        raise ValueError(f"u must have {2 * m} coordinates")
-    if protocol == HETERODYNE:
-        x_flat = np.concatenate([outcome[:, 0], outcome[:, 1]])
-        out = np.exp(
-            0.25 * np.sum(u * u, axis=-1) - 1j * symplectic_product(u, x_flat)
-        )
-        return out if np.ndim(out) else complex(out)
-    if s is None or not np.isfinite(s):
-        raise ValueError(
-            "pointwise evaluation of the ideal homodyne shadow is "
-            "distributional; pass a finite squeezing s or use "
-            "homodyne_shadow_entry"
-        )
-    out = np.ones(u.shape[:-1], dtype=complex)
-    for j in range(m):
-        uj = mode_pair(u, j)
-        theta = float(thetas[j])
-        c, sn = np.cos(theta), np.sin(theta)
-        rot_x = c * uj[..., 0] - sn * uj[..., 1]
-        rot_p = sn * uj[..., 0] + c * uj[..., 1]
-        squeezed = np.exp(-2.0 * s) * rot_x**2 + np.exp(2.0 * s) * rot_p**2
-        rho_j = np.sqrt(np.sum(uj * uj, axis=-1))
-        # counter-rotated outcome embedding: x_emb = R_{-theta} (q, 0)
-        x_emb = outcome[j] * np.array([c, -sn])
-        sym = uj[..., 0] * x_emb[1] - uj[..., 1] * x_emb[0]  # u^T Omega x_emb
-        out = out * np.exp(-0.25 * squeezed - 1j * sym) / f_mu_homodyne(rho_j, s)
-    return out if np.ndim(out) else complex(out)
 
 
 # ---------------------------------------------------------------------------
@@ -235,35 +183,17 @@ def windowed_dyad_char(n1, n2, u, w: WindowSpec):
     return out if np.ndim(out) else complex(out)
 
 
-def _het_poly(n1: int, n2: int):
-    """(coeff, d, poly) for the heterodyne radial integrand of entry (n1, n2).
-
-    Valid for d = n1 - n2 >= 0; poly(rho) is the dyad radial profile with the
-    Gaussian exactly cancelled by exp(+rho^2/4).
-    """
-    d = n1 - n2
-    if d < 0:
-        raise ValueError("use conjugate symmetry for n1 < n2")
-    coeff, _, _ = fock_dyad_radial(n2, n1)  # sqrt(n2!/n1!)
-
-    def poly(rho):
-        rho = np.asarray(rho, dtype=float)
-        return (rho / np.sqrt(2.0)) ** d * laguerre(n2, d, 0.5 * rho * rho)
-
-    return coeff, d, poly
-
-
 def _het_entry_single(n1: int, n2: int, x: np.ndarray, w: WindowSpec, tol: float) -> complex:
     from scipy.integrate import quad
 
     if n1 < n2:
         return complex(np.conj(_het_entry_single(n2, n1, x, w, tol)))
-    coeff, d, poly = _het_poly(n1, n2)
+    coeff, d, _ = fock_dyad_radial(n2, n1)
     s = float(np.hypot(x[0], x[1]))
     psi = math.atan2(x[0], x[1])
 
     def integrand(rho):
-        return rho * poly(rho) * w.xi_radial(rho) * jv(d, rho * s)
+        return rho * dyad_poly(n2, d, rho) * w.xi_radial(rho) * jv(d, rho * s)
 
     val, _ = quad(
         integrand, 0.0, w.radius, epsabs=1e-13, epsrel=tol, limit=400, points=[w.eta]
@@ -415,8 +345,8 @@ def _heterodyne_block(truncation: int, w: WindowSpec):
     wr = wts * rho * w.xi_radial(rho)
     rows = [[] for _ in range(truncation + 1)]
     for d, k in _dyads(truncation):
-        coeff, _, poly = _het_poly(k + d, k)
-        rows[d].append(coeff * wr * poly(rho))
+        coeff, _, _ = fock_dyad_radial(k, k + d)
+        rows[d].append(coeff * wr * dyad_poly(k, d, rho))
     rows = [np.array(rows_d) for rows_d in rows]
 
     def block(s):

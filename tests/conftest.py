@@ -5,10 +5,14 @@ used to check: dense tensor-grid quadrature, explicit factorial sums, and
 direct Fock-series evaluations.
 """
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from cvshadow.phase_space import char_fock_dyad
+from cvshadow.qmc import BoxDomain, qmc_integrate
 
 
 def gauss_legendre_grid_2d(half_width: float, nodes: int):
@@ -37,3 +41,27 @@ def dyad_grid():
         return cache[(n1, n2)]
 
     return grid, weights, dyad
+
+
+def gaussian_family_error(budget: int, half_width: float = 6.0) -> float:
+    """Worst absolute QMC error over a small family of 2D Gaussians.
+
+    Runs ``qmc_integrate`` against the exact box integrals (erf products).
+    """
+    box = BoxDomain([half_width, half_width])
+    worst = 0.0
+    for sigma in (0.8, 1.0, 1.4, 2.0):
+        for center in ((0.0, 0.0), (0.5, -0.3)):
+
+            def f(p, sigma=sigma, center=center):
+                d = p - np.asarray(center)
+                return np.exp(-0.5 * np.sum(d * d, axis=-1) / sigma**2)
+
+            exact = 1.0
+            for c in center:
+                a = (-half_width - c) / (sigma * math.sqrt(2.0))
+                b = (half_width - c) / (sigma * math.sqrt(2.0))
+                exact *= sigma * math.sqrt(math.pi / 2.0) * (erf(b) - erf(a))
+            val, _ = qmc_integrate(f, box, budget)
+            worst = max(worst, abs(val - exact))
+    return worst

@@ -37,7 +37,7 @@ from cvshadow.states import (
     chain_ground_state,
     fock_matrix_of,
 )
-from test_qmc import gaussian_family_error
+from conftest import gaussian_family_error
 
 UNBIASEDNESS_STATES = {
     "vacuum": GaussianStateSpec.vacuum(),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import eval_genlaguerre
 
 from cvshadow.bounds import (
     BoundReport,
@@ -22,6 +24,7 @@ from cvshadow.measurement import sample_homodyne_batch
 from cvshadow.shadows import (
     HOMODYNE_SHADOW_NORMALIZATION,
     WindowSpec,
+    default_window,
     shadow_batch_entries,
 )
 from cvshadow.states import FockMatrix, GaussianStateSpec, fock_matrix_of
@@ -172,9 +175,29 @@ class TestSigmaHeterodyne:
         w = WindowSpec(6.0, 8.0)
         assert sigma_heterodyne(1, 1, 2.0, w) > sigma_heterodyne(1, 1, 0.0, w)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_m2_written_out(self, alpha):
+        # per-mode entry sqrt(lo!/hi!) int_0^R rho (rho/sqrt2)^d
+        # |L_lo^(d)(rho^2/2)| xi(rho) d rho, weights (1 + n)^(alpha/2)
+        w = default_window(2)
+        block = np.zeros((3, 3))
+        for lo in range(3):
+            for hi in range(lo, 3):
+                d = hi - lo
+
+                def integrand(rho, lo=lo, d=d):
+                    lag = eval_genlaguerre(lo, d, 0.5 * rho * rho)
+                    return rho * (rho / math.sqrt(2.0)) ** d * abs(lag) * w.xi_radial(rho)
+
+                val, _ = quad(integrand, 0.0, w.radius, limit=400)
+                coeff = math.sqrt(math.factorial(lo) / math.factorial(hi))
+                block[lo, hi] = block[hi, lo] = coeff * val
+        weights = (1.0 + np.arange(3)) ** (alpha / 2.0)
+        expected = np.linalg.norm(weights[:, None] * block * weights[None, :], ord=2)
+        assert sigma_heterodyne(2, 1, alpha, w) == pytest.approx(expected, rel=1e-10)
+
     def test_empirical_shadows_within_bound(self):
         from cvshadow.measurement import sample_heterodyne_batch
-        from cvshadow.shadows import default_window
 
         w = default_window(2)
         batch = sample_heterodyne_batch(GaussianStateSpec.vacuum(), 5_000, "sigh")
@@ -267,7 +290,7 @@ class TestRequiredSamplesHeterodyne:
 
     def test_eta_constraint(self):
         # eta too small for any M': eta^2 > 2 M'^2 fails beyond M' < eta/sqrt2
-        assert heterodyne_truncation_choice(self.PROFILE, 0.05, 0.5, 1, m_cap=4) is None
+        assert heterodyne_truncation_choice(self.PROFILE, 0.05, 0.5, 1) is None
 
     def test_scan_returns_feasible(self):
         report = required_samples_heterodyne(self.PROFILE, 1, 0.5, 0.05, 4, 24.0)
@@ -282,9 +305,7 @@ class TestRequiredSamplesHeterodyne:
         assert small.n_required >= big.n_required
 
     def test_infeasible_report(self):
-        report = required_samples_heterodyne(
-            self.PROFILE, 1, 0.5, 0.05, 4, 1.0, m_cap=2
-        )
+        report = required_samples_heterodyne(self.PROFILE, 1, 0.5, 0.05, 4, 1.0)
         assert not report.feasible
         assert report.n_required == math.inf
 

@@ -321,8 +321,8 @@ class TestHeterodynePdf:
 
     @pytest.mark.parametrize("name", sorted(factored_inputs()))
     def test_factored_husimi_matches_dense(self, name):
-        # <x|rho|x> / (2 pi) with <n|x> = exp(-|x|^2/4) alpha^n / sqrt(n!);
-        # fock_husimi clips below zero, which only the non-PSD input reaches
+        # <x|rho|x> / (2 pi) with <n|x> = exp(-|x|^2/4) alpha^n / sqrt(n!),
+        # signed: the non-PSD input reads below zero at some points
         rho = factored_inputs()[name]
         axis = np.linspace(-5.0, 5.0, 21)
         x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -332,7 +332,9 @@ class TestHeterodynePdf:
         kets = np.exp(-0.25 * np.sum(x * x, axis=1)) * alpha**n / norms[:, None]
         dense = dense_expectation(rho.entries, kets) / (2.0 * np.pi)
         vals = fock_husimi(rho, x)
-        assert np.abs(vals - np.maximum(dense, 0.0)).max() <= 1e-12 * np.abs(dense).max()
+        assert np.abs(vals - dense).max() <= 1e-12 * np.abs(dense).max()
+        if name == "not-psd":  # both signs: no value is clipped
+            assert dense.min() < 0 < dense.max()
 
     def test_fock_path_matches_cat(self):
         spec = CatStateSpec(1 + 1j, "one")

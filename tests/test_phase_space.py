@@ -11,7 +11,6 @@ from scipy.integrate import quad
 
 from cvshadow.phase_space import (
     CharGrid,
-    Rotation2,
     char_coherent_dyad,
     char_fock_dyad,
     char_gaussian_raw,
@@ -49,14 +48,6 @@ class TestSymplectic:
     def test_symplectic_product(self):
         u, v = np.array([1.0, 0.0]), np.array([0.0, 1.0])
         assert symplectic_product(u, v) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("theta", [-3.0, -0.4, 0.0, 1.2, np.pi])
-    def test_rotation_properties(self, theta):
-        r = Rotation2(theta).matrix
-        assert np.allclose(r.T @ r, np.eye(2), atol=1e-14)
-        assert np.linalg.det(r) == pytest.approx(1.0)
-        omega2 = omega_matrix(1)
-        assert np.allclose(r @ omega2, omega2 @ r, atol=1e-14)
 
 
 class TestLaguerre:

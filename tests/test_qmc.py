@@ -5,84 +5,43 @@ import math
 import numpy as np
 import pytest
 
-from scipy.special import erf
-
 from cvshadow.qmc import (
     BoxDomain,
-    HaltonStream,
     first_primes,
-    halton_point,
+    halton_points,
     qmc_integrate,
     radical_inverse,
     tv_estimate,
 )
-
-
-def gaussian_family_error(budget: int, half_width: float = 6.0) -> float:
-    """Worst absolute QMC error over a small family of 2D Gaussians."""
-    box = BoxDomain([half_width, half_width])
-    worst = 0.0
-    for sigma in (0.8, 1.0, 1.4, 2.0):
-        for center in ((0.0, 0.0), (0.5, -0.3)):
-
-            def f(p, sigma=sigma, center=center):
-                d = p - np.asarray(center)
-                return np.exp(-0.5 * np.sum(d * d, axis=-1) / sigma**2)
-
-            exact = 1.0
-            for c in center:
-                a = (-half_width - c) / (sigma * math.sqrt(2.0))
-                b = (half_width - c) / (sigma * math.sqrt(2.0))
-                exact *= sigma * math.sqrt(math.pi / 2.0) * (erf(b) - erf(a))
-            val, _ = qmc_integrate(f, box, budget)
-            worst = max(worst, abs(val - exact))
-    return worst
+from conftest import gaussian_family_error
 
 
 class TestHalton:
     def test_base2_prefix(self):
-        stream = HaltonStream(1, bases=(2,))
-        vals = [float(halton_point(stream, k)[0]) for k in (1, 2, 3, 4)]
+        vals = halton_points(1, 4)[:, 0]
         assert vals == pytest.approx([0.5, 0.25, 0.75, 0.125])
 
     def test_base3_first(self):
-        stream = HaltonStream(1, bases=(3,))
-        assert float(halton_point(stream, 1)[0]) == pytest.approx(1.0 / 3.0)
+        assert halton_points(2, 1)[0, 1] == pytest.approx(1.0 / 3.0)
 
     def test_default_bases_are_primes(self):
-        stream = HaltonStream(4)
-        assert stream.bases == (2, 3, 5, 7)
+        assert halton_points(4, 1)[0] == pytest.approx([1 / 2, 1 / 3, 1 / 5, 1 / 7])
         assert first_primes(6) == (2, 3, 5, 7, 11, 13)
 
     def test_points_distinct(self):
-        stream = HaltonStream(2)
-        pts = stream.points(10_000)
+        pts = halton_points(2, 10_000)
         assert len(np.unique(pts[:, 0])) == 10_000
-
-    def test_index_zero_rejected(self):
-        with pytest.raises(ValueError):
-            halton_point(HaltonStream(1), 0)
-
-    def test_offset_forking(self):
-        stream = HaltonStream(2)
-        forked = HaltonStream(2, offset=100)
-        assert np.allclose(forked.points(5), stream.points(5, start=101))
-
-    def test_non_coprime_bases_rejected(self):
-        with pytest.raises(ValueError):
-            HaltonStream(2, bases=(2, 4))
 
     def test_radical_inverse_vectorized(self):
         assert np.allclose(radical_inverse([1, 2, 3], 2), [0.5, 0.25, 0.75])
 
     def test_discrepancy_proxy_decreases(self):
         # empirical box-count discrepancy over anchored boxes shrinks with k
-        stream = HaltonStream(2)
         rng = np.random.default_rng(0)
         corners = rng.random((64, 2))
 
         def proxy(k):
-            pts = stream.points(k)
+            pts = halton_points(2, k)
             return max(
                 abs(np.mean(np.all(pts < c, axis=1)) - c[0] * c[1]) for c in corners
             )

@@ -24,7 +24,6 @@ from cvshadow.shadows import (
     project_PM,
     project_PM_tilde,
     shadow_batch_entries,
-    shadow_char_eval,
     windowed_dyad_char,
 )
 from cvshadow.states import (
@@ -521,35 +520,7 @@ class TestProjections:
 
 
 class TestShadowCharEval:
-    def test_heterodyne_at_origin(self):
-        assert shadow_char_eval("heterodyne", None, [[0.4, -0.7]], np.zeros(2)) == (
-            pytest.approx(1.0)
-        )
-
-    def test_heterodyne_form(self):
-        outcome = np.array([[0.4, -0.7]])
-        u = np.array([0.5, 0.2])
-        expected = np.exp(0.25 * np.dot(u, u)) * np.exp(
-            -1j * (u[0] * outcome[0][1] - u[1] * outcome[0][0])
-        )
-        assert shadow_char_eval("heterodyne", None, outcome, u) == pytest.approx(expected)
-
-    def test_ideal_homodyne_rejected(self):
-        with pytest.raises(ValueError, match="distributional"):
-            shadow_char_eval("homodyne", [0.3], [0.9], np.zeros(2))
-
-    def test_finite_squeezing_magnitude_asymptote(self):
-        # |chi(u)| ~ sqrt(pi sinh 2s) |u| exp(|u|^2 e^{-2s}/4) on the rotated
-        # axis (R_theta u)_2 = 0, up to the 1/(8z) Bessel correction
-        s = 2.0
-        theta = 0.7
-        for rho in (1.0, 1.5, 2.5):
-            u = rho * np.array([np.cos(theta), -np.sin(theta)])
-            val = abs(shadow_char_eval("homodyne", [theta], [1.3], u, s))
-            asym = math.sqrt(math.pi * math.sinh(2 * s)) * rho * math.exp(
-                0.25 * rho * rho * math.exp(-2 * s)
-            )
-            assert val == pytest.approx(asym, rel=0.05)
+    """The finite-squeezing noise multiplier ``f_mu_homodyne``."""
 
     def test_f_mu_identities(self):
         for s in (0.5, 1.0, 2.0):
