@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, gammaincc, logsumexp
 
 from .phase_space import dyad_poly, fock_dyad_radial, laguerre
 from .shadows import WindowSpec
@@ -80,6 +79,8 @@ def sobolev_norm(mat: FockMatrix, alpha: float) -> float:
 
 def _log_tail_sum(eta: float, truncation: int) -> float:
     """log sum_{p=0}^{2M} (eta^2/2)^p / p!."""
+    from scipy.special import gammaln, logsumexp
+
     if eta == 0.0:
         return 0.0
     p = np.arange(2 * truncation + 1)
@@ -109,6 +110,8 @@ def delta0(eta: float, truncation: int, alpha: float, modes: int) -> float:
     ``Gamma(2M+1, eta^2/2)/(2M)!``; both closed forms are evaluated and must
     agree to 1e-10 relative whenever the Gamma form does not underflow.
     """
+    from scipy.special import gammaincc
+
     log_val = delta0_log(eta, truncation, alpha, modes)
     value = math.exp(log_val) if log_val < 700 else math.inf
     gamma_tail = float(gammaincc(2 * truncation + 1, 0.5 * eta * eta))
@@ -162,6 +165,7 @@ def sigma_homodyne(truncation: int, r: int, alpha: float) -> float:
     by ``HOMODYNE_SHADOW_NORMALIZATION`` so both sides share one constant.
     """
     from scipy.integrate import quad
+    from scipy.special import gammaln
 
     dim = truncation + 1
     block = np.zeros((dim, dim))

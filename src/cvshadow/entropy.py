@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .states import FockMatrix, GaussianStateSpec
 
@@ -75,6 +74,8 @@ def entropy_coefficients(d_p: int) -> tuple[np.ndarray, np.ndarray]:
     exp(log_magnitudes[j])``; magnitudes reach ``(d_p - 2)!`` so only the log
     representation is generally safe.
     """
+    from scipy.special import gammaln, logsumexp
+
     if d_p < 2:
         raise ValueError("d_p must be at least 2")
     signs = np.array([(-1.0) ** j for j in range(d_p + 1)])
@@ -94,6 +95,8 @@ def entropy_poly_from_power_sums(sigma, d_p: int) -> float:
     alternating sum does not cancel catastrophically (d_p <= ~18); used to
     cross-check :func:`entropy_poly`.
     """
+    from scipy.special import gammaln
+
     mat = sigma.entries if isinstance(sigma, FockMatrix) else np.asarray(sigma)
     dim = mat.shape[0]
     signs, log_mags = entropy_coefficients(d_p)

@@ -44,6 +44,8 @@ HETERODYNE = "heterodyne"
 _ENVELOPE_INFLATION = 2.5
 _ENVELOPE_MARGIN = 1.2
 _REJECTION_CHUNK = 32768
+# Values per block of rows that ``SampleBatch.to_jsonl`` turns into Python floats.
+_JSONL_BLOCK_VALUES = 1 << 16
 
 
 @dataclass
@@ -77,6 +79,8 @@ class SampleBatch:
                 raise ValueError("heterodyne outcomes must have shape (N, modes, 2)")
         if not np.all(np.isfinite(self.outcomes)):
             raise ValueError("outcomes must be finite")
+        if self.thetas is not None and not np.all(np.isfinite(self.thetas)):
+            raise ValueError("angles must be finite")
 
     @property
     def n(self) -> int:
@@ -92,17 +96,32 @@ class SampleBatch:
         return replace(self, outcomes=self.outcomes[rows], thetas=thetas)
 
     def to_jsonl(self, path) -> None:
-        """One JSON line per round: protocol, thetas, outcome, seed_path."""
+        """One JSON line per round: protocol, thetas, outcome, seed_path.
+
+        The bytes are those of ``json.dumps(payload, separators=(",", ":"))``
+        per round: one ``%`` template per batch fills in ``repr`` of every
+        value, which is how ``json`` writes a finite float.
+        """
+        m = self.modes
+        if self.thetas is None:
+            thetas = "null"
+            outcome = ",".join(["[%r,%r]"] * m)
+            columns = [self.outcomes.reshape(self.n, 2 * m)]
+        else:
+            thetas = "[" + ",".join(["%r"] * m) + "]"
+            outcome = ",".join(["%r"] * m)
+            columns = [self.thetas, self.outcomes]
+        protocol = json.dumps(self.protocol)
+        seed_path = json.dumps(self.seed_path).replace("%", "%%")
+        template = (
+            f'{{"protocol":{protocol},"thetas":{thetas},'
+            f'"outcome":[{outcome}],"seed_path":{seed_path}}}\n'
+        )
+        block = max(1, _JSONL_BLOCK_VALUES // max(1, 2 * m))
         with open(path, "w") as fh:
-            for i in range(self.n):
-                payload = {
-                    "protocol": self.protocol,
-                    "thetas": None if self.thetas is None else self.thetas[i].tolist(),
-                    "outcome": self.outcomes[i].tolist(),
-                    "seed_path": self.seed_path,
-                }
-                fh.write(json.dumps(payload, separators=(",", ":")))
-                fh.write("\n")
+            for start in range(0, self.n, block):
+                rows = np.concatenate([c[start : start + block] for c in columns], axis=1)
+                fh.write("".join([template % tuple(row) for row in rows.tolist()]))
 
     @classmethod
     def from_jsonl(cls, path) -> "SampleBatch":

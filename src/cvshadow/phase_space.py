@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 
 def as_phase_point(u, modes: int | None = None) -> np.ndarray:
@@ -165,6 +164,8 @@ def char_coherent_dyad(x, y, u):
 
 def _log_fact_ratio_sqrt(lo: int, hi: int) -> float:
     """log sqrt(lo!/hi!) for hi >= lo, in the log domain."""
+    from scipy.special import gammaln
+
     return 0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
 
 
@@ -261,6 +262,8 @@ def displacement_oracle(u, m_osc: int) -> np.ndarray:
     the *product* structure (unitarity, Weyl composition) degrades gracefully
     once ``|u|^2`` becomes comparable with ``m_osc``.
     """
+    from scipy.special import gammaln
+
     u = as_phase_point(u, modes=1)
     if m_osc < 0:
         raise ValueError("m_osc must be non-negative")

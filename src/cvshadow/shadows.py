@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e, j0, j1, jv
 
 from .measurement import HETERODYNE, HOMODYNE, SampleBatch
 from .phase_space import (
@@ -106,6 +105,8 @@ def f_mu_homodyne(rho, s: float):
     stays finite for any argument.  For each ``s`` it is a probability-type
     kernel: ``int |f| d^2x = 2 pi`` and ``int f^2 d^2x <= pi``.
     """
+    from scipy.special import i0e
+
     rho = np.asarray(rho, dtype=float)
     z = 0.5 * rho * rho
     out = np.exp(-z * np.exp(-2.0 * s)) * i0e(z * np.sinh(2.0 * s))
@@ -185,6 +186,7 @@ def windowed_dyad_char(n1, n2, u, w: WindowSpec):
 
 def _het_entry_single(n1: int, n2: int, x: np.ndarray, w: WindowSpec, tol: float) -> complex:
     from scipy.integrate import quad
+    from scipy.special import jv
 
     if n1 < n2:
         return complex(np.conj(_het_entry_single(n2, n1, x, w, tol)))
@@ -315,6 +317,8 @@ def _bessel_orders(top: int, z: np.ndarray) -> list[np.ndarray]:
     recurrence ``J_{d+1} = (2d/z) J_d - J_{d-1}``, which is stable where
     ``z >= d + 1`` (DLMF 10.6); ``jv`` fills only the entries below that.
     """
+    from scipy.special import j0, j1, jv
+
     out = [j0(z), j1(z)]
     for d in range(1, top):
         up = z >= d + 1

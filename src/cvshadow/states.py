@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from .phase_space import (
     char_coherent_dyad,
@@ -91,9 +90,9 @@ class FockMatrix:
 class GaussianStateSpec:
     """Gaussian state with mean ``t`` and covariance ``V`` (vacuum has V = I).
 
-    ``V`` must be symmetric with ``V + i Omega >= 0`` to tolerance 1e-10,
-    that is ``V + i Omega + 1e-10 I`` positive semidefinite; see
-    :func:`_is_quantum_covariance`.
+    ``V`` must be symmetric to 1e-10 (``max |V - V^T| <= 1e-10``, absolute)
+    and satisfy ``V + i Omega >= 0`` to tolerance 1e-10, that is ``V + i
+    Omega + 1e-10 I`` positive semidefinite; see :func:`_is_quantum_covariance`.
     """
 
     mean: np.ndarray
@@ -108,8 +107,10 @@ class GaussianStateSpec:
             raise ValueError(f"cov shape {cov.shape} does not match mean {mean.shape}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and covariance must be finite")
-        if not np.allclose(cov, cov.T, atol=1e-10):
+        asymmetry = cov - cov.T
+        if np.abs(asymmetry, out=asymmetry).max(initial=0.0) > 1e-10:
             raise ValueError("covariance matrix must be symmetric")
+        del asymmetry
         cov = 0.5 * (cov + cov.T)
         if not _is_quantum_covariance(cov):
             raise ValueError(
@@ -309,6 +310,8 @@ def coherent_fock_coefficients(alpha: complex, truncation: int) -> np.ndarray:
         coeffs = np.zeros(truncation + 1, dtype=complex)
         coeffs[0] = 1.0
         return coeffs
+    from scipy.special import gammaln
+
     n = np.arange(truncation + 1)
     log_mag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1.0)
     return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))

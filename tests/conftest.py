@@ -5,6 +5,7 @@ used to check: dense tensor-grid quadrature, explicit factorial sums, and
 direct Fock-series evaluations.
 """
 
+import json
 import math
 
 import numpy as np
@@ -65,3 +66,17 @@ def gaussian_family_error(budget: int, half_width: float = 6.0) -> float:
             val, _ = qmc_integrate(f, box, budget)
             worst = max(worst, abs(val - exact))
     return worst
+
+
+def reference_jsonl(batch) -> bytes:
+    """``records.jsonl`` bytes of ``batch``, one ``json.dumps`` per round."""
+    lines = []
+    for i in range(batch.n):
+        payload = {
+            "protocol": batch.protocol,
+            "thetas": None if batch.thetas is None else batch.thetas[i].tolist(),
+            "outcome": batch.outcomes[i].tolist(),
+            "seed_path": batch.seed_path,
+        }
+        lines.append(json.dumps(payload, separators=(",", ":")) + "\n")
+    return "".join(lines).encode()

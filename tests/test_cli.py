@@ -396,11 +396,46 @@ class TestMainEntrypoint:
 
     def test_import_leaves_quadrature_unloaded(self):
         # only the adaptive reference entries and the Sigma norms call quad,
-        # so importing the CLI must not pay for scipy.integrate
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = "import sys, cvshadow.cli; print('scipy.integrate' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        # and only the commands that evaluate shadows, bounds or the entropy
+        # need scipy.special, so importing the package or the CLI loads neither
+        code = (
+            "import sys\n"
+            "for module in ('cvshadow', 'cvshadow.cli'):\n"
+            "    __import__(module)\n"
+            "    print(module, sorted(m for m in sys.modules if m.startswith('scipy')))"
         )
-        assert proc.stdout.strip() == "False"
+        assert _run_python(code).stdout.splitlines() == ["cvshadow []", "cvshadow.cli []"]
+
+    def test_chain_and_vacuum_sampling_leave_scipy_special_unloaded(self, tmp_path):
+        chain = base_config(
+            state={"kind": "chain", "m": 6, "kappa": 0.5},
+            samples=200,
+            grid={"pair": [0, 3], "points": 9},
+        )
+        chain_cfg = str(write_config(tmp_path, chain, "chain.json"))
+        vacuum_cfg = str(write_config(tmp_path, base_config(), "vacuum.json"))
+        records = str(tmp_path / "cs" / "records.jsonl")
+        commands = [
+            ["sample", "--config", chain_cfg, "--out", str(tmp_path / "cs")],
+            ["reconstruct", "--config", chain_cfg, "--batch", records, "--out", str(tmp_path / "cr")],
+            ["sample", "--config", vacuum_cfg, "--out", str(tmp_path / "vs")],
+        ]
+        # one process runs all three commands; a module, once loaded, stays in sys.modules
+        code = (
+            "import json, sys, cvshadow.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cvshadow.cli.main(argv) == 0, argv\n"
+            "print('scipy.special' in sys.modules)"
+        )
+        assert _run_python(code, json.dumps(commands)).stdout.strip() == "False"
+        assert (tmp_path / "cr" / "pair_grid.csv").exists()
+        assert not (tmp_path / "cr" / "shadow_average.json").exists()
+
+
+def _run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run ``python -c code argv...`` with this checkout's package importable."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, check=True
+    )

@@ -31,6 +31,7 @@ from cvshadow.states import (
 )
 from cvshadow.phase_space import hermite_stack
 from cvshadow.qmc import BoxDomain, qmc_integrate
+from conftest import reference_jsonl
 
 
 def fock_state(n: int, truncation: int) -> FockMatrix:
@@ -498,8 +499,46 @@ class TestRecordsAndBatches:
             SampleBatch("heterodyne", [[0.5, 0.2]], None, "x")
         with pytest.raises(ValueError):
             SampleBatch("heterodyne", [[[0.5, np.nan]]], None, "x")
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="angles must be finite"):
+                SampleBatch("homodyne", [[0.5, 0.1]], [[0.2, bad]], "x")
         with pytest.raises(ValueError):
             SampleBatch("quadrature", [[0.5]], [[0.1]], "x")
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    def test_writer_bytes_match_json_dumps(self, tmp_path, protocol):
+        extremes = np.array([-0.0, 5e-324, 1.797e308, 1e16, -1e-300, 0.1, -2.5e-7, 3.0])
+        path = tmp_path / "records.jsonl"
+        for seed_path in ("", 'cvshadow/1/"q\\é"/%s %d %%', "s/1"):
+            if protocol == "homodyne":
+                outcomes, thetas = np.resize(extremes, (6, 3)), np.resize(extremes[::-1], (6, 3))
+            else:
+                outcomes, thetas = np.resize(extremes, (5, 3, 2)), None
+            batch = SampleBatch(protocol, outcomes, thetas, seed_path)
+            batch.to_jsonl(path)
+            assert path.read_bytes() == reference_jsonl(batch)
+            loaded = SampleBatch.from_jsonl(path)
+            assert loaded.seed_path == seed_path
+            assert np.array_equal(loaded.outcomes, batch.outcomes)
+            assert np.array_equal(np.signbit(loaded.outcomes), np.signbit(batch.outcomes))
+
+    def test_multi_block_roundtrip_bit_exact(self, tmp_path):
+        import cvshadow.measurement as meas
+
+        modes = 40
+        rows = 2 * (meas._JSONL_BLOCK_VALUES // (2 * modes)) + 3
+        for batch in (
+            sample_homodyne_batch(GaussianStateSpec.thermal(0.3, modes=modes), rows, "mb/h"),
+            sample_heterodyne_batch(GaussianStateSpec.thermal(0.3, modes=modes), rows, "mb/x"),
+        ):
+            path = tmp_path / f"{batch.protocol}.jsonl"
+            batch.to_jsonl(path)
+            assert path.read_bytes() == reference_jsonl(batch)
+            loaded = SampleBatch.from_jsonl(path)
+            assert loaded.n == rows
+            assert np.array_equal(loaded.outcomes, batch.outcomes)
+            if batch.thetas is not None:
+                assert np.array_equal(loaded.thetas, batch.thetas)
 
     def test_slice_is_a_batch(self):
         batch = sample_homodyne_batch(GaussianStateSpec.thermal(0.4, modes=2), 10, "sl")

@@ -49,6 +49,11 @@ class TestGaussianSpec:
     def test_asymmetric_cov_rejected(self):
         with pytest.raises(ValueError):
             GaussianStateSpec(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
+        # the tolerance is absolute: 5e-6 is within a relative 1e-5, not 1e-10
+        with pytest.raises(ValueError, match="symmetric"):
+            GaussianStateSpec(np.zeros(2), np.array([[3.0, 1.0], [1.0 + 5e-6, 3.0]]))
+        spec = GaussianStateSpec(np.zeros(2), np.array([[3.0, 1.0], [1.0 + 5e-11, 3.0]]))
+        assert spec.cov[0, 1] == spec.cov[1, 0]
 
     @pytest.mark.parametrize("where", ["mean", "diagonal", "off-diagonal"])
     def test_non_finite_rejected(self, where):
