@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -41,7 +42,9 @@ log = logging.getLogger(__name__)
 HOMODYNE = "homodyne"
 HETERODYNE = "heterodyne"
 
-_ENVELOPE_INFLATION = 2.5
+# Degrees of freedom of the Student-t rejection proposal: its polynomial tail
+# dominates the Gaussian-decaying tail of every truncated state.
+_PROPOSAL_DOF = 4.0
 _ENVELOPE_MARGIN = 1.2
 _REJECTION_CHUNK = 32768
 # Values per block of rows that ``SampleBatch.to_jsonl`` turns into Python floats.
@@ -189,6 +192,11 @@ def stream_rng(seed_path: str) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
+def _hermitian(rho: np.ndarray) -> bool:
+    """Whether ``max |rho - rho^H| <= 1e-8``, an absolute tolerance."""
+    return float(np.abs(rho - rho.conj().T).max(initial=0.0)) <= 1e-8
+
+
 def _factors(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(lam, u)`` with ``rho = sum_k lam_k u_k u_k^H``, from one ``eigh``.
 
@@ -235,7 +243,7 @@ def homodyne_pdf(rho: FockMatrix, theta: float, q):
     convention above (``U_theta = exp(i theta N)`` for the rotation
     ``R_theta``) and is pinned by the shadow unbiasedness tests.
     """
-    if not np.allclose(rho.entries, rho.entries.conj().T, atol=1e-8):
+    if not _hermitian(rho.entries):
         raise ValueError("homodyne_pdf requires a Hermitian state matrix")
     scalar = np.ndim(q) == 0
     vals = _homodyne_density(rho, theta, np.atleast_1d(np.asarray(q, dtype=float)))
@@ -269,13 +277,6 @@ def fock_husimi(fock: FockMatrix, x) -> np.ndarray:
     return out if np.ndim(out) else float(out)
 
 
-def _normal_pdf(diff: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Density of ``N(0, chol chol^T)`` at the rows of ``diff``."""
-    z = np.linalg.solve(chol, diff.T)
-    norm = (2.0 * np.pi) ** (chol.shape[0] / 2.0) * np.prod(np.diag(chol))
-    return np.exp(-0.5 * np.sum(z * z, axis=0)) / norm
-
-
 def heterodyne_pdf(state, x):
     """Normalized heterodyne outcome density of ``state`` at point(s) ``x``.
 
@@ -285,8 +286,9 @@ def heterodyne_pdf(state, x):
     if isinstance(state, GaussianStateSpec):
         x = np.asarray(x, dtype=float)
         chol = np.linalg.cholesky(heterodyne_covariance(state))
-        diff = (x - state.mean).reshape(-1, chol.shape[0])
-        out = _normal_pdf(diff, chol).reshape(x.shape[:-1])
+        z = np.linalg.solve(chol, (x - state.mean).reshape(-1, chol.shape[0]).T)
+        norm = (2.0 * np.pi) ** (chol.shape[0] / 2.0) * np.prod(np.diag(chol))
+        out = (np.exp(-0.5 * np.sum(z * z, axis=0)) / norm).reshape(x.shape[:-1])
         return out if np.ndim(out) else float(out)
     if isinstance(state, CatStateSpec):
         return cat_position_pdf(state, x) / (2.0 * np.pi)
@@ -317,8 +319,9 @@ def _cat_sampling_fock(spec: CatStateSpec) -> FockMatrix:
 def _sampling_fock(state) -> FockMatrix:
     """The single-mode truncated state a non-Gaussian sampler draws from.
 
-    Raises ``ValueError`` unless it is Hermitian, positive semidefinite (to
-    -1e-10) and of positive trace: the samplers never clip a density.
+    Raises ``ValueError`` unless it is Hermitian (to an absolute 1e-8),
+    positive semidefinite (to -1e-10) and of positive trace: the samplers
+    never clip a density.
     """
     if isinstance(state, CatStateSpec):
         return _cat_sampling_fock(state)
@@ -327,7 +330,7 @@ def _sampling_fock(state) -> FockMatrix:
     if state.modes != 1:
         raise ValueError("non-Gaussian sampling is single mode")
     rho = state.entries
-    if not np.allclose(rho, rho.conj().T, atol=1e-8):
+    if not _hermitian(rho):
         raise ValueError("cannot sample a non-Hermitian state matrix")
     lowest = float(np.linalg.eigvalsh(rho).min())
     if lowest < -1e-10 or np.trace(rho).real <= 0:
@@ -384,37 +387,67 @@ def _rejection_draws(
     return out, {"acceptance": acceptance, "proposals": proposed}
 
 
+def _t_draws(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
+    """``size`` rows of the standard ``dim``-dimensional Student t.
+
+    ``nu = _PROPOSAL_DOF`` degrees of freedom: ``normal / sqrt(chisquare(nu) / nu)``,
+    one chi-square per row.
+    """
+    z = rng.standard_normal((size, dim))
+    return z / np.sqrt(rng.chisquare(_PROPOSAL_DOF, (size, 1)) / _PROPOSAL_DOF)
+
+
+def _t_density(z: np.ndarray, scale) -> np.ndarray:
+    """Density of the point ``loc + A z`` under the proposal, ``scale = |det A|``.
+
+    ``c (1 + |z|^2 / nu)^(-(nu + d) / 2) / scale`` for the rows ``z`` of
+    dimension ``d``, ``c = Gamma((nu + d) / 2) / (Gamma(nu / 2) (nu pi)^(d / 2))``.
+    """
+    nu, d = _PROPOSAL_DOF, z.shape[-1]
+    c = math.exp(math.lgamma(0.5 * (nu + d)) - math.lgamma(0.5 * nu))
+    c /= (nu * math.pi) ** (0.5 * d)
+    return c * (1.0 + np.sum(z * z, axis=-1) / nu) ** (-0.5 * (nu + d)) / scale
+
+
+def _homodyne_proposals(fock: FockMatrix):
+    """Map ``(thetas, z) -> (points, density)`` of the homodyne proposal.
+
+    ``q = mean + std z`` with the state's rotated-quadrature mean and std at
+    each angle, the variance floored at the vacuum's; ``z`` holds rows of
+    :func:`_t_draws` with ``dim = 1``.  The uniform angle density cancels.
+    """
+    t_fit, v_fit = fock_moments(fock)
+
+    def proposals(thetas, z):
+        c, s = np.cos(thetas), np.sin(thetas)
+        var = c * c * v_fit[0, 0] - 2.0 * c * s * v_fit[0, 1] + s * s * v_fit[1, 1]
+        std = np.sqrt(0.5 * np.maximum(var, 1.0))
+        mean = c * t_fit[0] - s * t_fit[1]
+        return np.stack([thetas, mean + std * z[:, 0]], axis=-1), _t_density(z, std)
+
+    return proposals
+
+
 def _rejection_homodyne_draws(
     fock: FockMatrix, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Draw (thetas, q) for n rounds on a single-mode truncated state.
 
-    Proposal: ``theta`` uniform, then ``q`` normal with the state's rotated
-    quadrature mean and variance, the variance floored at the vacuum's and
-    inflated by ``_ENVELOPE_INFLATION`` (so it dominates the ``exp(-q^2)``
-    tail of every truncated state).  The uniform angle density cancels.
+    Proposal: ``theta`` uniform, then ``q`` from :func:`_homodyne_proposals`,
+    a Student t located and scaled by the state's rotated quadrature.
     """
-    t_fit, v_fit = fock_moments(fock)
-
-    def proposals(thetas, z):
-        """Points ``(theta, mean + std z)`` and their density, one rotation each."""
-        c, s = np.cos(thetas), np.sin(thetas)
-        var = c * c * v_fit[0, 0] - 2.0 * c * s * v_fit[0, 1] + s * s * v_fit[1, 1]
-        std = np.sqrt(0.5 * _ENVELOPE_INFLATION * np.maximum(var, 1.0))
-        mean = c * t_fit[0] - s * t_fit[1]
-        density = np.exp(-0.5 * z * z) / (np.sqrt(2.0 * np.pi) * std)
-        return np.stack([thetas, mean + std * z], axis=-1), density
+    proposals = _homodyne_proposals(fock)
 
     def draw(rng, size):
         thetas = rng.uniform(-np.pi, np.pi, size)
-        return proposals(thetas, rng.standard_normal(size))
+        return proposals(thetas, _t_draws(rng, size, 1))
 
     def target(pts):
         return _homodyne_density(fock, pts[:, 0], pts[:, 1])
 
     grid_theta, grid_z = np.linspace(-np.pi, np.pi, 129), np.linspace(-6.0, 6.0, 513)
     probe, probe_density = proposals(
-        np.repeat(grid_theta, grid_z.size), np.tile(grid_z, grid_theta.size)
+        np.repeat(grid_theta, grid_z.size), np.tile(grid_z, grid_theta.size)[:, None]
     )
     pts, meta = _rejection_draws(target, draw, probe, probe_density, n, rng)
     return pts[:, :1], pts[:, 1:], meta
@@ -441,30 +474,41 @@ def sample_homodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
     return SampleBatch(HOMODYNE, qs, thetas, seed_path, meta)
 
 
+def _heterodyne_proposals(fock: FockMatrix):
+    """Map ``z -> (points, density)`` of the heterodyne proposal.
+
+    ``x = t + L z`` with ``L L^T = (V + I)/2`` from the state's moments;
+    ``z`` holds rows of :func:`_t_draws` with ``dim = 2``.
+    """
+    t_fit, v_fit = fock_moments(fock)
+    chol = np.linalg.cholesky(0.5 * (v_fit + np.eye(2)))
+    det = float(np.prod(np.diag(chol)))
+
+    def proposals(z):
+        return t_fit + z @ chol.T, _t_density(z, det)
+
+    return proposals
+
+
 def _rejection_heterodyne_draws(
     fock: FockMatrix, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, dict]:
     """Draw n heterodyne outcomes of a single-mode truncated state.
 
-    Proposal: a Gaussian with the state's heterodyne moments, its covariance
-    inflated by ``_ENVELOPE_INFLATION``.
+    Proposal: :func:`_heterodyne_proposals`, a 2-D Student t located and
+    scaled by the state's heterodyne moments.
     """
-    t_fit, v_fit = fock_moments(fock)
-    sigma = _ENVELOPE_INFLATION * 0.5 * (v_fit + np.eye(2))
-    chol = np.linalg.cholesky(sigma)
+    proposals = _heterodyne_proposals(fock)
 
     def draw(rng, size):
-        pts = _gaussian_draws(t_fit, sigma, size, rng)
-        return pts, _normal_pdf(pts - t_fit, chol)
+        return proposals(_t_draws(rng, size, 2))
 
     def target(pts):
         return fock_husimi(fock, pts)
 
-    span = 6.0 * np.sqrt(np.diag(sigma))
-    axes = [np.linspace(t_fit[i] - span[i], t_fit[i] + span[i], 201) for i in range(2)]
-    gx, gy = np.meshgrid(*axes, indexing="ij")
-    probe = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    probe_density = _normal_pdf(probe - t_fit, chol)
+    axis = np.linspace(-6.0, 6.0, 201)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    probe, probe_density = proposals(np.stack([gx.ravel(), gy.ravel()], axis=-1))
     pts, meta = _rejection_draws(target, draw, probe, probe_density, n, rng)
     return pts[:, None, :], meta
 
@@ -473,7 +517,7 @@ def sample_heterodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
     """Draw ``n`` heterodyne rounds as a deterministic batch.
 
     Gaussian states are sampled exactly from ``N(t, (V+I)/2)``; cat states
-    and truncated Fock matrices use exact rejection sampling with a Gaussian
+    and truncated Fock matrices use exact rejection sampling with a Student-t
     envelope, and ``meta`` then holds its acceptance and proposal count.
     """
     rng = stream_rng(seed_path)

@@ -429,8 +429,10 @@ def fock_matrix_of(state, truncation: int) -> FockMatrix:
 
     ``state`` is a :class:`CatStateSpec` or a single-mode
     :class:`GaussianStateSpec` (vacuum, coherent, thermal and squeezed states
-    included; isotropic zero-mean Gaussians take the exact thermal path).  The
-    truncation deficit ``1 - tr`` is recorded on the result.
+    included).  Isotropic zero-mean Gaussians take the exact thermal path and
+    isotropic unit-covariance ones the exact coherent path, both decided to
+    an absolute 1e-12.  The truncation deficit ``1 - tr`` is recorded on the
+    result.
     """
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
@@ -440,10 +442,10 @@ def fock_matrix_of(state, truncation: int) -> FockMatrix:
         if state.modes != 1:
             raise ValueError("multimode Fock matrices are out of scope")
         cov = state.cov
-        iso = np.allclose(cov, cov[0, 0] * np.eye(2), atol=1e-12)
-        if iso and np.allclose(state.mean, 0.0, atol=1e-12):
+        iso = np.abs(cov - cov[0, 0] * np.eye(2)).max() <= 1e-12
+        if iso and np.abs(state.mean).max() <= 1e-12:
             return _thermal_fock(0.5 * (cov[0, 0] - 1.0), truncation)
-        if iso and np.isclose(cov[0, 0], 1.0, atol=1e-12):
+        if iso and abs(cov[0, 0] - 1.0) <= 1e-12:
             alpha = complex(state.mean[0], state.mean[1]) / np.sqrt(2.0)
             return _pure_fock(coherent_fock_coefficients(alpha, truncation), truncation)
         return _gaussian_fock(state, truncation)

@@ -139,6 +139,20 @@ class TestHomodynePdf:
         with pytest.raises(ValueError):
             homodyne_pdf(FockMatrix(1, 2, mat), 0.0, 0.0)
 
+    def test_hermitian_check_is_absolute(self):
+        # 2e-6 off Hermitian is within a relative 1e-5 but not an absolute 1e-8
+        off = FockMatrix(1, 1, np.array([[0.6, 0.3], [0.3 + 2e-6, 0.4]]))
+        for call in (
+            lambda: homodyne_pdf(off, 0.0, 0.0),
+            lambda: sample_homodyne_batch(off, 10, "herm"),
+            lambda: sample_heterodyne_batch(off, 10, "herm"),
+        ):
+            with pytest.raises(ValueError, match="Hermitian"):
+                call()
+        near = FockMatrix(1, 1, np.array([[0.6, 0.3], [0.3 + 5e-9, 0.4]]))
+        assert homodyne_pdf(near, 0.0, 0.0) > 0
+        assert sample_homodyne_batch(near, 10, "herm").n == 10
+
     @pytest.mark.parametrize("name", sorted(factored_inputs()))
     def test_factored_matches_dense(self, name):
         # the rank-factored density against sum conj(v) (rho v), with
@@ -305,6 +319,122 @@ class TestSampleHomodyne:
         assert batch.seed_path == "one"
 
 
+SCAN_STATES = {
+    "cat-zero": CatStateSpec(1 + 1j, "zero"),
+    "cat-plus-2": CatStateSpec(2.0, "plus"),
+    "cat-minus-1.5j": CatStateSpec(1.5j, "minus"),
+    "fock1": fock_state(1, 3),
+    "fock3": fock_state(3, 5),
+    "fock8": fock_state(8, 10),
+    "thermal1-12": fock_matrix_of(GaussianStateSpec.thermal(1.0), 12),
+}
+
+
+def calibrated_probe(monkeypatch, protocol: str, state) -> dict:
+    """The target ``_rejection_draws`` gets for ``state``, and its largest
+    target / proposal ratio on the probe."""
+    import cvshadow.measurement as meas
+
+    seen: dict = {}
+    real = meas._rejection_draws
+
+    def spy(target, draw, probe, probe_density, n, rng):
+        seen.update(target=target, probe_max=float((target(probe) / probe_density).max()))
+        return real(target, draw, probe, probe_density, n, rng)
+
+    monkeypatch.setattr(meas, "_rejection_draws", spy)
+    sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+    sample(state, 10, "probe")
+    return seen
+
+
+class TestStudentTProposal:
+    """One Student-t proposal (nu = 4) for both rejection samplers."""
+
+    def test_density_matches_scipy(self):
+        from scipy.stats import multivariate_t, t
+
+        import cvshadow.measurement as meas
+
+        z = np.linspace(-40.0, 40.0, 801)
+        for loc, scale in ((0.0, 1.0), (1.3, 0.7), (-2.0, 2.9)):
+            expected = t.pdf(loc + scale * z, df=4, loc=loc, scale=scale)
+            vals = meas._t_density(z[:, None], scale)
+            assert np.abs(vals / expected - 1.0).max() <= 1e-14
+        rng = np.random.default_rng(5)
+        zs = rng.standard_normal((500, 2)) * np.array([1.0, 10.0])
+        for loc, chol in (
+            (np.zeros(2), np.eye(2)),
+            (np.array([0.4, -1.1]), np.array([[1.5, 0.0], [0.6, 0.8]])),
+        ):
+            dist = multivariate_t(loc, chol @ chol.T, df=4)
+            expected = dist.pdf(loc + zs @ chol.T)
+            vals = meas._t_density(zs, np.prod(np.diag(chol)))
+            assert np.abs(vals / expected - 1.0).max() <= 1e-14
+
+    def test_draws_follow_t(self):
+        # t(4) in 1-D; in 2-D, |z|^2 / 2 of a t with nu = 4 follows F(2, 4)
+        from scipy.stats import f
+
+        import cvshadow.measurement as meas
+
+        rng = np.random.default_rng(11)
+        assert kstest(meas._t_draws(rng, 20_000, 1)[:, 0], "t", args=(4,)).pvalue > 0.01
+        z = meas._t_draws(rng, 20_000, 2)
+        assert kstest(0.5 * np.sum(z * z, axis=1), f(2, 4).cdf).pvalue > 0.01
+
+    @pytest.mark.parametrize("name", ["cat-plus-2", "fock3", "thermal1-12"])
+    def test_proposal_density_of_its_points(self, name):
+        # the density each proposal map reports is the normalized t density of
+        # the point it returns, located and scaled by the state's moments
+        from scipy.stats import multivariate_t, t
+
+        import cvshadow.measurement as meas
+
+        fock = meas._sampling_fock(SCAN_STATES[name])
+        mean, cov = fock_moments(fock)
+        rng = np.random.default_rng(2)
+        thetas, z = rng.uniform(-np.pi, np.pi, 300), 3.0 * rng.standard_normal((300, 1))
+        pts, density = meas._homodyne_proposals(fock)(thetas, z)
+        c, s = np.cos(thetas), np.sin(thetas)
+        rows = np.stack([c, -s], axis=1)
+        std = np.sqrt(0.5 * np.maximum(np.einsum("ni,ij,nj->n", rows, cov, rows), 1.0))
+        expected = t.pdf(pts[:, 1], df=4, loc=rows @ mean, scale=std)
+        assert np.array_equal(pts[:, 0], thetas)
+        assert np.abs(density / expected - 1.0).max() <= 1e-12
+        pts, density = meas._heterodyne_proposals(fock)(3.0 * rng.standard_normal((300, 2)))
+        expected = multivariate_t(mean, 0.5 * (cov + np.eye(2)), df=4).pdf(pts)
+        assert np.abs(density / expected - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(SCAN_STATES))
+    def test_homodyne_bound_holds_far_out(self, monkeypatch, name):
+        import cvshadow.measurement as meas
+
+        seen = calibrated_probe(monkeypatch, "homodyne", SCAN_STATES[name])
+        proposals = meas._homodyne_proposals(meas._sampling_fock(SCAN_STATES[name]))
+        thetas, z = np.linspace(-np.pi, np.pi, 121), np.linspace(-40.0, 40.0, 2001)
+        pts, density = proposals(np.repeat(thetas, z.size), np.tile(z, thetas.size)[:, None])
+        scanned = float((seen["target"](pts) / density).max())
+        assert scanned <= meas._ENVELOPE_MARGIN * seen["probe_max"]
+
+    @pytest.mark.parametrize("name", sorted(SCAN_STATES))
+    def test_heterodyne_bound_holds_far_out(self, monkeypatch, name):
+        import cvshadow.measurement as meas
+
+        seen = calibrated_probe(monkeypatch, "heterodyne", SCAN_STATES[name])
+        proposals = meas._heterodyne_proposals(meas._sampling_fock(SCAN_STATES[name]))
+        axis = np.linspace(-40.0, 40.0, 601)
+        z = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        pts, density = proposals(z)
+        scanned = float((seen["target"](pts) / density).max())
+        assert scanned <= meas._ENVELOPE_MARGIN * seen["probe_max"]
+
+    def test_bench_cat_acceptance(self):
+        spec = CatStateSpec(1 + 1j, "zero")
+        assert sample_homodyne_batch(spec, 20_000, "acc").meta["acceptance"] >= 0.7
+        assert sample_heterodyne_batch(spec, 20_000, "acc").meta["acceptance"] >= 0.6
+
+
 class TestHeterodynePdf:
     def test_vacuum_closed_form(self):
         state = GaussianStateSpec.vacuum()
@@ -395,6 +525,15 @@ class TestSampleHeterodyne:
         proj = np.stack([2 * q * np.cos(theta), -2 * q * np.sin(theta)], axis=-1)
         stderr = proj.std(axis=0) / math.sqrt(len(q))
         assert np.all(np.abs(proj.mean(axis=0) - mean_expected) < 3 * stderr)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fock_outcomes_follow_gamma(self, n):
+        # heterodyne of |n>: |alpha|^2 = |x|^2 / 2 follows Gamma(n + 1) and the
+        # outcome angle is uniform
+        pts = sample_heterodyne_batch(fock_state(n, 3), 20_000, f"ks/het{n}").outcomes[:, 0]
+        assert kstest(0.5 * np.sum(pts * pts, axis=1), "gamma", args=(n + 1,)).pvalue > 0.01
+        angles = np.arctan2(pts[:, 1], pts[:, 0])
+        assert kstest(angles, "uniform", args=(-np.pi, 2 * np.pi)).pvalue > 0.01
 
     def test_envelope_violation_aborts(self, monkeypatch):
         import cvshadow.measurement as meas

@@ -318,6 +318,26 @@ class TestFockMatrices:
         fock = fock_matrix_of(GaussianStateSpec.thermal(1.0), 2)
         assert np.allclose(fock.entries, np.diag([0.5, 0.25, 0.125]))
 
+    def test_exact_paths_need_absolute_isotropy(self):
+        # 5e-6 is within a relative 1e-5 of isotropic (or of the vacuum's
+        # covariance) but not within an absolute 1e-12: the general path
+        from cvshadow.states import _gaussian_fock
+
+        for spec in (
+            GaussianStateSpec(np.zeros(2), np.diag([1.0, 1.0 + 5e-6])),
+            GaussianStateSpec(np.array([0.8, -0.4]), (1.0 + 5e-6) * np.eye(2)),
+        ):
+            expected = _gaussian_fock(spec, 6).entries
+            assert np.array_equal(fock_matrix_of(spec, 6).entries, expected)
+        # within the tolerance the exact paths stay, and agree with the general one
+        for spec in (
+            GaussianStateSpec(np.zeros(2), np.diag([1.0, 1.0 + 5e-13])),
+            GaussianStateSpec(np.array([0.8, -0.4]), (1.0 + 5e-13) * np.eye(2)),
+        ):
+            fock, general = fock_matrix_of(spec, 6).entries, _gaussian_fock(spec, 6).entries
+            assert not np.array_equal(fock, general)
+            assert np.abs(fock - general).max() <= 1e-11
+
     def test_coherent_series(self):
         alpha = 0.6 - 0.3j
         fock = fock_matrix_of(GaussianStateSpec.coherent(alpha), 20)
