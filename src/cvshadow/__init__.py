@@ -8,7 +8,6 @@ from .phase_space import (
     char_fock_dyad,
     char_gaussian_raw,
     displacement_oracle,
-    hermite_wavefunction,
     laguerre,
     omega_apply,
     omega_matrix,
@@ -26,7 +25,6 @@ from .states import (
 )
 from .measurement import (
     SampleBatch,
-    heterodyne_pdf,
     homodyne_pdf,
     sample_heterodyne_batch,
     sample_homodyne_batch,
@@ -52,7 +50,6 @@ from .bounds import (
     required_samples_homodyne,
     sigma_heterodyne,
     sigma_homodyne,
-    sobolev_norm,
     truncation_error_bound,
 )
 from .entropy import (

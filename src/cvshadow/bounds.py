@@ -17,7 +17,7 @@ import numpy as np
 
 from .phase_space import dyad_poly, fock_dyad_radial, laguerre
 from .shadows import WindowSpec
-from .states import FockMatrix, multi_indices
+from .states import multi_indices
 
 
 @dataclass(frozen=True)
@@ -62,19 +62,6 @@ class BoundReport:
             "log10_N": self.log10_n_required,
             "inputs": self.inputs,
         }
-
-
-def sobolev_norm(mat: FockMatrix, alpha: float) -> float:
-    """Weighted trace norm ``|| H^(a/2) X H^(a/2) ||_1``.
-
-    Weights ``(1 + |n|)^(alpha/2)`` act on each side; the norm is the sum of
-    singular values of the weighted matrix.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be non-negative")
-    weights = (1.0 + mat.photon_totals()) ** (alpha / 2.0)
-    weighted = weights[:, None] * mat.entries * weights[None, :]
-    return float(np.linalg.svd(weighted, compute_uv=False).sum())
 
 
 def _log_tail_sum(eta: float, truncation: int) -> float:

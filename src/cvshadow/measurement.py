@@ -32,7 +32,6 @@ from .states import (
     CatStateSpec,
     FockMatrix,
     GaussianStateSpec,
-    cat_position_pdf,
     fock_matrix_of,
     fock_moments,
 )
@@ -277,26 +276,6 @@ def fock_husimi(fock: FockMatrix, x) -> np.ndarray:
     return out if np.ndim(out) else float(out)
 
 
-def heterodyne_pdf(state, x):
-    """Normalized heterodyne outcome density of ``state`` at point(s) ``x``.
-
-    Gaussian states use the closed form ``N(t, (V+I)/2)``; cat states use the
-    coherent-overlap density; truncated Fock matrices use the Husimi form.
-    """
-    if isinstance(state, GaussianStateSpec):
-        x = np.asarray(x, dtype=float)
-        chol = np.linalg.cholesky(heterodyne_covariance(state))
-        z = np.linalg.solve(chol, (x - state.mean).reshape(-1, chol.shape[0]).T)
-        norm = (2.0 * np.pi) ** (chol.shape[0] / 2.0) * np.prod(np.diag(chol))
-        out = (np.exp(-0.5 * np.sum(z * z, axis=0)) / norm).reshape(x.shape[:-1])
-        return out if np.ndim(out) else float(out)
-    if isinstance(state, CatStateSpec):
-        return cat_position_pdf(state, x) / (2.0 * np.pi)
-    if isinstance(state, FockMatrix):
-        return fock_husimi(state, x)
-    raise ValueError(f"unsupported state kind: {type(state).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -356,18 +335,26 @@ def _rejection_draws(
     ``probe`` points.  The dominating constant is ``_ENVELOPE_MARGIN`` times
     the largest ratio ``target / proposal`` on the probe, re-checked at every
     proposal: a proposal above the bound aborts, since clipping would
-    silently bias the sampler.  Proposals come in chunks of
-    ``_REJECTION_CHUNK``, so memory does not grow with ``n``.  Returns the
-    points and ``{"acceptance", "proposals"}``, the acceptance being
-    accepted / proposed over every chunk drawn.
+    silently bias the sampler.  The first chunk holds ``_REJECTION_CHUNK``
+    proposals; each later one is sized for the points still missing at the
+    acceptance so far, ``ceil(1.1 remaining / acceptance)``, clamped to
+    ``[1024, _REJECTION_CHUNK]``.  Memory does not grow with ``n``, and the
+    samples stay exact: a chunk's size depends only on the counts of earlier
+    chunks, never on their points.  Returns the points and
+    ``{"acceptance", "proposals"}``, the acceptance being accepted /
+    proposed over every chunk drawn.
     """
     ratio = target(probe) / np.maximum(probe_density, 1e-300)
     bound = _ENVELOPE_MARGIN * float(ratio.max())
     out = np.empty((n, probe.shape[1]))
     filled = accepted = proposed = 0
+    size = _REJECTION_CHUNK
     while filled < n:
-        pts, proposal = draw(rng, _REJECTION_CHUNK)
-        u = rng.random(_REJECTION_CHUNK)
+        if accepted:
+            wanted = math.ceil(1.1 * (n - filled) * proposed / accepted)
+            size = min(_REJECTION_CHUNK, max(1024, wanted))
+        pts, proposal = draw(rng, size)
+        u = rng.random(size)
         density = target(pts)
         ceiling = bound * proposal
         if np.any(density > ceiling * (1.0 + 1e-9)):
@@ -377,7 +364,7 @@ def _rejection_draws(
                 f"{density[worst]:.3e} > envelope {ceiling[worst]:.3e}"
             )
         keep = pts[u * ceiling < density]
-        proposed += _REJECTION_CHUNK
+        proposed += size
         accepted += keep.shape[0]
         take = keep[: n - filled]
         out[filled : filled + take.shape[0]] = take

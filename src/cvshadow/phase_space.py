@@ -104,9 +104,6 @@ def laguerre(k: int, j: int, x):
     return cur
 
 
-_HERMITE_MAX_N = 200
-
-
 def hermite_stack(n_max: int, q) -> np.ndarray:
     """``psi_n(q)`` for all ``n <= n_max``, shape ``(n_max + 1,) + q.shape``.
 
@@ -123,21 +120,6 @@ def hermite_stack(n_max: int, q) -> np.ndarray:
         ) * psi_prev
         out[n + 1] = psi
     return out
-
-
-def hermite_wavefunction(n: int, q):
-    """L2-normalized harmonic-oscillator eigenfunction ``psi_n(q)``.
-
-    Convention ``X = (a + a^dag)/sqrt(2)``, i.e. ``psi_0(q) =
-    pi^(-1/4) exp(-q^2/2)`` and ``int psi_n^2 dq = 1``.  Row ``n`` of
-    :func:`hermite_stack`.  Vectorized in ``q``.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > _HERMITE_MAX_N:
-        raise ValueError(f"n={n} out of range (supported up to {_HERMITE_MAX_N})")
-    psi = hermite_stack(n, q)[n]
-    return psi if psi.ndim else float(psi)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +146,7 @@ def char_coherent_dyad(x, y, u):
 
 def _log_fact_ratio_sqrt(lo: int, hi: int) -> float:
     """log sqrt(lo!/hi!) for hi >= lo, in the log domain."""
-    from scipy.special import gammaln
-
-    return 0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
+    return 0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1))
 
 
 def dyad_poly(lo: int, d: int, rho):

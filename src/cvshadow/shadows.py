@@ -22,12 +22,15 @@ per-entry operations use adaptive quadrature and serve as the reference path.
 
 The batch path reads profiles from one table per (protocol, M, window): value
 and r-derivative at nodes ``j * step`` (``PROFILE_STEPS``), computed in blocks
-of 512 nodes with fixed array shapes, and cubic Hermite interpolation between
-the two nodes that bracket r.  Homodyne nodes come from a fixed 600-node
-Gauss-Legendre cosine/sine transform; heterodyne nodes from Gauss-Legendre
-rules split at the window's inner radius eta, with Bessel orders above 1 by
-the forward recurrence.  The table grows by whole blocks up to
-``PROFILE_MAX_RADIUS``, and a round's entries depend on that round alone.
+of 512 nodes with fixed array shapes and stored node-major, and cubic Hermite
+interpolation between the two nodes that bracket r.  Homodyne nodes come from
+a fixed 600-node Gauss-Legendre cosine/sine transform, each block one matrix
+product by angle addition against the in-block offsets; heterodyne nodes from
+Gauss-Legendre rules split at the window's inner radius eta, with Bessel
+orders above 1 by the forward recurrence.  The table grows by whole blocks up
+to ``PROFILE_MAX_RADIUS``, and a round's entries depend on that round alone.
+The phases ``c_d z^d`` of a round come from one complex ``z`` by repeated
+multiplication.
 """
 
 from __future__ import annotations
@@ -273,11 +276,18 @@ def _dyads(truncation: int) -> list[tuple[int, int]]:
     return [(d, k) for d in range(truncation + 1) for k in range(truncation + 1 - d)]
 
 
-def _homodyne_block(truncation: int):
-    """Homodyne pattern functions on one block of r, from a fixed 600-node rule.
+def _homodyne_block(truncation: int, step: float):
+    """Homodyne pattern functions on whole blocks of nodes, from a fixed 600-node rule.
 
     ``profile_{d,k}(r) = coeff int t radial(t) osc_d(t r) dt`` with cos for even
     and sin for odd d; the r-derivative is the same sum with one more factor t.
+    Returns ``blocks(starts)``, which yields the node-major values and slopes
+    of the ``_BLOCK_NODES`` nodes ``b + j * step`` of each block start ``b``.
+    By angle addition, ``exp(i t (b + j step)) = exp(i t b) exp(i t j step)``:
+    the second factor, a 600 x ``_BLOCK_NODES`` matrix, is evaluated once per
+    ``blocks`` call (one table growth) and dropped afterwards, and each block
+    is one matrix product.  The offsets ``j * step`` and radii ``b + j * step``
+    are exact, since ``step`` is a power of two.
     """
     upper = 16.0 + 2.0 * np.sqrt(truncation + 1.0)
     x, wts = np.polynomial.legendre.leggauss(600)
@@ -289,16 +299,24 @@ def _homodyne_block(truncation: int):
         coeff, _, radial = fock_dyad_radial(k, k + d)
         rows.append(coeff * wt * t * radial(t))
     rows = np.array(rows)
-    odd = np.array([d % 2 == 1 for d, _ in dyads])[:, None]
+    weights = np.concatenate([rows, rows * t])
+    odd = np.array([d % 2 == 1 for d, _ in dyads])
 
-    def block(r):
-        tr = np.outer(t, r)
-        cos_t, sin_t = np.cos(tr), np.sin(tr)
-        vals = np.where(odd, rows @ sin_t, rows @ cos_t)
-        slopes = np.where(odd, (rows * t) @ cos_t, -((rows * t) @ sin_t))
-        return vals, slopes
+    def blocks(starts):
+        offsets = np.outer(step * np.arange(_BLOCK_NODES), t)
+        turns = np.empty(offsets.shape, dtype=complex)
+        np.cos(offsets, out=turns.real)
+        np.sin(offsets, out=turns.imag)
+        del offsets
+        for b in starts:
+            # sums over t of w exp(i t r) and w t exp(i t r) at every node r
+            vals, slopes = np.split(turns @ (weights * np.exp(1j * b * t)).T, 2, axis=1)
+            yield (
+                np.where(odd, vals.imag, vals.real),
+                np.where(odd, slopes.real, -slopes.imag),
+            )
 
-    return block
+    return blocks
 
 
 # Gauss-Legendre nodes per unit of rho in the heterodyne rule, and the fewest
@@ -371,13 +389,33 @@ def _heterodyne_block(truncation: int, w: WindowSpec):
     return block
 
 
-class _ProfileTable:
-    """Values and r-derivatives of every profile_{d,k} at r_j = j * step."""
+def _node_blocks(transform, step: float):
+    """``blocks(starts)`` from ``transform(r)`` of any radii, (rows, len(r)).
 
-    def __init__(self, block, rows: int, step: float):
-        self._block = block
+    Yields the node-major values and slopes at the nodes ``b + j * step`` of
+    each block start ``b``, one transform call per block.
+    """
+    offsets = step * np.arange(_BLOCK_NODES)
+
+    def blocks(starts):
+        for b in starts:
+            vals, slopes = transform(b + offsets)
+            yield vals.T, slopes.T
+
+    return blocks
+
+
+class _ProfileTable:
+    """Values and r-derivatives of every profile_{d,k} at r_j = j * step.
+
+    Stored node-major, shape (nodes, rows), so that interpolating at one
+    radius reads whole rows.
+    """
+
+    def __init__(self, blocks, rows: int, step: float):
+        self._blocks = blocks
         self.step = step
-        self.values = self.slopes = np.empty((rows, 0))
+        self.values = self.slopes = np.empty((0, rows))
 
     def cover(self, r_max: float) -> None:
         """Grow by whole blocks until nodes bracket ``r_max``.
@@ -390,40 +428,41 @@ class _ProfileTable:
                 f"outcome radius {r_max:.6g} exceeds the profile-table limit "
                 f"{PROFILE_MAX_RADIUS}"
             )
-        have = self.values.shape[1]
-        blocks = [
-            self._block((start + np.arange(_BLOCK_NODES)) * self.step)
-            for start in range(have, int(r_max / self.step) + 2, _BLOCK_NODES)
-        ]
-        if blocks:
-            self.values = np.concatenate([self.values] + [b[0] for b in blocks], axis=1)
-            self.slopes = np.concatenate([self.slopes] + [b[1] for b in blocks], axis=1)
+        have = self.values.shape[0]
+        starts = self.step * np.arange(have, int(r_max / self.step) + 2, _BLOCK_NODES)
+        if starts.size:
+            blocks = list(self._blocks(starts))
+            self.values = np.concatenate([self.values] + [b[0] for b in blocks])
+            self.slopes = np.concatenate([self.slopes] + [b[1] for b in blocks])
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
-        """Cubic Hermite interpolation of every profile at radii ``r``: (rows, N)."""
+        """Cubic Hermite interpolation of every profile at radii ``r``: (rows, N).
+
+        The result is the transpose of an (N, rows) array.
+        """
         self.cover(r.max(initial=0.0))
         pos = r / self.step
         i = pos.astype(np.int64)
-        u = pos - i
+        u = (pos - i)[:, None]
         one_u = 1.0 - u
         v, s = self.values, self.slopes
-        return (
-            (1.0 + 2.0 * u) * one_u * one_u * v[:, i]
-            + u * u * (3.0 - 2.0 * u) * v[:, i + 1]
-            + self.step * u * one_u * (one_u * s[:, i] - u * s[:, i + 1])
+        out = v.take(i, axis=0) * ((1.0 + 2.0 * u) * one_u * one_u)
+        out += v.take(i + 1, axis=0) * (u * u * (3.0 - 2.0 * u))
+        out += (one_u * s.take(i, axis=0) - u * s.take(i + 1, axis=0)) * (
+            self.step * u * one_u
         )
+        return out.T
 
 
 def _profile_table(protocol: str, truncation: int, w: WindowSpec | None):
     key = (protocol, truncation, w)
     if key not in _PROFILE_TABLES:
+        step = PROFILE_STEPS[protocol]
         if protocol == HOMODYNE:
-            block = _homodyne_block(truncation)
+            blocks = _homodyne_block(truncation, step)
         else:
-            block = _heterodyne_block(truncation, w)
-        _PROFILE_TABLES[key] = _ProfileTable(
-            block, len(_dyads(truncation)), PROFILE_STEPS[protocol]
-        )
+            blocks = _node_blocks(_heterodyne_block(truncation, w), step)
+        _PROFILE_TABLES[key] = _ProfileTable(blocks, len(_dyads(truncation)), step)
     return _PROFILE_TABLES[key]
 
 
@@ -435,30 +474,41 @@ def _radii(batch: SampleBatch, j: int) -> np.ndarray:
 
 
 def _mode_entries(
-    batch: SampleBatch, j: int, truncation: int, table: _ProfileTable
+    batch: SampleBatch,
+    j: int,
+    truncation: int,
+    table: _ProfileTable,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Shadow matrices of mode ``j`` for every round, shape (N, M+1, M+1)."""
+    """Shadow matrices of mode ``j`` for every round, shape (N, M+1, M+1).
+
+    Entry ``(k + d, k)`` is ``c_d z^d profile_{d,k}(r)`` and entry
+    ``(k, k + d)`` its conjugate, with one complex ``z`` per round: homodyne
+    ``z = sign(q) exp(i beta)``, ``beta = pi/2 - theta`` and ``c_d = 2 norm
+    (-i)^(d mod 2)``; heterodyne ``z = exp(-i psi)``, ``psi = atan2(x, p)``
+    and ``c_d = i^d``.  Written into ``out`` when given.
+    """
     dim = truncation + 1
     if batch.protocol == HOMODYNE:
         sign = np.where(batch.outcomes[:, j] < 0, -1.0, 1.0)
-        beta = 0.5 * np.pi - batch.thetas[:, j]
-        # entry (k, k + d) is 2 norm i^(d mod 2) e^{-i d beta} sign^d profile,
-        # so entry (k + d, k) carries the conjugate phase
-        phases = [
-            2.0 * HOMODYNE_SHADOW_NORMALIZATION * (-1j if d % 2 else 1.0)
-            * np.exp(1j * d * beta) * sign**d
-            for d in range(dim)
-        ]
+        z = sign * np.exp(1j * (0.5 * np.pi - batch.thetas[:, j]))
+        scale = 2.0 * HOMODYNE_SHADOW_NORMALIZATION
+        coeffs = [scale * (-1j if d % 2 else 1.0) for d in range(dim)]
     else:
         x = batch.outcomes[:, j, :]
-        psi = np.arctan2(x[:, 0], x[:, 1])
-        phases = [(1j**d) * np.exp(-1j * d * psi) for d in range(dim)]
+        z = np.exp(-1j * np.arctan2(x[:, 0], x[:, 1]))
+        coeffs = [1j**d for d in range(dim)]
+    phases, power = [], np.ones_like(z)
+    for d in range(dim):
+        phases.append(coeffs[d] * power)
+        power = power * z
     profiles = table(_radii(batch, j))
-    out = np.empty((batch.n, dim, dim), dtype=complex)
+    if out is None:
+        out = np.empty((batch.n, dim, dim), dtype=complex)
     for row, (d, k) in enumerate(_dyads(truncation)):
-        vals = phases[d] * profiles[row]
-        out[:, k, k + d] = np.conj(vals)
-        out[:, k + d, k] = vals
+        np.multiply(phases[d], profiles[row], out=out[:, k + d, k])
+        if d:
+            np.conjugate(out[:, k + d, k], out=out[:, k, k + d])
     return out
 
 
@@ -496,6 +546,9 @@ def shadow_batch_entries(
     out = np.empty((batch.n, dim, dim), dtype=complex)
     for a in range(0, batch.n, _CHUNK_ROUNDS):
         part = batch[a : a + _CHUNK_ROUNDS]
+        if len(subset) == 1:
+            _mode_entries(part, subset[0], truncation, table, out[a : a + part.n])
+            continue
         mats = _mode_entries(part, subset[0], truncation, table)
         for j in subset[1:]:
             other = _mode_entries(part, j, truncation, table)

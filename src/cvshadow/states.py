@@ -62,10 +62,6 @@ class FockMatrix:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def photon_totals(self) -> np.ndarray:
-        """Total photon number |n| for each raveled basis index."""
-        return multi_indices(self.truncation, self.modes).sum(axis=1)
-
     def char(self, u):
         """Characteristic function Tr[T D(u)] of a single-mode matrix."""
         if self.modes != 1:

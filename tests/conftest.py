@@ -12,8 +12,16 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from cvshadow.phase_space import char_fock_dyad
+from cvshadow.measurement import fock_husimi, heterodyne_covariance
+from cvshadow.phase_space import char_fock_dyad, fock_dyad_radial, hermite_stack
 from cvshadow.qmc import BoxDomain, qmc_integrate
+from cvshadow.states import (
+    CatStateSpec,
+    FockMatrix,
+    GaussianStateSpec,
+    cat_position_pdf,
+    multi_indices,
+)
 
 
 def gauss_legendre_grid_2d(half_width: float, nodes: int):
@@ -80,3 +88,78 @@ def reference_jsonl(batch) -> bytes:
         }
         lines.append(json.dumps(payload, separators=(",", ":")) + "\n")
     return "".join(lines).encode()
+
+
+def hermite_wavefunction(n: int, q):
+    """L2-normalized harmonic-oscillator eigenfunction ``psi_n(q)``, n <= 200.
+
+    Convention ``X = (a + a^dag)/sqrt(2)``, i.e. ``psi_0(q) = pi^(-1/4)
+    exp(-q^2/2)``; row ``n`` of ``hermite_stack``.  Vectorized in ``q``.
+    """
+    if not 0 <= n <= 200:
+        raise ValueError(f"n={n} out of range 0..200")
+    psi = hermite_stack(n, q)[n]
+    return psi if psi.ndim else float(psi)
+
+
+def heterodyne_pdf(state, x):
+    """Normalized heterodyne outcome density of ``state`` at point(s) ``x``.
+
+    Gaussian states use the closed form ``N(t, (V+I)/2)``; cat states the
+    coherent-overlap density; truncated Fock matrices the Husimi form.
+    """
+    if isinstance(state, GaussianStateSpec):
+        x = np.asarray(x, dtype=float)
+        chol = np.linalg.cholesky(heterodyne_covariance(state))
+        z = np.linalg.solve(chol, (x - state.mean).reshape(-1, chol.shape[0]).T)
+        norm = (2.0 * np.pi) ** (chol.shape[0] / 2.0) * np.prod(np.diag(chol))
+        out = (np.exp(-0.5 * np.sum(z * z, axis=0)) / norm).reshape(x.shape[:-1])
+        return out if np.ndim(out) else float(out)
+    if isinstance(state, CatStateSpec):
+        return cat_position_pdf(state, x) / (2.0 * np.pi)
+    if isinstance(state, FockMatrix):
+        return fock_husimi(state, x)
+    raise ValueError(f"unsupported state kind: {type(state).__name__}")
+
+
+def sobolev_norm(mat: FockMatrix, alpha: float) -> float:
+    """Weighted trace norm ``|| H^(a/2) X H^(a/2) ||_1``.
+
+    Weights ``(1 + |n|)^(alpha/2)`` with the total photon number ``|n|`` act
+    on each side; the norm is the sum of singular values.
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    weights = (1.0 + multi_indices(mat.truncation, mat.modes).sum(axis=1)) ** (alpha / 2.0)
+    weighted = weights[:, None] * mat.entries * weights[None, :]
+    return float(np.linalg.svd(weighted, compute_uv=False).sum())
+
+
+def homodyne_transform(truncation: int):
+    """Homodyne pattern functions at any radii, straight from the 600-node rule.
+
+    ``profile_{d,k}(r) = coeff int t radial(t) osc_d(t r) dt`` (cos for even,
+    sin for odd d) and its r-derivative, with ``cos(t r)`` and ``sin(t r)``
+    evaluated at every node and radius: ``transform(r)`` returns (values,
+    slopes), each of shape (rows, len(r)), rows the entries (k + d, k), d-major.
+    """
+    upper = 16.0 + 2.0 * np.sqrt(truncation + 1.0)
+    x, wts = np.polynomial.legendre.leggauss(600)
+    t = 0.5 * upper * (x + 1.0)
+    wt = 0.5 * upper * wts
+    dyads = [(d, k) for d in range(truncation + 1) for k in range(truncation + 1 - d)]
+    rows = []
+    for d, k in dyads:
+        coeff, _, radial = fock_dyad_radial(k, k + d)
+        rows.append(coeff * wt * t * radial(t))
+    rows = np.array(rows)
+    odd = np.array([d % 2 == 1 for d, _ in dyads])[:, None]
+
+    def transform(r):
+        tr = np.outer(t, r)
+        cos_t, sin_t = np.cos(tr), np.sin(tr)
+        vals = np.where(odd, rows @ sin_t, rows @ cos_t)
+        slopes = np.where(odd, (rows * t) @ cos_t, -((rows * t) @ sin_t))
+        return vals, slopes
+
+    return transform

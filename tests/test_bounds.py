@@ -17,7 +17,6 @@ from cvshadow.bounds import (
     required_samples_homodyne,
     sigma_heterodyne,
     sigma_homodyne,
-    sobolev_norm,
     truncation_error_bound,
 )
 from cvshadow.measurement import sample_homodyne_batch
@@ -28,6 +27,7 @@ from cvshadow.shadows import (
     shadow_batch_entries,
 )
 from cvshadow.states import FockMatrix, GaussianStateSpec, fock_matrix_of
+from conftest import sobolev_norm
 
 
 class TestSobolevNorm:

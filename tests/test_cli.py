@@ -396,8 +396,8 @@ class TestMainEntrypoint:
 
     def test_import_leaves_quadrature_unloaded(self):
         # only the adaptive reference entries and the Sigma norms call quad,
-        # and only the commands that evaluate shadows, bounds or the entropy
-        # need scipy.special, so importing the package or the CLI loads neither
+        # and only the commands that evaluate heterodyne shadows, bounds or the
+        # entropy need scipy.special, so importing the package or the CLI loads neither
         code = (
             "import sys\n"
             "for module in ('cvshadow', 'cvshadow.cli'):\n"
@@ -407,6 +407,8 @@ class TestMainEntrypoint:
         assert _run_python(code).stdout.splitlines() == ["cvshadow []", "cvshadow.cli []"]
 
     def test_chain_and_vacuum_sampling_leave_scipy_special_unloaded(self, tmp_path):
+        # the homodyne vacuum pair builds shadows from the homodyne table, whose
+        # Fock-dyad coefficients come from math.lgamma
         chain = base_config(
             state={"kind": "chain", "m": 6, "kappa": 0.5},
             samples=200,
@@ -414,13 +416,17 @@ class TestMainEntrypoint:
         )
         chain_cfg = str(write_config(tmp_path, chain, "chain.json"))
         vacuum_cfg = str(write_config(tmp_path, base_config(), "vacuum.json"))
+        homodyne_cfg = str(write_config(tmp_path, base_config(protocol="homodyne"), "hom.json"))
         records = str(tmp_path / "cs" / "records.jsonl")
+        hom_records = str(tmp_path / "hs" / "records.jsonl")
         commands = [
             ["sample", "--config", chain_cfg, "--out", str(tmp_path / "cs")],
             ["reconstruct", "--config", chain_cfg, "--batch", records, "--out", str(tmp_path / "cr")],
             ["sample", "--config", vacuum_cfg, "--out", str(tmp_path / "vs")],
+            ["sample", "--config", homodyne_cfg, "--out", str(tmp_path / "hs")],
+            ["reconstruct", "--config", homodyne_cfg, "--batch", hom_records, "--out", str(tmp_path / "hr")],
         ]
-        # one process runs all three commands; a module, once loaded, stays in sys.modules
+        # one process runs every command; a module, once loaded, stays in sys.modules
         code = (
             "import json, sys, cvshadow.cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
@@ -430,6 +436,7 @@ class TestMainEntrypoint:
         assert _run_python(code, json.dumps(commands)).stdout.strip() == "False"
         assert (tmp_path / "cr" / "pair_grid.csv").exists()
         assert not (tmp_path / "cr" / "shadow_average.json").exists()
+        assert (tmp_path / "hr" / "shadow_average.json").exists()
 
 
 def _run_python(code: str, *argv: str) -> subprocess.CompletedProcess:

@@ -13,7 +13,6 @@ from cvshadow.measurement import (
     SampleBatch,
     fock_husimi,
     heterodyne_covariance,
-    heterodyne_pdf,
     homodyne_pdf,
     sample_heterodyne_batch,
     sample_homodyne_batch,
@@ -31,7 +30,7 @@ from cvshadow.states import (
 )
 from cvshadow.phase_space import hermite_stack
 from cvshadow.qmc import BoxDomain, qmc_integrate
-from conftest import reference_jsonl
+from conftest import hermite_wavefunction, heterodyne_pdf, reference_jsonl
 
 
 def fock_state(n: int, truncation: int) -> FockMatrix:
@@ -98,7 +97,6 @@ class TestHomodynePdf:
         rho = fock_matrix_of(spec, 40)
         coeffs = cat_fock_coefficients(spec, 40)
         theta = 0.0
-        from cvshadow.phase_space import hermite_wavefunction
 
         for q in (-2.0, -0.5, 0.0, 0.8, 2.3):
             amp = sum(
@@ -282,6 +280,27 @@ class TestSampleHomodyne:
         with pytest.raises(RuntimeError, match="envelope"):
             meas.sample_homodyne_batch(spec, 100, "abort-one")
         assert calls == [129 * 513, meas._REJECTION_CHUNK]
+
+    def test_later_chunks_sized_for_the_remainder(self, monkeypatch):
+        # the first chunk is full; later ones ask for 1.1 x the missing points
+        # at the acceptance so far, so the bench cat at N = 1e5 stops near
+        # 138k proposals instead of five full chunks (163840)
+        import cvshadow.measurement as meas
+
+        sizes: list = []
+        real = meas._t_draws
+
+        def spy(rng, size, dim):
+            sizes.append(size)
+            return real(rng, size, dim)
+
+        monkeypatch.setattr(meas, "_t_draws", spy)
+        batch = sample_homodyne_batch(CatStateSpec(1 + 1j, "zero"), 100_000, "chunks")
+        assert batch.n == 100_000
+        assert batch.meta["proposals"] == sum(sizes) <= 150_000
+        assert sizes[0] == meas._REJECTION_CHUNK
+        assert all(1024 <= size <= meas._REJECTION_CHUNK for size in sizes)
+        assert sizes[-1] < meas._REJECTION_CHUNK
 
     def test_cat_batch_memory_bounded(self):
         # proposals come in fixed chunks: no intermediate grows with N

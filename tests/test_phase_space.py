@@ -15,13 +15,12 @@ from cvshadow.phase_space import (
     char_fock_dyad,
     char_gaussian_raw,
     displacement_oracle,
-    hermite_wavefunction,
     laguerre,
     omega_apply,
     omega_matrix,
     symplectic_product,
 )
-from conftest import plancherel_pairing
+from conftest import hermite_wavefunction, plancherel_pairing
 
 
 def laguerre_exact(k, j, x):

@@ -32,6 +32,7 @@ from cvshadow.states import (
     GaussianStateSpec,
     fock_matrix_of,
 )
+from conftest import homodyne_transform
 
 
 def fock_state(n: int, truncation: int) -> FockMatrix:
@@ -291,13 +292,32 @@ class TestProfileTable:
         truncation = 2
         w = default_window(truncation) if protocol == "heterodyne" else None
         if protocol == "homodyne":
-            block = shadows._homodyne_block(truncation)
+            block = homodyne_transform(truncation)
         else:
             block = shadows._heterodyne_block(truncation, w)
         r = np.random.default_rng(5).uniform(0.0, 4.0, 64)
         table = shadows._profile_table(protocol, truncation, w)
         exact = block(r)[0]
         assert np.abs(table(r) - exact).max() <= 1e-10 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("truncation", range(7))
+    def test_homodyne_nodes_match_direct_transform(self, truncation, monkeypatch):
+        # every node out to the radius limit, values and slopes: the blocks
+        # built by angle addition against cos(t r) and sin(t r) at each node
+        monkeypatch.setattr(shadows, "_PROFILE_TABLES", {})
+        table = shadows._profile_table("homodyne", truncation, None)
+        table.cover(shadows.PROFILE_MAX_RADIUS)
+        r = table.step * np.arange(table.values.shape[0])
+        assert r[-1] >= shadows.PROFILE_MAX_RADIUS
+        transform = homodyne_transform(truncation)
+        errors, scales = np.zeros(2), np.zeros(2)
+        for a in range(0, r.size, 4096):
+            ref = transform(r[a : a + 4096])
+            got = (table.values[a : a + 4096].T, table.slopes[a : a + 4096].T)
+            for q in range(2):
+                errors[q] = max(errors[q], np.abs(got[q] - ref[q]).max())
+                scales[q] = max(scales[q], np.abs(ref[q]).max())
+        assert np.all(errors <= 1e-13 * scales)
 
     @pytest.mark.parametrize("truncation", range(7))
     def test_heterodyne_recurrence_matches_jv(self, truncation, monkeypatch):
@@ -355,7 +375,7 @@ class TestProfileTable:
         with pytest.raises(ValueError, match="exceeds the profile-table limit"):
             shadow_batch_entries(batch, [0], 1)
         (table,) = shadows._PROFILE_TABLES.values()
-        assert table.values.shape[1] == 0
+        assert table.values.shape[0] == 0
 
 
 class TestAveraging:
