@@ -272,6 +272,26 @@ class TestBuilders:
         assert np.array_equal(whole, np.concatenate(parts))
 
 
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [2, 4, 10, 60, 160, 600])
+    def test_nodes_match_numpy(self, n):
+        x, w = shadows._gauss_legendre(n)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+        assert np.abs(x - ref_x).max() <= 1e-15
+        assert np.all(np.diff(x) > 0)
+        # numpy's weights drift with n (2e-10 relative at n = 600), so compare
+        # them where they are accurate; the moments below check every n
+        if n <= 10:
+            assert np.abs(w / ref_w - 1.0).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 10, 160, 600])
+    def test_integrates_every_degree_below_2n(self, n):
+        x, w = shadows._gauss_legendre(n)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        for k in range(0, 2 * n, 2):
+            assert np.dot(w, x**k) == pytest.approx(2.0 / (k + 1), rel=1e-12)
+
+
 class TestProfileTable:
     def test_homodyne_table_matches_adaptive(self):
         # rounds with |q| in each of the blocks [0, 1), ..., [3, 4)
