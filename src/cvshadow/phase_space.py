@@ -201,23 +201,22 @@ def char_fock_dyad(n1: int, n2: int, u):
     return out if np.ndim(out) else complex(out)
 
 
-def fock_pairing_matrix(char, truncation: int, half: float, nodes: int, window=None):
+def fock_pairing_matrix(char, truncation: int, half: float, nodes: int, window):
     """Fock-basis matrix of an operator from its characteristic function.
 
     Entry ``(n1, n2)`` is the Plancherel pairing ``int conj(chi_{|n1><n2|}(u))
     window(u) char(u) d^2u / (2 pi)``, i.e. ``<n1| T |n2>`` for the operator
     ``T`` with characteristic function ``window * char``.  The integral runs
     over a Gauss-Legendre tensor grid with ``nodes`` points per axis on
-    ``[-half, half]^2``; ``window`` (default 1) maps points ``(..., 2)`` to
-    real weights.  Returns the Hermitian ``(M+1, M+1)`` complex array.
+    ``[-half, half]^2``; ``window`` maps points ``(..., 2)`` to real
+    weights.  Returns the Hermitian ``(M+1, M+1)`` complex array.
     """
     x, wts = np.polynomial.legendre.leggauss(nodes)
     pts = half * x
     ux, up = np.meshgrid(pts, pts, indexing="ij")
     grid = np.stack([ux, up], axis=-1)
     weighted = np.outer(wts, wts) * (half * half) * char(grid) / (2.0 * np.pi)
-    if window is not None:
-        weighted = weighted * window(grid)
+    weighted = weighted * window(grid)
     rho = np.sqrt(ux * ux + up * up)
     phi = np.arctan2(up, ux)
     dim = truncation + 1

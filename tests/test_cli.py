@@ -407,8 +407,9 @@ class TestMainEntrypoint:
         assert _run_python(code).stdout.splitlines() == ["cvshadow []", "cvshadow.cli []"]
 
     def test_chain_and_vacuum_sampling_leave_scipy_special_unloaded(self, tmp_path):
-        # the homodyne vacuum pair builds shadows from the homodyne table, whose
-        # Fock-dyad coefficients come from math.lgamma
+        # the homodyne vacuum and cat pairs build shadows from the homodyne
+        # table, whose Fock-dyad coefficients come from math.lgamma, as do
+        # the cat's coherent-state amplitudes
         chain = base_config(
             state={"kind": "chain", "m": 6, "kappa": 0.5},
             samples=200,
@@ -417,14 +418,19 @@ class TestMainEntrypoint:
         chain_cfg = str(write_config(tmp_path, chain, "chain.json"))
         vacuum_cfg = str(write_config(tmp_path, base_config(), "vacuum.json"))
         homodyne_cfg = str(write_config(tmp_path, base_config(protocol="homodyne"), "hom.json"))
+        cat = base_config(state={"kind": "cat", "alpha": [1.0, 1.0]}, protocol="homodyne")
+        cat_cfg = str(write_config(tmp_path, cat, "cat.json"))
         records = str(tmp_path / "cs" / "records.jsonl")
         hom_records = str(tmp_path / "hs" / "records.jsonl")
+        cat_records = str(tmp_path / "ks" / "records.jsonl")
         commands = [
             ["sample", "--config", chain_cfg, "--out", str(tmp_path / "cs")],
             ["reconstruct", "--config", chain_cfg, "--batch", records, "--out", str(tmp_path / "cr")],
             ["sample", "--config", vacuum_cfg, "--out", str(tmp_path / "vs")],
             ["sample", "--config", homodyne_cfg, "--out", str(tmp_path / "hs")],
             ["reconstruct", "--config", homodyne_cfg, "--batch", hom_records, "--out", str(tmp_path / "hr")],
+            ["sample", "--config", cat_cfg, "--out", str(tmp_path / "ks")],
+            ["reconstruct", "--config", cat_cfg, "--batch", cat_records, "--out", str(tmp_path / "kr")],
         ]
         # one process runs every command; a module, once loaded, stays in sys.modules
         code = (
@@ -437,6 +443,7 @@ class TestMainEntrypoint:
         assert (tmp_path / "cr" / "pair_grid.csv").exists()
         assert not (tmp_path / "cr" / "shadow_average.json").exists()
         assert (tmp_path / "hr" / "shadow_average.json").exists()
+        assert (tmp_path / "kr" / "shadow_average.json").exists()
 
 
 def _run_python(code: str, *argv: str) -> subprocess.CompletedProcess:

@@ -28,8 +28,10 @@ from cvshadow.shadows import (
 )
 from cvshadow.states import (
     CatStateSpec,
+    ChainSpec,
     FockMatrix,
     GaussianStateSpec,
+    chain_ground_state,
     fock_matrix_of,
 )
 from conftest import homodyne_transform
@@ -492,6 +494,23 @@ class TestMasterUnbiasedness:
         avg = average_entries(stacked, (0,), truncation, "homodyne")
         dev = np.abs(avg.mean - target)
         assert np.all(dev <= 4.0 * avg.stderr + 1e-12)
+
+    def test_correlated_chain_pair_homodyne(self):
+        # r = 2 on a correlated pair: the exact two-mode target passes, the
+        # product of the one-mode marginals does not
+        chain = chain_ground_state(ChainSpec(50, 0.99))
+        truncation = 3
+        batch = sample_homodyne_batch(chain, 20_000, "chain-pair-z")
+        stacked = shadow_batch_entries(batch, [0, 1], truncation)
+        avg = average_entries(stacked, (0, 1), truncation, "homodyne")
+        stderr = np.maximum(avg.stderr, 1e-12)
+        joint = fock_matrix_of(chain.marginal([0, 1]), truncation).entries
+        product = np.kron(
+            fock_matrix_of(chain.marginal([0]), truncation).entries,
+            fock_matrix_of(chain.marginal([1]), truncation).entries,
+        )
+        assert (np.abs(avg.mean - joint) / stderr).max() <= 4.0
+        assert (np.abs(avg.mean - product) / stderr).max() > 4.0
 
     @pytest.mark.parametrize("name", ["vacuum", "thermal", "cat"])
     def test_heterodyne(self, name):

@@ -79,6 +79,13 @@ class TestGaussianSpec:
         assert np.allclose(marg.mean, [2.0, 4.0])
         assert np.allclose(marg.cov, np.diag([2.0, 0.5]))
 
+    @pytest.mark.parametrize("modes", [[-1], [3], [0, 0], [2, 1, 2]])
+    def test_marginal_bad_modes_rejected(self, modes):
+        # mode -1 would index (p_3, x_3): a swapped pair, not the state of mode 3
+        spec = GaussianStateSpec(np.zeros(6), np.diag(np.arange(1.0, 7.0)))
+        with pytest.raises(ValueError, match="distinct"):
+            spec.marginal(modes)
+
     def test_symplectic_eigenvalues_thermal(self):
         spec = GaussianStateSpec.thermal(1.0, modes=2)
         assert np.allclose(spec.symplectic_eigenvalues(), [3.0, 3.0])
@@ -311,32 +318,12 @@ class TestChain:
 class TestFockMatrices:
     def test_vacuum(self):
         fock = fock_matrix_of(GaussianStateSpec.vacuum(), 3)
-        assert np.allclose(fock.entries, np.diag([1.0, 0, 0, 0]))
+        assert np.abs(fock.entries - np.diag([1.0, 0, 0, 0])).max() <= 1e-15
         assert fock.trace_deficit == pytest.approx(0.0, abs=1e-12)
 
     def test_thermal_exact(self):
         fock = fock_matrix_of(GaussianStateSpec.thermal(1.0), 2)
-        assert np.allclose(fock.entries, np.diag([0.5, 0.25, 0.125]))
-
-    def test_exact_paths_need_absolute_isotropy(self):
-        # 5e-6 is within a relative 1e-5 of isotropic (or of the vacuum's
-        # covariance) but not within an absolute 1e-12: the general path
-        from cvshadow.states import _gaussian_fock
-
-        for spec in (
-            GaussianStateSpec(np.zeros(2), np.diag([1.0, 1.0 + 5e-6])),
-            GaussianStateSpec(np.array([0.8, -0.4]), (1.0 + 5e-6) * np.eye(2)),
-        ):
-            expected = _gaussian_fock(spec, 6).entries
-            assert np.array_equal(fock_matrix_of(spec, 6).entries, expected)
-        # within the tolerance the exact paths stay, and agree with the general one
-        for spec in (
-            GaussianStateSpec(np.zeros(2), np.diag([1.0, 1.0 + 5e-13])),
-            GaussianStateSpec(np.array([0.8, -0.4]), (1.0 + 5e-13) * np.eye(2)),
-        ):
-            fock, general = fock_matrix_of(spec, 6).entries, _gaussian_fock(spec, 6).entries
-            assert not np.array_equal(fock, general)
-            assert np.abs(fock - general).max() <= 1e-11
+        assert np.abs(fock.entries - np.diag([0.5, 0.25, 0.125])).max() <= 1e-15
 
     def test_coherent_series(self):
         alpha = 0.6 - 0.3j
@@ -347,7 +334,7 @@ class TestFockMatrices:
                 for n in range(21)
             ]
         )
-        assert np.allclose(fock.entries, np.outer(coeffs, coeffs.conj()), atol=1e-12)
+        assert np.abs(fock.entries - np.outer(coeffs, coeffs.conj())).max() <= 1e-15
 
     @pytest.mark.parametrize(
         "state",
@@ -381,6 +368,68 @@ class TestFockMatrices:
     def test_unsupported_kind(self):
         with pytest.raises(ValueError):
             fock_matrix_of("vacuum", 3)
+
+    def test_two_mode_squeezed_vacuum(self):
+        r, truncation = 0.4, 8
+        c, s = math.cosh(2 * r), math.sinh(2 * r)
+        cov = np.array([[c, s, 0, 0], [s, c, 0, 0], [0, 0, c, -s], [0, 0, -s, c]])
+        fock = fock_matrix_of(GaussianStateSpec(np.zeros(4), cov), truncation)
+        # psi_nn = tanh^n r / cosh r on the diagonal multi-indices (n, n)
+        psi = np.zeros((truncation + 1) ** 2)
+        for n in range(truncation + 1):
+            psi[n * (truncation + 2)] = math.tanh(r) ** n / math.cosh(r)
+        assert fock.modes == 2
+        assert np.abs(fock.entries - np.outer(psi, psi)).max() <= 1e-15
+
+    def test_squeezed_vacuum_closed_form(self):
+        r, truncation = 0.6, 20
+        spec = GaussianStateSpec(np.zeros(2), np.diag([math.exp(2 * r), math.exp(-2 * r)]))
+        coeffs = np.zeros(truncation + 1)
+        for n in range(truncation // 2 + 1):
+            coeffs[2 * n] = (
+                math.tanh(r) ** n
+                * math.sqrt(math.factorial(2 * n))
+                / (2**n * math.factorial(n) * math.sqrt(math.cosh(r)))
+            )
+        fock = fock_matrix_of(spec, truncation)
+        assert np.abs(fock.entries - np.outer(coeffs, coeffs)).max() <= 1e-15
+
+    def test_product_state_is_kronecker_product(self):
+        theta, r = 0.7, 0.3
+        rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        sq = GaussianStateSpec(
+            np.array([0.8, -0.4]), rot @ np.diag([math.exp(2 * r), math.exp(-2 * r)]) @ rot.T
+        )
+        thermal = GaussianStateSpec.thermal(0.5)
+        # xxpp ordering: (x_1, x_2, p_1, p_2)
+        idx = [0, 2, 1, 3]
+        cov = np.zeros((4, 4))
+        cov[:2, :2], cov[2:, 2:] = thermal.cov, sq.cov
+        joint = GaussianStateSpec(
+            np.concatenate([thermal.mean, sq.mean])[idx], cov[np.ix_(idx, idx)]
+        )
+        expected = np.kron(fock_matrix_of(thermal, 5).entries, fock_matrix_of(sq, 5).entries)
+        assert np.abs(fock_matrix_of(joint, 5).entries - expected).max() <= 1e-15
+
+    def test_strong_squeezing_trace(self):
+        # squeezed vacuum with e^{2r} = 20: P(2n) = C(2n, n) tanh^{2n} r / (4^n cosh r)
+        r, truncation = 0.5 * math.log(20.0), 60
+        fock = fock_matrix_of(GaussianStateSpec(np.zeros(2), np.diag([20.0, 0.05])), truncation)
+        exact = sum(
+            math.comb(2 * n, n) * math.tanh(r) ** (2 * n) / 4**n / math.cosh(r)
+            for n in range(truncation // 2 + 1)
+        )
+        assert exact == pytest.approx(0.9995500266328522, abs=1e-15)
+        assert fock.trace().real == pytest.approx(exact, abs=1e-12)
+        assert fock.trace_deficit == pytest.approx(1.0 - exact, abs=1e-12)
+
+    def test_size_limit(self):
+        chain = chain_ground_state(ChainSpec(1000, 0.99))
+        with pytest.raises(ValueError, match="limit"):
+            fock_matrix_of(chain, 3)
+        pair = fock_matrix_of(chain.marginal([0, 500]), 3)
+        assert pair.entries.shape == (16, 16)
+        assert np.abs(pair.entries - pair.entries.conj().T).max() <= 1e-15
 
     def test_multi_indices_row_major(self):
         idx = multi_indices(1, 2)
