@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phase_space import dyad_poly, fock_dyad_radial, laguerre
-from .shadows import WindowSpec
+from .phase_space import dyad_poly, fock_dyad_radial
+from .shadows import HOMODYNE_SHADOW_NORMALIZATION, WindowSpec
 from .states import multi_indices
 
 
@@ -142,34 +142,45 @@ def _weighted_opnorm(block: np.ndarray, r: int, truncation: int, alpha: float) -
     return float(np.linalg.norm(mat, ord=2))
 
 
-def sigma_homodyne(truncation: int, r: int, alpha: float) -> float:
-    """Almost-sure norm bound ``Sigma_r^(alpha)(M)`` of homodyne shadows.
+def _sigma_block(truncation: int, kernel, upper: float) -> np.ndarray:
+    """Per-mode block ``|c| int_0^upper rho kernel(rho) |dyad_poly(lo, d, rho)| d rho``.
 
-    Per-mode entries are ``sqrt(n2!/n1!) int dy |sqrt(pi) y|^(1+D)
-    exp(-y^2/(8 pi)) |L_MAX^(D)(pi y^2)|`` with ``D = |n1-n2|`` and ``MAX =
-    max(n1,n2)``.  The bound keeps its original Fourier normalization, which
-    is looser than this package's estimator; the concentration tests rescale
-    by ``HOMODYNE_SHADOW_NORMALIZATION`` so both sides share one constant.
+    ``c`` and ``d = hi - lo`` are those of :func:`fock_dyad_radial`, so the
+    block bounds every shadow whose entry ``(lo, hi)`` is a polar integral
+    of ``c dyad_poly(lo, d, rho)`` against a radial weight ``kernel`` times
+    factors of modulus at most one.  The upper triangle is integrated with
+    ``quad`` and mirrored, so the block is symmetric.
     """
     from scipy.integrate import quad
-    from scipy.special import gammaln
 
     dim = truncation + 1
     block = np.zeros((dim, dim))
-    for n1 in range(dim):
-        for n2 in range(dim):
-            d = abs(n1 - n2)
-            hi = max(n1, n2)
+    for lo in range(dim):
+        for hi in range(lo, dim):
+            coeff, d, _ = fock_dyad_radial(lo, hi)
 
-            def integrand(y, d=d, hi=hi):
-                return (math.sqrt(math.pi) * y) ** (1 + d) * math.exp(
-                    -y * y / (8.0 * math.pi)
-                ) * abs(laguerre(hi, d, math.pi * y * y))
+            def integrand(rho, d=d, lo=lo):
+                return rho * abs(dyad_poly(lo, d, rho)) * kernel(rho)
 
-            val, _ = quad(integrand, 0.0, 40.0, limit=400)
-            ratio = math.exp(0.5 * (gammaln(n2 + 1.0) - gammaln(n1 + 1.0)))
-            block[n1, n2] = ratio * 2.0 * val
-    return _weighted_opnorm(block, r, truncation, alpha)
+            val, _ = quad(integrand, 0.0, upper, limit=400)
+            block[lo, hi] = block[hi, lo] = abs(coeff) * val
+    return block
+
+
+def sigma_homodyne(truncation: int, r: int, alpha: float) -> float:
+    """Almost-sure norm bound ``Sigma_r^(alpha)(M)`` of homodyne shadows.
+
+    Per-mode entries are ``2 norm |c| int_0^40 t e^(-t^2/4) |dyad_poly(lo,
+    d, t)| dt`` with ``norm = HOMODYNE_SHADOW_NORMALIZATION``: by the
+    triangle inequality each bounds ``|homodyne_shadow_entry|`` at every
+    angle and outcome, normalization included.  ``M = 0`` gives 2.
+    """
+    scale = 2.0 * HOMODYNE_SHADOW_NORMALIZATION
+
+    def kernel(t):
+        return scale * math.exp(-0.25 * t * t)
+
+    return _weighted_opnorm(_sigma_block(truncation, kernel, 40.0), r, truncation, alpha)
 
 
 def sigma_heterodyne(truncation: int, r: int, alpha: float, w: WindowSpec) -> float:
@@ -177,22 +188,10 @@ def sigma_heterodyne(truncation: int, r: int, alpha: float, w: WindowSpec) -> fl
 
     Per-mode entries are ``int_{|u|<=R} |chi~_{n2 n1}(u)| e^(|u|^2/4)
     d^2u/(2 pi)``; the dyad Gaussian cancels the growing exponential exactly,
-    leaving a windowed polynomial radial integral.
+    leaving the windowed radial integral ``|c| int_0^R rho xi(rho)
+    |dyad_poly(lo, d, rho)| d rho``.
     """
-    from scipy.integrate import quad
-
-    dim = truncation + 1
-    block = np.zeros((dim, dim))
-    for n1 in range(dim):
-        for n2 in range(n1, dim):
-            ratio, d, _ = fock_dyad_radial(n1, n2)
-
-            def integrand(rho, d=d, lo=n1):
-                return rho * abs(dyad_poly(lo, d, rho)) * w.xi_radial(rho)
-
-            val, _ = quad(integrand, 0.0, w.radius, limit=400)
-            block[n1, n2] = ratio * val
-            block[n2, n1] = ratio * val
+    block = _sigma_block(truncation, w.xi_radial, w.radius)
     return _weighted_opnorm(block, r, truncation, alpha)
 
 
@@ -248,6 +247,18 @@ def _log_required_n(
     )
 
 
+def _report(m_chosen: int, log_n: float, delta0_value: float, sigma: float, **inputs):
+    """Report of a Bernstein ``log N``; ``N`` is infinite beyond ``e^700``."""
+    return BoundReport(
+        m_chosen=m_chosen,
+        n_required=math.ceil(math.exp(log_n)) if log_n < 700 else math.inf,
+        delta0_value=delta0_value,
+        sigma_value=sigma,
+        inputs=inputs,
+        log10_n_required=log_n / math.log(10.0),
+    )
+
+
 def required_samples_homodyne(
     profile: MomentProfile,
     r: int,
@@ -268,22 +279,9 @@ def required_samples_homodyne(
     log_n = _log_required_n(
         m_chosen, r, math.log(epsilon), delta, sigma, profile.e_alpha, modes, n_observables
     )
-    n_req = math.ceil(math.exp(log_n)) if log_n < 700 else math.inf
-    return BoundReport(
-        m_chosen=m_chosen,
-        n_required=n_req,
-        delta0_value=0.0,
-        sigma_value=sigma,
-        log10_n_required=log_n / math.log(10.0),
-        inputs={
-            "protocol": "homodyne",
-            "r": r,
-            "epsilon": epsilon,
-            "delta": delta,
-            "m": modes,
-            "L": n_observables,
-            "profile": vars(profile),
-        },
+    return _report(
+        m_chosen, log_n, 0.0, sigma, protocol="homodyne", r=r, epsilon=epsilon,
+        delta=delta, m=modes, L=n_observables, profile=vars(profile),
     )
 
 
@@ -343,26 +341,13 @@ def required_samples_heterodyne(
             m_try, r, math.log(epsilon), delta, sigma, profile.e_alpha + d0, modes,
             n_observables,
         )
-        n_req = math.ceil(math.exp(log_n)) if log_n < 700 else math.inf
-        if best is None or n_req < best.n_required:
-            best = BoundReport(
-                m_chosen=m_try,
-                n_required=n_req,
-                delta0_value=d0,
-                sigma_value=sigma,
-                log10_n_required=log_n / math.log(10.0),
-                inputs={
-                    "protocol": "heterodyne",
-                    "r": r,
-                    "epsilon": epsilon,
-                    "delta": delta,
-                    "m": modes,
-                    "L": n_observables,
-                    "eta": float(eta),
-                    "R": radius,
-                    "profile": vars(profile),
-                },
-            )
+        report = _report(
+            m_try, log_n, d0, sigma, protocol="heterodyne", r=r, epsilon=epsilon,
+            delta=delta, m=modes, L=n_observables, eta=float(eta), R=radius,
+            profile=vars(profile),
+        )
+        if best is None or report.n_required < best.n_required:
+            best = report
     if best is None:
         return BoundReport(
             m_chosen=-1,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -152,6 +153,14 @@ def validate_config(config: dict) -> None:
     if errors:
         first = errors[0]
         raise ConfigError(f"config invalid at {first.json_path}: {first.message}")
+    lo, hi = _grid_range(config)
+    if not -math.inf < lo < hi < math.inf:
+        raise ConfigError(f"config invalid at $.grid: need finite lo < hi, got lo={lo}, hi={hi}")
+
+
+def _grid_range(config: dict) -> tuple[float, float]:
+    grid = config.get("grid", {})
+    return grid.get("lo", -2.0), grid.get("hi", 2.0)
 
 
 def build_state(state_cfg: dict):
@@ -281,8 +290,7 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
             f"{config['protocol']!r}"
         )
     grid_cfg = config.get("grid", {})
-    lo = grid_cfg.get("lo", -2.0)
-    hi = grid_cfg.get("hi", 2.0)
+    lo, hi = _grid_range(config)
     points = grid_cfg.get("points", 81)
     modes = batch.modes
     files: list[Path] = []
@@ -408,8 +416,8 @@ def cmd_entropy(config: dict, average_path, out_dir) -> dict:
     state_cfg = config.get("state")
     if state_cfg:
         state = build_state(state_cfg)
-        if isinstance(state, GaussianStateSpec):
-            result["reference_entropy"] = entropy_reference(state)
+        if isinstance(state, GaussianStateSpec):  # of the averaged modes only
+            result["reference_entropy"] = entropy_reference(state.marginal(list(avg.subset)))
         elif isinstance(state, CatStateSpec):
             result["reference_entropy"] = 0.0  # pure state
     report_path = out / "entropy.json"

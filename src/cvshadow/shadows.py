@@ -53,9 +53,9 @@ from .phase_space import (
 )
 from .states import FockMatrix, multi_indices
 
-# Normalization of the homodyne per-mode entry relative to `int dy |y| ...`;
-# fixed by the unbiasedness oracle and used verbatim in the concentration
-# tests so that bound and estimator share one constant.
+# Normalization of the homodyne per-mode entry relative to `int dy |y| ...`,
+# fixed by the unbiasedness oracle; `bounds.sigma_homodyne` reads it, so the
+# bound and the estimator share one constant.
 HOMODYNE_SHADOW_NORMALIZATION = 0.5
 
 

@@ -37,14 +37,13 @@ class FockMatrix:
 
     ``entries[i, j]`` is ``<n_i| T |n_j>`` with multi-indices raveled as in
     :func:`multi_indices`.  Exact-state constructors produce Hermitian, PSD,
-    nearly unit-trace matrices and record the truncation deficit ``1 - tr``;
-    shadow estimates are generally neither positive nor normalized.
+    nearly unit-trace matrices; shadow estimates are generally neither
+    positive nor normalized.
     """
 
     modes: int
     truncation: int
     entries: np.ndarray = field(repr=False)
-    trace_deficit: float | None = None
 
     def __post_init__(self):
         dim = (self.truncation + 1) ** self.modes
@@ -434,7 +433,7 @@ def _gaussian_fock(spec: GaussianStateSpec, truncation: int) -> FockMatrix:
                 val += a_ij * roots[kj] * g[prev - strides[j]]
         g.append(val / roots[k[i]])
     rho = np.array(g).reshape(d**m, d**m)
-    return FockMatrix(m, truncation, rho, trace_deficit=1.0 - float(np.trace(rho).real))
+    return FockMatrix(m, truncation, rho)
 
 
 def fock_matrix_of(state, truncation: int) -> FockMatrix:
@@ -444,15 +443,13 @@ def fock_matrix_of(state, truncation: int) -> FockMatrix:
     any mode count (vacuum, coherent, thermal, squeezed and correlated
     states, and marginals such as ``spec.marginal([i, j])``), all built by
     the one Hermite recursion of :func:`_gaussian_fock`; it refuses more than
-    2^16 amplitudes ``(M+1)^(2m)``.  The truncation deficit ``1 - tr`` is
-    recorded on the result.
+    2^16 amplitudes ``(M+1)^(2m)``.
     """
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
     if isinstance(state, CatStateSpec):
         coeffs = cat_fock_coefficients(state, truncation)
-        deficit = 1.0 - float(np.vdot(coeffs, coeffs).real)
-        return FockMatrix(1, truncation, np.outer(coeffs, coeffs.conj()), trace_deficit=deficit)
+        return FockMatrix(1, truncation, np.outer(coeffs, coeffs.conj()))
     if isinstance(state, GaussianStateSpec):
         return _gaussian_fock(state, truncation)
     raise ValueError(f"unsupported state kind: {type(state).__name__}")

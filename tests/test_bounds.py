@@ -18,8 +18,9 @@ from cvshadow.bounds import (
     sigma_heterodyne,
     sigma_homodyne,
     truncation_error_bound,
+    _sigma_block,
 )
-from cvshadow.measurement import sample_homodyne_batch
+from cvshadow.measurement import SampleBatch, sample_homodyne_batch
 from cvshadow.shadows import (
     HOMODYNE_SHADOW_NORMALIZATION,
     WindowSpec,
@@ -134,10 +135,8 @@ class TestTruncationBound:
 
 class TestSigmaHomodyne:
     def test_m0_closed_form(self):
-        # sqrt(pi) * int |y| exp(-y^2/(8 pi)) dy = sqrt(pi) * 8 pi
-        assert sigma_homodyne(0, 1, 0.0) == pytest.approx(
-            8.0 * math.pi**1.5, rel=1e-9
-        )
+        # 2 * 1/2 * int_0^inf t exp(-t^2/4) dt = 2
+        assert sigma_homodyne(0, 1, 0.0) == pytest.approx(2.0, rel=1e-9)
 
     def test_monotone_in_truncation(self):
         vals = [sigma_homodyne(m, 1, 0.0) for m in range(4)]
@@ -149,13 +148,12 @@ class TestSigmaHomodyne:
         )
 
     def test_empirical_shadows_within_bound(self):
-        # observed sup-norms of homodyne shadows vs the analytic bound, with
-        # the estimator's own normalization constant applied on the bound side
+        # observed sup-norms of homodyne shadows vs the analytic bound, which
+        # carries the estimator's normalization constant itself
         batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 10_000, "sig")
         stacked = shadow_batch_entries(batch, [0], 2)
         sup = np.linalg.norm(stacked, ord=2, axis=(1, 2)).max()
-        bound = HOMODYNE_SHADOW_NORMALIZATION * sigma_homodyne(2, 1, 0.0)
-        assert sup <= bound
+        assert sup <= sigma_homodyne(2, 1, 0.0)
 
 
 class TestSigmaHeterodyne:
@@ -204,6 +202,40 @@ class TestSigmaHeterodyne:
         stacked = shadow_batch_entries(batch, [0], 2, w)
         sup = np.linalg.norm(stacked, ord=2, axis=(1, 2)).max()
         assert sup <= sigma_heterodyne(2, 1, 0.0, w)
+
+
+class TestSigmaPinnedToEstimator:
+    """Sigma dominates every shadow entry and is within 3x of the largest shadow.
+
+    Outcome radii run over a grid of step 1/64; a shadow's operator norm does
+    not depend on its angle.  The 1e-9 slack covers a one-ulp tie at M = 0.
+    """
+
+    def _check(self, stacked, block, sigma):
+        assert np.all(np.abs(stacked) <= block * (1.0 + 1e-9))
+        sup = np.linalg.norm(stacked, ord=2, axis=(1, 2)).max()
+        assert sup <= sigma * (1.0 + 1e-9)
+        assert sigma <= 3.0 * sup
+
+    @pytest.mark.parametrize("truncation", [0, 3, 6])
+    def test_homodyne(self, truncation):
+        q = np.arange(0.0, 63.9, 1.0 / 64)[:, None]
+        batch = SampleBatch("homodyne", q, np.zeros_like(q))
+        scale = 2.0 * HOMODYNE_SHADOW_NORMALIZATION
+        block = _sigma_block(truncation, lambda t: scale * math.exp(-0.25 * t * t), 40.0)
+        sigma = sigma_homodyne(truncation, 1, 0.0)
+        assert np.linalg.norm(block, ord=2) == sigma
+        self._check(shadow_batch_entries(batch, [0], truncation), block, sigma)
+
+    @pytest.mark.parametrize("truncation", [0, 3])
+    def test_heterodyne(self, truncation):
+        x = np.arange(0.0, 16.0, 1.0 / 64)
+        batch = SampleBatch("heterodyne", np.stack([x, np.zeros_like(x)], axis=-1)[:, None, :])
+        w = default_window(truncation)
+        block = _sigma_block(truncation, w.xi_radial, w.radius)
+        sigma = sigma_heterodyne(truncation, 1, 0.0, w)
+        assert np.linalg.norm(block, ord=2) == sigma
+        self._check(shadow_batch_entries(batch, [0], truncation, w), block, sigma)
 
 
 class TestBernstein:

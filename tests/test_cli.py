@@ -20,6 +20,7 @@ from cvshadow.cli import (
     cmd_sample,
     validate_config,
 )
+from cvshadow.entropy import entropy_reference
 from cvshadow.shadows import ShadowAverage, project_PM
 from cvshadow.states import GaussianStateSpec, fock_matrix_of
 
@@ -311,6 +312,21 @@ class TestEntropy:
         assert abs(result["H"] - result["reference_entropy"]) <= 7 / 500 + 0.06
         assert result["reference_entropy"] == pytest.approx(2 * math.log(2))
 
+    def test_reference_is_of_the_averaged_modes(self, tmp_path):
+        # the chain's ground state is pure; the average covers mode 0 only
+        cfg = base_config(
+            state={"kind": "chain", "m": 4, "kappa": 0.9},
+            protocol="homodyne",
+            samples=2000,
+            entropy={"epsilon": 0.9, "energy": 0.4},
+        )
+        cmd_sample(cfg, tmp_path / "s")
+        cmd_reconstruct(cfg, tmp_path / "s" / "records.jsonl", tmp_path / "r")
+        result = cmd_entropy(cfg, tmp_path / "r" / "shadow_average.json", tmp_path / "e")
+        mode0 = build_state(cfg["state"]).marginal([0])
+        assert result["reference_entropy"] == pytest.approx(entropy_reference(mode0), abs=1e-12)
+        assert result["reference_entropy"] == pytest.approx(0.2929, abs=1e-4)
+
     def test_vacuum_small(self, tmp_path):
         path = self._write_exact_average(tmp_path, 0.0, 1)
         cfg = base_config(truncation=1, entropy={"epsilon": 0.9, "energy": 0.4, "d_p": 1000})
@@ -370,6 +386,13 @@ class TestMainEntrypoint:
         argv = ["reconstruct", "--config", str(cfg_path), "--batch", batch]
         assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 2
         assert "error: pair (0, 7) outside measured modes 0..2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, -2.0)])
+    def test_degenerate_grid_exit_code(self, tmp_path, capsys, lo, hi):
+        cfg_path = write_config(tmp_path, base_config(grid={"lo": lo, "hi": hi}))
+        assert cli.main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 2
+        assert "error: config invalid at $.grid" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, {"version": 1})

@@ -319,7 +319,6 @@ class TestFockMatrices:
     def test_vacuum(self):
         fock = fock_matrix_of(GaussianStateSpec.vacuum(), 3)
         assert np.abs(fock.entries - np.diag([1.0, 0, 0, 0])).max() <= 1e-15
-        assert fock.trace_deficit == pytest.approx(0.0, abs=1e-12)
 
     def test_thermal_exact(self):
         fock = fock_matrix_of(GaussianStateSpec.thermal(1.0), 2)
@@ -353,7 +352,6 @@ class TestFockMatrices:
         assert np.linalg.eigvalsh(mat).min() >= -1e-10
         trace = np.trace(mat).real
         assert trace <= 1.0 + 1e-10
-        assert trace == pytest.approx(1.0 - fock.trace_deficit, abs=1e-9)
 
     def test_cat_trace_retention(self):
         fock = fock_matrix_of(CatStateSpec(1 + 1j, "zero"), 8)
@@ -421,7 +419,6 @@ class TestFockMatrices:
         )
         assert exact == pytest.approx(0.9995500266328522, abs=1e-15)
         assert fock.trace().real == pytest.approx(exact, abs=1e-12)
-        assert fock.trace_deficit == pytest.approx(1.0 - exact, abs=1e-12)
 
     def test_size_limit(self):
         chain = chain_ground_state(ChainSpec(1000, 0.99))
