@@ -142,16 +142,18 @@ def _weighted_opnorm(block: np.ndarray, r: int, truncation: int, alpha: float) -
     return float(np.linalg.norm(mat, ord=2))
 
 
-def _sigma_block(truncation: int, kernel, upper: float) -> np.ndarray:
+def _sigma_block(truncation: int, kernel, upper: float, joins=()) -> np.ndarray:
     """Per-mode block ``|c| int_0^upper rho kernel(rho) |dyad_poly(lo, d, rho)| d rho``.
 
     ``c`` and ``d = hi - lo`` are those of :func:`fock_dyad_radial`, so the
     block bounds every shadow whose entry ``(lo, hi)`` is a polar integral
     of ``c dyad_poly(lo, d, rho)`` against a radial weight ``kernel`` times
     factors of modulus at most one.  The upper triangle is integrated with
-    ``quad`` and mirrored, so the block is symmetric.
+    ``quad`` to relative 1e-11 in smooth pieces, split at the kernel's ``joins``
+    and at ``sqrt(2 x)`` for the zeros ``x`` of ``L_lo^(d)``, and mirrored.
     """
     from scipy.integrate import quad
+    from scipy.special import roots_genlaguerre
 
     dim = truncation + 1
     block = np.zeros((dim, dim))
@@ -162,7 +164,9 @@ def _sigma_block(truncation: int, kernel, upper: float) -> np.ndarray:
             def integrand(rho, d=d, lo=lo):
                 return rho * abs(dyad_poly(lo, d, rho)) * kernel(rho)
 
-            val, _ = quad(integrand, 0.0, upper, limit=400)
+            zeros = np.sqrt(2.0 * roots_genlaguerre(lo, d)[0]) if lo else []
+            kinks = [float(z) for z in zeros if z < upper] + list(joins) or None
+            val, _ = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-11, limit=400, points=kinks)
             block[lo, hi] = block[hi, lo] = abs(coeff) * val
     return block
 
@@ -191,7 +195,7 @@ def sigma_heterodyne(truncation: int, r: int, alpha: float, w: WindowSpec) -> fl
     leaving the windowed radial integral ``|c| int_0^R rho xi(rho)
     |dyad_poly(lo, d, rho)| d rho``.
     """
-    block = _sigma_block(truncation, w.xi_radial, w.radius)
+    block = _sigma_block(truncation, w.xi_radial, w.radius, (w.eta,))
     return _weighted_opnorm(block, r, truncation, alpha)
 
 

@@ -32,8 +32,10 @@ from .states import (
     CatStateSpec,
     FockMatrix,
     GaussianStateSpec,
+    block_cholesky,
     fock_matrix_of,
     fock_moments,
+    xxpp_block,
 )
 
 log = logging.getLogger(__name__)
@@ -133,25 +135,27 @@ class SampleBatch:
         is one protocol drawn from one RNG stream.
         """
         with open(path) as fh:
-            lines = [(k, line) for k, line in enumerate(fh, 1) if line.strip()]
-        if not lines:
-            raise ValueError(f"{path}: no records")
-        protocol, seed_path, _, outcome = _fields(path, *lines[0])
-        shape = np.shape(outcome)
-        outcomes = np.empty((len(lines),) + shape)
-        thetas = np.empty(outcomes.shape) if protocol == HOMODYNE else None
-        for i, (k, line) in enumerate(lines):
-            line_protocol, line_seed_path, line_thetas, outcome = _fields(path, k, line)
-            if line_protocol != protocol or line_seed_path != seed_path:
-                raise ValueError(
-                    f"{path}: line {k} has protocol {line_protocol!r} and "
-                    f"seed_path {line_seed_path!r}; line {lines[0][0]} has "
-                    f"{protocol!r} and {seed_path!r} (a batch file holds one "
-                    "protocol drawn from one RNG stream)"
-                )
-            outcomes[i] = _row(outcome, shape, path, k)
-            if thetas is not None:
-                thetas[i] = _row(line_thetas, shape, path, k)
+            n = sum(1 for line in fh if line.strip())
+            if not n:
+                raise ValueError(f"{path}: no records")
+            fh.seek(0)  # then parse one line at a time
+            for i, (k, line) in enumerate((k, t) for k, t in enumerate(fh, 1) if t.strip()):
+                line_protocol, line_seed_path, line_thetas, outcome = _fields(path, k, line)
+                if not i:
+                    first, protocol, seed_path = k, line_protocol, line_seed_path
+                    shape = np.shape(outcome)
+                    outcomes = np.empty((n,) + shape)
+                    thetas = np.empty(outcomes.shape) if protocol == HOMODYNE else None
+                if line_protocol != protocol or line_seed_path != seed_path:
+                    raise ValueError(
+                        f"{path}: line {k} has protocol {line_protocol!r} and "
+                        f"seed_path {line_seed_path!r}; line {first} has "
+                        f"{protocol!r} and {seed_path!r} (a batch file holds one "
+                        "protocol drawn from one RNG stream)"
+                    )
+                outcomes[i] = _row(outcome, shape, path, k)
+                if thetas is not None:
+                    thetas[i] = _row(line_thetas, shape, path, k)
         return cls(protocol, outcomes, thetas, seed_path)
 
 
@@ -249,11 +253,6 @@ def homodyne_pdf(rho: FockMatrix, theta: float, q):
     return float(vals[0]) if scalar else vals
 
 
-def heterodyne_covariance(spec: GaussianStateSpec) -> np.ndarray:
-    """Covariance ``(V + I)/2`` of heterodyne outcomes of a Gaussian state."""
-    return 0.5 * (spec.cov + np.eye(spec.cov.shape[0]))
-
-
 def fock_husimi(fock: FockMatrix, x) -> np.ndarray:
     """Heterodyne outcome density ``<x|rho|x> / (2 pi)`` of a truncated state.
 
@@ -281,12 +280,25 @@ def fock_husimi(fock: FockMatrix, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_draws(
-    mean: np.ndarray, cov: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """``n`` rows drawn from ``N(mean, cov)``: one Cholesky, one block of normals."""
-    chol = np.linalg.cholesky(cov)
-    return mean + rng.standard_normal((n, cov.shape[0])) @ chol.T
+def _gaussian_draws(state: GaussianStateSpec, vacuum: float, n: int, rng) -> np.ndarray:
+    """``n`` rows ``[x | p]`` from ``N(t, (V + vacuum I) / 2)``: Wigner 0, heterodyne 1.
+
+    The m x m blocks are factored by :func:`block_cholesky`, and the normals
+    ``z`` become ``t + z L^T`` in place, 256 rows at a time.
+    """
+    m = state.modes
+
+    def half(i, j, diag=0.0):  # block (i, j) of (V + diag I) / 2; V is symmetric
+        return 0.5 * xxpp_block(state.cov, i, j, diag)
+
+    l11, l21, l22 = block_cholesky(half(0, 0, vacuum), half(0, 1), half(1, 1, vacuum))
+    z = rng.standard_normal((n, 2 * m))
+    for r in range(0, n, 256):
+        x, p = z[r : r + 256, :m], z[r : r + 256, m:]
+        p[:] = x @ l21.T + p @ l22.T
+        x[:] = x @ l11.T
+    z += state.mean
+    return z
 
 
 @lru_cache(maxsize=16)
@@ -454,7 +466,7 @@ def sample_homodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
     if isinstance(state, GaussianStateSpec):
         m = state.modes
         thetas = rng.uniform(-np.pi, np.pi, size=(n, m))
-        x = _gaussian_draws(state.mean, 0.5 * state.cov, n, rng)
+        x = _gaussian_draws(state, 0.0, n, rng)
         qs = np.cos(thetas) * x[:, :m] - np.sin(thetas) * x[:, m:]
     else:
         thetas, qs, meta = _rejection_homodyne_draws(_sampling_fock(state), n, rng)
@@ -510,7 +522,7 @@ def sample_heterodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
     rng = stream_rng(seed_path)
     meta: dict = {}
     if isinstance(state, GaussianStateSpec):
-        flat = _gaussian_draws(state.mean, heterodyne_covariance(state), n, rng)
+        flat = _gaussian_draws(state, 1.0, n, rng)
         m = state.modes
         pts = np.stack([flat[:, :m], flat[:, m:]], axis=-1)
     else:

@@ -201,8 +201,11 @@ def _het_entry_single(n1: int, n2: int, x: np.ndarray, w: WindowSpec, tol: float
     def integrand(rho):
         return rho * dyad_poly(n2, d, rho) * w.xi_radial(rho) * jv(d, rho * s)
 
-    val, _ = quad(
-        integrand, 0.0, w.radius, epsabs=1e-13, epsrel=tol, limit=400, points=[w.eta]
+    # one quad per two periods of J_d(rho s): over the whole disk they cancel below roundoff
+    edges = sorted({0.0, w.eta, w.radius, *(np.arange(4 * math.pi, s * w.radius, 4 * math.pi) / s)})
+    val = math.fsum(
+        quad(integrand, lo, hi, epsabs=1e-13, epsrel=tol, limit=400)[0]
+        for lo, hi in zip(edges, edges[1:])
     )
     return complex(coeff * (1j**d) * np.exp(-1j * d * psi) * val)
 
@@ -212,9 +215,9 @@ def heterodyne_shadow_entry(n1, n2, x_a, w: WindowSpec, tol: float = 1e-7):
 
     The 2r-dimensional windowed integral factorizes over modes (dyad, window
     and shadow kernel are all per-mode products), so it is evaluated as a
-    product of per-mode disk integrals; each disk integral is reduced to an
-    adaptive radial quadrature to relative tolerance ``tol`` (the angular
-    part is an exact Bessel transform).
+    product of per-mode disk integrals; each is reduced to adaptive radial
+    quadratures over pieces two Bessel periods long, each to relative
+    tolerance ``tol`` (the angular part is an exact Bessel transform).
     """
     x_a = np.asarray(x_a, dtype=float).reshape(-1, 2)
     r = x_a.shape[0]

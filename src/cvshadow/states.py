@@ -102,16 +102,17 @@ class GaussianStateSpec:
             raise ValueError(f"cov shape {cov.shape} does not match mean {mean.shape}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and covariance must be finite")
-        asymmetry = cov - cov.T
-        if np.abs(asymmetry, out=asymmetry).max(initial=0.0) > 1e-10:
-            raise ValueError("covariance matrix must be symmetric")
-        del asymmetry
-        cov = 0.5 * (cov + cov.T)
+        step = max(1, (1 << 16) // max(1, mean.size))  # rows per block of 2^16 values
+        for r in range(0, mean.size, step):
+            if np.abs(cov[r : r + step] - cov[:, r : r + step].T).max(initial=0.0) > 1e-10:
+                raise ValueError("covariance matrix must be symmetric")
         if not _is_quantum_covariance(cov):
             raise ValueError(
                 f"V + i Omega + {_PSD_TOL:g} I is not positive semidefinite; "
                 "not a valid quantum covariance matrix"
             )
+        cov = cov + cov.T  # 0.5 (cov + cov^T), the one 2m x 2m allocation
+        cov *= 0.5
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -155,35 +156,48 @@ class GaussianStateSpec:
         return np.sort(np.abs(lam.real))[::2]
 
 
-def _is_quantum_covariance(cov: np.ndarray) -> bool:
-    """Whether ``V + i Omega + tau I >= 0`` for a symmetric xxpp ``V``, tau = 1e-10.
+def block_cholesky(a: np.ndarray, k: np.ndarray, b: np.ndarray):
+    """Blocks ``L11 = chol(a)``, ``L21 = (L11^-1 k)^H``, ``L22 = chol(b - L21 L21^H)``.
 
-    With ``V = [[A, C], [C^T, B]]`` the Hermitian form is ``[[A', K],
-    [K^H, B']]`` with ``A' = A + tau I``, ``B' = B + tau I`` and
-    ``K = C + i I``.  It is positive semidefinite exactly when ``A'`` is
-    positive definite and the Schur complement ``B' - K^H A'^{-1} K`` is
-    positive semidefinite, so two m x m Cholesky factorisations decide it
-    (on the boundary itself rounding decides, as it did for an eigenvalue
-    test); neither the 2m x 2m form nor its spectrum is built, and every
-    intermediate is m x m.
+    They factor ``[[a, k], [k^H, b]]`` for real m x m ``a``, ``b`` and a real
+    or complex C-contiguous ``k`` (overwritten), or raise ``LinAlgError``
+    unless it is positive definite.  Every intermediate is m x m.
     """
+    l11 = np.linalg.cholesky(a)
+    del a  # a temporary passed in is freed before the blocks that follow
+    x = k.view(float)  # L11 is real: one pass solves the real and imaginary parts
+    for i in range(0, len(x), 256):  # forward substitution, 256 rows at a time
+        rows = slice(i, i + 256)
+        x[rows] -= l11[rows, :i] @ x[:i]
+        x[rows] = np.linalg.solve(l11[rows, rows], x[rows])
+    s = np.empty_like(k)
+    for j in range(0, len(s), 256):  # k^H k, conjugating one column block at a time
+        np.matmul(k[:, j : j + 256].conj().T, k, out=s[j : j + 256])
+    np.subtract(b, s, out=s)
+    del b
+    l22 = np.linalg.cholesky(s)
+    return l11, np.conjugate(k, out=k).T, l22
+
+
+def xxpp_block(cov: np.ndarray, i: int, j: int, diag=0.0) -> np.ndarray:
+    """Block ``(i, j)`` of ``0.5 (cov + cov^T) + diag I`` on the xxpp grid of m x m blocks."""
     m = cov.shape[0] // 2
-    a = cov[:m, :m] + _PSD_TOL * np.eye(m)
-    k = cov[:m, m:] + 1j * np.eye(m)
+    rows, cols = slice(i * m, (i + 1) * m), slice(j * m, (j + 1) * m)
+    return 0.5 * (cov[rows, cols] + cov[cols, rows].T) + diag * np.eye(m)
+
+
+def _is_quantum_covariance(cov: np.ndarray) -> bool:
+    """Whether ``V + i Omega + tau I >= 0`` for ``V = 0.5 (cov + cov^T)``, tau = 1e-10.
+
+    :func:`block_cholesky` of ``A + tau I``, ``C + i I``, ``B + tau I`` for ``V
+    = [[A, C], [C^T, B]]`` decides it (on the boundary itself, rounding does).
+    """
     try:
-        np.linalg.cholesky(a)
-        # A' is real, so one real solve gives X = A'^{-1} K column by column
-        # in (re, im) pairs; then K^H X = C^T X - i X
-        x = np.linalg.solve(a, k.view(float)).view(complex)
-        del a, k
-        schur = (cov[m:, :m] @ x.view(float)).view(complex)
-        schur *= -1.0
-        schur.real -= x.imag
-        schur.imag += x.real
-        del x
-        schur.real += cov[m:, m:]
-        schur.flat[:: m + 1] += _PSD_TOL
-        np.linalg.cholesky(schur)
+        block_cholesky(
+            xxpp_block(cov, 0, 0, _PSD_TOL),
+            xxpp_block(cov, 0, 1, 1j),
+            xxpp_block(cov, 1, 1, _PSD_TOL),
+        )
     except np.linalg.LinAlgError:
         return False
     return True
@@ -382,13 +396,12 @@ def chain_ground_state(spec: ChainSpec) -> GaussianStateSpec:
             f"matrix not positive definite (min eigenvalue {lam.min():.3e}); "
             "kappa too close to a degenerate point"
         )
-    root = np.sqrt(2.0 * lam)
-    x_mat = (vec / root) @ vec.T
-    x_inv = (vec * root) @ vec.T
-    cov = np.block(
-        [[x_mat, np.zeros_like(x_mat)], [np.zeros_like(x_mat), x_inv]]
-    )
-    return GaussianStateSpec(np.zeros(2 * spec.m), cov)
+    root, m = np.sqrt(2.0 * lam), spec.m
+    cov = np.zeros((2 * m, 2 * m))
+    np.matmul(vec / root, vec.T, out=cov[:m, :m])
+    np.matmul(vec * root, vec.T, out=cov[m:, m:])
+    del vec  # freed before the state's check, which holds several m x m blocks
+    return GaussianStateSpec(np.zeros(2 * m), cov)
 
 
 # ---------------------------------------------------------------------------

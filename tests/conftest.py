@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.special import erf
 
-from cvshadow.measurement import fock_husimi, heterodyne_covariance
+from cvshadow.measurement import fock_husimi
 from cvshadow.phase_space import char_fock_dyad, fock_dyad_radial, hermite_stack
 from cvshadow.qmc import BoxDomain, qmc_integrate
 from cvshadow.states import (
@@ -100,6 +101,24 @@ def hermite_wavefunction(n: int, q):
         raise ValueError(f"n={n} out of range 0..200")
     psi = hermite_stack(n, q)[n]
     return psi if psi.ndim else float(psi)
+
+
+def heterodyne_covariance(spec: GaussianStateSpec) -> np.ndarray:
+    """Covariance ``(V + I)/2`` of heterodyne outcomes of a Gaussian state."""
+    return 0.5 * (spec.cov + np.eye(spec.cov.shape[0]))
+
+
+def correlated_gaussian(modes: int, seed: int) -> GaussianStateSpec:
+    """A pure ``modes``-mode Gaussian state with x-p correlations and a nonzero mean.
+
+    ``V = S S^T`` for the symplectic ``S = expm(Omega (H + H^T))``, so its xp
+    block ``C`` is nonzero and every symplectic eigenvalue is 1.
+    """
+    rng = np.random.default_rng(seed)
+    eye, zero = np.eye(modes), np.zeros((modes, modes))
+    h = rng.normal(scale=0.3, size=(2 * modes, 2 * modes))
+    sym = expm(np.block([[zero, eye], [-eye, zero]]) @ (h + h.T))
+    return GaussianStateSpec(rng.normal(size=2 * modes), sym @ sym.T)
 
 
 def heterodyne_pdf(state, x):

@@ -232,7 +232,7 @@ class TestSigmaPinnedToEstimator:
         x = np.arange(0.0, 16.0, 1.0 / 64)
         batch = SampleBatch("heterodyne", np.stack([x, np.zeros_like(x)], axis=-1)[:, None, :])
         w = default_window(truncation)
-        block = _sigma_block(truncation, w.xi_radial, w.radius)
+        block = _sigma_block(truncation, w.xi_radial, w.radius, (w.eta,))
         sigma = sigma_heterodyne(truncation, 1, 0.0, w)
         assert np.linalg.norm(block, ord=2) == sigma
         self._check(shadow_batch_entries(batch, [0], truncation, w), block, sigma)

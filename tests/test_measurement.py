@@ -11,11 +11,12 @@ from scipy.stats import kstest
 
 from cvshadow.measurement import (
     SampleBatch,
+    _gaussian_draws,
     fock_husimi,
-    heterodyne_covariance,
     homodyne_pdf,
     sample_heterodyne_batch,
     sample_homodyne_batch,
+    stream_rng,
 )
 from cvshadow.states import (
     CatStateSpec,
@@ -30,7 +31,13 @@ from cvshadow.states import (
 )
 from cvshadow.phase_space import hermite_stack
 from cvshadow.qmc import BoxDomain, qmc_integrate
-from conftest import hermite_wavefunction, heterodyne_pdf, reference_jsonl
+from conftest import (
+    correlated_gaussian,
+    hermite_wavefunction,
+    heterodyne_covariance,
+    heterodyne_pdf,
+    reference_jsonl,
+)
 
 
 def fock_state(n: int, truncation: int) -> FockMatrix:
@@ -592,6 +599,62 @@ class TestSampleHeterodyne:
             for b in range(2):
                 corr = np.corrcoef(pts[:, 0, a], pts[:, 1, b])[0, 1]
                 assert abs(corr) < 3.0 / math.sqrt(n)
+
+
+class TestCorrelatedGaussian:
+    """x-p correlations make the xp block C nonzero, so the sampler uses L21."""
+
+    MODES, N = 4, 100_000
+
+    @staticmethod
+    def assert_moments(flat, mean, cov):
+        # test_chain_covariance's tolerance on the covariance
+        rel = np.linalg.norm(np.cov(flat.T) - cov) / np.linalg.norm(cov)
+        assert rel < 0.05
+        stderr = np.sqrt(np.diag(cov) / len(flat))
+        assert np.all(np.abs(flat.mean(axis=0) - mean) < 4.0 * stderr)
+
+    def test_heterodyne_covariance(self):
+        state = correlated_gaussian(self.MODES, 7)
+        assert np.abs(state.cov[: self.MODES, self.MODES :]).max() > 0.1
+        pts = sample_heterodyne_batch(state, self.N, "hcorr").outcomes
+        flat = np.concatenate([pts[:, :, 0], pts[:, :, 1]], axis=1)
+        self.assert_moments(flat, state.mean, heterodyne_covariance(state))
+
+    def test_homodyne_draws_covariance(self):
+        # the rounds are cos(theta) x - sin(theta) p of phase-space draws from N(t, V/2)
+        m, n = self.MODES, self.N
+        state = correlated_gaussian(m, 7)
+        batch = sample_homodyne_batch(state, n, "qcorr")
+        rng = stream_rng("qcorr")
+        thetas = rng.uniform(-np.pi, np.pi, size=(n, m))
+        draws = _gaussian_draws(state, 0.0, n, rng)
+        assert np.array_equal(thetas, batch.thetas)
+        rounds = np.cos(thetas) * draws[:, :m] - np.sin(thetas) * draws[:, m:]
+        assert np.array_equal(rounds, batch.outcomes)
+        self.assert_moments(draws, state.mean, 0.5 * state.cov)
+
+
+@pytest.fixture(scope="module")
+def chain1000():
+    return chain_ground_state(ChainSpec(1000, 0.99))
+
+
+class TestThousandModeMemory:
+    """Peaks at m = 1000: no 2m x 2m covariance or factor, no list of file lines."""
+
+    @pytest.mark.parametrize("sample", [sample_heterodyne_batch, sample_homodyne_batch])
+    def test_gaussian_sampler(self, chain1000, sample):
+        assert traced_peak_mb(lambda: sample(chain1000, 1000, "mem1000")) <= 64.0
+
+    def test_chain_ground_state(self):
+        assert traced_peak_mb(lambda: chain_ground_state(ChainSpec(1000, 0.99))) <= 96.0
+
+    def test_from_jsonl(self, tmp_path):
+        # 1000 rounds of 1000 modes: 12 MB of lines, 16 MB of outcomes
+        path = tmp_path / "records.jsonl"
+        SampleBatch("heterodyne", np.full((1000, 1000, 2), -0.5), None, "mem").to_jsonl(path)
+        assert traced_peak_mb(lambda: SampleBatch.from_jsonl(path)) <= 20.0
 
 
 class TestRecordsAndBatches:

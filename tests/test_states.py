@@ -11,6 +11,7 @@ from cvshadow.states import (
     CatStateSpec,
     ChainSpec,
     GaussianStateSpec,
+    block_cholesky,
     cat_char,
     cat_fock_coefficients,
     cat_position_pdf,
@@ -20,7 +21,7 @@ from cvshadow.states import (
     fock_moments,
     multi_indices,
 )
-from conftest import gauss_legendre_grid_2d
+from conftest import correlated_gaussian, gauss_legendre_grid_2d
 
 
 def cat_char_printed_form(spec, u):
@@ -131,6 +132,15 @@ class TestQuantumCovarianceCheck:
         assert not eigenvalue_verdict(shrunk)
         assert not accepted(shrunk)
 
+    def test_multimode_with_xp_correlations(self):
+        # a pure state with C != 0, so L21 != 0 in the check; it sits on the boundary
+        cov = correlated_gaussian(6, 3).cov
+        assert np.abs(cov[:6, 6:]).max() > 0.1
+        assert eigenvalue_verdict(cov) and accepted(cov)
+        shrunk = (1.0 - 2e-10) * cov
+        assert not eigenvalue_verdict(shrunk)
+        assert not accepted(shrunk)
+
     def test_thousand_mode_chain(self):
         cov = chain_ground_state(ChainSpec(1000, 0.99)).cov
         assert accepted(cov)
@@ -156,6 +166,31 @@ class TestQuantumCovarianceCheck:
             assert accepted(cov) is verdict
             verdicts.append(verdict)
         assert 40 <= sum(verdicts) <= 160
+
+
+class TestBlockCholesky:
+    @pytest.mark.parametrize("complex_k", [False, True])
+    def test_blocks_factor_the_matrix(self, complex_k):
+        # m = 300 spans two 256-row blocks of the substitution and of k^H k
+        rng = np.random.default_rng(11)
+        m = 300
+        g = rng.normal(size=(2 * m, 2 * m))
+        a = g[:m] @ g[:m].T / m + np.eye(m)
+        b = g[m:] @ g[m:].T / m + np.eye(m)
+        k = rng.normal(size=(m, m)) / (4.0 * np.sqrt(m))
+        if complex_k:
+            k = k + 1j * rng.normal(size=(m, m)) / (4.0 * np.sqrt(m))
+        full = np.block([[a, k], [k.conj().T, b]])
+        l11, l21, l22 = block_cholesky(a.copy(), k.copy(), b.copy())
+        lower = np.block([[l11, np.zeros((m, m))], [l21, l22]])
+        assert np.abs(lower - np.linalg.cholesky(full)).max() < 1e-12
+        assert np.abs(lower @ lower.conj().T - full).max() < 1e-12
+
+    def test_not_positive_definite(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            block_cholesky(np.eye(3), 2.0 * np.eye(3), np.eye(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            block_cholesky(-np.eye(3), np.zeros((3, 3)), np.eye(3))
 
 
 class TestCatState:
