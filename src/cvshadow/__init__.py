@@ -16,11 +16,13 @@ from .phase_space import (
 from .states import (
     CatStateSpec,
     ChainSpec,
+    CirculantChainState,
     FockMatrix,
     GaussianStateSpec,
     cat_char,
     cat_position_pdf,
     chain_ground_state,
+    chain_state,
     fock_matrix_of,
 )
 from .measurement import (

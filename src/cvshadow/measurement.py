@@ -28,15 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .phase_space import alpha_of, hermite_stack
-from .states import (
-    CatStateSpec,
-    FockMatrix,
-    GaussianStateSpec,
-    block_cholesky,
-    fock_matrix_of,
-    fock_moments,
-    xxpp_block,
-)
+from .states import CatStateSpec, FockMatrix, fock_matrix_of, fock_moments
 
 log = logging.getLogger(__name__)
 
@@ -280,27 +272,6 @@ def fock_husimi(fock: FockMatrix, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_draws(state: GaussianStateSpec, vacuum: float, n: int, rng) -> np.ndarray:
-    """``n`` rows ``[x | p]`` from ``N(t, (V + vacuum I) / 2)``: Wigner 0, heterodyne 1.
-
-    The m x m blocks are factored by :func:`block_cholesky`, and the normals
-    ``z`` become ``t + z L^T`` in place, 256 rows at a time.
-    """
-    m = state.modes
-
-    def half(i, j, diag=0.0):  # block (i, j) of (V + diag I) / 2; V is symmetric
-        return 0.5 * xxpp_block(state.cov, i, j, diag)
-
-    l11, l21, l22 = block_cholesky(half(0, 0, vacuum), half(0, 1), half(1, 1, vacuum))
-    z = rng.standard_normal((n, 2 * m))
-    for r in range(0, n, 256):
-        x, p = z[r : r + 256, :m], z[r : r + 256, m:]
-        p[:] = x @ l21.T + p @ l22.T
-        x[:] = x @ l11.T
-    z += state.mean
-    return z
-
-
 @lru_cache(maxsize=16)
 def _cat_sampling_fock(spec: CatStateSpec) -> FockMatrix:
     trunc = int(np.ceil(abs(spec.alpha) ** 2 + 6.0 * abs(spec.alpha) + 10))
@@ -456,17 +427,18 @@ def sample_homodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
     """Draw ``n`` randomized homodyne rounds as a deterministic batch.
 
     Gaussian states are sampled exactly, all modes jointly: a phase-space
-    point from the Wigner density ``N(t, V/2)``, then ``q_j = cos(theta_j)
-    x_j - sin(theta_j) p_j``.  Cat states and truncated Fock matrices use
-    exact rejection sampling of :func:`homodyne_pdf`; ``meta`` then holds its
-    acceptance and proposal count.
+    point from the Wigner density ``N(t, V/2)`` (the state's
+    ``phase_space_draws``), then ``q_j = cos(theta_j) x_j - sin(theta_j)
+    p_j``.  Cat states and truncated Fock matrices use exact rejection
+    sampling of :func:`homodyne_pdf`; ``meta`` then holds its acceptance and
+    proposal count.
     """
     rng = stream_rng(seed_path)
     meta: dict = {}
-    if isinstance(state, GaussianStateSpec):
+    if hasattr(state, "phase_space_draws"):
         m = state.modes
         thetas = rng.uniform(-np.pi, np.pi, size=(n, m))
-        x = _gaussian_draws(state, 0.0, n, rng)
+        x = state.phase_space_draws(0.0, n, rng)
         qs = np.cos(thetas) * x[:, :m] - np.sin(thetas) * x[:, m:]
     else:
         thetas, qs, meta = _rejection_homodyne_draws(_sampling_fock(state), n, rng)
@@ -515,14 +487,15 @@ def _rejection_heterodyne_draws(
 def sample_heterodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
     """Draw ``n`` heterodyne rounds as a deterministic batch.
 
-    Gaussian states are sampled exactly from ``N(t, (V+I)/2)``; cat states
-    and truncated Fock matrices use exact rejection sampling with a Student-t
-    envelope, and ``meta`` then holds its acceptance and proposal count.
+    Gaussian states are sampled exactly from ``N(t, (V+I)/2)`` (the state's
+    ``phase_space_draws``); cat states and truncated Fock matrices use exact
+    rejection sampling with a Student-t envelope, and ``meta`` then holds its
+    acceptance and proposal count.
     """
     rng = stream_rng(seed_path)
     meta: dict = {}
-    if isinstance(state, GaussianStateSpec):
-        flat = _gaussian_draws(state, 1.0, n, rng)
+    if hasattr(state, "phase_space_draws"):
+        flat = state.phase_space_draws(1.0, n, rng)
         m = state.modes
         pts = np.stack([flat[:, :m], flat[:, m:]], axis=-1)
     else:

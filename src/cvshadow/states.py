@@ -126,10 +126,29 @@ class GaussianStateSpec:
     def marginal(self, modes: list[int]) -> "GaussianStateSpec":
         """Reduced Gaussian state on distinct modes in 0..m-1 (order preserved)."""
         m = self.modes
-        if any(not 0 <= i < m for i in modes) or len(set(modes)) != len(modes):
-            raise ValueError(f"modes {list(modes)} must be distinct and in 0..{m - 1}")
+        _check_modes(modes, m)
         idx = np.concatenate([np.asarray(modes), np.asarray(modes) + m])
         return GaussianStateSpec(self.mean[idx], self.cov[np.ix_(idx, idx)])
+
+    def phase_space_draws(self, vacuum: float, n: int, rng) -> np.ndarray:
+        """``n`` rows ``[x | p]`` from ``N(t, (V + vacuum I) / 2)``: Wigner 0, heterodyne 1.
+
+        The m x m blocks are factored by :func:`block_cholesky`, and the normals
+        ``z`` become ``t + z L^T`` in place, 256 rows at a time.
+        """
+        m = self.modes
+
+        def half(i, j, diag=0.0):  # block (i, j) of (V + diag I) / 2; V is symmetric
+            return 0.5 * xxpp_block(self.cov, i, j, diag)
+
+        l11, l21, l22 = block_cholesky(half(0, 0, vacuum), half(0, 1), half(1, 1, vacuum))
+        z = rng.standard_normal((n, 2 * m))
+        for r in range(0, n, 256):
+            x, p = z[r : r + 256, :m], z[r : r + 256, m:]
+            p[:] = x @ l21.T + p @ l22.T
+            x[:] = x @ l11.T
+        z += self.mean
+        return z
 
     @classmethod
     def vacuum(cls, modes: int = 1) -> "GaussianStateSpec":
@@ -154,6 +173,11 @@ class GaussianStateSpec:
         omega = omega_matrix(self.modes)
         lam = np.linalg.eigvals(1j * omega @ self.cov)
         return np.sort(np.abs(lam.real))[::2]
+
+
+def _check_modes(modes, m: int) -> None:
+    if any(not 0 <= i < m for i in modes) or len(set(modes)) != len(modes):
+        raise ValueError(f"modes {list(modes)} must be distinct and in 0..{m - 1}")
 
 
 def block_cholesky(a: np.ndarray, k: np.ndarray, b: np.ndarray):
@@ -365,15 +389,17 @@ class ChainSpec:
     def modes(self) -> int:
         return self.m
 
-    def h_xx(self) -> np.ndarray:
-        h = 0.5 * np.eye(self.m)
+    def h_xx_row(self) -> np.ndarray:
+        """First row of the circulant part of ``h_XX``; at m = 2 the two couplings add up."""
+        row = np.zeros(self.m)
+        row[0] = 0.5
         if self.m > 1:
-            off = -self.kappa / 4.0
-            idx = np.arange(self.m - 1)
-            h[idx, idx + 1] = off
-            h[idx + 1, idx] = off
-            h[0, self.m - 1] += off
-            h[self.m - 1, 0] += off
+            row[1] -= self.kappa / 4.0
+            row[-1] -= self.kappa / 4.0
+        return row
+
+    def h_xx(self) -> np.ndarray:
+        h = _circulant(self.h_xx_row(), range(self.m))
         if self.disorder:
             rng = np.random.default_rng(self.disorder_seed)
             a = rng.standard_normal((self.m, self.m))
@@ -382,20 +408,97 @@ class ChainSpec:
         return h
 
 
+def _circulant(row: np.ndarray, modes) -> np.ndarray:
+    """Entries ``row[(j - i) mod m]``, i, j in ``modes``, of the circulant with first row ``row``."""
+    modes = np.asarray(modes)
+    return row[(modes[None, :] - modes[:, None]) % row.size]
+
+
+def _check_spectrum(lam: np.ndarray) -> None:
+    if lam.min() < _EIG_FLOOR:
+        raise ValueError(
+            f"matrix not positive definite (min eigenvalue {lam.min():.3e}); "
+            "kappa too close to a degenerate point"
+        )
+
+
+@dataclass(frozen=True)
+class CirculantChainState:
+    """Ground state of a chain without disorder, held as the spectrum of ``h_XX``.
+
+    ``h_XX`` is circulant, so ``X = (2 h_XX)^{-1/2}``, ``X^-1`` and every
+    block of ``(V + v I)/2`` for ``V = diag(X, X^-1)`` are circulant too, each
+    diagonalised by one FFT (Audenaert, Eisert, Plenio & Werner, PRA 66,
+    042327 (2002)).  ``lam`` holds the m eigenvalues ``lam_k``, the FFT of
+    :meth:`ChainSpec.h_xx_row`; nothing held or built is m x m.
+    """
+
+    lam: np.ndarray
+
+    @property
+    def modes(self) -> int:
+        return self.lam.size
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """First rows of ``X`` and ``X^-1``: inverse FFTs of ``(2 lam_k)^{-1/2}`` and ``^{1/2}``."""
+        root = np.sqrt(2.0 * self.lam)
+        return np.fft.ifft(1.0 / root).real, np.fft.ifft(root).real
+
+    def marginal(self, modes: list[int]) -> GaussianStateSpec:
+        """Reduced state on distinct modes in 0..m-1, from entries of :meth:`rows`."""
+        _check_modes(modes, self.modes)
+        x_row, p_row = self.rows()
+        zero = np.zeros((len(modes), len(modes)))
+        cov = np.block([[_circulant(x_row, modes), zero], [zero, _circulant(p_row, modes)]])
+        return GaussianStateSpec(np.zeros(2 * len(modes)), cov)
+
+    def char(self, u) -> np.ndarray:
+        """Characteristic function, through the dense marginal on every mode."""
+        return self.marginal(list(range(self.modes))).char(u)
+
+    def phase_space_draws(self, vacuum: float, n: int, rng) -> np.ndarray:
+        """``n`` rows ``[x | p]`` from ``N(0, (V + vacuum I) / 2)``: Wigner 0, heterodyne 1.
+
+        A block ``circ(c)`` with eigenvalues ``c_k`` is drawn exactly as ``Re
+        FFT(sqrt(c_k / m) (z1 + i z2))`` for standard normal ``z1``, ``z2``,
+        about 2^18 values at a time into the preallocated rows.
+        """
+        m = self.modes
+        root = np.sqrt(2.0 * self.lam)
+        scales = [np.sqrt((c + vacuum) / (2.0 * m)) for c in (1.0 / root, root)]
+        out = np.empty((n, 2 * m))
+        step = max(1, (1 << 18) // m)
+        for r in range(0, n, step):
+            rows = out[r : r + step]
+            for block, scale in enumerate(scales):
+                z = rng.standard_normal((2, len(rows), m))
+                rows[:, block * m : (block + 1) * m] = np.fft.fft(scale * (z[0] + 1j * z[1])).real
+        return out
+
+
+def chain_state(spec: ChainSpec):
+    """The chain's ground state: :class:`CirculantChainState` unless ``disorder`` is set.
+
+    A disordered ``h_XX`` is not circulant, so it takes :func:`chain_ground_state`.
+    """
+    if spec.disorder:
+        return chain_ground_state(spec)
+    lam = np.fft.fft(spec.h_xx_row()).real
+    _check_spectrum(lam)
+    return CirculantChainState(lam)
+
+
 def chain_ground_state(spec: ChainSpec) -> GaussianStateSpec:
     """Gaussian ground state of the chain: mean 0, covariance diag(X, X^-1).
 
     The general ``X = h_XX^{-1/2} sqrt(sqrt(h_XX) h_PP sqrt(h_XX))
     h_XX^{-1/2}`` reduces to ``(2 h_XX)^{-1/2}`` at ``h_PP = I/2``, so ``X``
     and ``X^-1 = (2 h_XX)^{1/2}`` both come from one symmetric
-    eigendecomposition of ``h_XX``.
+    eigendecomposition of ``h_XX``.  This dense path serves disordered
+    chains and is the reference for :class:`CirculantChainState`.
     """
     lam, vec = np.linalg.eigh(spec.h_xx())
-    if lam.min() < _EIG_FLOOR:
-        raise ValueError(
-            f"matrix not positive definite (min eigenvalue {lam.min():.3e}); "
-            "kappa too close to a degenerate point"
-        )
+    _check_spectrum(lam)
     root, m = np.sqrt(2.0 * lam), spec.m
     cov = np.zeros((2 * m, 2 * m))
     np.matmul(vec / root, vec.T, out=cov[:m, :m])

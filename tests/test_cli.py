@@ -22,7 +22,13 @@ from cvshadow.cli import (
 )
 from cvshadow.entropy import entropy_reference
 from cvshadow.shadows import ShadowAverage, project_PM
-from cvshadow.states import GaussianStateSpec, fock_matrix_of
+from cvshadow.states import (
+    ChainSpec,
+    CirculantChainState,
+    GaussianStateSpec,
+    chain_ground_state,
+    fock_matrix_of,
+)
 
 
 def base_config(**overrides):
@@ -75,6 +81,19 @@ class TestBuildState:
         assert build_state({"kind": "chain", "m": 3, "kappa": 0.5}).modes == 3
         assert build_state({"kind": "fock", "n": 1}).truncation >= 1
 
+    def test_chain_from_spectrum_unless_disordered(self):
+        chain = {"kind": "chain", "m": 1000, "kappa": 0.99}
+        assert isinstance(build_state(chain), CirculantChainState)
+        assert isinstance(build_state(dict(chain, m=6, disorder=True)), GaussianStateSpec)
+
+    def test_degenerate_chain_exit_code(self, tmp_path, capsys):
+        chain = {"kind": "chain", "m": 2, "kappa": 1.0}
+        with pytest.raises(ValueError, match="positive definite"):
+            build_state(chain)
+        cfg_path = write_config(tmp_path, base_config(state=chain))
+        assert cli.main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 2
+        assert "error: matrix not positive definite" in capsys.readouterr().err
+
 
 class TestSample:
     def test_deterministic_records(self, tmp_path):
@@ -116,6 +135,15 @@ class TestSample:
         first = json.loads((tmp_path / "records.jsonl").read_text().splitlines()[0])
         outcome = np.asarray(first["outcome"])
         assert outcome.shape == (40, 2)
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    def test_chain_records_deterministic(self, tmp_path, protocol):
+        # the spectral chain's FFT draws: same config and seed, same bytes
+        cfg = base_config(state={"kind": "chain", "m": 700, "kappa": 0.99}, protocol=protocol)
+        cmd_sample(cfg, tmp_path / "a")
+        cmd_sample(cfg, tmp_path / "b")
+        rec_a = (tmp_path / "a" / "records.jsonl").read_bytes()
+        assert rec_a == (tmp_path / "b" / "records.jsonl").read_bytes()
 
     def test_thousand_oscillator_chain_completes(self, tmp_path):
         # strongly coupled kilomode chain: per-record outcome carries 2000
@@ -326,6 +354,21 @@ class TestEntropy:
         mode0 = build_state(cfg["state"]).marginal([0])
         assert result["reference_entropy"] == pytest.approx(entropy_reference(mode0), abs=1e-12)
         assert result["reference_entropy"] == pytest.approx(0.2929, abs=1e-4)
+
+    def test_chain_reference_matches_dense_marginal(self, tmp_path):
+        cfg = base_config(
+            state={"kind": "chain", "m": 4, "kappa": 0.9},
+            protocol="homodyne",
+            samples=200,
+            subset=[0, 2],
+            entropy={"epsilon": 0.9, "energy": 0.3},
+        )
+        cmd_sample(cfg, tmp_path / "s")
+        cmd_reconstruct(cfg, tmp_path / "s" / "records.jsonl", tmp_path / "r")
+        result = cmd_entropy(cfg, tmp_path / "r" / "shadow_average.json", tmp_path / "e")
+        pair = chain_ground_state(ChainSpec(4, 0.9)).marginal([0, 2])
+        assert result["reference_entropy"] == pytest.approx(entropy_reference(pair), abs=1e-12)
+        assert result["reference_entropy"] > 0.1
 
     def test_vacuum_small(self, tmp_path):
         path = self._write_exact_average(tmp_path, 0.0, 1)

@@ -11,7 +11,6 @@ from scipy.stats import kstest
 
 from cvshadow.measurement import (
     SampleBatch,
-    _gaussian_draws,
     fock_husimi,
     homodyne_pdf,
     sample_heterodyne_batch,
@@ -26,6 +25,7 @@ from cvshadow.states import (
     cat_fock_coefficients,
     cat_position_pdf,
     chain_ground_state,
+    chain_state,
     fock_matrix_of,
     fock_moments,
 )
@@ -194,11 +194,12 @@ class TestSampleHomodyne:
         assert batch.outcomes[:, 0].var() == pytest.approx(1.5, abs=0.02)
 
     def test_uncoupled_chain_uncorrelated(self):
-        state = chain_ground_state(ChainSpec(2, 0.0))
-        batch = sample_homodyne_batch(state, 100_000, "chain0")
-        qs = batch.outcomes
-        corr = np.corrcoef(qs[:, 0], qs[:, 1])[0, 1]
-        assert abs(corr) < 0.01
+        # the dense state and the spectral one the CLI builds
+        for state in (chain_ground_state(ChainSpec(2, 0.0)), chain_state(ChainSpec(2, 0.0))):
+            batch = sample_homodyne_batch(state, 100_000, "chain0")
+            qs = batch.outcomes
+            corr = np.corrcoef(qs[:, 0], qs[:, 1])[0, 1]
+            assert abs(corr) < 0.01
 
     @pytest.mark.parametrize("theta", [0.0, np.pi / 4, np.pi / 2])
     def test_rotated_variance_matches_covariance(self, theta):
@@ -520,16 +521,17 @@ class TestSampleHeterodyne:
         assert np.allclose(pts.var(axis=0), 1.0, rtol=0.02)
 
     def test_chain_covariance(self):
-        state = chain_ground_state(ChainSpec(10, 0.99))
-        batch = sample_heterodyne_batch(state, 100_000, "hchain")
-        pts = batch.outcomes
-        flat = np.concatenate([pts[:, :, 0], pts[:, :, 1]], axis=1)
-        emp = np.cov(flat.T, bias=False)
+        dense = chain_ground_state(ChainSpec(10, 0.99))
         # outcome covariance in the vacuum-is-identity normalization is 2x
         # the numpy covariance of draws ~ N(0, (V+I)/2)
-        expected = heterodyne_covariance(state)
-        rel = np.linalg.norm(emp - expected) / np.linalg.norm(expected)
-        assert rel < 0.05
+        expected = heterodyne_covariance(dense)
+        for state in (dense, chain_state(ChainSpec(10, 0.99))):
+            batch = sample_heterodyne_batch(state, 100_000, "hchain")
+            pts = batch.outcomes
+            flat = np.concatenate([pts[:, :, 0], pts[:, :, 1]], axis=1)
+            emp = np.cov(flat.T, bias=False)
+            rel = np.linalg.norm(emp - expected) / np.linalg.norm(expected)
+            assert rel < 0.05
 
     def test_cat_one_acceptance_and_moments(self):
         spec = CatStateSpec(1 + 1j, "one")
@@ -592,13 +594,13 @@ class TestSampleHeterodyne:
 
     def test_uncoupled_chain_factorizes(self):
         n = 40_000
-        state = chain_ground_state(ChainSpec(2, 0.0))
-        batch = sample_heterodyne_batch(state, n, "hfact")
-        pts = batch.outcomes
-        for a in range(2):
-            for b in range(2):
-                corr = np.corrcoef(pts[:, 0, a], pts[:, 1, b])[0, 1]
-                assert abs(corr) < 3.0 / math.sqrt(n)
+        for state in (chain_ground_state(ChainSpec(2, 0.0)), chain_state(ChainSpec(2, 0.0))):
+            batch = sample_heterodyne_batch(state, n, "hfact")
+            pts = batch.outcomes
+            for a in range(2):
+                for b in range(2):
+                    corr = np.corrcoef(pts[:, 0, a], pts[:, 1, b])[0, 1]
+                    assert abs(corr) < 3.0 / math.sqrt(n)
 
 
 class TestCorrelatedGaussian:
@@ -628,11 +630,32 @@ class TestCorrelatedGaussian:
         batch = sample_homodyne_batch(state, n, "qcorr")
         rng = stream_rng("qcorr")
         thetas = rng.uniform(-np.pi, np.pi, size=(n, m))
-        draws = _gaussian_draws(state, 0.0, n, rng)
+        draws = state.phase_space_draws(0.0, n, rng)
         assert np.array_equal(thetas, batch.thetas)
         rounds = np.cos(thetas) * draws[:, :m] - np.sin(thetas) * draws[:, m:]
         assert np.array_equal(rounds, batch.outcomes)
         self.assert_moments(draws, state.mean, 0.5 * state.cov)
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    def test_spectral_chain_draws(self, protocol):
+        # the rounds of both protocols are functions of the chain's FFT draws,
+        # whose moments are those of the dense ground state
+        m, n = 10, self.N
+        state, dense = chain_state(ChainSpec(m, 0.99)), chain_ground_state(ChainSpec(m, 0.99))
+        rng = stream_rng("spectral")
+        if protocol == "homodyne":
+            batch = sample_homodyne_batch(state, n, "spectral")
+            thetas = rng.uniform(-np.pi, np.pi, size=(n, m))
+            draws = state.phase_space_draws(0.0, n, rng)
+            assert np.array_equal(thetas, batch.thetas)
+            rounds = np.cos(thetas) * draws[:, :m] - np.sin(thetas) * draws[:, m:]
+            assert np.array_equal(rounds, batch.outcomes)
+            self.assert_moments(draws, dense.mean, 0.5 * dense.cov)
+        else:
+            pts = sample_heterodyne_batch(state, n, "spectral").outcomes
+            draws = state.phase_space_draws(1.0, n, rng)
+            assert np.array_equal(draws, np.concatenate([pts[:, :, 0], pts[:, :, 1]], axis=1))
+            self.assert_moments(draws, dense.mean, heterodyne_covariance(dense))
 
 
 @pytest.fixture(scope="module")
@@ -646,6 +669,11 @@ class TestThousandModeMemory:
     @pytest.mark.parametrize("sample", [sample_heterodyne_batch, sample_homodyne_batch])
     def test_gaussian_sampler(self, chain1000, sample):
         assert traced_peak_mb(lambda: sample(chain1000, 1000, "mem1000")) <= 64.0
+
+    @pytest.mark.parametrize("sample", [sample_heterodyne_batch, sample_homodyne_batch])
+    def test_spectral_chain_sampler(self, sample):
+        state = chain_state(ChainSpec(1000, 0.99))
+        assert traced_peak_mb(lambda: sample(state, 1000, "mem1000")) <= 64.0
 
     def test_chain_ground_state(self):
         assert traced_peak_mb(lambda: chain_ground_state(ChainSpec(1000, 0.99))) <= 96.0

@@ -1,6 +1,8 @@
 """State constructors: Gaussian specs, cat qubits, chains, Fock matrices."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,12 +12,14 @@ from cvshadow.phase_space import char_coherent_dyad
 from cvshadow.states import (
     CatStateSpec,
     ChainSpec,
+    CirculantChainState,
     GaussianStateSpec,
     block_cholesky,
     cat_char,
     cat_fock_coefficients,
     cat_position_pdf,
     chain_ground_state,
+    chain_state,
     coherent_overlap,
     fock_matrix_of,
     fock_moments,
@@ -100,6 +104,18 @@ def eigenvalue_verdict(cov):
     return bool(np.linalg.eigvalsh(cov + 1j * omega).min() >= -1e-10)
 
 
+def symplectic_verdict(cov):
+    """Whether every symplectic eigenvalue of ``cov = diag(X, P)`` is >= 1 - 1e-10.
+
+    They are ``sqrt(eig(X P))``, here the eigenvalues of ``L^T P L`` for ``X = L L^T``:
+    an m x m reference for a state without x-p correlations.
+    """
+    m = cov.shape[0] // 2
+    assert not cov[:m, m:].any() and not cov[m:, :m].any()
+    low = np.linalg.cholesky(cov[:m, :m])
+    return bool(np.sqrt(np.linalg.eigvalsh(low.T @ cov[m:, m:] @ low).min()) >= 1.0 - 1e-10)
+
+
 def accepted(cov):
     """Whether ``GaussianStateSpec`` takes ``cov``; a refusal names the reason."""
     try:
@@ -143,10 +159,17 @@ class TestQuantumCovarianceCheck:
 
     def test_thousand_mode_chain(self):
         cov = chain_ground_state(ChainSpec(1000, 0.99)).cov
-        assert accepted(cov)
+        assert accepted(cov) and symplectic_verdict(cov)
         shrunk = (1.0 - 2e-10) * cov
         assert not accepted(shrunk)
-        assert not eigenvalue_verdict(shrunk)
+        assert not symplectic_verdict(shrunk)
+
+    def test_symplectic_reference_agrees_with_eigenvalues(self):
+        # the m x m reference of test_thousand_mode_chain against the 2m x 2m one
+        for m, kappa in ((3, 0.5), (40, 0.99)):
+            cov = chain_ground_state(ChainSpec(m, kappa)).cov
+            for f in (1.0, 1.0 - 2e-10, 1.0 + 1e-9, 0.9):
+                assert symplectic_verdict(f * cov) is eigenvalue_verdict(f * cov)
 
     def test_random_covariances_same_verdict(self):
         # V = S diag(nu, nu) S^T scaled by f, with S = expm(Omega H) symplectic;
@@ -348,6 +371,85 @@ class TestChain:
     def test_invalid_kappa(self):
         with pytest.raises(ValueError):
             ChainSpec(3, 1.5)
+
+    def test_h_xx_edge_cases(self):
+        # m = 1 has no coupling; at m = 2 the wrap term doubles the one off-diagonal
+        assert ChainSpec(1, 0.8).h_xx().tolist() == [[0.5]]
+        assert ChainSpec(2, 0.8).h_xx().tolist() == [[0.5, -0.4], [-0.4, 0.5]]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 50, 1000])
+    def test_spectral_state_matches_dense(self, m):
+        spec = ChainSpec(m, 0.99 if m > 2 else 0.5)
+        dense = chain_ground_state(spec)
+        cov, state = dense.cov, chain_state(spec)
+        assert isinstance(state, CirculantChainState) and state.modes == m
+        x_row, p_row = state.rows()
+        idx = np.arange(m)
+        circ = (idx[None, :] - idx[:, None]) % m
+        assert np.abs(x_row[circ] - cov[:m, :m]).max() <= 1e-13
+        assert np.abs(p_row[circ] - cov[m:, m:]).max() <= 1e-13
+        for modes in ([0], [0, m // 2], [m - 1, 0], [m // 3, m - 1, 1]):
+            if len(set(modes)) < len(modes):
+                continue
+            marg = state.marginal(modes)
+            ref = dense.marginal(modes)
+            assert np.abs(marg.cov - ref.cov).max() <= 1e-13
+            assert not marg.mean.any()
+
+    def test_spectral_char_matches_dense(self):
+        spec = ChainSpec(3, 0.5)
+        u = np.random.default_rng(5).normal(size=(7, 6))
+        assert np.abs(chain_state(spec).char(u) - chain_ground_state(spec).char(u)).max() <= 1e-13
+
+    def test_spectral_state_is_order_m(self):
+        # m = 1e5: the dense covariance would be 80 GB
+        m = 100_000
+
+        def build():
+            return chain_state(ChainSpec(m, 0.99)).marginal([0, m // 2])
+
+        tracemalloc.start()
+        try:
+            marg = build()
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.0
+        assert marg.cov.shape == (4, 4)
+
+    def test_spectral_degenerate_coupling_rejected(self):
+        with pytest.raises(ValueError, match="positive definite|degenerate"):
+            chain_state(ChainSpec(2, 1.0))
+
+    def test_spectral_marginal_rejects_bad_modes(self):
+        spec = ChainSpec(5, 0.5)
+        for modes in ([0, 0], [0, 5], [-1]):
+            with pytest.raises(ValueError) as dense:
+                chain_ground_state(spec).marginal(modes)
+            with pytest.raises(ValueError, match=re.escape(str(dense.value))):
+                chain_state(spec).marginal(modes)
+
+    def test_disordered_chain_keeps_dense_path(self):
+        spec = ChainSpec(6, 0.5, disorder=True, disorder_seed=7)
+        state = chain_state(spec)
+        assert isinstance(state, GaussianStateSpec)
+        assert np.array_equal(state.cov, chain_ground_state(spec).cov)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 50])
+    @pytest.mark.parametrize("vacuum", [0.0, 1.0])
+    def test_spectral_draws_have_exact_covariance(self, m, vacuum):
+        # draws are linear in the normals: feeding the 2m unit vectors of one
+        # block's (z1, z2) as 2m rows gives rows whose Gram matrix is its covariance
+        class UnitNormals:
+            def standard_normal(self, shape):
+                assert shape == (2, 2 * m, m)
+                return np.eye(2 * m).reshape(2 * m, 2, m).transpose(1, 0, 2)
+
+        spec = ChainSpec(m, 0.99 if m > 2 else 0.5)
+        rows = chain_state(spec).phase_space_draws(vacuum, 2 * m, UnitNormals())
+        target = 0.5 * (chain_ground_state(spec).cov + vacuum * np.eye(2 * m))
+        for b in (slice(0, m), slice(m, 2 * m)):
+            assert np.abs(rows[:, b].T @ rows[:, b] - target[b, b]).max() <= 1e-13
 
 
 class TestFockMatrices:
