@@ -36,6 +36,7 @@ from .shadows import (
     WindowSpec,
     average_entries,
     default_window,
+    json_sha256,
     shadow_batch_entries,
 )
 from .states import CatStateSpec, ChainSpec, GaussianStateSpec, chain_state
@@ -116,7 +117,6 @@ CONFIG_SCHEMA = {
                 "e_alpha": {"type": "number", "minimum": 1},
                 "modes": {"type": "integer", "minimum": 1},
                 "observables": {"type": "integer", "minimum": 1},
-                "radius": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
         },
@@ -127,7 +127,6 @@ CONFIG_SCHEMA = {
                 "epsilon": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                 "energy": {"type": "number", "minimum": 0},
                 "d_p": {"type": "integer", "minimum": 2},
-                "r": {"type": "integer", "minimum": 1},
             },
             "additionalProperties": False,
         },
@@ -201,11 +200,6 @@ def config_window(config: dict) -> WindowSpec:
     return default_window(config["truncation"])
 
 
-def _config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
 def _file_sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -223,7 +217,7 @@ def write_manifest(
 ) -> Path:
     """Write ``manifest.json``; ``sampler`` is the batch meta of a rejection sampler."""
     manifest = {
-        "config_hash": _config_hash(config),
+        "config_hash": json_sha256(config),
         "tool_version": __version__,
         "elapsed_seconds": elapsed,
         "inventory": {p.name: _file_sha256(p) for p in sorted(files)},
@@ -262,10 +256,12 @@ def cmd_sample(config: dict, out_dir, seed: int | None = None) -> dict:
     return {"records": str(records_path), "n": batch.n, "meta": batch.meta}
 
 
-def _write_grid_csv(path: Path, axes_cols: list[np.ndarray], exact, recon) -> None:
-    names = [f"u{i + 1}" for i in range(len(axes_cols))]
+def _write_grid_csv(path: Path, points: np.ndarray, exact, recon) -> None:
+    """One row per grid point: its coordinates u1.., then exact and reconstructed chi."""
+    coords = points.reshape(-1, points.shape[-1])
+    names = [f"u{i + 1}" for i in range(coords.shape[1])]
     header = ",".join(names + ["re_true", "im_true", "re_recon", "im_recon"])
-    cols = axes_cols + [
+    cols = list(coords.T) + [
         exact.real.ravel(),
         exact.imag.ravel(),
         recon.real.ravel(),
@@ -304,34 +300,16 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
             exact, recon, v_val = reconstruct_pair_section(
                 batch, state, pair, lo, hi, points
             )
-            axis = exact.axis_points(0)
-            ga, gb = np.meshgrid(axis, exact.axis_points(1), indexing="ij")
-            zero = np.zeros_like(ga).ravel()
             grid_path = out / "pair_grid.csv"
-            _write_grid_csv(
-                grid_path,
-                [ga.ravel(), gb.ravel(), zero, zero],
-                exact.values,
-                recon.values,
-            )
-            files.append(grid_path)
             metrics["pair"] = list(pair)
-            metrics["v_metric"] = v_val
-            if np.max(np.abs([lo, hi])) ** 2 / 2.0 > np.log(max(batch.n, 2)):
-                metrics["warning"] = (
-                    "grid extends beyond the reliable window for this sample size"
-                )
         else:
             exact, recon, v_val = reconstruct_single_mode(batch, state, lo, hi, points)
-            ga, gb = np.meshgrid(
-                exact.axis_points(0), exact.axis_points(1), indexing="ij"
-            )
             grid_path = out / "grid.csv"
-            _write_grid_csv(
-                grid_path, [ga.ravel(), gb.ravel()], exact.values, recon.values
-            )
-            files.append(grid_path)
-            metrics["v_metric"] = v_val
+        _write_grid_csv(grid_path, exact.points, exact.values, recon.values)
+        files.append(grid_path)
+        metrics["v_metric"] = v_val
+        if np.max(np.abs([lo, hi])) ** 2 / 2.0 > np.log(max(batch.n, 2)):
+            metrics["warning"] = "grid extends beyond the reliable window for this sample size"
     if not large_chain:
         truncation = config["truncation"]
         subset = tuple(config.get("subset", range(min(modes, 1))))
@@ -365,9 +343,8 @@ def cmd_bounds(config: dict, out_dir) -> dict:
             n_observables=b.get("observables"),
         )
     else:
-        radius = b.get("radius", default_window(config["truncation"]).radius)
         report = required_samples_heterodyne(
-            profile, b["r"], b["epsilon"], b["delta"], b["modes"], radius,
+            profile, b["r"], b["epsilon"], b["delta"], b["modes"], config_window(config).radius,
             n_observables=b.get("observables"),
         )
     report_path = out / "bounds.json"
@@ -399,8 +376,7 @@ def cmd_entropy(config: dict, average_path, out_dir) -> dict:
         raise FileNotFoundError(f"shadow-average file not found: {average_path}")
     avg = ShadowAverage.from_json(average_path)
     e_cfg = config["entropy"]
-    r = e_cfg.get("r", len(avg.subset))
-    plan = plan_entropy(avg.truncation, r, e_cfg["epsilon"], e_cfg["energy"])
+    plan = plan_entropy(avg.truncation, len(avg.subset), e_cfg["epsilon"], e_cfg["energy"])
     d_p = e_cfg.get("d_p", plan.d_p)
     value = entropy_poly(avg.fock(), d_p)
     result = {
@@ -417,10 +393,9 @@ def cmd_entropy(config: dict, average_path, out_dir) -> dict:
     state_cfg = config.get("state")
     if state_cfg:
         state = build_state(state_cfg)
-        if isinstance(state, CatStateSpec):
-            result["reference_entropy"] = 0.0  # pure state
-        elif hasattr(state, "marginal"):  # a Gaussian state, of the averaged modes only
-            result["reference_entropy"] = entropy_reference(state.marginal(list(avg.subset)))
+        if hasattr(state, "marginal"):  # of the averaged modes only
+            state = state.marginal(list(avg.subset))
+        result["reference_entropy"] = entropy_reference(state)
     report_path = out / "entropy.json"
     with open(report_path, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import FockMatrix, GaussianStateSpec
+from .states import CatStateSpec, FockMatrix, GaussianStateSpec
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,7 @@ def matrix_entropy(mat: np.ndarray) -> float:
     """Exact ``-tr(rho ln rho)`` of a PSD matrix (oracle path)."""
     lam = np.linalg.eigvalsh(0.5 * (mat + np.conj(mat).T))
     lam = lam[lam > 1e-300]
-    return float(-np.sum(lam * np.log(lam)))
+    return float(0.0 - np.sum(lam * np.log(lam)))  # a pure state reads 0.0, not -0.0
 
 
 def _gaussian_mode_entropy(nu_symplectic: float) -> float:
@@ -183,12 +183,14 @@ def _gaussian_mode_entropy(nu_symplectic: float) -> float:
 
 
 def entropy_reference(spec) -> float:
-    """Exact von Neumann entropy of a Gaussian state or truncated matrix.
+    """Exact von Neumann entropy of a Gaussian state, cat state or truncated matrix.
 
     Gaussian states use the symplectic spectrum (a thermal state with mean
-    photon number ``nu`` gives ``(nu+1) ln(nu+1) - nu ln nu``); truncated Fock
-    matrices are diagonalized directly.
+    photon number ``nu`` gives ``(nu+1) ln(nu+1) - nu ln nu``); a cat state is
+    pure; truncated Fock matrices are diagonalized directly.
     """
+    if isinstance(spec, CatStateSpec):
+        return 0.0
     if isinstance(spec, GaussianStateSpec):
         return float(
             sum(_gaussian_mode_entropy(v) for v in spec.symplectic_eigenvalues())

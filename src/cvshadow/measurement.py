@@ -102,7 +102,7 @@ class SampleBatch:
         if self.thetas is None:
             thetas = "null"
             outcome = ",".join(["[%r,%r]"] * m)
-            columns = [self.outcomes.reshape(self.n, 2 * m)]
+            columns = [self.outcomes]
         else:
             thetas = "[" + ",".join(["%r"] * m) + "]"
             outcome = ",".join(["%r"] * m)
@@ -117,6 +117,7 @@ class SampleBatch:
         with open(path, "w") as fh:
             for start in range(0, self.n, block):
                 rows = np.concatenate([c[start : start + block] for c in columns], axis=1)
+                rows = rows.reshape(len(rows), -1)  # heterodyne (b, m, 2) -> (b, 2m)
                 fh.write("".join([template % tuple(row) for row in rows.tolist()]))
 
     @classmethod
@@ -495,9 +496,8 @@ def sample_heterodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
     rng = stream_rng(seed_path)
     meta: dict = {}
     if hasattr(state, "phase_space_draws"):
-        flat = state.phase_space_draws(1.0, n, rng)
-        m = state.modes
-        pts = np.stack([flat[:, :m], flat[:, m:]], axis=-1)
+        # rows [x | p] viewed as (n, m, 2), not copied
+        pts = state.phase_space_draws(1.0, n, rng).reshape(n, 2, state.modes).transpose(0, 2, 1)
     else:
         pts, meta = _rejection_heterodyne_draws(_sampling_fock(state), n, rng)
     return SampleBatch(HETERODYNE, pts, None, seed_path, meta)

@@ -297,28 +297,22 @@ def char_gaussian_raw(mean, cov, u):
 
 @dataclass
 class CharGrid:
-    """Characteristic-function samples on a rectangular phase-space grid.
+    """Characteristic-function values at the phase-space points they were taken at.
 
-    ``values`` is stored row-major over the axes in order; axis ``i`` holds
-    ``shape[i]`` points ``origin[i] + step[i] * arange(shape[i])``.
+    ``points`` has shape ``values.shape + (2m,)``: one ``[x | p]`` point per value.
     """
 
-    origin: tuple[float, ...]
-    step: tuple[float, ...]
-    shape: tuple[int, ...]
+    points: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
+        self.points = np.asarray(self.points, dtype=float)
         self.values = np.asarray(self.values, dtype=complex)
-        if int(np.prod(self.shape)) != self.values.size:
+        if self.points.shape[:-1] != self.values.shape:
             raise ValueError(
-                f"shape {self.shape} does not match {self.values.size} values"
+                f"points {self.points.shape} do not match values {self.values.shape}"
             )
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("CharGrid values must be finite")
-        self.values = self.values.reshape(self.shape)
-        if len(self.origin) != len(self.shape) or len(self.step) != len(self.shape):
-            raise ValueError("origin/step/shape must have matching lengths")
-
-    def axis_points(self, i: int) -> np.ndarray:
-        return self.origin[i] + self.step[i] * np.arange(self.shape[i])
+            raise ValueError(
+                "CharGrid values must be finite: exp(|u|^2/4) overflows on too wide a grid"
+            )

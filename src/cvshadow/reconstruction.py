@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .measurement import HETERODYNE, SampleBatch
-from .phase_space import CharGrid
+from .phase_space import CharGrid, omega_apply
 
 
 # Rounds per chunk of the factorised phase sum; fixed, so the summation
@@ -41,28 +41,6 @@ def _trial_char_grid(a, ya, b, yb) -> np.ndarray:
     return grow * (total / len(ya))
 
 
-def trial_char_single_mode(outcomes: np.ndarray, a, b) -> np.ndarray:
-    """Reconstructed chi_N((a_k, b_l)) on the grid of axes ``a`` x ``b``.
-
-    ``outcomes`` is the (N, 2) array of heterodyne points (x, p) of the mode;
-    returns shape (len(a), len(b)).  With ``u^T Omega x = a p - b x`` the
-    phase is ``exp(-i a p) exp(i b x)``.
-    """
-    outcomes = np.asarray(outcomes, dtype=float).reshape(-1, 2)
-    return _trial_char_grid(a, -outcomes[:, 1], b, outcomes[:, 0])
-
-
-def trial_char_pair_section(
-    outcomes_i: np.ndarray, outcomes_j: np.ndarray, a, b
-) -> np.ndarray:
-    """Reconstructed chi_N((a, 0), (b, 0)) for a pair of modes.
-
-    ``a``/``b`` are the grid axes of the two x-type section coordinates;
-    returns shape (len(a), len(b)).  The phase is ``exp(-i a p_i) exp(-i b p_j)``.
-    """
-    return _trial_char_grid(a, -outcomes_i[:, 1], b, -outcomes_j[:, 1])
-
-
 def v_metric(exact: np.ndarray, recon: np.ndarray, volume: float) -> float:
     """Grid variance ``V_{N,D}`` between exact and reconstructed values."""
     exact = np.asarray(exact)
@@ -72,26 +50,33 @@ def v_metric(exact: np.ndarray, recon: np.ndarray, volume: float) -> float:
     return float(np.sum(np.abs(exact - recon) ** 2) / (volume * exact.size))
 
 
-def _char_grids(lo, hi, points, exact_vals, recon_vals):
-    """Exact and reconstructed CharGrids on [lo, hi]^2 plus their V metric."""
-    step = (hi - lo) / (points - 1)
-    grid = ((lo, lo), (step, step), (points, points))
-    exact = CharGrid(*grid, exact_vals)
-    recon = CharGrid(*grid, recon_vals)
-    return exact, recon, v_metric(exact_vals, recon_vals, (hi - lo) ** 2)
+def _section(batch: SampleBatch, state, modes, coords, lo, hi, points):
+    """Exact and reconstructed chi on the square section spanned by ``coords``.
+
+    ``coords`` index the ``[x | p]`` vector of the marginal on ``modes``; the
+    section's points ``u`` are zero elsewhere.  Along coordinate ``c`` the
+    phase of ``u^T Omega x`` is ``-(Omega x)_c``: ``-p_k`` on an x-axis and
+    ``+x_k`` on a p-axis.  Only the marginal is touched (cat and Fock states,
+    which have none, are single-mode), so this scales to long chains.
+    """
+    if batch.protocol != HETERODYNE:
+        raise ValueError("grid reconstruction needs heterodyne records")
+    modes = [int(k) for k in modes]
+    axis = np.linspace(lo, hi, points)
+    u = np.zeros((points, points, 2 * len(modes)))
+    u[..., coords[0]], u[..., coords[1]] = np.meshgrid(axis, axis, indexing="ij")
+    rounds = batch.outcomes[:, modes, :].transpose(0, 2, 1).reshape(batch.n, -1)
+    phases = -omega_apply(rounds)
+    recon = _trial_char_grid(axis, phases[:, coords[0]], axis, phases[:, coords[1]])
+    exact = (state.marginal(modes) if hasattr(state, "marginal") else state).char(u)
+    return CharGrid(u, exact), CharGrid(u, recon), v_metric(exact, recon, (hi - lo) ** 2)
 
 
 def reconstruct_single_mode(
     batch: SampleBatch, state, lo: float = -2.0, hi: float = 2.0, points: int = 81
 ) -> tuple[CharGrid, CharGrid, float]:
-    """Exact and reconstructed CharGrids plus V metric for a one-mode state."""
-    if batch.protocol != HETERODYNE:
-        raise ValueError("grid reconstruction needs heterodyne records")
-    axis = np.linspace(lo, hi, points)
-    recon_vals = trial_char_single_mode(batch.outcomes[:, 0, :], axis, axis)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    exact_vals = state.char(np.stack([gx, gy], axis=-1))
-    return _char_grids(lo, hi, points, exact_vals, recon_vals)
+    """Exact vs reconstructed chi(a, b) of mode 0 on [lo, hi]^2, plus V."""
+    return _section(batch, state, (0,), (0, 1), lo, hi, points)
 
 
 def reconstruct_pair_section(
@@ -104,20 +89,8 @@ def reconstruct_pair_section(
 ) -> tuple[CharGrid, CharGrid, float]:
     """Exact vs reconstructed chi((a,0),(b,0)) for two modes of a Gaussian state.
 
-    Only the reduced 4x4 covariance block of the pair is touched, so this
-    scales to chains of thousands of oscillators.  A pair naming a mode
-    outside ``0..m-1`` raises ``ValueError``.
+    A pair naming a mode outside ``0..m-1`` raises ``ValueError``.
     """
-    if batch.protocol != HETERODYNE:
-        raise ValueError("grid reconstruction needs heterodyne records")
-    i, j = (int(k) for k in pair)
-    if not (0 <= i < batch.modes and 0 <= j < batch.modes):
+    if not all(0 <= int(k) < batch.modes for k in pair):
         raise ValueError(f"pair {pair} outside measured modes 0..{batch.modes - 1}")
-    axis = np.linspace(lo, hi, points)
-    outcomes = batch.outcomes
-    recon_vals = trial_char_pair_section(outcomes[:, i, :], outcomes[:, j, :], axis, axis)
-    marg = chain_state.marginal([i, j])
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    u = np.stack([gx, gy, np.zeros_like(gx), np.zeros_like(gy)], axis=-1)
-    exact_vals = marg.char(u)
-    return _char_grids(lo, hi, points, exact_vals, recon_vals)
+    return _section(batch, chain_state, pair, (0, 1), lo, hi, points)

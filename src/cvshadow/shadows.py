@@ -623,7 +623,7 @@ class ShadowAverage:
             "entries_im": self.mean.imag.ravel().tolist(),
             "stderr": self.stderr.ravel().tolist(),
         }
-        payload["checksum"] = _payload_checksum(payload)
+        payload["checksum"] = json_sha256(payload)
         with open(path, "w") as fh:
             json.dump(payload, fh)
 
@@ -632,7 +632,7 @@ class ShadowAverage:
         with open(path) as fh:
             payload = json.load(fh)
         stored = payload.pop("checksum", None)
-        if stored != _payload_checksum(payload):
+        if stored != json_sha256(payload):
             raise ValueError(f"integrity check failed for shadow-average file {path}")
         dim = int(round(len(payload["entries_re"]) ** 0.5))
         mean = (
@@ -649,7 +649,8 @@ class ShadowAverage:
         )
 
 
-def _payload_checksum(payload: dict) -> str:
+def json_sha256(payload: dict) -> str:
+    """SHA-256 of canonical JSON: sorted keys, no whitespace."""
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 

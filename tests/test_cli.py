@@ -71,6 +71,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(base_config(extra=1))
 
+    @pytest.mark.parametrize(
+        "section, body",
+        [
+            # R comes from $.window, the one window reconstruct uses too
+            ("bounds", {"protocol": "heterodyne", "r": 1, "epsilon": 0.5, "delta": 0.05,
+                        "n": 2.0, "alpha": 0.0, "e_n": 1.0, "e_alpha": 1.0, "modes": 1,
+                        "radius": 24.0}),
+            # r is the averaged subset's size
+            ("entropy", {"epsilon": 0.9, "energy": 0.4, "r": 1}),
+        ],
+    )
+    def test_removed_keys_rejected(self, section, body):
+        with pytest.raises(ConfigError, match=rf"\$\.{section}: .*was unexpected"):
+            validate_config(base_config(**{section: body}))
+
 
 class TestBuildState:
     def test_kinds(self):
@@ -252,6 +267,47 @@ class TestReconstruct:
         metrics = cmd_reconstruct(cfg, tmp_path / "s" / "records.jsonl", tmp_path / "r")
         assert "warning" in metrics
 
+    def test_unsafe_single_mode_grid_warns(self, tmp_path):
+        # the single-mode grid grows as exp(|u|^2/4) just as the pair section does
+        cfg = base_config(samples=20, grid={"lo": -6.0, "hi": 6.0, "points": 21})
+        cmd_sample(cfg, tmp_path / "s")
+        metrics = cmd_reconstruct(cfg, tmp_path / "s" / "records.jsonl", tmp_path / "r")
+        assert "warning" in metrics
+        assert "warning" not in cmd_reconstruct(
+            base_config(samples=20), tmp_path / "s" / "records.jsonl", tmp_path / "r2"
+        )
+
+    def test_overflowing_grid_exits_2(self, tmp_path, capsys):
+        # exp(|u|^2/4) overflows at |u| = 60: an explicit error, not an inf in the CSV
+        cfg = base_config(samples=20, grid={"lo": -60.0, "hi": 60.0, "points": 5})
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli.main([
+                "reconstruct", "--config", str(cfg_path), "--out", str(tmp_path / "r"),
+                "--batch", str(tmp_path / "s" / "records.jsonl"),
+            ])
+        assert code == 2
+        assert "error: CharGrid values must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "grid.csv").exists()
+
+    def test_sections_called_by_imported_names(self, tmp_path, monkeypatch):
+        # tracing wraps the names cvshadow.cli imports, so each grid must be
+        # built by one call under its name
+        calls = []
+        for name in ("reconstruct_single_mode", "reconstruct_pair_section"):
+            inner = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda *a, _n=name, _f=inner, **k: calls.append(_n) or _f(*a, **k)
+            )
+        vac = base_config(samples=40, grid={"points": 5})
+        chain = base_config(state={"kind": "chain", "m": 6, "kappa": 0.5}, samples=40,
+                            grid={"points": 5, "pair": [0, 3]})
+        for k, cfg in enumerate((vac, chain)):
+            cmd_sample(cfg, tmp_path / f"s{k}")
+            cmd_reconstruct(cfg, tmp_path / f"s{k}" / "records.jsonl", tmp_path / f"r{k}")
+        assert calls == ["reconstruct_single_mode", "reconstruct_pair_section"]
+
     def test_one_shadow_batch_entries_call(self, tmp_path, monkeypatch):
         # tracing wraps the name cvshadow.cli imports, so reconstruct must
         # call it, once, under that name
@@ -292,10 +348,18 @@ class TestBounds:
         assert "protocol" in out and "N" in out
 
     def test_heterodyne_echo(self, tmp_path):
-        report = cmd_bounds(
-            self.bounds_config(protocol="heterodyne", radius=24.0), tmp_path
-        )
+        cfg = dict(self.bounds_config(protocol="heterodyne"), window={"eta": 22.0, "radius": 24.0})
+        report = cmd_bounds(cfg, tmp_path)
         assert report["feasible"]
+
+    def test_configured_window_reaches_report(self, tmp_path):
+        # the heterodyne bound describes the window reconstruct uses
+        cfg = self.bounds_config(protocol="heterodyne")
+        cmd_bounds(cfg, tmp_path / "default")
+        cmd_bounds(dict(cfg, window={"eta": 7.0, "radius": 11.5}), tmp_path / "window")
+        read = lambda d: json.loads((tmp_path / d / "bounds.json").read_text())["inputs"]["R"]
+        assert read("default") == cli.default_window(cfg["truncation"]).radius == 8.0
+        assert read("window") == 11.5
 
     def test_observable_variant(self, tmp_path):
         base = cmd_bounds(self.bounds_config(), tmp_path / "a")
@@ -369,6 +433,13 @@ class TestEntropy:
         pair = chain_ground_state(ChainSpec(4, 0.9)).marginal([0, 2])
         assert result["reference_entropy"] == pytest.approx(entropy_reference(pair), abs=1e-12)
         assert result["reference_entropy"] > 0.1
+
+    @pytest.mark.parametrize("state", [{"kind": "fock", "n": 1}, {"kind": "cat", "alpha": [1, 1]}])
+    def test_pure_single_mode_reference_is_zero(self, tmp_path, state):
+        path = self._write_exact_average(tmp_path, 0.0, 1)
+        cfg = base_config(state=state, truncation=1, entropy={"epsilon": 0.9, "energy": 0.4})
+        assert cmd_entropy(cfg, path, tmp_path / "e")["reference_entropy"] == 0.0
+        assert '"reference_entropy": 0.0' in (tmp_path / "e" / "entropy.json").read_text()
 
     def test_vacuum_small(self, tmp_path):
         path = self._write_exact_average(tmp_path, 0.0, 1)

@@ -5,14 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cvshadow.measurement import sample_heterodyne_batch
-from cvshadow.reconstruction import (
-    reconstruct_pair_section,
-    reconstruct_single_mode,
-    trial_char_pair_section,
-    trial_char_single_mode,
-)
+from cvshadow.measurement import HETERODYNE, SampleBatch, sample_heterodyne_batch
+from cvshadow.reconstruction import reconstruct_pair_section, reconstruct_single_mode
 from cvshadow.states import ChainSpec, GaussianStateSpec, chain_ground_state
+
+
+def square_grid(lo, hi, points):
+    """(points, points, 2) grid of (a_k, b_l) with a on axis 0."""
+    axis = np.linspace(lo, hi, points)
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
 
 
 def direct_trial_char(outcomes, u):
@@ -28,21 +29,28 @@ class TestTrialChar:
     def test_single_mode_matches_direct_sum(self, n):
         # 9000 rounds span three chunks of the factorised sum
         outcomes = np.random.default_rng(n).normal(0.3, 0.8, size=(n, 2))
-        a, b = np.linspace(-2.0, 2.0, 7), np.linspace(-1.5, 2.0, 5)
-        ga, gb = np.meshgrid(a, b, indexing="ij")
-        direct = direct_trial_char(outcomes, np.stack([ga, gb], axis=-1))
-        assert np.abs(trial_char_single_mode(outcomes, a, b) - direct).max() <= 1e-12
+        batch = SampleBatch(HETERODYNE, outcomes[:, None, :])
+        _, recon, _ = reconstruct_single_mode(batch, GaussianStateSpec.vacuum(), -2.0, 2.0, 7)
+        assert np.array_equal(recon.points, square_grid(-2.0, 2.0, 7))
+        direct = direct_trial_char(outcomes, recon.points)
+        assert np.abs(recon.values - direct).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [37, 9000])
     def test_pair_section_matches_direct_sum(self, n):
         rng = np.random.default_rng(n + 1)
         out_i, out_j = rng.normal(0.0, 0.9, size=(2, n, 2))
-        a, b = np.linspace(-2.0, 2.0, 6), np.linspace(-1.0, 1.5, 4)
-        ga, gb = np.meshgrid(a, b, indexing="ij")
-        # u = ((a, 0), (b, 0)): the phase is a p_i + b p_j
+        # modes 0 and 2 of three; mode 1 must not enter
+        batch = SampleBatch(HETERODYNE, np.stack([out_i, rng.normal(size=(n, 2)), out_j], axis=1))
+        state = GaussianStateSpec.vacuum(3)
+        _, recon, _ = reconstruct_pair_section(batch, state, (0, 2), -2.0, 2.0, 6)
+        # points are [x_0, x_2, p_0, p_2]; the section is u = ((a, 0), (b, 0))
+        assert np.array_equal(recon.points[..., :2], square_grid(-2.0, 2.0, 6))
+        assert not recon.points[..., 2:].any()
+        ga, gb = recon.points[..., 0], recon.points[..., 1]
+        # the phase is a p_i + b p_j
         phase = ga[..., None] * out_i[:, 1] + gb[..., None] * out_j[:, 1]
         direct = np.exp(0.25 * (ga**2 + gb**2)) * np.exp(-1j * phase).mean(axis=-1)
-        assert np.abs(trial_char_pair_section(out_i, out_j, a, b) - direct).max() <= 1e-12
+        assert np.abs(recon.values - direct).max() <= 1e-12
 
     def test_memory_does_not_scale_with_grid_times_samples(self):
         # a grid x N complex array would be 81^2 * 5e4 * 16 B = 5.2 GB
