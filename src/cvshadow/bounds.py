@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .phase_space import dyad_poly, fock_dyad_radial
-from .shadows import HOMODYNE_SHADOW_NORMALIZATION, WindowSpec
+from .shadows import HOMODYNE_SHADOW_NORMALIZATION, WindowSpec, _gauss_legendre
 from .states import multi_indices
 
 
@@ -142,32 +142,44 @@ def _weighted_opnorm(block: np.ndarray, r: int, truncation: int, alpha: float) -
     return float(np.linalg.norm(mat, ord=2))
 
 
+def _laguerre_zeros(n: int, a: float) -> np.ndarray:
+    """Zeros of ``L_n^(a)``, ascending, as eigenvalues of its Jacobi matrix.
+
+    The monic recurrence of the generalized Laguerre polynomials gives the
+    symmetric tridiagonal matrix with diagonal ``2k + a + 1`` (k < n) and
+    off-diagonal ``sqrt(k (k + a))`` (0 < k < n), whose eigenvalues are the
+    zeros (Golub & Welsch 1969).
+    """
+    k = np.arange(1, n)
+    jacobi = np.diag(2.0 * np.arange(n) + a + 1.0) + np.diag(np.sqrt(k * (k + a)), -1)
+    return np.linalg.eigvalsh(jacobi)
+
+
 def _sigma_block(truncation: int, kernel, upper: float, joins=()) -> np.ndarray:
     """Per-mode block ``|c| int_0^upper rho kernel(rho) |dyad_poly(lo, d, rho)| d rho``.
 
     ``c`` and ``d = hi - lo`` are those of :func:`fock_dyad_radial`, so the
     block bounds every shadow whose entry ``(lo, hi)`` is a polar integral
-    of ``c dyad_poly(lo, d, rho)`` against a radial weight ``kernel`` times
-    factors of modulus at most one.  The upper triangle is integrated with
-    ``quad`` to relative 1e-11 in smooth pieces, split at the kernel's ``joins``
-    and at ``sqrt(2 x)`` for the zeros ``x`` of ``L_lo^(d)``, and mirrored.
+    of ``c dyad_poly(lo, d, rho)`` against a radial weight ``kernel`` (a
+    function of radius arrays) times factors of modulus at most one.
+    ``[0, upper]`` is split at the kernel's ``joins`` and at ``sqrt(2 x)``
+    for the zeros ``x`` of ``L_lo^(d)``, where ``|dyad_poly|`` has kinks;
+    each smooth piece is integrated with one fixed 64-node Gauss-Legendre
+    rule, all pieces of an entry as one array.  The upper triangle is
+    integrated and mirrored.
     """
-    from scipy.integrate import quad
-    from scipy.special import roots_genlaguerre
-
+    x, wts = _gauss_legendre(64)
     dim = truncation + 1
     block = np.zeros((dim, dim))
     for lo in range(dim):
         for hi in range(lo, dim):
             coeff, d, _ = fock_dyad_radial(lo, hi)
-
-            def integrand(rho, d=d, lo=lo):
-                return rho * abs(dyad_poly(lo, d, rho)) * kernel(rho)
-
-            zeros = np.sqrt(2.0 * roots_genlaguerre(lo, d)[0]) if lo else []
-            kinks = [float(z) for z in zeros if z < upper] + list(joins) or None
-            val, _ = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-11, limit=400, points=kinks)
-            block[lo, hi] = block[hi, lo] = abs(coeff) * val
+            kinks = np.sqrt(2.0 * _laguerre_zeros(lo, d))
+            edges = np.unique(np.concatenate([[0.0, upper], kinks[kinks < upper], joins]))
+            half = 0.5 * np.diff(edges)[:, None]
+            rho = edges[:-1, None] + half * (x + 1.0)
+            integrand = rho * kernel(rho) * np.abs(dyad_poly(lo, d, rho))
+            block[lo, hi] = block[hi, lo] = abs(coeff) * float(np.sum(half * wts * integrand))
     return block
 
 
@@ -175,14 +187,15 @@ def sigma_homodyne(truncation: int, r: int, alpha: float) -> float:
     """Almost-sure norm bound ``Sigma_r^(alpha)(M)`` of homodyne shadows.
 
     Per-mode entries are ``2 norm |c| int_0^40 t e^(-t^2/4) |dyad_poly(lo,
-    d, t)| dt`` with ``norm = HOMODYNE_SHADOW_NORMALIZATION``: by the
-    triangle inequality each bounds ``|homodyne_shadow_entry|`` at every
-    angle and outcome, normalization included.  ``M = 0`` gives 2.
+    d, t)| dt`` with ``norm = HOMODYNE_SHADOW_NORMALIZATION``, by
+    :func:`_sigma_block`'s fixed rule: by the triangle inequality each
+    bounds ``|homodyne_shadow_entry|`` at every angle and outcome,
+    normalization included.  ``M = 0`` gives 2.
     """
     scale = 2.0 * HOMODYNE_SHADOW_NORMALIZATION
 
     def kernel(t):
-        return scale * math.exp(-0.25 * t * t)
+        return scale * np.exp(-0.25 * t * t)
 
     return _weighted_opnorm(_sigma_block(truncation, kernel, 40.0), r, truncation, alpha)
 
@@ -193,7 +206,8 @@ def sigma_heterodyne(truncation: int, r: int, alpha: float, w: WindowSpec) -> fl
     Per-mode entries are ``int_{|u|<=R} |chi~_{n2 n1}(u)| e^(|u|^2/4)
     d^2u/(2 pi)``; the dyad Gaussian cancels the growing exponential exactly,
     leaving the windowed radial integral ``|c| int_0^R rho xi(rho)
-    |dyad_poly(lo, d, rho)| d rho``.
+    |dyad_poly(lo, d, rho)| d rho``, by :func:`_sigma_block`'s fixed rule
+    with ``xi``'s join at ``eta``.
     """
     block = _sigma_block(truncation, w.xi_radial, w.radius, (w.eta,))
     return _weighted_opnorm(block, r, truncation, alpha)

@@ -155,6 +155,12 @@ def validate_config(config: dict) -> None:
     lo, hi = _grid_range(config)
     if not -math.inf < lo < hi < math.inf:
         raise ConfigError(f"config invalid at $.grid: need finite lo < hi, got lo={lo}, hi={hi}")
+    # the grid corner |u|^2 = 2 max(|lo|, |hi|)^2, where exp(|u|^2/4) must stay finite
+    if max(abs(lo), abs(hi)) ** 2 / 2.0 > math.log(sys.float_info.max):
+        raise ConfigError(
+            f"config invalid at $.grid: exp(|u|^2/4) overflows at the grid corner, "
+            f"got lo={lo}, hi={hi}"
+        )
 
 
 def _grid_range(config: dict) -> tuple[float, float]:

@@ -10,11 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import expm
-from scipy.special import erf
+from scipy.special import erf, roots_genlaguerre
 
 from cvshadow.measurement import fock_husimi
-from cvshadow.phase_space import char_fock_dyad, fock_dyad_radial, hermite_stack
+from cvshadow.phase_space import char_fock_dyad, dyad_poly, fock_dyad_radial, hermite_stack
 from cvshadow.qmc import BoxDomain, qmc_integrate
 from cvshadow.states import (
     CatStateSpec,
@@ -182,3 +183,27 @@ def homodyne_transform(truncation: int):
         return vals, slopes
 
     return transform
+
+
+def sigma_block_quad(truncation: int, kernel, upper: float, joins=()) -> np.ndarray:
+    """Sigma block ``|c| int_0^upper rho kernel(rho) |dyad_poly(lo, d, rho)| d rho`` by ``quad``.
+
+    Adaptive quadrature to relative 1e-11 of each upper-triangle entry, split
+    at the kernel's ``joins`` and at ``sqrt(2 x)`` for the zeros ``x`` of
+    ``L_lo^(d)`` from ``roots_genlaguerre``, and mirrored; ``kernel`` is
+    called with Python floats.
+    """
+    dim = truncation + 1
+    block = np.zeros((dim, dim))
+    for lo in range(dim):
+        for hi in range(lo, dim):
+            coeff, d, _ = fock_dyad_radial(lo, hi)
+
+            def integrand(rho, d=d, lo=lo):
+                return rho * abs(dyad_poly(lo, d, rho)) * kernel(rho)
+
+            zeros = np.sqrt(2.0 * roots_genlaguerre(lo, d)[0]) if lo else []
+            kinks = [float(z) for z in zeros if z < upper] + list(joins) or None
+            val, _ = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-11, limit=400, points=kinks)
+            block[lo, hi] = block[hi, lo] = abs(coeff) * val
+    return block

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_genlaguerre, roots_genlaguerre
 
 from cvshadow.bounds import (
     BoundReport,
@@ -18,6 +18,7 @@ from cvshadow.bounds import (
     sigma_heterodyne,
     sigma_homodyne,
     truncation_error_bound,
+    _laguerre_zeros,
     _sigma_block,
 )
 from cvshadow.measurement import SampleBatch, sample_homodyne_batch
@@ -28,7 +29,7 @@ from cvshadow.shadows import (
     shadow_batch_entries,
 )
 from cvshadow.states import FockMatrix, GaussianStateSpec, fock_matrix_of
-from conftest import sobolev_norm
+from conftest import sigma_block_quad, sobolev_norm
 
 
 class TestSobolevNorm:
@@ -222,7 +223,7 @@ class TestSigmaPinnedToEstimator:
         q = np.arange(0.0, 63.9, 1.0 / 64)[:, None]
         batch = SampleBatch("homodyne", q, np.zeros_like(q))
         scale = 2.0 * HOMODYNE_SHADOW_NORMALIZATION
-        block = _sigma_block(truncation, lambda t: scale * math.exp(-0.25 * t * t), 40.0)
+        block = _sigma_block(truncation, lambda t: scale * np.exp(-0.25 * t * t), 40.0)
         sigma = sigma_homodyne(truncation, 1, 0.0)
         assert np.linalg.norm(block, ord=2) == sigma
         self._check(shadow_batch_entries(batch, [0], truncation), block, sigma)
@@ -236,6 +237,40 @@ class TestSigmaPinnedToEstimator:
         sigma = sigma_heterodyne(truncation, 1, 0.0, w)
         assert np.linalg.norm(block, ord=2) == sigma
         self._check(shadow_batch_entries(batch, [0], truncation, w), block, sigma)
+
+
+class TestSigmaBlockQuadrature:
+    """The fixed-rule Sigma block against adaptive ``quad`` (``sigma_block_quad``)."""
+
+    @pytest.mark.parametrize("truncation", [0, 1, 3, 6, 12, 24])
+    def test_homodyne_kernel(self, truncation):
+        scale = 2.0 * HOMODYNE_SHADOW_NORMALIZATION
+
+        def kernel(t):
+            return scale * np.exp(-0.25 * t * t)
+
+        np.testing.assert_allclose(
+            _sigma_block(truncation, kernel, 40.0),
+            sigma_block_quad(truncation, kernel, 40.0),
+            rtol=1e-12, atol=0.0,
+        )
+
+    @pytest.mark.parametrize("truncation", [0, 1, 3, 6, 12, 24])
+    def test_default_window(self, truncation):
+        w = default_window(truncation)
+        np.testing.assert_allclose(
+            _sigma_block(truncation, w.xi_radial, w.radius, (w.eta,)),
+            sigma_block_quad(truncation, w.xi_radial, w.radius, (w.eta,)),
+            rtol=1e-12, atol=0.0,
+        )
+
+    def test_laguerre_zeros(self):
+        assert _laguerre_zeros(0, 3).shape == (0,)
+        for n in range(1, 25):
+            for a in range(25):
+                np.testing.assert_allclose(
+                    _laguerre_zeros(n, a), roots_genlaguerre(n, a)[0], rtol=1e-12, atol=0.0
+                )
 
 
 class TestBernstein:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -278,18 +279,32 @@ class TestReconstruct:
         )
 
     def test_overflowing_grid_exits_2(self, tmp_path, capsys):
-        # exp(|u|^2/4) overflows at |u| = 60: an explicit error, not an inf in the CSV
+        # exp(|u|^2/4) overflows at |u| = 60: refused by the config check,
+        # before the batch is parsed and with no numpy overflow warning
+        cfg_path = write_config(tmp_path, base_config(samples=20), "ok.json")
+        assert cli.main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 0
         cfg = base_config(samples=20, grid={"lo": -60.0, "hi": 60.0, "points": 5})
         cfg_path = write_config(tmp_path, cfg)
-        assert cli.main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 0
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = cli.main([
                 "reconstruct", "--config", str(cfg_path), "--out", str(tmp_path / "r"),
                 "--batch", str(tmp_path / "s" / "records.jsonl"),
             ])
         assert code == 2
-        assert "error: CharGrid values must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: config invalid at $.grid: exp(|u|^2/4) overflows" in err
         assert not (tmp_path / "r" / "grid.csv").exists()
+
+    @pytest.mark.parametrize("edge, refused", [(37.67, False), (37.68, True)])
+    def test_overflow_limit(self, edge, refused):
+        # the corner |u|^2/4 = edge^2/2 passes ln(float max) = 709.78 at edge 37.677
+        cfg = base_config(grid={"lo": -1.0, "hi": edge})
+        if refused:
+            with pytest.raises(ConfigError, match=r"\$\.grid: exp"):
+                validate_config(cfg)
+        else:
+            validate_config(cfg)
 
     def test_sections_called_by_imported_names(self, tmp_path, monkeypatch):
         # tracing wraps the names cvshadow.cli imports, so each grid must be
@@ -532,9 +547,10 @@ class TestMainEntrypoint:
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_import_leaves_quadrature_unloaded(self):
-        # only the adaptive reference entries and the Sigma norms call quad,
-        # and only the commands that evaluate heterodyne shadows, bounds or the
-        # entropy need scipy.special, so importing the package or the CLI loads neither
+        # only the adaptive reference entries call quad (the Sigma norms use a
+        # fixed Gauss-Legendre rule), and only the commands that evaluate
+        # heterodyne shadows or heterodyne bounds need scipy.special, so
+        # importing the package or the CLI loads neither
         code = (
             "import sys\n"
             "for module in ('cvshadow', 'cvshadow.cli'):\n"
@@ -542,6 +558,35 @@ class TestMainEntrypoint:
             "    print(module, sorted(m for m in sys.modules if m.startswith('scipy')))"
         )
         assert _run_python(code).stdout.splitlines() == ["cvshadow []", "cvshadow.cli []"]
+
+    def test_entropy_and_homodyne_bounds_leave_scipy_unloaded(self, tmp_path):
+        # the entropy plan and the homodyne bounds evaluate Sigma (at M = 2
+        # and, from the profile, M = 8) and nothing else that needs scipy
+        bounds = {"protocol": "homodyne", "r": 1, "epsilon": 0.5, "delta": 0.05,
+                  "n": 2.0, "alpha": 0.0, "e_n": 1.0, "e_alpha": 1.0, "modes": 1}
+        cfg = base_config(entropy={"epsilon": 0.9, "energy": 0.4}, bounds=bounds)
+        cfg_path = str(write_config(tmp_path, cfg))
+        assert cli.main(["sample", "--config", cfg_path, "--out", str(tmp_path / "s")]) == 0
+        assert cli.main([
+            "reconstruct", "--config", cfg_path, "--out", str(tmp_path / "r"),
+            "--batch", str(tmp_path / "s" / "records.jsonl"),
+        ]) == 0
+        commands = [
+            ["entropy", "--config", cfg_path, "--out", str(tmp_path / "e"),
+             "--average", str(tmp_path / "r" / "shadow_average.json")],
+            ["bounds", "--config", cfg_path, "--out", str(tmp_path / "b")],
+        ]
+        code = (
+            "import json, sys\n"
+            "import cvshadow.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cvshadow.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        assert _run_python(code, json.dumps(commands)).stdout.splitlines()[-1] == "[]"
+        report = json.loads((tmp_path / "b" / "bounds.json").read_text())
+        assert report["M"] == 8 and math.isfinite(report["sigma"])
+        assert (tmp_path / "e" / "entropy.json").exists()
 
     def test_chain_and_vacuum_sampling_leave_scipy_special_unloaded(self, tmp_path):
         # the homodyne vacuum and cat pairs build shadows from the homodyne
