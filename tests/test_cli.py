@@ -72,6 +72,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(base_config(extra=1))
 
+    @pytest.mark.parametrize("edge, refused", [(37.67, False), (37.68, True)])
+    def test_overflow_limit(self, edge, refused):
+        # the corner |u|^2/4 = edge^2/2 passes ln(float max) = 709.78 at edge 37.677
+        cfg = base_config(grid={"lo": -1.0, "hi": edge})
+        if refused:
+            with pytest.raises(ConfigError, match=r"\$\.grid: exp"):
+                validate_config(cfg)
+        else:
+            validate_config(cfg)
+
     @pytest.mark.parametrize(
         "section, body",
         [
@@ -295,16 +305,6 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert "error: config invalid at $.grid: exp(|u|^2/4) overflows" in err
         assert not (tmp_path / "r" / "grid.csv").exists()
-
-    @pytest.mark.parametrize("edge, refused", [(37.67, False), (37.68, True)])
-    def test_overflow_limit(self, edge, refused):
-        # the corner |u|^2/4 = edge^2/2 passes ln(float max) = 709.78 at edge 37.677
-        cfg = base_config(grid={"lo": -1.0, "hi": edge})
-        if refused:
-            with pytest.raises(ConfigError, match=r"\$\.grid: exp"):
-                validate_config(cfg)
-        else:
-            validate_config(cfg)
 
     def test_sections_called_by_imported_names(self, tmp_path, monkeypatch):
         # tracing wraps the names cvshadow.cli imports, so each grid must be
