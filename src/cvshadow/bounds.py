@@ -65,13 +65,31 @@ class BoundReport:
 
 
 def _log_tail_sum(eta: float, truncation: int) -> float:
-    """log sum_{p=0}^{2M} (eta^2/2)^p / p!."""
-    from scipy.special import gammaln, logsumexp
-
+    """log sum_{p=0}^{2M} (eta^2/2)^p / p!, a log-sum-exp shifted by its largest term."""
     if eta == 0.0:
         return 0.0
-    p = np.arange(2 * truncation + 1)
-    return float(logsumexp(p * math.log(eta * eta / 2.0) - gammaln(p + 1.0)))
+    log_x = math.log(eta * eta / 2.0)
+    terms = [p * log_x - math.lgamma(p + 1.0) for p in range(2 * truncation + 1)]
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(v - top) for v in terms))
+
+
+def _upper_gamma_q(shape: int, x: float) -> float:
+    """Regularized upper gamma ``Q(shape, x) = e^-x sum_{p<shape} x^p / p!``, integer shape >= 1.
+
+    Summed in the linear domain as running products of ratios to the largest
+    term ``p* = min(shape - 1, floor(x))``, then scaled by that term once.
+    """
+    top = min(shape - 1, math.floor(x))
+    total = term = 1.0
+    for p in range(top, 0, -1):
+        term *= p / x
+        total += term
+    term = 1.0
+    for p in range(top + 1, shape):
+        term *= x / p
+        total += term
+    return total * math.exp((top * math.log(x) if top else 0.0) - x - math.lgamma(top + 1.0))
 
 
 def delta0_log(eta: float, truncation: int, alpha: float, modes: int) -> float:
@@ -97,11 +115,9 @@ def delta0(eta: float, truncation: int, alpha: float, modes: int) -> float:
     ``Gamma(2M+1, eta^2/2)/(2M)!``; both closed forms are evaluated and must
     agree to 1e-10 relative whenever the Gamma form does not underflow.
     """
-    from scipy.special import gammaincc
-
     log_val = delta0_log(eta, truncation, alpha, modes)
     value = math.exp(log_val) if log_val < 700 else math.inf
-    gamma_tail = float(gammaincc(2 * truncation + 1, 0.5 * eta * eta))
+    gamma_tail = _upper_gamma_q(2 * truncation + 1, 0.5 * eta * eta)
     if gamma_tail > 5e-300 and math.isfinite(value):
         prefac = (
             2.0 * alpha * math.log(modes * truncation + 1.0)

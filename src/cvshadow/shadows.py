@@ -23,13 +23,15 @@ per-entry operations use adaptive quadrature and serve as the reference path.
 The batch path reads profiles from one table per (protocol, M, window): value
 and r-derivative at nodes ``j * step`` (``PROFILE_STEPS``), computed in blocks
 of 512 nodes with fixed array shapes and stored node-major, and cubic Hermite
-interpolation between the two nodes that bracket r.  Homodyne nodes come from
-a fixed 600-node Gauss-Legendre cosine/sine transform (the rule found by
+interpolation between the two nodes that bracket r.  Both protocols' nodes
+are cosine/sine transforms on a fixed Gauss-Legendre rule in t (found by
 Newton's method, :func:`_gauss_legendre`), each block one matrix product by
-angle addition against the in-block offsets; heterodyne nodes from
-Gauss-Legendre rules split at the window's inner radius eta, with Bessel
-orders above 1 by the forward recurrence.  The table grows by whole blocks up
-to ``PROFILE_MAX_RADIUS``, and a round's entries depend on that round alone.
+angle addition against the in-block offsets (:func:`_fourier_blocks`).
+Homodyne rows are the pattern functions' integrands on a 600-node rule;
+heterodyne rows are the Radon projections of the windowed dyads, on a rule
+split at the window's inner radius eta, so no Bessel function is evaluated.
+The table grows by whole blocks up to ``PROFILE_MAX_RADIUS``, and a round's
+entries depend on that round alone.
 The phases ``c_d z^d`` of a round come from one complex ``z`` by repeated
 multiplication.
 """
@@ -261,10 +263,11 @@ def heterodyne_shadow_entry_qmc(n1, n2, x_a, w: WindowSpec, budget: int) -> comp
 # Node spacing per protocol (powers of two, so r / step is exact), nodes per
 # block, and the largest outcome radius a table grows to.  Cubic Hermite
 # interpolation errs by O(step^4) times the fourth r-derivative.  The
-# heterodyne profiles oscillate at frequencies up to the window radius R, so
-# at step 1/512 the M = 3 table is 2.5e-7 from its rule (profile scale 9.5e3);
-# step 1/2048 brings that to about 1e-9.  Homodyne profiles decay like
-# exp(-t^2/4) in the conjugate variable and are within 1e-10 at 1/512.
+# heterodyne profiles are transforms of projections supported on t <= R, so
+# they oscillate at frequencies up to the window radius R: at step 1/512 the
+# M = 3 table is 2.5e-7 from its rule (profile scale 9.5e3); step 1/2048
+# brings that to about 1e-9.  Homodyne profiles decay like exp(-t^2/4) in the
+# conjugate variable and are within 1e-10 at 1/512.
 PROFILE_STEPS = {HOMODYNE: 1.0 / 512, HETERODYNE: 1.0 / 2048}
 _BLOCK_NODES = 512
 PROFILE_MAX_RADIUS = 64.0
@@ -301,8 +304,11 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     ``2 / ((1 - x^2) P_n'(x)^2)``.  The positive half is computed and
     mirrored, so the rule is exactly symmetric.  It costs O(n^2)
     single-threaded flops, where ``numpy.polynomial.legendre.leggauss``
-    solves a dense n x n eigenproblem in threaded LAPACK.
+    solves a dense n x n eigenproblem in threaded LAPACK.  An odd ``n``, whose
+    rule has a node at 0 that the mirror lacks, raises ``ValueError``.
     """
+    if n < 2 or n % 2:
+        raise ValueError(f"Gauss-Legendre rule needs an even node count >= 2, got {n}")
     k = np.arange(n // 2, 0, -1)
     x = (1.0 - (n - 1.0) / (8.0 * n**3)) * np.cos(np.pi * (4.0 * k - 1.0) / (4.0 * n + 2.0))
     for _ in range(10):
@@ -316,31 +322,21 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
-def _homodyne_block(truncation: int, step: float):
-    """Homodyne pattern functions on whole blocks of nodes, from a fixed 600-node rule.
+def _fourier_blocks(t: np.ndarray, rows: np.ndarray, odd: np.ndarray, step: float):
+    """Cosine/sine transforms of weighted rows on whole blocks of nodes.
 
-    ``profile_{d,k}(r) = coeff int t radial(t) osc_d(t r) dt`` with cos for even
-    and sin for odd d; the r-derivative is the same sum with one more factor t.
-    Returns ``blocks(starts)``, which yields the node-major values and slopes
-    of the ``_BLOCK_NODES`` nodes ``b + j * step`` of each block start ``b``.
-    By angle addition, ``exp(i t (b + j step)) = exp(i t b) exp(i t j step)``:
-    the second factor, a 600 x ``_BLOCK_NODES`` matrix, is evaluated once per
-    ``blocks`` call (one table growth) and dropped afterwards, and each block
-    is one matrix product.  The offsets ``j * step`` and radii ``b + j * step``
-    are exact, since ``step`` is a power of two.
+    Row ``i`` holds the weights ``w_i(t)`` of ``sum_t w_i(t) osc_i(t r)``, with
+    sin for the ``odd`` rows and cos otherwise; the r-derivative is the same
+    sum with one more factor t.  Returns ``blocks(starts)``, which yields the
+    node-major values and slopes of the ``_BLOCK_NODES`` nodes ``b + j *
+    step`` of each block start ``b``.  By angle addition, ``exp(i t (b + j
+    step)) = exp(i t b) exp(i t j step)``: the second factor, a len(t) x
+    ``_BLOCK_NODES`` matrix, is evaluated once per ``blocks`` call (one table
+    growth) and dropped afterwards, and each block is one matrix product.
+    The offsets ``j * step`` and radii ``b + j * step`` are exact, since
+    ``step`` is a power of two.
     """
-    upper = 16.0 + 2.0 * np.sqrt(truncation + 1.0)
-    x, wts = _gauss_legendre(600)
-    t = 0.5 * upper * (x + 1.0)
-    wt = 0.5 * upper * wts
-    dyads = _dyads(truncation)
-    rows = []
-    for d, k in dyads:
-        coeff, _, radial = fock_dyad_radial(k, k + d)
-        rows.append(coeff * wt * t * radial(t))
-    rows = np.array(rows)
     weights = np.concatenate([rows, rows * t])
-    odd = np.array([d % 2 == 1 for d, _ in dyads])
 
     def blocks(starts):
         offsets = np.outer(step * np.arange(_BLOCK_NODES), t)
@@ -359,90 +355,67 @@ def _homodyne_block(truncation: int, step: float):
     return blocks
 
 
-# Gauss-Legendre nodes per unit of rho in the heterodyne rule, and the fewest
-# on either side of eta: 160 on [0, 6] and 60 on [6, 8] for the default
-# window at M <= 3.  n nodes on an interval of length L integrate J_d(rho s)
-# accurately while s L < 2 n with a margin, so the density keeps every s up
-# to PROFILE_MAX_RADIUS covered when eta grows with M.
+def _homodyne_rows(truncation: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and rows of the homodyne pattern functions, from a fixed 600-node rule.
+
+    ``profile_{d,k}(r) = coeff int t radial(t) osc_d(t r) dt`` with cos for
+    even and sin for odd d.
+    """
+    upper = 16.0 + 2.0 * np.sqrt(truncation + 1.0)
+    x, wts = _gauss_legendre(600)
+    t = 0.5 * upper * (x + 1.0)
+    wt = 0.5 * upper * wts
+    rows = []
+    for d, k in _dyads(truncation):
+        coeff, _, radial = fock_dyad_radial(k, k + d)
+        rows.append(coeff * wt * t * radial(t))
+    return t, np.array(rows)
+
+
+# Gauss-Legendre t-nodes per unit length of the heterodyne projection rule,
+# and the fewest on either side of eta (160 on [0, 6] and 60 on [6, 8] for
+# the default window at M <= 3), each count rounded up to even.  n nodes on
+# length L integrate cos(s t) accurately while s L < 2 n with a margin, so the
+# density covers every s up to PROFILE_MAX_RADIUS as eta grows with M.  Each
+# projection P_d(t) takes _HET_V_NODES in v on either side of eta.
 _HET_NODES_PER_RHO = 80.0 / 3.0
 _HET_MIN_NODES = 60
+_HET_V_NODES = 40
 
 
-def _bessel_orders(top: int, z: np.ndarray) -> list[np.ndarray]:
-    """``J_0(z), ..., J_top(z)`` for ``z >= 0``.
+def _heterodyne_rows(truncation: int, w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and rows of the windowed Bessel transforms, from their Radon projections.
 
-    Orders 0 and 1 come from ``j0``/``j1``; higher orders from the forward
-    recurrence ``J_{d+1} = (2d/z) J_d - J_{d-1}``, which is stable where
-    ``z >= d + 1`` (DLMF 10.6); ``jv`` fills only the entries below that.
+    ``profile_{d,k}(s) = coeff int rho g(rho) J_d(rho s) d rho`` with ``g =
+    dyad_poly(k, d, .) xi``.  By Cormack's projection theorem (J. Appl.
+    Phys. 34, 2722 (1963)) it equals ``((-1)^floor(d/2) / pi) int_0^R P_d(t)
+    osc_d(s t) dt``, cos for even and sin for odd d, with the projection
+    ``P_d(t) = 2 int_0^sqrt(R^2 - t^2) g(rho) T_d(t / rho) dv`` at ``rho =
+    sqrt(t^2 + v^2)`` and ``T_d(t / rho) = cos(d atan2(v, t))``.  The t-rule
+    is split at eta (the window's third derivative jumps there), and so is
+    each v-rule, at ``sqrt(eta^2 - t^2)``.
     """
-    from scipy.special import j0, j1, jv
-
-    out = [j0(z), j1(z)]
-    for d in range(1, top):
-        up = z >= d + 1
-        nxt = np.empty_like(z)
-        nxt[up] = (2.0 * d / z[up]) * out[d][up] - out[d - 1][up]
-        nxt[~up] = jv(d + 1, z[~up])
-        out.append(nxt)
-    return out[: top + 1]
-
-
-def _heterodyne_block(truncation: int, w: WindowSpec):
-    """Windowed Bessel transforms on one block of s = |x|, from a rule split at eta.
-
-    ``profile_{d,k}(s) = coeff int rho poly(rho) xi(rho) J_d(rho s) d rho``
-    from one Gauss-Legendre rule on [0, eta] and one on [eta, R] (the window's
-    third derivative jumps at eta), with Bessel orders from
-    :func:`_bessel_orders`.  The s-derivative uses ``J_0' = -J_1``
-    and ``J_d' = J_{d-1} - d J_d / z``, so it needs no Bessel order beyond
-    those of the values (order 1 if M = 0).
-    """
-    rho, wts = [], []
+    t, wt = [], []
     for lo, hi in ((0.0, w.eta), (w.eta, w.radius)):
         n = max(_HET_MIN_NODES, math.ceil(_HET_NODES_PER_RHO * (hi - lo)))
-        x, wx = np.polynomial.legendre.leggauss(n)
-        rho.append(lo + 0.5 * (hi - lo) * (x + 1.0))
-        wts.append(0.5 * (hi - lo) * wx)
-    rho, wts = np.concatenate(rho), np.concatenate(wts)
-    wr = wts * rho * w.xi_radial(rho)
-    rows = [[] for _ in range(truncation + 1)]
+        x, wx = _gauss_legendre(n + n % 2)
+        t.append(lo + 0.5 * (hi - lo) * (x + 1.0))
+        wt.append(0.5 * (hi - lo) / math.pi * wx)
+    t, wt = np.concatenate(t), np.concatenate(wt)
+    x, wx = _gauss_legendre(_HET_V_NODES)
+    x, wx = 0.5 * (x + 1.0), 0.5 * wx
+    inner = np.sqrt(np.maximum(w.eta * w.eta - t * t, 0.0))[:, None]
+    length = np.sqrt(w.radius * w.radius - t * t)[:, None] - inner
+    v = np.concatenate([inner * x, inner + length * x], axis=1)
+    rho = np.hypot(t[:, None], v)
+    angle = np.arctan2(v, t[:, None])
+    wv = np.concatenate([inner * wx, length * wx], axis=1) * (2.0 * w.xi_radial(rho))
+    rows = []
     for d, k in _dyads(truncation):
         coeff, _, _ = fock_dyad_radial(k, k + d)
-        rows[d].append(coeff * wr * dyad_poly(k, d, rho))
-    rows = [np.array(rows_d) for rows_d in rows]
-
-    def block(s):
-        z = np.outer(rho, s)
-        bessel = _bessel_orders(max(truncation, 1), z)
-        vals, slopes = [], []
-        for d, rows_d in enumerate(rows):
-            if d == 0:
-                deriv = -bessel[1]
-            else:  # J_d(z) / z -> 1/2 (d = 1) or 0 (d > 1) at z = 0
-                limit = np.full_like(z, 0.5 if d == 1 else 0.0)
-                over_z = np.divide(bessel[d], z, out=limit, where=z > 0)
-                deriv = bessel[d - 1] - d * over_z
-            vals.append(rows_d @ bessel[d])
-            slopes.append((rows_d * rho) @ deriv)
-        return np.concatenate(vals), np.concatenate(slopes)
-
-    return block
-
-
-def _node_blocks(transform, step: float):
-    """``blocks(starts)`` from ``transform(r)`` of any radii, (rows, len(r)).
-
-    Yields the node-major values and slopes at the nodes ``b + j * step`` of
-    each block start ``b``, one transform call per block.
-    """
-    offsets = step * np.arange(_BLOCK_NODES)
-
-    def blocks(starts):
-        for b in starts:
-            vals, slopes = transform(b + offsets)
-            yield vals.T, slopes.T
-
-    return blocks
+        proj = np.sum(wv * dyad_poly(k, d, rho) * np.cos(d * angle), axis=1)
+        rows.append((-1.0) ** (d // 2) * coeff * wt * proj)
+    return t, np.array(rows)
 
 
 class _ProfileTable:
@@ -497,12 +470,13 @@ class _ProfileTable:
 def _profile_table(protocol: str, truncation: int, w: WindowSpec | None):
     key = (protocol, truncation, w)
     if key not in _PROFILE_TABLES:
-        step = PROFILE_STEPS[protocol]
         if protocol == HOMODYNE:
-            blocks = _homodyne_block(truncation, step)
+            t, rows = _homodyne_rows(truncation)
         else:
-            blocks = _node_blocks(_heterodyne_block(truncation, w), step)
-        _PROFILE_TABLES[key] = _ProfileTable(blocks, len(_dyads(truncation)), step)
+            t, rows = _heterodyne_rows(truncation, w)
+        odd = np.array([d % 2 == 1 for d, _ in _dyads(truncation)])
+        step = PROFILE_STEPS[protocol]
+        _PROFILE_TABLES[key] = _ProfileTable(_fourier_blocks(t, rows, odd, step), len(rows), step)
     return _PROFILE_TABLES[key]
 
 

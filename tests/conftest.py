@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
-from scipy.special import erf, roots_genlaguerre
+from scipy.special import erf, j0, j1, jv, roots_genlaguerre
 
 from cvshadow.measurement import fock_husimi
 from cvshadow.phase_space import char_fock_dyad, dyad_poly, fock_dyad_radial, hermite_stack
@@ -181,6 +181,66 @@ def homodyne_transform(truncation: int):
         vals = np.where(odd, rows @ sin_t, rows @ cos_t)
         slopes = np.where(odd, (rows * t) @ cos_t, -((rows * t) @ sin_t))
         return vals, slopes
+
+    return transform
+
+
+def bessel_orders(top: int, z: np.ndarray) -> list[np.ndarray]:
+    """``J_0(z), ..., J_top(z)`` for ``z >= 0``.
+
+    Orders 0 and 1 come from ``j0``/``j1``; higher orders from the forward
+    recurrence ``J_{d+1} = (2d/z) J_d - J_{d-1}``, which is stable where
+    ``z >= d + 1`` (DLMF 10.6); ``jv`` fills only the entries below that.
+    """
+    out = [j0(z), j1(z)]
+    two_over_z = np.divide(2.0, z, out=np.zeros_like(z), where=z > 0)
+    for d in range(1, top):
+        nxt = out[d] * two_over_z
+        nxt *= d
+        nxt -= out[d - 1]
+        small = z < d + 1
+        nxt[small] = jv(d + 1, z[small])
+        out.append(nxt)
+    return out[: top + 1]
+
+
+def heterodyne_transform(truncation: int, w):
+    """Heterodyne profiles at any radii, straight from the windowed Bessel transform.
+
+    ``profile_{d,k}(s) = coeff int rho dyad_poly(k, d, rho) xi(rho) J_d(rho s)
+    d rho`` from one Gauss-Legendre rule on [0, eta] and one on [eta, R], 80/3
+    nodes per unit of rho and at least 60 on either side, with Bessel orders
+    from :func:`bessel_orders`.  The s-derivative uses ``J_0' = -J_1`` and
+    ``J_d' = (J_{d-1} - J_{d+1}) / 2``.  ``transform(s)`` returns (values,
+    slopes), each of shape (rows, len(s)), rows the entries (k + d, k),
+    d-major.
+    """
+    rho, wts = [], []
+    for lo, hi in ((0.0, w.eta), (w.eta, w.radius)):
+        n = max(60, math.ceil(80.0 / 3.0 * (hi - lo)))
+        x, wx = np.polynomial.legendre.leggauss(n)
+        rho.append(lo + 0.5 * (hi - lo) * (x + 1.0))
+        wts.append(0.5 * (hi - lo) * wx)
+    rho, wts = np.concatenate(rho), np.concatenate(wts)
+    wr = wts * rho * w.xi_radial(rho)
+    rows = [[] for _ in range(truncation + 1)]
+    for d in range(truncation + 1):
+        for k in range(truncation + 1 - d):
+            coeff, _, _ = fock_dyad_radial(k, k + d)
+            rows[d].append(coeff * wr * dyad_poly(k, d, rho))
+    rows = [np.array(rows_d) for rows_d in rows]
+
+    def transform(s):
+        bessel = bessel_orders(truncation + 1, np.outer(rho, s))
+        vals, slopes = [], []
+        for d, rows_d in enumerate(rows):
+            vals.append(rows_d @ bessel[d])
+            moment = rows_d * rho
+            if d == 0:
+                slopes.append(-(moment @ bessel[1]))
+            else:
+                slopes.append(0.5 * (moment @ bessel[d - 1] - moment @ bessel[d + 1]))
+        return np.concatenate(vals), np.concatenate(slopes)
 
     return transform
 

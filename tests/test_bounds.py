@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import eval_genlaguerre, roots_genlaguerre
+from scipy.special import eval_genlaguerre, gammaincc, roots_genlaguerre
 
 from cvshadow.bounds import (
     BoundReport,
@@ -20,6 +20,7 @@ from cvshadow.bounds import (
     truncation_error_bound,
     _laguerre_zeros,
     _sigma_block,
+    _upper_gamma_q,
 )
 from cvshadow.measurement import SampleBatch, sample_homodyne_batch
 from cvshadow.shadows import (
@@ -78,6 +79,30 @@ class TestDelta0:
             etas = np.linspace(2.0 * math.sqrt(max(m_trunc, 1)), 12.0, 12)
             vals = [delta0(float(e), m_trunc, 0.0, 1) for e in etas]
             assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
+
+    def test_upper_gamma_matches_gammaincc(self):
+        # delta0's cross-check form over the heterodyne scan (eta on its
+        # geometric grid below 0.99 R, for R up to 100, and every M <= 64
+        # with eta^2 > 2 M^2): 1e-12 relative wherever gammaincc exceeds
+        # the check's 5e-300 floor, and below that floor elsewhere
+        for radius in (8.0, 20.0, 100.0):
+            for eta in np.geomspace(1e-2, 0.99 * radius, 64):
+                for m_trunc in range(65):
+                    if eta * eta <= 2.0 * m_trunc * m_trunc:
+                        break
+                    x = 0.5 * eta * eta
+                    ref = gammaincc(2 * m_trunc + 1, x)
+                    got = _upper_gamma_q(2 * m_trunc + 1, x)
+                    if ref > 5e-300:
+                        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+                    else:
+                        assert got < 5e-300
+
+    def test_upper_gamma_edges(self):
+        # x = 0, x below 1 (largest term p = 0), and shapes far above x
+        assert _upper_gamma_q(1, 0.0) == 1.0 and _upper_gamma_q(129, 0.0) == 1.0
+        for shape, x in ((1, 0.3), (5, 0.3), (129, 2.0), (129, 50.0), (3, 700.0)):
+            assert _upper_gamma_q(shape, x) == pytest.approx(gammaincc(shape, x), rel=1e-12)
 
     def test_alpha_and_modes_scaling(self):
         base = delta0(5.0, 2, 0.0, 1)

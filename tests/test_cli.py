@@ -548,8 +548,7 @@ class TestMainEntrypoint:
 
     def test_import_leaves_quadrature_unloaded(self):
         # only the adaptive reference entries call quad (the Sigma norms use a
-        # fixed Gauss-Legendre rule), and only the commands that evaluate
-        # heterodyne shadows or heterodyne bounds need scipy.special, so
+        # fixed Gauss-Legendre rule), and no command needs scipy.special, so
         # importing the package or the CLI loads neither
         code = (
             "import sys\n"
@@ -561,7 +560,7 @@ class TestMainEntrypoint:
 
     def test_entropy_and_homodyne_bounds_leave_scipy_unloaded(self, tmp_path):
         # the entropy plan and the homodyne bounds evaluate Sigma (at M = 2
-        # and, from the profile, M = 8) and nothing else that needs scipy
+        # and, from the profile, M = 8) by a fixed rule, without scipy
         bounds = {"protocol": "homodyne", "r": 1, "epsilon": 0.5, "delta": 0.05,
                   "n": 2.0, "alpha": 0.0, "e_n": 1.0, "e_alpha": 1.0, "modes": 1}
         cfg = base_config(entropy={"epsilon": 0.9, "energy": 0.4}, bounds=bounds)
@@ -591,7 +590,8 @@ class TestMainEntrypoint:
     def test_chain_and_vacuum_sampling_leave_scipy_special_unloaded(self, tmp_path):
         # the homodyne vacuum and cat pairs build shadows from the homodyne
         # table, whose Fock-dyad coefficients come from math.lgamma, as do
-        # the cat's coherent-state amplitudes
+        # the cat's coherent-state amplitudes; heterodyne shadows are covered
+        # by the next test
         chain = base_config(
             state={"kind": "chain", "m": 6, "kappa": 0.5},
             samples=200,
@@ -627,6 +627,35 @@ class TestMainEntrypoint:
         assert (tmp_path / "hr" / "shadow_average.json").exists()
         assert (tmp_path / "kr" / "shadow_average.json").exists()
 
+
+    def test_heterodyne_vacuum_commands_leave_scipy_unloaded(self, tmp_path):
+        # heterodyne sample, reconstruct (the profile table from Radon
+        # projections and cosine/sine sums), entropy and a feasible
+        # heterodyne bounds scan (delta0 from math.lgamma and a finite
+        # series, Sigma by a fixed rule) load no scipy module at all
+        bounds = {"protocol": "heterodyne", "r": 1, "epsilon": 0.9, "delta": 0.05,
+                  "n": 4.0, "alpha": 0.0, "e_n": 1.0, "e_alpha": 1.0, "modes": 1}
+        cfg = base_config(entropy={"epsilon": 0.9, "energy": 0.4}, bounds=bounds)
+        cfg_path = str(write_config(tmp_path, cfg))
+        commands = [
+            ["sample", "--config", cfg_path, "--out", str(tmp_path / "s")],
+            ["reconstruct", "--config", cfg_path, "--out", str(tmp_path / "r"),
+             "--batch", str(tmp_path / "s" / "records.jsonl")],
+            ["entropy", "--config", cfg_path, "--out", str(tmp_path / "e"),
+             "--average", str(tmp_path / "r" / "shadow_average.json")],
+            ["bounds", "--config", cfg_path, "--out", str(tmp_path / "b")],
+        ]
+        code = (
+            "import json, sys, cvshadow.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cvshadow.cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        assert _run_python(code, json.dumps(commands)).stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "r" / "grid.csv").exists()
+        report = json.loads((tmp_path / "b" / "bounds.json").read_text())
+        assert report["feasible"] and math.isfinite(report["sigma"])
+        assert (tmp_path / "e" / "entropy.json").exists()
 
 def _run_python(code: str, *argv: str) -> subprocess.CompletedProcess:
     """Run ``python -c code argv...`` with this checkout's package importable."""

@@ -1,5 +1,6 @@
 """Shadow construction, windowing, projections, and averaging."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -34,7 +35,7 @@ from cvshadow.states import (
     chain_ground_state,
     fock_matrix_of,
 )
-from conftest import homodyne_transform
+from conftest import bessel_orders, heterodyne_transform, homodyne_transform
 
 
 def fock_state(n: int, truncation: int) -> FockMatrix:
@@ -293,6 +294,32 @@ class TestGaussLegendre:
         for k in range(0, 2 * n, 2):
             assert np.dot(w, x**k) == pytest.approx(2.0 / (k + 1), rel=1e-12)
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 253])
+    def test_odd_or_empty_count_refused(self, n):
+        # the mirrored half has no node at 0, so an odd count is refused
+        # rather than returned one node short
+        with pytest.raises(ValueError, match="even node count"):
+            shadows._gauss_legendre(n)
+
+
+@functools.lru_cache(maxsize=1)
+def _bessel_nodes(w: WindowSpec, nodes: int):
+    """The windowed Bessel transform at ``nodes`` heterodyne nodes, once per window.
+
+    Evaluated at the largest truncation up to 6 whose default window is
+    ``w``; returns that truncation's rows (entries (k + d, k), d-major), and
+    the values and slopes, each of shape (rows, nodes).
+    """
+    top = max(m for m in range(7) if default_window(m) == w)
+    transform = heterodyne_transform(top, w)
+    r = shadows.PROFILE_STEPS["heterodyne"] * np.arange(nodes)
+    parts = [transform(r[a : a + 4096]) for a in range(0, nodes, 4096)]
+    return (
+        shadows._dyads(top),
+        np.concatenate([vals for vals, _ in parts], axis=1),
+        np.concatenate([slopes for _, slopes in parts], axis=1),
+    )
+
 
 class TestProfileTable:
     def test_homodyne_table_matches_adaptive(self):
@@ -316,21 +343,26 @@ class TestProfileTable:
         if protocol == "homodyne":
             block = homodyne_transform(truncation)
         else:
-            block = shadows._heterodyne_block(truncation, w)
+            block = heterodyne_transform(truncation, w)
         r = np.random.default_rng(5).uniform(0.0, 4.0, 64)
         table = shadows._profile_table(protocol, truncation, w)
         exact = block(r)[0]
         assert np.abs(table(r) - exact).max() <= 1e-10 * np.abs(exact).max()
+
+    @staticmethod
+    def _table_at_every_node(protocol, truncation, w):
+        table = shadows._profile_table(protocol, truncation, w)
+        table.cover(shadows.PROFILE_MAX_RADIUS)
+        r = table.step * np.arange(table.values.shape[0])
+        assert r[-1] >= shadows.PROFILE_MAX_RADIUS
+        return table, r
 
     @pytest.mark.parametrize("truncation", range(7))
     def test_homodyne_nodes_match_direct_transform(self, truncation, monkeypatch):
         # every node out to the radius limit, values and slopes: the blocks
         # built by angle addition against cos(t r) and sin(t r) at each node
         monkeypatch.setattr(shadows, "_PROFILE_TABLES", {})
-        table = shadows._profile_table("homodyne", truncation, None)
-        table.cover(shadows.PROFILE_MAX_RADIUS)
-        r = table.step * np.arange(table.values.shape[0])
-        assert r[-1] >= shadows.PROFILE_MAX_RADIUS
+        table, r = self._table_at_every_node("homodyne", truncation, None)
         transform = homodyne_transform(truncation)
         errors, scales = np.zeros(2), np.zeros(2)
         for a in range(0, r.size, 4096):
@@ -342,18 +374,35 @@ class TestProfileTable:
         assert np.all(errors <= 1e-13 * scales)
 
     @pytest.mark.parametrize("truncation", range(7))
-    def test_heterodyne_recurrence_matches_jv(self, truncation, monkeypatch):
-        # the same split rule with every Bessel order from jv, over s in
-        # [0, 64]; small s puts many nodes in the z < d branch
+    def test_heterodyne_nodes_match_bessel_transform(self, truncation, monkeypatch):
+        # every node out to the radius limit, values and slopes: the cosine
+        # and sine transforms of the Radon projections against the windowed
+        # Bessel transform on its own Gauss-Legendre rule in rho
+        monkeypatch.setattr(shadows, "_PROFILE_TABLES", {})
         w = default_window(truncation)
-        s = np.concatenate([np.linspace(0.0, 1.0, 65), np.linspace(1.25, 64.0, 252)])
-        vals, slopes = shadows._heterodyne_block(truncation, w)(s)
-        monkeypatch.setattr(
-            shadows, "_bessel_orders", lambda top, z: [jv(d, z) for d in range(top + 1)]
-        )
-        ref_vals, ref_slopes = shadows._heterodyne_block(truncation, w)(s)
-        assert np.abs(vals - ref_vals).max() <= 1e-13 * np.abs(ref_vals).max()
-        assert np.abs(slopes - ref_slopes).max() <= 1e-13 * np.abs(ref_slopes).max()
+        table, r = self._table_at_every_node("heterodyne", truncation, w)
+        dyads, ref_vals, ref_slopes = _bessel_nodes(w, r.size)
+        rows = [dyads.index(dk) for dk in shadows._dyads(truncation)]
+        for got, ref in ((table.values, ref_vals[rows]), (table.slopes, ref_slopes[rows])):
+            assert np.abs(got.T - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_heterodyne_rule_rounds_odd_counts_up(self):
+        # at M = 6 the default window's inner piece asks for ceil(80/3 eta)
+        # = 253 t-nodes; the rule takes 254, whose profiles the node test at
+        # truncation 6 checks against the Bessel transform
+        w = default_window(6)
+        want = math.ceil(shadows._HET_NODES_PER_RHO * w.eta)
+        assert want % 2 == 1
+        t, _ = shadows._heterodyne_rows(6, w)
+        assert np.count_nonzero(t < w.eta) == want + 1
+
+    def test_bessel_reference_recurrence_matches_jv(self):
+        # the reference's forward recurrence against jv at every order it
+        # serves, for z up to 64 R at M = 6; small z puts many points in
+        # the z < d + 1 branch
+        z = np.outer(np.linspace(0.0, default_window(6).radius, 96), np.linspace(0.0, 64.0, 509))
+        for d, got in enumerate(bessel_orders(7, z)):
+            assert np.abs(got - jv(d, z)).max() <= 1e-13
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
     def test_chunked_batch_bit_identical(self, protocol, monkeypatch):
