@@ -13,12 +13,12 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from .bounds import MomentProfile, required_samples_heterodyne, required_samples_homodyne
@@ -39,22 +39,21 @@ from .shadows import (
     json_sha256,
     shadow_batch_entries,
 )
-from .states import CatStateSpec, ChainSpec, GaussianStateSpec, chain_state
+from .states import CatStateSpec, ChainSpec, FockMatrix, GaussianStateSpec, chain_state
+
+_NON_NEGATIVE_INT = {"type": "integer", "minimum": 0}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_OPEN_UNIT = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 
 _STATE_SCHEMA = {
     "type": "object",
     "required": ["kind"],
     "properties": {
         "kind": {"enum": ["vacuum", "coherent", "thermal", "cat", "chain", "fock"]},
-        "alpha": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
+        "alpha": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
         "logical": {"enum": ["zero", "one", "plus", "minus"]},
         "nu": {"type": "number", "minimum": 0},
-        "n": {"type": "integer", "minimum": 0},
+        "n": _NON_NEGATIVE_INT,
         "m": {"type": "integer", "minimum": 1},
         "kappa": {"type": "number", "minimum": -1, "maximum": 1},
         "disorder": {"type": "boolean"},
@@ -63,8 +62,8 @@ _STATE_SCHEMA = {
     "additionalProperties": False,
 }
 
+# A JSON Schema (draft 2020-12) document, checked by ``_schema_errors``.
 CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
     "required": ["version", "state", "protocol", "samples", "truncation", "seed"],
     "properties": {
@@ -72,19 +71,12 @@ CONFIG_SCHEMA = {
         "state": _STATE_SCHEMA,
         "protocol": {"enum": [HOMODYNE, HETERODYNE]},
         "samples": {"type": "integer", "minimum": 1},
-        "truncation": {"type": "integer", "minimum": 0},
-        "subset": {
-            "type": "array",
-            "items": {"type": "integer", "minimum": 0},
-            "minItems": 1,
-        },
+        "truncation": _NON_NEGATIVE_INT,
+        "subset": {"type": "array", "items": _NON_NEGATIVE_INT, "minItems": 1},
         "window": {
             "type": "object",
             "required": ["eta", "radius"],
-            "properties": {
-                "eta": {"type": "number", "exclusiveMinimum": 0},
-                "radius": {"type": "number", "exclusiveMinimum": 0},
-            },
+            "properties": {"eta": _POSITIVE, "radius": _POSITIVE},
             "additionalProperties": False,
         },
         "grid": {
@@ -93,12 +85,7 @@ CONFIG_SCHEMA = {
                 "lo": {"type": "number"},
                 "hi": {"type": "number"},
                 "points": {"type": "integer", "minimum": 3},
-                "pair": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 0},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
+                "pair": {"type": "array", "items": _NON_NEGATIVE_INT, "minItems": 2, "maxItems": 2},
             },
             "additionalProperties": False,
         },
@@ -109,9 +96,9 @@ CONFIG_SCHEMA = {
             "properties": {
                 "protocol": {"enum": [HOMODYNE, HETERODYNE]},
                 "r": {"type": "integer", "minimum": 1},
-                "epsilon": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "delta": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "n": {"type": "number", "exclusiveMinimum": 0},
+                "epsilon": _OPEN_UNIT,
+                "delta": _OPEN_UNIT,
+                "n": _POSITIVE,
                 "alpha": {"type": "number", "minimum": 0},
                 "e_n": {"type": "number", "minimum": 1},
                 "e_alpha": {"type": "number", "minimum": 1},
@@ -124,7 +111,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "required": ["epsilon", "energy"],
             "properties": {
-                "epsilon": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+                "epsilon": _OPEN_UNIT,
                 "energy": {"type": "number", "minimum": 0},
                 "d_p": {"type": "integer", "minimum": 2},
             },
@@ -133,6 +120,46 @@ CONFIG_SCHEMA = {
     },
     "additionalProperties": False,
 }
+
+# Unlike JSON Schema's, an integer is written as one (not 50.0) and a bool is no number.
+_TYPES = {"object": (dict,), "array": (list,), "boolean": (bool,), "integer": (int,),
+          "number": (int, float)}
+_BOUNDS = {"minimum": operator.lt, "exclusiveMinimum": operator.le,
+           "maximum": operator.gt, "exclusiveMaximum": operator.ge}  # keyword: broken if
+
+
+def _schema_errors(schema: dict, value, path: str = "$"):
+    """Yield ``(json_path, message)`` for each rule of ``schema`` that ``value`` breaks.
+
+    Reads the keywords ``CONFIG_SCHEMA`` uses, as JSON Schema does except for
+    ``_TYPES`` and numbers within float range (``json.load`` reads NaN and Infinity).
+    """
+    finite = type(value) not in (int, float) or abs(value) <= sys.float_info.max
+    if "type" in schema and not (type(value) in _TYPES[schema["type"]] and finite):
+        yield path, f"{value!r} is not of type {schema['type']!r}"
+        return
+    allowed = schema.get("enum", [schema["const"]] if "const" in schema else None)
+    if allowed is not None and not any(type(value) is type(a) and value == a for a in allowed):
+        yield path, f"{value!r} is not one of {allowed!r}"
+    for key, broken in _BOUNDS.items():
+        if key in schema and broken(value, schema[key]):
+            yield path, f"{value!r} breaks {key} {schema[key]!r}"
+    if isinstance(value, list):
+        if not schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value)):
+            yield path, f"{value!r} has {len(value)} items, outside minItems/maxItems"
+        for i, item in enumerate(value):
+            yield from _schema_errors(schema.get("items", {}), item, f"{path}[{i}]")
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", []):
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+        for key in value:
+            if key not in properties and schema.get("additionalProperties") is False:
+                yield path, f"Additional properties are not allowed ({key!r} was unexpected)"
+        for key, sub in properties.items():
+            if key in value:
+                yield from _schema_errors(sub, value[key], f"{path}.{key}")
 
 
 class ConfigError(ValueError):
@@ -147,14 +174,12 @@ def load_config(path) -> dict:
 
 
 def validate_config(config: dict) -> None:
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: e.json_path)
+    errors = sorted(_schema_errors(CONFIG_SCHEMA, config), key=lambda error: error[0])
     if errors:
-        first = errors[0]
-        raise ConfigError(f"config invalid at {first.json_path}: {first.message}")
+        raise ConfigError("config invalid at {}: {}".format(*errors[0]))
     lo, hi = _grid_range(config)
-    if not -math.inf < lo < hi < math.inf:
-        raise ConfigError(f"config invalid at $.grid: need finite lo < hi, got lo={lo}, hi={hi}")
+    if not lo < hi:
+        raise ConfigError(f"config invalid at $.grid: need lo < hi, got lo={lo}, hi={hi}")
     # the grid corner |u|^2 = 2 max(|lo|, |hi|)^2, where exp(|u|^2/4) must stay finite
     if max(abs(lo), abs(hi)) ** 2 / 2.0 > math.log(sys.float_info.max):
         raise ConfigError(
@@ -194,8 +219,6 @@ def build_state(state_cfg: dict):
         trunc = max(n, 1)
         mat = np.zeros((trunc + 1, trunc + 1), dtype=complex)
         mat[n, n] = 1.0
-        from .states import FockMatrix
-
         return FockMatrix(1, trunc, mat)
     raise ConfigError(f"unsupported state kind {kind!r}")
 
@@ -236,17 +259,10 @@ def write_manifest(
     return path
 
 
-def _seeded(config: dict, seed_override: int | None) -> dict:
-    config = dict(config)
-    if seed_override is not None:
-        config["seed"] = seed_override
-    return config
-
-
 def cmd_sample(config: dict, out_dir, seed: int | None = None) -> dict:
     """Generate a measurement batch; writes records.jsonl and the manifest."""
     t0 = time.perf_counter()
-    config = _seeded(config, seed)
+    config = config if seed is None else {**config, "seed": seed}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     state = build_state(config["state"])
@@ -257,8 +273,7 @@ def cmd_sample(config: dict, out_dir, seed: int | None = None) -> dict:
         batch = sample_heterodyne_batch(state, config["samples"], seed_path)
     records_path = out / "records.jsonl"
     batch.to_jsonl(records_path)
-    files = [records_path]
-    write_manifest(out, config, files, time.perf_counter() - t0, batch.meta)
+    write_manifest(out, config, [records_path], time.perf_counter() - t0, batch.meta)
     return {"records": str(records_path), "n": batch.n, "meta": batch.meta}
 
 
@@ -282,7 +297,7 @@ def _write_grid_csv(path: Path, points: np.ndarray, exact, recon) -> None:
 def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) -> dict:
     """Reconstruct characteristic grids and the shadow average from a batch."""
     t0 = time.perf_counter()
-    config = _seeded(config, seed)
+    config = config if seed is None else {**config, "seed": seed}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     state = build_state(config["state"])
@@ -299,7 +314,6 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
     files: list[Path] = []
     metrics: dict = {"n_samples": batch.n, "protocol": batch.protocol}
 
-    large_chain = modes > 4
     if batch.protocol == HETERODYNE:
         if modes > 1 or "pair" in grid_cfg:
             pair = tuple(grid_cfg.get("pair", (0, modes // 2)))
@@ -316,7 +330,7 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
         metrics["v_metric"] = v_val
         if np.max(np.abs([lo, hi])) ** 2 / 2.0 > np.log(max(batch.n, 2)):
             metrics["warning"] = "grid extends beyond the reliable window for this sample size"
-    if not large_chain:
+    if modes <= 4:
         truncation = config["truncation"]
         subset = tuple(config.get("subset", range(min(modes, 1))))
         window = config_window(config) if batch.protocol == HETERODYNE else None
@@ -366,8 +380,7 @@ def cmd_bounds(config: dict, out_dir) -> dict:
         ("feasible", report.feasible),
     ]
     width = max(len(k) for k, _ in rows)
-    table = "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
-    print(table)
+    print("\n".join(f"{k:<{width}}  {v}" for k, v in rows))
     return report.to_dict()
 
 

@@ -41,7 +41,7 @@ _PROPOSAL_DOF = 4.0
 _ENVELOPE_MARGIN = 1.2
 _REJECTION_CHUNK = 32768
 # Values per block of rows that ``SampleBatch.to_jsonl`` turns into Python floats.
-_JSONL_BLOCK_VALUES = 1 << 16
+_JSONL_BLOCK_VALUES = 1 << 14
 
 
 @dataclass
@@ -319,24 +319,22 @@ def _rejection_draws(
     ``probe`` points.  The dominating constant is ``_ENVELOPE_MARGIN`` times
     the largest ratio ``target / proposal`` on the probe, re-checked at every
     proposal: a proposal above the bound aborts, since clipping would
-    silently bias the sampler.  The first chunk holds ``_REJECTION_CHUNK``
-    proposals; each later one is sized for the points still missing at the
-    acceptance so far, ``ceil(1.1 remaining / acceptance)``, clamped to
-    ``[1024, _REJECTION_CHUNK]``.  Memory does not grow with ``n``, and the
-    samples stay exact: a chunk's size depends only on the counts of earlier
-    chunks, never on their points.  Returns the points and
-    ``{"acceptance", "proposals"}``, the acceptance being accepted /
-    proposed over every chunk drawn.
+    silently bias the sampler.  Each chunk asks for ``ceil(1.1 missing /
+    acceptance)`` proposals, clamped to ``[1024, _REJECTION_CHUNK]``, at
+    ``1 / bound`` (a normalised target's acceptance) until one is accepted
+    and at the acceptance so far after that.  Memory does not grow with
+    ``n``, and the samples stay exact: a chunk's size depends only on the
+    probe and the counts of earlier chunks, never on their points.  Returns
+    the points and ``{"acceptance", "proposals"}``, the acceptance being
+    accepted / proposed over every chunk drawn.
     """
     ratio = target(probe) / np.maximum(probe_density, 1e-300)
     bound = _ENVELOPE_MARGIN * float(ratio.max())
     out = np.empty((n, probe.shape[1]))
     filled = accepted = proposed = 0
-    size = _REJECTION_CHUNK
     while filled < n:
-        if accepted:
-            wanted = math.ceil(1.1 * (n - filled) * proposed / accepted)
-            size = min(_REJECTION_CHUNK, max(1024, wanted))
+        wanted = 1.1 * (n - filled) * proposed / accepted if accepted else 1.1 * n * bound
+        size = min(_REJECTION_CHUNK, max(1024, math.ceil(wanted)))
         pts, proposal = draw(rng, size)
         u = rng.random(size)
         density = target(pts)

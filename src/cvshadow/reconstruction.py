@@ -29,14 +29,16 @@ def _trial_char_grid(a, ya, b, yb) -> np.ndarray:
 
     Returns shape (len(a), len(b)).  The phase factorises per axis, so the
     sum over rounds is ``A @ B.T`` accumulated over fixed-size chunks of
-    rounds in order, then divided by N; memory is axes x chunk, never
-    grid x N.
+    rounds in order, then divided by N.  Memory is one complex axes x chunk
+    array per axis, exponentiated in place, never grid x N.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     total = np.zeros((a.size, b.size), dtype=complex)
     for start in range(0, len(ya), _ROUND_CHUNK):
         sl = slice(start, start + _ROUND_CHUNK)
-        total += np.exp(1j * np.outer(a, ya[sl])) @ np.exp(1j * np.outer(b, yb[sl])).T
+        pa, pb = np.multiply(1j, np.outer(a, ya[sl])), np.multiply(1j, np.outer(b, yb[sl]))
+        total += np.exp(pa, out=pa) @ np.exp(pb, out=pb).T
+        del pa, pb  # before the next chunk's
     grow = np.exp(0.25 * (np.square(a)[:, None] + np.square(b)[None, :]))
     return grow * (total / len(ya))
 

@@ -461,25 +461,27 @@ class CirculantChainState:
 
         A block ``circ(c)`` with eigenvalues ``c_k`` is drawn exactly as ``Re
         FFT(sqrt(c_k / m) (z1 + i z2))`` for standard normal ``z1``, ``z2``,
-        about 2^18 values at a time into the preallocated rows; the normals
-        are scaled and transformed in place in one preallocated complex chunk.
+        about 2^18 normals at a time into the preallocated rows; they are
+        scaled and transformed in place in a preallocated complex sub-chunk
+        of about 2^14 values.
         """
         m = self.modes
         root = np.sqrt(2.0 * self.lam)
         scales = [np.sqrt((c + vacuum) / (2.0 * m)) for c in (1.0 / root, root)]
         out = np.empty((n, 2 * m))
-        step = max(1, (1 << 18) // m)
-        chunk = np.empty((min(step, n), m), dtype=complex)
+        step, sub = max(1, (1 << 18) // m), max(1, (1 << 14) // m)
+        chunk = np.empty((min(sub, n), m), dtype=complex)
         for r in range(0, n, step):
             rows = out[r : r + step]
-            c = chunk[: len(rows)]
             for block, scale in enumerate(scales):
                 z = rng.standard_normal((2, len(rows), m))
-                c.real[:], c.imag[:] = z
-                del z
-                c *= scale
-                np.fft.fft(c, out=c)
-                rows[:, block * m : (block + 1) * m] = c.real
+                for s in range(0, len(rows), sub):
+                    c = chunk[: len(rows[s : s + sub])]
+                    c.real[:], c.imag[:] = z[:, s : s + sub]
+                    c *= scale
+                    np.fft.fft(c, out=c)
+                    rows[s : s + sub, block * m : (block + 1) * m] = c.real
+                del z  # before the next block's normals
         return out
 
 

@@ -267,3 +267,28 @@ def sigma_block_quad(truncation: int, kernel, upper: float, joins=()) -> np.ndar
             val, _ = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-11, limit=400, points=kinks)
             block[lo, hi] = block[hi, lo] = abs(coeff) * val
     return block
+
+
+def circulant_draws_whole_chunk(state, vacuum: float, n: int, rng) -> np.ndarray:
+    """``CirculantChainState.phase_space_draws`` as it was, one complex chunk per block.
+
+    The same ``rng.standard_normal((2, rows, m))`` call per block of about
+    2^18 values, scaled and transformed in one (rows, m) complex array.
+    """
+    m = state.modes
+    root = np.sqrt(2.0 * state.lam)
+    scales = [np.sqrt((c + vacuum) / (2.0 * m)) for c in (1.0 / root, root)]
+    out = np.empty((n, 2 * m))
+    step = max(1, (1 << 18) // m)
+    chunk = np.empty((min(step, n), m), dtype=complex)
+    for r in range(0, n, step):
+        rows = out[r : r + step]
+        c = chunk[: len(rows)]
+        for block, scale in enumerate(scales):
+            z = rng.standard_normal((2, len(rows), m))
+            c.real[:], c.imag[:] = z
+            del z
+            c *= scale
+            np.fft.fft(c, out=c)
+            rows[:, block * m : (block + 1) * m] = c.real
+    return out

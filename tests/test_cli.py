@@ -1,8 +1,10 @@
 """End-user CLI: configs, artifacts, determinism, error surfaces."""
 
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -51,6 +53,108 @@ def write_config(tmp_path, config, name="config.json"):
     return path
 
 
+CHECKED_KEYWORDS = {
+    "type", "const", "enum", "required", "properties", "additionalProperties", "items",
+    "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum",
+}
+
+BOUNDS = {"protocol": "heterodyne", "r": 1, "epsilon": 0.5, "delta": 0.05, "n": 2.0,
+          "alpha": 0.0, "e_n": 1.0, "e_alpha": 1.0, "modes": 1}
+
+# every key of the schema, set to a valid value
+VALID_CONFIGS = [
+    base_config(
+        state={"kind": "cat", "alpha": [1, -0.5], "logical": "plus"},
+        protocol="homodyne", subset=[0], window={"eta": 2.0, "radius": 8},
+        grid={"lo": -3, "hi": 2.5, "points": 3, "pair": [0, 1]},
+        bounds=dict(BOUNDS, observables=4), entropy={"epsilon": 0.5, "energy": 0, "d_p": 2},
+    ),
+    base_config(state={"kind": "chain", "m": 4, "kappa": -1, "disorder": True,
+                       "disorder_seed": -3}),
+    base_config(state={"kind": "thermal", "nu": 0}, truncation=0, seed=-1),
+    base_config(state={"kind": "fock", "n": 0}, samples=1),
+    base_config(state={"kind": "coherent", "alpha": [0.0, 2]}),
+]
+
+# configs that break each schema keyword once, at the top level and nested,
+# then several at once; each has the same error paths under jsonschema
+INVALID_CONFIGS = [
+    [],
+    "config",
+    {},
+    {"version": 1},
+    base_config(version=2),
+    base_config(version=True),
+    base_config(protocol="photon-counting"),
+    base_config(samples="50"),
+    base_config(samples=True),
+    base_config(samples=0),
+    base_config(samples=0.5),
+    base_config(truncation=-1),
+    base_config(seed=None),
+    base_config(seed=1.5),
+    base_config(extra=1),
+    base_config(extra=1, other=2),
+    base_config(state="vacuum"),
+    base_config(state={}),
+    base_config(state={"kind": "squeezed"}),
+    base_config(state={"kind": "vacuum", "squeezing": 0.3}),
+    base_config(state={"kind": "thermal", "nu": -1.0}),
+    base_config(state={"kind": "thermal", "nu": "1"}),
+    base_config(state={"kind": "fock", "n": -1}),
+    base_config(state={"kind": "chain", "m": 0, "kappa": 0.5}),
+    base_config(state={"kind": "chain", "m": 3, "kappa": -1.5}),
+    base_config(state={"kind": "chain", "m": 3, "kappa": 1.01}),
+    base_config(state={"kind": "chain", "m": 3, "kappa": 0.5, "disorder": 1}),
+    base_config(state={"kind": "chain", "m": 3, "kappa": 0.5, "disorder_seed": 0.5}),
+    base_config(state={"kind": "cat", "alpha": [1.0]}),
+    base_config(state={"kind": "cat", "alpha": [1.0, 0.0, 0.0]}),
+    base_config(state={"kind": "cat", "alpha": ["1", 0.0]}),
+    base_config(state={"kind": "cat", "alpha": 1.0}),
+    base_config(state={"kind": "cat", "alpha": [1.0, 0.0], "logical": "two"}),
+    base_config(subset=0),
+    base_config(subset=[]),
+    base_config(subset=[-1]),
+    base_config(subset=[0, 1.5]),
+    base_config(window={"eta": 1.0}),
+    base_config(window={"eta": 0, "radius": 8.0}),
+    base_config(window={"eta": 1.0, "radius": -8.0}),
+    base_config(window={"eta": 1.0, "radius": 8.0, "R": 8.0}),
+    base_config(window=[1.0, 8.0]),
+    base_config(grid={"lo": "-2"}),
+    base_config(grid={"points": 2}),
+    base_config(grid={"points": 3.5}),
+    base_config(grid={"pair": [0]}),
+    base_config(grid={"pair": [0, 1, 2]}),
+    base_config(grid={"pair": [0, -1]}),
+    base_config(grid={"pair": "0,1"}),
+    base_config(grid={"step": 0.1}),
+    base_config(bounds={}),
+    base_config(bounds=dict(BOUNDS, protocol="x")),
+    base_config(bounds=dict(BOUNDS, r=0)),
+    base_config(bounds=dict(BOUNDS, epsilon=0)),
+    base_config(bounds=dict(BOUNDS, epsilon=1)),
+    base_config(bounds=dict(BOUNDS, delta=1.5)),
+    base_config(bounds=dict(BOUNDS, n=0)),
+    base_config(bounds=dict(BOUNDS, alpha=-0.1)),
+    base_config(bounds=dict(BOUNDS, e_n=0.5)),
+    base_config(bounds=dict(BOUNDS, e_alpha=0)),
+    base_config(bounds=dict(BOUNDS, modes=0)),
+    base_config(bounds=dict(BOUNDS, observables=0)),
+    base_config(bounds=dict(BOUNDS, radius=24.0)),
+    base_config(entropy={"epsilon": 0.9}),
+    base_config(entropy={"epsilon": 1.0, "energy": 0.4}),
+    base_config(entropy={"epsilon": 0.9, "energy": -0.4}),
+    base_config(entropy={"epsilon": 0.9, "energy": 0.4, "d_p": 1}),
+    base_config(entropy={"epsilon": 0.9, "energy": 0.4, "r": 1}),
+    # several errors: the first by sorted path is reported
+    {"version": 2, "samples": 0, "state": {"kind": "x"}},
+    {"state": {"kind": "chain", "m": 0}, "subset": [-1], "zzz": 1},
+    base_config(samples=0, subset=[-1, 0.5], grid={"pair": [-1, -2, -3]}),
+    base_config(state={"nu": -1}, bounds={"r": 0}, entropy={"d_p": 0}),
+]
+
+
 class TestConfigValidation:
     def test_valid(self):
         validate_config(base_config())
@@ -96,6 +200,60 @@ class TestConfigValidation:
     def test_removed_keys_rejected(self, section, body):
         with pytest.raises(ConfigError, match=rf"\$\.{section}: .*was unexpected"):
             validate_config(base_config(**{section: body}))
+
+    @pytest.mark.parametrize("config", INVALID_CONFIGS)
+    def test_first_error_path_matches_jsonschema(self, config):
+        jsonschema = pytest.importorskip("jsonschema")
+        reference = jsonschema.Draft202012Validator(cli.CONFIG_SCHEMA).iter_errors(config)
+        expected = sorted(reference, key=lambda error: error.json_path)
+        found = sorted(cli._schema_errors(cli.CONFIG_SCHEMA, config), key=lambda e: e[0])
+        assert expected and found
+        assert found[0][0] == expected[0].json_path
+        assert {path for path, _ in found} == {error.json_path for error in expected}
+        with pytest.raises(ConfigError, match=re.escape(f"config invalid at {found[0][0]}: ")):
+            validate_config(config)
+
+    def test_schema_uses_only_checked_keywords(self):
+        keywords, types = set(), set()
+
+        def walk(schema):
+            keywords.update(schema)
+            types.add(schema.get("type"))
+            bounded = {"minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"} & set(schema)
+            # a bound compares the value, so it must come with a numeric type
+            assert not bounded or schema["type"] in ("integer", "number")
+            for sub in list(schema.get("properties", {}).values()) + [schema.get("items")]:
+                if sub is not None:
+                    walk(sub)
+
+        walk(cli.CONFIG_SCHEMA)
+        assert keywords <= CHECKED_KEYWORDS
+        assert types - {None} <= set(cli._TYPES)
+
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"samples": 50.0}, "$.samples"),
+            ({"truncation": 2.0}, "$.truncation"),
+            ({"state": {"kind": "chain", "m": 3.0, "kappa": 0.5}}, "$.state.m"),
+            ({"version": 1.0}, "$.version"),
+            ({"seed": 10**400}, "$.seed"),  # every number converts to a finite float
+            ({"state": {"kind": "thermal", "nu": math.nan}}, "$.state.nu"),
+            ({"grid": {"lo": -math.inf}}, "$.grid.lo"),
+            ({"state": {"kind": "coherent", "alpha": [1e400 * 0, 0.0]}}, "$.state.alpha[0]"),
+            ({"grid": {"hi": 10**400}}, "$.grid.hi"),
+        ],
+    )
+    def test_refusals_beyond_jsonschema(self, overrides, path):
+        # jsonschema accepts each of these values
+        with pytest.raises(ConfigError, match=re.escape(f"config invalid at {path}: ")):
+            validate_config(base_config(**overrides))
+
+    def test_bench_and_test_configs_validate(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        workloads = importlib.import_module("workloads")
+        for config in [workloads.CHAIN_CONFIG, workloads.VACUUM_CONFIG] + VALID_CONFIGS:
+            validate_config(config)
 
 
 class TestBuildState:
@@ -535,6 +693,41 @@ class TestMainEntrypoint:
         assert "config invalid at $" in err and "'squeezing' was unexpected" in err
         assert not (tmp_path / "records.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "command, overrides, path",
+        [
+            ("sample", {"samples": 50.0}, "$.samples"),
+            ("reconstruct", {"truncation": 2.0}, "$.truncation"),
+            ("sample", {"state": {"kind": "chain", "m": 3.0, "kappa": 0.5}}, "$.state.m"),
+        ],
+    )
+    def test_integer_valued_float_refused(self, tmp_path, capsys, command, overrides, path):
+        # each of these used to pass validation and then crash with a TypeError
+        cfg_path = write_config(tmp_path, base_config(**overrides))
+        argv = [command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        if command == "reconstruct":
+            argv += ["--batch", str(tmp_path / "records.jsonl")]
+        assert cli.main(argv) == 2
+        assert f"error: config invalid at {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"state": {"kind": "thermal", "nu": math.nan}}, "$.state.nu"),
+            ({"grid": {"lo": -math.inf}}, "$.grid.lo"),
+            ({"state": {"kind": "coherent", "alpha": [0.5, math.inf]}}, "$.state.alpha[1]"),
+        ],
+    )
+    def test_non_finite_number_refused(self, tmp_path, capsys, overrides, path):
+        # json.load reads NaN and Infinity, which json.dumps writes for these floats
+        cfg_path = write_config(tmp_path, base_config(**overrides))
+        assert "NaN" in cfg_path.read_text() or "Infinity" in cfg_path.read_text()
+        argv = ["sample", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert f"error: config invalid at {path}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["bounds", "entropy"])
     def test_seed_flag_only_on_sampling_commands(self, tmp_path, capsys, command):
         cfg_path = write_config(tmp_path, base_config())
@@ -557,6 +750,15 @@ class TestMainEntrypoint:
             "    print(module, sorted(m for m in sys.modules if m.startswith('scipy')))"
         )
         assert _run_python(code).stdout.splitlines() == ["cvshadow []", "cvshadow.cli []"]
+
+    def test_import_leaves_jsonschema_unloaded(self):
+        # configs are checked against CONFIG_SCHEMA by cli._schema_errors
+        code = (
+            "import sys\n"
+            "import cvshadow.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'jsonschema'))"
+        )
+        assert _run_python(code).stdout.strip() == "[]"
 
     def test_entropy_and_homodyne_bounds_leave_scipy_unloaded(self, tmp_path):
         # the entropy plan and the homodyne bounds evaluate Sigma (at M = 2

@@ -287,10 +287,19 @@ class TestSampleHomodyne:
         monkeypatch.setattr(meas, "_homodyne_density", spiked)
         with pytest.raises(RuntimeError, match="envelope"):
             meas.sample_homodyne_batch(spec, 100, "abort-one")
-        assert calls == [129 * 513, meas._REJECTION_CHUNK]
+        # the first chunk is sized from the probe: max(1024, ceil(1.1 * 100 * bound))
+        assert calls == [129 * 513, 1024]
+
+    @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
+    def test_first_chunk_sized_from_the_probe(self, sample):
+        # the probe's bound is 1 / acceptance for a normalised target, so at
+        # N = 1e4 the first chunk asks for about 15k proposals, not 32768
+        batch = sample(CatStateSpec(1 + 1j, "zero"), 10_000, "first-chunk")
+        assert batch.n == 10_000
+        assert batch.meta["proposals"] <= 20_000
 
     def test_later_chunks_sized_for_the_remainder(self, monkeypatch):
-        # the first chunk is full; later ones ask for 1.1 x the missing points
+        # at N = 1e5 the first chunk is full; later ones ask for 1.1 x the missing points
         # at the acceptance so far, so the bench cat at N = 1e5 stops near
         # 138k proposals instead of five full chunks (163840)
         import cvshadow.measurement as meas

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from cvshadow.measurement import HETERODYNE, SampleBatch, sample_heterodyne_batch
-from cvshadow.reconstruction import reconstruct_pair_section, reconstruct_single_mode
+from cvshadow.reconstruction import (
+    _trial_char_grid,
+    reconstruct_pair_section,
+    reconstruct_single_mode,
+)
 from cvshadow.states import ChainSpec, GaussianStateSpec, chain_ground_state
 
 
@@ -64,6 +68,24 @@ class TestTrialChar:
             tracemalloc.stop()
         assert recon.values.shape == (81, 81)
         assert peak < 200 * 2**20
+
+    def test_phase_matrices_exponentiated_in_place(self):
+        # the bench vacuum grid: N = 8000, 81 points, 4096-round chunks.  Two
+        # complex 81 x 4096 phase matrices are 10.6 MB and one float outer
+        # product 2.7 MB; a copy for exp(1j * outer) would add 5.3 MB
+        rng = np.random.default_rng(8)
+        axis, ya, yb = np.linspace(-2.0, 2.0, 81), rng.normal(size=8000), rng.normal(size=8000)
+        tracemalloc.start()
+        try:
+            grid = _trial_char_grid(axis, ya, axis, yb)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        direct = np.exp(0.25 * (axis[:, None] ** 2 + axis[None, :] ** 2)) * (
+            np.exp(1j * np.outer(axis, ya)) @ np.exp(1j * np.outer(axis, yb)).T / 8000
+        )
+        assert np.abs(grid - direct).max() <= 1e-12
+        assert peak <= 10.6 + 2.7 + 1.0
 
 
 class TestPairValidation:

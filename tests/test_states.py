@@ -25,7 +25,7 @@ from cvshadow.states import (
     fock_moments,
     multi_indices,
 )
-from conftest import correlated_gaussian, gauss_legendre_grid_2d
+from conftest import circulant_draws_whole_chunk, correlated_gaussian, gauss_legendre_grid_2d
 
 
 def cat_char_printed_form(spec, u):
@@ -450,6 +450,34 @@ class TestChain:
         target = 0.5 * (chain_ground_state(spec).cov + vacuum * np.eye(2 * m))
         for b in (slice(0, m), slice(m, 2 * m)):
             assert np.abs(rows[:, b].T @ rows[:, b] - target[b, b]).max() <= 1e-13
+
+
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            (3, 1), (3, 12_000),  # 5461-row sub-chunks, the last one partial
+            (1000, 16), (1000, 1000),  # 16-row sub-chunks in 262-row blocks, 1000 = 62.5 x 16
+        ],
+    )
+    @pytest.mark.parametrize("vacuum", [0.0, 1.0])
+    def test_spectral_draws_match_whole_chunk(self, m, n, vacuum):
+        state = chain_state(ChainSpec(m, 0.99))
+        draws = state.phase_space_draws(vacuum, n, np.random.default_rng(n))
+        reference = circulant_draws_whole_chunk(state, vacuum, n, np.random.default_rng(n))
+        assert np.array_equal(draws, reference)
+
+    def test_spectral_draws_memory(self):
+        # the returned (1000, 2000) rows are 16 MB and one block's normals 4.2 MB;
+        # a (262, 1000) complex chunk beside them would add another 4.2 MB
+        state = chain_state(ChainSpec(1000, 0.99))
+        rng = np.random.default_rng(3)
+        tracemalloc.start()
+        try:
+            state.phase_space_draws(1.0, 1000, rng)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16.0 + 4.2 + 1.0
 
 
 class TestFockMatrices:
