@@ -20,14 +20,12 @@ from .states import (
     FockMatrix,
     GaussianStateSpec,
     cat_char,
-    cat_position_pdf,
     chain_ground_state,
     chain_state,
     fock_matrix_of,
 )
 from .measurement import (
     SampleBatch,
-    homodyne_pdf,
     sample_heterodyne_batch,
     sample_homodyne_batch,
     stream_rng,
@@ -36,17 +34,12 @@ from .shadows import (
     ShadowAverage,
     WindowSpec,
     default_window,
-    heterodyne_shadow_entry,
-    heterodyne_shadow_entry_qmc,
-    homodyne_shadow_entry,
     project_PM,
     project_PM_tilde,
-    windowed_dyad_char,
 )
 from .bounds import (
     BoundReport,
     MomentProfile,
-    bernstein_tail,
     delta0,
     required_samples_heterodyne,
     required_samples_homodyne,
@@ -56,7 +49,6 @@ from .bounds import (
 )
 from .entropy import (
     EntropyPlan,
-    entropy_coefficients,
     entropy_poly,
     entropy_reference,
     plan_entropy,

@@ -2,8 +2,9 @@
 
 Everything here is pure arithmetic on the bound formulas: the double
 truncation error ``delta_0``, Sobolev-weighted trace norms, the almost-sure
-shadow norms ``Sigma`` (homodyne) and ``Sigma~`` (heterodyne), the matrix
-Bernstein tail, and the resulting sample-size calculators for both protocols.
+shadow norms ``Sigma`` (homodyne) and ``Sigma~`` (heterodyne), and the
+sample-size calculators that the matrix Bernstein inequality gives for both
+protocols.
 Quantities that explode combinatorially (``3^{mM}``, ``(M+1)^{2r}``) are
 composed in the log domain and only exponentiated at the end.
 """
@@ -42,7 +43,7 @@ class MomentProfile:
 
 @dataclass
 class BoundReport:
-    """Outcome of a sample-size calculation."""
+    """Outcome of a sample-size calculation; ``reason`` says why one is infeasible."""
 
     m_chosen: int
     n_required: float
@@ -51,9 +52,11 @@ class BoundReport:
     inputs: dict = field(default_factory=dict)
     feasible: bool = True
     log10_n_required: float | None = None
+    reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
+        """The report as strict JSON values: ``None`` for every non-finite number."""
+        out = {
             "M": self.m_chosen,
             "N": self.n_required,
             "delta0": self.delta0_value,
@@ -62,6 +65,18 @@ class BoundReport:
             "log10_N": self.log10_n_required,
             "inputs": self.inputs,
         }
+        if self.reason is not None:
+            out["reason"] = self.reason
+        return _finite_or_none(out)
+
+
+def _finite_or_none(value):
+    """``value`` with each non-finite float, also inside dicts, replaced by ``None``."""
+    if isinstance(value, dict):
+        return {key: _finite_or_none(item) for key, item in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _log_tail_sum(eta: float, truncation: int) -> float:
@@ -205,7 +220,7 @@ def sigma_homodyne(truncation: int, r: int, alpha: float) -> float:
     Per-mode entries are ``2 norm |c| int_0^40 t e^(-t^2/4) |dyad_poly(lo,
     d, t)| dt`` with ``norm = HOMODYNE_SHADOW_NORMALIZATION``, by
     :func:`_sigma_block`'s fixed rule: by the triangle inequality each
-    bounds ``|homodyne_shadow_entry|`` at every angle and outcome,
+    bounds the modulus of that shadow entry at every angle and outcome,
     normalization included.  ``M = 0`` gives 2.
     """
     scale = 2.0 * HOMODYNE_SHADOW_NORMALIZATION
@@ -227,20 +242,6 @@ def sigma_heterodyne(truncation: int, r: int, alpha: float, w: WindowSpec) -> fl
     """
     block = _sigma_block(truncation, w.xi_radial, w.radius, (w.eta,))
     return _weighted_opnorm(block, r, truncation, alpha)
-
-
-def bernstein_tail(
-    n_samples: float, epsilon: float, sigma: float, r_bound: float, dim: float
-) -> float:
-    """Matrix Bernstein tail ``2 n e^(-N eps^2 / (2 Sigma^2 + 2 R eps / 3))``.
-
-    Returned raw; values above 1 are vacuous but still meaningful as bounds.
-    """
-    if min(n_samples, epsilon, sigma, r_bound, dim) <= 0:
-        raise ValueError("all bernstein_tail arguments must be positive")
-    return 2.0 * dim * math.exp(
-        -n_samples * epsilon**2 / (2.0 * sigma**2 + 2.0 * r_bound * epsilon / 3.0)
-    )
 
 
 def _log_required_n(
@@ -389,6 +390,10 @@ def required_samples_heterodyne(
             delta0_value=math.inf,
             sigma_value=math.inf,
             feasible=False,
+            reason=(
+                f"no truncation M <= {_TRUNCATION_CAP} meets the eps/2 "
+                f"truncation-plus-window budget at any of the {_ETA_POINTS} eta values"
+            ),
             inputs={
                 "protocol": "heterodyne",
                 "r": r,

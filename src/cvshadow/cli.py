@@ -332,7 +332,7 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
             metrics["warning"] = "grid extends beyond the reliable window for this sample size"
     if modes <= 4:
         truncation = config["truncation"]
-        subset = tuple(config.get("subset", range(min(modes, 1))))
+        subset = tuple(config.get("subset", [0]))
         window = config_window(config) if batch.protocol == HETERODYNE else None
         stacked = shadow_batch_entries(batch, subset, truncation, window)
         avg = average_entries(stacked, subset, truncation, batch.protocol)
@@ -369,7 +369,7 @@ def cmd_bounds(config: dict, out_dir) -> dict:
         )
     report_path = out / "bounds.json"
     with open(report_path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(report.to_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
     write_manifest(out, config, [report_path], time.perf_counter() - t0)
     rows = [
         ("protocol", b["protocol"]),

@@ -67,51 +67,6 @@ def entropy_poly(sigma, d_p: int) -> float:
     return total
 
 
-def entropy_coefficients(d_p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Swap-expansion coefficients ``C_j`` in sign/log-magnitude form.
-
-    Returns ``(signs, log_magnitudes)`` with ``C_j = signs[j] *
-    exp(log_magnitudes[j])``; magnitudes reach ``(d_p - 2)!`` so only the log
-    representation is generally safe.
-    """
-    from scipy.special import gammaln, logsumexp
-
-    if d_p < 2:
-        raise ValueError("d_p must be at least 2")
-    signs = np.array([(-1.0) ** j for j in range(d_p + 1)])
-    log_mags = np.empty(d_p + 1)
-    for j in range(d_p + 1):
-        ks = np.arange(max(2, j), d_p + 1)
-        log_terms = gammaln(ks - 1.0) - gammaln(ks - j + 1.0)
-        log_mags[j] = float(logsumexp(log_terms))
-    return signs, log_mags
-
-
-def entropy_poly_from_power_sums(sigma, d_p: int) -> float:
-    """``H^(d_p)`` via the power-sum expansion with the ``C_j`` coefficients.
-
-    ``H = D - tr(sigma) - sum_j C_j tr(sigma^j) / j!`` with ``tr(sigma^0) =
-    D``.  Exact-coefficient path, only sane for ``d_p`` small enough that the
-    alternating sum does not cancel catastrophically (d_p <= ~18); used to
-    cross-check :func:`entropy_poly`.
-    """
-    from scipy.special import gammaln
-
-    mat = sigma.entries if isinstance(sigma, FockMatrix) else np.asarray(sigma)
-    dim = mat.shape[0]
-    signs, log_mags = entropy_coefficients(d_p)
-    coeffs = signs * np.exp(log_mags)
-    power_sums = np.empty(d_p + 1, dtype=complex)
-    power_sums[0] = dim
-    power = np.eye(dim, dtype=complex)
-    for j in range(1, d_p + 1):
-        power = power @ mat
-        power_sums[j] = np.trace(power)
-    facts = np.exp(gammaln(np.arange(d_p + 1) + 1.0))
-    series = float(np.real(np.sum(coeffs * power_sums / facts)))
-    return dim - float(np.real(power_sums[1])) - series
-
-
 # Failure probability of the implied sample count in :func:`plan_entropy`.
 _PLAN_DELTA = 0.05
 

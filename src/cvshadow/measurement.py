@@ -28,7 +28,13 @@ from functools import lru_cache
 import numpy as np
 
 from .phase_space import alpha_of, hermite_stack
-from .states import CatStateSpec, FockMatrix, fock_matrix_of, fock_moments
+from .states import (
+    CatStateSpec,
+    FockMatrix,
+    coherent_fock_coefficients,
+    fock_matrix_of,
+    fock_moments,
+)
 
 log = logging.getLogger(__name__)
 
@@ -231,40 +237,19 @@ def _homodyne_density(fock: FockMatrix, thetas, q: np.ndarray) -> np.ndarray:
     return lam @ (amps.real**2 + amps.imag**2)
 
 
-def homodyne_pdf(rho: FockMatrix, theta: float, q):
-    """Rotated-quadrature density ``p(q | theta)`` of a truncated state.
-
-    ``p(q|theta) = sum_{n1,n2} rho[n1,n2] exp(i (n1-n2) theta) psi_n1(q)
-    psi_n2(q)``; the sign of the Fock-space rotation phase matches the
-    convention above (``U_theta = exp(i theta N)`` for the rotation
-    ``R_theta``) and is pinned by the shadow unbiasedness tests.
-    """
-    if not _hermitian(rho.entries):
-        raise ValueError("homodyne_pdf requires a Hermitian state matrix")
-    scalar = np.ndim(q) == 0
-    vals = _homodyne_density(rho, theta, np.atleast_1d(np.asarray(q, dtype=float)))
-    return float(vals[0]) if scalar else vals
-
-
 def fock_husimi(fock: FockMatrix, x) -> np.ndarray:
     """Heterodyne outcome density ``<x|rho|x> / (2 pi)`` of a truncated state.
 
-    Signed, like :func:`homodyne_pdf`: for a Hermitian matrix that is not a
-    state it may read below zero.
+    ``<n|x>`` are the coherent-state amplitudes of
+    :func:`~cvshadow.states.coherent_fock_coefficients` at ``alpha(x)``.
+    Signed, like :func:`_homodyne_density`: for a Hermitian matrix that is
+    not a state it may read below zero.
     """
     if fock.modes != 1:
         raise ValueError("fock_husimi supports single-mode matrices")
     x = np.asarray(x, dtype=float)
-    flat = x.reshape(-1, 2)
-    alpha = alpha_of(flat)
-    dim = fock.truncation + 1
-    # c[n] = <n|x> without the overall Gaussian, built multiplicatively to
-    # stay finite for large |alpha|.
-    c = np.empty((dim, flat.shape[0]), dtype=complex)
-    c[0] = np.exp(-0.25 * np.sum(flat * flat, axis=-1))
-    for n in range(1, dim):
-        c[n] = c[n - 1] * alpha / np.sqrt(n)
-    out = (_expectation(fock.entries, c) / (2.0 * np.pi)).reshape(x.shape[:-1])
+    kets = coherent_fock_coefficients(alpha_of(x.reshape(-1, 2)), fock.truncation)
+    out = (_expectation(fock.entries, kets) / (2.0 * np.pi)).reshape(x.shape[:-1])
     return out if np.ndim(out) else float(out)
 
 
@@ -429,8 +414,8 @@ def sample_homodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
     point from the Wigner density ``N(t, V/2)`` (the state's
     ``phase_space_draws``), then ``q_j = cos(theta_j) x_j - sin(theta_j)
     p_j``.  Cat states and truncated Fock matrices use exact rejection
-    sampling of :func:`homodyne_pdf`; ``meta`` then holds its acceptance and
-    proposal count.
+    sampling of :func:`_homodyne_density`; ``meta`` then holds its acceptance
+    and proposal count.
     """
     rng = stream_rng(seed_path)
     meta: dict = {}

@@ -65,13 +65,6 @@ def symplectic_product(u, v) -> np.ndarray:
     )
 
 
-def mode_pair(u: np.ndarray, j: int) -> np.ndarray:
-    """Extract the single-mode sub-vector ``u^(j) = (u_j, u_{m+j})``."""
-    u = np.asarray(u)
-    m = u.shape[-1] // 2
-    return np.stack([u[..., j], u[..., m + j]], axis=-1)
-
-
 def alpha_of(u: np.ndarray) -> np.ndarray:
     """Complex amplitude ``(x + i p)/sqrt(2)`` of single-mode points.
 
@@ -241,25 +234,23 @@ def displacement_oracle(u, m_osc: int) -> np.ndarray:
     the *product* structure (unitarity, Weyl composition) degrades gracefully
     once ``|u|^2`` becomes comparable with ``m_osc``.
     """
-    from scipy.special import gammaln
-
     u = as_phase_point(u, modes=1)
     if m_osc < 0:
         raise ValueError("m_osc must be non-negative")
     alpha = complex(alpha_of(u))
     dim = m_osc + 1
     n = np.arange(dim)
-    log_fact = gammaln(n + 1.0)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
     # exp(alpha a^dag): lower triangular, (j, k) = alpha^(j-k) sqrt(j!/k!)/(j-k)!
     jj, kk = np.meshgrid(n, n, indexing="ij")
     diff = jj - kk
     lower = diff >= 0
     with np.errstate(invalid="ignore"):
-        log_mag = 0.5 * (log_fact[jj] - log_fact[kk]) - gammaln(np.abs(diff) + 1.0)
+        log_mag = 0.5 * (log_fact[jj] - log_fact[kk]) - log_fact[np.abs(diff)]
     e_create = np.where(lower, np.exp(log_mag) * alpha ** np.where(lower, diff, 0), 0)
     # exp(-conj(alpha) a): upper triangular, (j, k) = (-conj)^{k-j} sqrt(k!/j!)/(k-j)!
     upper = diff <= 0
-    log_mag_u = 0.5 * (log_fact[kk] - log_fact[jj]) - gammaln(np.abs(diff) + 1.0)
+    log_mag_u = 0.5 * (log_fact[kk] - log_fact[jj]) - log_fact[np.abs(diff)]
     e_annih = np.where(
         upper, np.exp(log_mag_u) * (-np.conj(alpha)) ** np.where(upper, -diff, 0), 0
     )

@@ -17,6 +17,7 @@ import numpy as np
 
 from .measurement import HETERODYNE, SampleBatch
 from .phase_space import CharGrid, omega_apply
+from .states import _check_modes
 
 
 # Rounds per chunk of the factorised phase sum; fixed, so the summation
@@ -91,8 +92,8 @@ def reconstruct_pair_section(
 ) -> tuple[CharGrid, CharGrid, float]:
     """Exact vs reconstructed chi((a,0),(b,0)) for two modes of a Gaussian state.
 
-    A pair naming a mode outside ``0..m-1`` raises ``ValueError``.
+    A pair naming a mode outside ``0..m-1``, or one mode twice, raises
+    ``ValueError``.
     """
-    if not all(0 <= int(k) < batch.modes for k in pair):
-        raise ValueError(f"pair {pair} outside measured modes 0..{batch.modes - 1}")
+    _check_modes(pair, batch.modes, "pair")
     return _section(batch, chain_state, pair, (0, 1), lo, hi, points)

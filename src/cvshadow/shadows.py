@@ -17,8 +17,7 @@ Multimode shadows tensor per-mode matrices over the mode subset ``A``.  Both
 integrals reduce to one radial dimension (the angular part is a Bessel /
 cosine transform), so entry ``(k + d, k)`` is ``phase_d(angle) *
 profile_{d,k}(r)``: homodyne ``r = |q|`` with the pattern function of homodyne
-tomography, heterodyne ``r = |x|`` with a windowed Bessel transform.  The
-per-entry operations use adaptive quadrature and serve as the reference path.
+tomography, heterodyne ``r = |x|`` with a windowed Bessel transform.
 
 The batch path reads profiles from one table per (protocol, M, window): value
 and r-derivative at nodes ``j * step`` (``PROFILE_STEPS``), computed in blocks
@@ -50,10 +49,8 @@ from .phase_space import (
     dyad_poly,
     fock_dyad_radial,
     fock_pairing_matrix,
-    mode_pair,
-    symplectic_product,
 )
-from .states import FockMatrix, multi_indices
+from .states import FockMatrix, _check_modes, multi_indices
 
 # Normalization of the homodyne per-mode entry relative to `int dy |y| ...`,
 # fixed by the unbiasedness oracle; `bounds.sigma_homodyne` reads it, so the
@@ -103,6 +100,30 @@ def default_window(truncation: int) -> WindowSpec:
 # ---------------------------------------------------------------------------
 
 
+# numpy's I0 forms exp(x) and overflows near 713, so above 700 the scaled I0
+# takes the asymptotic series, whose eighth term there is about 1e-22.
+_I0_SERIES_FROM = 700.0
+
+
+def _i0e(x):
+    """Exponentially scaled Bessel function ``exp(-|x|) I0(x)``.
+
+    ``exp(-|x|) numpy.i0(|x|)`` up to ``|x| = 700``, and beyond it the
+    asymptotic series ``(2 pi x)^(-1/2) sum_k ((2k - 1)!!)^2 / (k! (8x)^k)``
+    of DLMF 10.40.1 to eight terms.
+    """
+    x = np.abs(np.asarray(x, dtype=float))
+    near = np.minimum(x, _I0_SERIES_FROM)
+    far = np.maximum(x, _I0_SERIES_FROM)
+    term = total = np.ones_like(far)
+    for k in range(1, 9):
+        term = term * ((2 * k - 1) ** 2 / (8.0 * k)) / far
+        total = total + term
+    return np.where(
+        x <= _I0_SERIES_FROM, np.exp(-near) * np.i0(near), total / np.sqrt(2.0 * np.pi * far)
+    )
+
+
 def f_mu_homodyne(rho, s: float):
     """Angular average of the squeezed-Gaussian damping at squeezing ``s``.
 
@@ -111,149 +132,10 @@ def f_mu_homodyne(rho, s: float):
     stays finite for any argument.  For each ``s`` it is a probability-type
     kernel: ``int |f| d^2x = 2 pi`` and ``int f^2 d^2x <= pi``.
     """
-    from scipy.special import i0e
-
     rho = np.asarray(rho, dtype=float)
     z = 0.5 * rho * rho
-    out = np.exp(-z * np.exp(-2.0 * s)) * i0e(z * np.sinh(2.0 * s))
+    out = np.exp(-z * np.exp(-2.0 * s)) * _i0e(z * np.sinh(2.0 * s))
     return out if np.ndim(out) else float(out)
-
-
-# ---------------------------------------------------------------------------
-# homodyne shadow entries
-# ---------------------------------------------------------------------------
-
-
-def homodyne_shadow_entry(
-    n1: int, n2: int, theta: float, q: float, tol: float = 1e-8
-) -> complex:
-    """One matrix entry of the single-mode homodyne shadow at round (theta, q).
-
-    Adaptive quadrature of the folded radial integral to relative tolerance
-    ``tol``.  The integrand decays like ``t^(1+|n1-n2|) exp(-t^2/4)`` times
-    an oscillation in ``t q``.
-    """
-    from scipy.integrate import quad
-
-    if n1 > n2:
-        return complex(np.conj(homodyne_shadow_entry(n2, n1, theta, q, tol)))
-    coeff, d, radial = fock_dyad_radial(n1, n2)
-    osc = np.cos if d % 2 == 0 else np.sin
-    upper = 14.0 + 2.0 * np.sqrt(d + 2.0)
-
-    def integrand(t):
-        return t * radial(t) * osc(t * q)
-
-    val, _ = quad(
-        integrand,
-        0.0,
-        upper,
-        epsabs=1e-13,
-        epsrel=tol,
-        limit=400,
-    )
-    beta = 0.5 * np.pi - theta
-    unit = 1j if d % 2 else 1.0
-    return complex(HOMODYNE_SHADOW_NORMALIZATION * 2.0 * coeff * unit * np.exp(-1j * d * beta) * val)
-
-
-# ---------------------------------------------------------------------------
-# windowed dyads and heterodyne shadow entries
-# ---------------------------------------------------------------------------
-
-
-def _as_multi_index(n, r: int) -> tuple[int, ...]:
-    if np.isscalar(n):
-        n = (int(n),)
-    n = tuple(int(v) for v in np.atleast_1d(n))
-    if len(n) != r:
-        raise ValueError(f"multi-index {n} does not match {r} modes")
-    return n
-
-
-def windowed_dyad_char(n1, n2, u, w: WindowSpec):
-    """Windowed Fock-dyad characteristic function ``chi_{|n1><n2|} prod xi``.
-
-    ``n1``/``n2`` are multi-indices (scalars for one mode); ``u`` has shape
-    ``(..., 2r)``.
-    """
-    from .phase_space import char_fock_dyad
-
-    u = np.asarray(u, dtype=float)
-    r = u.shape[-1] // 2
-    n1 = _as_multi_index(n1, r)
-    n2 = _as_multi_index(n2, r)
-    out = np.ones(u.shape[:-1], dtype=complex)
-    for j in range(r):
-        uj = mode_pair(u, j)
-        out = out * char_fock_dyad(n1[j], n2[j], uj) * w.xi(uj)
-    return out if np.ndim(out) else complex(out)
-
-
-def _het_entry_single(n1: int, n2: int, x: np.ndarray, w: WindowSpec, tol: float) -> complex:
-    from scipy.integrate import quad
-    from scipy.special import jv
-
-    if n1 < n2:
-        return complex(np.conj(_het_entry_single(n2, n1, x, w, tol)))
-    coeff, d, _ = fock_dyad_radial(n2, n1)
-    s = float(np.hypot(x[0], x[1]))
-    psi = math.atan2(x[0], x[1])
-
-    def integrand(rho):
-        return rho * dyad_poly(n2, d, rho) * w.xi_radial(rho) * jv(d, rho * s)
-
-    # one quad per two periods of J_d(rho s): over the whole disk they cancel below roundoff
-    edges = sorted({0.0, w.eta, w.radius, *(np.arange(4 * math.pi, s * w.radius, 4 * math.pi) / s)})
-    val = math.fsum(
-        quad(integrand, lo, hi, epsabs=1e-13, epsrel=tol, limit=400)[0]
-        for lo, hi in zip(edges, edges[1:])
-    )
-    return complex(coeff * (1j**d) * np.exp(-1j * d * psi) * val)
-
-
-def heterodyne_shadow_entry(n1, n2, x_a, w: WindowSpec, tol: float = 1e-7):
-    """Entry ``(n1, n2)`` of the heterodyne shadow for outcomes ``x_a``.
-
-    The 2r-dimensional windowed integral factorizes over modes (dyad, window
-    and shadow kernel are all per-mode products), so it is evaluated as a
-    product of per-mode disk integrals; each is reduced to adaptive radial
-    quadratures over pieces two Bessel periods long, each to relative
-    tolerance ``tol`` (the angular part is an exact Bessel transform).
-    """
-    x_a = np.asarray(x_a, dtype=float).reshape(-1, 2)
-    r = x_a.shape[0]
-    n1 = _as_multi_index(n1, r)
-    n2 = _as_multi_index(n2, r)
-    out = complex(1.0)
-    for j in range(r):
-        out *= _het_entry_single(n1[j], n2[j], x_a[j], w, tol)
-    return out
-
-
-def heterodyne_shadow_entry_qmc(n1, n2, x_a, w: WindowSpec, budget: int) -> complex:
-    """The same entry as :func:`heterodyne_shadow_entry`, by quasi-Monte Carlo.
-
-    The full 2r-dimensional windowed integral over the box ``[-R, R]^(2r)``
-    is estimated from ``budget`` Halton points, without using the per-mode
-    factorization; a reference for the factorized quadrature.
-    """
-    from .qmc import BoxDomain, qmc_integrate
-
-    x_a = np.asarray(x_a, dtype=float).reshape(-1, 2)
-    r = x_a.shape[0]
-    x_flat = np.concatenate([x_a[:, 0], x_a[:, 1]])
-
-    def integrand(pts):
-        # pts arrive as (..., 2r) in xxpp ordering
-        chi = windowed_dyad_char(n2, n1, pts, w)
-        grow = np.exp(0.25 * np.sum(pts * pts, axis=-1))
-        phase = np.exp(1j * symplectic_product(pts, x_flat))
-        return chi * grow * phase / (2.0 * np.pi) ** r
-
-    box = BoxDomain([w.radius] * (2 * r))
-    value, _ = qmc_integrate(integrand, box, budget)
-    return complex(value)
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +410,9 @@ def _mode_entries(
 
 def _checked_subset(batch: SampleBatch, subset) -> tuple[int, ...]:
     subset = tuple(int(j) for j in np.atleast_1d(subset))
-    if not subset or any(j < 0 or j >= batch.modes for j in subset):
-        raise ValueError(
-            f"subset {subset} outside measured modes 0..{batch.modes - 1}"
-        )
+    if not subset:
+        raise ValueError(f"subset () outside measured modes 0..{batch.modes - 1}")
+    _check_modes(subset, batch.modes, "subset")
     return subset
 
 

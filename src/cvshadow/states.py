@@ -18,7 +18,6 @@ from .phase_space import (
     char_coherent_dyad,
     char_gaussian_raw,
     omega_matrix,
-    symplectic_product,
 )
 
 _PSD_TOL = 1e-10
@@ -175,9 +174,13 @@ class GaussianStateSpec:
         return np.sort(np.abs(lam.real))[::2]
 
 
-def _check_modes(modes, m: int) -> None:
+def _check_modes(modes, m: int, name: str = "modes") -> None:
+    """Refuse ``modes`` unless they are distinct and in ``0..m-1``; ``name`` labels them."""
     if any(not 0 <= i < m for i in modes) or len(set(modes)) != len(modes):
-        raise ValueError(f"modes {list(modes)} must be distinct and in 0..{m - 1}")
+        raise ValueError(
+            f"{name} {modes} outside measured modes 0..{m - 1} or repeated: "
+            "modes must be distinct"
+        )
 
 
 def block_cholesky(a: np.ndarray, k: np.ndarray, b: np.ndarray):
@@ -312,43 +315,29 @@ def cat_char(spec: CatStateSpec, u):
     return out if np.ndim(out) else complex(out)
 
 
-def coherent_overlap(x, y):
-    """Overlap ``<x|y>`` of coherent states at phase-space points x, y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    phase = 0.5 * symplectic_product(x, y)
-    return np.exp(1j * phase - 0.25 * np.sum((x - y) ** 2, axis=-1))
+def coherent_fock_coefficients(alpha, truncation: int) -> np.ndarray:
+    """Fock amplitudes ``<n|alpha>`` of coherent states, ``n = 0..truncation``.
 
-
-def cat_position_pdf(spec: CatStateSpec, x):
-    """Coherent-overlap density ``|<x|psi>|^2`` of a cat state.
-
-    ``x`` is a phase-space point (or array of them, shape ``(..., 2)``).  The
-    density integrates to one against ``d^2x / (2 pi)``; the heterodyne
-    outcome density is this value divided by ``2 pi``.  The rotated-quadrature
-    (homodyne) density is obtained separately via ``fock_matrix_of`` +
-    ``homodyne_pdf``.
+    ``alpha`` is a complex amplitude or an array of them; the result has
+    shape ``(truncation + 1,) + alpha.shape``.  Magnitudes ``exp(-|alpha|^2/2)
+    |alpha|^n / sqrt(n!)`` are built in the log domain, so neither a large
+    ``n`` nor a large ``|alpha|`` overflows or underflows where the amplitude
+    itself is representable.
     """
-    w_plus, w_minus = spec.coherent_weights()
-    b = spec.center
-    amp = w_plus * coherent_overlap(x, b) + w_minus * coherent_overlap(x, -b)
-    out = np.abs(amp) ** 2
-    return out if np.ndim(out) else float(out)
-
-
-def coherent_fock_coefficients(alpha: complex, truncation: int) -> np.ndarray:
-    """Fock amplitudes ``<n|alpha>`` of a coherent state, ``n = 0..truncation``.
-
-    Magnitudes are built in the log domain, so large ``n`` does not overflow.
-    """
-    if alpha == 0:
-        coeffs = np.zeros(truncation + 1, dtype=complex)
-        coeffs[0] = 1.0
-        return coeffs
-    n = np.arange(truncation + 1)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(truncation + 1)])
-    log_mag = -0.5 * abs(alpha) ** 2 + n * np.log(abs(alpha)) - 0.5 * log_fact
-    return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
+    alpha = np.asarray(alpha, dtype=complex)
+    n = np.arange(truncation + 1).reshape((-1,) + (1,) * alpha.ndim)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(truncation + 1)]).reshape(n.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mag = n * np.log(np.abs(alpha))
+    mag[0] = 0.0  # |alpha|^0 = 1, also at alpha = 0
+    # in place: a heterodyne probe asks for (dim, 40401) amplitudes, and this
+    # keeps its peak at one float and one complex array of that shape
+    mag += -0.5 * np.abs(alpha) ** 2
+    mag -= 0.5 * log_fact
+    out = 1j * n * np.angle(alpha)
+    np.exp(out, out=out)
+    out *= np.exp(mag, out=mag)
+    return out
 
 
 def cat_fock_coefficients(spec: CatStateSpec, truncation: int) -> np.ndarray:

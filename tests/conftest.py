@@ -2,7 +2,11 @@
 
 Everything here is deliberately independent of the library code paths it is
 used to check: dense tensor-grid quadrature, explicit factorial sums, and
-direct Fock-series evaluations.
+direct Fock-series evaluations.  The reference estimators (adaptive-quadrature
+and quasi-Monte-Carlo shadow entries, the coherent-overlap cat density, the
+Fock-series homodyne density, the matrix Bernstein tail and the power-sum
+entropy surrogate) live here too: no command reaches them, and the library
+does not need scipy.
 """
 
 import json
@@ -12,18 +16,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
-from scipy.special import erf, j0, j1, jv, roots_genlaguerre
+from scipy.special import erf, gammaln, j0, j1, jv, logsumexp, roots_genlaguerre
 
-from cvshadow.measurement import fock_husimi
-from cvshadow.phase_space import char_fock_dyad, dyad_poly, fock_dyad_radial, hermite_stack
-from cvshadow.qmc import BoxDomain, qmc_integrate
-from cvshadow.states import (
-    CatStateSpec,
-    FockMatrix,
-    GaussianStateSpec,
-    cat_position_pdf,
-    multi_indices,
+from cvshadow.measurement import _hermitian, _homodyne_density, fock_husimi
+from cvshadow.phase_space import (
+    char_fock_dyad,
+    dyad_poly,
+    fock_dyad_radial,
+    hermite_stack,
+    symplectic_product,
 )
+from cvshadow.qmc import BoxDomain, qmc_integrate
+from cvshadow.shadows import HOMODYNE_SHADOW_NORMALIZATION, WindowSpec
+from cvshadow.states import CatStateSpec, FockMatrix, GaussianStateSpec, multi_indices
 
 
 def gauss_legendre_grid_2d(half_width: float, nodes: int):
@@ -292,3 +297,220 @@ def circulant_draws_whole_chunk(state, vacuum: float, n: int, rng) -> np.ndarray
             np.fft.fft(c, out=c)
             rows[:, block * m : (block + 1) * m] = c.real
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference estimators and densities
+# ---------------------------------------------------------------------------
+
+
+def homodyne_shadow_entry(
+    n1: int, n2: int, theta: float, q: float, tol: float = 1e-8
+) -> complex:
+    """One matrix entry of the single-mode homodyne shadow at round (theta, q).
+
+    Adaptive quadrature of the folded radial integral to relative tolerance
+    ``tol``.  The integrand decays like ``t^(1+|n1-n2|) exp(-t^2/4)`` times
+    an oscillation in ``t q``.
+    """
+    if n1 > n2:
+        return complex(np.conj(homodyne_shadow_entry(n2, n1, theta, q, tol)))
+    coeff, d, radial = fock_dyad_radial(n1, n2)
+    osc = np.cos if d % 2 == 0 else np.sin
+    upper = 14.0 + 2.0 * np.sqrt(d + 2.0)
+
+    def integrand(t):
+        return t * radial(t) * osc(t * q)
+
+    val, _ = quad(
+        integrand,
+        0.0,
+        upper,
+        epsabs=1e-13,
+        epsrel=tol,
+        limit=400,
+    )
+    beta = 0.5 * np.pi - theta
+    unit = 1j if d % 2 else 1.0
+    return complex(HOMODYNE_SHADOW_NORMALIZATION * 2.0 * coeff * unit * np.exp(-1j * d * beta) * val)
+
+
+def _as_multi_index(n, r: int) -> tuple[int, ...]:
+    if np.isscalar(n):
+        n = (int(n),)
+    n = tuple(int(v) for v in np.atleast_1d(n))
+    if len(n) != r:
+        raise ValueError(f"multi-index {n} does not match {r} modes")
+    return n
+
+
+def windowed_dyad_char(n1, n2, u, w: WindowSpec):
+    """Windowed Fock-dyad characteristic function ``chi_{|n1><n2|} prod xi``.
+
+    ``n1``/``n2`` are multi-indices (scalars for one mode); ``u`` has shape
+    ``(..., 2r)`` in xxpp ordering, so mode ``j`` is ``(u_j, u_{r+j})``.
+    """
+    u = np.asarray(u, dtype=float)
+    r = u.shape[-1] // 2
+    n1 = _as_multi_index(n1, r)
+    n2 = _as_multi_index(n2, r)
+    out = np.ones(u.shape[:-1], dtype=complex)
+    for j in range(r):
+        uj = np.stack([u[..., j], u[..., r + j]], axis=-1)
+        out = out * char_fock_dyad(n1[j], n2[j], uj) * w.xi(uj)
+    return out if np.ndim(out) else complex(out)
+
+
+def _het_entry_single(n1: int, n2: int, x: np.ndarray, w: WindowSpec, tol: float) -> complex:
+    if n1 < n2:
+        return complex(np.conj(_het_entry_single(n2, n1, x, w, tol)))
+    coeff, d, _ = fock_dyad_radial(n2, n1)
+    s = float(np.hypot(x[0], x[1]))
+    psi = math.atan2(x[0], x[1])
+
+    def integrand(rho):
+        return rho * dyad_poly(n2, d, rho) * w.xi_radial(rho) * jv(d, rho * s)
+
+    # one quad per two periods of J_d(rho s): over the whole disk they cancel below roundoff
+    edges = sorted({0.0, w.eta, w.radius, *(np.arange(4 * math.pi, s * w.radius, 4 * math.pi) / s)})
+    val = math.fsum(
+        quad(integrand, lo, hi, epsabs=1e-13, epsrel=tol, limit=400)[0]
+        for lo, hi in zip(edges, edges[1:])
+    )
+    return complex(coeff * (1j**d) * np.exp(-1j * d * psi) * val)
+
+
+def heterodyne_shadow_entry(n1, n2, x_a, w: WindowSpec, tol: float = 1e-7):
+    """Entry ``(n1, n2)`` of the heterodyne shadow for outcomes ``x_a``.
+
+    The 2r-dimensional windowed integral factorizes over modes (dyad, window
+    and shadow kernel are all per-mode products), so it is evaluated as a
+    product of per-mode disk integrals; each is reduced to adaptive radial
+    quadratures over pieces two Bessel periods long, each to relative
+    tolerance ``tol`` (the angular part is an exact Bessel transform).
+    """
+    x_a = np.asarray(x_a, dtype=float).reshape(-1, 2)
+    r = x_a.shape[0]
+    n1 = _as_multi_index(n1, r)
+    n2 = _as_multi_index(n2, r)
+    out = complex(1.0)
+    for j in range(r):
+        out *= _het_entry_single(n1[j], n2[j], x_a[j], w, tol)
+    return out
+
+
+def heterodyne_shadow_entry_qmc(n1, n2, x_a, w: WindowSpec, budget: int) -> complex:
+    """The same entry as :func:`heterodyne_shadow_entry`, by quasi-Monte Carlo.
+
+    The full 2r-dimensional windowed integral over the box ``[-R, R]^(2r)``
+    is estimated from ``budget`` Halton points, without using the per-mode
+    factorization; a reference for the factorized quadrature.
+    """
+    x_a = np.asarray(x_a, dtype=float).reshape(-1, 2)
+    r = x_a.shape[0]
+    x_flat = np.concatenate([x_a[:, 0], x_a[:, 1]])
+
+    def integrand(pts):
+        # pts arrive as (..., 2r) in xxpp ordering
+        chi = windowed_dyad_char(n2, n1, pts, w)
+        grow = np.exp(0.25 * np.sum(pts * pts, axis=-1))
+        phase = np.exp(1j * symplectic_product(pts, x_flat))
+        return chi * grow * phase / (2.0 * np.pi) ** r
+
+    box = BoxDomain([w.radius] * (2 * r))
+    value, _ = qmc_integrate(integrand, box, budget)
+    return complex(value)
+
+
+def coherent_overlap(x, y):
+    """Overlap ``<x|y>`` of coherent states at phase-space points x, y."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    phase = 0.5 * symplectic_product(x, y)
+    return np.exp(1j * phase - 0.25 * np.sum((x - y) ** 2, axis=-1))
+
+
+def cat_position_pdf(spec: CatStateSpec, x):
+    """Coherent-overlap density ``|<x|psi>|^2`` of a cat state.
+
+    ``x`` is a phase-space point (or array of them, shape ``(..., 2)``).  The
+    density integrates to one against ``d^2x / (2 pi)``; the heterodyne
+    outcome density is this value divided by ``2 pi``.  The rotated-quadrature
+    (homodyne) density is obtained separately via ``fock_matrix_of`` +
+    :func:`homodyne_pdf`.
+    """
+    w_plus, w_minus = spec.coherent_weights()
+    b = spec.center
+    amp = w_plus * coherent_overlap(x, b) + w_minus * coherent_overlap(x, -b)
+    out = np.abs(amp) ** 2
+    return out if np.ndim(out) else float(out)
+
+
+def homodyne_pdf(rho: FockMatrix, theta: float, q):
+    """Rotated-quadrature density ``p(q | theta)`` of a truncated state.
+
+    ``p(q|theta) = sum_{n1,n2} rho[n1,n2] exp(i (n1-n2) theta) psi_n1(q)
+    psi_n2(q)``; the sign of the Fock-space rotation phase matches the
+    sampler's convention (``U_theta = exp(i theta N)`` for the rotation
+    ``R_theta``) and is pinned by the shadow unbiasedness tests.
+    """
+    if not _hermitian(rho.entries):
+        raise ValueError("homodyne_pdf requires a Hermitian state matrix")
+    scalar = np.ndim(q) == 0
+    vals = _homodyne_density(rho, theta, np.atleast_1d(np.asarray(q, dtype=float)))
+    return float(vals[0]) if scalar else vals
+
+
+def bernstein_tail(
+    n_samples: float, epsilon: float, sigma: float, r_bound: float, dim: float
+) -> float:
+    """Matrix Bernstein tail ``2 n e^(-N eps^2 / (2 Sigma^2 + 2 R eps / 3))``.
+
+    Returned raw; values above 1 are vacuous but still meaningful as bounds.
+    """
+    if min(n_samples, epsilon, sigma, r_bound, dim) <= 0:
+        raise ValueError("all bernstein_tail arguments must be positive")
+    return 2.0 * dim * math.exp(
+        -n_samples * epsilon**2 / (2.0 * sigma**2 + 2.0 * r_bound * epsilon / 3.0)
+    )
+
+
+def entropy_coefficients(d_p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Swap-expansion coefficients ``C_j`` in sign/log-magnitude form.
+
+    Returns ``(signs, log_magnitudes)`` with ``C_j = signs[j] *
+    exp(log_magnitudes[j])``; magnitudes reach ``(d_p - 2)!`` so only the log
+    representation is generally safe.
+    """
+    if d_p < 2:
+        raise ValueError("d_p must be at least 2")
+    signs = np.array([(-1.0) ** j for j in range(d_p + 1)])
+    log_mags = np.empty(d_p + 1)
+    for j in range(d_p + 1):
+        ks = np.arange(max(2, j), d_p + 1)
+        log_terms = gammaln(ks - 1.0) - gammaln(ks - j + 1.0)
+        log_mags[j] = float(logsumexp(log_terms))
+    return signs, log_mags
+
+
+def entropy_poly_from_power_sums(sigma, d_p: int) -> float:
+    """``H^(d_p)`` via the power-sum expansion with the ``C_j`` coefficients.
+
+    ``H = D - tr(sigma) - sum_j C_j tr(sigma^j) / j!`` with ``tr(sigma^0) =
+    D``.  Exact-coefficient path, only sane for ``d_p`` small enough that the
+    alternating sum does not cancel catastrophically (d_p <= ~18); used to
+    cross-check :func:`cvshadow.entropy.entropy_poly`.
+    """
+    mat = sigma.entries if isinstance(sigma, FockMatrix) else np.asarray(sigma)
+    dim = mat.shape[0]
+    signs, log_mags = entropy_coefficients(d_p)
+    coeffs = signs * np.exp(log_mags)
+    power_sums = np.empty(d_p + 1, dtype=complex)
+    power_sums[0] = dim
+    power = np.eye(dim, dtype=complex)
+    for j in range(1, d_p + 1):
+        power = power @ mat
+        power_sums[j] = np.trace(power)
+    facts = np.exp(gammaln(np.arange(d_p + 1) + 1.0))
+    series = float(np.real(np.sum(coeffs * power_sums / facts)))
+    return dim - float(np.real(power_sums[1])) - series

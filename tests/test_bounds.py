@@ -10,7 +10,6 @@ from scipy.special import eval_genlaguerre, gammaincc, roots_genlaguerre
 from cvshadow.bounds import (
     BoundReport,
     MomentProfile,
-    bernstein_tail,
     delta0,
     heterodyne_truncation_choice,
     required_samples_heterodyne,
@@ -30,7 +29,7 @@ from cvshadow.shadows import (
     shadow_batch_entries,
 )
 from cvshadow.states import FockMatrix, GaussianStateSpec, fock_matrix_of
-from conftest import sigma_block_quad, sobolev_norm
+from conftest import bernstein_tail, sigma_block_quad, sobolev_norm
 
 
 class TestSobolevNorm:

@@ -550,6 +550,18 @@ class TestBounds:
         with pytest.raises(ConfigError, match=r"\$\.bounds"):
             cmd_bounds(base_config(), tmp_path)
 
+    def test_infeasible_report_is_strict_json(self, tmp_path):
+        # the benchmark's vacuum bounds: no M <= 64 fits the budget inside R = 8,
+        # so N, delta0 and Sigma are infinite and bounds.json writes null for them
+        def refuse(constant):
+            raise ValueError(f"bounds.json holds the non-JSON constant {constant}")
+
+        cmd_bounds(self.bounds_config(protocol="heterodyne", modes=1), tmp_path)
+        report = json.loads((tmp_path / "bounds.json").read_text(), parse_constant=refuse)
+        assert not report["feasible"]
+        assert report["N"] is None and report["delta0"] is None and report["sigma"] is None
+        assert report["reason"].startswith("no truncation M <= 64 meets the eps/2")
+
 
 class TestEntropy:
     def _write_exact_average(self, tmp_path, nu, truncation):
@@ -674,6 +686,32 @@ class TestMainEntrypoint:
         assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 2
         assert "error: pair (0, 7) outside measured modes 0..2" in capsys.readouterr().err
 
+    def test_repeated_subset_mode_exit_code(self, tmp_path, capsys):
+        # subset [0, 0] would tensor each round's shadow with itself, which
+        # estimates nothing
+        cfg_path = write_config(tmp_path, base_config(samples=10, subset=[0, 0]))
+        out, batch = str(tmp_path / "s"), str(tmp_path / "s" / "records.jsonl")
+        assert cli.main(["sample", "--config", str(cfg_path), "--out", out]) == 0
+        argv = ["reconstruct", "--config", str(cfg_path), "--batch", batch]
+        assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "error: subset (0, 0)" in err and "must be distinct" in err
+        assert not (tmp_path / "r" / "shadow_average.json").exists()
+
+    def test_repeated_pair_mode_exit_code(self, tmp_path, capsys):
+        cfg = base_config(
+            state={"kind": "cat", "alpha": [1.0, 1.0]},
+            samples=10,
+            grid={"points": 5, "pair": [0, 0]},
+        )
+        cfg_path = write_config(tmp_path, cfg)
+        out, batch = str(tmp_path / "s"), str(tmp_path / "s" / "records.jsonl")
+        assert cli.main(["sample", "--config", str(cfg_path), "--out", out]) == 0
+        argv = ["reconstruct", "--config", str(cfg_path), "--batch", batch]
+        assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "error: pair (0, 0)" in err and "must be distinct" in err
+
     @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, -2.0)])
     def test_degenerate_grid_exit_code(self, tmp_path, capsys, lo, hi):
         cfg_path = write_config(tmp_path, base_config(grid={"lo": lo, "hi": hi}))
@@ -740,9 +778,8 @@ class TestMainEntrypoint:
         assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
     def test_import_leaves_quadrature_unloaded(self):
-        # only the adaptive reference entries call quad (the Sigma norms use a
-        # fixed Gauss-Legendre rule), and no command needs scipy.special, so
-        # importing the package or the CLI loads neither
+        # no module of the package imports scipy, so importing the package or
+        # the CLI loads none of it
         code = (
             "import sys\n"
             "for module in ('cvshadow', 'cvshadow.cli'):\n"

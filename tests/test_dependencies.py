@@ -1,0 +1,33 @@
+"""The runtime needs numpy alone: scipy is a test-only reference."""
+
+import ast
+import tomllib
+from pathlib import Path
+
+import cvshadow
+
+PACKAGE = Path(cvshadow.__file__).resolve().parent
+PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+
+
+def imported_roots(path: Path) -> set[str]:
+    """Top-level names of every module ``path`` imports, in any scope."""
+    roots = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_no_module_imports_scipy():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 10
+    assert [m.name for m in modules if "scipy" in imported_roots(m)] == []
+
+
+def test_runtime_dependencies_are_numpy_only():
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    assert [dep.split(">")[0].strip() for dep in project["dependencies"]] == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])

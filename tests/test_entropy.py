@@ -7,16 +7,15 @@ import pytest
 
 from cvshadow.entropy import (
     binary_entropy,
-    entropy_coefficients,
     entropy_continuity_bound,
     entropy_poly,
-    entropy_poly_from_power_sums,
     entropy_reference,
     matrix_entropy,
     plan_entropy,
 )
 from cvshadow.shadows import project_PM
 from cvshadow.states import ChainSpec, GaussianStateSpec, chain_ground_state, fock_matrix_of
+from conftest import entropy_coefficients, entropy_poly_from_power_sums
 
 
 class TestEntropyPoly:

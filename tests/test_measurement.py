@@ -12,7 +12,6 @@ from scipy.stats import kstest
 from cvshadow.measurement import (
     SampleBatch,
     fock_husimi,
-    homodyne_pdf,
     sample_heterodyne_batch,
     sample_homodyne_batch,
     stream_rng,
@@ -23,7 +22,6 @@ from cvshadow.states import (
     FockMatrix,
     GaussianStateSpec,
     cat_fock_coefficients,
-    cat_position_pdf,
     chain_ground_state,
     chain_state,
     fock_matrix_of,
@@ -32,10 +30,12 @@ from cvshadow.states import (
 from cvshadow.phase_space import hermite_stack
 from cvshadow.qmc import BoxDomain, qmc_integrate
 from conftest import (
+    cat_position_pdf,
     correlated_gaussian,
     hermite_wavefunction,
     heterodyne_covariance,
     heterodyne_pdf,
+    homodyne_pdf,
     reference_jsonl,
 )
 
@@ -510,6 +510,19 @@ class TestHeterodynePdf:
         assert fock_husimi(fock, x) == pytest.approx(
             heterodyne_pdf(spec, x), abs=1e-10
         )
+
+    @pytest.mark.parametrize("alpha", [20.0, 40.0])
+    def test_large_cat_matches_overlap_density(self, alpha):
+        # exp(-|x|^2/4) underflows beyond |x| = 54.6, inside the alpha = 40
+        # lobes at |x| = 56.6; built in the log domain, <n|x> reads them as
+        # closely as it reads the alpha = 20 lobes
+        import cvshadow.measurement as meas
+
+        spec = CatStateSpec(alpha, "zero")
+        x = spec.center + np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.3], [0.0, -1.0]])
+        x = np.concatenate([x, -x])
+        vals = fock_husimi(meas._sampling_fock(spec), x)
+        assert np.abs(vals - cat_position_pdf(spec, x) / (2 * np.pi)).max() <= 1e-7
 
     def test_chain_normalization_by_qmc(self):
         state = chain_ground_state(ChainSpec(2, 0.5))

@@ -89,11 +89,8 @@ class TestQmcIntegrate:
 
     def test_agrees_with_adaptive_on_shadow_integrand(self):
         # heterodyne shadow-entry integrand, r = 1, n1 = n2 = 0
-        from cvshadow.shadows import (
-            default_window,
-            heterodyne_shadow_entry,
-            heterodyne_shadow_entry_qmc,
-        )
+        from cvshadow.shadows import default_window
+        from conftest import heterodyne_shadow_entry, heterodyne_shadow_entry_qmc
 
         w = default_window(0)
         x = np.array([0.7, -0.3])

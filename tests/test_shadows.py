@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import jv
+from scipy.special import i0e, jv
 
 from cvshadow import shadows
 from cvshadow.bounds import delta0
@@ -19,13 +19,9 @@ from cvshadow.shadows import (
     average_entries,
     default_window,
     f_mu_homodyne,
-    heterodyne_shadow_entry,
-    heterodyne_shadow_entry_qmc,
-    homodyne_shadow_entry,
     project_PM,
     project_PM_tilde,
     shadow_batch_entries,
-    windowed_dyad_char,
 )
 from cvshadow.states import (
     CatStateSpec,
@@ -35,7 +31,15 @@ from cvshadow.states import (
     chain_ground_state,
     fock_matrix_of,
 )
-from conftest import bessel_orders, heterodyne_transform, homodyne_transform
+from conftest import (
+    bessel_orders,
+    heterodyne_shadow_entry,
+    heterodyne_shadow_entry_qmc,
+    heterodyne_transform,
+    homodyne_shadow_entry,
+    homodyne_transform,
+    windowed_dyad_char,
+)
 
 
 def fock_state(n: int, truncation: int) -> FockMatrix:
@@ -646,3 +650,14 @@ class TestShadowCharEval:
             )
         direct, _ = quad(integrand, -np.pi / 2, np.pi / 2, limit=200)
         assert f_mu_homodyne(rho, s) == pytest.approx(direct / np.pi, rel=1e-9)
+
+    def test_scaled_i0_matches_scipy(self):
+        # numpy's I0 up to 700, the asymptotic series beyond; criterion 10's
+        # arguments reach 2.2e6
+        x = np.concatenate([
+            np.linspace(0.0, 50.0, 501),
+            np.geomspace(50.0, 3e6, 2000),
+            [699.0, 699.999, 700.0, 700.001, 701.0],
+        ])
+        for sign in (1.0, -1.0):
+            assert np.abs(shadows._i0e(sign * x) / i0e(x) - 1.0).max() <= 1e-14

@@ -17,15 +17,19 @@ from cvshadow.states import (
     block_cholesky,
     cat_char,
     cat_fock_coefficients,
-    cat_position_pdf,
     chain_ground_state,
     chain_state,
-    coherent_overlap,
     fock_matrix_of,
     fock_moments,
     multi_indices,
 )
-from conftest import circulant_draws_whole_chunk, correlated_gaussian, gauss_legendre_grid_2d
+from conftest import (
+    cat_position_pdf,
+    circulant_draws_whole_chunk,
+    coherent_overlap,
+    correlated_gaussian,
+    gauss_legendre_grid_2d,
+)
 
 
 def cat_char_printed_form(spec, u):
