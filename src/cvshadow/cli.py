@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import operator
+import os
 import sys
 import time
 from pathlib import Path
@@ -23,13 +24,7 @@ import numpy as np
 from . import __version__
 from .bounds import MomentProfile, required_samples_heterodyne, required_samples_homodyne
 from .entropy import entropy_poly, entropy_reference, plan_entropy
-from .measurement import (
-    HETERODYNE,
-    HOMODYNE,
-    SampleBatch,
-    sample_heterodyne_batch,
-    sample_homodyne_batch,
-)
+from .measurement import HETERODYNE, HOMODYNE, SampleBatch, jsonl_header, sample_blocks
 from .reconstruction import reconstruct_pair_section, reconstruct_single_mode
 from .shadows import (
     ShadowAverage,
@@ -39,7 +34,14 @@ from .shadows import (
     json_sha256,
     shadow_batch_entries,
 )
-from .states import CatStateSpec, ChainSpec, FockMatrix, GaussianStateSpec, chain_state
+from .states import (
+    CatStateSpec,
+    ChainSpec,
+    FockMatrix,
+    GaussianStateSpec,
+    _check_modes,
+    chain_state,
+)
 
 _NON_NEGATIVE_INT = {"type": "integer", "minimum": 0}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
@@ -260,21 +262,32 @@ def write_manifest(
 
 
 def cmd_sample(config: dict, out_dir, seed: int | None = None) -> dict:
-    """Generate a measurement batch; writes records.jsonl and the manifest."""
+    """Generate a measurement batch; writes records.jsonl and the manifest.
+
+    The rounds are written block by block as they are drawn, to a temporary
+    file that replaces ``records.jsonl`` only once the last block is in, so
+    a sampler error leaves no partial records file.
+    """
     t0 = time.perf_counter()
     config = config if seed is None else {**config, "seed": seed}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     state = build_state(config["state"])
     seed_path = f"cvshadow/{config['seed']}/{config['protocol']}"
-    if config["protocol"] == HOMODYNE:
-        batch = sample_homodyne_batch(state, config["samples"], seed_path)
-    else:
-        batch = sample_heterodyne_batch(state, config["samples"], seed_path)
     records_path = out / "records.jsonl"
-    batch.to_jsonl(records_path)
-    write_manifest(out, config, [records_path], time.perf_counter() - t0, batch.meta)
-    return {"records": str(records_path), "n": batch.n, "meta": batch.meta}
+    partial = out / f".records.jsonl.{os.getpid()}.partial"
+    n, meta = 0, {}
+    try:
+        with open(partial, "w") as fh:
+            for block in sample_blocks(state, config["protocol"], config["samples"], seed_path):
+                block.to_jsonl(fh)
+                n, meta = n + block.n, block.meta
+                del block  # before the next block is drawn
+        os.replace(partial, records_path)
+    finally:
+        partial.unlink(missing_ok=True)
+    write_manifest(out, config, [records_path], time.perf_counter() - t0, meta)
+    return {"records": str(records_path), "n": n, "meta": meta}
 
 
 def _write_grid_csv(path: Path, points: np.ndarray, exact, recon) -> None:
@@ -301,25 +314,31 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     state = build_state(config["state"])
-    batch = SampleBatch.from_jsonl(batch_path)
-    if batch.protocol != config["protocol"]:
+    protocol, _, _, shape = jsonl_header(batch_path)
+    if protocol != config["protocol"]:
         raise ConfigError(
-            f"batch protocol {batch.protocol!r} does not match config "
-            f"{config['protocol']!r}"
+            f"batch protocol {protocol!r} does not match config {config['protocol']!r}"
         )
+    modes = shape[0]
+    if modes != state.modes:
+        raise ConfigError(f"the batch has {modes} modes but the config's state has {state.modes}")
     grid_cfg = config.get("grid", {})
     lo, hi = _grid_range(config)
     points = grid_cfg.get("points", 81)
-    modes = batch.modes
+    pair = None
+    if protocol == HETERODYNE and (modes > 1 or "pair" in grid_cfg):
+        pair = tuple(grid_cfg.get("pair", (0, modes // 2)))
+        _check_modes(pair, modes, "pair")
+    # beyond 4 modes only the pair's columns are read, so only they are kept
+    keep = list(pair or ()) if modes > 4 else None
+    batch = SampleBatch.from_jsonl(batch_path, modes=keep)
     files: list[Path] = []
-    metrics: dict = {"n_samples": batch.n, "protocol": batch.protocol}
+    metrics: dict = {"n_samples": batch.n, "protocol": protocol}
 
-    if batch.protocol == HETERODYNE:
-        if modes > 1 or "pair" in grid_cfg:
-            pair = tuple(grid_cfg.get("pair", (0, modes // 2)))
-            exact, recon, v_val = reconstruct_pair_section(
-                batch, state, pair, lo, hi, points
-            )
+    if protocol == HETERODYNE:
+        if pair:
+            section = (state.marginal(keep), (0, 1)) if keep else (state, pair)
+            exact, recon, v_val = reconstruct_pair_section(batch, *section, lo, hi, points)
             grid_path = out / "pair_grid.csv"
             metrics["pair"] = list(pair)
         else:
@@ -333,9 +352,9 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
     if modes <= 4:
         truncation = config["truncation"]
         subset = tuple(config.get("subset", [0]))
-        window = config_window(config) if batch.protocol == HETERODYNE else None
+        window = config_window(config) if protocol == HETERODYNE else None
         stacked = shadow_batch_entries(batch, subset, truncation, window)
-        avg = average_entries(stacked, subset, truncation, batch.protocol)
+        avg = average_entries(stacked, subset, truncation, protocol)
         avg_path = out / "shadow_average.json"
         avg.to_json(avg_path)
         files.append(avg_path)

@@ -18,10 +18,13 @@ reproduce bit-identical batches.  There is no global RNG.
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import itertools
 import json
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -31,6 +34,7 @@ from .phase_space import alpha_of, hermite_stack
 from .states import (
     CatStateSpec,
     FockMatrix,
+    _check_modes,
     coherent_fock_coefficients,
     fock_matrix_of,
     fock_moments,
@@ -97,12 +101,13 @@ class SampleBatch:
         thetas = None if self.thetas is None else self.thetas[rows]
         return replace(self, outcomes=self.outcomes[rows], thetas=thetas)
 
-    def to_jsonl(self, path) -> None:
-        """One JSON line per round: protocol, thetas, outcome, seed_path.
+    def to_jsonl(self, fh) -> None:
+        """Append one JSON line per round to the open text handle ``fh``.
 
-        The bytes are those of ``json.dumps(payload, separators=(",", ":"))``
-        per round: one ``%`` template per batch fills in ``repr`` of every
-        value, which is how ``json`` writes a finite float.
+        A line holds protocol, thetas, outcome and seed_path.  Its bytes are
+        those of ``json.dumps(payload, separators=(",", ":"))``: one ``%``
+        template per batch fills in ``repr`` of every value, which is how
+        ``json`` writes a finite float.
         """
         m = self.modes
         if self.thetas is None:
@@ -120,42 +125,69 @@ class SampleBatch:
             f'"outcome":[{outcome}],"seed_path":{seed_path}}}\n'
         )
         block = max(1, _JSONL_BLOCK_VALUES // max(1, 2 * m))
-        with open(path, "w") as fh:
-            for start in range(0, self.n, block):
-                rows = np.concatenate([c[start : start + block] for c in columns], axis=1)
-                rows = rows.reshape(len(rows), -1)  # heterodyne (b, m, 2) -> (b, 2m)
-                fh.write("".join([template % tuple(row) for row in rows.tolist()]))
+        for start in range(0, self.n, block):
+            rows = np.concatenate([c[start : start + block] for c in columns], axis=1)
+            rows = rows.reshape(len(rows), -1)  # heterodyne (b, m, 2) -> (b, 2m)
+            fh.write("".join([template % tuple(row) for row in rows.tolist()]))
 
     @classmethod
-    def from_jsonl(cls, path) -> "SampleBatch":
-        """Parse a file written by ``to_jsonl``.
+    def from_jsonl(cls, path, modes=None) -> "SampleBatch":
+        """Parse a file written by ``to_jsonl``, keeping the columns of ``modes``.
 
-        Every line must name the protocol and ``seed_path`` of line 1: a batch
-        is one protocol drawn from one RNG stream.
+        ``modes`` are distinct measured modes (default: all of them), so a
+        reader of a few modes of a long chain never holds the (N, m) batch.
+        Every line is checked, whichever columns are kept: it must name the
+        protocol and ``seed_path`` of the first record (a batch is one
+        protocol drawn from one RNG stream) and hold finite values of the
+        first record's shape.
         """
+        protocol, seed_path, n, shape = jsonl_header(path)
+        cols = list(range(shape[0]) if modes is None else modes)
+        _check_modes(cols, shape[0])
+        outcomes = np.empty((n, len(cols)) + shape[1:])
+        thetas = np.empty((n, len(cols))) if protocol == HOMODYNE else None
         with open(path) as fh:
-            n = sum(1 for line in fh if line.strip())
-            if not n:
-                raise ValueError(f"{path}: no records")
-            fh.seek(0)  # then parse one line at a time
-            for i, (k, line) in enumerate((k, t) for k, t in enumerate(fh, 1) if t.strip()):
+            records = ((k, t) for k, t in enumerate(fh, 1) if t.strip())
+            for i, (k, line) in enumerate(records):
                 line_protocol, line_seed_path, line_thetas, outcome = _fields(path, k, line)
-                if not i:
-                    first, protocol, seed_path = k, line_protocol, line_seed_path
-                    shape = np.shape(outcome)
-                    outcomes = np.empty((n,) + shape)
-                    thetas = np.empty(outcomes.shape) if protocol == HOMODYNE else None
                 if line_protocol != protocol or line_seed_path != seed_path:
                     raise ValueError(
                         f"{path}: line {k} has protocol {line_protocol!r} and "
-                        f"seed_path {line_seed_path!r}; line {first} has "
+                        f"seed_path {line_seed_path!r}; the first record has "
                         f"{protocol!r} and {seed_path!r} (a batch file holds one "
                         "protocol drawn from one RNG stream)"
                     )
-                outcomes[i] = _row(outcome, shape, path, k)
+                outcomes[i] = _row(outcome, shape, path, k)[cols]
                 if thetas is not None:
-                    thetas[i] = _row(line_thetas, shape, path, k)
+                    thetas[i] = _row(line_thetas, shape, path, k)[cols]
         return cls(protocol, outcomes, thetas, seed_path)
+
+
+def jsonl_header(path) -> tuple[str, str, int, tuple]:
+    """``(protocol, seed_path, N, shape)`` of a records file, from one read.
+
+    The read counts the record lines and parses the first record only;
+    ``shape`` is its outcome shape, ``(m,)`` for homodyne and ``(m, 2)``
+    for heterodyne.
+    """
+    n = 0
+    with open(path) as fh:
+        for k, line in enumerate(fh, 1):
+            if line.strip():
+                if not n:
+                    protocol, seed_path, _, outcome = _fields(path, k, line)
+                    first, shape = k, np.shape(outcome)
+                n += 1
+    if not n:
+        raise ValueError(f"{path}: no records")
+    if protocol not in (HOMODYNE, HETERODYNE):
+        raise ValueError(f"{path}: line {first} has unknown protocol {protocol!r}")
+    if len(shape) != (1 if protocol == HOMODYNE else 2) or shape[1:] not in ((), (2,)):
+        raise ValueError(
+            f"{path}: line {first} has shape {shape}, expected (modes,) for "
+            "homodyne or (modes, 2) for heterodyne"
+        )
+    return protocol, seed_path, n, shape
 
 
 def _fields(path, line: int, text: str) -> tuple:
@@ -176,6 +208,8 @@ def _row(values, shape: tuple, path, line: int) -> np.ndarray:
     row = np.asarray(values, dtype=float)
     if row.shape != shape:
         raise ValueError(f"{path}: line {line} has shape {row.shape}, expected {shape}")
+    if not np.isfinite(row).all():
+        raise ValueError(f"{path}: line {line} holds a value that is not finite")
     return row
 
 
@@ -211,22 +245,16 @@ def _factors(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[keep], u[:, keep]
 
 
-def _expectation(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """``<v|rho|v> = sum_k lam_k |u_k^H v|^2`` for every column ``v`` of ``kets``."""
-    lam, u = _factors(rho)
-    amps = u.conj().T @ kets
-    return lam @ (amps.real**2 + amps.imag**2)
-
-
-def _homodyne_density(fock: FockMatrix, thetas, q: np.ndarray) -> np.ndarray:
+def _homodyne_density(fock: FockMatrix, thetas, q: np.ndarray, factors=None) -> np.ndarray:
     """``p(q_i | theta_i)`` of a single-mode truncated state, one angle per point.
 
     ``p(q|theta) = <v|rho|v>`` with ``v_n = exp(-i n theta) psi_n(q)``;
     ``q`` is 1-D and ``thetas`` broadcasts to it.  Each factor's amplitude
     ``sum_n conj(u_n) psi_n(q) z^n``, ``z = exp(-i theta)``, is one Horner
     pass over the rows of :func:`hermite_stack`: O(dim) per point and factor.
+    ``factors`` are ``_factors(fock.entries)``, when the caller holds them.
     """
-    lam, u = _factors(fock.entries)
+    lam, u = _factors(fock.entries) if factors is None else factors
     coeffs = u.conj()[:, :, None]
     psi = hermite_stack(fock.truncation, q)
     z = np.exp(-1j * np.broadcast_to(thetas, q.shape))
@@ -237,10 +265,12 @@ def _homodyne_density(fock: FockMatrix, thetas, q: np.ndarray) -> np.ndarray:
     return lam @ (amps.real**2 + amps.imag**2)
 
 
-def fock_husimi(fock: FockMatrix, x) -> np.ndarray:
+def fock_husimi(fock: FockMatrix, x, factors=None) -> np.ndarray:
     """Heterodyne outcome density ``<x|rho|x> / (2 pi)`` of a truncated state.
 
-    ``<n|x>`` are the coherent-state amplitudes of
+    ``<x|rho|x> = sum_k lam_k |u_k^H v|^2`` over the eigenpairs of
+    :func:`_factors` (or ``factors``, when the caller holds them), for the
+    coherent-state amplitudes ``v = <n|x>`` of
     :func:`~cvshadow.states.coherent_fock_coefficients` at ``alpha(x)``.
     Signed, like :func:`_homodyne_density`: for a Hermitian matrix that is
     not a state it may read below zero.
@@ -248,8 +278,9 @@ def fock_husimi(fock: FockMatrix, x) -> np.ndarray:
     if fock.modes != 1:
         raise ValueError("fock_husimi supports single-mode matrices")
     x = np.asarray(x, dtype=float)
-    kets = coherent_fock_coefficients(alpha_of(x.reshape(-1, 2)), fock.truncation)
-    out = (_expectation(fock.entries, kets) / (2.0 * np.pi)).reshape(x.shape[:-1])
+    lam, u = _factors(fock.entries) if factors is None else factors
+    amps = u.conj().T @ coherent_fock_coefficients(alpha_of(x.reshape(-1, 2)), fock.truncation)
+    out = (lam @ (amps.real**2 + amps.imag**2) / (2.0 * np.pi)).reshape(x.shape[:-1])
     return out if np.ndim(out) else float(out)
 
 
@@ -391,13 +422,14 @@ def _rejection_homodyne_draws(
     a Student t located and scaled by the state's rotated quadrature.
     """
     proposals = _homodyne_proposals(fock)
+    factors = _factors(fock.entries)  # once per batch: the target is called per chunk
 
     def draw(rng, size):
         thetas = rng.uniform(-np.pi, np.pi, size)
         return proposals(thetas, _t_draws(rng, size, 1))
 
     def target(pts):
-        return _homodyne_density(fock, pts[:, 0], pts[:, 1])
+        return _homodyne_density(fock, pts[:, 0], pts[:, 1], factors)
 
     grid_theta, grid_z = np.linspace(-np.pi, np.pi, 129), np.linspace(-6.0, 6.0, 513)
     probe, probe_density = proposals(
@@ -415,18 +447,9 @@ def sample_homodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
     ``phase_space_draws``), then ``q_j = cos(theta_j) x_j - sin(theta_j)
     p_j``.  Cat states and truncated Fock matrices use exact rejection
     sampling of :func:`_homodyne_density`; ``meta`` then holds its acceptance
-    and proposal count.
+    and proposal count.  The rounds are those of :func:`sample_blocks`.
     """
-    rng = stream_rng(seed_path)
-    meta: dict = {}
-    if hasattr(state, "phase_space_draws"):
-        m = state.modes
-        thetas = rng.uniform(-np.pi, np.pi, size=(n, m))
-        x = state.phase_space_draws(0.0, n, rng)
-        qs = np.cos(thetas) * x[:, :m] - np.sin(thetas) * x[:, m:]
-    else:
-        thetas, qs, meta = _rejection_homodyne_draws(_sampling_fock(state), n, rng)
-    return SampleBatch(HOMODYNE, qs, thetas, seed_path, meta)
+    return _whole_batch(sample_blocks(state, HOMODYNE, n, seed_path), n)
 
 
 def _heterodyne_proposals(fock: FockMatrix):
@@ -454,12 +477,13 @@ def _rejection_heterodyne_draws(
     scaled by the state's heterodyne moments.
     """
     proposals = _heterodyne_proposals(fock)
+    factors = _factors(fock.entries)  # once per batch: the target is called per chunk
 
     def draw(rng, size):
         return proposals(_t_draws(rng, size, 2))
 
     def target(pts):
-        return fock_husimi(fock, pts)
+        return fock_husimi(fock, pts, factors)
 
     axis = np.linspace(-6.0, 6.0, 201)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
@@ -474,14 +498,61 @@ def sample_heterodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
     Gaussian states are sampled exactly from ``N(t, (V+I)/2)`` (the state's
     ``phase_space_draws``); cat states and truncated Fock matrices use exact
     rejection sampling with a Student-t envelope, and ``meta`` then holds its
-    acceptance and proposal count.
+    acceptance and proposal count.  The rounds are those of
+    :func:`sample_blocks`.
+    """
+    return _whole_batch(sample_blocks(state, HETERODYNE, n, seed_path), n)
+
+
+def sample_blocks(state, protocol: str, n: int, seed_path: str) -> Iterator[SampleBatch]:
+    """``n`` rounds of ``protocol`` on ``state``, as consecutive batches of one stream.
+
+    A Gaussian state yields one batch per row block of its
+    ``phase_space_draws``, so no batch holds more than about 2^18 values.
+    Homodyne angles are the stream's first ``n m`` uniforms (one 64-bit draw
+    each) and the normals follow them, so they come from a copy of the
+    generator moved on by ``n m`` draws.  A cat state or truncated Fock
+    matrix is drawn by rejection as one batch, whose ``meta`` holds the
+    acceptance and proposal count.  However the blocks fall, the rounds are
+    the same bits, and a caller that drops each batch before asking for the
+    next holds one block at a time.
     """
     rng = stream_rng(seed_path)
-    meta: dict = {}
-    if hasattr(state, "phase_space_draws"):
-        # rows [x | p] viewed as (n, m, 2), not copied
-        pts = state.phase_space_draws(1.0, n, rng).reshape(n, 2, state.modes).transpose(0, 2, 1)
-    else:
-        pts, meta = _rejection_heterodyne_draws(_sampling_fock(state), n, rng)
-    return SampleBatch(HETERODYNE, pts, None, seed_path, meta)
+    if not hasattr(state, "phase_space_draws"):
+        fock = _sampling_fock(state)
+        if protocol == HOMODYNE:
+            thetas, qs, meta = _rejection_homodyne_draws(fock, n, rng)
+            yield SampleBatch(HOMODYNE, qs, thetas, seed_path, meta)
+        else:
+            pts, meta = _rejection_heterodyne_draws(fock, n, rng)
+            yield SampleBatch(protocol, pts, None, seed_path, meta)
+        return
+    m = state.modes
+    if protocol != HOMODYNE:
+        for x in state.phase_space_draws(1.0, n, rng):
+            # rows [x | p] viewed as (rows, m, 2), not copied
+            yield SampleBatch(protocol, x.reshape(len(x), 2, m).transpose(0, 2, 1), None, seed_path)
+            del x  # before the next block is drawn
+        return
+    normals = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(n * m))
+    for x in state.phase_space_draws(0.0, n, normals):
+        thetas = rng.uniform(-np.pi, np.pi, size=(len(x), m))
+        qs = np.cos(thetas) * x[:, :m] - np.sin(thetas) * x[:, m:]
+        yield SampleBatch(HOMODYNE, qs, thetas, seed_path)
+        del x, thetas, qs  # before the next block is drawn
 
+
+def _whole_batch(blocks: Iterator[SampleBatch], n: int) -> SampleBatch:
+    """The ``n`` rounds of ``blocks`` as one batch, filled block by block."""
+    first = next(blocks, None)
+    if first is None:  # a Gaussian state draws no block for n = 0
+        raise ValueError("a batch needs at least one round")
+    outcomes = np.empty((n,) + first.outcomes.shape[1:])
+    thetas = None if first.thetas is None else np.empty(outcomes.shape)
+    start = 0
+    for block in itertools.chain([first], blocks):
+        outcomes[start : start + block.n] = block.outcomes
+        if thetas is not None:
+            thetas[start : start + block.n] = block.thetas
+        start += block.n
+    return replace(block, outcomes=outcomes, thetas=thetas)

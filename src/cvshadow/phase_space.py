@@ -97,22 +97,42 @@ def laguerre(k: int, j: int, x):
     return cur
 
 
+# psi 2^-e gives up 2^512 to its exponent e once |psi| passes 2^512
+_RESCALE_BITS = 512
+
+
 def hermite_stack(n_max: int, q) -> np.ndarray:
     """``psi_n(q)`` for all ``n <= n_max``, shape ``(n_max + 1,) + q.shape``.
 
-    Uses the stable three-term recurrence on the normalized functions.
+    Uses the stable three-term recurrence on the normalized functions, from
+    ``psi_0 = pi^{-1/4} exp(-q^2/2)``.  Where that start is subnormal (|q| >
+    37.6), the recurrence runs on ``psi 2^-e`` with an integer exponent ``e``
+    per point instead, so rows that are representable do not underflow to 0
+    on the way.  The other points' rows are the plain recurrence's bits.
     """
     q = np.asarray(q, dtype=float)
-    out = np.empty((n_max + 1,) + q.shape)
+    shape = (n_max + 1,) + q.shape
+    q = q.ravel()
+    out = np.empty((n_max + 1, q.size))
     psi_prev = np.zeros_like(q)
     psi = np.pi ** (-0.25) * np.exp(-0.5 * q * q)
+    far = np.flatnonzero(psi < np.finfo(float).tiny)
+    log2_start = -0.5 * q[far] ** 2 / math.log(2.0)
+    e = np.floor(log2_start).astype(int)
+    psi[far] = np.pi ** (-0.25) * np.exp2(log2_start - e)
     out[0] = psi
+    out[0, far] = np.ldexp(psi[far], e)
     for n in range(n_max):
         psi_prev, psi = psi, q * np.sqrt(2.0 / (n + 1)) * psi - np.sqrt(
             n / (n + 1.0)
         ) * psi_prev
+        big = np.abs(psi[far]) > 2.0**_RESCALE_BITS
+        psi[far[big]] *= 2.0**-_RESCALE_BITS
+        psi_prev[far[big]] *= 2.0**-_RESCALE_BITS
+        e[big] += _RESCALE_BITS
         out[n + 1] = psi
-    return out
+        out[n + 1, far] = np.ldexp(psi[far], e)
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -30,16 +30,22 @@ def _trial_char_grid(a, ya, b, yb) -> np.ndarray:
 
     Returns shape (len(a), len(b)).  The phase factorises per axis, so the
     sum over rounds is ``A @ B.T`` accumulated over fixed-size chunks of
-    rounds in order, then divided by N.  Memory is one complex axes x chunk
-    array per axis, exponentiated in place, never grid x N.
+    rounds in order, then divided by N.  Memory is one complex axis x chunk
+    buffer per axis, allocated once: each chunk's phases are written into
+    its imaginary part, and their cosines and sines in place, never grid x N.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     total = np.zeros((a.size, b.size), dtype=complex)
+    chunk = min(_ROUND_CHUNK, len(ya))
+    buffers = np.empty((a.size, chunk), dtype=complex), np.empty((b.size, chunk), dtype=complex)
     for start in range(0, len(ya), _ROUND_CHUNK):
         sl = slice(start, start + _ROUND_CHUNK)
-        pa, pb = np.multiply(1j, np.outer(a, ya[sl])), np.multiply(1j, np.outer(b, yb[sl]))
-        total += np.exp(pa, out=pa) @ np.exp(pb, out=pb).T
-        del pa, pb  # before the next chunk's
+        pa, pb = (buf[:, : len(ya[sl])] for buf in buffers)
+        for axis, y, phase in ((a, ya, pa), (b, yb, pb)):
+            np.multiply.outer(axis, y[sl], out=phase.imag)
+            np.cos(phase.imag, out=phase.real)
+            np.sin(phase.imag, out=phase.imag)
+        total += pa @ pb.T
     grow = np.exp(0.25 * (np.square(a)[:, None] + np.square(b)[None, :]))
     return grow * (total / len(ya))
 

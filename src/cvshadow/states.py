@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,11 +130,15 @@ class GaussianStateSpec:
         idx = np.concatenate([np.asarray(modes), np.asarray(modes) + m])
         return GaussianStateSpec(self.mean[idx], self.cov[np.ix_(idx, idx)])
 
-    def phase_space_draws(self, vacuum: float, n: int, rng) -> np.ndarray:
+    def phase_space_draws(self, vacuum: float, n: int, rng) -> Iterator[np.ndarray]:
         """``n`` rows ``[x | p]`` from ``N(t, (V + vacuum I) / 2)``: Wigner 0, heterodyne 1.
 
-        The m x m blocks are factored by :func:`block_cholesky`, and the normals
-        ``z`` become ``t + z L^T`` in place, 256 rows at a time.
+        Yields them in blocks of a multiple of 256 rows, about 2^18 values
+        each; a caller that drops each block before asking for the next holds
+        one at a time.  The m x m blocks are factored by
+        :func:`block_cholesky`, and a block's normals ``z`` become ``t + z
+        L^T`` in place, 256 rows at a time; the normals are drawn in row
+        order, so the rows do not depend on the block size.
         """
         m = self.modes
 
@@ -141,13 +146,16 @@ class GaussianStateSpec:
             return 0.5 * xxpp_block(self.cov, i, j, diag)
 
         l11, l21, l22 = block_cholesky(half(0, 0, vacuum), half(0, 1), half(1, 1, vacuum))
-        z = rng.standard_normal((n, 2 * m))
-        for r in range(0, n, 256):
-            x, p = z[r : r + 256, :m], z[r : r + 256, m:]
-            p[:] = x @ l21.T + p @ l22.T
-            x[:] = x @ l11.T
-        z += self.mean
-        return z
+        step = 256 * max(1, (1 << 18) // (512 * m))
+        for r in range(0, n, step):
+            z = rng.standard_normal((min(step, n - r), 2 * m))
+            for s in range(0, len(z), 256):
+                x, p = z[s : s + 256, :m], z[s : s + 256, m:]
+                p[:] = x @ l21.T + p @ l22.T
+                x[:] = x @ l11.T
+            z += self.mean
+            yield z
+            del z  # freed before the next block, once the caller lets it go
 
     @classmethod
     def vacuum(cls, modes: int = 1) -> "GaussianStateSpec":
@@ -445,23 +453,23 @@ class CirculantChainState:
         """Characteristic function, through the dense marginal on every mode."""
         return self.marginal(list(range(self.modes))).char(u)
 
-    def phase_space_draws(self, vacuum: float, n: int, rng) -> np.ndarray:
+    def phase_space_draws(self, vacuum: float, n: int, rng) -> Iterator[np.ndarray]:
         """``n`` rows ``[x | p]`` from ``N(0, (V + vacuum I) / 2)``: Wigner 0, heterodyne 1.
 
         A block ``circ(c)`` with eigenvalues ``c_k`` is drawn exactly as ``Re
-        FFT(sqrt(c_k / m) (z1 + i z2))`` for standard normal ``z1``, ``z2``,
-        about 2^18 normals at a time into the preallocated rows; they are
+        FFT(sqrt(c_k / m) (z1 + i z2))`` for standard normal ``z1``, ``z2``.
+        Yields blocks of rows, about 2^18 normals each, held one at a time by
+        a caller that drops each before asking for the next; the normals are
         scaled and transformed in place in a preallocated complex sub-chunk
         of about 2^14 values.
         """
         m = self.modes
         root = np.sqrt(2.0 * self.lam)
         scales = [np.sqrt((c + vacuum) / (2.0 * m)) for c in (1.0 / root, root)]
-        out = np.empty((n, 2 * m))
         step, sub = max(1, (1 << 18) // m), max(1, (1 << 14) // m)
         chunk = np.empty((min(sub, n), m), dtype=complex)
         for r in range(0, n, step):
-            rows = out[r : r + step]
+            rows = np.empty((min(step, n - r), 2 * m))
             for block, scale in enumerate(scales):
                 z = rng.standard_normal((2, len(rows), m))
                 for s in range(0, len(rows), sub):
@@ -471,7 +479,8 @@ class CirculantChainState:
                     np.fft.fft(c, out=c)
                     rows[s : s + sub, block * m : (block + 1) * m] = c.real
                 del z  # before the next block's normals
-        return out
+            yield rows
+            del rows  # freed before the next block, once the caller lets it go
 
 
 def chain_state(spec: ChainSpec):

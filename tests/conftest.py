@@ -18,7 +18,13 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import erf, gammaln, j0, j1, jv, logsumexp, roots_genlaguerre
 
-from cvshadow.measurement import _hermitian, _homodyne_density, fock_husimi
+from cvshadow.measurement import (
+    SampleBatch,
+    _hermitian,
+    _homodyne_density,
+    fock_husimi,
+    stream_rng,
+)
 from cvshadow.phase_space import (
     char_fock_dyad,
     dyad_poly,
@@ -297,6 +303,22 @@ def circulant_draws_whole_chunk(state, vacuum: float, n: int, rng) -> np.ndarray
             np.fft.fft(c, out=c)
             rows[:, block * m : (block + 1) * m] = c.real
     return out
+
+
+def whole_gaussian_batch(state, protocol: str, n: int, seed_path: str) -> SampleBatch:
+    """A Gaussian batch drawn whole, as the samplers once drew it.
+
+    One generator: homodyne takes all ``n m`` angles first, then every
+    phase-space row (its blocks drawn back to back, as one call draws them).
+    """
+    rng, m = stream_rng(seed_path), state.modes
+    if protocol == "homodyne":
+        thetas = rng.uniform(-np.pi, np.pi, size=(n, m))
+        x = np.concatenate(list(state.phase_space_draws(0.0, n, rng)))
+        qs = np.cos(thetas) * x[:, :m] - np.sin(thetas) * x[:, m:]
+        return SampleBatch(protocol, qs, thetas, seed_path)
+    x = np.concatenate(list(state.phase_space_draws(1.0, n, rng)))
+    return SampleBatch(protocol, x.reshape(n, 2, m).transpose(0, 2, 1), None, seed_path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """End-user CLI: configs, artifacts, determinism, error surfaces."""
 
 import importlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -24,14 +26,18 @@ from cvshadow.cli import (
     validate_config,
 )
 from cvshadow.entropy import entropy_reference
+from cvshadow.measurement import SampleBatch, sample_heterodyne_batch, sample_homodyne_batch
 from cvshadow.shadows import ShadowAverage, project_PM
 from cvshadow.states import (
+    CatStateSpec,
     ChainSpec,
     CirculantChainState,
+    FockMatrix,
     GaussianStateSpec,
     chain_ground_state,
     fock_matrix_of,
 )
+from conftest import whole_gaussian_batch
 
 
 def base_config(**overrides):
@@ -359,6 +365,121 @@ class TestSample:
         assert 0.1 <= sampler["acceptance"] <= 1.0
 
 
+CHAIN1000 = {"kind": "chain", "m": 1000, "kappa": 0.99}
+
+
+def whole_batch_bytes(state, config: dict) -> bytes:
+    """records.jsonl of the config's batch, drawn whole by the batch samplers."""
+    sample = sample_homodyne_batch if config["protocol"] == "homodyne" else sample_heterodyne_batch
+    seed_path = f"cvshadow/{config['seed']}/{config['protocol']}"
+    batch = sample(state, config["samples"], seed_path)
+    if hasattr(state, "phase_space_draws"):
+        whole = whole_gaussian_batch(state, config["protocol"], config["samples"], seed_path)
+        assert np.array_equal(batch.outcomes, whole.outcomes)
+        assert batch.protocol == "heterodyne" or np.array_equal(batch.thetas, whole.thetas)
+    text = io.StringIO()
+    batch.to_jsonl(text)
+    return text.getvalue().encode()
+
+
+class TestStreamedSample:
+    """``sample`` writes each block of rounds as it is drawn: the whole batch's bytes."""
+
+    @pytest.fixture(scope="class")
+    def chain_run(self, tmp_path_factory):
+        # 1000 rounds of the m = 1000 chain: four blocks of at most 262 rows
+        out = tmp_path_factory.mktemp("chain")
+        config = base_config(state=CHAIN1000, samples=1000, seed=11)
+        tracemalloc.start()
+        try:
+            cmd_sample(config, out)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        return config, out / "records.jsonl", peak
+
+    def test_chain_memory(self, chain_run):
+        # one block's rows and its normals are 4.2 MB each; the whole (1000, 1000, 2)
+        # outcomes alone would be 16 MB (20.6 MB peak when they were held)
+        assert chain_run[2] <= 12.0
+
+    def test_chain_bytes(self, chain_run):
+        config, records, _ = chain_run
+        assert records.read_bytes() == whole_batch_bytes(build_state(CHAIN1000), config)
+
+    @pytest.mark.parametrize(
+        "name, protocol, samples",
+        [
+            ("chain", "homodyne", 300),  # blocks of 262 and 38 rows
+            ("thermal3", "homodyne", 43520 + 1),  # blocks of 43520 and 1 row
+            ("thermal3", "heterodyne", 43520 + 7),
+            ("cat", "homodyne", 500),  # one block, by rejection
+            ("cat", "heterodyne", 500),
+        ],
+    )
+    def test_bytes_of_the_whole_batch(self, tmp_path, monkeypatch, name, protocol, samples):
+        states = {
+            "chain": build_state(CHAIN1000),
+            "thermal3": GaussianStateSpec.thermal(0.4, modes=3),
+            "cat": CatStateSpec(1 + 1j, "zero"),
+        }
+        monkeypatch.setattr(cli, "build_state", lambda cfg: states[name])
+        config = base_config(protocol=protocol, samples=samples)
+        result = cmd_sample(config, tmp_path)
+        assert result["n"] == samples
+        records = (tmp_path / "records.jsonl").read_bytes()
+        assert records == whole_batch_bytes(states[name], config)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "records.jsonl"]
+
+    @pytest.mark.parametrize(
+        "failure, message",
+        [("not-a-state", "cannot sample a matrix that is not a state"),
+         ("second-block", "the second block failed")],
+    )
+    def test_failed_sample_leaves_no_records(self, tmp_path, monkeypatch, capsys, failure, message):
+        if failure == "not-a-state":
+            not_a_state = FockMatrix(1, 1, np.diag([1.2, -0.2]))
+            monkeypatch.setattr(cli, "build_state", lambda cfg: not_a_state)
+        else:
+            draws = CirculantChainState.phase_space_draws
+
+            def failing(self, vacuum, n, rng):
+                yield next(draws(self, vacuum, n, rng))
+                raise ValueError("the second block failed")
+
+            monkeypatch.setattr(CirculantChainState, "phase_space_draws", failing)
+        cfg_path = write_config(tmp_path, base_config(state=CHAIN1000, samples=300))
+        out = tmp_path / "s"
+        assert cli.main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_chain_peak_rss_flat_in_samples(self, tmp_path):
+        # each command in its own process, at N = 300 and N = 1300 rounds of the
+        # m = 1000 chain: holding the (N, m, 2) outcomes grew them by 15 and 16 MB.
+        # A child's ru_maxrss starts from its parent's RSS at the fork, so a small
+        # interpreter starts the command and reads it.
+        code = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'cvshadow.cli', *sys.argv[1:]], check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        peaks = {}
+        for n in (300, 1300):
+            config = base_config(state=CHAIN1000, samples=n, grid={"pair": [0, 500], "points": 9})
+            cfg = str(write_config(tmp_path, config, f"chain{n}.json"))
+            records = str(tmp_path / f"s{n}" / "records.jsonl")
+            commands = {
+                "sample": ["sample", "--config", cfg, "--out", str(tmp_path / f"s{n}")],
+                "reconstruct": ["reconstruct", "--config", cfg, "--batch", records,
+                                "--out", str(tmp_path / f"r{n}")],
+            }
+            for name, argv in commands.items():
+                peaks[name, n] = int(_run_python(code, *argv).stdout) / 1024.0  # kB -> MB
+        for name in ("sample", "reconstruct"):
+            assert peaks[name, 1300] - peaks[name, 300] <= 6.0, peaks
+
+
 class TestReconstruct:
     def test_vacuum_pipeline(self, tmp_path):
         cfg = base_config(samples=400)
@@ -383,6 +504,32 @@ class TestReconstruct:
         vals = [float(v) for v in origin.split(",")]
         assert vals[4] == pytest.approx(1.0, abs=1e-12)
         assert vals[5] == pytest.approx(0.0, abs=1e-12)
+
+    def test_state_of_other_modes_rejected(self, tmp_path):
+        cmd_sample(base_config(), tmp_path / "s")
+        chain = base_config(state={"kind": "chain", "m": 3, "kappa": 0.5})
+        with pytest.raises(ConfigError, match="the batch has 1 modes but the config's state has 3"):
+            cmd_reconstruct(chain, tmp_path / "s" / "records.jsonl", tmp_path / "r")
+
+    def test_long_chain_keeps_the_pair_only(self, tmp_path, monkeypatch):
+        # beyond four modes only the pair's columns are parsed into the batch; the
+        # grid's V is that of the whole batch, bit for bit
+        cfg = base_config(state={"kind": "chain", "m": 12, "kappa": 0.9}, samples=200,
+                          grid={"pair": [7, 2], "points": 7})
+        cmd_sample(cfg, tmp_path / "s")
+        records = tmp_path / "s" / "records.jsonl"
+        inner, kept = cli.reconstruct_pair_section, []
+
+        def spy(batch, *args):
+            kept.append(batch.modes)
+            return inner(batch, *args)
+
+        monkeypatch.setattr(cli, "reconstruct_pair_section", spy)
+        metrics = cmd_reconstruct(cfg, records, tmp_path / "r")
+        assert kept == [2] and metrics["pair"] == [7, 2]
+        full = SampleBatch.from_jsonl(records)
+        _, _, v_val = inner(full, build_state(cfg["state"]), (7, 2), -2.0, 2.0, 7)
+        assert metrics["v_metric"] == v_val
 
     def test_protocol_mismatch_rejected(self, tmp_path):
         cfg = base_config()

@@ -56,6 +56,11 @@ def traced_peak_mb(fn) -> float:
         tracemalloc.stop()
 
 
+def write_jsonl(batch: SampleBatch, path) -> None:
+    with open(path, "w") as fh:
+        batch.to_jsonl(fh)
+
+
 def dense_expectation(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
     """Reference ``<v|rho|v> = sum conj(v) (rho v)`` for every column ``v``."""
     return np.sum(kets.conj() * (rho @ kets), axis=0).real
@@ -173,6 +178,20 @@ class TestHomodynePdf:
             if name == "not-psd":  # both signs: the signed weights matter
                 assert dense.min() < 0 < dense.max()
 
+    @pytest.mark.parametrize("alpha", [26.0, 28.0])
+    def test_far_lobes_of_a_cat(self, alpha):
+        # exp(-q^2/2) underflows beyond |q| = 38.6, and the alpha = 28 cat's lobes
+        # sit at q = +-39.6: each reads half a coherent peak, pi^(-1/2) / 2
+        import cvshadow.measurement as meas
+
+        spec = CatStateSpec(alpha, "plus")
+        truncation = int(alpha * alpha + 10 * alpha + 40)
+        coeffs = cat_fock_coefficients(spec, truncation)
+        fock = FockMatrix(1, truncation, np.diag(np.abs(coeffs) ** 2))  # only M is read
+        q = np.array([-1.0, 1.0]) * math.sqrt(2.0) * alpha
+        density = meas._homodyne_density(fock, 0.0, q, (np.ones(1), coeffs[:, None]))
+        assert np.abs(density - 0.5 / math.sqrt(math.pi)).max() <= 1e-6
+
 
 class TestSampleHomodyne:
     def test_reproducible(self):
@@ -258,8 +277,8 @@ class TestSampleHomodyne:
         real_density = meas._homodyne_density
         probe_done: dict = {}
 
-        def spiked(fock, thetas, q):
-            vals = real_density(fock, thetas, q)
+        def spiked(fock, thetas, q, factors):
+            vals = real_density(fock, thetas, q, factors)
             if probe_done.get("armed"):
                 return vals * 50.0  # violate the calibrated bound
             probe_done["armed"] = True  # first call is the probe grid
@@ -277,8 +296,8 @@ class TestSampleHomodyne:
         real_density = meas._homodyne_density
         calls: list = []
 
-        def spiked(fock, thetas, q):
-            vals = real_density(fock, thetas, q)
+        def spiked(fock, thetas, q, factors):
+            vals = real_density(fock, thetas, q, factors)
             calls.append(q.size)
             if len(calls) == 2:  # the first chunk, after the probe
                 vals[123] = 1e6
@@ -289,6 +308,32 @@ class TestSampleHomodyne:
             meas.sample_homodyne_batch(spec, 100, "abort-one")
         # the first chunk is sized from the probe: max(1024, ceil(1.1 * 100 * bound))
         assert calls == [129 * 513, 1024]
+
+    @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
+    def test_state_factored_once_per_batch(self, monkeypatch, sample):
+        # the target is evaluated on the probe and on every chunk, and each
+        # evaluation once ran its own eigh; the factors are those eigh gave
+        import cvshadow.measurement as meas
+
+        spec = CatStateSpec(1 + 1j, "zero")
+        real_eigh, calls = np.linalg.eigh, []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        batch = sample(spec, 40_000, "one-eigh")
+        assert batch.meta["proposals"] > meas._REJECTION_CHUNK  # the probe and 2+ chunks
+        assert len(calls) == 1
+        # each call factoring for itself draws the same bits
+        real_density, real_husimi = meas._homodyne_density, meas.fock_husimi
+        monkeypatch.setattr(meas, "_homodyne_density", lambda f, t, q, _: real_density(f, t, q))
+        monkeypatch.setattr(meas, "fock_husimi", lambda f, x, _: real_husimi(f, x))
+        again = sample(spec, 40_000, "one-eigh")
+        assert len(calls) > 3
+        assert np.array_equal(again.outcomes, batch.outcomes)
+        assert np.array_equal(again.thetas, batch.thetas)
 
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
     def test_first_chunk_sized_from_the_probe(self, sample):
@@ -592,8 +637,8 @@ class TestSampleHeterodyne:
         real_husimi = meas.fock_husimi
         probe_done: dict = {}
 
-        def spiked(fock, x):
-            vals = np.asarray(real_husimi(fock, x), dtype=float)
+        def spiked(fock, x, factors):
+            vals = np.asarray(real_husimi(fock, x, factors), dtype=float)
             if probe_done.get("armed"):
                 return vals * 50.0  # violate the calibrated bound
             probe_done["armed"] = True  # first call is the probe grid
@@ -652,7 +697,7 @@ class TestCorrelatedGaussian:
         batch = sample_homodyne_batch(state, n, "qcorr")
         rng = stream_rng("qcorr")
         thetas = rng.uniform(-np.pi, np.pi, size=(n, m))
-        draws = state.phase_space_draws(0.0, n, rng)
+        draws = np.concatenate(list(state.phase_space_draws(0.0, n, rng)))
         assert np.array_equal(thetas, batch.thetas)
         rounds = np.cos(thetas) * draws[:, :m] - np.sin(thetas) * draws[:, m:]
         assert np.array_equal(rounds, batch.outcomes)
@@ -668,14 +713,14 @@ class TestCorrelatedGaussian:
         if protocol == "homodyne":
             batch = sample_homodyne_batch(state, n, "spectral")
             thetas = rng.uniform(-np.pi, np.pi, size=(n, m))
-            draws = state.phase_space_draws(0.0, n, rng)
+            draws = np.concatenate(list(state.phase_space_draws(0.0, n, rng)))
             assert np.array_equal(thetas, batch.thetas)
             rounds = np.cos(thetas) * draws[:, :m] - np.sin(thetas) * draws[:, m:]
             assert np.array_equal(rounds, batch.outcomes)
             self.assert_moments(draws, dense.mean, 0.5 * dense.cov)
         else:
             pts = sample_heterodyne_batch(state, n, "spectral").outcomes
-            draws = state.phase_space_draws(1.0, n, rng)
+            draws = np.concatenate(list(state.phase_space_draws(1.0, n, rng)))
             assert np.array_equal(draws, np.concatenate([pts[:, :, 0], pts[:, :, 1]], axis=1))
             self.assert_moments(draws, dense.mean, heterodyne_covariance(dense))
 
@@ -700,18 +745,28 @@ class TestThousandModeMemory:
     def test_chain_ground_state(self):
         assert traced_peak_mb(lambda: chain_ground_state(ChainSpec(1000, 0.99))) <= 96.0
 
-    def test_from_jsonl(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def records1000(self, tmp_path_factory):
         # 1000 rounds of 1000 modes: 12 MB of lines, 16 MB of outcomes
-        path = tmp_path / "records.jsonl"
-        SampleBatch("heterodyne", np.full((1000, 1000, 2), -0.5), None, "mem").to_jsonl(path)
-        assert traced_peak_mb(lambda: SampleBatch.from_jsonl(path)) <= 20.0
+        path = tmp_path_factory.mktemp("records") / "records.jsonl"
+        write_jsonl(SampleBatch("heterodyne", np.full((1000, 1000, 2), -0.5), None, "mem"), path)
+        return path
+
+    def test_from_jsonl(self, records1000):
+        assert traced_peak_mb(lambda: SampleBatch.from_jsonl(records1000)) <= 20.0
+
+    def test_from_jsonl_kept_columns(self, records1000):
+        # the kept (1000, 2, 2) outcomes are 32 kB and one parsed line about 0.1 MB;
+        # every line is still parsed and checked
+        peak = traced_peak_mb(lambda: SampleBatch.from_jsonl(records1000, modes=(0, 500)))
+        assert peak <= 2.0
 
 
 class TestRecordsAndBatches:
     def test_jsonl_roundtrip_bit_exact(self, tmp_path):
         batch = sample_homodyne_batch(GaussianStateSpec.thermal(0.3), 50, "rt")
         path = tmp_path / "records.jsonl"
-        batch.to_jsonl(path)
+        write_jsonl(batch, path)
         loaded = SampleBatch.from_jsonl(path)
         assert loaded.n == batch.n
         assert loaded.protocol == batch.protocol
@@ -725,15 +780,15 @@ class TestRecordsAndBatches:
     def test_heterodyne_roundtrip(self, tmp_path):
         batch = sample_heterodyne_batch(GaussianStateSpec.vacuum(), 20, "rth")
         path = tmp_path / "records.jsonl"
-        batch.to_jsonl(path)
+        write_jsonl(batch, path)
         loaded = SampleBatch.from_jsonl(path)
         assert np.array_equal(loaded.outcomes, batch.outcomes)
 
     def test_mixed_protocols_rejected(self, tmp_path):
         hom = tmp_path / "hom.jsonl"
         het = tmp_path / "het.jsonl"
-        sample_homodyne_batch(GaussianStateSpec.vacuum(), 2, "a").to_jsonl(hom)
-        sample_heterodyne_batch(GaussianStateSpec.vacuum(), 1, "a").to_jsonl(het)
+        write_jsonl(sample_homodyne_batch(GaussianStateSpec.vacuum(), 2, "a"), hom)
+        write_jsonl(sample_heterodyne_batch(GaussianStateSpec.vacuum(), 1, "a"), het)
         mixed = tmp_path / "mixed.jsonl"
         mixed.write_text(hom.read_text() + het.read_text())
         with pytest.raises(ValueError, match="line 3 has protocol 'heterodyne'"):
@@ -742,8 +797,8 @@ class TestRecordsAndBatches:
     def test_two_streams_rejected(self, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
-        sample_homodyne_batch(GaussianStateSpec.vacuum(), 3, "s/0").to_jsonl(a)
-        sample_homodyne_batch(GaussianStateSpec.vacuum(), 3, "s/1").to_jsonl(b)
+        write_jsonl(sample_homodyne_batch(GaussianStateSpec.vacuum(), 3, "s/0"), a)
+        write_jsonl(sample_homodyne_batch(GaussianStateSpec.vacuum(), 3, "s/1"), b)
         joined = tmp_path / "joined.jsonl"
         joined.write_text(a.read_text() + b.read_text())
         with pytest.raises(ValueError, match="line 4 .*seed_path 's/1'"):
@@ -786,7 +841,7 @@ class TestRecordsAndBatches:
             else:
                 outcomes, thetas = np.resize(extremes, (5, 3, 2)), None
             batch = SampleBatch(protocol, outcomes, thetas, seed_path)
-            batch.to_jsonl(path)
+            write_jsonl(batch, path)
             assert path.read_bytes() == reference_jsonl(batch)
             loaded = SampleBatch.from_jsonl(path)
             assert loaded.seed_path == seed_path
@@ -803,13 +858,56 @@ class TestRecordsAndBatches:
             sample_heterodyne_batch(GaussianStateSpec.thermal(0.3, modes=modes), rows, "mb/x"),
         ):
             path = tmp_path / f"{batch.protocol}.jsonl"
-            batch.to_jsonl(path)
+            write_jsonl(batch, path)
             assert path.read_bytes() == reference_jsonl(batch)
             loaded = SampleBatch.from_jsonl(path)
             assert loaded.n == rows
             assert np.array_equal(loaded.outcomes, batch.outcomes)
             if batch.thetas is not None:
                 assert np.array_equal(loaded.thetas, batch.thetas)
+
+    @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
+    def test_kept_columns_match_full_parse(self, tmp_path, sample):
+        batch = sample(GaussianStateSpec.thermal(0.3, modes=7), 30, "cols")
+        path = tmp_path / "records.jsonl"
+        write_jsonl(batch, path)
+        full = SampleBatch.from_jsonl(path)
+        for modes in ([3], [6, 0], [1, 2, 5], [], list(range(7))):
+            kept = SampleBatch.from_jsonl(path, modes=modes)
+            assert (kept.protocol, kept.seed_path, kept.n) == (full.protocol, "cols", 30)
+            assert kept.outcomes.shape == (30, len(modes)) + full.outcomes.shape[2:]
+            assert np.array_equal(kept.outcomes, full.outcomes[:, modes])
+            if full.thetas is not None:
+                assert np.array_equal(kept.thetas, full.thetas[:, modes])
+        for modes in ([0, 0], [7]):
+            with pytest.raises(ValueError, match="must be distinct"):
+                SampleBatch.from_jsonl(path, modes=modes)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_columns_not_kept_are_checked(self, tmp_path, bad):
+        # a kept column is read from every line, and every value of a line is checked
+        outcomes = np.zeros((3, 6, 2))
+        path = tmp_path / "records.jsonl"
+        write_jsonl(SampleBatch("heterodyne", outcomes, None, "chk"), path)
+        text = path.read_text().splitlines()
+        payload = json.loads(text[1])
+        payload["outcome"][5][1] = bad
+        text[1] = json.dumps(payload)
+        path.write_text("\n".join(text) + "\n")
+        for modes in (None, [0]):
+            with pytest.raises(ValueError, match="line 2 holds a value that is not finite"):
+                SampleBatch.from_jsonl(path, modes=modes)
+
+    def test_first_record_shape_checked(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        for outcome, protocol in (("0.5", "homodyne"), ("[[0.5,0.1]]", "homodyne"),
+                                  ("[0.5]", "heterodyne"), ("[[0.5,0.1,0.2]]", "heterodyne")):
+            path.write_text(f'{{"protocol":"{protocol}","thetas":null,"outcome":{outcome}}}\n')
+            with pytest.raises(ValueError, match="line 1 has shape"):
+                SampleBatch.from_jsonl(path)
+        path.write_text('{"protocol":"quadrature","thetas":null,"outcome":[0.5]}\n')
+        with pytest.raises(ValueError, match="unknown protocol 'quadrature'"):
+            SampleBatch.from_jsonl(path)
 
     def test_slice_is_a_batch(self):
         batch = sample_homodyne_batch(GaussianStateSpec.thermal(0.4, modes=2), 10, "sl")

@@ -1,6 +1,7 @@
 """Conventions, special functions, and characteristic-function evaluators."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from cvshadow.phase_space import (
     char_fock_dyad,
     char_gaussian_raw,
     displacement_oracle,
+    hermite_stack,
     laguerre,
     omega_apply,
     omega_matrix,
@@ -103,6 +105,38 @@ class TestHermite:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             hermite_wavefunction(201, 0.0)
+
+    def test_rows_unchanged_where_the_start_is_normal(self):
+        # pi^(-1/4) exp(-q^2/2) is a normal float up to |q| = 37.6: the plain
+        # recurrence, bit for bit
+        q = np.linspace(-37.6, 37.6, 4001)
+        psi_prev, psi = np.zeros_like(q), np.pi ** (-0.25) * np.exp(-0.5 * q * q)
+        rows = [psi]
+        for n in range(300):
+            psi_prev, psi = psi, q * np.sqrt(2.0 / (n + 1)) * psi - np.sqrt(
+                n / (n + 1.0)
+            ) * psi_prev
+            rows.append(psi)
+        assert np.array_equal(hermite_stack(300, q), np.array(rows))
+
+    @pytest.mark.parametrize("q", [-41.0, 38.0, 38.7, 39.0, 40.5])
+    def test_far_rows_do_not_underflow(self, q):
+        # the recurrence in 50-digit decimals, where exp(-q^2/2) is representable
+        with localcontext() as ctx:
+            ctx.prec = 50
+            x = Decimal(q)
+            prev, cur = Decimal(0), Decimal(math.pi) ** Decimal(-0.25) * (-x * x / 2).exp()
+            exact = [cur]
+            for n in range(900):
+                prev, cur = cur, x * (Decimal(2) / (n + 1)).sqrt() * cur - (
+                    Decimal(n) / (n + 1)
+                ).sqrt() * prev
+                exact.append(cur)
+        exact = np.array([float(v) for v in exact])
+        rows = hermite_stack(900, np.array([q, 0.0]))[:, 0]
+        top = np.abs(exact).max()
+        assert top > 0.1  # rows near n = q^2/2 are of order one
+        assert np.abs(rows - exact).max() <= 1e-12 * top
 
 
 class TestCoherentDyad:

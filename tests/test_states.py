@@ -450,7 +450,8 @@ class TestChain:
                 return np.eye(2 * m).reshape(2 * m, 2, m).transpose(1, 0, 2)
 
         spec = ChainSpec(m, 0.99 if m > 2 else 0.5)
-        rows = chain_state(spec).phase_space_draws(vacuum, 2 * m, UnitNormals())
+        blocks = chain_state(spec).phase_space_draws(vacuum, 2 * m, UnitNormals())
+        rows = np.concatenate(list(blocks))
         target = 0.5 * (chain_ground_state(spec).cov + vacuum * np.eye(2 * m))
         for b in (slice(0, m), slice(m, 2 * m)):
             assert np.abs(rows[:, b].T @ rows[:, b] - target[b, b]).max() <= 1e-13
@@ -466,22 +467,26 @@ class TestChain:
     @pytest.mark.parametrize("vacuum", [0.0, 1.0])
     def test_spectral_draws_match_whole_chunk(self, m, n, vacuum):
         state = chain_state(ChainSpec(m, 0.99))
-        draws = state.phase_space_draws(vacuum, n, np.random.default_rng(n))
+        blocks = state.phase_space_draws(vacuum, n, np.random.default_rng(n))
+        draws = np.concatenate(list(blocks))
         reference = circulant_draws_whole_chunk(state, vacuum, n, np.random.default_rng(n))
         assert np.array_equal(draws, reference)
 
     def test_spectral_draws_memory(self):
-        # the returned (1000, 2000) rows are 16 MB and one block's normals 4.2 MB;
-        # a (262, 1000) complex chunk beside them would add another 4.2 MB
+        # one block's (262, 2000) rows are 4.2 MB and its normals 4.2 MB; a
+        # (262, 1000) complex chunk beside them, or a block the generator
+        # still holds while it draws the next, would add another 4.2 MB, and
+        # holding every block the whole (1000, 2000) rows, 16 MB
         state = chain_state(ChainSpec(1000, 0.99))
         rng = np.random.default_rng(3)
         tracemalloc.start()
         try:
-            state.phase_space_draws(1.0, 1000, rng)
+            for block in state.phase_space_draws(1.0, 1000, rng):
+                del block  # before the next is drawn
             peak = tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
-        assert peak <= 16.0 + 4.2 + 1.0
+        assert peak <= 4.2 + 4.2 + 1.0
 
 
 class TestFockMatrices:
