@@ -33,10 +33,11 @@ import numpy as np
 from .phase_space import alpha_of, hermite_stack
 from .states import (
     CatStateSpec,
+    FockKet,
     FockMatrix,
     _check_modes,
+    cat_fock_coefficients,
     coherent_fock_coefficients,
-    fock_matrix_of,
     fock_moments,
 )
 
@@ -50,6 +51,10 @@ HETERODYNE = "heterodyne"
 _PROPOSAL_DOF = 4.0
 _ENVELOPE_MARGIN = 1.2
 _REJECTION_CHUNK = 32768
+# Points per slice of a density evaluation: a slice's (dim, 8192) block of
+# Hermite rows or coherent-state amplitudes is all a call holds, whatever the
+# number of points.
+_DENSITY_SLICE = 8192
 # Values per block of rows that ``SampleBatch.to_jsonl`` turns into Python floats.
 _JSONL_BLOCK_VALUES = 1 << 14
 
@@ -233,54 +238,75 @@ def _hermitian(rho: np.ndarray) -> bool:
     return float(np.abs(rho - rho.conj().T).max(initial=0.0)) <= 1e-8
 
 
-def _factors(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(lam, u)`` with ``rho = sum_k lam_k u_k u_k^H``, from one ``eigh``.
+def _factors(fock: FockMatrix | FockKet) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam, u)`` with ``rho = sum_k lam_k u_k u_k^H`` for the matrix ``rho`` of ``fock``.
 
-    Eigenpairs with ``|lam| <= dim eps max|lam|`` are dropped; the rest keep
-    their sign, so the factors hold for any Hermitian matrix, not only states.
-    A pure state (a cat, or Fock ``|n>``) keeps one pair.
+    A :class:`FockKet` ``c`` is its one factor, weight ``|c|^2`` and vector
+    ``c / |c|``.  A matrix takes one ``eigh``: eigenpairs with ``|lam| <= dim
+    eps max|lam|`` are dropped and the rest keep their sign, so the factors
+    hold for any Hermitian matrix, not only states.
     """
-    lam, u = np.linalg.eigh(rho)
+    if isinstance(fock, FockKet):
+        weight = float(np.vdot(fock.coeffs, fock.coeffs).real)
+        return np.array([weight]), (fock.coeffs / math.sqrt(weight))[:, None]
+    lam, u = np.linalg.eigh(fock.entries)
     keep = np.abs(lam) > lam.size * np.finfo(float).eps * np.abs(lam).max(initial=0.0)
     return lam[keep], u[:, keep]
 
 
-def _homodyne_density(fock: FockMatrix, thetas, q: np.ndarray, factors=None) -> np.ndarray:
+def _slices(n: int) -> Iterator[slice]:
+    return (slice(i, i + _DENSITY_SLICE) for i in range(0, n, _DENSITY_SLICE))
+
+
+def _homodyne_density(
+    fock: FockMatrix | FockKet, thetas, q: np.ndarray, factors=None
+) -> np.ndarray:
     """``p(q_i | theta_i)`` of a single-mode truncated state, one angle per point.
 
     ``p(q|theta) = <v|rho|v>`` with ``v_n = exp(-i n theta) psi_n(q)``;
     ``q`` is 1-D and ``thetas`` broadcasts to it.  Each factor's amplitude
     ``sum_n conj(u_n) psi_n(q) z^n``, ``z = exp(-i theta)``, is one Horner
-    pass over the rows of :func:`hermite_stack`: O(dim) per point and factor.
-    ``factors`` are ``_factors(fock.entries)``, when the caller holds them.
+    pass over the rows of :func:`hermite_stack`: O(dim) per point and factor,
+    ``_DENSITY_SLICE`` points at a time.  ``factors`` are ``_factors(fock)``,
+    when the caller holds them.
     """
-    lam, u = _factors(fock.entries) if factors is None else factors
+    lam, u = _factors(fock) if factors is None else factors
     coeffs = u.conj()[:, :, None]
-    psi = hermite_stack(fock.truncation, q)
-    z = np.exp(-1j * np.broadcast_to(thetas, q.shape))
-    amps = coeffs[-1] * psi[-1]
-    for n in range(fock.truncation - 1, -1, -1):
-        amps *= z
-        amps += coeffs[n] * psi[n]
-    return lam @ (amps.real**2 + amps.imag**2)
+    thetas = np.broadcast_to(thetas, q.shape)
+    out = np.empty(q.shape)
+    for sl in _slices(q.size):
+        psi = hermite_stack(fock.truncation, q[sl])
+        z = np.exp(-1j * thetas[sl])
+        amps = coeffs[-1] * psi[-1]
+        for n in range(fock.truncation - 1, -1, -1):
+            amps *= z
+            amps += coeffs[n] * psi[n]
+        out[sl] = lam @ (amps.real**2 + amps.imag**2)
+    return out
 
 
-def fock_husimi(fock: FockMatrix, x, factors=None) -> np.ndarray:
+def fock_husimi(fock: FockMatrix | FockKet, x, factors=None) -> np.ndarray:
     """Heterodyne outcome density ``<x|rho|x> / (2 pi)`` of a truncated state.
 
-    ``<x|rho|x> = sum_k lam_k |u_k^H v|^2`` over the eigenpairs of
+    ``<x|rho|x> = sum_k lam_k |u_k^H v|^2`` over the factors of
     :func:`_factors` (or ``factors``, when the caller holds them), for the
     coherent-state amplitudes ``v = <n|x>`` of
-    :func:`~cvshadow.states.coherent_fock_coefficients` at ``alpha(x)``.
-    Signed, like :func:`_homodyne_density`: for a Hermitian matrix that is
-    not a state it may read below zero.
+    :func:`~cvshadow.states.coherent_fock_coefficients` at ``alpha(x)``,
+    ``_DENSITY_SLICE`` points at a time.  Signed, like
+    :func:`_homodyne_density`: for a Hermitian matrix that is not a state it
+    may read below zero.
     """
     if fock.modes != 1:
         raise ValueError("fock_husimi supports single-mode matrices")
     x = np.asarray(x, dtype=float)
-    lam, u = _factors(fock.entries) if factors is None else factors
-    amps = u.conj().T @ coherent_fock_coefficients(alpha_of(x.reshape(-1, 2)), fock.truncation)
-    out = (lam @ (amps.real**2 + amps.imag**2) / (2.0 * np.pi)).reshape(x.shape[:-1])
+    lam, u = _factors(fock) if factors is None else factors
+    u_h = u.conj().T
+    points = x.reshape(-1, 2)
+    out = np.empty(len(points))
+    for sl in _slices(len(points)):
+        amps = u_h @ coherent_fock_coefficients(alpha_of(points[sl]), fock.truncation)
+        out[sl] = lam @ (amps.real**2 + amps.imag**2)
+    out = (out / (2.0 * np.pi)).reshape(x.shape[:-1])
     return out if np.ndim(out) else float(out)
 
 
@@ -290,17 +316,18 @@ def fock_husimi(fock: FockMatrix, x, factors=None) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _cat_sampling_fock(spec: CatStateSpec) -> FockMatrix:
+def _cat_sampling_fock(spec: CatStateSpec) -> FockKet:
     trunc = int(np.ceil(abs(spec.alpha) ** 2 + 6.0 * abs(spec.alpha) + 10))
-    return fock_matrix_of(spec, trunc)
+    return FockKet(cat_fock_coefficients(spec, trunc))
 
 
-def _sampling_fock(state) -> FockMatrix:
+def _sampling_fock(state) -> FockMatrix | FockKet:
     """The single-mode truncated state a non-Gaussian sampler draws from.
 
-    Raises ``ValueError`` unless it is Hermitian (to an absolute 1e-8),
-    positive semidefinite (to -1e-10) and of positive trace: the samplers
-    never clip a density.
+    A cat is its truncated amplitudes, a :class:`FockKet`.  A matrix must be
+    Hermitian (to an absolute 1e-8), positive semidefinite (to -1e-10) and
+    of positive trace, or ``ValueError`` is raised: the samplers never clip
+    a density.
     """
     if isinstance(state, CatStateSpec):
         return _cat_sampling_fock(state)
@@ -327,7 +354,7 @@ def _rejection_draws(
     probe_density: np.ndarray,
     n: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, dict]:
+) -> Iterator[tuple[np.ndarray, dict]]:
     """Exact rejection sampling of ``n`` points from the density ``target``.
 
     ``draw(rng, size)`` returns ``size`` proposal points as rows and their
@@ -338,15 +365,18 @@ def _rejection_draws(
     silently bias the sampler.  Each chunk asks for ``ceil(1.1 missing /
     acceptance)`` proposals, clamped to ``[1024, _REJECTION_CHUNK]``, at
     ``1 / bound`` (a normalised target's acceptance) until one is accepted
-    and at the acceptance so far after that.  Memory does not grow with
-    ``n``, and the samples stay exact: a chunk's size depends only on the
-    probe and the counts of earlier chunks, never on their points.  Returns
-    the points and ``{"acceptance", "proposals"}``, the acceptance being
-    accepted / proposed over every chunk drawn.
+    and at the acceptance so far after that.  The samples stay exact: a
+    chunk's size depends only on the probe and the counts of earlier chunks,
+    never on their points.  Yields each chunk's accepted points as rows,
+    with ``{}``, skipping a chunk that accepts none; the last chunk's points
+    come with ``{"acceptance", "proposals"}``, the acceptance being accepted
+    / proposed over every chunk drawn.  Memory does not grow with ``n``: the
+    target is called once on the probe and once per chunk (the densities
+    work through those points in fixed slices), and the probe and each
+    chunk's arrays are dropped before the next chunk is drawn.
     """
-    ratio = target(probe) / np.maximum(probe_density, 1e-300)
-    bound = _ENVELOPE_MARGIN * float(ratio.max())
-    out = np.empty((n, probe.shape[1]))
+    bound = _ENVELOPE_MARGIN * float(np.max(target(probe) / np.maximum(probe_density, 1e-300)))
+    del probe, probe_density  # the chunks need only the bound
     filled = accepted = proposed = 0
     while filled < n:
         wanted = 1.1 * (n - filled) * proposed / accepted if accepted else 1.1 * n * bound
@@ -362,14 +392,16 @@ def _rejection_draws(
                 f"{density[worst]:.3e} > envelope {ceiling[worst]:.3e}"
             )
         keep = pts[u * ceiling < density]
+        del pts, proposal, u, density, ceiling  # before the next chunk is drawn
         proposed += size
         accepted += keep.shape[0]
         take = keep[: n - filled]
-        out[filled : filled + take.shape[0]] = take
         filled += take.shape[0]
-    log.info("rejection sampling accepted %d of %d proposals", accepted, proposed)
-    acceptance = accepted / proposed if proposed else None
-    return out, {"acceptance": acceptance, "proposals": proposed}
+        if filled == n:
+            log.info("rejection sampling accepted %d of %d proposals", accepted, proposed)
+            yield take, {"acceptance": accepted / proposed, "proposals": proposed}
+        elif take.shape[0]:
+            yield take, {}
 
 
 def _t_draws(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
@@ -394,7 +426,7 @@ def _t_density(z: np.ndarray, scale) -> np.ndarray:
     return c * (1.0 + np.sum(z * z, axis=-1) / nu) ** (-0.5 * (nu + d)) / scale
 
 
-def _homodyne_proposals(fock: FockMatrix):
+def _homodyne_proposals(fock: FockMatrix | FockKet):
     """Map ``(thetas, z) -> (points, density)`` of the homodyne proposal.
 
     ``q = mean + std z`` with the state's rotated-quadrature mean and std at
@@ -414,15 +446,16 @@ def _homodyne_proposals(fock: FockMatrix):
 
 
 def _rejection_homodyne_draws(
-    fock: FockMatrix, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Draw (thetas, q) for n rounds on a single-mode truncated state.
+    fock: FockMatrix | FockKet, n: int, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, dict]]:
+    """Draw rows (theta, q) for n rounds on a single-mode truncated state.
 
     Proposal: ``theta`` uniform, then ``q`` from :func:`_homodyne_proposals`,
-    a Student t located and scaled by the state's rotated quadrature.
+    a Student t located and scaled by the state's rotated quadrature.  The
+    rows come chunk by chunk, as :func:`_rejection_draws` yields them.
     """
     proposals = _homodyne_proposals(fock)
-    factors = _factors(fock.entries)  # once per batch: the target is called per chunk
+    factors = _factors(fock)  # once per batch: the target is called per chunk
 
     def draw(rng, size):
         thetas = rng.uniform(-np.pi, np.pi, size)
@@ -435,8 +468,7 @@ def _rejection_homodyne_draws(
     probe, probe_density = proposals(
         np.repeat(grid_theta, grid_z.size), np.tile(grid_z, grid_theta.size)[:, None]
     )
-    pts, meta = _rejection_draws(target, draw, probe, probe_density, n, rng)
-    return pts[:, :1], pts[:, 1:], meta
+    return _rejection_draws(target, draw, probe, probe_density, n, rng)
 
 
 def sample_homodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
@@ -452,7 +484,7 @@ def sample_homodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
     return _whole_batch(sample_blocks(state, HOMODYNE, n, seed_path), n)
 
 
-def _heterodyne_proposals(fock: FockMatrix):
+def _heterodyne_proposals(fock: FockMatrix | FockKet):
     """Map ``z -> (points, density)`` of the heterodyne proposal.
 
     ``x = t + L z`` with ``L L^T = (V + I)/2`` from the state's moments;
@@ -469,15 +501,16 @@ def _heterodyne_proposals(fock: FockMatrix):
 
 
 def _rejection_heterodyne_draws(
-    fock: FockMatrix, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, dict]:
-    """Draw n heterodyne outcomes of a single-mode truncated state.
+    fock: FockMatrix | FockKet, n: int, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, dict]]:
+    """Draw n heterodyne outcomes of a single-mode truncated state, as rows (x, p).
 
     Proposal: :func:`_heterodyne_proposals`, a 2-D Student t located and
-    scaled by the state's heterodyne moments.
+    scaled by the state's heterodyne moments.  The rows come chunk by chunk,
+    as :func:`_rejection_draws` yields them.
     """
     proposals = _heterodyne_proposals(fock)
-    factors = _factors(fock.entries)  # once per batch: the target is called per chunk
+    factors = _factors(fock)  # once per batch: the target is called per chunk
 
     def draw(rng, size):
         return proposals(_t_draws(rng, size, 2))
@@ -488,8 +521,7 @@ def _rejection_heterodyne_draws(
     axis = np.linspace(-6.0, 6.0, 201)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     probe, probe_density = proposals(np.stack([gx.ravel(), gy.ravel()], axis=-1))
-    pts, meta = _rejection_draws(target, draw, probe, probe_density, n, rng)
-    return pts[:, None, :], meta
+    return _rejection_draws(target, draw, probe, probe_density, n, rng)
 
 
 def sample_heterodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
@@ -512,20 +544,21 @@ def sample_blocks(state, protocol: str, n: int, seed_path: str) -> Iterator[Samp
     Homodyne angles are the stream's first ``n m`` uniforms (one 64-bit draw
     each) and the normals follow them, so they come from a copy of the
     generator moved on by ``n m`` draws.  A cat state or truncated Fock
-    matrix is drawn by rejection as one batch, whose ``meta`` holds the
-    acceptance and proposal count.  However the blocks fall, the rounds are
-    the same bits, and a caller that drops each batch before asking for the
-    next holds one block at a time.
+    matrix is drawn by rejection and yields one batch per proposal chunk
+    that accepts a point; the last batch's ``meta`` holds the acceptance and
+    proposal count.  However the blocks fall, the rounds are the same bits,
+    and a caller that drops each batch before asking for the next holds one
+    block at a time.
     """
     rng = stream_rng(seed_path)
     if not hasattr(state, "phase_space_draws"):
         fock = _sampling_fock(state)
         if protocol == HOMODYNE:
-            thetas, qs, meta = _rejection_homodyne_draws(fock, n, rng)
-            yield SampleBatch(HOMODYNE, qs, thetas, seed_path, meta)
+            for pts, meta in _rejection_homodyne_draws(fock, n, rng):
+                yield SampleBatch(HOMODYNE, pts[:, 1:], pts[:, :1], seed_path, meta)
         else:
-            pts, meta = _rejection_heterodyne_draws(fock, n, rng)
-            yield SampleBatch(protocol, pts, None, seed_path, meta)
+            for pts, meta in _rejection_heterodyne_draws(fock, n, rng):
+                yield SampleBatch(protocol, pts[:, None, :], None, seed_path, meta)
         return
     m = state.modes
     if protocol != HOMODYNE:
@@ -545,7 +578,7 @@ def sample_blocks(state, protocol: str, n: int, seed_path: str) -> Iterator[Samp
 def _whole_batch(blocks: Iterator[SampleBatch], n: int) -> SampleBatch:
     """The ``n`` rounds of ``blocks`` as one batch, filled block by block."""
     first = next(blocks, None)
-    if first is None:  # a Gaussian state draws no block for n = 0
+    if first is None:  # no block is drawn for n = 0
         raise ValueError("a batch needs at least one round")
     outcomes = np.empty((n,) + first.outcomes.shape[1:])
     thetas = None if first.thetas is None else np.empty(outcomes.shape)

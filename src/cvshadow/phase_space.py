@@ -126,12 +126,13 @@ def hermite_stack(n_max: int, q) -> np.ndarray:
         psi_prev, psi = psi, q * np.sqrt(2.0 / (n + 1)) * psi - np.sqrt(
             n / (n + 1.0)
         ) * psi_prev
-        big = np.abs(psi[far]) > 2.0**_RESCALE_BITS
-        psi[far[big]] *= 2.0**-_RESCALE_BITS
-        psi_prev[far[big]] *= 2.0**-_RESCALE_BITS
-        e[big] += _RESCALE_BITS
         out[n + 1] = psi
-        out[n + 1, far] = np.ldexp(psi[far], e)
+        if far.size:
+            big = np.abs(psi[far]) > 2.0**_RESCALE_BITS
+            psi[far[big]] *= 2.0**-_RESCALE_BITS
+            psi_prev[far[big]] *= 2.0**-_RESCALE_BITS
+            e[big] += _RESCALE_BITS
+            out[n + 1, far] = np.ldexp(psi[far], e)
     return out.reshape(shape)
 
 

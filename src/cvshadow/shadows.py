@@ -37,10 +37,13 @@ multiplication.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -204,6 +207,45 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
+@cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of numpy's bundled OpenBLAS, or ``None``.
+
+    Looked up through numpy's core extension module, which links that
+    library; ``None`` where numpy was built against another BLAS.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+    return get, put
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's count.
+
+    A threaded zgemm splits its sums by thread, so the table's last bits (and
+    with them a shadow average's) would depend on ``OPENBLAS_NUM_THREADS``.
+    A no-op where :func:`_openblas_threads` finds no OpenBLAS.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 def _fourier_blocks(t: np.ndarray, rows: np.ndarray, odd: np.ndarray, step: float):
     """Cosine/sine transforms of weighted rows on whole blocks of nodes.
 
@@ -228,7 +270,9 @@ def _fourier_blocks(t: np.ndarray, rows: np.ndarray, odd: np.ndarray, step: floa
         del offsets
         for b in starts:
             # sums over t of w exp(i t r) and w t exp(i t r) at every node r
-            vals, slopes = np.split(turns @ (weights * np.exp(1j * b * t)).T, 2, axis=1)
+            with _one_blas_thread():
+                sums = turns @ (weights * np.exp(1j * b * t)).T
+            vals, slopes = np.split(sums, 2, axis=1)
             yield (
                 np.where(odd, vals.imag, vals.real),
                 np.where(odd, slopes.real, -slopes.imag),

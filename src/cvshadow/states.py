@@ -76,6 +76,27 @@ class FockMatrix:
         return out if np.ndim(out) else complex(out)
 
 
+@dataclass(frozen=True, eq=False)
+class FockKet:
+    """Single-mode pure state ``c c^H``, held as its amplitudes ``c_n``, ``n <= M``.
+
+    It stands in for its :class:`FockMatrix` where only the state's factor
+    and moments are read, so the samplers never form the (dim, dim) matrix
+    of a large cat; ``entries`` builds that matrix.
+    """
+
+    coeffs: np.ndarray
+    modes = 1
+
+    @property
+    def truncation(self) -> int:
+        return self.coeffs.size - 1
+
+    @property
+    def entries(self) -> np.ndarray:
+        return np.outer(self.coeffs, self.coeffs.conj())
+
+
 # ---------------------------------------------------------------------------
 # Gaussian states
 # ---------------------------------------------------------------------------
@@ -338,8 +359,8 @@ def coherent_fock_coefficients(alpha, truncation: int) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         mag = n * np.log(np.abs(alpha))
     mag[0] = 0.0  # |alpha|^0 = 1, also at alpha = 0
-    # in place: a heterodyne probe asks for (dim, 40401) amplitudes, and this
-    # keeps its peak at one float and one complex array of that shape
+    # in place: the peak is one float and one complex array of the result's
+    # shape (the heterodyne density asks for slices of 8192 points)
     mag += -0.5 * np.abs(alpha) ** 2
     mag -= 0.5 * log_fact
     out = 1j * n * np.angle(alpha)
@@ -571,27 +592,32 @@ def fock_matrix_of(state, truncation: int) -> FockMatrix:
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
     if isinstance(state, CatStateSpec):
-        coeffs = cat_fock_coefficients(state, truncation)
-        return FockMatrix(1, truncation, np.outer(coeffs, coeffs.conj()))
+        return FockMatrix(1, truncation, FockKet(cat_fock_coefficients(state, truncation)).entries)
     if isinstance(state, GaussianStateSpec):
         return _gaussian_fock(state, truncation)
     raise ValueError(f"unsupported state kind: {type(state).__name__}")
 
 
-def fock_moments(fock: FockMatrix) -> tuple[np.ndarray, np.ndarray]:
+def fock_moments(fock: FockMatrix | FockKet) -> tuple[np.ndarray, np.ndarray]:
     """Mean vector and covariance matrix implied by a single-mode Fock matrix.
 
-    Uses the ladder-operator sums; the covariance follows the anticommutator
+    Uses the ladder-operator sums over the matrix's diagonals ``rho[n + k,
+    n]``, ``k = 0, 1, 2``; a :class:`FockKet` ``c`` gives the same products
+    ``c[k:] conj(c[:-k])``.  The covariance follows the anticommutator
     convention in which the vacuum has V = I.
     """
     if fock.modes != 1:
         raise ValueError("fock_moments supports single-mode matrices")
-    rho = fock.entries
+    if isinstance(fock, FockKet):
+        c = fock.coeffs
+        diag = [c[k:] * c[: c.size - k].conj() for k in range(3)]
+    else:
+        diag = [np.diag(fock.entries, k=-k) for k in range(3)]
     n = np.arange(fock.truncation + 1)
-    tr = np.trace(rho).real
-    a_mean = np.sum(np.sqrt(n[1:]) * np.diag(rho, k=-1))
-    aa = np.sum(np.sqrt(n[2:] * (n[2:] - 1)) * np.diag(rho, k=-2))
-    adaga = np.sum(n * np.diag(rho).real)
+    tr = np.sum(diag[0]).real
+    a_mean = np.sum(np.sqrt(n[1:]) * diag[1])
+    aa = np.sum(np.sqrt(n[2:] * (n[2:] - 1)) * diag[2])
+    adaga = np.sum(n * diag[0].real)
     tx = np.sqrt(2.0) * a_mean.real / tr
     tp = np.sqrt(2.0) * a_mean.imag / tr
     x2 = aa.real + adaga + 0.5 * tr

@@ -454,6 +454,42 @@ class TestStreamedSample:
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_cat_peak_rss_flat_in_samples(self, tmp_path):
+        # rejection rounds are written chunk by chunk: N = 1e5 and 4e5 homodyne
+        # rounds of a cat, each in its own process, grew it by 9.0 MB while the
+        # accepted (N, 2) points were held (see the chain pin for the reading)
+        code = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'cvshadow.cli', *sys.argv[1:]], check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+        )
+        peaks = {}
+        for n in (100_000, 400_000):
+            config = base_config(state={"kind": "cat", "alpha": [1, 1]}, protocol="homodyne", samples=n)
+            cfg = str(write_config(tmp_path, config, f"cat{n}.json"))
+            argv = ["sample", "--config", cfg, "--out", str(tmp_path / f"s{n}")]
+            peaks[n] = int(_run_python(code, *argv).stdout.splitlines()[-1]) / 1024.0  # kB -> MB
+        assert peaks[400_000] - peaks[100_000] <= 3.0, peaks
+
+    def test_heterodyne_shadow_bytes_do_not_follow_blas_threads(self, tmp_path):
+        # the profile table's block products run on one OpenBLAS thread; with
+        # two, the shadow average's last bits moved (grid.csv did not)
+        config = base_config(samples=50, grid={"points": 5})
+        cfg = write_config(tmp_path, config)
+        cmd_sample(config, tmp_path / "s")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        averages = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"r{threads}"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "cvshadow.cli", "reconstruct", "--config", str(cfg),
+                 "--batch", str(tmp_path / "s" / "records.jsonl"), "--out", str(out)],
+                env=env, capture_output=True, check=True,
+            )
+            averages.append((out / "shadow_average.json").read_bytes())
+        assert averages[0] == averages[1]
+
     def test_chain_peak_rss_flat_in_samples(self, tmp_path):
         # each command in its own process, at N = 300 and N = 1300 rounds of the
         # m = 1000 chain: holding the (N, m, 2) outcomes grew them by 15 and 16 MB.

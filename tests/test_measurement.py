@@ -193,6 +193,52 @@ class TestHomodynePdf:
         assert np.abs(density - 0.5 / math.sqrt(math.pi)).max() <= 1e-6
 
 
+class TestDensitySlices:
+    """Both densities evaluate their points ``_DENSITY_SLICE`` at a time."""
+
+    @staticmethod
+    def densities(fock, n):
+        import cvshadow.measurement as meas
+
+        rng = np.random.default_rng(8)
+        thetas, q = rng.uniform(-np.pi, np.pi, n), 3.0 * rng.standard_normal(n)
+        x = 3.0 * rng.standard_normal((n, 2))
+        return meas._homodyne_density(fock, thetas, q), fock_husimi(fock, x)
+
+    @pytest.mark.parametrize("name", ["cat-zero", "fock3", "thermal1-12"])
+    def test_slices_are_the_whole_evaluation(self, monkeypatch, name):
+        # elementwise per point, so a pure state's homodyne density keeps its
+        # bits; the products over factors and amplitudes are BLAS calls, whose
+        # rounding may follow the number of points and threads
+        import cvshadow.measurement as meas
+
+        fock = meas._sampling_fock(SCAN_STATES[name])
+        n = 2 * meas._DENSITY_SLICE + 3
+        sliced = self.densities(fock, n)
+        monkeypatch.setattr(meas, "_DENSITY_SLICE", n)
+        whole = self.densities(fock, n)
+        for got, expected in zip(sliced, whole):
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        if name == "cat-zero":
+            assert np.array_equal(sliced[0], whole[0])
+
+    @pytest.mark.parametrize("density", ["homodyne", "heterodyne"])
+    def test_density_memory_at_2e5_points(self, density):
+        # one (dim, 8192) slice of Hermite rows or amplitudes at a time: 45 and
+        # 111 MB while the whole (dim, 2e5) block was built
+        import cvshadow.measurement as meas
+
+        fock = meas._sampling_fock(CatStateSpec(1 + 1j, "zero"))
+        rng = np.random.default_rng(9)
+        if density == "homodyne":
+            thetas, q = rng.uniform(-np.pi, np.pi, 200_000), 2.0 * rng.standard_normal(200_000)
+            peak = traced_peak_mb(lambda: meas._homodyne_density(fock, thetas, q))
+        else:
+            x = 2.0 * rng.standard_normal((200_000, 2))
+            peak = traced_peak_mb(lambda: fock_husimi(fock, x))
+        assert peak <= 8.0
+
+
 class TestSampleHomodyne:
     def test_reproducible(self):
         state = GaussianStateSpec.vacuum()
@@ -315,7 +361,7 @@ class TestSampleHomodyne:
         # evaluation once ran its own eigh; the factors are those eigh gave
         import cvshadow.measurement as meas
 
-        spec = CatStateSpec(1 + 1j, "zero")
+        spec = fock_matrix_of(CatStateSpec(1 + 1j, "zero"), 21)
         real_eigh, calls = np.linalg.eigh, []
 
         def counted(a, *args, **kwargs):
@@ -371,15 +417,79 @@ class TestSampleHomodyne:
         peak = traced_peak_mb(lambda: sample_homodyne_batch(spec, 100_000, "mem"))
         assert peak < 150.0
 
+    @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
+    def test_cat_factored_without_eigh(self, monkeypatch, sample):
+        # a cat is its amplitudes c: one factor, weight |c|^2 and vector c / |c|,
+        # and no (dim, dim) matrix or eigh (6 s at alpha = 40, truncation 1850)
+        import cvshadow.measurement as meas
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a cat needs no dense matrix and no eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        monkeypatch.setattr(np, "outer", refused)
+        batch = sample(CatStateSpec(1 + 1j, "zero"), 2000, "no-eigh")
+        assert batch.n == 2000 and batch.meta["acceptance"] > 0.5
+        monkeypatch.undo()
+        ket = meas._sampling_fock(CatStateSpec(1 + 1j, "plus"))
+        lam, u = meas._factors(ket)
+        dense_lam, dense_u = meas._factors(fock_matrix_of(CatStateSpec(1 + 1j, "plus"), 21))
+        assert lam == pytest.approx(dense_lam, abs=1e-15)
+        assert abs(np.vdot(u[:, 0], dense_u[:, 0])) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("name", ["cat-zero", "cat-plus-2", "cat-minus-1.5j"])
+    def test_cat_moments_are_the_dense_bits(self, name):
+        # the proposal's moments come from the products c[k:] conj(c[:-k]) that
+        # the dense matrix's diagonals hold, so the proposals keep their bits
+        import cvshadow.measurement as meas
+
+        ket = meas._sampling_fock(SCAN_STATES[name])
+        dense = fock_matrix_of(SCAN_STATES[name], ket.truncation)
+        for got, expected in zip(fock_moments(ket), fock_moments(dense)):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    def test_rejection_blocks_are_the_batch(self, protocol):
+        # one block per proposal chunk that accepts a point; the last carries the meta
+        import cvshadow.measurement as meas
+
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        spec = CatStateSpec(1 + 1j, "zero")
+        blocks = list(meas.sample_blocks(spec, protocol, 40_000, "blocks"))
+        whole = sample(spec, 40_000, "blocks")
+        assert len(blocks) >= 2
+        assert all(block.n <= meas._REJECTION_CHUNK for block in blocks)
+        assert all(block.meta == {} for block in blocks[:-1])
+        assert blocks[-1].meta == whole.meta
+        assert set(whole.meta) == {"acceptance", "proposals"}
+        outcomes = np.concatenate([block.outcomes for block in blocks])
+        assert np.array_equal(outcomes, whole.outcomes)
+        if protocol == "homodyne":
+            assert np.array_equal(np.concatenate([b.thetas for b in blocks]), whole.thetas)
+
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
     def test_cat_sampler_memory_at_2e5(self, protocol):
-        # fixed proposal chunks and an O(dim) target per point: the peak is
-        # the probe and one chunk, not the batch
+        # fixed proposal chunks and densities in fixed point slices: the peak is
+        # the probe, one chunk and the returned batch
         sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
         spec = CatStateSpec(1 + 1j, "zero")
         sample(spec, 10, "warm")
         peak = traced_peak_mb(lambda: sample(spec, 200_000, "mem2e5"))
         assert peak <= 32.0
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    @pytest.mark.parametrize("n", [20_000, 200_000])
+    def test_cat_sampler_memory_beyond_its_batch(self, protocol, n):
+        # beyond the returned arrays, the probe, one chunk and one density
+        # slice: 13 to 24 MB while a density built the (dim, points) block of
+        # the whole probe or chunk
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        spec = CatStateSpec(1 + 1j, "zero")
+        sample(spec, 10, "warm")
+        batches: list = []
+        peak = traced_peak_mb(lambda: batches.append(sample(spec, n, "beyond")))
+        held = batches[0].outcomes.nbytes + (0 if protocol == "heterodyne" else batches[0].thetas.nbytes)
+        assert peak - held / 1e6 <= 10.0
 
     def test_gaussian_chain_memory_bounded(self):
         # one Cholesky of V/2 for the whole batch, no per-round covariances

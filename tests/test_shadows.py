@@ -326,6 +326,27 @@ def _bessel_nodes(w: WindowSpec, nodes: int):
 
 
 class TestProfileTable:
+    def test_one_blas_thread_restores_the_callers_count(self):
+        # the table's products run on one OpenBLAS thread, so its bits do not
+        # follow OPENBLAS_NUM_THREADS; the caller's count comes back, also on error
+        calls = shadows._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy is not linked against its bundled OpenBLAS")
+        get, put = calls
+        before = get()
+        try:
+            for threads in (2, 1):
+                put(threads)
+                with shadows._one_blas_thread():
+                    assert get() == 1
+                assert get() == threads
+            put(2)
+            with pytest.raises(ZeroDivisionError), shadows._one_blas_thread():
+                1 / 0
+            assert get() == 2
+        finally:
+            put(before)
+
     def test_homodyne_table_matches_adaptive(self):
         # rounds with |q| in each of the blocks [0, 1), ..., [3, 4)
         rng = np.random.default_rng(31)
