@@ -158,11 +158,6 @@ def char_coherent_dyad(x, y, u):
     return out if np.ndim(out) else complex(out)
 
 
-def _log_fact_ratio_sqrt(lo: int, hi: int) -> float:
-    """log sqrt(lo!/hi!) for hi >= lo, in the log domain."""
-    return 0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1))
-
-
 def dyad_poly(lo: int, d: int, rho):
     """``(rho/sqrt2)^d L_lo^(d)(rho^2/2)``, the Fock-dyad profile without its Gaussian.
 
@@ -188,7 +183,7 @@ def fock_dyad_radial(n1: int, n2: int):
     d = n2 - n1
     lo, hi = min(n1, n2), max(n1, n2)
     sign = (-1.0) ** (n1 - n2) if n1 > n2 else 1.0
-    coeff = sign * np.exp(_log_fact_ratio_sqrt(lo, hi))
+    coeff = sign * np.exp(0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1)))  # sqrt(lo!/hi!)
 
     def radial(rho):
         rho = np.asarray(rho, dtype=float)
@@ -213,36 +208,6 @@ def char_fock_dyad(n1: int, n2: int, u):
     phi = np.arctan2(u[..., 1], u[..., 0])
     out = coeff * radial(rho) * np.exp(1j * d * phi)
     return out if np.ndim(out) else complex(out)
-
-
-def fock_pairing_matrix(char, truncation: int, half: float, nodes: int, window):
-    """Fock-basis matrix of an operator from its characteristic function.
-
-    Entry ``(n1, n2)`` is the Plancherel pairing ``int conj(chi_{|n1><n2|}(u))
-    window(u) char(u) d^2u / (2 pi)``, i.e. ``<n1| T |n2>`` for the operator
-    ``T`` with characteristic function ``window * char``.  The integral runs
-    over a Gauss-Legendre tensor grid with ``nodes`` points per axis on
-    ``[-half, half]^2``; ``window`` maps points ``(..., 2)`` to real
-    weights.  Returns the Hermitian ``(M+1, M+1)`` complex array.
-    """
-    x, wts = np.polynomial.legendre.leggauss(nodes)
-    pts = half * x
-    ux, up = np.meshgrid(pts, pts, indexing="ij")
-    grid = np.stack([ux, up], axis=-1)
-    weighted = np.outer(wts, wts) * (half * half) * char(grid) / (2.0 * np.pi)
-    weighted = weighted * window(grid)
-    rho = np.sqrt(ux * ux + up * up)
-    phi = np.arctan2(up, ux)
-    dim = truncation + 1
-    mat = np.zeros((dim, dim), dtype=complex)
-    for n1 in range(dim):
-        for n2 in range(n1, dim):
-            coeff, d, radial = fock_dyad_radial(n1, n2)
-            dyad = coeff * radial(rho) * np.exp(1j * d * phi)
-            val = np.sum(np.conj(dyad) * weighted)
-            mat[n1, n2] = val
-            mat[n2, n1] = np.conj(val)
-    return mat
 
 
 def displacement_oracle(u, m_osc: int) -> np.ndarray:

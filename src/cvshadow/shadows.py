@@ -25,14 +25,16 @@ of 512 nodes with fixed array shapes and stored node-major, and cubic Hermite
 interpolation between the two nodes that bracket r.  Both protocols' nodes
 are cosine/sine transforms on a fixed Gauss-Legendre rule in t (found by
 Newton's method, :func:`_gauss_legendre`), each block one matrix product by
-angle addition against the in-block offsets (:func:`_fourier_blocks`).
+angle addition against the in-block offsets (:meth:`_ProfileTable.cover`).
 Homodyne rows are the pattern functions' integrands on a 600-node rule;
 heterodyne rows are the Radon projections of the windowed dyads, on a rule
-split at the window's inner radius eta, so no Bessel function is evaluated.
-The table grows by whole blocks up to ``PROFILE_MAX_RADIUS``, and a round's
-entries depend on that round alone.
+split at the window's inner radius eta (:func:`_heterodyne_rule`), so no
+Bessel function is evaluated.  The table grows by whole blocks up to
+``PROFILE_MAX_RADIUS``, and a round's entries depend on that round alone.
 The phases ``c_d z^d`` of a round come from one complex ``z`` by repeated
-multiplication.
+multiplication.  The exact target ``P~_M(rho)`` pairs in polar coordinates on
+the heterodyne radial rule, one FFT over angles per radius
+(:func:`project_PM_tilde`).
 """
 
 from __future__ import annotations
@@ -48,11 +50,7 @@ from functools import cache
 import numpy as np
 
 from .measurement import HETERODYNE, HOMODYNE, SampleBatch
-from .phase_space import (
-    dyad_poly,
-    fock_dyad_radial,
-    fock_pairing_matrix,
-)
+from .phase_space import dyad_poly, fock_dyad_radial
 from .states import FockMatrix, _check_modes, multi_indices
 
 # Normalization of the homodyne per-mode entry relative to `int dy |y| ...`,
@@ -246,41 +244,6 @@ def _one_blas_thread():
         put(threads)
 
 
-def _fourier_blocks(t: np.ndarray, rows: np.ndarray, odd: np.ndarray, step: float):
-    """Cosine/sine transforms of weighted rows on whole blocks of nodes.
-
-    Row ``i`` holds the weights ``w_i(t)`` of ``sum_t w_i(t) osc_i(t r)``, with
-    sin for the ``odd`` rows and cos otherwise; the r-derivative is the same
-    sum with one more factor t.  Returns ``blocks(starts)``, which yields the
-    node-major values and slopes of the ``_BLOCK_NODES`` nodes ``b + j *
-    step`` of each block start ``b``.  By angle addition, ``exp(i t (b + j
-    step)) = exp(i t b) exp(i t j step)``: the second factor, a len(t) x
-    ``_BLOCK_NODES`` matrix, is evaluated once per ``blocks`` call (one table
-    growth) and dropped afterwards, and each block is one matrix product.
-    The offsets ``j * step`` and radii ``b + j * step`` are exact, since
-    ``step`` is a power of two.
-    """
-    weights = np.concatenate([rows, rows * t])
-
-    def blocks(starts):
-        offsets = np.outer(step * np.arange(_BLOCK_NODES), t)
-        turns = np.empty(offsets.shape, dtype=complex)
-        np.cos(offsets, out=turns.real)
-        np.sin(offsets, out=turns.imag)
-        del offsets
-        for b in starts:
-            # sums over t of w exp(i t r) and w t exp(i t r) at every node r
-            with _one_blas_thread():
-                sums = turns @ (weights * np.exp(1j * b * t)).T
-            vals, slopes = np.split(sums, 2, axis=1)
-            yield (
-                np.where(odd, vals.imag, vals.real),
-                np.where(odd, slopes.real, -slopes.imag),
-            )
-
-    return blocks
-
-
 def _homodyne_rows(truncation: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and rows of the homodyne pattern functions, from a fixed 600-node rule.
 
@@ -309,6 +272,20 @@ _HET_MIN_NODES = 60
 _HET_V_NODES = 40
 
 
+def _heterodyne_rule(w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule on [0, R], split at eta, whose weights carry a factor 1/pi.
+
+    The heterodyne table's t-rule and :func:`project_PM_tilde`'s radial rule.
+    """
+    t, wt = [], []
+    for lo, hi in ((0.0, w.eta), (w.eta, w.radius)):
+        n = max(_HET_MIN_NODES, math.ceil(_HET_NODES_PER_RHO * (hi - lo)))
+        x, wx = _gauss_legendre(n + n % 2)
+        t.append(lo + 0.5 * (hi - lo) * (x + 1.0))
+        wt.append(0.5 * (hi - lo) / math.pi * wx)
+    return np.concatenate(t), np.concatenate(wt)
+
+
 def _heterodyne_rows(truncation: int, w: WindowSpec) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and rows of the windowed Bessel transforms, from their Radon projections.
 
@@ -318,16 +295,10 @@ def _heterodyne_rows(truncation: int, w: WindowSpec) -> tuple[np.ndarray, np.nda
     osc_d(s t) dt``, cos for even and sin for odd d, with the projection
     ``P_d(t) = 2 int_0^sqrt(R^2 - t^2) g(rho) T_d(t / rho) dv`` at ``rho =
     sqrt(t^2 + v^2)`` and ``T_d(t / rho) = cos(d atan2(v, t))``.  The t-rule
-    is split at eta (the window's third derivative jumps there), and so is
-    each v-rule, at ``sqrt(eta^2 - t^2)``.
+    is :func:`_heterodyne_rule`, split at eta, and so is each v-rule, at
+    ``sqrt(eta^2 - t^2)``.
     """
-    t, wt = [], []
-    for lo, hi in ((0.0, w.eta), (w.eta, w.radius)):
-        n = max(_HET_MIN_NODES, math.ceil(_HET_NODES_PER_RHO * (hi - lo)))
-        x, wx = _gauss_legendre(n + n % 2)
-        t.append(lo + 0.5 * (hi - lo) * (x + 1.0))
-        wt.append(0.5 * (hi - lo) / math.pi * wx)
-    t, wt = np.concatenate(t), np.concatenate(wt)
+    t, wt = _heterodyne_rule(w)
     x, wx = _gauss_legendre(_HET_V_NODES)
     x, wx = 0.5 * (x + 1.0), 0.5 * wx
     inner = np.sqrt(np.maximum(w.eta * w.eta - t * t, 0.0))[:, None]
@@ -347,20 +318,26 @@ def _heterodyne_rows(truncation: int, w: WindowSpec) -> tuple[np.ndarray, np.nda
 class _ProfileTable:
     """Values and r-derivatives of every profile_{d,k} at r_j = j * step.
 
-    Stored node-major, shape (nodes, rows), so that interpolating at one
-    radius reads whole rows.
+    Row ``i`` holds the weights ``w_i(t)`` of ``sum_t w_i(t) osc_i(t r)``,
+    sin for the ``odd`` rows and cos otherwise; the r-derivative has one more
+    factor t.  Stored node-major, (nodes, rows), so one radius reads whole rows.
     """
 
-    def __init__(self, blocks, rows: int, step: float):
-        self._blocks = blocks
+    def __init__(self, t: np.ndarray, rows: np.ndarray, odd: np.ndarray, step: float):
+        self._t = t
+        self._weights = np.concatenate([rows, rows * t])
+        self._odd = odd
         self.step = step
-        self.values = self.slopes = np.empty((0, rows))
+        self.values = self.slopes = np.empty((0, len(rows)))
 
     def cover(self, r_max: float) -> None:
         """Grow by whole blocks until nodes bracket ``r_max``.
 
-        Raises ``ValueError`` above ``PROFILE_MAX_RADIUS``, before building
-        any block.
+        By angle addition, ``exp(i t (b + j step)) = exp(i t b) exp(i t j
+        step)`` at block start ``b``: the second factor is evaluated once per
+        growth, and each block is one matrix product.  ``j * step`` and ``b +
+        j * step`` are exact, since ``step`` is a power of two.  Raises
+        ``ValueError`` above ``PROFILE_MAX_RADIUS``, before building any block.
         """
         if r_max > PROFILE_MAX_RADIUS:
             raise ValueError(
@@ -369,10 +346,24 @@ class _ProfileTable:
             )
         have = self.values.shape[0]
         starts = self.step * np.arange(have, int(r_max / self.step) + 2, _BLOCK_NODES)
-        if starts.size:
-            blocks = list(self._blocks(starts))
-            self.values = np.concatenate([self.values] + [b[0] for b in blocks])
-            self.slopes = np.concatenate([self.slopes] + [b[1] for b in blocks])
+        if not starts.size:
+            return
+        offsets = np.outer(self.step * np.arange(_BLOCK_NODES), self._t)
+        turns = np.empty(offsets.shape, dtype=complex)
+        np.cos(offsets, out=turns.real)
+        np.sin(offsets, out=turns.imag)
+        del offsets
+        values, slopes = [self.values], [self.slopes]
+        for b in starts:
+            # sums over t of w exp(i t r) and w t exp(i t r) at every node r
+            with _one_blas_thread():
+                sums = turns @ (self._weights * np.exp(1j * b * self._t)).T
+            vals, slps = np.split(sums, 2, axis=1)
+            values.append(np.where(self._odd, vals.imag, vals.real))
+            slopes.append(np.where(self._odd, slps.real, -slps.imag))
+        del turns
+        self.values = np.concatenate(values)
+        self.slopes = np.concatenate(slopes)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Cubic Hermite interpolation of every profile at radii ``r``: (rows, N).
@@ -401,8 +392,7 @@ def _profile_table(protocol: str, truncation: int, w: WindowSpec | None):
         else:
             t, rows = _heterodyne_rows(truncation, w)
         odd = np.array([d % 2 == 1 for d, _ in _dyads(truncation)])
-        step = PROFILE_STEPS[protocol]
-        _PROFILE_TABLES[key] = _ProfileTable(_fourier_blocks(t, rows, odd, step), len(rows), step)
+        _PROFILE_TABLES[key] = _ProfileTable(t, rows, odd, PROFILE_STEPS[protocol])
     return _PROFILE_TABLES[key]
 
 
@@ -615,23 +605,40 @@ def project_PM(big: FockMatrix, truncation: int) -> FockMatrix:
     return FockMatrix(big.modes, truncation, entries)
 
 
-# Gauss-Legendre nodes per axis of the P~_M tensor grid over [-R, R]^2.
-_PM_TILDE_NODES = 240
+# Equispaced angles per radius of the P~_M pairing (K = 64 left 1.3e-4 at M = 6).
+_PM_TILDE_ANGLES = 256
 
 
 def project_PM_tilde(state, truncation: int, w: WindowSpec | None = None) -> FockMatrix:
-    """Window-smoothed projection ``P~_M(rho)`` of an exact state.
+    """Window-smoothed projection ``P~_M(rho)`` of an exact single-mode state.
 
-    Entries are the windowed Plancherel pairings ``Tr[Z~_{n2 n1} rho] =
-    int conj(chi_{|n1><n2|} xi) chi_rho d^2u/(2 pi)`` per mode pair,
-    evaluated on a Gauss-Legendre tensor grid covering the window support
-    (the integrand vanishes outside |u| = R).  Single-mode states only;
-    multimode product states follow by tensoring.
+    Entry ``(n1, n2)``, ``n1 <= n2``, is the pairing ``int conj(chi_{|n1><n2|})
+    xi chi_rho d^2u / (2 pi)``; with ``chi_{|n1><n2|} = coeff radial(rho)
+    exp(i d phi)``, ``d = n2 - n1``, its angular integral is Fourier
+    coefficient d of ``chi_rho`` on a circle.  Radii are
+    :func:`_heterodyne_rule`'s, and one FFT over ``_PM_TILDE_ANGLES`` = 256
+    angles per radius gives every d.  Against 3x the radial nodes and 2048
+    angles no entry moved by more than 3.9e-15 (M <= 31; coherent alpha up to
+    8, cats up to 5, squeezing e^{+-2}).  Entries with n1 > n2 are the
+    conjugates.  Multimode states raise ``ValueError`` (product states follow
+    by tensoring), and so does ``M >= 128``, whose d the angles would alias.
     """
     w = w or default_window(truncation)
     if getattr(state, "modes", 1) != 1:
         raise ValueError("project_PM_tilde supports single-mode states")
-    mat = fock_pairing_matrix(
-        state.char, truncation, w.radius, _PM_TILDE_NODES, window=w.xi
-    )
+    if 2 * truncation >= _PM_TILDE_ANGLES:
+        raise ValueError(f"truncation {truncation} needs more than {_PM_TILDE_ANGLES} angles")
+    rho, wt = _heterodyne_rule(w)
+    phi = 2.0 * np.pi / _PM_TILDE_ANGLES * np.arange(_PM_TILDE_ANGLES)
+    circle = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    weight = np.pi * wt * rho * w.xi_radial(rho) / _PM_TILDE_ANGLES
+    dim = truncation + 1
+    coeffs = np.fft.fft(state.char(rho[:, None, None] * circle), axis=1)[:, :dim]
+    coeffs *= weight[:, None]
+    mat = np.empty((dim, dim), dtype=complex)
+    for n1 in range(dim):
+        for n2 in range(n1, dim):
+            coeff, d, radial = fock_dyad_radial(n1, n2)
+            mat[n1, n2] = coeff * (radial(rho) @ coeffs[:, d])
+            mat[n2, n1] = np.conj(mat[n1, n2])
     return FockMatrix(1, truncation, mat)

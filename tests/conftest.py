@@ -51,6 +51,28 @@ def plancherel_pairing(f_vals, g_vals, weights):
     return np.sum(weights * np.conj(f_vals) * g_vals) / (2.0 * np.pi)
 
 
+def fock_pairing_matrix(char, truncation: int, half: float, nodes: int, window):
+    """Fock-basis matrix of an operator from its characteristic function, on a tensor grid.
+
+    Entry ``(n1, n2)`` is the Plancherel pairing ``int conj(chi_{|n1><n2|}(u))
+    window(u) char(u) d^2u / (2 pi)``, i.e. ``<n1| T |n2>`` for the operator
+    ``T`` with characteristic function ``window * char``, over a
+    Gauss-Legendre tensor grid with ``nodes`` points per axis on ``[-half,
+    half]^2``; ``window`` maps points ``(..., 2)`` to real weights.  The
+    Cartesian reference for :func:`cvshadow.shadows.project_PM_tilde`'s polar
+    rule.
+    """
+    grid, weights = gauss_legendre_grid_2d(half, nodes)
+    windowed = window(grid) * char(grid)
+    dim = truncation + 1
+    mat = np.zeros((dim, dim), dtype=complex)
+    for n1 in range(dim):
+        for n2 in range(n1, dim):
+            mat[n1, n2] = plancherel_pairing(char_fock_dyad(n1, n2, grid), windowed, weights)
+            mat[n2, n1] = np.conj(mat[n1, n2])
+    return mat
+
+
 @pytest.fixture(scope="session")
 def dyad_grid():
     """Shared quadrature grid plus cached Fock-dyad evaluations up to n = 6."""

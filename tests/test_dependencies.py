@@ -1,4 +1,4 @@
-"""The runtime needs numpy alone: scipy is a test-only reference."""
+"""The runtime needs numpy alone: scipy and numpy.polynomial are test-only references."""
 
 import ast
 import tomllib
@@ -25,6 +25,28 @@ def test_no_module_imports_scipy():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) >= 10
     assert [m.name for m in modules if "scipy" in imported_roots(m)] == []
+
+
+def reads_numpy_polynomial(path: Path) -> bool:
+    """Whether ``path`` imports ``numpy.polynomial`` or reads any ``.polynomial`` attribute."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr == "polynomial":
+            return True
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name.startswith("numpy.polynomial") for name in names):
+            return True
+    return False
+
+
+def test_no_module_reads_numpy_polynomial():
+    # shadows._gauss_legendre is the one Gauss-Legendre rule of the package
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert [m.name for m in modules if reads_numpy_polynomial(m)] == []
 
 
 def test_runtime_dependencies_are_numpy_only():

@@ -12,7 +12,7 @@ from scipy.special import i0e, jv
 from cvshadow import shadows
 from cvshadow.bounds import delta0
 from cvshadow.measurement import SampleBatch, sample_heterodyne_batch, sample_homodyne_batch
-from cvshadow.phase_space import char_fock_dyad
+from cvshadow.phase_space import char_fock_dyad, laguerre
 from cvshadow.shadows import (
     ShadowAverage,
     WindowSpec,
@@ -33,6 +33,7 @@ from cvshadow.states import (
 )
 from conftest import (
     bessel_orders,
+    fock_pairing_matrix,
     heterodyne_shadow_entry,
     heterodyne_shadow_entry_qmc,
     heterodyne_transform,
@@ -650,6 +651,73 @@ class TestProjections:
         diff = sharp.entries - tilde.entries
         trace_norm = np.abs(np.linalg.svd(diff, compute_uv=False)).sum()
         assert trace_norm <= delta0(eta, truncation, 0.0, 1)
+
+
+def squeezed_vacuum(r: float) -> GaussianStateSpec:
+    """Squeezed vacuum with quadrature variances ``e^{2r}`` and ``e^{-2r}``."""
+    return GaussianStateSpec(np.zeros(2), np.diag([math.exp(2.0 * r), math.exp(-2.0 * r)]))
+
+
+class TestWindowedTarget:
+    """``project_PM_tilde``: the polar pairing against independent references."""
+
+    @pytest.mark.parametrize("truncation", [0, 3, 6, 28, 31])
+    def test_vacuum_against_radial_quad(self, truncation):
+        # the vacuum's pairing is diagonal, entry n the radial integral of
+        # xi L_n(rho^2/2) exp(-rho^2/2); a 240-node tensor grid was 1.1e-6
+        # and 1.6e-3 off at M = 28 and 31
+        w = default_window(truncation)
+        got = project_PM_tilde(GaussianStateSpec.vacuum(), truncation, w).entries
+        for n in range(truncation + 1):
+
+            def integrand(rho, n=n):
+                gauss = math.exp(-0.5 * rho * rho)
+                return rho * w.xi_radial(rho) * laguerre(n, 0, 0.5 * rho * rho) * gauss
+
+            ref, _ = quad(
+                integrand, 0.0, w.radius, points=[w.eta], epsabs=1e-13, epsrel=1e-12, limit=200
+            )
+            assert abs(got[n, n] - ref) <= 1e-12
+        assert np.abs(got - np.diag(np.diag(got))).max() <= 1e-12
+
+    @pytest.mark.parametrize("truncation", [3, 6])
+    @pytest.mark.parametrize(
+        "name", ["vacuum", "thermal", "coherent", "squeezed", "cat", "cat_plus", "fock3"]
+    )
+    def test_against_tensor_grid(self, name, truncation):
+        state = {
+            "vacuum": GaussianStateSpec.vacuum(),
+            "thermal": GaussianStateSpec.thermal(0.5),
+            "coherent": GaussianStateSpec.coherent(1.0 - 0.5j),
+            "squeezed": squeezed_vacuum(0.5),
+            "cat": CatStateSpec(1 + 1j, "zero"),
+            "cat_plus": CatStateSpec(2.0, "plus"),
+            "fock3": fock_state(3, 6),
+        }[name]
+        w = default_window(truncation)
+        ref = fock_pairing_matrix(state.char, truncation, w.radius, 240, window=w.xi)
+        got = project_PM_tilde(state, truncation, w).entries
+        assert np.abs(got - ref).max() <= 1e-9
+
+    @pytest.mark.parametrize("truncation", [3, 31])
+    @pytest.mark.parametrize("name", ["coherent", "cat", "squeezed", "antisqueezed"])
+    def test_angles_converged(self, name, truncation, monkeypatch):
+        state = {
+            "coherent": GaussianStateSpec.coherent(8.0),
+            "cat": CatStateSpec(5.0, "plus"),
+            "squeezed": squeezed_vacuum(1.0),
+            "antisqueezed": squeezed_vacuum(-1.0),
+        }[name]
+        got = project_PM_tilde(state, truncation).entries
+        monkeypatch.setattr(shadows, "_PM_TILDE_ANGLES", 1024)
+        finer = project_PM_tilde(state, truncation).entries
+        assert np.abs(got - finer).max() <= 1e-13
+
+    def test_refusals(self):
+        with pytest.raises(ValueError, match="single-mode"):
+            project_PM_tilde(GaussianStateSpec.vacuum(2), 1)
+        with pytest.raises(ValueError, match="angles"):
+            project_PM_tilde(GaussianStateSpec.vacuum(), shadows._PM_TILDE_ANGLES // 2)
 
 
 class TestShadowCharEval:
