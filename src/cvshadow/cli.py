@@ -325,20 +325,24 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
     grid_cfg = config.get("grid", {})
     lo, hi = _grid_range(config)
     points = grid_cfg.get("points", 81)
+    subset = tuple(config.get("subset", [0]))
+    _check_modes(subset, modes, "subset")
     pair = None
     if protocol == HETERODYNE and (modes > 1 or "pair" in grid_cfg):
         pair = tuple(grid_cfg.get("pair", (0, modes // 2)))
         _check_modes(pair, modes, "pair")
-    # beyond 4 modes only the pair's columns are read, so only they are kept
-    keep = list(pair or ()) if modes > 4 else None
-    batch = SampleBatch.from_jsonl(batch_path, modes=keep)
+    # only the columns that the average and the grid read are parsed
+    cols = sorted(set(subset) | set(pair or ()))
+    batch = SampleBatch.from_jsonl(batch_path, modes=cols)
+    if hasattr(state, "marginal"):
+        state = state.marginal(cols)
     files: list[Path] = []
     metrics: dict = {"n_samples": batch.n, "protocol": protocol}
 
     if protocol == HETERODYNE:
         if pair:
-            section = (state.marginal(keep), (0, 1)) if keep else (state, pair)
-            exact, recon, v_val = reconstruct_pair_section(batch, *section, lo, hi, points)
+            at = (cols.index(pair[0]), cols.index(pair[1]))
+            exact, recon, v_val = reconstruct_pair_section(batch, state, at, lo, hi, points)
             grid_path = out / "pair_grid.csv"
             metrics["pair"] = list(pair)
         else:
@@ -349,16 +353,14 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
         metrics["v_metric"] = v_val
         if np.max(np.abs([lo, hi])) ** 2 / 2.0 > np.log(max(batch.n, 2)):
             metrics["warning"] = "grid extends beyond the reliable window for this sample size"
-    if modes <= 4:
-        truncation = config["truncation"]
-        subset = tuple(config.get("subset", [0]))
-        window = config_window(config) if protocol == HETERODYNE else None
-        stacked = shadow_batch_entries(batch, subset, truncation, window)
-        avg = average_entries(stacked, subset, truncation, protocol)
-        avg_path = out / "shadow_average.json"
-        avg.to_json(avg_path)
-        files.append(avg_path)
-        metrics["max_stderr"] = float(avg.stderr.max())
+    truncation = config["truncation"]
+    window = config_window(config) if protocol == HETERODYNE else None
+    stacked = shadow_batch_entries(batch, [cols.index(j) for j in subset], truncation, window)
+    avg = average_entries(stacked, subset, truncation, protocol)
+    avg_path = out / "shadow_average.json"
+    avg.to_json(avg_path)
+    files.append(avg_path)
+    metrics["max_stderr"] = float(avg.stderr.max())
     metrics_path = out / "metrics.json"
     with open(metrics_path, "w") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
@@ -417,9 +419,13 @@ def cmd_entropy(config: dict, average_path, out_dir) -> dict:
     plan = plan_entropy(avg.truncation, len(avg.subset), e_cfg["epsilon"], e_cfg["energy"])
     d_p = e_cfg.get("d_p", plan.d_p)
     value = entropy_poly(avg.fock(), d_p)
+    # a diagnostic of the series in I - sigma; H itself takes matrix powers
+    sigma = 0.5 * (avg.mean + avg.mean.conj().T)
+    radius = float(np.abs(np.linalg.eigvalsh(np.eye(len(sigma)) - sigma)).max())
     result = {
         "H": value,
         "d_p": d_p,
+        "spectral_radius": radius,
         "plan": {
             "d_p": plan.d_p,
             "epsilon": plan.epsilon,
@@ -428,6 +434,12 @@ def cmd_entropy(config: dict, average_path, out_dir) -> dict:
             "log10_n_implied": plan.log10_n_implied,
         },
     }
+    # the series' last term alone, dim radius^d_p / (d_p (d_p - 1)), may exceed epsilon
+    if radius > (e_cfg["epsilon"] * d_p * (d_p - 1) / len(sigma)) ** (1.0 / d_p):
+        result["warning"] = (
+            f"the series in I - sigma may diverge: its spectral radius is {radius:.6g}, "
+            f"so the degree-{d_p} term alone may exceed epsilon {e_cfg['epsilon']}"
+        )
     state_cfg = config.get("state")
     if state_cfg:
         state = build_state(state_cfg)

@@ -19,14 +19,16 @@ reproduce bit-identical batches.  There is no global RNG.
 from __future__ import annotations
 
 import copy
+import ctypes
 import hashlib
 import itertools
 import json
 import logging
 import math
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -254,6 +256,46 @@ def _factors(fock: FockMatrix | FockKet) -> tuple[np.ndarray, np.ndarray]:
     return lam[keep], u[:, keep]
 
 
+@cache
+def _openblas_threads():
+    """``(get, set)`` of the thread count of numpy's bundled OpenBLAS, or ``None``.
+
+    Looked up through numpy's core extension module, which links that
+    library; ``None`` where numpy was built against another BLAS.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+    return get, put
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, then restore the caller's count.
+
+    A threaded zgemm splits its sums by thread, so the last bits of a profile
+    table (and with it a shadow average) or of a heterodyne density would
+    depend on ``OPENBLAS_NUM_THREADS``.  A no-op where
+    :func:`_openblas_threads` finds no OpenBLAS.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
 def _slices(n: int) -> Iterator[slice]:
     return (slice(i, i + _DENSITY_SLICE) for i in range(0, n, _DENSITY_SLICE))
 
@@ -292,9 +334,9 @@ def fock_husimi(fock: FockMatrix | FockKet, x, factors=None) -> np.ndarray:
     :func:`_factors` (or ``factors``, when the caller holds them), for the
     coherent-state amplitudes ``v = <n|x>`` of
     :func:`~cvshadow.states.coherent_fock_coefficients` at ``alpha(x)``,
-    ``_DENSITY_SLICE`` points at a time.  Signed, like
-    :func:`_homodyne_density`: for a Hermitian matrix that is not a state it
-    may read below zero.
+    ``_DENSITY_SLICE`` points at a time, on one BLAS thread so that the bits
+    do not follow the thread count.  Signed, like :func:`_homodyne_density`:
+    for a Hermitian matrix that is not a state it may read below zero.
     """
     if fock.modes != 1:
         raise ValueError("fock_husimi supports single-mode matrices")
@@ -304,8 +346,9 @@ def fock_husimi(fock: FockMatrix | FockKet, x, factors=None) -> np.ndarray:
     points = x.reshape(-1, 2)
     out = np.empty(len(points))
     for sl in _slices(len(points)):
-        amps = u_h @ coherent_fock_coefficients(alpha_of(points[sl]), fock.truncation)
-        out[sl] = lam @ (amps.real**2 + amps.imag**2)
+        with _one_blas_thread():
+            amps = u_h @ coherent_fock_coefficients(alpha_of(points[sl]), fock.truncation)
+            out[sl] = lam @ (amps.real**2 + amps.imag**2)
     out = (out / (2.0 * np.pi)).reshape(x.shape[:-1])
     return out if np.ndim(out) else float(out)
 

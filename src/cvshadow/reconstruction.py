@@ -17,29 +17,25 @@ import numpy as np
 
 from .measurement import HETERODYNE, SampleBatch
 from .phase_space import CharGrid, omega_apply
+from .shadows import _CHUNK_ROUNDS
 from .states import _check_modes
-
-
-# Rounds per chunk of the factorised phase sum; fixed, so the summation
-# order (and the bits) do not depend on N.
-_ROUND_CHUNK = 4096
 
 
 def _trial_char_grid(a, ya, b, yb) -> np.ndarray:
     """``exp((a_k^2 + b_l^2)/4) mean_n exp(i a_k ya_n) exp(i b_l yb_n)``.
 
     Returns shape (len(a), len(b)).  The phase factorises per axis, so the
-    sum over rounds is ``A @ B.T`` accumulated over fixed-size chunks of
-    rounds in order, then divided by N.  Memory is one complex axis x chunk
-    buffer per axis, allocated once: each chunk's phases are written into
-    its imaginary part, and their cosines and sines in place, never grid x N.
+    sum over rounds is ``A @ B.T`` over chunks of ``_CHUNK_ROUNDS`` rounds in
+    order, then divided by N.  Memory is one complex axis x chunk buffer per
+    axis, allocated once: each chunk's phases are written into its imaginary
+    part, and their cosines and sines in place, never grid x N.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     total = np.zeros((a.size, b.size), dtype=complex)
-    chunk = min(_ROUND_CHUNK, len(ya))
+    chunk = min(_CHUNK_ROUNDS, len(ya))
     buffers = np.empty((a.size, chunk), dtype=complex), np.empty((b.size, chunk), dtype=complex)
-    for start in range(0, len(ya), _ROUND_CHUNK):
-        sl = slice(start, start + _ROUND_CHUNK)
+    for start in range(0, len(ya), _CHUNK_ROUNDS):
+        sl = slice(start, start + _CHUNK_ROUNDS)
         pa, pb = (buf[:, : len(ya[sl])] for buf in buffers)
         for axis, y, phase in ((a, ya, pa), (b, yb, pb)):
             np.multiply.outer(axis, y[sl], out=phase.imag)
@@ -59,11 +55,11 @@ def v_metric(exact: np.ndarray, recon: np.ndarray, volume: float) -> float:
     return float(np.sum(np.abs(exact - recon) ** 2) / (volume * exact.size))
 
 
-def _section(batch: SampleBatch, state, modes, coords, lo, hi, points):
-    """Exact and reconstructed chi on the square section spanned by ``coords``.
+def _section(batch: SampleBatch, state, modes, lo, hi, points):
+    """Exact and reconstructed chi on the square section of coordinates 0 and 1.
 
-    ``coords`` index the ``[x | p]`` vector of the marginal on ``modes``; the
-    section's points ``u`` are zero elsewhere.  Along coordinate ``c`` the
+    They index ``[x | p]`` of the marginal on ``modes``, (x, p) of one mode or
+    the two x's of a pair; ``u`` is zero elsewhere.  Along coordinate ``c`` the
     phase of ``u^T Omega x`` is ``-(Omega x)_c``: ``-p_k`` on an x-axis and
     ``+x_k`` on a p-axis.  Only the marginal is touched (cat and Fock states,
     which have none, are single-mode), so this scales to long chains.
@@ -73,10 +69,10 @@ def _section(batch: SampleBatch, state, modes, coords, lo, hi, points):
     modes = [int(k) for k in modes]
     axis = np.linspace(lo, hi, points)
     u = np.zeros((points, points, 2 * len(modes)))
-    u[..., coords[0]], u[..., coords[1]] = np.meshgrid(axis, axis, indexing="ij")
+    u[..., 0], u[..., 1] = np.meshgrid(axis, axis, indexing="ij")
     rounds = batch.outcomes[:, modes, :].transpose(0, 2, 1).reshape(batch.n, -1)
     phases = -omega_apply(rounds)
-    recon = _trial_char_grid(axis, phases[:, coords[0]], axis, phases[:, coords[1]])
+    recon = _trial_char_grid(axis, phases[:, 0], axis, phases[:, 1])
     exact = (state.marginal(modes) if hasattr(state, "marginal") else state).char(u)
     return CharGrid(u, exact), CharGrid(u, recon), v_metric(exact, recon, (hi - lo) ** 2)
 
@@ -85,7 +81,7 @@ def reconstruct_single_mode(
     batch: SampleBatch, state, lo: float = -2.0, hi: float = 2.0, points: int = 81
 ) -> tuple[CharGrid, CharGrid, float]:
     """Exact vs reconstructed chi(a, b) of mode 0 on [lo, hi]^2, plus V."""
-    return _section(batch, state, (0,), (0, 1), lo, hi, points)
+    return _section(batch, state, (0,), lo, hi, points)
 
 
 def reconstruct_pair_section(
@@ -102,4 +98,4 @@ def reconstruct_pair_section(
     ``ValueError``.
     """
     _check_modes(pair, batch.modes, "pair")
-    return _section(batch, chain_state, pair, (0, 1), lo, hi, points)
+    return _section(batch, chain_state, pair, lo, hi, points)

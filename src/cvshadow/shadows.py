@@ -39,17 +39,14 @@ the heterodyne radial rule, one FFT over angles per radius
 
 from __future__ import annotations
 
-import ctypes
 import json
 import hashlib
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .measurement import HETERODYNE, HOMODYNE, SampleBatch
+from .measurement import HETERODYNE, HOMODYNE, SampleBatch, _one_blas_thread, _openblas_threads
 from .phase_space import dyad_poly, fock_dyad_radial
 from .states import FockMatrix, _check_modes, multi_indices
 
@@ -154,8 +151,9 @@ def f_mu_homodyne(rho, s: float):
 PROFILE_STEPS = {HOMODYNE: 1.0 / 512, HETERODYNE: 1.0 / 2048}
 _BLOCK_NODES = 512
 PROFILE_MAX_RADIUS = 64.0
-# Rounds per chunk of the batch entries and of the averages: temporaries stay
-# one chunk large, and the averages' bits depend on this size.
+# Rounds per chunk of the batch entries, the averages and the grid sums of
+# :mod:`cvshadow.reconstruction`: temporaries stay one chunk large, and the
+# averages' and grids' bits depend on this size, not on N.
 _CHUNK_ROUNDS = 4096
 
 _PROFILE_TABLES: dict = {}
@@ -203,45 +201,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     _, dp = _legendre_and_slope(n, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
-
-
-@cache
-def _openblas_threads():
-    """``(get, set)`` of the thread count of numpy's bundled OpenBLAS, or ``None``.
-
-    Looked up through numpy's core extension module, which links that
-    library; ``None`` where numpy was built against another BLAS.
-    """
-    try:
-        from numpy._core import _multiarray_umath
-
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):
-        return None
-    get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
-    return get, put
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block on one OpenBLAS thread, then restore the caller's count.
-
-    A threaded zgemm splits its sums by thread, so the table's last bits (and
-    with them a shadow average's) would depend on ``OPENBLAS_NUM_THREADS``.
-    A no-op where :func:`_openblas_threads` finds no OpenBLAS.
-    """
-    calls = _openblas_threads()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    threads = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(threads)
 
 
 def _homodyne_rows(truncation: int) -> tuple[np.ndarray, np.ndarray]:
@@ -620,7 +579,8 @@ def project_PM_tilde(state, truncation: int, w: WindowSpec | None = None) -> Foc
     angles per radius gives every d.  Against 3x the radial nodes and 2048
     angles no entry moved by more than 3.9e-15 (M <= 31; coherent alpha up to
     8, cats up to 5, squeezing e^{+-2}).  Entries with n1 > n2 are the
-    conjugates.  Multimode states raise ``ValueError`` (product states follow
+    conjugates, and the diagonal keeps only its real part, so the result
+    is exactly Hermitian.  Multimode states raise ``ValueError`` (product states follow
     by tensoring), and so does ``M >= 128``, whose d the angles would alias.
     """
     w = w or default_window(truncation)
@@ -641,4 +601,5 @@ def project_PM_tilde(state, truncation: int, w: WindowSpec | None = None) -> Foc
             coeff, d, radial = fock_dyad_radial(n1, n2)
             mat[n1, n2] = coeff * (radial(rho) @ coeffs[:, d])
             mat[n2, n1] = np.conj(mat[n1, n2])
+        mat[n1, n1] = mat[n1, n1].real
     return FockMatrix(1, truncation, mat)

@@ -27,7 +27,7 @@ from cvshadow.cli import (
 )
 from cvshadow.entropy import entropy_reference
 from cvshadow.measurement import SampleBatch, sample_heterodyne_batch, sample_homodyne_batch
-from cvshadow.shadows import ShadowAverage, project_PM
+from cvshadow.shadows import ShadowAverage, project_PM, project_PM_tilde
 from cvshadow.states import (
     CatStateSpec,
     ChainSpec,
@@ -548,8 +548,8 @@ class TestReconstruct:
             cmd_reconstruct(chain, tmp_path / "s" / "records.jsonl", tmp_path / "r")
 
     def test_long_chain_keeps_the_pair_only(self, tmp_path, monkeypatch):
-        # beyond four modes only the pair's columns are parsed into the batch; the
-        # grid's V is that of the whole batch, bit for bit
+        # only the columns of the subset (default [0]) and the pair are parsed
+        # into the batch; the grid's V is that of the whole batch, bit for bit
         cfg = base_config(state={"kind": "chain", "m": 12, "kappa": 0.9}, samples=200,
                           grid={"pair": [7, 2], "points": 7})
         cmd_sample(cfg, tmp_path / "s")
@@ -562,10 +562,37 @@ class TestReconstruct:
 
         monkeypatch.setattr(cli, "reconstruct_pair_section", spy)
         metrics = cmd_reconstruct(cfg, records, tmp_path / "r")
-        assert kept == [2] and metrics["pair"] == [7, 2]
+        assert kept == [3] and metrics["pair"] == [7, 2]
         full = SampleBatch.from_jsonl(records)
         _, _, v_val = inner(full, build_state(cfg["state"]), (7, 2), -2.0, 2.0, 7)
         assert metrics["v_metric"] == v_val
+
+    def test_chain_subset_average_matches_target(self, tmp_path):
+        # every mode count writes the subset's average, here of modes 0 and 3 of six
+        cfg = base_config(state={"kind": "chain", "m": 6, "kappa": 0.9}, protocol="homodyne",
+                          samples=500, seed=3, subset=[0, 3])
+        cmd_sample(cfg, tmp_path / "s")
+        cmd_reconstruct(cfg, tmp_path / "s" / "records.jsonl", tmp_path / "r")
+        avg = ShadowAverage.from_json(tmp_path / "r" / "shadow_average.json")
+        assert avg.subset == (0, 3) and avg.count == 500
+        marginal = build_state(cfg["state"]).marginal([0, 3])
+        target = project_PM(fock_matrix_of(marginal, 6), 2).entries
+        assert (np.abs(avg.mean - target) / avg.stderr).max() <= 4.0
+
+    def test_bad_subset_refused_before_parsing(self, tmp_path, monkeypatch, capsys):
+        cfg = base_config(state={"kind": "chain", "m": 6, "kappa": 0.5}, protocol="homodyne")
+        cmd_sample(cfg, tmp_path / "s")
+        cfg_path = write_config(tmp_path, dict(cfg, subset=[0, 9]))
+
+        def unparsed(*args, **kwargs):
+            raise AssertionError("records parsed before the subset was checked")
+
+        monkeypatch.setattr(SampleBatch, "from_jsonl", unparsed)
+        assert cli.main([
+            "reconstruct", "--config", str(cfg_path), "--out", str(tmp_path / "r"),
+            "--batch", str(tmp_path / "s" / "records.jsonl"),
+        ]) == 2
+        assert "subset (0, 9) outside measured modes 0..5" in capsys.readouterr().err
 
     def test_protocol_mismatch_rejected(self, tmp_path):
         cfg = base_config()
@@ -588,7 +615,7 @@ class TestReconstruct:
         assert metrics["v_metric"] < 0.05
         header = (tmp_path / "r" / "pair_grid.csv").read_text().splitlines()[0]
         assert header == "u1,u2,u3,u4,re_true,im_true,re_recon,im_recon"
-        assert not (tmp_path / "r" / "shadow_average.json").exists()
+        assert (tmp_path / "r" / "shadow_average.json").exists()
 
     def test_byte_stable_outputs(self, tmp_path):
         cfg = base_config(samples=120)
@@ -814,6 +841,24 @@ class TestEntropy:
         cfg = base_config(truncation=1, entropy={"epsilon": 0.9, "energy": 0.4, "d_p": 1000})
         result = cmd_entropy(cfg, path, tmp_path / "e")
         assert abs(result["H"]) <= 2.0 / 1000
+
+    def test_series_radius_and_warning(self, tmp_path):
+        # I - sigma of the exact vacuum P~_M has spectral radius 1 + 5e-8, and
+        # its degree-14 term is below epsilon; a radius of 19 is not
+        exact = project_PM_tilde(GaussianStateSpec.vacuum(), 3).entries
+        noisy = np.diag([1.0, 20.0, 1.0, 1.0]).astype(complex)
+        cfg = base_config(truncation=3, entropy={"epsilon": 0.9, "energy": 0.4})
+        results = {}
+        for name, mean in (("exact", exact), ("noisy", noisy)):
+            path = tmp_path / f"{name}.json"
+            ShadowAverage((0,), 3, "heterodyne", mean, np.zeros((4, 4)), 1).to_json(path)
+            results[name] = cmd_entropy(cfg, path, tmp_path / name)
+            assert results[name]["d_p"] == 14
+            assert results[name] == json.loads((tmp_path / name / "entropy.json").read_text())
+        assert 0 < results["exact"]["spectral_radius"] - 1 < 1e-6
+        assert "warning" not in results["exact"]
+        assert results["noisy"]["spectral_radius"] == 19.0
+        assert "spectral radius is 19," in results["noisy"]["warning"]
 
     def test_corrupted_average_rejected(self, tmp_path):
         path = self._write_exact_average(tmp_path, 1.0, 3)
@@ -1045,7 +1090,7 @@ class TestMainEntrypoint:
         )
         assert _run_python(code, json.dumps(commands)).stdout.strip() == "False"
         assert (tmp_path / "cr" / "pair_grid.csv").exists()
-        assert not (tmp_path / "cr" / "shadow_average.json").exists()
+        assert (tmp_path / "cr" / "shadow_average.json").exists()
         assert (tmp_path / "hr" / "shadow_average.json").exists()
         assert (tmp_path / "kr" / "shadow_average.json").exists()
 

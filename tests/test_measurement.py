@@ -222,6 +222,28 @@ class TestDensitySlices:
         if name == "cat-zero":
             assert np.array_equal(sliced[0], whole[0])
 
+    def test_heterodyne_slices_keep_their_bits_at_two_blas_threads(self, monkeypatch):
+        # the amplitude products run on one OpenBLAS thread, so a threaded
+        # caller gets the bits of one whole-batch product
+        import cvshadow.measurement as meas
+
+        calls = meas._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy is not linked against its bundled OpenBLAS")
+        get, put = calls
+        fock = meas._sampling_fock(CatStateSpec(1 + 1j, "zero"))
+        n = 2 * meas._DENSITY_SLICE + 3
+        x = 3.0 * np.random.default_rng(8).standard_normal((n, 2))
+        before = get()
+        try:
+            put(2)
+            sliced = fock_husimi(fock, x)
+            monkeypatch.setattr(meas, "_DENSITY_SLICE", n)
+            assert np.array_equal(sliced, fock_husimi(fock, x))
+            assert get() == 2
+        finally:
+            put(before)
+
     @pytest.mark.parametrize("density", ["homodyne", "heterodyne"])
     def test_density_memory_at_2e5_points(self, density):
         # one (dim, 8192) slice of Hermite rows or amplitudes at a time: 45 and

@@ -624,6 +624,14 @@ class TestProjections:
         sharp = project_PM(fock_matrix_of(GaussianStateSpec.vacuum(), 2), 2)
         assert np.abs(tilde.entries - sharp.entries).max() < 1e-6
 
+    @pytest.mark.parametrize(
+        "state", [GaussianStateSpec.coherent(8.0), CatStateSpec(1 + 1j, "zero")], ids=["coh8", "cat"]
+    )
+    def test_tilde_is_exactly_hermitian(self, state):
+        # the diagonal keeps only the real part of its pairing
+        tilde = project_PM_tilde(state, 3).entries
+        assert np.array_equal(tilde, tilde.conj().T)
+
     def test_tiny_window_bias(self):
         w = WindowSpec(0.1, 0.2)
         tilde = project_PM_tilde(GaussianStateSpec.vacuum(), 1, w)
