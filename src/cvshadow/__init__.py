@@ -53,4 +53,4 @@ from .entropy import (
     entropy_reference,
     plan_entropy,
 )
-from .qmc import BoxDomain, halton_points, qmc_integrate, tv_estimate
+from .qmc import BoxDomain, halton_points, qmc_integrate

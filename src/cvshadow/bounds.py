@@ -162,6 +162,30 @@ def truncation_error_bound(
     return 2.0 * (truncation + base_offset) ** (-(n - alpha) / 2.0) * e_n
 
 
+# The largest truncation either calculator takes: at M = 64 the 64-node rule
+# of :func:`_sigma_block` agrees with a 128-node rule to 1.3e-11 relative
+# (homodyne, checked by a test) and 9.3e-15 (default window).
+_TRUNCATION_CAP = 64
+# The largest (M+1)^r whose dense Kronecker power :func:`_weighted_opnorm`
+# forms: at (M+1)^r = 2025 (M = 44, r = 2) ``sigma_homodyne`` took 1.9 s and
+# 130 MB peak RSS on a 2-core host, and the SVD grows as the cube.
+_DENSE_LIMIT = 2000
+
+
+def _refusal(truncation: float, r: int) -> str | None:
+    """Why a calculator refuses truncation ``M`` at ``r`` modes, or ``None``."""
+    if truncation > _TRUNCATION_CAP:
+        return f"M = {truncation} exceeds the truncation cap {_TRUNCATION_CAP}"
+    if r * math.log(truncation + 1.0) > math.log(_DENSE_LIMIT):
+        return f"(M+1)^r = {truncation + 1}^{r} exceeds the dense limit {_DENSE_LIMIT}"
+    return None
+
+
+def _infeasible(reason: str, **inputs) -> BoundReport:
+    """Report of a refused calculation: no M, and N, delta0 and Sigma infinite."""
+    return BoundReport(-1, math.inf, math.inf, math.inf, inputs, feasible=False, reason=reason)
+
+
 def _weighted_opnorm(block: np.ndarray, r: int, truncation: int, alpha: float) -> float:
     """Operator norm of the r-fold tensor power with Sobolev weights."""
     mat = block
@@ -306,10 +330,22 @@ def required_samples_homodyne(
 
     ``M = ceil((4 E_n / eps)^(2/(n - alpha)))``; ``N`` follows from the matrix
     Bernstein inequality with the almost-sure bound ``Sigma_r^(alpha)(M)``.
+    The report is flagged infeasible, before any Sigma block is built, when
+    that M breaks the truncation cap or ``(M+1)^r`` the dense limit.
     """
     if not 0 < epsilon <= 1 or not 0 < delta < 1:
         raise ValueError("epsilon must lie in (0, 1] and delta in (0, 1)")
-    m_chosen = math.ceil((4.0 * profile.e_n / epsilon) ** (2.0 / (profile.n - profile.alpha)))
+    try:
+        m_chosen = math.ceil((4.0 * profile.e_n / epsilon) ** (2.0 / (profile.n - profile.alpha)))
+    except OverflowError:
+        m_chosen = math.inf
+    reason = _refusal(m_chosen, r)
+    if reason:
+        return _infeasible(
+            f"the homodyne truncation ceil((4 E_n / eps)^(2/(n - alpha))): {reason}",
+            protocol="homodyne", r=r, epsilon=epsilon, delta=delta, m=modes,
+            cap=_TRUNCATION_CAP,
+        )
     sigma = sigma_homodyne(m_chosen, r, profile.alpha)
     log_n = _log_required_n(
         m_chosen, r, math.log(epsilon), delta, sigma, profile.e_alpha, modes, n_observables
@@ -320,10 +356,8 @@ def required_samples_homodyne(
     )
 
 
-# Window inner radii eta scanned by the heterodyne sample-size calculator, and
-# the largest truncation it tries at each eta.
+# Window inner radii eta scanned by the heterodyne sample-size calculator.
 _ETA_POINTS = 64
-_TRUNCATION_CAP = 64
 
 
 def heterodyne_truncation_choice(
@@ -356,8 +390,10 @@ def required_samples_heterodyne(
     radius ``radius``, the smallest feasible truncation is selected (the
     bound statement uses the ``(1+M)`` truncation base); N is then the
     Bernstein expression with the windowed norm ``Sigma~`` and the scan
-    returns the minimizing (eta, M, N).  The report is flagged infeasible
-    when no truncation up to 64 meets the eps/2 budget at any eta.
+    returns the minimizing (eta, M, N).  An eta whose M has ``(M+1)^r``
+    above the dense limit is skipped before its Sigma block is built.  The
+    report is flagged infeasible when no truncation up to 64 meets the eps/2
+    budget within the dense limit at any eta.
     """
     if not 0 < epsilon <= 1 or not 0 < delta < 1:
         raise ValueError("epsilon must lie in (0, 1] and delta in (0, 1)")
@@ -365,9 +401,13 @@ def required_samples_heterodyne(
         raise ValueError(f"window radius must be positive, got {radius}")
     etas = np.geomspace(1e-2, 0.99 * radius, _ETA_POINTS)
     best: BoundReport | None = None
+    dense = 0
     for eta in etas:
         m_try = heterodyne_truncation_choice(profile, float(eta), epsilon, r)
         if m_try is None:
+            continue
+        if _refusal(m_try, r):
+            dense += 1
             continue
         window = WindowSpec(float(eta), radius)
         sigma = sigma_heterodyne(m_try, r, profile.alpha, window)
@@ -384,24 +424,17 @@ def required_samples_heterodyne(
         if best is None or report.n_required < best.n_required:
             best = report
     if best is None:
-        return BoundReport(
-            m_chosen=-1,
-            n_required=math.inf,
-            delta0_value=math.inf,
-            sigma_value=math.inf,
-            feasible=False,
-            reason=(
-                f"no truncation M <= {_TRUNCATION_CAP} meets the eps/2 "
-                f"truncation-plus-window budget at any of the {_ETA_POINTS} eta values"
-            ),
-            inputs={
-                "protocol": "heterodyne",
-                "r": r,
-                "epsilon": epsilon,
-                "delta": delta,
-                "m": modes,
-                "R": radius,
-                "cap": _TRUNCATION_CAP,
-            },
+        reason = (
+            f"no truncation M <= {_TRUNCATION_CAP} meets the eps/2 "
+            f"truncation-plus-window budget at any of the {_ETA_POINTS} eta values"
+        )
+        if dense:
+            reason += (
+                f" within the dense limit (M+1)^r <= {_DENSE_LIMIT}; at {dense} of "
+                "them the M that meets it exceeds that limit"
+            )
+        return _infeasible(
+            reason, protocol="heterodyne", r=r, epsilon=epsilon, delta=delta, m=modes,
+            R=radius, cap=_TRUNCATION_CAP,
         )
     return best

@@ -245,7 +245,7 @@ def write_manifest(
     files: list[Path],
     elapsed: float,
     sampler: dict | None = None,
-) -> Path:
+) -> None:
     """Write ``manifest.json``; ``sampler`` is the batch meta of a rejection sampler."""
     manifest = {
         "config_hash": json_sha256(config),
@@ -255,10 +255,8 @@ def write_manifest(
     }
     if sampler:
         manifest["sampler"] = sampler
-    path = out_dir / "manifest.json"
-    with open(path, "w") as fh:
+    with open(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    return path
 
 
 def cmd_sample(config: dict, out_dir, seed: int | None = None) -> dict:
@@ -314,7 +312,7 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     state = build_state(config["state"])
-    protocol, _, _, shape = jsonl_header(batch_path)
+    protocol, _, shape = jsonl_header(batch_path)
     if protocol != config["protocol"]:
         raise ConfigError(
             f"batch protocol {protocol!r} does not match config {config['protocol']!r}"
@@ -440,12 +438,10 @@ def cmd_entropy(config: dict, average_path, out_dir) -> dict:
             f"the series in I - sigma may diverge: its spectral radius is {radius:.6g}, "
             f"so the degree-{d_p} term alone may exceed epsilon {e_cfg['epsilon']}"
         )
-    state_cfg = config.get("state")
-    if state_cfg:
-        state = build_state(state_cfg)
-        if hasattr(state, "marginal"):  # of the averaged modes only
-            state = state.marginal(list(avg.subset))
-        result["reference_entropy"] = entropy_reference(state)
+    state = build_state(config["state"])
+    if hasattr(state, "marginal"):  # of the averaged modes only
+        state = state.marginal(list(avg.subset))
+    result["reference_entropy"] = entropy_reference(state)
     report_path = out / "entropy.json"
     with open(report_path, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)

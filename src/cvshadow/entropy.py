@@ -34,12 +34,9 @@ class EntropyPlan:
     for all but tiny ``(M+1)^r / eps`` and is reported in log10.
     """
 
-    truncation: int
-    r: int
     epsilon: float
     d_p: int
     epsilon_prime: float
-    energy: float
     log10_epsilon_prime: float
     log10_n_implied: float | None = None
 
@@ -111,12 +108,9 @@ def plan_entropy(
         truncation, r, log_two_eps_prime, _PLAN_DELTA, sigma, 1.0, 1, None
     )
     return EntropyPlan(
-        truncation=truncation,
-        r=r,
         epsilon=epsilon,
         d_p=d_p,
         epsilon_prime=eps_prime,
-        energy=energy,
         log10_epsilon_prime=log10_eps_prime,
         log10_n_implied=log_n / math.log(10.0),
     )

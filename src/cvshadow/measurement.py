@@ -53,10 +53,10 @@ HETERODYNE = "heterodyne"
 _PROPOSAL_DOF = 4.0
 _ENVELOPE_MARGIN = 1.2
 _REJECTION_CHUNK = 32768
-# Points per slice of a density evaluation: a slice's (dim, 8192) block of
-# Hermite rows or coherent-state amplitudes is all a call holds, whatever the
-# number of points.
-_DENSITY_SLICE = 8192
+# Values per slice of a density evaluation: a slice's (dim, points) block of
+# Hermite rows or coherent-state amplitudes holds at most this many, whatever
+# the number of points or the truncation.
+_DENSITY_VALUES = 1 << 17
 # Values per block of rows that ``SampleBatch.to_jsonl`` turns into Python floats.
 _JSONL_BLOCK_VALUES = 1 << 14
 
@@ -146,11 +146,14 @@ class SampleBatch:
         Every line is checked, whichever columns are kept: it must name the
         protocol and ``seed_path`` of the first record (a batch is one
         protocol drawn from one RNG stream) and hold finite values of the
-        first record's shape.
+        first record's shape.  One pass counts the records and a second
+        parses them.
         """
-        protocol, seed_path, n, shape = jsonl_header(path)
+        protocol, seed_path, shape = jsonl_header(path)
         cols = list(range(shape[0]) if modes is None else modes)
         _check_modes(cols, shape[0])
+        with open(path) as fh:
+            n = sum(1 for line in fh if line.strip())
         outcomes = np.empty((n, len(cols)) + shape[1:])
         thetas = np.empty((n, len(cols))) if protocol == HOMODYNE else None
         with open(path) as fh:
@@ -170,23 +173,20 @@ class SampleBatch:
         return cls(protocol, outcomes, thetas, seed_path)
 
 
-def jsonl_header(path) -> tuple[str, str, int, tuple]:
-    """``(protocol, seed_path, N, shape)`` of a records file, from one read.
+def jsonl_header(path) -> tuple[str, str, tuple]:
+    """``(protocol, seed_path, shape)`` of a records file, from its first record.
 
-    The read counts the record lines and parses the first record only;
-    ``shape`` is its outcome shape, ``(m,)`` for homodyne and ``(m, 2)``
-    for heterodyne.
+    Reading stops at the first record line; ``shape`` is its outcome shape,
+    ``(m,)`` for homodyne and ``(m, 2)`` for heterodyne.
     """
-    n = 0
     with open(path) as fh:
-        for k, line in enumerate(fh, 1):
+        for first, line in enumerate(fh, 1):
             if line.strip():
-                if not n:
-                    protocol, seed_path, _, outcome = _fields(path, k, line)
-                    first, shape = k, np.shape(outcome)
-                n += 1
-    if not n:
-        raise ValueError(f"{path}: no records")
+                break
+        else:
+            raise ValueError(f"{path}: no records")
+    protocol, seed_path, _, outcome = _fields(path, first, line)
+    shape = np.shape(outcome)
     if protocol not in (HOMODYNE, HETERODYNE):
         raise ValueError(f"{path}: line {first} has unknown protocol {protocol!r}")
     if len(shape) != (1 if protocol == HOMODYNE else 2) or shape[1:] not in ((), (2,)):
@@ -194,7 +194,7 @@ def jsonl_header(path) -> tuple[str, str, int, tuple]:
             f"{path}: line {first} has shape {shape}, expected (modes,) for "
             "homodyne or (modes, 2) for heterodyne"
         )
-    return protocol, seed_path, n, shape
+    return protocol, seed_path, shape
 
 
 def _fields(path, line: int, text: str) -> tuple:
@@ -296,8 +296,17 @@ def _one_blas_thread():
         put(threads)
 
 
-def _slices(n: int) -> Iterator[slice]:
-    return (slice(i, i + _DENSITY_SLICE) for i in range(0, n, _DENSITY_SLICE))
+def _slices(n: int, dim: int) -> Iterator[slice]:
+    """Consecutive slices of ``n`` points, each at most ``max(1, _DENSITY_VALUES // dim)`` long.
+
+    A length of 16 or more is rounded down to a multiple of 16, so that every
+    slice starts on a column block of the BLAS kernels and each point's
+    heterodyne density keeps the bits of one unsliced product.
+    """
+    step = max(1, _DENSITY_VALUES // dim)
+    if step >= 16:
+        step -= step % 16
+    return (slice(i, i + step) for i in range(0, n, step))
 
 
 def _homodyne_density(
@@ -309,14 +318,14 @@ def _homodyne_density(
     ``q`` is 1-D and ``thetas`` broadcasts to it.  Each factor's amplitude
     ``sum_n conj(u_n) psi_n(q) z^n``, ``z = exp(-i theta)``, is one Horner
     pass over the rows of :func:`hermite_stack`: O(dim) per point and factor,
-    ``_DENSITY_SLICE`` points at a time.  ``factors`` are ``_factors(fock)``,
+    in the slices of :func:`_slices`.  ``factors`` are ``_factors(fock)``,
     when the caller holds them.
     """
     lam, u = _factors(fock) if factors is None else factors
     coeffs = u.conj()[:, :, None]
     thetas = np.broadcast_to(thetas, q.shape)
     out = np.empty(q.shape)
-    for sl in _slices(q.size):
+    for sl in _slices(q.size, fock.truncation + 1):
         psi = hermite_stack(fock.truncation, q[sl])
         z = np.exp(-1j * thetas[sl])
         amps = coeffs[-1] * psi[-1]
@@ -334,7 +343,7 @@ def fock_husimi(fock: FockMatrix | FockKet, x, factors=None) -> np.ndarray:
     :func:`_factors` (or ``factors``, when the caller holds them), for the
     coherent-state amplitudes ``v = <n|x>`` of
     :func:`~cvshadow.states.coherent_fock_coefficients` at ``alpha(x)``,
-    ``_DENSITY_SLICE`` points at a time, on one BLAS thread so that the bits
+    in the slices of :func:`_slices`, on one BLAS thread so that the bits
     do not follow the thread count.  Signed, like :func:`_homodyne_density`:
     for a Hermitian matrix that is not a state it may read below zero.
     """
@@ -345,7 +354,7 @@ def fock_husimi(fock: FockMatrix | FockKet, x, factors=None) -> np.ndarray:
     u_h = u.conj().T
     points = x.reshape(-1, 2)
     out = np.empty(len(points))
-    for sl in _slices(len(points)):
+    for sl in _slices(len(points), fock.truncation + 1):
         with _one_blas_thread():
             amps = u_h @ coherent_fock_coefficients(alpha_of(points[sl]), fock.truncation)
             out[sl] = lam @ (amps.real**2 + amps.imag**2)

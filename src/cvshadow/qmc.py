@@ -1,13 +1,7 @@
-"""Quasi-Monte-Carlo integration on boxes with Halton low-discrepancy points.
-
-The error model follows the Koksma-Hlawka-type bound ``TV(f) C log(k)^d / k``
-with the unknown constant taken as 1; the reported estimate is a heuristic
-diagnostic, never a correctness gate.
-"""
+"""Quasi-Monte-Carlo integration on boxes with Halton low-discrepancy points."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,12 +67,10 @@ class BoxDomain:
 
 
 def qmc_integrate(f, box: BoxDomain, budget: int):
-    """Integrate ``f`` over the box with ``budget`` Halton points.
+    """Integral of ``f`` over the box from ``budget`` Halton points.
 
     ``f`` must accept an ``(n, d)`` array of points and return ``n`` values
-    (real or complex).  Returns ``(value, error_model)`` where the error
-    model is ``TV_est log(k)^d / k`` with unit constant -- a heuristic scale,
-    not a rigorous bound.
+    (real or complex); it is called once, on all ``budget`` points.
     """
     if budget < 16:
         raise ValueError("QMC budget below 16 points is meaningless")
@@ -88,39 +80,4 @@ def qmc_integrate(f, box: BoxDomain, budget: int):
         raise ValueError("integrand must return one value per point")
     if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
         raise ValueError("integrand returned non-finite values")
-    value = box.volume * vals.mean()
-    d = box.dimension
-    if d <= 3:
-        tv = tv_estimate(f, box, grid=max(8, int(round(2e5 ** (1.0 / d)))))
-        err = tv * math.log(budget) ** d / budget
-    else:
-        err = float("nan")
-    return value, err
-
-
-def tv_estimate(f, box: BoxDomain, grid: int = 128) -> float:
-    """Total variation ``int |grad f|`` by central differences on a tensor grid.
-
-    For complex integrands the real and imaginary variations are summed.
-    ``f`` takes an (n, d) array as in :func:`qmc_integrate`.
-    """
-    d = box.dimension
-    axes = [np.linspace(-l, l, grid) for l in box.half_widths]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    vals = np.asarray(f(pts)).reshape([grid] * d)
-
-    def tv_of(real_vals):
-        grads = np.gradient(real_vals, *axes, edge_order=2)
-        if d == 1:
-            mag = np.abs(grads)
-        else:
-            mag = np.sqrt(sum(g * g for g in grads))
-        for axis, ax_pts in enumerate(axes):
-            mag = np.trapezoid(mag, x=ax_pts, axis=0)
-        return float(mag)
-
-    total = tv_of(vals.real)
-    if np.iscomplexobj(vals) and np.any(vals.imag):
-        total += tv_of(vals.imag)
-    return total
+    return box.volume * vals.mean()

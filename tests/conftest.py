@@ -106,7 +106,7 @@ def gaussian_family_error(budget: int, half_width: float = 6.0) -> float:
                 a = (-half_width - c) / (sigma * math.sqrt(2.0))
                 b = (half_width - c) / (sigma * math.sqrt(2.0))
                 exact *= sigma * math.sqrt(math.pi / 2.0) * (erf(b) - erf(a))
-            val, _ = qmc_integrate(f, box, budget)
+            val = qmc_integrate(f, box, budget)
             worst = max(worst, abs(val - exact))
     return worst
 
@@ -462,7 +462,7 @@ def heterodyne_shadow_entry_qmc(n1, n2, x_a, w: WindowSpec, budget: int) -> comp
         return chi * grow * phase / (2.0 * np.pi) ** r
 
     box = BoxDomain([w.radius] * (2 * r))
-    value, _ = qmc_integrate(integrand, box, budget)
+    value = qmc_integrate(integrand, box, budget)
     return complex(value)
 
 

@@ -299,7 +299,7 @@ def test_criterion_11_entropy_pipeline():
 
 def test_criterion_12_qmc():
     box = BoxDomain([6.0, 6.0])
-    val, _ = qmc_integrate(
+    val = qmc_integrate(
         lambda p: np.exp(-0.5 * np.sum(p * p, axis=-1)), box, 2**16
     )
     gauss_ok = abs(val - 2.0 * math.pi) <= 1e-3

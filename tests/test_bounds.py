@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, gammaincc, roots_genlaguerre
 
+import cvshadow.bounds as bounds
 from cvshadow.bounds import (
     BoundReport,
     MomentProfile,
@@ -295,6 +296,59 @@ class TestSigmaBlockQuadrature:
                 np.testing.assert_allclose(
                     _laguerre_zeros(n, a), roots_genlaguerre(n, a)[0], rtol=1e-12, atol=0.0
                 )
+
+
+class TestSigmaBlockAtTheCap:
+    """At the truncation cap, the fixed 64-node rule against a 128-node rule."""
+
+    def test_homodyne_rule_converged(self, monkeypatch):
+        # the homodyne kernel is the less converged of the two (1.3e-11 against
+        # 9.3e-15 for the default window at M = 64)
+        scale = 2.0 * HOMODYNE_SHADOW_NORMALIZATION
+        args = (bounds._TRUNCATION_CAP, lambda t: scale * np.exp(-0.25 * t * t), 40.0)
+        coarse = _sigma_block(*args)
+        rule = bounds._gauss_legendre
+        monkeypatch.setattr(bounds, "_gauss_legendre", lambda n: rule(2 * n))
+        np.testing.assert_allclose(coarse, _sigma_block(*args), rtol=1e-10, atol=0.0)
+
+
+class TestRefusals:
+    """An M above the cap, or an (M+1)^r above the dense limit, is refused
+    before any Sigma block is built."""
+
+    PROFILE = MomentProfile(n=2.0, alpha=0.0, e_n=1.0, e_alpha=1.0)
+
+    @pytest.fixture(autouse=True)
+    def no_sigma_block(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Sigma block was built")
+
+        monkeypatch.setattr(bounds, "_sigma_block", refuse)
+
+    def test_homodyne_cap(self):
+        # M = ceil((4 * 20 / 0.1)^(2 / (4 - 2))) = 800
+        report = required_samples_homodyne(MomentProfile(4.0, 2.0, 20.0, 20.0), 2, 0.1, 0.05, 10)
+        assert not report.feasible and report.n_required == math.inf
+        assert report.reason.endswith("M = 800 exceeds the truncation cap 64")
+
+    def test_homodyne_truncation_overflow(self):
+        # (4 * 20 / 0.1)^200 is beyond the float range
+        report = required_samples_homodyne(MomentProfile(0.01, 0.0, 20.0, 20.0), 1, 0.1, 0.05, 10)
+        assert report.reason.endswith("M = inf exceeds the truncation cap 64")
+
+    def test_homodyne_dense_limit(self):
+        # M = 8 at r = 4: (M+1)^r = 6561
+        report = required_samples_homodyne(self.PROFILE, 4, 0.5, 0.05, 10)
+        assert not report.feasible
+        assert report.reason.endswith("(M+1)^r = 9^4 exceeds the dense limit 2000")
+
+    def test_heterodyne_dense_limit(self):
+        # 2 E / (M+1) <= eps/2 needs M >= 13 at eps = 0.3, which three of the
+        # eta values below R = 24 meet, and (M+1)^r = 14^3 = 2744
+        report = required_samples_heterodyne(self.PROFILE, 3, 0.3, 0.05, 4, 24.0)
+        assert not report.feasible and report.m_chosen == -1
+        assert "within the dense limit (M+1)^r <= 2000" in report.reason
+        assert report.reason.endswith("exceeds that limit")
 
 
 class TestBernstein:

@@ -541,6 +541,24 @@ class TestReconstruct:
         assert vals[4] == pytest.approx(1.0, abs=1e-12)
         assert vals[5] == pytest.approx(0.0, abs=1e-12)
 
+    def test_seed_flag_changes_only_the_config_hash(self, tmp_path):
+        # reconstruct draws nothing, so --seed reaches the manifest's config
+        # hash alone; bench/workloads.py still passes it
+        cfg = base_config(samples=64, grid={"points": 5})
+        cmd_sample(cfg, tmp_path / "s")
+        path = write_config(tmp_path, cfg)
+        for seed in ("1", "2"):
+            argv = ["reconstruct", "--config", str(path), "--seed", seed, "--batch",
+                    str(tmp_path / "s" / "records.jsonl"), "--out", str(tmp_path / seed)]
+            assert cli.main(argv) == 0
+        for name in ("grid.csv", "shadow_average.json", "metrics.json"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        one, two = (json.loads((tmp_path / s / "manifest.json").read_text()) for s in "12")
+        assert one["config_hash"] != two["config_hash"]
+        for key in ("config_hash", "elapsed_seconds"):
+            del one[key], two[key]
+        assert one == two
+
     def test_state_of_other_modes_rejected(self, tmp_path):
         cmd_sample(base_config(), tmp_path / "s")
         chain = base_config(state={"kind": "chain", "m": 3, "kappa": 0.5})
@@ -771,6 +789,23 @@ class TestBounds:
         assert not report["feasible"]
         assert report["N"] is None and report["delta0"] is None and report["sigma"] is None
         assert report["reason"].startswith("no truncation M <= 64 meets the eps/2")
+
+
+    def test_uncapped_homodyne_truncation_is_refused_in_a_subprocess(self, tmp_path):
+        # r = 2, alpha = 2, n = 4, E_n = 20, eps = 0.1 give M = 800: uncapped,
+        # _sigma_block ran for hours with overflow warnings, and the Kronecker
+        # power would have been 641601^2
+        config = self.bounds_config(r=2, epsilon=0.1, n=4.0, alpha=2.0, e_n=20.0)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvshadow.cli", "bounds", "--config",
+             str(write_config(tmp_path, config)), "--out", str(tmp_path / "b")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        report = json.loads((tmp_path / "b" / "bounds.json").read_text())
+        assert not report["feasible"] and report["M"] == -1
+        assert report["reason"].endswith("M = 800 exceeds the truncation cap 64")
 
 
 class TestEntropy:

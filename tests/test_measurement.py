@@ -12,6 +12,7 @@ from scipy.stats import kstest
 from cvshadow.measurement import (
     SampleBatch,
     fock_husimi,
+    jsonl_header,
     sample_heterodyne_batch,
     sample_homodyne_batch,
     stream_rng,
@@ -194,7 +195,14 @@ class TestHomodynePdf:
 
 
 class TestDensitySlices:
-    """Both densities evaluate their points ``_DENSITY_SLICE`` at a time."""
+    """Both densities evaluate ``_DENSITY_VALUES // dim`` points at a time."""
+
+    @staticmethod
+    def one_slice(monkeypatch, fock, n):
+        # a value budget that fits all n points of fock in one slice
+        import cvshadow.measurement as meas
+
+        monkeypatch.setattr(meas, "_DENSITY_VALUES", n * (fock.truncation + 1))
 
     @staticmethod
     def densities(fock, n):
@@ -213,9 +221,9 @@ class TestDensitySlices:
         import cvshadow.measurement as meas
 
         fock = meas._sampling_fock(SCAN_STATES[name])
-        n = 2 * meas._DENSITY_SLICE + 3
+        n = 2 * (meas._DENSITY_VALUES // (fock.truncation + 1)) + 3
         sliced = self.densities(fock, n)
-        monkeypatch.setattr(meas, "_DENSITY_SLICE", n)
+        self.one_slice(monkeypatch, fock, n)
         whole = self.densities(fock, n)
         for got, expected in zip(sliced, whole):
             assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -232,13 +240,13 @@ class TestDensitySlices:
             pytest.skip("numpy is not linked against its bundled OpenBLAS")
         get, put = calls
         fock = meas._sampling_fock(CatStateSpec(1 + 1j, "zero"))
-        n = 2 * meas._DENSITY_SLICE + 3
+        n = 2 * (meas._DENSITY_VALUES // (fock.truncation + 1)) + 3
         x = 3.0 * np.random.default_rng(8).standard_normal((n, 2))
         before = get()
         try:
             put(2)
             sliced = fock_husimi(fock, x)
-            monkeypatch.setattr(meas, "_DENSITY_SLICE", n)
+            self.one_slice(monkeypatch, fock, n)
             assert np.array_equal(sliced, fock_husimi(fock, x))
             assert get() == 2
         finally:
@@ -246,8 +254,8 @@ class TestDensitySlices:
 
     @pytest.mark.parametrize("density", ["homodyne", "heterodyne"])
     def test_density_memory_at_2e5_points(self, density):
-        # one (dim, 8192) slice of Hermite rows or amplitudes at a time: 45 and
-        # 111 MB while the whole (dim, 2e5) block was built
+        # one (dim, 2**17 // dim) slice of Hermite rows or amplitudes at a
+        # time: 45 and 111 MB while the whole (dim, 2e5) block was built
         import cvshadow.measurement as meas
 
         fock = meas._sampling_fock(CatStateSpec(1 + 1j, "zero"))
@@ -259,6 +267,21 @@ class TestDensitySlices:
             x = 2.0 * rng.standard_normal((200_000, 2))
             peak = traced_peak_mb(lambda: fock_husimi(fock, x))
         assert peak <= 8.0
+
+    def test_memory_bounded_in_values_at_large_truncation(self):
+        # a cat of alpha = 40 (dim 1851) takes 64 points a slice, so 192 points
+        # are three slices: two (1851, 64) float blocks alive at the peak of the
+        # homodyne density, one complex block and its log-domain float at the
+        # heterodyne's; 2.9 and 8.9 MB while the 192 points were one slice
+        import cvshadow.measurement as meas
+
+        fock = meas._sampling_fock(CatStateSpec(40, "zero"))
+        assert fock.truncation + 1 == 1851
+        rng = np.random.default_rng(10)
+        thetas, q = rng.uniform(-np.pi, np.pi, 192), 3.0 * rng.standard_normal(192)
+        x = 3.0 * rng.standard_normal((192, 2))
+        assert traced_peak_mb(lambda: meas._homodyne_density(fock, thetas, q)) <= 2.5
+        assert traced_peak_mb(lambda: fock_husimi(fock, x)) <= 4.0
 
 
 class TestSampleHomodyne:
@@ -708,7 +731,7 @@ class TestHeterodynePdf:
             return heterodyne_pdf(state, pts)
 
         box = BoxDomain([7.0, 7.0, 7.0, 7.0])
-        val, _ = qmc_integrate(density_flat, box, 2**20)
+        val = qmc_integrate(density_flat, box, 2**20)
         assert val == pytest.approx(1.0, abs=1e-3)
 
 
@@ -949,6 +972,17 @@ class TestRecordsAndBatches:
             path.write_text(text)
             with pytest.raises(ValueError, match=message):
                 SampleBatch.from_jsonl(path)
+
+    def test_header_reads_the_first_record_only(self, tmp_path):
+        # bytes that are not UTF-8, well past the first text buffer: a reader
+        # that went on after the first record would raise UnicodeDecodeError
+        path = tmp_path / "records.jsonl"
+        path.write_text("\n")
+        with open(path, "a") as fh:
+            sample_heterodyne_batch(GaussianStateSpec.vacuum(), 2000, "s/0").to_jsonl(fh)
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        assert jsonl_header(path) == ("heterodyne", "s/0", (1, 2))
 
     def test_bad_record_shapes(self):
         with pytest.raises(ValueError):

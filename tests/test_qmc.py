@@ -11,7 +11,6 @@ from cvshadow.qmc import (
     halton_points,
     qmc_integrate,
     radical_inverse,
-    tv_estimate,
 )
 from conftest import gaussian_family_error
 
@@ -53,16 +52,23 @@ class TestHalton:
 class TestQmcIntegrate:
     def test_constant_exact(self):
         box = BoxDomain([1.0, 1.0])
-        val, _ = qmc_integrate(lambda p: np.ones(p.shape[0]), box, 64)
+        val = qmc_integrate(lambda p: np.ones(p.shape[0]), box, 64)
         assert val == pytest.approx(4.0)
 
     def test_gaussian_2d(self):
         box = BoxDomain([6.0, 6.0])
-        val, err_model = qmc_integrate(
-            lambda p: np.exp(-0.5 * np.sum(p * p, axis=-1)), box, 2**16
-        )
+        val = qmc_integrate(lambda p: np.exp(-0.5 * np.sum(p * p, axis=-1)), box, 2**16)
         assert val == pytest.approx(2.0 * math.pi, abs=1e-3)
-        assert err_model > 0
+
+    def test_integrand_called_once_on_budget_points(self):
+        calls = []
+
+        def f(p):
+            calls.append(p.shape)
+            return np.ones(p.shape[0])
+
+        assert qmc_integrate(f, BoxDomain([1.0, 2.0]), 1000) == pytest.approx(8.0)
+        assert calls == [(1000, 2)]
 
     def test_error_decay_scan(self):
         # max error over a family of Gaussians (references include the exact
@@ -99,22 +105,3 @@ class TestQmcIntegrate:
         # 1e-4 at the scale of the entry (the integrand reaches ~R^2/2)
         assert abs(qmc_val - ref) < 1e-4 * (1.0 + abs(ref))
 
-
-class TestTvEstimate:
-    def test_constant(self):
-        box = BoxDomain([1.0, 1.0])
-        assert tv_estimate(lambda p: np.ones(p.shape[0]), box, grid=64) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_linear_on_unit_square(self):
-        # f(x) = x1 shifted to the centered box [-1/2, 1/2]^2: |grad| = 1
-        box = BoxDomain([0.5, 0.5])
-        val = tv_estimate(lambda p: p[:, 0], box, grid=128)
-        assert val == pytest.approx(1.0, rel=1e-10)
-
-    def test_gaussian_1d_closed_form(self):
-        # int |f'| = 2 (peak - boundary) for a centered 1D Gaussian
-        box = BoxDomain([6.0])
-        val = tv_estimate(lambda p: np.exp(-0.5 * p[:, 0] ** 2), box, grid=256)
-        assert val == pytest.approx(2.0 * (1.0 - math.exp(-18.0)), rel=0.01)
