@@ -10,6 +10,7 @@ the config hash, the tool version and wall time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -47,11 +48,21 @@ _NON_NEGATIVE_INT = {"type": "integer", "minimum": 0}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _OPEN_UNIT = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 
+# The keys each state kind reads, (required, optional); _STATE_SCHEMA holds them all.
+_STATE_KEYS = {
+    "vacuum": ((), ()),
+    "coherent": (("alpha",), ()),
+    "thermal": (("nu",), ()),
+    "cat": (("alpha",), ("logical",)),
+    "chain": (("m", "kappa"), ("disorder", "disorder_seed")),
+    "fock": (("n",), ()),
+}
+
 _STATE_SCHEMA = {
     "type": "object",
     "required": ["kind"],
     "properties": {
-        "kind": {"enum": ["vacuum", "coherent", "thermal", "cat", "chain", "fock"]},
+        "kind": {"enum": list(_STATE_KEYS)},
         "alpha": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
         "logical": {"enum": ["zero", "one", "plus", "minus"]},
         "nu": {"type": "number", "minimum": 0},
@@ -177,6 +188,13 @@ def load_config(path) -> dict:
 
 def validate_config(config: dict) -> None:
     errors = sorted(_schema_errors(CONFIG_SCHEMA, config), key=lambda error: error[0])
+    if not errors:  # then the state takes only the keys its kind reads
+        state = config["state"]
+        required, optional = _STATE_KEYS[state["kind"]]
+        keys = ("kind", *required, *optional)
+        schema = dict(_STATE_SCHEMA, required=["kind", *required],
+                      properties={key: _STATE_SCHEMA["properties"][key] for key in keys})
+        errors = list(_schema_errors(schema, state, "$.state"))
     if errors:
         raise ConfigError("config invalid at {}: {}".format(*errors[0]))
     lo, hi = _grid_range(config)
@@ -201,7 +219,7 @@ def build_state(state_cfg: dict):
     if kind == "vacuum":
         return GaussianStateSpec.vacuum()
     if kind == "coherent":
-        a = state_cfg.get("alpha", [0.0, 0.0])
+        a = state_cfg["alpha"]
         return GaussianStateSpec.coherent(complex(a[0], a[1]))
     if kind == "thermal":
         return GaussianStateSpec.thermal(state_cfg["nu"])
@@ -217,7 +235,7 @@ def build_state(state_cfg: dict):
         )
         return chain_state(spec)
     if kind == "fock":
-        n = state_cfg.get("n", 0)
+        n = state_cfg["n"]
         trunc = max(n, 1)
         mat = np.zeros((trunc + 1, trunc + 1), dtype=complex)
         mat[n, n] = 1.0
@@ -398,6 +416,8 @@ def cmd_bounds(config: dict, out_dir) -> dict:
         ("delta0", report.delta0_value),
         ("feasible", report.feasible),
     ]
+    if not report.feasible:
+        rows.append(("reason", report.reason))
     width = max(len(k) for k, _ in rows)
     print("\n".join(f"{k:<{width}}  {v}" for k, v in rows))
     return report.to_dict()
@@ -410,8 +430,6 @@ def cmd_entropy(config: dict, average_path, out_dir) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     if "entropy" not in config:
         raise ConfigError("config invalid at $.entropy: section is required")
-    if not Path(average_path).exists():
-        raise FileNotFoundError(f"shadow-average file not found: {average_path}")
     avg = ShadowAverage.from_json(average_path)
     e_cfg = config["entropy"]
     plan = plan_entropy(avg.truncation, len(avg.subset), e_cfg["epsilon"], e_cfg["energy"])
@@ -424,13 +442,7 @@ def cmd_entropy(config: dict, average_path, out_dir) -> dict:
         "H": value,
         "d_p": d_p,
         "spectral_radius": radius,
-        "plan": {
-            "d_p": plan.d_p,
-            "epsilon": plan.epsilon,
-            "epsilon_prime": plan.epsilon_prime,
-            "log10_epsilon_prime": plan.log10_epsilon_prime,
-            "log10_n_implied": plan.log10_n_implied,
-        },
+        "plan": dataclasses.asdict(plan),
     }
     # the series' last term alone, dim radius^d_p / (d_p (d_p - 1)), may exceed epsilon
     if radius > (e_cfg["epsilon"] * d_p * (d_p - 1) / len(sigma)) ** (1.0 / d_p):
@@ -484,7 +496,7 @@ def main(argv=None) -> int:
             cmd_bounds(config, args.out)
         elif args.command == "entropy":
             cmd_entropy(config, args.average, args.out)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, MemoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

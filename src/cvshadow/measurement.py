@@ -28,7 +28,7 @@ import math
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -367,12 +367,6 @@ def fock_husimi(fock: FockMatrix | FockKet, x, factors=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=16)
-def _cat_sampling_fock(spec: CatStateSpec) -> FockKet:
-    trunc = int(np.ceil(abs(spec.alpha) ** 2 + 6.0 * abs(spec.alpha) + 10))
-    return FockKet(cat_fock_coefficients(spec, trunc))
-
-
 def _sampling_fock(state) -> FockMatrix | FockKet:
     """The single-mode truncated state a non-Gaussian sampler draws from.
 
@@ -382,7 +376,8 @@ def _sampling_fock(state) -> FockMatrix | FockKet:
     a density.
     """
     if isinstance(state, CatStateSpec):
-        return _cat_sampling_fock(state)
+        trunc = int(np.ceil(abs(state.alpha) ** 2 + 6.0 * abs(state.alpha) + 10))
+        return FockKet(cat_fock_coefficients(state, trunc))
     if not isinstance(state, FockMatrix):
         raise ValueError(f"unsupported state kind: {type(state).__name__}")
     if state.modes != 1:

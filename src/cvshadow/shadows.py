@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import HETERODYNE, HOMODYNE, SampleBatch, _one_blas_thread, _openblas_threads
+from .measurement import HETERODYNE, HOMODYNE, SampleBatch, _one_blas_thread
 from .phase_space import dyad_poly, fock_dyad_radial
 from .states import FockMatrix, _check_modes, multi_indices
 

@@ -360,7 +360,7 @@ def coherent_fock_coefficients(alpha, truncation: int) -> np.ndarray:
         mag = n * np.log(np.abs(alpha))
     mag[0] = 0.0  # |alpha|^0 = 1, also at alpha = 0
     # in place: the peak is one float and one complex array of the result's
-    # shape (the heterodyne density asks for slices of 8192 points)
+    # shape (the heterodyne density asks for slices of at most 2^17 values)
     mag += -0.5 * np.abs(alpha) ** 2
     mag -= 0.5 * log_fact
     out = 1j * n * np.angle(alpha)

@@ -248,12 +248,56 @@ class TestConfigValidation:
             ({"grid": {"lo": -math.inf}}, "$.grid.lo"),
             ({"state": {"kind": "coherent", "alpha": [1e400 * 0, 0.0]}}, "$.state.alpha[0]"),
             ({"grid": {"hi": 10**400}}, "$.grid.hi"),
+            # a key the state's kind reads is missing
+            ({"state": {"kind": "cat"}}, "$.state"),
+            ({"state": {"kind": "thermal"}}, "$.state"),
+            ({"state": {"kind": "chain", "m": 3}}, "$.state"),
+            ({"state": {"kind": "coherent"}}, "$.state"),
+            ({"state": {"kind": "fock"}}, "$.state"),
+            # a key the state's kind does not read is set
+            ({"state": {"kind": "vacuum", "nu": 3}}, "$.state"),
+            ({"state": {"kind": "vacuum", "nu": 3, "m": 7, "kappa": 0.5}}, "$.state"),
+            ({"state": {"kind": "coherent", "alpha": [1, 0], "logical": "one"}}, "$.state"),
+            ({"state": {"kind": "thermal", "nu": 1, "alpha": [1, 0]}}, "$.state"),
+            ({"state": {"kind": "cat", "alpha": [1, 0], "disorder": True}}, "$.state"),
+            ({"state": {"kind": "chain", "m": 3, "kappa": 0.5, "n": 2}}, "$.state"),
+            ({"state": {"kind": "fock", "n": 1, "logical": "zero"}}, "$.state"),
         ],
     )
     def test_refusals_beyond_jsonschema(self, overrides, path):
         # jsonschema accepts each of these values
         with pytest.raises(ConfigError, match=re.escape(f"config invalid at {path}: ")):
             validate_config(base_config(**overrides))
+
+    def test_each_kind_takes_only_the_keys_it_reads(self):
+        # the fewest keys of each kind, then every key of the union added once
+        least = {"vacuum": {}, "coherent": {"alpha": [1, 0]}, "thermal": {"nu": 0.5},
+                 "cat": {"alpha": [1, 0]}, "chain": {"m": 3, "kappa": 0.5}, "fock": {"n": 1}}
+        values = {"alpha": [1, 0], "logical": "plus", "nu": 0.5, "n": 1, "m": 3, "kappa": 0.5,
+                  "disorder": True, "disorder_seed": 5}
+        accepted = set()
+        for kind, keys in least.items():
+            validate_config(base_config(state={"kind": kind, **keys}))
+            for key, value in values.items():
+                try:
+                    validate_config(base_config(state={"kind": kind, **keys, key: value}))
+                except ConfigError as exc:
+                    assert key not in keys
+                    assert str(exc) == ("config invalid at $.state: Additional properties are "
+                                        f"not allowed ({key!r} was unexpected)")
+                else:
+                    accepted.add((kind, key))
+        assert accepted == {
+            ("coherent", "alpha"), ("thermal", "nu"), ("cat", "alpha"), ("cat", "logical"),
+            ("chain", "m"), ("chain", "kappa"), ("chain", "disorder"),
+            ("chain", "disorder_seed"), ("fock", "n"),
+        }
+        for kind, keys in least.items():
+            for key in keys:
+                state = {"kind": kind, **{k: v for k, v in keys.items() if k != key}}
+                with pytest.raises(ConfigError, match=re.escape(
+                        f"config invalid at $.state: {key!r} is a required property")):
+                    validate_config(base_config(state=state))
 
     def test_bench_and_test_configs_validate(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -806,6 +850,7 @@ class TestBounds:
         report = json.loads((tmp_path / "b" / "bounds.json").read_text())
         assert not report["feasible"] and report["M"] == -1
         assert report["reason"].endswith("M = 800 exceeds the truncation cap 64")
+        assert f"reason    {report['reason']}\n" in proc.stdout
 
 
 class TestEntropy:
@@ -1011,6 +1056,40 @@ class TestMainEntrypoint:
         assert cli.main(argv) == 2
         assert f"error: config invalid at {path}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "state, message",
+        [
+            ({"kind": "cat"}, "'alpha' is a required property"),
+            ({"kind": "thermal"}, "'nu' is a required property"),
+            ({"kind": "vacuum", "nu": 3, "m": 7, "kappa": 0.5}, "('nu' was unexpected)"),
+        ],
+    )
+    def test_state_key_refused_before_anything_is_written(self, tmp_path, capsys, state,
+                                                          message):
+        # the cat and thermal state crashed in build_state with a KeyError, and
+        # the vacuum was sampled with its three unread keys
+        cfg_path = write_config(tmp_path, base_config(state=state))
+        argv = ["sample", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config invalid at $.state: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_allocation_is_reported(self, tmp_path, capsys, monkeypatch):
+        # a 4-mode homodyne chain at truncation 30 asks for a (10, 923521, 923521)
+        # stack; the allocation's MemoryError is patched in, not provoked
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 124. TiB")
+
+        cfg_path = write_config(tmp_path, base_config(samples=10))
+        out, batch = str(tmp_path / "s"), str(tmp_path / "s" / "records.jsonl")
+        assert cli.main(["sample", "--config", str(cfg_path), "--out", out]) == 0
+        monkeypatch.setattr(cli, "shadow_batch_entries", refuse)
+        argv = ["reconstruct", "--config", str(cfg_path), "--batch", batch]
+        assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == "error: Unable to allocate 124. TiB\n"
+        assert not (tmp_path / "r" / "manifest.json").exists()
 
     @pytest.mark.parametrize(
         "overrides, path",

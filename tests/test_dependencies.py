@@ -53,3 +53,24 @@ def test_runtime_dependencies_are_numpy_only():
     project = tomllib.loads(PYPROJECT.read_text())["project"]
     assert [dep.split(">")[0].strip() for dep in project["dependencies"]] == ["numpy"]
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+def unread_imports(path: Path) -> list[str]:
+    """Names that ``path`` imports, ``from __future__`` aside, but never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py imports to re-export
+    modules = sorted(m for m in PACKAGE.glob("*.py") if m.name != "__init__.py")
+    unread = {m.name: unread_imports(m) for m in modules}
+    assert {name: names for name, names in unread.items() if names} == {}

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import i0e, jv
 
-from cvshadow import shadows
+from cvshadow import measurement, shadows
 from cvshadow.bounds import delta0
 from cvshadow.measurement import SampleBatch, sample_heterodyne_batch, sample_homodyne_batch
 from cvshadow.phase_space import char_fock_dyad, laguerre
@@ -330,7 +330,7 @@ class TestProfileTable:
     def test_one_blas_thread_restores_the_callers_count(self):
         # the table's products run on one OpenBLAS thread, so its bits do not
         # follow OPENBLAS_NUM_THREADS; the caller's count comes back, also on error
-        calls = shadows._openblas_threads()
+        calls = measurement._openblas_threads()
         if calls is None:
             pytest.skip("numpy is not linked against its bundled OpenBLAS")
         get, put = calls
