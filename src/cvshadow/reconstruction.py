@@ -17,7 +17,6 @@ import numpy as np
 
 from .measurement import HETERODYNE, SampleBatch
 from .phase_space import CharGrid, omega_apply
-from .shadows import _CHUNK_ROUNDS
 from .states import _check_modes
 
 
@@ -25,17 +24,21 @@ def _trial_char_grid(a, ya, b, yb) -> np.ndarray:
     """``exp((a_k^2 + b_l^2)/4) mean_n exp(i a_k ya_n) exp(i b_l yb_n)``.
 
     Returns shape (len(a), len(b)).  The phase factorises per axis, so the
-    sum over rounds is ``A @ B.T`` over chunks of ``_CHUNK_ROUNDS`` rounds in
-    order, then divided by N.  Memory is one complex axis x chunk buffer per
-    axis, allocated once: each chunk's phases are written into its imaginary
-    part, and their cosines and sines in place, never grid x N.
+    sum over rounds is ``A @ B.T`` over chunks of rounds in order, then
+    divided by N.  A chunk is ``2^17 // max(len(a), len(b))`` rounds, rounded
+    down to a multiple of 16 and at least 16, so each axis's complex phase
+    buffer, allocated once, holds at most 2^17 values (2 MB) up to 8192
+    points, and the sum's bits depend on N and the grid size only.  Each
+    chunk's phases are written into the buffer's imaginary part, and their
+    cosines and sines in place, never grid x N.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     total = np.zeros((a.size, b.size), dtype=complex)
-    chunk = min(_CHUNK_ROUNDS, len(ya))
+    rounds = max(16, (1 << 17) // max(a.size, b.size) // 16 * 16)
+    chunk = min(rounds, len(ya))
     buffers = np.empty((a.size, chunk), dtype=complex), np.empty((b.size, chunk), dtype=complex)
-    for start in range(0, len(ya), _CHUNK_ROUNDS):
-        sl = slice(start, start + _CHUNK_ROUNDS)
+    for start in range(0, len(ya), rounds):
+        sl = slice(start, start + rounds)
         pa, pb = (buf[:, : len(ya[sl])] for buf in buffers)
         for axis, y, phase in ((a, ya, pa), (b, yb, pb)):
             np.multiply.outer(axis, y[sl], out=phase.imag)

@@ -151,9 +151,9 @@ def f_mu_homodyne(rho, s: float):
 PROFILE_STEPS = {HOMODYNE: 1.0 / 512, HETERODYNE: 1.0 / 2048}
 _BLOCK_NODES = 512
 PROFILE_MAX_RADIUS = 64.0
-# Rounds per chunk of the batch entries, the averages and the grid sums of
-# :mod:`cvshadow.reconstruction`: temporaries stay one chunk large, and the
-# averages' and grids' bits depend on this size, not on N.
+# Rounds per chunk of the batch entries and the averages: temporaries stay one
+# chunk large, and the averages' bits depend on this size, not on N.  The grid
+# sums of :mod:`cvshadow.reconstruction` size their chunks by grid points.
 _CHUNK_ROUNDS = 4096
 
 _PROFILE_TABLES: dict = {}

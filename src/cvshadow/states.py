@@ -8,6 +8,7 @@ row-major (first mode slowest).
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from collections.abc import Iterator
@@ -479,10 +480,15 @@ class CirculantChainState:
 
         A block ``circ(c)`` with eigenvalues ``c_k`` is drawn exactly as ``Re
         FFT(sqrt(c_k / m) (z1 + i z2))`` for standard normal ``z1``, ``z2``.
-        Yields blocks of rows, about 2^18 normals each, held one at a time by
-        a caller that drops each before asking for the next; the normals are
-        scaled and transformed in place in a preallocated complex sub-chunk
-        of about 2^14 values.
+        The normals of each block of ``step`` rows are four runs of the stream
+        of about 2^18 values each, in order: Re x, Im x, Re p, Im p.  A copy of
+        ``rng`` starts each of the first three, set there by drawing through
+        the earlier runs and discarding the values; ``rng`` itself takes the
+        last and ends at the block's end.  Rows are built and yielded ``sub``
+        at a time (about 2^14 values in each of ``x`` and ``p``), scaled and
+        transformed in place in a preallocated complex sub-chunk, so nothing
+        holds a block or its normals.  ``step`` fixes the stream order; the
+        bits do not depend on ``sub``.
         """
         m = self.modes
         root = np.sqrt(2.0 * self.lam)
@@ -490,18 +496,24 @@ class CirculantChainState:
         step, sub = max(1, (1 << 18) // m), max(1, (1 << 14) // m)
         chunk = np.empty((min(sub, n), m), dtype=complex)
         for r in range(0, n, step):
-            rows = np.empty((min(step, n - r), 2 * m))
-            for block, scale in enumerate(scales):
-                z = rng.standard_normal((2, len(rows), m))
-                for s in range(0, len(rows), sub):
-                    c = chunk[: len(rows[s : s + sub])]
-                    c.real[:], c.imag[:] = z[:, s : s + sub]
+            size = min(step, n - r)
+            cuts = [min(sub, size - s) for s in range(0, size, sub)]
+            runs = []
+            for _ in range(3):
+                runs.append(copy.deepcopy(rng))
+                for rows in cuts:
+                    rng.standard_normal((rows, m))  # discarded: the run another copy takes
+            runs.append(rng)
+            for rows in cuts:
+                c, out = chunk[:rows], np.empty((rows, 2 * m))
+                for half, scale in enumerate(scales):
+                    c.real[:] = runs[2 * half].standard_normal((rows, m))
+                    c.imag[:] = runs[2 * half + 1].standard_normal((rows, m))
                     c *= scale
                     np.fft.fft(c, out=c)
-                    rows[s : s + sub, block * m : (block + 1) * m] = c.real
-                del z  # before the next block's normals
-            yield rows
-            del rows  # freed before the next block, once the caller lets it go
+                    out[:, half * m : (half + 1) * m] = c.real
+                yield out
+                del out  # freed before the next rows, once the caller lets them go
 
 
 def chain_state(spec: ChainSpec):

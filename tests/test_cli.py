@@ -431,7 +431,7 @@ class TestStreamedSample:
 
     @pytest.fixture(scope="class")
     def chain_run(self, tmp_path_factory):
-        # 1000 rounds of the m = 1000 chain: four blocks of at most 262 rows
+        # 1000 rounds of the m = 1000 chain: four runs of at most 262 rows, 16-row blocks
         out = tmp_path_factory.mktemp("chain")
         config = base_config(state=CHAIN1000, samples=1000, seed=11)
         tracemalloc.start()
@@ -443,9 +443,10 @@ class TestStreamedSample:
         return config, out / "records.jsonl", peak
 
     def test_chain_memory(self, chain_run):
-        # one block's rows and its normals are 4.2 MB each; the whole (1000, 1000, 2)
-        # outcomes alone would be 16 MB (20.6 MB peak when they were held)
-        assert chain_run[2] <= 12.0
+        # rows come 16 at a time, 0.26 MB with their normals and sub-chunk beside
+        # them; one 262-row block's rows and its normals were 4.2 MB each, and the
+        # whole (1000, 1000, 2) outcomes alone would be 16 MB (20.6 MB peak when held)
+        assert chain_run[2] <= 4.0
 
     def test_chain_bytes(self, chain_run):
         config, records, _ = chain_run
@@ -454,7 +455,7 @@ class TestStreamedSample:
     @pytest.mark.parametrize(
         "name, protocol, samples",
         [
-            ("chain", "homodyne", 300),  # blocks of 262 and 38 rows
+            ("chain", "homodyne", 300),  # runs of 262 and 38 rows, in blocks of 16
             ("thermal3", "homodyne", 43520 + 1),  # blocks of 43520 and 1 row
             ("thermal3", "heterodyne", 43520 + 7),
             ("cat", "homodyne", 500),  # one block, by rejection

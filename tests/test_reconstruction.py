@@ -31,7 +31,7 @@ def direct_trial_char(outcomes, u):
 class TestTrialChar:
     @pytest.mark.parametrize("n", [37, 9000])
     def test_single_mode_matches_direct_sum(self, n):
-        # 9000 rounds span three chunks of the factorised sum
+        # 9000 rounds are one chunk at 7 points (several: the 81-point cases below)
         outcomes = np.random.default_rng(n).normal(0.3, 0.8, size=(n, 2))
         batch = SampleBatch(HETERODYNE, outcomes[:, None, :])
         _, recon, _ = reconstruct_single_mode(batch, GaussianStateSpec.vacuum(), -2.0, 2.0, 7)
@@ -70,9 +70,9 @@ class TestTrialChar:
         assert peak < 200 * 2**20
 
     def test_phase_matrices_exponentiated_in_place(self):
-        # the bench vacuum grid: N = 8000, 81 points, 4096-round chunks.  Two
-        # complex 81 x 4096 phase matrices are 10.6 MB and one float outer
-        # product 2.7 MB; a copy for exp(1j * outer) would add 5.3 MB
+        # the bench vacuum grid: N = 8000, 81 points, 1616-round chunks.  Two
+        # complex 81 x 1616 phase matrices are 4.2 MB; a float outer product
+        # beside them would add 1.0 MB, and a copy for exp(1j * outer) 2.1 MB
         rng = np.random.default_rng(8)
         axis, ya, yb = np.linspace(-2.0, 2.0, 81), rng.normal(size=8000), rng.normal(size=8000)
         tracemalloc.start()
@@ -85,7 +85,31 @@ class TestTrialChar:
             np.exp(1j * np.outer(axis, ya)) @ np.exp(1j * np.outer(axis, yb)).T / 8000
         )
         assert np.abs(grid - direct).max() <= 1e-12
-        assert peak <= 10.6 + 2.7 + 1.0
+        assert peak <= 5.5
+
+    def test_phase_buffers_follow_grid_points(self):
+        # at 401 points a chunk is 320 rounds: two 401 x 320 phase matrices are
+        # 4.1 MB and the 401 x 401 sum and its scaled copies 2.6 MB each; the
+        # 4096-round chunks they replace were 52.6 MB
+        rng = np.random.default_rng(9)
+        axis, ya, yb = np.linspace(-2.0, 2.0, 401), rng.normal(size=8000), rng.normal(size=8000)
+        tracemalloc.start()
+        try:
+            _trial_char_grid(axis, ya, axis, yb)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.0
+
+    def test_chunked_grid_matches_direct_exp(self):
+        # 3 x 1616 + 5 rounds at 81 points: three full chunks and a partial one
+        n = 3 * 1616 + 5
+        rng = np.random.default_rng(10)
+        axis, ya, yb = np.linspace(-2.0, 2.0, 81), rng.normal(size=n), rng.normal(size=n)
+        direct = np.exp(0.25 * (axis[:, None] ** 2 + axis[None, :] ** 2)) * (
+            np.exp(1j * np.outer(axis, ya)) @ np.exp(1j * np.outer(axis, yb)).T / n
+        )
+        assert np.abs(_trial_char_grid(axis, ya, axis, yb) - direct).max() <= 1e-12
 
 
 class TestPairValidation:

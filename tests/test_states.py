@@ -445,13 +445,23 @@ class TestChain:
         # draws are linear in the normals: feeding the 2m unit vectors of one
         # block's (z1, z2) as 2m rows gives rows whose Gram matrix is its covariance
         class UnitNormals:
-            def standard_normal(self, shape):
-                assert shape == (2, 2 * m, m)
-                return np.eye(2 * m).reshape(2 * m, 2, m).transpose(1, 0, 2)
+            """The unit vectors' entries as a stream: runs Re x, Im x, Re p, Im p."""
 
+            def __init__(self):
+                eye = np.eye(2 * m)
+                self.values = np.concatenate([eye[:, :m].ravel(), eye[:, m:].ravel()] * 2)
+                self.used = 0
+
+            def standard_normal(self, shape):
+                size = math.prod(shape)
+                self.used += size
+                return self.values[self.used - size : self.used].reshape(shape)
+
+        normals = UnitNormals()
         spec = ChainSpec(m, 0.99 if m > 2 else 0.5)
-        blocks = chain_state(spec).phase_space_draws(vacuum, 2 * m, UnitNormals())
+        blocks = chain_state(spec).phase_space_draws(vacuum, 2 * m, normals)
         rows = np.concatenate(list(blocks))
+        assert normals.used == normals.values.size  # the whole block's runs, once each
         target = 0.5 * (chain_ground_state(spec).cov + vacuum * np.eye(2 * m))
         for b in (slice(0, m), slice(m, 2 * m)):
             assert np.abs(rows[:, b].T @ rows[:, b] - target[b, b]).max() <= 1e-13
@@ -462,6 +472,7 @@ class TestChain:
         [
             (3, 1), (3, 12_000),  # 5461-row sub-chunks, the last one partial
             (1000, 16), (1000, 1000),  # 16-row sub-chunks in 262-row blocks, 1000 = 62.5 x 16
+            (1000, 17), (1000, 263),  # one sub-chunk plus one row; one block plus one row
         ],
     )
     @pytest.mark.parametrize("vacuum", [0.0, 1.0])
@@ -473,10 +484,9 @@ class TestChain:
         assert np.array_equal(draws, reference)
 
     def test_spectral_draws_memory(self):
-        # one block's (262, 2000) rows are 4.2 MB and its normals 4.2 MB; a
-        # (262, 1000) complex chunk beside them, or a block the generator
-        # still holds while it draws the next, would add another 4.2 MB, and
-        # holding every block the whole (1000, 2000) rows, 16 MB
+        # 16 rows of 2000 are 0.26 MB, their complex sub-chunk 0.26 MB and one
+        # run's normals for them 0.13 MB; one block's (262, 2000) rows, or its
+        # normals, would be 4.2 MB, and every block's (1000, 2000) rows 16 MB
         state = chain_state(ChainSpec(1000, 0.99))
         rng = np.random.default_rng(3)
         tracemalloc.start()
@@ -486,7 +496,7 @@ class TestChain:
             peak = tracemalloc.get_traced_memory()[1] / 1e6
         finally:
             tracemalloc.stop()
-        assert peak <= 4.2 + 4.2 + 1.0
+        assert peak <= 1.0
 
 
 class TestFockMatrices:
