@@ -7,7 +7,6 @@ from .phase_space import (
     char_coherent_dyad,
     char_fock_dyad,
     char_gaussian_raw,
-    displacement_oracle,
     laguerre,
     omega_apply,
     omega_matrix,
@@ -53,4 +52,3 @@ from .entropy import (
     entropy_reference,
     plan_entropy,
 )
-from .qmc import BoxDomain, halton_points, qmc_integrate

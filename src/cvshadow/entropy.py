@@ -147,25 +147,3 @@ def entropy_reference(spec) -> float:
     if isinstance(spec, FockMatrix):
         return matrix_entropy(spec.entries)
     raise ValueError(f"unsupported state kind: {type(spec).__name__}")
-
-
-def binary_entropy(x: float) -> float:
-    """Natural-log binary entropy h(x) = -x ln x - (1-x) ln(1-x)."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("binary_entropy needs x in [0, 1]")
-    if x in (0.0, 1.0):
-        return 0.0
-    return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
-
-
-def entropy_continuity_bound(gamma: float, r_energy: float) -> float:
-    """Energy-constrained continuity bound ``h(g) + rE h(g / (rE))``.
-
-    Valid for ``gamma <= rE / (1 + rE)`` where ``2 gamma`` bounds the trace
-    distance between the two states and ``rE`` their local energy.
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    if gamma > r_energy / (1.0 + r_energy):
-        raise ValueError("gamma outside the validity range of the bound")
-    return binary_entropy(gamma) + r_energy * binary_entropy(gamma / r_energy)

@@ -186,9 +186,9 @@ def jsonl_header(path) -> tuple[str, str, tuple]:
         else:
             raise ValueError(f"{path}: no records")
     protocol, seed_path, _, outcome = _fields(path, first, line)
-    shape = np.shape(outcome)
     if protocol not in (HOMODYNE, HETERODYNE):
         raise ValueError(f"{path}: line {first} has unknown protocol {protocol!r}")
+    shape = _array(outcome, path, first).shape
     if len(shape) != (1 if protocol == HOMODYNE else 2) or shape[1:] not in ((), (2,)):
         raise ValueError(
             f"{path}: line {first} has shape {shape}, expected (modes,) for "
@@ -199,20 +199,29 @@ def jsonl_header(path) -> tuple[str, str, tuple]:
 
 def _fields(path, line: int, text: str) -> tuple:
     """(protocol, seed_path, thetas, outcome) of one JSONL record line."""
-    payload = json.loads(text)
     try:
+        payload = json.loads(text)
         return (
             payload["protocol"],
             payload.get("seed_path", ""),
             payload.get("thetas"),
             payload["outcome"],
         )
-    except (KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: line {line} is not a record ({exc!r})") from None
 
 
+def _array(values, path, line: int) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (ValueError, TypeError):
+        raise ValueError(
+            f"{path}: line {line} holds values that are not an array of numbers"
+        ) from None
+
+
 def _row(values, shape: tuple, path, line: int) -> np.ndarray:
-    row = np.asarray(values, dtype=float)
+    row = _array(values, path, line)
     if row.shape != shape:
         raise ValueError(f"{path}: line {line} has shape {row.shape}, expected {shape}")
     if not np.isfinite(row).all():

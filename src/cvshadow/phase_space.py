@@ -26,18 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def as_phase_point(u, modes: int | None = None) -> np.ndarray:
-    """Validate and return ``u`` as a float array of even length."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.size % 2 != 0:
-        raise ValueError(f"expected a flat even-length vector, got shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("phase-space point has non-finite entries")
-    if modes is not None and u.size != 2 * modes:
-        raise ValueError(f"expected {2 * modes} coordinates, got {u.size}")
-    return u
-
-
 def omega_apply(u: np.ndarray) -> np.ndarray:
     """Apply the symplectic form: ``Omega @ (x, p) = (p, -x)``.
 
@@ -197,8 +185,8 @@ def char_fock_dyad(n1: int, n2: int, u):
 
     Closed form ``sqrt(k!/j!) exp(-|u|^2/4) alpha(u)^(j-k) L_k^(j-k)(|u|^2/2)``
     for ``j = n2 >= k = n1`` and the conjugate-symmetric branch otherwise
-    (convention of the displacement operator above; validated against
-    ``displacement_oracle``).  ``u`` has shape ``(..., 2)``.
+    (convention of the displacement operator above).  ``u`` has shape
+    ``(..., 2)``.
     """
     u = np.asarray(u, dtype=float)
     if u.shape[-1] != 2:
@@ -208,39 +196,6 @@ def char_fock_dyad(n1: int, n2: int, u):
     phi = np.arctan2(u[..., 1], u[..., 0])
     out = coeff * radial(rho) * np.exp(1j * d * phi)
     return out if np.ndim(out) else complex(out)
-
-
-def displacement_oracle(u, m_osc: int) -> np.ndarray:
-    """Matrix of ``D(u)`` in the truncated Fock basis ``{|0>,...,|m_osc>}``.
-
-    Built from the normally-ordered split ``exp(-|u|^2/4) exp(alpha a^dag)
-    exp(-conj(alpha) a)`` as a product of two triangular series.  Entry
-    ``(j, k)`` approximates ``<j| D(u) |k>``; entries with ``j + k`` well below
-    ``m_osc`` are exact because the triangular sums terminate.  Accuracy of
-    the *product* structure (unitarity, Weyl composition) degrades gracefully
-    once ``|u|^2`` becomes comparable with ``m_osc``.
-    """
-    u = as_phase_point(u, modes=1)
-    if m_osc < 0:
-        raise ValueError("m_osc must be non-negative")
-    alpha = complex(alpha_of(u))
-    dim = m_osc + 1
-    n = np.arange(dim)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
-    # exp(alpha a^dag): lower triangular, (j, k) = alpha^(j-k) sqrt(j!/k!)/(j-k)!
-    jj, kk = np.meshgrid(n, n, indexing="ij")
-    diff = jj - kk
-    lower = diff >= 0
-    with np.errstate(invalid="ignore"):
-        log_mag = 0.5 * (log_fact[jj] - log_fact[kk]) - log_fact[np.abs(diff)]
-    e_create = np.where(lower, np.exp(log_mag) * alpha ** np.where(lower, diff, 0), 0)
-    # exp(-conj(alpha) a): upper triangular, (j, k) = (-conj)^{k-j} sqrt(k!/j!)/(k-j)!
-    upper = diff <= 0
-    log_mag_u = 0.5 * (log_fact[kk] - log_fact[jj]) - log_fact[np.abs(diff)]
-    e_annih = np.where(
-        upper, np.exp(log_mag_u) * (-np.conj(alpha)) ** np.where(upper, -diff, 0), 0
-    )
-    return np.exp(-0.25 * np.dot(u, u)) * (e_create @ e_annih)
 
 
 def char_gaussian_raw(mean, cov, u):

@@ -94,49 +94,6 @@ def default_window(truncation: int) -> WindowSpec:
 
 
 # ---------------------------------------------------------------------------
-# noise multiplier f_{mu,T}
-# ---------------------------------------------------------------------------
-
-
-# numpy's I0 forms exp(x) and overflows near 713, so above 700 the scaled I0
-# takes the asymptotic series, whose eighth term there is about 1e-22.
-_I0_SERIES_FROM = 700.0
-
-
-def _i0e(x):
-    """Exponentially scaled Bessel function ``exp(-|x|) I0(x)``.
-
-    ``exp(-|x|) numpy.i0(|x|)`` up to ``|x| = 700``, and beyond it the
-    asymptotic series ``(2 pi x)^(-1/2) sum_k ((2k - 1)!!)^2 / (k! (8x)^k)``
-    of DLMF 10.40.1 to eight terms.
-    """
-    x = np.abs(np.asarray(x, dtype=float))
-    near = np.minimum(x, _I0_SERIES_FROM)
-    far = np.maximum(x, _I0_SERIES_FROM)
-    term = total = np.ones_like(far)
-    for k in range(1, 9):
-        term = term * ((2 * k - 1) ** 2 / (8.0 * k)) / far
-        total = total + term
-    return np.where(
-        x <= _I0_SERIES_FROM, np.exp(-near) * np.i0(near), total / np.sqrt(2.0 * np.pi * far)
-    )
-
-
-def f_mu_homodyne(rho, s: float):
-    """Angular average of the squeezed-Gaussian damping at squeezing ``s``.
-
-    ``f(u) = exp(-|u|^2 cosh(2s)/2) I0(|u|^2 sinh(2s)/2)`` as a function of
-    the radius ``rho = |u|``, evaluated with the scaled Bessel function so it
-    stays finite for any argument.  For each ``s`` it is a probability-type
-    kernel: ``int |f| d^2x = 2 pi`` and ``int f^2 d^2x <= pi``.
-    """
-    rho = np.asarray(rho, dtype=float)
-    z = 0.5 * rho * rho
-    out = np.exp(-z * np.exp(-2.0 * s)) * _i0e(z * np.sinh(2.0 * s))
-    return out if np.ndim(out) else float(out)
-
-
-# ---------------------------------------------------------------------------
 # profile tables and batch entries
 # ---------------------------------------------------------------------------
 
@@ -478,8 +435,11 @@ class ShadowAverage:
     @classmethod
     def from_json(cls, path) -> "ShadowAverage":
         with open(path) as fh:
-            payload = json.load(fh)
-        stored = payload.pop("checksum", None)
+            try:
+                payload = json.load(fh)
+            except ValueError as exc:
+                raise ValueError(f"{path}: not a shadow-average file ({exc})") from None
+        stored = payload.pop("checksum", None) if isinstance(payload, dict) else None
         if stored != json_sha256(payload):
             raise ValueError(f"integrity check failed for shadow-average file {path}")
         dim = int(round(len(payload["entries_re"]) ** 0.5))

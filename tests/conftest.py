@@ -6,11 +6,14 @@ direct Fock-series evaluations.  The reference estimators (adaptive-quadrature
 and quasi-Monte-Carlo shadow entries, the coherent-overlap cat density, the
 Fock-series homodyne density, the matrix Bernstein tail and the power-sum
 entropy surrogate) live here too: no command reaches them, and the library
-does not need scipy.
+does not need scipy.  So do the references that only tests read: the Halton
+box integrator, the truncated displacement matrix, the squeezed-homodyne
+kernel ``f_mu_homodyne`` and the entropy continuity bound.
 """
 
 import json
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -26,13 +29,13 @@ from cvshadow.measurement import (
     stream_rng,
 )
 from cvshadow.phase_space import (
+    alpha_of,
     char_fock_dyad,
     dyad_poly,
     fock_dyad_radial,
     hermite_stack,
     symplectic_product,
 )
-from cvshadow.qmc import BoxDomain, qmc_integrate
 from cvshadow.shadows import HOMODYNE_SHADOW_NORMALIZATION, WindowSpec
 from cvshadow.states import CatStateSpec, FockMatrix, GaussianStateSpec, multi_indices
 
@@ -85,6 +88,194 @@ def dyad_grid():
         return cache[(n1, n2)]
 
     return grid, weights, dyad
+
+
+# ---------------------------------------------------------------------------
+# references that no command reads: the Halton box integrator, the truncated
+# displacement matrix, the squeezed-homodyne kernel f_mu and the entropy
+# continuity bound
+# ---------------------------------------------------------------------------
+
+
+def first_primes(count: int) -> tuple[int, ...]:
+    """The first ``count`` prime numbers."""
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return tuple(primes)
+
+
+def radical_inverse(indices, base: int) -> np.ndarray:
+    """Van der Corput radical inverse of integer indices in the given base."""
+    idx = np.atleast_1d(np.asarray(indices, dtype=np.int64)).copy()
+    out = np.zeros(idx.shape, dtype=float)
+    denom = np.ones(idx.shape, dtype=float)
+    while np.any(idx > 0):
+        denom *= base
+        out += (idx % base) / denom
+        idx //= base
+    return out
+
+
+def halton_points(dimension: int, count: int) -> np.ndarray:
+    """Halton points with indices ``1 .. count``, shape ``(count, dimension)``.
+
+    Axis ``j`` is the radical inverse in the ``j``-th prime; index 0, the
+    all-zeros point, is skipped.
+    """
+    idx = np.arange(1, count + 1)
+    return np.stack([radical_inverse(idx, b) for b in first_primes(dimension)], axis=-1)
+
+
+@dataclass(frozen=True)
+class BoxDomain:
+    """Centered box ``prod_j [-l_j, l_j]`` with its affine map from [0,1]^d."""
+
+    half_widths: tuple[float, ...] = field(default_factory=tuple)
+
+    def __post_init__(self):
+        hw = tuple(float(v) for v in np.atleast_1d(np.asarray(self.half_widths, dtype=float)))
+        if not hw or any(v <= 0 for v in hw):
+            raise ValueError("half widths must be positive")
+        object.__setattr__(self, "half_widths", hw)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.half_widths)
+
+    @property
+    def volume(self) -> float:
+        return float(np.prod([2.0 * l for l in self.half_widths]))
+
+    def map_unit(self, t: np.ndarray) -> np.ndarray:
+        """Affine map from the unit cube onto the box."""
+        hw = np.asarray(self.half_widths)
+        return (2.0 * np.asarray(t, dtype=float) - 1.0) * hw
+
+
+def qmc_integrate(f, box: BoxDomain, budget: int):
+    """Integral of ``f`` over the box from ``budget`` Halton points.
+
+    ``f`` must accept an ``(n, d)`` array of points and return ``n`` values
+    (real or complex); it is called once, on all ``budget`` points.
+    """
+    if budget < 16:
+        raise ValueError("QMC budget below 16 points is meaningless")
+    pts = box.map_unit(halton_points(box.dimension, budget))
+    vals = np.asarray(f(pts))
+    if vals.shape != (budget,):
+        raise ValueError("integrand must return one value per point")
+    if not np.all(np.isfinite(vals.real)) or not np.all(np.isfinite(vals.imag)):
+        raise ValueError("integrand returned non-finite values")
+    return box.volume * vals.mean()
+
+
+def as_phase_point(u, modes: int | None = None) -> np.ndarray:
+    """Validate and return ``u`` as a float array of even length."""
+    u = np.asarray(u, dtype=float)
+    if u.ndim != 1 or u.size % 2 != 0:
+        raise ValueError(f"expected a flat even-length vector, got shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("phase-space point has non-finite entries")
+    if modes is not None and u.size != 2 * modes:
+        raise ValueError(f"expected {2 * modes} coordinates, got {u.size}")
+    return u
+
+
+def displacement_oracle(u, m_osc: int) -> np.ndarray:
+    """Matrix of ``D(u)`` in the truncated Fock basis ``{|0>,...,|m_osc>}``.
+
+    Built from the normally-ordered split ``exp(-|u|^2/4) exp(alpha a^dag)
+    exp(-conj(alpha) a)`` as a product of two triangular series.  Entry
+    ``(j, k)`` approximates ``<j| D(u) |k>``; entries with ``j + k`` well below
+    ``m_osc`` are exact because the triangular sums terminate.  Accuracy of
+    the *product* structure (unitarity, Weyl composition) degrades gracefully
+    once ``|u|^2`` becomes comparable with ``m_osc``.
+    """
+    u = as_phase_point(u, modes=1)
+    if m_osc < 0:
+        raise ValueError("m_osc must be non-negative")
+    alpha = complex(alpha_of(u))
+    dim = m_osc + 1
+    n = np.arange(dim)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(dim)])
+    # exp(alpha a^dag): lower triangular, (j, k) = alpha^(j-k) sqrt(j!/k!)/(j-k)!
+    jj, kk = np.meshgrid(n, n, indexing="ij")
+    diff = jj - kk
+    lower = diff >= 0
+    with np.errstate(invalid="ignore"):
+        log_mag = 0.5 * (log_fact[jj] - log_fact[kk]) - log_fact[np.abs(diff)]
+    e_create = np.where(lower, np.exp(log_mag) * alpha ** np.where(lower, diff, 0), 0)
+    # exp(-conj(alpha) a): upper triangular, (j, k) = (-conj)^{k-j} sqrt(k!/j!)/(k-j)!
+    upper = diff <= 0
+    log_mag_u = 0.5 * (log_fact[kk] - log_fact[jj]) - log_fact[np.abs(diff)]
+    e_annih = np.where(
+        upper, np.exp(log_mag_u) * (-np.conj(alpha)) ** np.where(upper, -diff, 0), 0
+    )
+    return np.exp(-0.25 * np.dot(u, u)) * (e_create @ e_annih)
+
+
+# numpy's I0 forms exp(x) and overflows near 713, so above 700 the scaled I0
+# takes the asymptotic series, whose eighth term there is about 1e-22.
+_I0_SERIES_FROM = 700.0
+
+
+def _i0e(x):
+    """Exponentially scaled Bessel function ``exp(-|x|) I0(x)``.
+
+    ``exp(-|x|) numpy.i0(|x|)`` up to ``|x| = 700``, and beyond it the
+    asymptotic series ``(2 pi x)^(-1/2) sum_k ((2k - 1)!!)^2 / (k! (8x)^k)``
+    of DLMF 10.40.1 to eight terms.
+    """
+    x = np.abs(np.asarray(x, dtype=float))
+    near = np.minimum(x, _I0_SERIES_FROM)
+    far = np.maximum(x, _I0_SERIES_FROM)
+    term = total = np.ones_like(far)
+    for k in range(1, 9):
+        term = term * ((2 * k - 1) ** 2 / (8.0 * k)) / far
+        total = total + term
+    return np.where(
+        x <= _I0_SERIES_FROM, np.exp(-near) * np.i0(near), total / np.sqrt(2.0 * np.pi * far)
+    )
+
+
+def f_mu_homodyne(rho, s: float):
+    """Angular average of the squeezed-Gaussian damping at squeezing ``s``.
+
+    ``f(u) = exp(-|u|^2 cosh(2s)/2) I0(|u|^2 sinh(2s)/2)`` as a function of
+    the radius ``rho = |u|``, evaluated with the scaled Bessel function so it
+    stays finite for any argument.  For each ``s`` it is a probability-type
+    kernel: ``int |f| d^2x = 2 pi`` and ``int f^2 d^2x <= pi``.
+    """
+    rho = np.asarray(rho, dtype=float)
+    z = 0.5 * rho * rho
+    out = np.exp(-z * np.exp(-2.0 * s)) * _i0e(z * np.sinh(2.0 * s))
+    return out if np.ndim(out) else float(out)
+
+
+def binary_entropy(x: float) -> float:
+    """Natural-log binary entropy h(x) = -x ln x - (1-x) ln(1-x)."""
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("binary_entropy needs x in [0, 1]")
+    if x in (0.0, 1.0):
+        return 0.0
+    return -x * math.log(x) - (1.0 - x) * math.log(1.0 - x)
+
+
+def entropy_continuity_bound(gamma: float, r_energy: float) -> float:
+    """Energy-constrained continuity bound ``h(g) + rE h(g / (rE))``.
+
+    Valid for ``gamma <= rE / (1 + rE)`` where ``2 gamma`` bounds the trace
+    distance between the two states and ``rE`` their local energy.
+    """
+    if gamma < 0:
+        raise ValueError("gamma must be non-negative")
+    if gamma > r_energy / (1.0 + r_energy):
+        raise ValueError("gamma outside the validity range of the bound")
+    return binary_entropy(gamma) + r_energy * binary_entropy(gamma / r_energy)
 
 
 def gaussian_family_error(budget: int, half_width: float = 6.0) -> float:

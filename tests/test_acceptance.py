@@ -15,8 +15,7 @@ from cvshadow.measurement import (
     sample_heterodyne_batch,
     sample_homodyne_batch,
 )
-from cvshadow.phase_space import char_fock_dyad, displacement_oracle
-from cvshadow.qmc import BoxDomain, qmc_integrate
+from cvshadow.phase_space import char_fock_dyad
 from cvshadow.reconstruction import (
     reconstruct_pair_section,
     reconstruct_single_mode,
@@ -25,7 +24,6 @@ from cvshadow.shadows import (
     WindowSpec,
     average_entries,
     default_window,
-    f_mu_homodyne,
     project_PM,
     project_PM_tilde,
     shadow_batch_entries,
@@ -37,7 +35,13 @@ from cvshadow.states import (
     chain_ground_state,
     fock_matrix_of,
 )
-from conftest import gaussian_family_error
+from conftest import (
+    BoxDomain,
+    displacement_oracle,
+    f_mu_homodyne,
+    gaussian_family_error,
+    qmc_integrate,
+)
 
 UNBIASEDNESS_STATES = {
     "vacuum": GaussianStateSpec.vacuum(),

@@ -8,6 +8,7 @@ import cvshadow
 
 PACKAGE = Path(cvshadow.__file__).resolve().parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
+BENCH = PACKAGE.parents[1] / "bench"
 
 
 def imported_roots(path: Path) -> set[str]:
@@ -23,7 +24,7 @@ def imported_roots(path: Path) -> set[str]:
 
 def test_no_module_imports_scipy():
     modules = sorted(PACKAGE.glob("*.py"))
-    assert len(modules) >= 10
+    assert len(modules) >= 9
     assert [m.name for m in modules if "scipy" in imported_roots(m)] == []
 
 
@@ -73,4 +74,41 @@ def test_no_module_imports_a_name_it_never_reads():
     # __init__.py imports to re-export
     modules = sorted(m for m in PACKAGE.glob("*.py") if m.name != "__init__.py")
     unread = {m.name: unread_imports(m) for m in modules}
+    assert {name: names for name, names in unread.items() if names} == {}
+
+
+def public_names(path: Path) -> list[str]:
+    """Top-level functions, classes and constants of ``path`` not named with a ``_``."""
+    names = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if not name.startswith("_")]
+
+
+def read_names(path: Path) -> set[str]:
+    """Every name ``path`` loads, every attribute it reads and every string constant."""
+    read = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def test_every_public_name_has_a_reader():
+    # a test is no reader: code that only tests call belongs in tests/conftest.py;
+    # string constants count, since bench/spans.py binds functions by name
+    modules = sorted(m for m in PACKAGE.glob("*.py") if m.name != "__init__.py")
+    benches = sorted(BENCH.glob("*.py"))
+    assert benches
+    read = set().union(*(read_names(path) for path in modules + benches))
+    unread = {m.name: [n for n in public_names(m) if n not in read] for m in modules}
     assert {name: names for name, names in unread.items() if names} == {}

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from cvshadow.entropy import (
-    binary_entropy,
-    entropy_continuity_bound,
     entropy_poly,
     entropy_reference,
     matrix_entropy,
@@ -15,7 +13,12 @@ from cvshadow.entropy import (
 )
 from cvshadow.shadows import project_PM
 from cvshadow.states import ChainSpec, GaussianStateSpec, chain_ground_state, fock_matrix_of
-from conftest import entropy_coefficients, entropy_poly_from_power_sums
+from conftest import (
+    binary_entropy,
+    entropy_coefficients,
+    entropy_continuity_bound,
+    entropy_poly_from_power_sums,
+)
 
 
 class TestEntropyPoly:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -29,14 +30,15 @@ from cvshadow.states import (
     fock_moments,
 )
 from cvshadow.phase_space import hermite_stack
-from cvshadow.qmc import BoxDomain, qmc_integrate
 from conftest import (
+    BoxDomain,
     cat_position_pdf,
     correlated_gaussian,
     hermite_wavefunction,
     heterodyne_covariance,
     heterodyne_pdf,
     homodyne_pdf,
+    qmc_integrate,
     reference_jsonl,
 )
 
@@ -967,10 +969,19 @@ class TestRecordsAndBatches:
             good.replace('"outcome"', '"outcomes"'): "line 1 is not a record",
             "[1, 2]\n": "line 1 is not a record",
             good + "\n" + good.replace("[0.5]", "[0.5,0.6]"): r"line 2 has shape \(2,\)",
+            # a truncated last line, a non-numeric or ragged value past the first
+            # line, and a ragged first outcome all name the file and the line
+            (good + "\n") * 5 + good[:40]: "line 6 is not a record",
+            (good + "\n") * 3 + good.replace("[0.5]", '["a"]'): "line 4 holds values",
+            (good + "\n") * 3 + good.replace("[0.1]", "[0.1, [0.2]]"): "line 4 holds values",
+            good.replace("[0.5]", "[0.5, [0.6]]"): "line 1 holds values",
+            good.replace('"homodyne"', '"heterodyne"').replace("[0.5]", "[[0.5, 0.6], [0.7]]"): (
+                "line 1 holds values"
+            ),
         }
         for text, message in cases.items():
             path.write_text(text)
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {message}"):
                 SampleBatch.from_jsonl(path)
 
     def test_header_reads_the_first_record_only(self, tmp_path):

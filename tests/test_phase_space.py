@@ -15,14 +15,13 @@ from cvshadow.phase_space import (
     char_coherent_dyad,
     char_fock_dyad,
     char_gaussian_raw,
-    displacement_oracle,
     hermite_stack,
     laguerre,
     omega_apply,
     omega_matrix,
     symplectic_product,
 )
-from conftest import hermite_wavefunction, plancherel_pairing
+from conftest import displacement_oracle, hermite_wavefunction, plancherel_pairing
 
 
 def laguerre_exact(k, j, x):

@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from cvshadow.qmc import (
+from conftest import (
     BoxDomain,
     first_primes,
+    gaussian_family_error,
     halton_points,
     qmc_integrate,
     radical_inverse,
 )
-from conftest import gaussian_family_error
 
 
 class TestHalton:

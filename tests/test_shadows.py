@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,6 @@ from cvshadow.shadows import (
     WindowSpec,
     average_entries,
     default_window,
-    f_mu_homodyne,
     project_PM,
     project_PM_tilde,
     shadow_batch_entries,
@@ -32,7 +32,9 @@ from cvshadow.states import (
     fock_matrix_of,
 )
 from conftest import (
+    _i0e,
     bessel_orders,
+    f_mu_homodyne,
     fock_pairing_matrix,
     heterodyne_shadow_entry,
     heterodyne_shadow_entry_qmc,
@@ -546,6 +548,11 @@ class TestAveraging:
         path.write_text(corrupted)
         with pytest.raises(ValueError, match="integrity"):
             ShadowAverage.from_json(path)
+        # a file that is not JSON, or JSON that is not an object, names its path
+        for text in (corrupted[:40], "[1, 2]"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                ShadowAverage.from_json(path)
 
 
 class TestMasterUnbiasedness:
@@ -757,4 +764,4 @@ class TestShadowCharEval:
             [699.0, 699.999, 700.0, 700.001, 701.0],
         ])
         for sign in (1.0, -1.0):
-            assert np.abs(shadows._i0e(sign * x) / i0e(x) - 1.0).max() <= 1e-14
+            assert np.abs(_i0e(sign * x) / i0e(x) - 1.0).max() <= 1e-14
