@@ -23,7 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import MomentProfile, required_samples_heterodyne, required_samples_homodyne
+from .bounds import (
+    MomentProfile,
+    _finite_or_none,
+    required_samples_heterodyne,
+    required_samples_homodyne,
+)
 from .entropy import entropy_poly, entropy_reference, plan_entropy
 from .measurement import HETERODYNE, HOMODYNE, SampleBatch, jsonl_header, sample_blocks
 from .reconstruction import reconstruct_pair_section, reconstruct_single_mode
@@ -434,7 +439,8 @@ def cmd_entropy(config: dict, average_path, out_dir) -> dict:
     e_cfg = config["entropy"]
     plan = plan_entropy(avg.truncation, len(avg.subset), e_cfg["epsilon"], e_cfg["energy"])
     d_p = e_cfg.get("d_p", plan.d_p)
-    value = entropy_poly(avg.fock(), d_p)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged series is warned of below
+        value = entropy_poly(avg.fock(), d_p)
     # a diagnostic of the series in I - sigma; H itself takes matrix powers
     sigma = 0.5 * (avg.mean + avg.mean.conj().T)
     radius = float(np.abs(np.linalg.eigvalsh(np.eye(len(sigma)) - sigma)).max())
@@ -454,9 +460,10 @@ def cmd_entropy(config: dict, average_path, out_dir) -> dict:
     if hasattr(state, "marginal"):  # of the averaged modes only
         state = state.marginal(list(avg.subset))
     result["reference_entropy"] = entropy_reference(state)
+    result = _finite_or_none(result)  # a diverged series writes H as null
     report_path = out / "entropy.json"
     with open(report_path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
+        json.dump(result, fh, indent=2, sort_keys=True, allow_nan=False)
     write_manifest(out, config, [report_path], time.perf_counter() - t0)
     print(json.dumps(result, indent=2, sort_keys=True))
     return result
@@ -496,7 +503,7 @@ def main(argv=None) -> int:
             cmd_bounds(config, args.out)
         elif args.command == "entropy":
             cmd_entropy(config, args.average, args.out)
-    except (ConfigError, FileNotFoundError, MemoryError, ValueError) as exc:
+    except (ConfigError, OSError, MemoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

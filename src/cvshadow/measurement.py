@@ -152,11 +152,11 @@ class SampleBatch:
         protocol, seed_path, shape = jsonl_header(path)
         cols = list(range(shape[0]) if modes is None else modes)
         _check_modes(cols, shape[0])
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             n = sum(1 for line in fh if line.strip())
         outcomes = np.empty((n, len(cols)) + shape[1:])
         thetas = np.empty((n, len(cols))) if protocol == HOMODYNE else None
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             records = ((k, t) for k, t in enumerate(fh, 1) if t.strip())
             for i, (k, line) in enumerate(records):
                 line_protocol, line_seed_path, line_thetas, outcome = _fields(path, k, line)
@@ -179,7 +179,7 @@ def jsonl_header(path) -> tuple[str, str, tuple]:
     Reading stops at the first record line; ``shape`` is its outcome shape,
     ``(m,)`` for homodyne and ``(m, 2)`` for heterodyne.
     """
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for first, line in enumerate(fh, 1):
             if line.strip():
                 break
@@ -197,10 +197,10 @@ def jsonl_header(path) -> tuple[str, str, tuple]:
     return protocol, seed_path, shape
 
 
-def _fields(path, line: int, text: str) -> tuple:
-    """(protocol, seed_path, thetas, outcome) of one JSONL record line."""
+def _fields(path, line: int, raw: bytes) -> tuple:
+    """(protocol, seed_path, thetas, outcome) of one JSONL record line, read as bytes."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(raw.decode("utf-8"))
         return (
             payload["protocol"],
             payload.get("seed_path", ""),

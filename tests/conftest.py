@@ -92,8 +92,8 @@ def dyad_grid():
 
 # ---------------------------------------------------------------------------
 # references that no command reads: the Halton box integrator, the truncated
-# displacement matrix, the squeezed-homodyne kernel f_mu and the entropy
-# continuity bound
+# displacement matrix, the squeezed-homodyne kernel f_mu, the entropy
+# continuity bound and the incomplete-Gamma form of delta0
 # ---------------------------------------------------------------------------
 
 
@@ -276,6 +276,43 @@ def entropy_continuity_bound(gamma: float, r_energy: float) -> float:
     if gamma > r_energy / (1.0 + r_energy):
         raise ValueError("gamma outside the validity range of the bound")
     return binary_entropy(gamma) + r_energy * binary_entropy(gamma / r_energy)
+
+
+def _upper_gamma_q(shape: int, x: float) -> float:
+    """Regularized upper gamma ``Q(shape, x) = e^-x sum_{p<shape} x^p / p!``, integer shape >= 1.
+
+    Summed in the linear domain as running products of ratios to the largest
+    term ``p* = min(shape - 1, floor(x))``, then scaled by that term once.
+    """
+    top = min(shape - 1, math.floor(x))
+    total = term = 1.0
+    for p in range(top, 0, -1):
+        term *= p / x
+        total += term
+    term = 1.0
+    for p in range(top + 1, shape):
+        term *= x / p
+        total += term
+    return total * math.exp((top * math.log(x) if top else 0.0) - x - math.lgamma(top + 1.0))
+
+
+def delta0_gamma_form(eta: float, truncation: int, alpha: float, modes: int) -> float | None:
+    """``bounds.delta0`` with its tail factor as ``Q(2M+1, eta^2/2)``.
+
+    ``None`` where that Gamma tail is at most 5e-300: summed in the linear
+    domain, it has no relative accuracy left there.  Infinite beyond ``e^700``,
+    as ``delta0`` is.
+    """
+    tail = _upper_gamma_q(2 * truncation + 1, 0.5 * eta * eta)
+    if tail <= 5e-300:
+        return None
+    log_val = (
+        2.0 * alpha * math.log(modes * truncation + 1.0)
+        + modes * math.log(truncation + 1.0)
+        + modes * truncation * math.log(3.0)
+        + 0.5 * modes * math.log(tail)
+    )
+    return math.exp(log_val) if log_val < 700 else math.inf
 
 
 def gaussian_family_error(budget: int, half_width: float = 6.0) -> float:

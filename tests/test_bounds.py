@@ -20,7 +20,6 @@ from cvshadow.bounds import (
     truncation_error_bound,
     _laguerre_zeros,
     _sigma_block,
-    _upper_gamma_q,
 )
 from cvshadow.measurement import SampleBatch, sample_homodyne_batch
 from cvshadow.shadows import (
@@ -30,7 +29,13 @@ from cvshadow.shadows import (
     shadow_batch_entries,
 )
 from cvshadow.states import FockMatrix, GaussianStateSpec, fock_matrix_of
-from conftest import bernstein_tail, sigma_block_quad, sobolev_norm
+from conftest import (
+    _upper_gamma_q,
+    bernstein_tail,
+    delta0_gamma_form,
+    sigma_block_quad,
+    sobolev_norm,
+)
 
 
 class TestSobolevNorm:
@@ -56,17 +61,47 @@ class TestSobolevNorm:
         assert sobolev_norm(mat, 2.0) == pytest.approx(1.0 + 9.0)
 
 
+def heterodyne_scan_points():
+    """(eta, M) of the heterodyne scan: eta on its geometric grid below 0.99 R
+    for R up to 100, and every M <= 64 with eta^2 > 2 M^2."""
+    for radius in (8.0, 20.0, 100.0):
+        for eta in np.geomspace(1e-2, 0.99 * radius, 64):
+            for m_trunc in range(65):
+                if eta * eta <= 2.0 * m_trunc * m_trunc:
+                    break
+                yield float(eta), m_trunc
+
+
+def assert_delta0_forms_agree(points) -> int:
+    """delta0 within 1e-10 relative of its Gamma form wherever that form has a
+    value; returns the number of points compared."""
+    compared = 0
+    for eta, m_trunc, alpha, modes in points:
+        alt = delta0_gamma_form(eta, m_trunc, alpha, modes)
+        if alt is not None:
+            assert delta0(eta, m_trunc, alpha, modes) == pytest.approx(alt, rel=1e-10, abs=0.0)
+            compared += 1
+    return compared
+
+
 class TestDelta0:
     def test_trivial_point(self):
         assert delta0(0.0, 0, 0.0, 1) == pytest.approx(1.0)
 
     def test_dual_form_agreement_grid(self):
-        # the exp-sum and incomplete-Gamma forms must agree to 1e-10 relative;
-        # delta0 itself raises if they do not
-        for eta in np.linspace(0.0, 12.0, 9):
-            for m_trunc in range(7):
-                val = delta0(float(eta), m_trunc, 0.0, 1)
-                assert math.isfinite(val)
+        # the exp-sum that delta0 returns and the incomplete-Gamma form agree
+        # to 1e-10 relative
+        grid = [(float(eta), m, 0.0, 1) for eta in np.linspace(0.0, 12.0, 9) for m in range(7)]
+        assert all(math.isfinite(delta0(*point)) for point in grid)
+        assert assert_delta0_forms_agree(grid) == len(grid)
+
+    def test_dual_form_agreement_heterodyne_scan(self):
+        # the scan calls delta0(eta, M, alpha / 2, r); past the Gamma form's
+        # 5e-300 floor (large eta, small M) there is nothing to compare
+        for alpha in (0.0, 0.5, 1.5):
+            for modes in (1, 2, 3):
+                points = [(eta, m, alpha, modes) for eta, m in heterodyne_scan_points()]
+                assert assert_delta0_forms_agree(points) > len(points) / 2
 
     def test_explicit_value(self):
         # (eta=10, M=2, alpha=0, m=1)
@@ -81,22 +116,17 @@ class TestDelta0:
             assert all(b <= a * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
 
     def test_upper_gamma_matches_gammaincc(self):
-        # delta0's cross-check form over the heterodyne scan (eta on its
-        # geometric grid below 0.99 R, for R up to 100, and every M <= 64
-        # with eta^2 > 2 M^2): 1e-12 relative wherever gammaincc exceeds
-        # the check's 5e-300 floor, and below that floor elsewhere
-        for radius in (8.0, 20.0, 100.0):
-            for eta in np.geomspace(1e-2, 0.99 * radius, 64):
-                for m_trunc in range(65):
-                    if eta * eta <= 2.0 * m_trunc * m_trunc:
-                        break
-                    x = 0.5 * eta * eta
-                    ref = gammaincc(2 * m_trunc + 1, x)
-                    got = _upper_gamma_q(2 * m_trunc + 1, x)
-                    if ref > 5e-300:
-                        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
-                    else:
-                        assert got < 5e-300
+        # the Gamma form's tail over the heterodyne scan: 1e-12 relative
+        # wherever gammaincc exceeds the 5e-300 floor, and below that floor
+        # elsewhere
+        for eta, m_trunc in heterodyne_scan_points():
+            x = 0.5 * eta * eta
+            ref = gammaincc(2 * m_trunc + 1, x)
+            got = _upper_gamma_q(2 * m_trunc + 1, x)
+            if ref > 5e-300:
+                assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+            else:
+                assert got < 5e-300
 
     def test_upper_gamma_edges(self):
         # x = 0, x below 1 (largest term p = 0), and shapes far above x

@@ -929,6 +929,10 @@ class TestEntropy:
         exact = project_PM_tilde(GaussianStateSpec.vacuum(), 3).entries
         noisy = np.diag([1.0, 20.0, 1.0, 1.0]).astype(complex)
         cfg = base_config(truncation=3, entropy={"epsilon": 0.9, "energy": 0.4})
+
+        def strict(name):
+            raise ValueError(f"entropy.json holds {name}")
+
         results = {}
         for name, mean in (("exact", exact), ("noisy", noisy)):
             path = tmp_path / f"{name}.json"
@@ -940,6 +944,15 @@ class TestEntropy:
         assert "warning" not in results["exact"]
         assert results["noisy"]["spectral_radius"] == 19.0
         assert "spectral radius is 19," in results["noisy"]["warning"]
+        # at degree 1000 the noisy series overflows: the file stays strict JSON
+        # with H null, and the result's warning, not numpy, reports it
+        cfg["entropy"]["d_p"] = 1000
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diverged = cmd_entropy(cfg, tmp_path / "noisy.json", tmp_path / "diverged")
+        text = (tmp_path / "diverged" / "entropy.json").read_text()
+        assert diverged == json.loads(text, parse_constant=strict)
+        assert diverged["H"] is None and "spectral radius is 19," in diverged["warning"]
 
     def test_corrupted_average_rejected(self, tmp_path):
         path = self._write_exact_average(tmp_path, 1.0, 3)
@@ -981,6 +994,14 @@ class TestMainEntrypoint:
         argv = ["reconstruct", "--config", str(cfg_path), "--batch", batch]
         assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 2
         assert "error: subset (2,) outside measured modes" in capsys.readouterr().err
+
+    def test_directory_as_batch_exit_code(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, base_config(samples=10))
+        out = str(tmp_path / "s")
+        assert cli.main(["sample", "--config", str(cfg_path), "--out", out]) == 0
+        argv = ["reconstruct", "--config", str(cfg_path), "--batch", out]
+        assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
 
     def test_pair_outside_chain_exit_code(self, tmp_path, capsys):
         cfg = base_config(

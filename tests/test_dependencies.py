@@ -112,3 +112,24 @@ def test_every_public_name_has_a_reader():
     read = set().union(*(read_names(path) for path in modules + benches))
     unread = {m.name: [n for n in public_names(m) if n not in read] for m in modules}
     assert {name: names for name, names in unread.items() if names} == {}
+
+
+def run_time_asserts(path: Path) -> list[int]:
+    """Lines of ``path`` holding an ``assert`` statement or a ``raise AssertionError``."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Assert):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_asserts_at_run_time():
+    # a cross-check of the package's own closed forms is a test: it belongs
+    # in tests/, and a failed input check raises ValueError
+    modules = sorted(PACKAGE.glob("*.py"))
+    found = {m.name: run_time_asserts(m) for m in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -978,22 +978,47 @@ class TestRecordsAndBatches:
             good.replace('"homodyne"', '"heterodyne"').replace("[0.5]", "[[0.5, 0.6], [0.7]]"): (
                 "line 1 holds values"
             ),
+            # bytes that are not UTF-8 are a line that is not a record
+            ((good + "\n") * 3).encode() + b"\xff\xfe\n" + good.encode(): (
+                "line 4 is not a record"
+            ),
         }
         for text, message in cases.items():
-            path.write_text(text)
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
             with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {message}"):
                 SampleBatch.from_jsonl(path)
 
-    def test_header_reads_the_first_record_only(self, tmp_path):
-        # bytes that are not UTF-8, well past the first text buffer: a reader
-        # that went on after the first record would raise UnicodeDecodeError
+    def test_header_reads_the_first_record_only(self, tmp_path, monkeypatch):
+        # a blank line, 2000 records and bytes that are not UTF-8: the header
+        # takes the blank line and the first record, and reads no further
+        import cvshadow.measurement as meas
+
         path = tmp_path / "records.jsonl"
         path.write_text("\n")
         with open(path, "a") as fh:
             sample_heterodyne_batch(GaussianStateSpec.vacuum(), 2000, "s/0").to_jsonl(fh)
         with open(path, "ab") as fh:
             fh.write(b"\xff\xfe\n")
+        taken = []
+
+        class Counted:
+            def __init__(self, *args):
+                self.fh = open(*args)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __iter__(self):
+                for line in self.fh:
+                    taken.append(line)
+                    yield line
+
+        monkeypatch.setattr(meas, "open", Counted, raising=False)
         assert jsonl_header(path) == ("heterodyne", "s/0", (1, 2))
+        assert len(taken) == 2
 
     def test_bad_record_shapes(self):
         with pytest.raises(ValueError):
