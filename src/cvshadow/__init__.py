@@ -18,7 +18,6 @@ from .states import (
     CirculantChainState,
     FockMatrix,
     GaussianStateSpec,
-    cat_char,
     chain_ground_state,
     chain_state,
     fock_matrix_of,

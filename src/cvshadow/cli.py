@@ -186,7 +186,10 @@ class ConfigError(ValueError):
 
 def load_config(path) -> dict:
     with open(path) as fh:
-        config = json.load(fh)
+        try:
+            config = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not a JSON config ({exc})") from None
     validate_config(config)
     return config
 
@@ -202,6 +205,12 @@ def validate_config(config: dict) -> None:
         errors = list(_schema_errors(schema, state, "$.state"))
     if errors:
         raise ConfigError("config invalid at {}: {}".format(*errors[0]))
+    # a key that no command reads for this config is refused, not ignored
+    protocols = (config["protocol"], config.get("bounds", {}).get("protocol"))
+    if "grid" in config and protocols[0] != HETERODYNE:
+        raise ConfigError("config invalid at $.grid: only a heterodyne reconstruct reads a grid")
+    if "window" in config and HETERODYNE not in protocols:
+        raise ConfigError("config invalid at $.window: only heterodyne shadows or bounds read it")
     lo, hi = _grid_range(config)
     if not lo < hi:
         raise ConfigError(f"config invalid at $.grid: need lo < hi, got lo={lo}, hi={hi}")
@@ -220,27 +229,20 @@ def _grid_range(config: dict) -> tuple[float, float]:
 
 def build_state(state_cfg: dict):
     """The state a config names; a chain without disorder is held as its spectrum."""
-    kind = state_cfg["kind"]
+    params = dict(state_cfg)  # a cat's or chain's keys go to its spec, which holds the defaults
+    kind = params.pop("kind")
     if kind == "vacuum":
         return GaussianStateSpec.vacuum()
     if kind == "coherent":
-        a = state_cfg["alpha"]
-        return GaussianStateSpec.coherent(complex(a[0], a[1]))
+        return GaussianStateSpec.coherent(complex(*params["alpha"]))
     if kind == "thermal":
-        return GaussianStateSpec.thermal(state_cfg["nu"])
+        return GaussianStateSpec.thermal(params["nu"])
     if kind == "cat":
-        a = state_cfg["alpha"]
-        return CatStateSpec(complex(a[0], a[1]), state_cfg.get("logical", "zero"))
+        return CatStateSpec(**params)
     if kind == "chain":
-        spec = ChainSpec(
-            state_cfg["m"],
-            state_cfg["kappa"],
-            disorder=state_cfg.get("disorder", False),
-            disorder_seed=state_cfg.get("disorder_seed", 1234),
-        )
-        return chain_state(spec)
+        return chain_state(ChainSpec(**params))
     if kind == "fock":
-        n = state_cfg["n"]
+        n = params["n"]
         trunc = max(n, 1)
         mat = np.zeros((trunc + 1, trunc + 1), dtype=complex)
         mat[n, n] = 1.0
@@ -440,7 +442,7 @@ def cmd_entropy(config: dict, average_path, out_dir) -> dict:
     plan = plan_entropy(avg.truncation, len(avg.subset), e_cfg["epsilon"], e_cfg["energy"])
     d_p = e_cfg.get("d_p", plan.d_p)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged series is warned of below
-        value = entropy_poly(avg.fock(), d_p)
+        value = entropy_poly(avg.mean, d_p)
     # a diagnostic of the series in I - sigma; H itself takes matrix powers
     sigma = 0.5 * (avg.mean + avg.mean.conj().T)
     radius = float(np.abs(np.linalg.eigvalsh(np.eye(len(sigma)) - sigma)).max())

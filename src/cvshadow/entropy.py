@@ -44,14 +44,14 @@ class EntropyPlan:
 def entropy_poly(sigma, d_p: int) -> float:
     """Polynomial entropy surrogate ``H^(d_p)`` of a truncated matrix.
 
-    ``sigma`` is a FockMatrix or a square array over the truncated block;
-    ``P_M`` is the identity on that block.  Powers of ``P_M - sigma`` are
-    accumulated by repeated multiplication with re-Hermitization after each
-    step (shadow averages need not be positive).
+    ``sigma`` is a square array over the truncated block, such as a shadow
+    average's ``mean``; ``P_M`` is the identity on that block.  Powers of
+    ``P_M - sigma`` are accumulated by repeated multiplication with
+    re-Hermitization after each step (shadow averages need not be positive).
     """
     if d_p < 2:
         raise ValueError("d_p must be at least 2")
-    mat = sigma.entries if isinstance(sigma, FockMatrix) else np.asarray(sigma)
+    mat = np.asarray(sigma)
     dim = mat.shape[0]
     mat = 0.5 * (mat + mat.conj().T)
     a = np.eye(dim) - mat

@@ -501,45 +501,6 @@ def _homodyne_proposals(fock: FockMatrix | FockKet):
     return proposals
 
 
-def _rejection_homodyne_draws(
-    fock: FockMatrix | FockKet, n: int, rng: np.random.Generator
-) -> Iterator[tuple[np.ndarray, dict]]:
-    """Draw rows (theta, q) for n rounds on a single-mode truncated state.
-
-    Proposal: ``theta`` uniform, then ``q`` from :func:`_homodyne_proposals`,
-    a Student t located and scaled by the state's rotated quadrature.  The
-    rows come chunk by chunk, as :func:`_rejection_draws` yields them.
-    """
-    proposals = _homodyne_proposals(fock)
-    factors = _factors(fock)  # once per batch: the target is called per chunk
-
-    def draw(rng, size):
-        thetas = rng.uniform(-np.pi, np.pi, size)
-        return proposals(thetas, _t_draws(rng, size, 1))
-
-    def target(pts):
-        return _homodyne_density(fock, pts[:, 0], pts[:, 1], factors)
-
-    grid_theta, grid_z = np.linspace(-np.pi, np.pi, 129), np.linspace(-6.0, 6.0, 513)
-    probe, probe_density = proposals(
-        np.repeat(grid_theta, grid_z.size), np.tile(grid_z, grid_theta.size)[:, None]
-    )
-    return _rejection_draws(target, draw, probe, probe_density, n, rng)
-
-
-def sample_homodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
-    """Draw ``n`` randomized homodyne rounds as a deterministic batch.
-
-    Gaussian states are sampled exactly, all modes jointly: a phase-space
-    point from the Wigner density ``N(t, V/2)`` (the state's
-    ``phase_space_draws``), then ``q_j = cos(theta_j) x_j - sin(theta_j)
-    p_j``.  Cat states and truncated Fock matrices use exact rejection
-    sampling of :func:`_homodyne_density`; ``meta`` then holds its acceptance
-    and proposal count.  The rounds are those of :func:`sample_blocks`.
-    """
-    return _whole_batch(sample_blocks(state, HOMODYNE, n, seed_path), n)
-
-
 def _heterodyne_proposals(fock: FockMatrix | FockKet):
     """Map ``z -> (points, density)`` of the heterodyne proposal.
 
@@ -556,28 +517,57 @@ def _heterodyne_proposals(fock: FockMatrix | FockKet):
     return proposals
 
 
-def _rejection_heterodyne_draws(
-    fock: FockMatrix | FockKet, n: int, rng: np.random.Generator
+def _rejection_rows(
+    fock: FockMatrix | FockKet, protocol: str, n: int, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, dict]]:
-    """Draw n heterodyne outcomes of a single-mode truncated state, as rows (x, p).
+    """Draw rows for ``n`` rounds of ``protocol`` on a single-mode truncated state.
 
-    Proposal: :func:`_heterodyne_proposals`, a 2-D Student t located and
-    scaled by the state's heterodyne moments.  The rows come chunk by chunk,
+    Homodyne rows are ``(theta, q)``: ``theta`` uniform, then ``q`` from
+    :func:`_homodyne_proposals`, probed on a 129 x 513 grid of angles and
+    ``z``.  Heterodyne rows are ``(x, p)`` from :func:`_heterodyne_proposals`,
+    probed on a 201 x 201 grid of ``z``.  Either proposal is a Student t
+    located and scaled by the state's moments; the rows come chunk by chunk,
     as :func:`_rejection_draws` yields them.
     """
-    proposals = _heterodyne_proposals(fock)
     factors = _factors(fock)  # once per batch: the target is called per chunk
+    if protocol == HOMODYNE:
+        proposals = _homodyne_proposals(fock)
 
-    def draw(rng, size):
-        return proposals(_t_draws(rng, size, 2))
+        def draw(rng, size):
+            thetas = rng.uniform(-np.pi, np.pi, size)
+            return proposals(thetas, _t_draws(rng, size, 1))
 
-    def target(pts):
-        return fock_husimi(fock, pts, factors)
+        def target(pts):
+            return _homodyne_density(fock, pts[:, 0], pts[:, 1], factors)
 
-    axis = np.linspace(-6.0, 6.0, 201)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    probe, probe_density = proposals(np.stack([gx.ravel(), gy.ravel()], axis=-1))
-    return _rejection_draws(target, draw, probe, probe_density, n, rng)
+        axes = np.linspace(-np.pi, np.pi, 129), np.linspace(-6.0, 6.0, 513)
+        gt, gz = np.meshgrid(*axes, indexing="ij")
+        probe = proposals(gt.ravel(), gz.reshape(-1, 1))
+    else:
+        proposals = _heterodyne_proposals(fock)
+
+        def draw(rng, size):
+            return proposals(_t_draws(rng, size, 2))
+
+        def target(pts):
+            return fock_husimi(fock, pts, factors)
+
+        gx, gy = np.meshgrid(*[np.linspace(-6.0, 6.0, 201)] * 2, indexing="ij")
+        probe = proposals(np.stack([gx.ravel(), gy.ravel()], axis=-1))
+    return _rejection_draws(target, draw, *probe, n, rng)
+
+
+def sample_homodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
+    """Draw ``n`` randomized homodyne rounds as a deterministic batch.
+
+    Gaussian states are sampled exactly, all modes jointly: a phase-space
+    point from the Wigner density ``N(t, V/2)`` (the state's
+    ``phase_space_draws``), then ``q_j = cos(theta_j) x_j - sin(theta_j)
+    p_j``.  Cat states and truncated Fock matrices use exact rejection
+    sampling of :func:`_homodyne_density`; ``meta`` then holds its acceptance
+    and proposal count.  The rounds are those of :func:`sample_blocks`.
+    """
+    return _whole_batch(sample_blocks(state, HOMODYNE, n, seed_path), n)
 
 
 def sample_heterodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
@@ -608,13 +598,10 @@ def sample_blocks(state, protocol: str, n: int, seed_path: str) -> Iterator[Samp
     """
     rng = stream_rng(seed_path)
     if not hasattr(state, "phase_space_draws"):
-        fock = _sampling_fock(state)
-        if protocol == HOMODYNE:
-            for pts, meta in _rejection_homodyne_draws(fock, n, rng):
-                yield SampleBatch(HOMODYNE, pts[:, 1:], pts[:, :1], seed_path, meta)
-        else:
-            for pts, meta in _rejection_heterodyne_draws(fock, n, rng):
-                yield SampleBatch(protocol, pts[:, None, :], None, seed_path, meta)
+        homodyne = protocol == HOMODYNE  # rows (theta, q) or (x, p)
+        for pts, meta in _rejection_rows(_sampling_fock(state), protocol, n, rng):
+            outcomes, thetas = (pts[:, 1:], pts[:, :1]) if homodyne else (pts[:, None, :], None)
+            yield SampleBatch(protocol, outcomes, thetas, seed_path, meta)
         return
     m = state.modes
     if protocol != HOMODYNE:

@@ -404,6 +404,9 @@ def shadow_batch_entries(
     return out
 
 
+_AVERAGE_ARRAYS = ("entries_re", "entries_im", "stderr")
+
+
 @dataclass
 class ShadowAverage:
     """Empirical average of shadow matrices with entrywise standard errors."""
@@ -414,9 +417,6 @@ class ShadowAverage:
     mean: np.ndarray
     stderr: np.ndarray
     count: int
-
-    def fock(self) -> FockMatrix:
-        return FockMatrix(len(self.subset), self.truncation, self.mean)
 
     def to_json(self, path) -> None:
         payload = {
@@ -442,17 +442,25 @@ class ShadowAverage:
         stored = payload.pop("checksum", None) if isinstance(payload, dict) else None
         if stored != json_sha256(payload):
             raise ValueError(f"integrity check failed for shadow-average file {path}")
-        dim = int(round(len(payload["entries_re"]) ** 0.5))
-        mean = (
-            np.asarray(payload["entries_re"]) + 1j * np.asarray(payload["entries_im"])
-        ).reshape(dim, dim)
-        stderr = np.asarray(payload["stderr"]).reshape(dim, dim)
+        missing = sorted({"M", "A", "protocol", "count", *_AVERAGE_ARRAYS} - payload.keys())
+        if missing:
+            raise ValueError(f"{path}: a shadow-average file needs the keys {missing}")
+        m, subset = payload["M"], payload["A"]
+        if type(m) is not int or m < 0 or type(subset) is not list:
+            raise ValueError(f"{path}: M must be an integer >= 0 and A a list of modes")
+        dim = (m + 1) ** len(subset)
+        re, im, stderr = (np.asarray(payload[key], dtype=float) for key in _AVERAGE_ARRAYS)
+        if not re.shape == im.shape == stderr.shape == (dim * dim,):
+            raise ValueError(
+                f"{path}: entries_re, entries_im and stderr must each hold "
+                f"((M+1)^|A|)^2 = {dim * dim} values"
+            )
         return cls(
-            subset=tuple(payload["A"]),
-            truncation=payload["M"],
+            subset=tuple(subset),
+            truncation=m,
             protocol=payload["protocol"],
-            mean=mean,
-            stderr=stderr,
+            mean=(re + 1j * im).reshape(dim, dim),
+            stderr=stderr.reshape(dim, dim),
             count=payload["count"],
         )
 

@@ -1,9 +1,10 @@
 """Constructors for the test states: Gaussian states, cat qubits, harmonic chains.
 
-State specs are small frozen dataclasses; every spec exposes ``modes`` and a
-``char(u)`` evaluator for its exact characteristic function.  Fock-basis
-density matrices live in :class:`FockMatrix` with multi-indices raveled
-row-major (first mode slowest).
+State specs are small frozen dataclasses.  A state exposes ``modes`` and,
+for one mode or a Gaussian, ``char(u)``, its exact characteristic function;
+a chain's ground state gives that of the modes its ``marginal`` names.
+Fock-basis density matrices live in :class:`FockMatrix` with multi-indices
+raveled row-major (first mode slowest).
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ class FockMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
 
     def char(self, u):
         """Characteristic function Tr[T D(u)] of a single-mode matrix."""
@@ -322,27 +320,21 @@ class CatStateSpec:
         return s * (1.0 / np_ - 1.0 / nm), s * (1.0 / np_ + 1.0 / nm)
 
     def char(self, u):
-        return cat_char(self, u)
+        """Characteristic function of the cat state.
 
-
-def cat_char(spec: CatStateSpec, u):
-    """Characteristic function of a cat state.
-
-    Expands ``|psi><psi|`` over the four coherent dyads of ``|alpha>`` and
-    ``|-alpha>``; for the zero/one cats this reproduces the combination with
-    weights ``(1/N_+^2 + 1/N_-^2)/2``, ``(1/N_+^2 - 1/N_-^2)/2`` and
-    ``+-1/(N_+ N_-)``, and it satisfies ``cat_char(spec, 0) = 1`` exactly.
-    """
-    w_plus, w_minus = spec.coherent_weights()
-    b = spec.center
-    centers = [b, -b]
-    weights = [w_plus, w_minus]
-    u = np.asarray(u, dtype=float)
-    out = np.zeros(u.shape[:-1], dtype=complex)
-    for wi, bi in zip(weights, centers):
-        for wj, bj in zip(weights, centers):
-            out = out + wi * np.conj(wj) * char_coherent_dyad(bi, bj, u)
-    return out if np.ndim(out) else complex(out)
+        Expands ``|psi><psi|`` over the four coherent dyads of ``|alpha>`` and
+        ``|-alpha>``; for the zero/one cats this reproduces the combination with
+        weights ``(1/N_+^2 + 1/N_-^2)/2``, ``(1/N_+^2 - 1/N_-^2)/2`` and
+        ``+-1/(N_+ N_-)``, and it satisfies ``char(0) = 1`` exactly.
+        """
+        weights = self.coherent_weights()
+        centers = [self.center, -self.center]
+        u = np.asarray(u, dtype=float)
+        out = np.zeros(u.shape[:-1], dtype=complex)
+        for wi, bi in zip(weights, centers):
+            for wj, bj in zip(weights, centers):
+                out = out + wi * np.conj(wj) * char_coherent_dyad(bi, bj, u)
+        return out if np.ndim(out) else complex(out)
 
 
 def coherent_fock_coefficients(alpha, truncation: int) -> np.ndarray:
@@ -403,10 +395,6 @@ class ChainSpec:
             raise ValueError("chain needs at least one oscillator")
         if abs(self.kappa) > 1.0:
             raise ValueError("|kappa| must not exceed 1")
-
-    @property
-    def modes(self) -> int:
-        return self.m
 
     def h_xx_row(self) -> np.ndarray:
         """First row of the circulant part of ``h_XX``; at m = 2 the two couplings add up."""
@@ -470,10 +458,6 @@ class CirculantChainState:
         zero = np.zeros((len(modes), len(modes)))
         cov = np.block([[_circulant(x_row, modes), zero], [zero, _circulant(p_row, modes)]])
         return GaussianStateSpec(np.zeros(2 * len(modes)), cov)
-
-    def char(self, u) -> np.ndarray:
-        """Characteristic function, through the dense marginal on every mode."""
-        return self.marginal(list(range(self.modes))).char(u)
 
     def phase_space_draws(self, vacuum: float, n: int, rng) -> Iterator[np.ndarray]:
         """``n`` rows ``[x | p]`` from ``N(0, (V + vacuum I) / 2)``: Wigner 0, heterodyne 1.

@@ -286,7 +286,7 @@ def test_criterion_11_entropy_pipeline():
     fock = project_PM(fock_matrix_of(GaussianStateSpec.thermal(nu), 40), truncation)
     s_exact = entropy_reference(GaussianStateSpec.thermal(nu))
     s_block = matrix_entropy(fock.entries)  # -tr(sigma ln sigma), subnormalized
-    h_val = entropy_poly(fock, d_p)
+    h_val = entropy_poly(fock.entries, d_p)
     # the surrogate converges to the subnormalized block entropy; the exact
     # normalization correction is the (computable) gap |S(rho) - S(P_M rho)|
     surrogate_ok = abs(s_block - h_val) <= (truncation + 1) / d_p

@@ -27,7 +27,7 @@ from cvshadow.cli import (
 )
 from cvshadow.entropy import entropy_reference
 from cvshadow.measurement import SampleBatch, sample_heterodyne_batch, sample_homodyne_batch
-from cvshadow.shadows import ShadowAverage, project_PM, project_PM_tilde
+from cvshadow.shadows import ShadowAverage, json_sha256, project_PM, project_PM_tilde
 from cvshadow.states import (
     CatStateSpec,
     ChainSpec,
@@ -71,7 +71,7 @@ BOUNDS = {"protocol": "heterodyne", "r": 1, "epsilon": 0.5, "delta": 0.05, "n": 
 VALID_CONFIGS = [
     base_config(
         state={"kind": "cat", "alpha": [1, -0.5], "logical": "plus"},
-        protocol="homodyne", subset=[0], window={"eta": 2.0, "radius": 8},
+        protocol="heterodyne", subset=[0], window={"eta": 2.0, "radius": 8},
         grid={"lo": -3, "hi": 2.5, "points": 3, "pair": [0, 1]},
         bounds=dict(BOUNDS, observables=4), entropy={"epsilon": 0.5, "energy": 0, "d_p": 2},
     ),
@@ -298,6 +298,24 @@ class TestConfigValidation:
                 with pytest.raises(ConfigError, match=re.escape(
                         f"config invalid at $.state: {key!r} is a required property")):
                     validate_config(base_config(state=state))
+
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"grid": {"pair": [0, 2], "points": 5}}, "$.grid"),
+            ({"window": {"eta": 2.0, "radius": 8}}, "$.window"),
+            ({"window": {"eta": 2.0, "radius": 8}, "bounds": dict(BOUNDS, protocol="homodyne")},
+             "$.window"),
+        ],
+    )
+    def test_unread_grid_and_window_refused(self, overrides, path):
+        # only a heterodyne reconstruct reads a grid, and only heterodyne shadows
+        # or heterodyne bounds read a window
+        with pytest.raises(ConfigError, match=re.escape(f"config invalid at {path}: ")):
+            validate_config(base_config(protocol="homodyne", **overrides))
+        validate_config(base_config(protocol="heterodyne", **overrides))
+        window = {"eta": 2.0, "radius": 8}
+        validate_config(base_config(protocol="homodyne", window=window, bounds=BOUNDS))
 
     def test_bench_and_test_configs_validate(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -1053,6 +1071,33 @@ class TestMainEntrypoint:
         cfg_path = write_config(tmp_path, {"version": 1})
         assert cli.main(["sample", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
         assert "$" in capsys.readouterr().err
+
+    def test_config_that_is_not_json_names_its_path(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text("{")
+        assert cli.main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg_path}: not a JSON config (")
+        assert not (tmp_path / "s").exists()
+
+    def test_unread_grid_exit_code(self, tmp_path, capsys):
+        cfg = base_config(state={"kind": "chain", "m": 3, "kappa": 0.5}, protocol="homodyne",
+                          grid={"pair": [0, 2], "points": 5})
+        cfg_path = write_config(tmp_path, cfg)
+        assert cli.main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 2
+        assert "error: config invalid at $.grid: " in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_malformed_average_exit_code(self, tmp_path, capsys):
+        # a valid checksum over a payload without M: the entropy command names the file
+        payload = {"A": [0], "protocol": "homodyne", "count": 1, "entries_re": [1.0],
+                   "entries_im": [0.0], "stderr": [0.0]}
+        avg_path = tmp_path / "avg.json"
+        avg_path.write_text(json.dumps(dict(payload, checksum=json_sha256(payload))))
+        cfg_path = write_config(tmp_path, base_config(entropy={"epsilon": 0.9, "energy": 0.4}))
+        argv = ["entropy", "--config", str(cfg_path), "--average", str(avg_path)]
+        assert cli.main(argv + ["--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {avg_path}: a shadow-average file needs the keys ['M']\n"
 
     def test_unread_squeezing_key_rejected(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(squeezing=0.3))

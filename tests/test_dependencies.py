@@ -1,6 +1,10 @@
 """The runtime needs numpy alone: scipy and numpy.polynomial are test-only references."""
 
 import ast
+import math
+import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -9,6 +13,7 @@ import cvshadow
 PACKAGE = Path(cvshadow.__file__).resolve().parent
 PYPROJECT = PACKAGE.parents[1] / "pyproject.toml"
 BENCH = PACKAGE.parents[1] / "bench"
+README = PACKAGE.parents[1] / "README.md"
 
 
 def imported_roots(path: Path) -> set[str]:
@@ -133,3 +138,14 @@ def test_no_module_asserts_at_run_time():
     modules = sorted(PACKAGE.glob("*.py"))
     found = {m.name: run_time_asserts(m) for m in modules}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_readme_quick_start_runs():
+    # the first python block of README.md, run as a user would paste it: the
+    # exports it imports exist and it prints two finite numbers
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    values = [float(v) for v in proc.stdout.split()]
+    assert len(values) == 2 and all(math.isfinite(v) for v in values)

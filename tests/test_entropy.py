@@ -63,7 +63,7 @@ class TestEntropyPoly:
         # |S(P_M rho / tr) - H^(d_p)(P_M rho)| <= (M+1)/d_p + normalization
         fock = project_PM(fock_matrix_of(GaussianStateSpec.thermal(nu), 30), m_trunc)
         d_p = 400
-        h_val = entropy_poly(fock, d_p)
+        h_val = entropy_poly(fock.entries, d_p)
         lam = np.trace(fock.entries).real
         s_norm = matrix_entropy(fock.entries / lam)
         correction = abs(-math.log(lam) + (1 - lam) / lam * s_norm) + (1 - lam)

@@ -1,6 +1,7 @@
 """Shadow construction, windowing, projections, and averaging."""
 
 import functools
+import json
 import math
 import re
 from dataclasses import replace
@@ -19,6 +20,7 @@ from cvshadow.shadows import (
     WindowSpec,
     average_entries,
     default_window,
+    json_sha256,
     project_PM,
     project_PM_tilde,
     shadow_batch_entries,
@@ -544,6 +546,8 @@ class TestAveraging:
         loaded = ShadowAverage.from_json(path)
         assert np.allclose(loaded.mean, avg.mean)
         assert loaded.count == 64
+        payload = json.loads(path.read_text())
+        del payload["checksum"]
         corrupted = path.read_text().replace("0.", "1.", 1)
         path.write_text(corrupted)
         with pytest.raises(ValueError, match="integrity"):
@@ -552,6 +556,21 @@ class TestAveraging:
         for text in (corrupted[:40], "[1, 2]"):
             path.write_text(text)
             with pytest.raises(ValueError, match=re.escape(str(path))):
+                ShadowAverage.from_json(path)
+        # so does a file with a valid checksum but a missing key, M or A of
+        # another type, or entries that are not ((M+1)^|A|)^2 values: 9 of
+        # them at M = 3, or 5 at M = 2
+        short = {key: payload[key][:5] for key in ("entries_re", "entries_im", "stderr")}
+        for broken, message in (
+            ({k: v for k, v in payload.items() if k != "M"}, "needs the keys ['M']"),
+            (dict(payload, M=2.0), "M must be an integer >= 0 and A a list of modes"),
+            (dict(payload, A=0), "M must be an integer >= 0 and A a list of modes"),
+            (dict(payload, M=3), "must each hold ((M+1)^|A|)^2 = 16 values"),
+            (dict(payload, **short), "must each hold ((M+1)^|A|)^2 = 9 values"),
+        ):
+            path.write_text(json.dumps(dict(broken, checksum=json_sha256(broken))))
+            pattern = re.escape(f"{path}: ") + ".*" + re.escape(message)
+            with pytest.raises(ValueError, match=pattern):
                 ShadowAverage.from_json(path)
 
 
