@@ -30,7 +30,14 @@ from .bounds import (
     required_samples_homodyne,
 )
 from .entropy import entropy_poly, entropy_reference, plan_entropy
-from .measurement import HETERODYNE, HOMODYNE, SampleBatch, jsonl_header, sample_blocks
+from .measurement import (
+    HETERODYNE,
+    HOMODYNE,
+    SampleBatch,
+    jsonl_header,
+    records_map,
+    sample_blocks,
+)
 from .reconstruction import reconstruct_pair_section, reconstruct_single_mode
 from .shadows import (
     ShadowAverage,
@@ -287,28 +294,38 @@ def write_manifest(
 def cmd_sample(config: dict, out_dir, seed: int | None = None) -> dict:
     """Generate a measurement batch; writes records.jsonl and the manifest.
 
-    The rounds are written block by block as they are drawn, to a temporary
-    file that replaces ``records.jsonl`` only once the last block is in, so
-    a sampler error leaves no partial records file.
+    The rounds are formatted piece by piece as they are drawn (in forked
+    workers, by :func:`records_map`, for a large batch), and written in order
+    to a temporary file that replaces ``records.jsonl`` only once the last
+    piece is in, so a sampler error leaves no partial records file.
     """
     t0 = time.perf_counter()
     config = config if seed is None else {**config, "seed": seed}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    state = build_state(config["state"])
     seed_path = f"cvshadow/{config['seed']}/{config['protocol']}"
     records_path = out / "records.jsonl"
     partial = out / f".records.jsonl.{os.getpid()}.partial"
     n, meta = 0, {}
-    try:
-        with open(partial, "w") as fh:
-            for block in sample_blocks(state, config["protocol"], config["samples"], seed_path):
-                block.to_jsonl(fh)
-                n, meta = n + block.n, block.meta
-                del block  # before the next block is drawn
-        os.replace(partial, records_path)
-    finally:
-        partial.unlink(missing_ok=True)
+
+    def pieces():
+        nonlocal n, meta
+        for block in sample_blocks(state, config["protocol"], config["samples"], seed_path):
+            n, meta = n + block.n, block.meta
+            yield from block.jsonl_pieces()
+            del block  # before the next block is drawn
+
+    # a chain has m modes and every other state one; each round holds 2 values per mode
+    values = 2 * config["samples"] * config["state"].get("m", 1)
+    with records_map(values) as formatted:  # forked before the state is built
+        state = build_state(config["state"])
+        try:
+            with open(partial, "wb") as fh:
+                for lines in formatted(SampleBatch.jsonl_bytes, pieces()):
+                    fh.write(lines)
+            os.replace(partial, records_path)
+        finally:
+            partial.unlink(missing_ok=True)
     write_manifest(out, config, [records_path], time.perf_counter() - t0, meta)
     return {"records": str(records_path), "n": n, "meta": meta}
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measurement import HETERODYNE, SampleBatch
+from .measurement import HETERODYNE, SampleBatch, _one_blas_thread
 from .phase_space import CharGrid, omega_apply
 from .states import _check_modes
 
@@ -30,7 +30,9 @@ def _trial_char_grid(a, ya, b, yb) -> np.ndarray:
     buffer, allocated once, holds at most 2^17 values (2 MB) up to 8192
     points, and the sum's bits depend on N and the grid size only.  Each
     chunk's phases are written into the buffer's imaginary part, and their
-    cosines and sines in place, never grid x N.
+    cosines and sines in place, never grid x N.  The products run on one
+    BLAS thread (:func:`~cvshadow.measurement._one_blas_thread`), so no
+    threaded zgemm leaves a worker spinning beside the next chunk's phases.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     total = np.zeros((a.size, b.size), dtype=complex)
@@ -44,7 +46,8 @@ def _trial_char_grid(a, ya, b, yb) -> np.ndarray:
             np.multiply.outer(axis, y[sl], out=phase.imag)
             np.cos(phase.imag, out=phase.real)
             np.sin(phase.imag, out=phase.imag)
-        total += pa @ pb.T
+        with _one_blas_thread():
+            total += pa @ pb.T
     grow = np.exp(0.25 * (np.square(a)[:, None] + np.square(b)[None, :]))
     return grow * (total / len(ya))
 

@@ -449,7 +449,12 @@ class ShadowAverage:
         if type(m) is not int or m < 0 or type(subset) is not list:
             raise ValueError(f"{path}: M must be an integer >= 0 and A a list of modes")
         dim = (m + 1) ** len(subset)
-        re, im, stderr = (np.asarray(payload[key], dtype=float) for key in _AVERAGE_ARRAYS)
+        try:
+            re, im, stderr = (np.asarray(payload[key], dtype=float) for key in _AVERAGE_ARRAYS)
+        except (ValueError, TypeError):
+            raise ValueError(
+                f"{path}: entries_re, entries_im and stderr must be lists of numbers"
+            ) from None
         if not re.shape == im.shape == stderr.shape == (dim * dim,):
             raise ValueError(
                 f"{path}: entries_re, entries_im and stderr must each hold "
