@@ -3,8 +3,9 @@
 Every command consumes a JSON experiment config (schema-validated, with
 JSON-pointer paths in error messages) and writes its artifacts plus a run
 manifest into the output directory.  Identical config + seed produce
-bit-identical numeric outputs; the manifest records per-file SHA-256 hashes,
-the config hash, the tool version and wall time.
+bit-identical numeric outputs; the manifest records per-file SHA-256 hashes
+of the files written and of the file read, the config hash, the tool version
+and wall time.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .measurement import (
     HOMODYNE,
     SampleBatch,
     jsonl_header,
-    records_map,
     sample_blocks,
 )
 from .reconstruction import reconstruct_pair_section, reconstruct_single_mode
@@ -277,14 +277,21 @@ def write_manifest(
     files: list[Path],
     elapsed: float,
     sampler: dict | None = None,
+    inputs: tuple[Path, ...] = (),
 ) -> None:
-    """Write ``manifest.json``; ``sampler`` is the batch meta of a rejection sampler."""
+    """Write ``manifest.json``; ``sampler`` is the batch meta of a rejection sampler.
+
+    ``inventory`` hashes the ``files`` written and ``inputs`` the files read,
+    each by name, so a reader's input matches its producer's inventory.
+    """
     manifest = {
         "config_hash": json_sha256(config),
         "tool_version": __version__,
         "elapsed_seconds": elapsed,
         "inventory": {p.name: _file_sha256(p) for p in sorted(files)},
     }
+    if inputs:
+        manifest["inputs"] = {p.name: _file_sha256(p) for p in inputs}
     if sampler:
         manifest["sampler"] = sampler
     with open(out_dir / "manifest.json", "w") as fh:
@@ -294,10 +301,9 @@ def write_manifest(
 def cmd_sample(config: dict, out_dir, seed: int | None = None) -> dict:
     """Generate a measurement batch; writes records.jsonl and the manifest.
 
-    The rounds are formatted piece by piece as they are drawn (in forked
-    workers, by :func:`records_map`, for a large batch), and written in order
-    to a temporary file that replaces ``records.jsonl`` only once the last
-    piece is in, so a sampler error leaves no partial records file.
+    Each block of rounds is written as it is drawn, to a temporary file that
+    replaces ``records.jsonl`` only once the last block is in, so a sampler
+    error leaves no partial records file.
     """
     t0 = time.perf_counter()
     config = config if seed is None else {**config, "seed": seed}
@@ -307,25 +313,16 @@ def cmd_sample(config: dict, out_dir, seed: int | None = None) -> dict:
     records_path = out / "records.jsonl"
     partial = out / f".records.jsonl.{os.getpid()}.partial"
     n, meta = 0, {}
-
-    def pieces():
-        nonlocal n, meta
-        for block in sample_blocks(state, config["protocol"], config["samples"], seed_path):
-            n, meta = n + block.n, block.meta
-            yield from block.jsonl_pieces()
-            del block  # before the next block is drawn
-
-    # a chain has m modes and every other state one; each round holds 2 values per mode
-    values = 2 * config["samples"] * config["state"].get("m", 1)
-    with records_map(values) as formatted:  # forked before the state is built
-        state = build_state(config["state"])
-        try:
-            with open(partial, "wb") as fh:
-                for lines in formatted(SampleBatch.jsonl_bytes, pieces()):
-                    fh.write(lines)
-            os.replace(partial, records_path)
-        finally:
-            partial.unlink(missing_ok=True)
+    state = build_state(config["state"])
+    try:
+        with open(partial, "w", encoding="ascii", newline="") as fh:
+            for block in sample_blocks(state, config["protocol"], config["samples"], seed_path):
+                n, meta = n + block.n, block.meta
+                block.to_jsonl(fh)
+                del block  # before the next block is drawn
+        os.replace(partial, records_path)
+    finally:
+        partial.unlink(missing_ok=True)
     write_manifest(out, config, [records_path], time.perf_counter() - t0, meta)
     return {"records": str(records_path), "n": n, "meta": meta}
 
@@ -405,7 +402,7 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
     with open(metrics_path, "w") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
     files.append(metrics_path)
-    write_manifest(out, config, files, time.perf_counter() - t0)
+    write_manifest(out, config, files, time.perf_counter() - t0, inputs=(Path(batch_path),))
     return metrics
 
 
@@ -483,7 +480,8 @@ def cmd_entropy(config: dict, average_path, out_dir) -> dict:
     report_path = out / "entropy.json"
     with open(report_path, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True, allow_nan=False)
-    write_manifest(out, config, [report_path], time.perf_counter() - t0)
+    write_manifest(out, config, [report_path], time.perf_counter() - t0,
+                   inputs=(Path(average_path),))
     print(json.dumps(result, indent=2, sort_keys=True))
     return result
 

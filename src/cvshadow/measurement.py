@@ -18,6 +18,7 @@ reproduce bit-identical batches.  There is no global RNG.
 
 from __future__ import annotations
 
+import base64
 import copy
 import ctypes
 import hashlib
@@ -25,14 +26,10 @@ import itertools
 import json
 import logging
 import math
-import os
-import pickle
-import threading
-from collections import deque
 from collections.abc import Iterator
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -61,12 +58,6 @@ _REJECTION_CHUNK = 32768
 # Hermite rows or coherent-state amplitudes holds at most this many, whatever
 # the number of points or the truncation.
 _DENSITY_VALUES = 1 << 17
-# Values per piece of records that one job of ``records_map`` formats or parses.
-_JSONL_BLOCK_VALUES = 1 << 14
-# Most worker processes of ``records_map``, and the fewest values of a records
-# file for which it forks them.
-_POOL_WORKERS = 4
-_POOL_VALUES = 1 << 17
 
 
 @dataclass
@@ -116,45 +107,24 @@ class SampleBatch:
         thetas = None if self.thetas is None else self.thetas[rows]
         return replace(self, outcomes=self.outcomes[rows], thetas=thetas)
 
-    def jsonl_pieces(self) -> Iterator["SampleBatch"]:
-        """The batch as consecutive slices of at most ``_JSONL_BLOCK_VALUES`` values.
-
-        Each slice holds at least one round.
-        """
-        rows = max(1, _JSONL_BLOCK_VALUES // max(1, 2 * self.modes))
-        return (self[start : start + rows] for start in range(0, self.n, rows))
-
-    def jsonl_bytes(self) -> bytes:
-        """One JSON line per round: protocol, thetas, outcome and seed_path.
+    def to_jsonl(self, fh) -> None:
+        """Append one JSON line per round to the open text handle ``fh``.
 
         A line's bytes are those of ``json.dumps(payload, separators=(",",
-        ":"))``: one ``%`` template fills in ``repr`` of every value, which is
-        how ``json`` writes a finite float, and ``json`` escapes the protocol
-        and ``seed_path`` to ASCII.  Takes Python floats of the whole batch at
-        once; :meth:`to_jsonl` bounds that by :meth:`jsonl_pieces`.
+        ":"))`` for the keys protocol, thetas, outcome and seed_path.  The
+        round's outcome (and homodyne angles; ``null`` for heterodyne) is one
+        string: the padded standard base64 of its little-endian float64
+        values in row-major order (heterodyne x0, p0, x1, p1, ...), so a
+        reader gets back the bits that were drawn.
         """
-        m = self.modes
+        head = f'{{"protocol":{json.dumps(self.protocol)},"thetas":'
+        tail = f',"seed_path":{json.dumps(self.seed_path)}}}\n'
+        outcomes = _base64_rows(self.outcomes)
         if self.thetas is None:
-            thetas = "null"
-            outcome = ",".join(["[%r,%r]"] * m)
-            columns = [self.outcomes]
+            fh.writelines(f'{head}null,"outcome":"{o}"{tail}' for o in outcomes)
         else:
-            thetas = "[" + ",".join(["%r"] * m) + "]"
-            outcome = ",".join(["%r"] * m)
-            columns = [self.thetas, self.outcomes]
-        protocol = json.dumps(self.protocol)
-        seed_path = json.dumps(self.seed_path).replace("%", "%%")
-        template = (
-            f'{{"protocol":{protocol},"thetas":{thetas},'
-            f'"outcome":[{outcome}],"seed_path":{seed_path}}}\n'
-        )
-        rows = np.concatenate(columns, axis=1).reshape(self.n, -1)  # heterodyne -> (n, 2m)
-        return "".join([template % tuple(row) for row in rows.tolist()]).encode("ascii")
-
-    def to_jsonl(self, fh) -> None:
-        """Append :meth:`jsonl_bytes` to the open text handle ``fh``, piece by piece."""
-        for piece in self.jsonl_pieces():
-            fh.write(piece.jsonl_bytes().decode("ascii"))
+            thetas = _base64_rows(self.thetas)
+            fh.writelines(f'{head}"{t}","outcome":"{o}"{tail}' for t, o in zip(thetas, outcomes))
 
     @classmethod
     def from_jsonl(cls, path, modes=None) -> "SampleBatch":
@@ -164,230 +134,61 @@ class SampleBatch:
         reader of a few modes of a long chain never holds the (N, m) batch.
         Every line is checked, whichever columns are kept: it must name the
         protocol and ``seed_path`` of the first record (a batch is one
-        protocol drawn from one RNG stream) and hold finite values of the
-        first record's shape.  One pass counts the records and notes the byte
-        offset of each group of at most ``_JSONL_BLOCK_VALUES`` values; the
-        groups are then parsed by :func:`_parse_group` through
-        :func:`records_map`, in order, each from its own byte range.
+        protocol drawn from one RNG stream) and hold base64 float64 values,
+        finite and as many as the first record's.  One pass counts the
+        records, so the kept columns are filled in place by the next.
         """
         protocol, seed_path, shape = jsonl_header(path)
         cols = list(range(shape[0]) if modes is None else modes)
         _check_modes(cols, shape[0])
-        per_group = max(1, _JSONL_BLOCK_VALUES // (2 * shape[0]))
-        groups = []  # (byte offset, first line, lines, records) of each group
         with open(path, "rb") as fh:
-            offset = start = records = 0
-            first = 1
-            for k, line in enumerate(fh, 1):
-                offset += len(line)
-                records += bool(line.strip())
-                if records == per_group:
-                    groups.append((start, first, k + 1 - first, records))
-                    start, first, records = offset, k + 1, 0
-            if records:
-                groups.append((start, first, k + 1 - first, records))
-        n = sum(group[3] for group in groups)
-        with records_map(2 * shape[0] * n) as parse:
-            outcomes = np.empty((n, len(cols)) + shape[1:])
-            thetas = np.empty((n, len(cols))) if protocol == HOMODYNE else None
-            row = 0
-            group_parser = partial(_parse_group, path, protocol, seed_path, shape, cols)
-            for part_outcomes, part_thetas in parse(group_parser, groups):
-                rows = slice(row, row + len(part_outcomes))
-                outcomes[rows] = part_outcomes
+            n = sum(1 for line in fh if not line.isspace())
+        outcomes = np.empty((n, len(cols)) + shape[1:])
+        thetas = np.empty((n, len(cols))) if protocol == HOMODYNE else None
+        with open(path, "rb") as fh:
+            kept = ((k, line) for k, line in enumerate(fh, 1) if not line.isspace())
+            for i, (k, line) in enumerate(kept):
+                line_protocol, line_seed_path, line_thetas, outcome = _fields(path, k, line)
+                if line_protocol != protocol or line_seed_path != seed_path:
+                    raise ValueError(
+                        f"{path}: line {k} has protocol {line_protocol!r} and "
+                        f"seed_path {line_seed_path!r}; the first record has "
+                        f"{protocol!r} and {seed_path!r} (a batch file holds one "
+                        "protocol drawn from one RNG stream)"
+                    )
+                outcomes[i] = _row(outcome, shape, path, k)[cols]
                 if thetas is not None:
-                    thetas[rows] = part_thetas
-                row = rows.stop
+                    thetas[i] = _row(line_thetas, shape, path, k)[cols]
         return cls(protocol, outcomes, thetas, seed_path)
 
 
-def _parse_group(path, protocol, seed_path, shape, cols, group) -> tuple:
-    """Kept columns ``cols`` of one group of records lines, read from its own byte range.
-
-    ``protocol``, ``seed_path`` and ``shape`` are the file's header, and
-    ``group`` is ``(start, first, lines, records)``: the group's byte offset,
-    the number of its first line, and its counts of lines and of records.
-    Each line is checked as :meth:`SampleBatch.from_jsonl` says.
-    """
-    start, first, lines, records = group
-    outcomes = np.empty((records, len(cols)) + shape[1:])
-    thetas = np.empty((records, len(cols))) if protocol == HOMODYNE else None
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        kept = ((k, t) for k, t in zip(range(first, first + lines), fh) if t.strip())
-        for i, (k, line) in enumerate(kept):
-            line_protocol, line_seed_path, line_thetas, outcome = _fields(path, k, line)
-            if line_protocol != protocol or line_seed_path != seed_path:
-                raise ValueError(
-                    f"{path}: line {k} has protocol {line_protocol!r} and "
-                    f"seed_path {line_seed_path!r}; the first record has "
-                    f"{protocol!r} and {seed_path!r} (a batch file holds one "
-                    "protocol drawn from one RNG stream)"
-                )
-            outcomes[i] = _row(outcome, shape, path, k)[cols]
-            if thetas is not None:
-                thetas[i] = _row(line_thetas, shape, path, k)[cols]
-    return outcomes, thetas
-
-
-@contextmanager
-def records_map(values: int):
-    """A ``map(fn, jobs)`` for the records I/O of a file of ``values`` values.
-
-    Results come back in job order.  With at least two CPUs in
-    ``os.sched_getaffinity(0)`` (``_POOL_WORKERS`` at most are used),
-    ``os.fork`` and ``values >= _POOL_VALUES``, a :class:`_ForkPool`
-    is forked on entry, before the caller's large allocations, and ``fn`` (a
-    module-level function or a partial of one, pickled by name) runs in its
-    workers with at most two jobs per worker in flight; on exit, on the error path too, every
-    worker is reaped.  Otherwise it is the builtin ``map``.  Either way each
-    job runs the same ``fn``, so the results and the first error raised are
-    the same.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(_POOL_WORKERS, cpus)
-    if workers < 2 or values < _POOL_VALUES or not hasattr(os, "fork"):
-        yield map
-        return
-    pool = _ForkPool(workers)
-    try:
-        yield pool.map
-    finally:
-        pool.close()
-
-
-class _ForkPool:
-    """Worker processes made by ``os.fork``, each running its jobs in order.
-
-    Job ``i`` goes to worker ``i % workers`` down a pipe, as a pickled ``(fn,
-    job)``, and the worker sends back ``(ok, result or exception)``, which
-    the caller reads in job order.  One thread, started after the last fork,
-    writes the pickled jobs, so the caller never waits on a worker to read
-    while that worker waits on the caller.  Only modules the package already
-    loads are used (``multiprocessing`` would import about 1.3 MB).
-    """
-
-    def __init__(self, workers: int):
-        self._pids, self._jobs, self._replies, self._writer = [], [], [], None
-        try:
-            for _ in range(workers):
-                job_r, job_w = os.pipe()
-                reply_r, reply_w = os.pipe()
-                pid = os.fork()
-                if pid == 0:  # the worker: its own pipe ends only, and it never returns
-                    try:
-                        for fd in [job_w, reply_r, *self._jobs, *(fh.fileno() for fh in self._replies)]:
-                            os.close(fd)
-                        _serve(os.fdopen(job_r, "rb"), os.fdopen(reply_w, "wb"))
-                    finally:
-                        os._exit(0)
-                os.close(job_r)
-                os.close(reply_w)
-                self._pids.append(pid)
-                self._jobs.append(job_w)
-                self._replies.append(os.fdopen(reply_r, "rb"))
-        except BaseException:  # a fork failed: reap the workers made so far
-            self.close()
-            raise
-        self._outbox = deque()
-        self._queued = threading.Condition()
-        self._writer = threading.Thread(target=self._send, daemon=True)
-        self._writer.start()
-
-    def _send(self) -> None:
-        """Write each queued ``(fd, bytes)`` down its pipe, in order, until ``None``."""
-        while True:
-            with self._queued:
-                self._queued.wait_for(lambda: self._outbox)
-                item = self._outbox.popleft()
-            if item is None:
-                return
-            fd, view = item[0], memoryview(item[1])
-            with suppress(OSError):  # a worker that died: the caller meets the end of its replies
-                while view:
-                    view = view[os.write(fd, view) :]
-
-    def map(self, fn, jobs) -> Iterator:
-        workers = len(self._pids)
-        sent = taken = 0
-        for job in jobs:
-            if sent - taken == 2 * workers:
-                yield self._take(taken % workers)
-                taken += 1
-            data = pickle.dumps((fn, job))
-            with self._queued:
-                self._outbox.append((self._jobs[sent % workers], data))
-                self._queued.notify()
-            sent += 1
-        for i in range(taken, sent):
-            yield self._take(i % workers)
-
-    def _take(self, w: int):
-        try:
-            ok, value = pickle.load(self._replies[w])
-        except Exception:  # end of output: the worker died
-            raise ChildProcessError("a records worker stopped before its result") from None
-        if not ok:
-            raise value
-        return value
-
-    def close(self) -> None:
-        """Stop and reap every worker, then the writer.
-
-        A worker has nothing to finish once its replies are taken or no longer
-        wanted, so it is killed rather than waited on.
-        """
-        import signal  # here: a process that forks no pool need not load it
-
-        for pid in self._pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if self._writer is not None:  # its writes to the dead workers fail at once
-            with self._queued:
-                self._outbox.append(None)
-                self._queued.notify()
-            self._writer.join()
-        for fd in self._jobs:
-            os.close(fd)
-        for fh in self._replies:
-            fh.close()
-
-
-def _serve(jobs, replies) -> None:
-    """A worker's loop: reply ``(ok, value)`` to each ``(fn, job)`` until its input ends."""
-    while True:
-        try:
-            fn, job = pickle.load(jobs)
-        except EOFError:
-            return
-        try:
-            reply = (True, fn(job))
-        except Exception as exc:  # raised in the parent, in job order
-            reply = (False, exc)
-        pickle.dump(reply, replies)
-        replies.flush()
+def _base64_rows(values: np.ndarray) -> Iterator[str]:
+    """The standard base64 of each row's little-endian float64 values."""
+    rows = np.ascontiguousarray(values.reshape(len(values), -1), "<f8")
+    return (base64.b64encode(row).decode() for row in rows)
 
 
 def jsonl_header(path) -> tuple[str, str, tuple]:
     """``(protocol, seed_path, shape)`` of a records file, from its first record.
 
     Reading stops at the first record line; ``shape`` is its outcome shape,
-    ``(m,)`` for homodyne and ``(m, 2)`` for heterodyne.
+    ``(m,)`` for homodyne and ``(m, 2)`` for heterodyne, with ``m >= 1``.
     """
     with open(path, "rb") as fh:
         for first, line in enumerate(fh, 1):
-            if line.strip():
+            if not line.isspace():
                 break
         else:
             raise ValueError(f"{path}: no records")
     protocol, seed_path, _, outcome = _fields(path, first, line)
     if protocol not in (HOMODYNE, HETERODYNE):
         raise ValueError(f"{path}: line {first} has unknown protocol {protocol!r}")
-    shape = _array(outcome, path, first).shape
-    if len(shape) != (1 if protocol == HOMODYNE else 2) or shape[1:] not in ((), (2,)):
+    size = _values(outcome, path, first).size
+    shape = (size,) if protocol == HOMODYNE else (size // 2, 2)
+    if size == 0 or math.prod(shape) != size:
         raise ValueError(
-            f"{path}: line {first} has shape {shape}, expected (modes,) for "
-            "homodyne or (modes, 2) for heterodyne"
+            f"{path}: line {first} has outcome value count {size}, not a whole "
+            f"positive number of {protocol} modes"
         )
     return protocol, seed_path, shape
 
@@ -406,22 +207,27 @@ def _fields(path, line: int, raw: bytes) -> tuple:
         raise ValueError(f"{path}: line {line} is not a record ({exc!r})") from None
 
 
-def _array(values, path, line: int) -> np.ndarray:
+def _values(text, path, line: int) -> np.ndarray:
+    """The float64 values of one base64 field of a record line."""
     try:
-        return np.asarray(values, dtype=float)
-    except (ValueError, TypeError):
+        data = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError):  # not a string, not ASCII, or not base64
+        data = None
+    if data is None or len(data) % 8:
+        raise ValueError(f"{path}: line {line} holds numbers that are not base64 float64")
+    return np.frombuffer(data, "<f8")
+
+
+def _row(text, shape: tuple, path, line: int) -> np.ndarray:
+    row = _values(text, path, line)
+    if row.size != math.prod(shape):
         raise ValueError(
-            f"{path}: line {line} holds values that are not an array of numbers"
-        ) from None
-
-
-def _row(values, shape: tuple, path, line: int) -> np.ndarray:
-    row = _array(values, path, line)
-    if row.shape != shape:
-        raise ValueError(f"{path}: line {line} has shape {row.shape}, expected {shape}")
+            f"{path}: line {line} has value count {row.size}, expected "
+            f"{math.prod(shape)} as on the first record"
+        )
     if not np.isfinite(row).all():
         raise ValueError(f"{path}: line {line} holds a value that is not finite")
-    return row
+    return row.reshape(shape)
 
 
 def stream_rng(seed_path: str) -> np.random.Generator:

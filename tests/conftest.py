@@ -11,6 +11,7 @@ box integrator, the truncated displacement matrix, the squeezed-homodyne
 kernel ``f_mu_homodyne`` and the entropy continuity bound.
 """
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -339,14 +340,24 @@ def gaussian_family_error(budget: int, half_width: float = 6.0) -> float:
     return worst
 
 
+def b64_floats(values) -> str:
+    """Standard padded base64 of ``values`` as little-endian float64, row-major."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def b64_values(text: str) -> np.ndarray:
+    """The float64 values of one records field: the inverse of ``b64_floats``."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
+
+
 def reference_jsonl(batch) -> bytes:
     """``records.jsonl`` bytes of ``batch``, one ``json.dumps`` per round."""
     lines = []
     for i in range(batch.n):
         payload = {
             "protocol": batch.protocol,
-            "thetas": None if batch.thetas is None else batch.thetas[i].tolist(),
-            "outcome": batch.outcomes[i].tolist(),
+            "thetas": None if batch.thetas is None else b64_floats(batch.thetas[i]),
+            "outcome": b64_floats(batch.outcomes[i]),
             "seed_path": batch.seed_path,
         }
         lines.append(json.dumps(payload, separators=(",", ":")) + "\n")

@@ -1,10 +1,10 @@
 """End-user CLI: configs, artifacts, determinism, error surfaces."""
 
+import hashlib
 import importlib
 import io
 import json
 import math
-import multiprocessing
 import os
 import re
 import subprocess
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import cvshadow.cli as cli
-import cvshadow.measurement as meas
 from cvshadow.cli import (
     ConfigError,
     build_state,
@@ -39,7 +38,7 @@ from cvshadow.states import (
     chain_ground_state,
     fock_matrix_of,
 )
-from conftest import whole_gaussian_batch
+from conftest import b64_values, whole_gaussian_batch
 
 
 def base_config(**overrides):
@@ -375,7 +374,7 @@ class TestSample:
         )
         cmd_sample(cfg, tmp_path)
         thetas = [
-            json.loads(line)["thetas"][0]
+            b64_values(json.loads(line)["thetas"])[0]
             for line in (tmp_path / "records.jsonl").read_text().splitlines()
         ]
         assert len(thetas) == 200
@@ -387,8 +386,8 @@ class TestSample:
         )
         cmd_sample(cfg, tmp_path)
         first = json.loads((tmp_path / "records.jsonl").read_text().splitlines()[0])
-        outcome = np.asarray(first["outcome"])
-        assert outcome.shape == (40, 2)
+        assert first["thetas"] is None
+        assert b64_values(first["outcome"]).size == 40 * 2
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
     def test_chain_records_deterministic(self, tmp_path, protocol):
@@ -407,7 +406,7 @@ class TestSample:
         )
         cmd_sample(cfg, tmp_path)
         first = json.loads((tmp_path / "records.jsonl").read_text().splitlines()[0])
-        assert np.asarray(first["outcome"]).size == 2000
+        assert b64_values(first["outcome"]).size == 2000
 
     def test_manifest_inventory(self, tmp_path):
         cfg = base_config()
@@ -579,124 +578,6 @@ class TestStreamedSample:
                 peaks[name, n] = int(_run_python(code, *argv).stdout) / 1024.0  # kB -> MB
         for name in ("sample", "reconstruct"):
             assert peaks[name, 1300] - peaks[name, 300] <= 6.0, peaks
-
-
-# forked records workers on this host: none with one CPU
-CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-WORKERS = min(meas._POOL_WORKERS, CPUS) if CPUS >= 2 and hasattr(os, "fork") else 0
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """The worker count of every pool ``records_map`` forks while the test runs."""
-    made = []
-    pool = meas._ForkPool
-
-    def counted(workers):
-        made.append(workers)
-        return pool(workers)
-
-    monkeypatch.setattr(meas, "_ForkPool", counted)
-    return made
-
-
-class TestRecordsWorkers:
-    """Records formatted and parsed in forked workers: the bytes, arrays and errors of one process."""
-
-    # config overrides, the kept columns, and whether the file is large enough to fork
-    CASES = {
-        "homodyne-thermal": ({"state": {"kind": "thermal", "nu": 0.3}, "protocol": "homodyne",
-                              "samples": 70000}, [0], True),
-        "chain": ({"state": CHAIN1000, "samples": 1000, "seed": 11}, [0, 500], True),
-        "vacuum": ({"samples": 50}, [0], False),
-    }
-
-    @pytest.mark.parametrize("name", list(CASES))
-    def test_pooled_and_serial_paths_agree(self, tmp_path, monkeypatch, pools, name):
-        overrides, cols, large = self.CASES[name]
-        config = base_config(**overrides)
-        records, parsed = {}, {}
-        for path, workers in (("pooled", meas._POOL_WORKERS), ("serial", 1)):
-            monkeypatch.setattr(meas, "_POOL_WORKERS", workers)
-            cmd_sample(config, tmp_path / path)
-            records[path] = (tmp_path / path / "records.jsonl").read_bytes()
-            parsed[path] = [SampleBatch.from_jsonl(tmp_path / path / "records.jsonl", modes)
-                            for modes in (None, cols)]
-            if path == "pooled":  # one pool to write and one per parse
-                assert pools == ([WORKERS] * 3 if large and WORKERS else [])
-        assert len(pools) == (3 if large and WORKERS else 0)  # none on the serial path
-        assert records["pooled"] == records["serial"]
-        for pooled, serial in zip(parsed["pooled"], parsed["serial"]):
-            assert (pooled.protocol, pooled.seed_path, pooled.n) == (
-                serial.protocol, serial.seed_path, config["samples"])
-            assert np.array_equal(pooled.outcomes, serial.outcomes)
-            assert (pooled.thetas is None and serial.thetas is None) or np.array_equal(
-                pooled.thetas, serial.thetas)
-        full, kept = parsed["serial"]
-        assert np.array_equal(kept.outcomes, full.outcomes[:, cols])
-
-    def test_same_first_error(self, tmp_path, monkeypatch, pools):
-        # 70000 one-mode lines are 9 groups of 8192 lines; lines 50000 and 60000
-        # lie in the 7th and 8th, which may be in flight together
-        config = base_config(**self.CASES["homodyne-thermal"][0])
-        cmd_sample(config, tmp_path)
-        lines = (tmp_path / "records.jsonl").read_bytes().splitlines(keepends=True)
-        malformed = lines[59999][:40] + b"\n"
-        other = lines[49999].replace(b'"seed_path":"cvshadow/7/homodyne"', b'"seed_path":"other"')
-        files = {
-            "malformed": (lines[:59999] + [malformed] + lines[60000:], 60000, "is not a record"),
-            "mixed": (lines[:49999] + [other] + lines[50000:59999] + [malformed] + lines[60000:],
-                      50000, "has protocol 'homodyne' and seed_path 'other'"),
-        }
-        path, pooled = tmp_path / "bad.jsonl", meas._POOL_WORKERS
-        for text, line, reason in files.values():
-            path.write_bytes(b"".join(text))
-            messages = []
-            for workers in (pooled, 1):
-                monkeypatch.setattr(meas, "_POOL_WORKERS", workers)
-                with pytest.raises(ValueError) as err:
-                    SampleBatch.from_jsonl(path)
-                messages.append(str(err.value))
-            assert messages[0] == messages[1]
-            assert messages[0].startswith(f"{path}: line {line} {reason}")
-        assert pools == ([WORKERS] * 3 if WORKERS else [])  # the sample and two parses
-
-    def test_no_worker_outlives_a_command(self, tmp_path, monkeypatch, capsys):
-        forked = []
-        fork = os.fork
-
-        def recorded():
-            pid = fork()
-            if pid:
-                forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", recorded)
-        # 100 rounds of the m = 1000 chain are 2e5 values: enough to fork
-        config = base_config(state=CHAIN1000, samples=100, grid={"pair": [0, 500], "points": 9})
-        cfg = str(write_config(tmp_path, config))
-        records = tmp_path / "s" / "records.jsonl"
-        bad = tmp_path / "bad.jsonl"
-        runs = [
-            (["sample", "--config", cfg, "--out", str(tmp_path / "s")], 0),
-            (["reconstruct", "--config", cfg, "--batch", str(records),
-              "--out", str(tmp_path / "r")], 0),
-            # line 91 is in the 12th of 13 groups of 8 lines
-            (["reconstruct", "--config", cfg, "--batch", str(bad),
-              "--out", str(tmp_path / "r2")], 2),
-        ]
-        for argv, code in runs:
-            if argv[-1].endswith("r2"):
-                lines = records.read_bytes().splitlines(keepends=True)
-                bad.write_bytes(b"".join(lines[:90] + [b"{\n"] + lines[91:]))
-            started = len(forked)
-            assert cli.main(argv) == code
-            assert len(forked) - started == WORKERS
-            assert multiprocessing.active_children() == []
-            for pid in forked:  # every worker is reaped by the time the command returns
-                with pytest.raises(ChildProcessError):
-                    os.waitpid(pid, os.WNOHANG)
-        assert f"error: {bad}: line 91 is not a record" in capsys.readouterr().err
 
 
 class TestReconstruct:
@@ -1124,6 +1005,40 @@ class TestMainEntrypoint:
             )
             == 0
         )
+
+    def test_records_of_version_0_1_0_exit_code(self, tmp_path, capsys):
+        # 0.1.0 wrote each round's numbers as decimal lists; they are not read
+        cfg_path = write_config(tmp_path, base_config())
+        batch = tmp_path / "records.jsonl"
+        batch.write_text('{"protocol":"heterodyne","thetas":null,"outcome":[[0.25,-1.5]],'
+                         '"seed_path":"cvshadow/7/heterodyne"}\n')
+        argv = ["reconstruct", "--config", str(cfg_path), "--batch", str(batch)]
+        assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {batch}: line 1 holds numbers that are not base64 float64\n"
+        )
+        assert not (tmp_path / "r" / "manifest.json").exists()
+
+    def test_manifests_hash_the_files_read(self, tmp_path):
+        # each reader's manifest holds the digest its producer's inventory holds
+        config = base_config(samples=30, entropy={"epsilon": 0.9, "energy": 0.5, "d_p": 4})
+        cfg = str(write_config(tmp_path, config))
+        runs = {
+            "s": ["sample"],
+            "r": ["reconstruct", "--batch", str(tmp_path / "s" / "records.jsonl")],
+            "e": ["entropy", "--average", str(tmp_path / "r" / "shadow_average.json")],
+        }
+        manifests = {}
+        for out, argv in runs.items():
+            assert cli.main(argv + ["--config", cfg, "--out", str(tmp_path / out)]) == 0
+            manifests[out] = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert "inputs" not in manifests["s"]
+        records = manifests["s"]["inventory"]["records.jsonl"]
+        assert manifests["r"]["inputs"] == {"records.jsonl": records}
+        average = manifests["r"]["inventory"]["shadow_average.json"]
+        assert manifests["e"]["inputs"] == {"shadow_average.json": average}
+        read = (tmp_path / "r" / "shadow_average.json").read_bytes()
+        assert average == hashlib.sha256(read).hexdigest()
 
     def test_subset_outside_batch_exit_code(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(samples=10, subset=[2]))

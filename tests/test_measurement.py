@@ -7,6 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import cumulative_trapezoid, quad
 from scipy.stats import kstest
 
@@ -32,6 +35,8 @@ from cvshadow.states import (
 from cvshadow.phase_space import hermite_stack
 from conftest import (
     BoxDomain,
+    b64_floats,
+    b64_values,
     cat_position_pdf,
     correlated_gaussian,
     hermite_wavefunction,
@@ -904,7 +909,7 @@ class TestThousandModeMemory:
 
     @pytest.fixture(scope="class")
     def records1000(self, tmp_path_factory):
-        # 1000 rounds of 1000 modes: 12 MB of lines, 16 MB of outcomes
+        # 1000 rounds of 1000 modes: 21.4 MB of lines, 16 MB of outcomes
         path = tmp_path_factory.mktemp("records") / "records.jsonl"
         write_jsonl(SampleBatch("heterodyne", np.full((1000, 1000, 2), -0.5), None, "mem"), path)
         return path
@@ -963,20 +968,47 @@ class TestRecordsAndBatches:
 
     def test_malformed_files_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        good = '{"protocol":"homodyne","thetas":[0.1],"outcome":[0.5],"seed_path":"x"}'
+        half, tenth = b64_floats([0.5]), b64_floats([0.1])
+        good = f'{{"protocol":"homodyne","thetas":"{tenth}","outcome":"{half}","seed_path":"x"}}'
+        het = good.replace('"homodyne"', '"heterodyne"')
         cases = {
             "\n": "no records",
             good.replace('"outcome"', '"outcomes"'): "line 1 is not a record",
             "[1, 2]\n": "line 1 is not a record",
-            good + "\n" + good.replace("[0.5]", "[0.5,0.6]"): r"line 2 has shape \(2,\)",
-            # a truncated last line, a non-numeric or ragged value past the first
-            # line, and a ragged first outcome all name the file and the line
+            # a count that differs from line 1's
+            good + "\n" + good.replace(half, b64_floats([0.5, 0.6])): (
+                "line 2 has value count 2, expected 1 as on the first record"
+            ),
+            het.replace(half, b64_floats([0.5, 0.6])) + "\n" + het.replace(half, b64_floats([0.5])): (
+                "line 2 has value count 1, expected 2 as on the first record"
+            ),
+            # a truncated last line, numbers that are not base64 float64 past
+            # the first line, and on it, all name the file and the line
             (good + "\n") * 5 + good[:40]: "line 6 is not a record",
-            (good + "\n") * 3 + good.replace("[0.5]", '["a"]'): "line 4 holds values",
-            (good + "\n") * 3 + good.replace("[0.1]", "[0.1, [0.2]]"): "line 4 holds values",
-            good.replace("[0.5]", "[0.5, [0.6]]"): "line 1 holds values",
-            good.replace('"homodyne"', '"heterodyne"').replace("[0.5]", "[[0.5, 0.6], [0.7]]"): (
-                "line 1 holds values"
+            (good + "\n") * 3 + good.replace(f'"{half}"', "[0.5]"): (
+                "line 4 holds numbers that are not base64 float64"
+            ),
+            (good + "\n") * 3 + good.replace(f'"{tenth}"', "null"): (
+                "line 4 holds numbers that are not base64 float64"
+            ),
+            good.replace(f'"{half}"', "[0.5]"): "line 1 holds numbers that are not base64 float64",
+            # a character outside the base64 alphabet, bad padding, and a byte
+            # count that is not a whole number of float64 values or of modes
+            good + "\n" + good.replace(half, half[:3] + "*" + half[4:]): (
+                "line 2 holds numbers that are not base64 float64"
+            ),
+            good + "\n" + good.replace(half, half.rstrip("=")): (
+                "line 2 holds numbers that are not base64 float64"
+            ),
+            good + "\n" + good.replace(half, half + "=="): (
+                "line 2 holds numbers that are not base64 float64"
+            ),
+            good + "\n" + good.replace(half, "AAAAAAAAAA=="): (
+                "line 2 holds numbers that are not base64 float64"
+            ),
+            het.replace(half, b64_floats([0.5, 0.6, 0.7])): (
+                "line 1 has outcome value count 3, not a whole positive number of "
+                "heterodyne modes"
             ),
             # bytes that are not UTF-8 are a line that is not a record
             ((good + "\n") * 3).encode() + b"\xff\xfe\n" + good.encode(): (
@@ -1051,22 +1083,44 @@ class TestRecordsAndBatches:
             assert np.array_equal(np.signbit(loaded.outcomes), np.signbit(batch.outcomes))
 
     def test_multi_block_roundtrip_bit_exact(self, tmp_path):
-        import cvshadow.measurement as meas
-
-        modes = 40
-        rows = 2 * (meas._JSONL_BLOCK_VALUES // (2 * modes)) + 3
+        # a batch written block by block has the bytes of one to_jsonl call
+        modes, rows = 40, 413
         for batch in (
             sample_homodyne_batch(GaussianStateSpec.thermal(0.3, modes=modes), rows, "mb/h"),
             sample_heterodyne_batch(GaussianStateSpec.thermal(0.3, modes=modes), rows, "mb/x"),
         ):
             path = tmp_path / f"{batch.protocol}.jsonl"
-            write_jsonl(batch, path)
+            with open(path, "w") as fh:
+                for start, stop in ((0, 1), (1, 200), (200, rows)):
+                    batch[start:stop].to_jsonl(fh)
             assert path.read_bytes() == reference_jsonl(batch)
             loaded = SampleBatch.from_jsonl(path)
             assert loaded.n == rows
             assert np.array_equal(loaded.outcomes, batch.outcomes)
             if batch.thetas is not None:
                 assert np.array_equal(loaded.thetas, batch.thetas)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        protocol=st.sampled_from(["homodyne", "heterodyne"]),
+        values=st.integers(1, 5).flatmap(
+            lambda m: hnp.arrays(
+                np.float64, (3, m, 2), elements=st.floats(allow_nan=False, allow_infinity=False)
+            )
+        ),
+    )
+    def test_roundtrip_keeps_every_finite_float(self, tmp_path_factory, protocol, values):
+        if protocol == "homodyne":
+            batch = SampleBatch(protocol, values[:, :, 0], values[:, :, 1], "hyp")
+        else:
+            batch = SampleBatch(protocol, values, None, "hyp")
+        path = tmp_path_factory.mktemp("hyp") / "records.jsonl"
+        write_jsonl(batch, path)
+        loaded = SampleBatch.from_jsonl(path)
+        for got, want in ((loaded.outcomes, batch.outcomes), (loaded.thetas, batch.thetas)):
+            if want is not None:
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
     def test_kept_columns_match_full_parse(self, tmp_path, sample):
@@ -1093,7 +1147,9 @@ class TestRecordsAndBatches:
         write_jsonl(SampleBatch("heterodyne", outcomes, None, "chk"), path)
         text = path.read_text().splitlines()
         payload = json.loads(text[1])
-        payload["outcome"][5][1] = bad
+        values = b64_values(payload["outcome"]).copy()
+        values[11] = bad  # mode 5, p
+        payload["outcome"] = b64_floats(values)
         text[1] = json.dumps(payload)
         path.write_text("\n".join(text) + "\n")
         for modes in (None, [0]):
@@ -1102,12 +1158,13 @@ class TestRecordsAndBatches:
 
     def test_first_record_shape_checked(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        for outcome, protocol in (("0.5", "homodyne"), ("[[0.5,0.1]]", "homodyne"),
-                                  ("[0.5]", "heterodyne"), ("[[0.5,0.1,0.2]]", "heterodyne")):
-            path.write_text(f'{{"protocol":"{protocol}","thetas":null,"outcome":{outcome}}}\n')
-            with pytest.raises(ValueError, match="line 1 has shape"):
+        for values, protocol in (([], "homodyne"), ([], "heterodyne"),
+                                 ([0.5], "heterodyne"), ([0.5, 0.1, 0.2], "heterodyne")):
+            outcome = b64_floats(values)
+            path.write_text(f'{{"protocol":"{protocol}","thetas":null,"outcome":"{outcome}"}}\n')
+            with pytest.raises(ValueError, match=f"line 1 has outcome value count {len(values)}, not a whole"):
                 SampleBatch.from_jsonl(path)
-        path.write_text('{"protocol":"quadrature","thetas":null,"outcome":[0.5]}\n')
+        path.write_text(f'{{"protocol":"quadrature","thetas":null,"outcome":"{b64_floats([0.5])}"}}\n')
         with pytest.raises(ValueError, match="unknown protocol 'quadrature'"):
             SampleBatch.from_jsonl(path)
 
