@@ -218,6 +218,10 @@ def validate_config(config: dict) -> None:
         raise ConfigError("config invalid at $.grid: only a heterodyne reconstruct reads a grid")
     if "window" in config and HETERODYNE not in protocols:
         raise ConfigError("config invalid at $.window: only heterodyne shadows or bounds read it")
+    bounds = config.get("bounds", {"r": 1, "modes": 1})
+    if bounds["r"] > bounds["modes"]:  # an r-local observable acts on r distinct modes
+        raise ConfigError("config invalid at $.bounds.r: need r <= modes, got "
+                          f"r={bounds['r']}, modes={bounds['modes']}")
     lo, hi = _grid_range(config)
     if not lo < hi:
         raise ConfigError(f"config invalid at $.grid: need lo < hi, got lo={lo}, hi={hi}")
@@ -473,6 +477,7 @@ def cmd_entropy(config: dict, average_path, out_dir) -> dict:
             f"so the degree-{d_p} term alone may exceed epsilon {e_cfg['epsilon']}"
         )
     state = build_state(config["state"])
+    _check_modes(avg.subset, state.modes, "subset")
     if hasattr(state, "marginal"):  # of the averaged modes only
         state = state.marginal(list(avg.subset))
     result["reference_entropy"] = entropy_reference(state)

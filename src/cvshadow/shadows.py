@@ -78,11 +78,6 @@ class WindowSpec:
         out = t * t * t * (t * (6.0 * t - 15.0) + 10.0)
         return out if np.ndim(out) else float(out)
 
-    def xi(self, z):
-        """Window value at 2D point(s) ``z`` of shape (..., 2)."""
-        z = np.asarray(z, dtype=float)
-        return self.xi_radial(np.sqrt(np.sum(z * z, axis=-1)))
-
 
 def default_window(truncation: int) -> WindowSpec:
     """Default window (eta, R) = (max(6, sqrt(2) M + 1), eta + 2).
@@ -312,58 +307,45 @@ def _profile_table(protocol: str, truncation: int, w: WindowSpec | None):
     return _PROFILE_TABLES[key]
 
 
-def _radii(batch: SampleBatch, j: int) -> np.ndarray:
-    """Outcome radius of mode ``j`` in every round: ``|q|`` or ``|x|``."""
-    if batch.protocol == HOMODYNE:
-        return np.abs(batch.outcomes[:, j])
-    return np.hypot(batch.outcomes[:, j, 0], batch.outcomes[:, j, 1])
+def _radii(protocol: str, outcomes: np.ndarray) -> np.ndarray:
+    """Radius of each single-mode outcome: ``|q|``, or ``|x|`` of rows ``(x, p)``."""
+    if protocol == HOMODYNE:
+        return np.abs(outcomes)
+    return np.hypot(outcomes[:, 0], outcomes[:, 1])
 
 
 def _mode_entries(
-    batch: SampleBatch,
-    j: int,
-    truncation: int,
-    table: _ProfileTable,
-    out: np.ndarray | None = None,
+    protocol: str, outcomes: np.ndarray, thetas, truncation: int, table: _ProfileTable
 ) -> np.ndarray:
-    """Shadow matrices of mode ``j`` for every round, shape (N, M+1, M+1).
+    """Shadow matrices of K single-mode outcomes, shape (K, M+1, M+1).
 
-    Entry ``(k + d, k)`` is ``c_d z^d profile_{d,k}(r)`` and entry
-    ``(k, k + d)`` its conjugate, with one complex ``z`` per round: homodyne
-    ``z = sign(q) exp(i beta)``, ``beta = pi/2 - theta`` and ``c_d = 2 norm
-    (-i)^(d mod 2)``; heterodyne ``z = exp(-i psi)``, ``psi = atan2(x, p)``
-    and ``c_d = i^d``.  Written into ``out`` when given.
+    ``outcomes`` holds K homodyne ``q`` with their angles ``thetas``, or K
+    heterodyne rows ``(x, p)``.  Entry ``(k + d, k)`` is ``c_d z^d
+    profile_{d,k}(r)`` and entry ``(k, k + d)`` its conjugate, with one
+    complex ``z`` per outcome: homodyne ``z = sign(q) exp(i beta)``, ``beta =
+    pi/2 - theta`` and ``c_d = 2 norm (-i)^(d mod 2)``; heterodyne ``z =
+    exp(-i psi)``, ``psi = atan2(x, p)`` and ``c_d = i^d``.
     """
     dim = truncation + 1
-    if batch.protocol == HOMODYNE:
-        sign = np.where(batch.outcomes[:, j] < 0, -1.0, 1.0)
-        z = sign * np.exp(1j * (0.5 * np.pi - batch.thetas[:, j]))
+    if protocol == HOMODYNE:
+        sign = np.where(outcomes < 0, -1.0, 1.0)
+        z = sign * np.exp(1j * (0.5 * np.pi - thetas))
         scale = 2.0 * HOMODYNE_SHADOW_NORMALIZATION
         coeffs = [scale * (-1j if d % 2 else 1.0) for d in range(dim)]
     else:
-        x = batch.outcomes[:, j, :]
-        z = np.exp(-1j * np.arctan2(x[:, 0], x[:, 1]))
+        z = np.exp(-1j * np.arctan2(outcomes[:, 0], outcomes[:, 1]))
         coeffs = [1j**d for d in range(dim)]
     phases, power = [], np.ones_like(z)
     for d in range(dim):
         phases.append(coeffs[d] * power)
         power = power * z
-    profiles = table(_radii(batch, j))
-    if out is None:
-        out = np.empty((batch.n, dim, dim), dtype=complex)
+    profiles = table(_radii(protocol, outcomes))
+    out = np.empty((z.size, dim, dim), dtype=complex)
     for row, (d, k) in enumerate(_dyads(truncation)):
         np.multiply(phases[d], profiles[row], out=out[:, k + d, k])
         if d:
             np.conjugate(out[:, k + d, k], out=out[:, k, k + d])
     return out
-
-
-def _checked_subset(batch: SampleBatch, subset) -> tuple[int, ...]:
-    subset = tuple(int(j) for j in np.atleast_1d(subset))
-    if not subset:
-        raise ValueError(f"subset () outside measured modes 0..{batch.modes - 1}")
-    _check_modes(subset, batch.modes, "subset")
-    return subset
 
 
 def shadow_batch_entries(
@@ -374,33 +356,38 @@ def shadow_batch_entries(
     Returns shape ``(N, dim, dim)`` with ``dim = (M+1)^len(subset)``; rows
     follow the batch order, and per-mode matrices are tensored in the order
     of ``subset``.  Rows are filled ``_CHUNK_ROUNDS`` rounds at a time, so
-    temporaries stay one chunk large.  Each row depends only on its own
-    round, so any split of the batch into chunks gives the same bits.  Each
-    per-mode matrix is filled with entry ``(k, k + d)`` the conjugate of
-    ``(k + d, k)``, so it and every Kronecker product of such matrices is
-    exactly Hermitian.  A subset naming a mode the batch did not measure, or
-    an outcome radius above ``PROFILE_MAX_RADIUS`` anywhere in the batch,
+    temporaries stay one chunk large: a chunk's outcomes on the subset take
+    one :func:`_mode_entries` call, and each round's matrices fold into
+    their Kronecker product.  Each row depends only on its own round, so any
+    split of the batch into chunks gives the same bits.  Each per-mode
+    matrix is filled with entry ``(k, k + d)`` the conjugate of ``(k + d,
+    k)``, so it and every Kronecker product of such matrices is exactly
+    Hermitian.  A subset naming a mode the batch did not measure, or an
+    outcome radius above ``PROFILE_MAX_RADIUS`` anywhere in the batch,
     raises ``ValueError`` before any entry is built.  Heterodyne batches use
     ``w`` (default window for M).
     """
-    subset = _checked_subset(batch, subset)
-    w = (w or default_window(truncation)) if batch.protocol == HETERODYNE else None
-    table = _profile_table(batch.protocol, truncation, w)
-    table.cover(max(_radii(batch, j).max(initial=0.0) for j in subset))
-    dim = (truncation + 1) ** len(subset)
-    out = np.empty((batch.n, dim, dim), dtype=complex)
+    subset = tuple(int(j) for j in np.atleast_1d(subset))
+    if not subset:
+        raise ValueError(f"subset () outside measured modes 0..{batch.modes - 1}")
+    _check_modes(subset, batch.modes, "subset")
+    protocol, cols, r, dim = batch.protocol, list(subset), len(subset), truncation + 1
+    w = (w or default_window(truncation)) if protocol == HETERODYNE else None
+    table = _profile_table(protocol, truncation, w)
+    table.cover(max(_radii(protocol, batch.outcomes[:, j]).max(initial=0.0) for j in cols))
+    out = np.empty((batch.n, dim**r, dim**r), dtype=complex)
     for a in range(0, batch.n, _CHUNK_ROUNDS):
-        part = batch[a : a + _CHUNK_ROUNDS]
-        if len(subset) == 1:
-            _mode_entries(part, subset[0], truncation, table, out[a : a + part.n])
-            continue
-        mats = _mode_entries(part, subset[0], truncation, table)
-        for j in subset[1:]:
-            other = _mode_entries(part, j, truncation, table)
-            mats = np.einsum("nij,nkl->nikjl", mats, other).reshape(
-                part.n, mats.shape[1] * other.shape[1], -1
+        rows = np.s_[a : a + _CHUNK_ROUNDS, cols]
+        flat = batch.outcomes[rows].reshape(-1, *batch.outcomes.shape[2:])
+        thetas = None if batch.thetas is None else batch.thetas[rows].ravel()
+        blocks = _mode_entries(protocol, flat, thetas, truncation, table)
+        blocks = blocks.reshape(-1, r, dim, dim)
+        n, mats = len(blocks), blocks[:, 0]
+        for i in range(1, r):
+            mats = np.einsum("nij,nkl->nikjl", mats, blocks[:, i]).reshape(
+                n, mats.shape[1] * dim, -1
             )
-        out[a : a + part.n] = mats
+        out[a : a + n] = mats
     return out
 
 
@@ -448,6 +435,9 @@ class ShadowAverage:
         m, subset = payload["M"], payload["A"]
         if type(m) is not int or m < 0 or type(subset) is not list:
             raise ValueError(f"{path}: M must be an integer >= 0 and A a list of modes")
+        modes = subset and all(type(j) is int and j >= 0 for j in subset)  # a bool is no mode
+        if not modes or len(set(subset)) < len(subset):
+            raise ValueError(f"{path}: A must be a non-empty list of distinct integers >= 0")
         dim = (m + 1) ** len(subset)
         try:
             re, im, stderr = (np.asarray(payload[key], dtype=float) for key in _AVERAGE_ARRAYS)

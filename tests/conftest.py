@@ -627,6 +627,12 @@ def _as_multi_index(n, r: int) -> tuple[int, ...]:
     return n
 
 
+def window_at(w: WindowSpec, z):
+    """Window value ``xi(|z|)`` at 2D point(s) ``z`` of shape (..., 2)."""
+    z = np.asarray(z, dtype=float)
+    return w.xi_radial(np.sqrt(np.sum(z * z, axis=-1)))
+
+
 def windowed_dyad_char(n1, n2, u, w: WindowSpec):
     """Windowed Fock-dyad characteristic function ``chi_{|n1><n2|} prod xi``.
 
@@ -640,7 +646,7 @@ def windowed_dyad_char(n1, n2, u, w: WindowSpec):
     out = np.ones(u.shape[:-1], dtype=complex)
     for j in range(r):
         uj = np.stack([u[..., j], u[..., r + j]], axis=-1)
-        out = out * char_fock_dyad(n1[j], n2[j], uj) * w.xi(uj)
+        out = out * char_fock_dyad(n1[j], n2[j], uj) * window_at(w, uj)
     return out if np.ndim(out) else complex(out)
 
 

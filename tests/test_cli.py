@@ -263,6 +263,8 @@ class TestConfigValidation:
             ({"state": {"kind": "cat", "alpha": [1, 0], "disorder": True}}, "$.state"),
             ({"state": {"kind": "chain", "m": 3, "kappa": 0.5, "n": 2}}, "$.state"),
             ({"state": {"kind": "fock", "n": 1, "logical": "zero"}}, "$.state"),
+            # an r-local observable needs r distinct modes
+            ({"bounds": dict(BOUNDS, protocol="homodyne", r=3, modes=1)}, "$.bounds.r"),
         ],
     )
     def test_refusals_beyond_jsonschema(self, overrides, path):
@@ -936,6 +938,17 @@ class TestEntropy:
         assert cmd_entropy(cfg, path, tmp_path / "e")["reference_entropy"] == 0.0
         assert '"reference_entropy": 0.0' in (tmp_path / "e" / "entropy.json").read_text()
 
+    @pytest.mark.parametrize("state", [{"kind": "fock", "n": 1}, {"kind": "cat", "alpha": [1, 1]}])
+    def test_average_modes_checked_for_every_kind(self, tmp_path, state):
+        # a one-mode state has no mode 3, with or without a marginal
+        path = tmp_path / "avg.json"
+        avg = ShadowAverage((3,), 1, "homodyne", np.eye(2, dtype=complex), np.zeros((2, 2)), 1)
+        avg.to_json(path)
+        cfg = base_config(state=state, truncation=1, entropy={"epsilon": 0.9, "energy": 0.4})
+        with pytest.raises(ValueError, match=re.escape("subset (3,) outside measured modes 0..0")):
+            cmd_entropy(cfg, path, tmp_path / "e")
+        assert not (tmp_path / "e" / "entropy.json").exists()
+
     def test_vacuum_small(self, tmp_path):
         path = self._write_exact_average(tmp_path, 0.0, 1)
         cfg = base_config(truncation=1, entropy={"epsilon": 0.9, "energy": 0.4, "d_p": 1000})
@@ -1146,6 +1159,19 @@ class TestMainEntrypoint:
         err = capsys.readouterr().err
         assert err == (f"error: {avg_path}: entries_re, entries_im and stderr "
                        "must be lists of numbers\n")
+
+    def test_average_of_malformed_modes_exit_code(self, tmp_path, capsys):
+        # a valid checksum over modes that are not integers
+        payload = {"M": 0, "A": ["x"], "protocol": "homodyne", "count": 1,
+                   "entries_re": [1.0], "entries_im": [0.0], "stderr": [0.0]}
+        avg_path = tmp_path / "avg.json"
+        avg_path.write_text(json.dumps(dict(payload, checksum=json_sha256(payload))))
+        cfg_path = write_config(tmp_path, base_config(entropy={"epsilon": 0.9, "energy": 0.4}))
+        argv = ["entropy", "--config", str(cfg_path), "--average", str(avg_path)]
+        assert cli.main(argv + ["--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {avg_path}: A must be a non-empty list of distinct "
+                       "integers >= 0\n")
 
     def test_unread_squeezing_key_rejected(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config(squeezing=0.3))

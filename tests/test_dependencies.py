@@ -108,14 +108,36 @@ def read_names(path: Path) -> set[str]:
     return read
 
 
+def public_members(path: Path) -> list[str]:
+    """``Class.name`` of each public method and property of the classes of ``path``."""
+    members = []
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.ClassDef):
+            members += [f"{node.name}.{item.name}" for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")]
+    return members
+
+
+def attribute_reads(path: Path) -> set[str]:
+    """Every attribute name ``path`` reads, as in ``obj.name``."""
+    tree = ast.parse(path.read_text(), str(path))
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def test_every_public_name_has_a_reader():
     # a test is no reader: code that only tests call belongs in tests/conftest.py;
-    # string constants count, since bench/spans.py binds functions by name
+    # string constants count, since bench/spans.py binds functions by name; a
+    # method or property counts as read where any attribute of its name is
     modules = sorted(m for m in PACKAGE.glob("*.py") if m.name != "__init__.py")
     benches = sorted(BENCH.glob("*.py"))
     assert benches
     read = set().union(*(read_names(path) for path in modules + benches))
     unread = {m.name: [n for n in public_names(m) if n not in read] for m in modules}
+    assert {name: names for name, names in unread.items() if names} == {}
+    attrs = set().union(*(attribute_reads(path) for path in modules + benches))
+    unread = {m.name: [n for n in public_members(m) if n.split(".")[1] not in attrs]
+              for m in modules}
     assert {name: names for name, names in unread.items() if names} == {}
 
 

@@ -36,6 +36,7 @@ from cvshadow.states import (
 from conftest import (
     _i0e,
     bessel_orders,
+    correlated_gaussian,
     f_mu_homodyne,
     fock_pairing_matrix,
     heterodyne_shadow_entry,
@@ -43,6 +44,7 @@ from conftest import (
     heterodyne_transform,
     homodyne_shadow_entry,
     homodyne_transform,
+    window_at,
     windowed_dyad_char,
 )
 
@@ -68,8 +70,8 @@ def heterodyne_entries(xs, truncation, w):
 class TestWindow:
     def test_plateau_and_support(self):
         w = WindowSpec(2.0, 3.0)
-        assert w.xi(np.array([1.0, 1.0])) == pytest.approx(1.0)
-        assert w.xi(np.array([3.0, 0.1])) == 0.0
+        assert window_at(w, np.array([1.0, 1.0])) == pytest.approx(1.0)
+        assert window_at(w, np.array([3.0, 0.1])) == 0.0
         assert w.xi_radial(2.5) == pytest.approx(0.5)  # quintic smoothstep midpoint
 
     def test_monotone_profile(self):
@@ -168,7 +170,7 @@ class TestHeterodyneEntry:
                 windowed_dyad_char(0, 0, u, w)
                 * np.exp(0.25 * np.dot(u, u))
             )
-            assert abs(integrand) == pytest.approx(w.xi(u), abs=1e-12)
+            assert abs(integrand) == pytest.approx(window_at(w, u), abs=1e-12)
 
     def test_against_dense_trapezoid_oracle(self):
         # independent dense-grid 2D integration of the full integrand
@@ -181,7 +183,7 @@ class TestHeterodyneEntry:
         chi = char_fock_dyad(1, 0, grid)  # chi_{|n2><n1|} with n1=0, n2=1
         vals = (
             chi
-            * w.xi(grid)
+            * window_at(w, grid)
             * np.exp(0.25 * (ux**2 + up**2))
             * np.exp(1j * (ux * x[1] - up * x[0]))
         )
@@ -247,6 +249,51 @@ class TestBuilders:
         per0 = shadow_batch_entries(batch, [0], 1)[0]
         per1 = shadow_batch_entries(batch, [1], 1)[0]
         assert np.allclose(shadow[0], np.kron(per0, per1), atol=1e-12)
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    @pytest.mark.parametrize("subset", [[2], [2, 0], [1, 2, 0]])
+    def test_rows_are_kronecker_products_of_one_mode_rows(self, protocol, subset):
+        # every round, in both chunks, is the exact Kronecker product of the
+        # rows of one-mode batches of the subset's columns, each entry the
+        # textbook complex product (ac - bd) + i (ad + bc): np.kron of complex
+        # matrices runs numpy's vectorised complex multiply, which may fuse a
+        # multiply-add and round a last bit differently
+        def kron(a, b):
+            out = np.empty((len(a) * len(b),) * 2, dtype=complex)
+            out.real = np.kron(a.real, b.real) - np.kron(a.imag, b.imag)
+            out.imag = np.kron(a.real, b.imag) + np.kron(a.imag, b.real)
+            return out
+
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        batch = sample(correlated_gaussian(3, 11), shadows._CHUNK_ROUNDS + 1, f"kron-{protocol}")
+        stacked = shadow_batch_entries(batch, subset, 1)
+        per_mode = [
+            shadow_batch_entries(
+                replace(batch, outcomes=batch.outcomes[:, [j]],
+                        thetas=None if batch.thetas is None else batch.thetas[:, [j]]),
+                [0],
+                1,
+            )
+            for j in subset
+        ]
+        for i, row in enumerate(stacked):
+            assert np.array_equal(row, functools.reduce(kron, [mats[i] for mats in per_mode]))
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_one_mode_entries_call_per_chunk(self, protocol, r, monkeypatch):
+        # the chunk's outcomes on the whole subset take a single call
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        batch = sample(GaussianStateSpec.thermal(0.4, modes=3), shadows._CHUNK_ROUNDS + 1, "spy")
+        calls, mode_entries = [], shadows._mode_entries
+
+        def spy(protocol, outcomes, *args):
+            calls.append(len(outcomes))
+            return mode_entries(protocol, outcomes, *args)
+
+        monkeypatch.setattr(shadows, "_mode_entries", spy)
+        shadow_batch_entries(batch, list(range(r)), 1)
+        assert calls == [shadows._CHUNK_ROUNDS * r, r]
 
     def test_subset_validation(self):
         for sample in (sample_homodyne_batch, sample_heterodyne_batch):
@@ -558,13 +605,20 @@ class TestAveraging:
             with pytest.raises(ValueError, match=re.escape(str(path))):
                 ShadowAverage.from_json(path)
         # so does a file with a valid checksum but a missing key, M or A of
-        # another type, or entries that are not ((M+1)^|A|)^2 values: 9 of
-        # them at M = 3, or 5 at M = 2
+        # another type, A not distinct modes, or entries that are not
+        # ((M+1)^|A|)^2 values: 9 of them at M = 3, or 5 at M = 2
         short = {key: payload[key][:5] for key in ("entries_re", "entries_im", "stderr")}
         for broken, message in (
             ({k: v for k, v in payload.items() if k != "M"}, "needs the keys ['M']"),
             (dict(payload, M=2.0), "M must be an integer >= 0 and A a list of modes"),
             (dict(payload, A=0), "M must be an integer >= 0 and A a list of modes"),
+            (dict(payload, A=["x"]), "A must be a non-empty list of distinct integers >= 0"),
+            (dict(payload, A=[0.5]), "A must be a non-empty list of distinct integers >= 0"),
+            (dict(payload, A=[]), "A must be a non-empty list of distinct integers >= 0"),
+            (dict(payload, A=[True]), "A must be a non-empty list of distinct integers >= 0"),
+            (dict(payload, A=[-1]), "A must be a non-empty list of distinct integers >= 0"),
+            (dict(payload, A=[[0]]), "A must be a non-empty list of distinct integers >= 0"),
+            (dict(payload, A=[0, 0]), "A must be a non-empty list of distinct integers >= 0"),
             (dict(payload, M=3), "must each hold ((M+1)^|A|)^2 = 16 values"),
             (dict(payload, **short), "must each hold ((M+1)^|A|)^2 = 9 values"),
         ):
@@ -729,7 +783,8 @@ class TestWindowedTarget:
             "fock3": fock_state(3, 6),
         }[name]
         w = default_window(truncation)
-        ref = fock_pairing_matrix(state.char, truncation, w.radius, 240, window=w.xi)
+        window = functools.partial(window_at, w)
+        ref = fock_pairing_matrix(state.char, truncation, w.radius, 240, window=window)
         got = project_PM_tilde(state, truncation, w).entries
         assert np.abs(got - ref).max() <= 1e-9
 
