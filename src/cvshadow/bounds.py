@@ -269,6 +269,14 @@ def _log_required_n(
     )
 
 
+def _check_inputs(epsilon: float, delta: float, r: int, modes: int) -> None:
+    """Refuse eps outside (0, 1], delta outside (0, 1) and r outside 1..modes."""
+    if not 0 < epsilon <= 1 or not 0 < delta < 1:
+        raise ValueError("epsilon must lie in (0, 1] and delta in (0, 1)")
+    if not 1 <= r <= modes:  # an r-local observable acts on r distinct modes
+        raise ValueError(f"need 1 <= r <= modes, got r={r}, modes={modes}")
+
+
 def _report(m_chosen: int, log_n: float, delta0_value: float, sigma: float, **inputs):
     """Report of a Bernstein ``log N``; ``N`` is infinite beyond ``e^700``."""
     return BoundReport(
@@ -296,8 +304,7 @@ def required_samples_homodyne(
     The report is flagged infeasible, before any Sigma block is built, when
     that M breaks the truncation cap or ``(M+1)^r`` the dense limit.
     """
-    if not 0 < epsilon <= 1 or not 0 < delta < 1:
-        raise ValueError("epsilon must lie in (0, 1] and delta in (0, 1)")
+    _check_inputs(epsilon, delta, r, modes)
     try:
         m_chosen = math.ceil((4.0 * profile.e_n / epsilon) ** (2.0 / (profile.n - profile.alpha)))
     except OverflowError:
@@ -358,8 +365,7 @@ def required_samples_heterodyne(
     report is flagged infeasible when no truncation up to 64 meets the eps/2
     budget within the dense limit at any eta.
     """
-    if not 0 < epsilon <= 1 or not 0 < delta < 1:
-        raise ValueError("epsilon must lie in (0, 1] and delta in (0, 1)")
+    _check_inputs(epsilon, delta, r, modes)
     if not radius > 0:
         raise ValueError(f"window radius must be positive, got {radius}")
     etas = np.geomspace(1e-2, 0.99 * radius, _ETA_POINTS)

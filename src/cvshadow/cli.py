@@ -396,8 +396,8 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
             metrics["warning"] = "grid extends beyond the reliable window for this sample size"
     truncation = config["truncation"]
     window = config_window(config) if protocol == HETERODYNE else None
-    stacked = shadow_batch_entries(batch, [cols.index(j) for j in subset], truncation, window)
-    avg = average_entries(stacked, subset, truncation, protocol)
+    chunks = shadow_batch_entries(batch, [cols.index(j) for j in subset], truncation, window)
+    avg = average_entries(chunks, subset, truncation, protocol)
     avg_path = out / "shadow_average.json"
     avg.to_json(avg_path)
     files.append(avg_path)

@@ -102,11 +102,6 @@ class SampleBatch:
     def modes(self) -> int:
         return self.outcomes.shape[1]
 
-    def __getitem__(self, rows: slice) -> "SampleBatch":
-        """The rounds in the slice ``rows``, as a batch of the same stream."""
-        thetas = None if self.thetas is None else self.thetas[rows]
-        return replace(self, outcomes=self.outcomes[rows], thetas=thetas)
-
     def to_jsonl(self, fh) -> None:
         """Append one JSON line per round to the open text handle ``fh``.
 

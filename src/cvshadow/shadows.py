@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 import hashlib
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -350,22 +351,22 @@ def _mode_entries(
 
 def shadow_batch_entries(
     batch: SampleBatch, subset, truncation: int, w: WindowSpec | None = None
-) -> np.ndarray:
-    """Stacked Hermitian shadow matrices for every round of a batch.
+) -> Iterator[np.ndarray]:
+    """Hermitian shadow matrices of a batch's rounds, ``_CHUNK_ROUNDS`` rounds at a time.
 
-    Returns shape ``(N, dim, dim)`` with ``dim = (M+1)^len(subset)``; rows
-    follow the batch order, and per-mode matrices are tensored in the order
-    of ``subset``.  Rows are filled ``_CHUNK_ROUNDS`` rounds at a time, so
-    temporaries stay one chunk large: a chunk's outcomes on the subset take
-    one :func:`_mode_entries` call, and each round's matrices fold into
-    their Kronecker product.  Each row depends only on its own round, so any
+    Returns an iterator over arrays of shape ``(n, dim, dim)`` with ``dim =
+    (M+1)^len(subset)``, one per chunk of rounds in batch order, so no
+    array is sized by N; per-mode matrices are tensored in the order of
+    ``subset``.  A chunk's outcomes on the subset take one
+    :func:`_mode_entries` call, and each round's matrices fold into their
+    Kronecker product.  Each row depends only on its own round, so any
     split of the batch into chunks gives the same bits.  Each per-mode
     matrix is filled with entry ``(k, k + d)`` the conjugate of ``(k + d,
     k)``, so it and every Kronecker product of such matrices is exactly
     Hermitian.  A subset naming a mode the batch did not measure, or an
     outcome radius above ``PROFILE_MAX_RADIUS`` anywhere in the batch,
-    raises ``ValueError`` before any entry is built.  Heterodyne batches use
-    ``w`` (default window for M).
+    raises ``ValueError`` at the call, before any entry is built.
+    Heterodyne batches use ``w`` (default window for M).
     """
     subset = tuple(int(j) for j in np.atleast_1d(subset))
     if not subset:
@@ -375,8 +376,8 @@ def shadow_batch_entries(
     w = (w or default_window(truncation)) if protocol == HETERODYNE else None
     table = _profile_table(protocol, truncation, w)
     table.cover(max(_radii(protocol, batch.outcomes[:, j]).max(initial=0.0) for j in cols))
-    out = np.empty((batch.n, dim**r, dim**r), dtype=complex)
-    for a in range(0, batch.n, _CHUNK_ROUNDS):
+
+    def chunk(a: int) -> np.ndarray:
         rows = np.s_[a : a + _CHUNK_ROUNDS, cols]
         flat = batch.outcomes[rows].reshape(-1, *batch.outcomes.shape[2:])
         thetas = None if batch.thetas is None else batch.thetas[rows].ravel()
@@ -387,8 +388,9 @@ def shadow_batch_entries(
             mats = np.einsum("nij,nkl->nikjl", mats, blocks[:, i]).reshape(
                 n, mats.shape[1] * dim, -1
             )
-        out[a : a + n] = mats
-    return out
+        return mats
+
+    return map(chunk, range(0, batch.n, _CHUNK_ROUNDS))
 
 
 _AVERAGE_ARRAYS = ("entries_re", "entries_im", "stderr")
@@ -466,39 +468,33 @@ def json_sha256(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _chunked_sum(rows: np.ndarray, term) -> np.ndarray:
-    """Sum over axis 0 of ``term(chunk)``, chunk by chunk of ``_CHUNK_ROUNDS`` rows."""
-    total = 0.0
-    for a in range(0, rows.shape[0], _CHUNK_ROUNDS):
-        total = total + term(rows[a : a + _CHUNK_ROUNDS]).sum(axis=0)
-    return total
+def average_entries(chunks, subset, truncation: int, protocol: str) -> ShadowAverage:
+    """Mean and standard errors of shadow matrices, in one pass over chunks of rounds.
 
-
-def average_entries(
-    stacked: np.ndarray, subset, truncation: int, protocol: str
-) -> ShadowAverage:
-    """Mean and standard errors of stacked shadow matrices (axis 0 = sample).
-
-    Two passes over chunks of ``_CHUNK_ROUNDS`` rows, in order: the first
-    sums the rows, the second the squared deviations from their mean, so no
-    temporary is larger than one chunk.  The bits depend on the chunk size
-    and the row order: the same rows in the same order give the same bits; a
-    permuted input may differ in the last digits.
+    ``chunks`` yields (n, dim, dim) arrays in round order, as
+    :func:`shadow_batch_entries` returns them; an (N, dim, dim) array is read
+    ``_CHUNK_ROUNDS`` rows at a time.  Each chunk's sum and squared
+    deviations merge into the running ones by the pairwise update of Chan,
+    Golub & LeVeque (1979), so no temporary is larger than one chunk, and the
+    same rows in the same chunks give the same bits at any N.
     """
-    n = stacked.shape[0]
+    if isinstance(chunks, np.ndarray):
+        chunks = [chunks[a : a + _CHUNK_ROUNDS] for a in range(0, len(chunks), _CHUNK_ROUNDS)]
+    n, total, squares = 0, 0.0, 0.0
+    for rows in chunks:
+        k = len(rows)
+        chunk_sum = rows.sum(axis=0)
+        dev = rows - chunk_sum / k
+        squares = squares + (dev.real**2 + dev.imag**2).sum(axis=0)
+        if n:  # the shift between the two means, weighted n k / (n + k)
+            shift = chunk_sum / k - total / n
+            squares += (shift.real**2 + shift.imag**2) * (n * k / (n + k))
+        total = total + chunk_sum
+        n += k
     if n == 0:
         raise ValueError("cannot average an empty list of shadows")
-    mean = _chunked_sum(stacked, lambda rows: rows) / n
-    if n > 1:
-
-        def squared_deviation(rows):
-            dev = rows - mean
-            return dev.real**2 + dev.imag**2
-
-        var = _chunked_sum(stacked, squared_deviation) / (n - 1)
-        stderr = np.sqrt(var / n)
-    else:
-        stderr = np.zeros_like(mean, dtype=float)
+    mean = total / n
+    stderr = np.sqrt(squares / (n - 1) / n) if n > 1 else np.zeros_like(mean, dtype=float)
     return ShadowAverage(
         subset=tuple(int(j) for j in np.atleast_1d(subset)),
         truncation=truncation,

@@ -14,7 +14,7 @@ kernel ``f_mu_homodyne`` and the entropy continuity bound.
 import base64
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -37,7 +37,7 @@ from cvshadow.phase_space import (
     hermite_stack,
     symplectic_product,
 )
-from cvshadow.shadows import HOMODYNE_SHADOW_NORMALIZATION, WindowSpec
+from cvshadow.shadows import HOMODYNE_SHADOW_NORMALIZATION, WindowSpec, shadow_batch_entries
 from cvshadow.states import CatStateSpec, FockMatrix, GaussianStateSpec, multi_indices
 
 
@@ -580,6 +580,17 @@ def whole_gaussian_batch(state, protocol: str, n: int, seed_path: str) -> Sample
         return SampleBatch(protocol, qs, thetas, seed_path)
     x = np.concatenate(list(state.phase_space_draws(1.0, n, rng)))
     return SampleBatch(protocol, x.reshape(n, 2, m).transpose(0, 2, 1), None, seed_path)
+
+
+def batch_rows(batch: SampleBatch, rows: slice) -> SampleBatch:
+    """The rounds in the slice ``rows``, as a batch of the same stream."""
+    thetas = None if batch.thetas is None else batch.thetas[rows]
+    return replace(batch, outcomes=batch.outcomes[rows], thetas=thetas)
+
+
+def stacked_entries(batch: SampleBatch, subset, truncation: int, w=None) -> np.ndarray:
+    """Every round's shadow matrix in one (N, dim, dim) array, from the chunks."""
+    return np.concatenate(list(shadow_batch_entries(batch, subset, truncation, w)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from cvshadow.shadows import (
     HOMODYNE_SHADOW_NORMALIZATION,
     WindowSpec,
     default_window,
-    shadow_batch_entries,
 )
 from cvshadow.states import FockMatrix, GaussianStateSpec, fock_matrix_of
 from conftest import (
@@ -35,6 +34,7 @@ from conftest import (
     delta0_gamma_form,
     sigma_block_quad,
     sobolev_norm,
+    stacked_entries,
 )
 
 
@@ -207,7 +207,7 @@ class TestSigmaHomodyne:
         # observed sup-norms of homodyne shadows vs the analytic bound, which
         # carries the estimator's normalization constant itself
         batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 10_000, "sig")
-        stacked = shadow_batch_entries(batch, [0], 2)
+        stacked = stacked_entries(batch, [0], 2)
         sup = np.linalg.norm(stacked, ord=2, axis=(1, 2)).max()
         assert sup <= sigma_homodyne(2, 1, 0.0)
 
@@ -255,7 +255,7 @@ class TestSigmaHeterodyne:
 
         w = default_window(2)
         batch = sample_heterodyne_batch(GaussianStateSpec.vacuum(), 5_000, "sigh")
-        stacked = shadow_batch_entries(batch, [0], 2, w)
+        stacked = stacked_entries(batch, [0], 2, w)
         sup = np.linalg.norm(stacked, ord=2, axis=(1, 2)).max()
         assert sup <= sigma_heterodyne(2, 1, 0.0, w)
 
@@ -281,7 +281,7 @@ class TestSigmaPinnedToEstimator:
         block = _sigma_block(truncation, lambda t: scale * np.exp(-0.25 * t * t), 40.0)
         sigma = sigma_homodyne(truncation, 1, 0.0)
         assert np.linalg.norm(block, ord=2) == sigma
-        self._check(shadow_batch_entries(batch, [0], truncation), block, sigma)
+        self._check(stacked_entries(batch, [0], truncation), block, sigma)
 
     @pytest.mark.parametrize("truncation", [0, 3])
     def test_heterodyne(self, truncation):
@@ -291,7 +291,7 @@ class TestSigmaPinnedToEstimator:
         block = _sigma_block(truncation, w.xi_radial, w.radius, (w.eta,))
         sigma = sigma_heterodyne(truncation, 1, 0.0, w)
         assert np.linalg.norm(block, ord=2) == sigma
-        self._check(shadow_batch_entries(batch, [0], truncation, w), block, sigma)
+        self._check(stacked_entries(batch, [0], truncation, w), block, sigma)
 
 
 class TestSigmaBlockQuadrature:
@@ -379,6 +379,17 @@ class TestRefusals:
         assert not report.feasible and report.m_chosen == -1
         assert "within the dense limit (M+1)^r <= 2000" in report.reason
         assert report.reason.endswith("exceeds that limit")
+
+    def test_homodyne_r_above_modes(self):
+        # an r-local observable acts on r distinct modes
+        for r, modes in ((3, 1), (0, 2)):
+            with pytest.raises(ValueError, match=f"need 1 <= r <= modes, got r={r}, modes={modes}"):
+                required_samples_homodyne(self.PROFILE, r, 0.5, 0.05, modes)
+
+    def test_heterodyne_r_above_modes(self):
+        for r, modes in ((3, 1), (0, 2)):
+            with pytest.raises(ValueError, match=f"need 1 <= r <= modes, got r={r}, modes={modes}"):
+                required_samples_heterodyne(self.PROFILE, r, 0.5, 0.05, modes, 24.0)
 
 
 class TestBernstein:

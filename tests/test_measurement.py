@@ -37,6 +37,7 @@ from conftest import (
     BoxDomain,
     b64_floats,
     b64_values,
+    batch_rows,
     cat_position_pdf,
     correlated_gaussian,
     hermite_wavefunction,
@@ -1092,7 +1093,7 @@ class TestRecordsAndBatches:
             path = tmp_path / f"{batch.protocol}.jsonl"
             with open(path, "w") as fh:
                 for start, stop in ((0, 1), (1, 200), (200, rows)):
-                    batch[start:stop].to_jsonl(fh)
+                    batch_rows(batch, slice(start, stop)).to_jsonl(fh)
             assert path.read_bytes() == reference_jsonl(batch)
             loaded = SampleBatch.from_jsonl(path)
             assert loaded.n == rows
@@ -1167,13 +1168,6 @@ class TestRecordsAndBatches:
         path.write_text(f'{{"protocol":"quadrature","thetas":null,"outcome":"{b64_floats([0.5])}"}}\n')
         with pytest.raises(ValueError, match="unknown protocol 'quadrature'"):
             SampleBatch.from_jsonl(path)
-
-    def test_slice_is_a_batch(self):
-        batch = sample_homodyne_batch(GaussianStateSpec.thermal(0.4, modes=2), 10, "sl")
-        part = batch[3:7]
-        assert (part.n, part.modes, part.seed_path) == (4, 2, "sl")
-        assert np.array_equal(part.thetas, batch.thetas[3:7])
-        assert np.array_equal(part.outcomes, batch.outcomes[3:7])
 
     def test_disjoint_streams_differ(self):
         a = sample_homodyne_batch(GaussianStateSpec.vacuum(), 10, "s/0")

@@ -35,6 +35,7 @@ from cvshadow.states import (
 )
 from conftest import (
     _i0e,
+    batch_rows,
     bessel_orders,
     correlated_gaussian,
     f_mu_homodyne,
@@ -44,6 +45,7 @@ from conftest import (
     heterodyne_transform,
     homodyne_shadow_entry,
     homodyne_transform,
+    stacked_entries,
     window_at,
     windowed_dyad_char,
 )
@@ -58,13 +60,13 @@ def fock_state(n: int, truncation: int) -> FockMatrix:
 def homodyne_entries(thetas, qs, truncation):
     """Batch entries of single-mode homodyne rounds given as arrays."""
     batch = SampleBatch("homodyne", np.reshape(qs, (-1, 1)), np.reshape(thetas, (-1, 1)))
-    return shadow_batch_entries(batch, [0], truncation)
+    return stacked_entries(batch, [0], truncation)
 
 
 def heterodyne_entries(xs, truncation, w):
     """Batch entries of single-mode heterodyne rounds given as an (N, 2) array."""
     batch = SampleBatch("heterodyne", np.reshape(xs, (-1, 1, 2)))
-    return shadow_batch_entries(batch, [0], truncation, w)
+    return stacked_entries(batch, [0], truncation, w)
 
 
 class TestWindow:
@@ -126,13 +128,13 @@ class TestHomodyneEntry:
 
     def test_unbiased_on_vacuum(self):
         batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 30_000, "ub00")
-        entries = shadow_batch_entries(batch, [0], 1)
+        entries = stacked_entries(batch, [0], 1)
         val = entries[:, 0, 0].real
         assert val.mean() == pytest.approx(1.0, abs=3 * val.std() / math.sqrt(val.size))
 
     def test_unbiased_on_fock_one(self):
         batch = sample_homodyne_batch(fock_state(1, 6), 30_000, "ub11")
-        entries = shadow_batch_entries(batch, [0], 1)
+        entries = stacked_entries(batch, [0], 1)
         val = entries[:, 0, 0].real
         assert val.mean() == pytest.approx(0.0, abs=3 * val.std() / math.sqrt(val.size))
 
@@ -195,7 +197,7 @@ class TestHeterodyneEntry:
     def test_unbiased_entry_00(self):
         w = default_window(0)
         batch = sample_heterodyne_batch(GaussianStateSpec.vacuum(), 30_000, "uh00")
-        entries = shadow_batch_entries(batch, [0], 0, w)
+        entries = stacked_entries(batch, [0], 0, w)
         vals = entries[:, 0, 0].real
         target = project_PM_tilde(GaussianStateSpec.vacuum(), 0, w).entries[0, 0].real
         assert vals.mean() == pytest.approx(
@@ -236,7 +238,7 @@ class TestHeterodyneEntry:
 class TestBuilders:
     def test_single_mode_m0_reduces_to_entry(self):
         batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 1, "b0")
-        shadow = shadow_batch_entries(batch, [0], 0)
+        shadow = stacked_entries(batch, [0], 0)
         expected = homodyne_shadow_entry(
             0, 0, batch.thetas[0, 0], batch.outcomes[0, 0]
         )
@@ -245,9 +247,9 @@ class TestBuilders:
     def test_two_mode_factorization(self):
         state = GaussianStateSpec.thermal(0.4, modes=2)
         batch = sample_homodyne_batch(state, 1, "b2")
-        shadow = shadow_batch_entries(batch, [0, 1], 1)
-        per0 = shadow_batch_entries(batch, [0], 1)[0]
-        per1 = shadow_batch_entries(batch, [1], 1)[0]
+        shadow = stacked_entries(batch, [0, 1], 1)
+        per0 = stacked_entries(batch, [0], 1)[0]
+        per1 = stacked_entries(batch, [1], 1)[0]
         assert np.allclose(shadow[0], np.kron(per0, per1), atol=1e-12)
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
@@ -266,9 +268,9 @@ class TestBuilders:
 
         sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
         batch = sample(correlated_gaussian(3, 11), shadows._CHUNK_ROUNDS + 1, f"kron-{protocol}")
-        stacked = shadow_batch_entries(batch, subset, 1)
+        stacked = stacked_entries(batch, subset, 1)
         per_mode = [
-            shadow_batch_entries(
+            stacked_entries(
                 replace(batch, outcomes=batch.outcomes[:, [j]],
                         thetas=None if batch.thetas is None else batch.thetas[:, [j]]),
                 [0],
@@ -292,7 +294,7 @@ class TestBuilders:
             return mode_entries(protocol, outcomes, *args)
 
         monkeypatch.setattr(shadows, "_mode_entries", spy)
-        shadow_batch_entries(batch, list(range(r)), 1)
+        stacked_entries(batch, list(range(r)), 1)
         assert calls == [shadows._CHUNK_ROUNDS * r, r]
 
     def test_subset_validation(self):
@@ -304,7 +306,7 @@ class TestBuilders:
 
     def test_shadows_hermitian(self):
         batch = sample_heterodyne_batch(CatStateSpec(1 + 1j, "zero"), 8, "b5")
-        stacked = shadow_batch_entries(batch, [0], 3)
+        stacked = stacked_entries(batch, [0], 3)
         assert np.allclose(stacked, np.conj(np.swapaxes(stacked, 1, 2)), atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -315,7 +317,7 @@ class TestBuilders:
         # products: no symmetrization is needed
         sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
         batch = sample(GaussianStateSpec.thermal(0.4, modes=2), 500, f"herm-{protocol}")
-        mats = shadow_batch_entries(batch, subset, 3)
+        mats = stacked_entries(batch, subset, 3)
         assert np.array_equal(mats, mats.conj().swapaxes(1, 2))
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
@@ -325,9 +327,12 @@ class TestBuilders:
         n = 3 * shadows._CHUNK_ROUNDS + 17
         sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
         batch = sample(GaussianStateSpec.thermal(0.4, modes=2), n, f"rows-{protocol}")
-        whole = shadow_batch_entries(batch, [1, 0], 1)
+        whole = stacked_entries(batch, [1, 0], 1)
         cuts = (0, 1, 4000, 4097, 9000, 3 * shadows._CHUNK_ROUNDS, n)
-        parts = [shadow_batch_entries(batch[a:b], [1, 0], 1) for a, b in zip(cuts, cuts[1:])]
+        parts = [
+            stacked_entries(batch_rows(batch, slice(a, b)), [1, 0], 1)
+            for a, b in zip(cuts, cuts[1:])
+        ]
         assert np.array_equal(whole, np.concatenate(parts))
 
 
@@ -487,14 +492,14 @@ class TestProfileTable:
         state = GaussianStateSpec.thermal(0.3)
         sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
         batch = sample(state, 90, f"chunks-{protocol}")
-        whole = shadow_batch_entries(batch, [0], 1)
+        whole = stacked_entries(batch, [0], 1)
         chunks = ((0, 7), (7, 50), (50, 90))
-        parts = [shadow_batch_entries(batch[a:b], [0], 1) for a, b in chunks]
+        parts = [stacked_entries(batch_rows(batch, slice(a, b)), [0], 1) for a, b in chunks]
         assert np.array_equal(whole, np.concatenate(parts))
         # a far outcome grows the table; earlier rounds keep their bits
-        far = replace(batch[:1], outcomes=batch.outcomes[:1] + 9.0)
+        far = replace(batch_rows(batch, slice(1)), outcomes=batch.outcomes[:1] + 9.0)
         shadow_batch_entries(far, [0], 1)
-        assert np.array_equal(whole, shadow_batch_entries(batch, [0], 1))
+        assert np.array_equal(whole, stacked_entries(batch, [0], 1))
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
     def test_radius_limit(self, protocol):
@@ -529,7 +534,7 @@ class TestProfileTable:
 class TestAveraging:
     def test_single_shadow_identity(self):
         batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 1, "a1")
-        stacked = shadow_batch_entries(batch, [0], 2)
+        stacked = stacked_entries(batch, [0], 2)
         avg = average_entries(stacked, (0,), 2, "homodyne")
         assert np.array_equal(avg.mean, stacked[0])
         assert np.all(avg.stderr == 0)
@@ -546,34 +551,53 @@ class TestAveraging:
             average_entries(np.zeros((0, 3, 3), dtype=complex), (0,), 2, "homodyne")
 
     def test_chunked_passes_match_numpy(self):
-        # two passes over chunks of rows: the mean and the n - 1 variance,
-        # within the worst-case summation error n eps of the numpy forms
+        # one pass over chunks of rows: the mean and the n - 1 variance,
+        # within the worst-case summation error n eps of the numpy forms, also
+        # 1e3 from zero, where sum |x|^2 - n |mean|^2 would lose the variance
         rng = np.random.default_rng(8)
         n = 2 * shadows._CHUNK_ROUNDS + 5
-        stacked = 3.0 + rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
-        avg = average_entries(stacked, (0,), 2, "homodyne")
-        tol = n * np.finfo(float).eps
-        assert np.abs(avg.mean - stacked.mean(axis=0)).max() <= tol * np.abs(stacked).max()
-        stderr = np.sqrt(np.var(stacked, axis=0, ddof=1) / n)
-        assert np.abs(avg.stderr / stderr - 1.0).max() <= tol
+        draws = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
+        for offset in (3.0, 1e3):
+            stacked = offset + draws
+            avg = average_entries(stacked, (0,), 2, "homodyne")
+            tol = n * np.finfo(float).eps
+            assert np.abs(avg.mean - stacked.mean(axis=0)).max() <= tol * np.abs(stacked).max()
+            stderr = np.sqrt(np.var(stacked, axis=0, ddof=1) / n)
+            assert np.abs(avg.stderr / stderr - 1.0).max() <= tol
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_chunks_and_stack_average_alike(self, protocol, r):
+        # a stack is read in the chunks the entries come in: the same bits
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        n = 2 * shadows._CHUNK_ROUNDS + 5
+        batch = sample(GaussianStateSpec.thermal(0.4, modes=3), n, f"fold-{protocol}")
+        subset = tuple(range(r))
+        chunked = average_entries(shadow_batch_entries(batch, subset, 1), subset, 1, protocol)
+        stacked = average_entries(stacked_entries(batch, subset, 1), subset, 1, protocol)
+        assert chunked.count == stacked.count == n
+        assert np.array_equal(chunked.mean, stacked.mean)
+        assert np.array_equal(chunked.stderr, stacked.stderr)
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
     def test_entries_and_average_memory_bounded(self, protocol):
-        # r = 2, M = 1, N = 2e5: beyond the returned (N, 4, 4) array, both
-        # steps keep at most a chunk of rounds
+        # r = 2, M = 1: the entries and their average hold a chunk of rounds
+        # at a time, so the traced peak is the same at N = 5e4 and N = 2e5
         import tracemalloc
 
         sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
-        batch = sample(GaussianStateSpec.thermal(0.4, modes=2), 200_000, f"mem-{protocol}")
-        shadow_batch_entries(batch, [0, 1], 1)  # warm the profile table
-        tracemalloc.start()
-        try:
-            stacked = shadow_batch_entries(batch, [0, 1], 1)
-            average_entries(stacked, (0, 1), 1, protocol)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - stacked.nbytes) / 1e6 <= 16.0
+        peaks = []
+        for n in (50_000, 200_000):
+            batch = sample(GaussianStateSpec.thermal(0.4, modes=2), n, f"mem-{protocol}")
+            shadow_batch_entries(batch, [0, 1], 1)  # warm the profile table
+            tracemalloc.start()
+            try:
+                average_entries(shadow_batch_entries(batch, [0, 1], 1), (0, 1), 1, protocol)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 8.0
+        assert abs(peaks[1] - peaks[0]) <= 0.5
 
     def test_vacuum_heterodyne_average(self):
         w = default_window(2)
