@@ -355,12 +355,11 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     state = build_state(config["state"])
-    protocol, _, shape = jsonl_header(batch_path)
+    protocol, _, modes = jsonl_header(batch_path)
     if protocol != config["protocol"]:
         raise ConfigError(
             f"batch protocol {protocol!r} does not match config {config['protocol']!r}"
         )
-    modes = shape[0]
     if modes != state.modes:
         raise ConfigError(f"the batch has {modes} modes but the config's state has {state.modes}")
     grid_cfg = config.get("grid", {})

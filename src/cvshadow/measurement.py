@@ -6,10 +6,12 @@ Protocol conventions (shared with :mod:`cvshadow.shadows`):
   drawn, the rotation ``R_theta`` is applied to the state (covariance
   ``V -> S V S^T``), and the position quadrature is measured, yielding one
   real outcome ``q_j``.  The measured observable on the original state is
-  ``cos(theta) X - sin(theta) P``.
+  ``cos(theta) X - sin(theta) P``.  The mode's row is ``(theta_j, q_j)``.
 * Heterodyne round: the outcome is a full phase-space point with density
   ``<x|rho|x> / (2 pi)^m``; for a Gaussian state this is normal with mean
-  ``t`` and covariance ``(V + I)/2``.
+  ``t`` and covariance ``(V + I)/2``.  The mode's row is ``(x_j, p_j)``.
+
+Either way a batch of N rounds on m modes is one (N, m, 2) array of rows.
 
 Samplers take an explicit ``numpy.random.Generator``; batches derive their
 generator deterministically from a ``seed_path`` string, so identical paths
@@ -64,35 +66,24 @@ _DENSITY_VALUES = 1 << 17
 class SampleBatch:
     """N rounds of one protocol, drawn from one RNG stream, stored as arrays.
 
-    ``outcomes`` has shape (N, m) for homodyne and (N, m, 2) for heterodyne;
-    ``thetas`` has shape (N, m) for homodyne and is ``None`` for heterodyne.
-    ``seed_path`` names the stream every round was drawn from.
+    ``outcomes`` has shape (N, m, 2): each mode's homodyne ``(theta, q)`` or
+    heterodyne ``(x, p)``.  ``seed_path`` names the stream every round was
+    drawn from; it and ``meta`` are keyword-only.
     """
 
     protocol: str
     outcomes: np.ndarray
-    thetas: np.ndarray | None = None
-    seed_path: str = ""
-    meta: dict = field(default_factory=dict)
+    seed_path: str = field(default="", kw_only=True)
+    meta: dict = field(default_factory=dict, kw_only=True)
 
     def __post_init__(self):
         if self.protocol not in (HOMODYNE, HETERODYNE):
             raise ValueError(f"unknown protocol {self.protocol!r}")
         self.outcomes = np.asarray(self.outcomes, dtype=float)
-        if self.protocol == HOMODYNE:
-            self.thetas = np.asarray(self.thetas, dtype=float)
-            if self.outcomes.ndim != 2 or self.thetas.shape != self.outcomes.shape:
-                raise ValueError(
-                    "homodyne batches need outcomes and angles of one shape (N, modes)"
-                )
-        else:
-            self.thetas = None
-            if self.outcomes.ndim != 3 or self.outcomes.shape[2] != 2:
-                raise ValueError("heterodyne outcomes must have shape (N, modes, 2)")
+        if self.outcomes.ndim != 3 or self.outcomes.shape[2] != 2:
+            raise ValueError(f"{self.protocol} outcomes must have shape (N, modes, 2)")
         if not np.all(np.isfinite(self.outcomes)):
             raise ValueError("outcomes must be finite")
-        if self.thetas is not None and not np.all(np.isfinite(self.thetas)):
-            raise ValueError("angles must be finite")
 
     @property
     def n(self) -> int:
@@ -106,20 +97,21 @@ class SampleBatch:
         """Append one JSON line per round to the open text handle ``fh``.
 
         A line's bytes are those of ``json.dumps(payload, separators=(",",
-        ":"))`` for the keys protocol, thetas, outcome and seed_path.  The
-        round's outcome (and homodyne angles; ``null`` for heterodyne) is one
-        string: the padded standard base64 of its little-endian float64
-        values in row-major order (heterodyne x0, p0, x1, p1, ...), so a
-        reader gets back the bits that were drawn.
+        ":"))`` for the keys protocol, thetas, outcome and seed_path.  A
+        homodyne round's angles (column 0) are its thetas and its q (column
+        1) its outcome; a heterodyne round's rows are its outcome (x0, p0,
+        x1, p1, ...), and its thetas ``null``.  Each is one string: the padded
+        standard base64 of the little-endian float64 values, so a reader gets
+        back the bits that were drawn.
         """
         head = f'{{"protocol":{json.dumps(self.protocol)},"thetas":'
         tail = f',"seed_path":{json.dumps(self.seed_path)}}}\n'
-        outcomes = _base64_rows(self.outcomes)
-        if self.thetas is None:
-            fh.writelines(f'{head}null,"outcome":"{o}"{tail}' for o in outcomes)
+        if self.protocol == HOMODYNE:
+            thetas = (f'"{t}"' for t in _base64_rows(self.outcomes[..., 0]))
+            outcomes = _base64_rows(self.outcomes[..., 1])
         else:
-            thetas = _base64_rows(self.thetas)
-            fh.writelines(f'{head}"{t}","outcome":"{o}"{tail}' for t, o in zip(thetas, outcomes))
+            thetas, outcomes = itertools.repeat("null"), _base64_rows(self.outcomes)
+        fh.writelines(f'{head}{t},"outcome":"{o}"{tail}' for t, o in zip(thetas, outcomes))
 
     @classmethod
     def from_jsonl(cls, path, modes=None) -> "SampleBatch":
@@ -130,16 +122,17 @@ class SampleBatch:
         Every line is checked, whichever columns are kept: it must name the
         protocol and ``seed_path`` of the first record (a batch is one
         protocol drawn from one RNG stream) and hold base64 float64 values,
-        finite and as many as the first record's.  One pass counts the
-        records, so the kept columns are filled in place by the next.
+        finite and as many as the first record's; a heterodyne line's thetas
+        must be ``null``.  One pass counts the records, so the kept columns
+        are filled in place by the next.
         """
-        protocol, seed_path, shape = jsonl_header(path)
-        cols = list(range(shape[0]) if modes is None else modes)
-        _check_modes(cols, shape[0])
+        protocol, seed_path, m = jsonl_header(path)
+        cols = list(range(m) if modes is None else modes)
+        _check_modes(cols, m)
+        size = m if protocol == HOMODYNE else 2 * m  # values per base64 field
         with open(path, "rb") as fh:
             n = sum(1 for line in fh if not line.isspace())
-        outcomes = np.empty((n, len(cols)) + shape[1:])
-        thetas = np.empty((n, len(cols))) if protocol == HOMODYNE else None
+        outcomes = np.empty((n, len(cols), 2))
         with open(path, "rb") as fh:
             kept = ((k, line) for k, line in enumerate(fh, 1) if not line.isspace())
             for i, (k, line) in enumerate(kept):
@@ -151,10 +144,16 @@ class SampleBatch:
                         f"{protocol!r} and {seed_path!r} (a batch file holds one "
                         "protocol drawn from one RNG stream)"
                     )
-                outcomes[i] = _row(outcome, shape, path, k)[cols]
-                if thetas is not None:
-                    thetas[i] = _row(line_thetas, shape, path, k)[cols]
-        return cls(protocol, outcomes, thetas, seed_path)
+                if protocol == HOMODYNE:
+                    outcomes[i, :, 0] = _row(line_thetas, size, path, k)[cols]
+                    outcomes[i, :, 1] = _row(outcome, size, path, k)[cols]
+                elif line_thetas is not None:
+                    raise ValueError(
+                        f"{path}: line {k} is a heterodyne record whose thetas is not null"
+                    )
+                else:
+                    outcomes[i] = _row(outcome, size, path, k).reshape(m, 2)[cols]
+        return cls(protocol, outcomes, seed_path=seed_path)
 
 
 def _base64_rows(values: np.ndarray) -> Iterator[str]:
@@ -163,11 +162,11 @@ def _base64_rows(values: np.ndarray) -> Iterator[str]:
     return (base64.b64encode(row).decode() for row in rows)
 
 
-def jsonl_header(path) -> tuple[str, str, tuple]:
-    """``(protocol, seed_path, shape)`` of a records file, from its first record.
+def jsonl_header(path) -> tuple[str, str, int]:
+    """``(protocol, seed_path, modes)`` of a records file, from its first record.
 
-    Reading stops at the first record line; ``shape`` is its outcome shape,
-    ``(m,)`` for homodyne and ``(m, 2)`` for heterodyne, with ``m >= 1``.
+    Reading stops at the first record line; ``modes >= 1`` is the count of
+    its outcome values, halved for heterodyne.
     """
     with open(path, "rb") as fh:
         for first, line in enumerate(fh, 1):
@@ -179,13 +178,13 @@ def jsonl_header(path) -> tuple[str, str, tuple]:
     if protocol not in (HOMODYNE, HETERODYNE):
         raise ValueError(f"{path}: line {first} has unknown protocol {protocol!r}")
     size = _values(outcome, path, first).size
-    shape = (size,) if protocol == HOMODYNE else (size // 2, 2)
-    if size == 0 or math.prod(shape) != size:
+    per_mode = 1 if protocol == HOMODYNE else 2
+    if size == 0 or size % per_mode:
         raise ValueError(
             f"{path}: line {first} has outcome value count {size}, not a whole "
             f"positive number of {protocol} modes"
         )
-    return protocol, seed_path, shape
+    return protocol, seed_path, size // per_mode
 
 
 def _fields(path, line: int, raw: bytes) -> tuple:
@@ -213,16 +212,16 @@ def _values(text, path, line: int) -> np.ndarray:
     return np.frombuffer(data, "<f8")
 
 
-def _row(text, shape: tuple, path, line: int) -> np.ndarray:
+def _row(text, size: int, path, line: int) -> np.ndarray:
     row = _values(text, path, line)
-    if row.size != math.prod(shape):
+    if row.size != size:
         raise ValueError(
             f"{path}: line {line} has value count {row.size}, expected "
-            f"{math.prod(shape)} as on the first record"
+            f"{size} as on the first record"
         )
     if not np.isfinite(row).all():
         raise ValueError(f"{path}: line {line} holds a value that is not finite")
-    return row.reshape(shape)
+    return row
 
 
 def stream_rng(seed_path: str) -> np.random.Generator:
@@ -315,12 +314,12 @@ def _slices(n: int, dim: int) -> Iterator[slice]:
 
 
 def _homodyne_density(
-    fock: FockMatrix | FockKet, thetas, q: np.ndarray, factors=None
+    fock: FockMatrix | FockKet, theta, q: np.ndarray, factors=None
 ) -> np.ndarray:
     """``p(q_i | theta_i)`` of a single-mode truncated state, one angle per point.
 
     ``p(q|theta) = <v|rho|v>`` with ``v_n = exp(-i n theta) psi_n(q)``;
-    ``q`` is 1-D and ``thetas`` broadcasts to it.  Each factor's amplitude
+    ``q`` is 1-D and ``theta`` broadcasts to it.  Each factor's amplitude
     ``sum_n conj(u_n) psi_n(q) z^n``, ``z = exp(-i theta)``, is one Horner
     pass over the rows of :func:`hermite_stack`: O(dim) per point and factor,
     in the slices of :func:`_slices`.  ``factors`` are ``_factors(fock)``,
@@ -328,11 +327,11 @@ def _homodyne_density(
     """
     lam, u = _factors(fock) if factors is None else factors
     coeffs = u.conj()[:, :, None]
-    thetas = np.broadcast_to(thetas, q.shape)
+    theta = np.broadcast_to(theta, q.shape)
     out = np.empty(q.shape)
     for sl in _slices(q.size, fock.truncation + 1):
         psi = hermite_stack(fock.truncation, q[sl])
-        z = np.exp(-1j * thetas[sl])
+        z = np.exp(-1j * theta[sl])
         amps = coeffs[-1] * psi[-1]
         for n in range(fock.truncation - 1, -1, -1):
             amps *= z
@@ -479,7 +478,7 @@ def _t_density(z: np.ndarray, scale) -> np.ndarray:
 
 
 def _homodyne_proposals(fock: FockMatrix | FockKet):
-    """Map ``(thetas, z) -> (points, density)`` of the homodyne proposal.
+    """Map ``(theta, z) -> (points, density)`` of the homodyne proposal.
 
     ``q = mean + std z`` with the state's rotated-quadrature mean and std at
     each angle, the variance floored at the vacuum's; ``z`` holds rows of
@@ -487,12 +486,12 @@ def _homodyne_proposals(fock: FockMatrix | FockKet):
     """
     t_fit, v_fit = fock_moments(fock)
 
-    def proposals(thetas, z):
-        c, s = np.cos(thetas), np.sin(thetas)
+    def proposals(theta, z):
+        c, s = np.cos(theta), np.sin(theta)
         var = c * c * v_fit[0, 0] - 2.0 * c * s * v_fit[0, 1] + s * s * v_fit[1, 1]
         std = np.sqrt(0.5 * np.maximum(var, 1.0))
         mean = c * t_fit[0] - s * t_fit[1]
-        return np.stack([thetas, mean + std * z[:, 0]], axis=-1), _t_density(z, std)
+        return np.stack([theta, mean + std * z[:, 0]], axis=-1), _t_density(z, std)
 
     return proposals
 
@@ -587,30 +586,29 @@ def sample_blocks(state, protocol: str, n: int, seed_path: str) -> Iterator[Samp
     each) and the normals follow them, so they come from a copy of the
     generator moved on by ``n m`` draws.  A cat state or truncated Fock
     matrix is drawn by rejection and yields one batch per proposal chunk
-    that accepts a point; the last batch's ``meta`` holds the acceptance and
-    proposal count.  However the blocks fall, the rounds are the same bits,
-    and a caller that drops each batch before asking for the next holds one
-    block at a time.
+    that accepts a point, its rows those of :func:`_rejection_rows`; the
+    last batch's ``meta`` holds the acceptance and proposal count.  However
+    the blocks fall, the rounds are the same bits, and a caller that drops
+    each batch before asking for the next holds one block at a time.
     """
     rng = stream_rng(seed_path)
     if not hasattr(state, "phase_space_draws"):
-        homodyne = protocol == HOMODYNE  # rows (theta, q) or (x, p)
         for pts, meta in _rejection_rows(_sampling_fock(state), protocol, n, rng):
-            outcomes, thetas = (pts[:, 1:], pts[:, :1]) if homodyne else (pts[:, None, :], None)
-            yield SampleBatch(protocol, outcomes, thetas, seed_path, meta)
+            yield SampleBatch(protocol, pts[:, None, :], seed_path=seed_path, meta=meta)
         return
     m = state.modes
     if protocol != HOMODYNE:
         for x in state.phase_space_draws(1.0, n, rng):
             # rows [x | p] viewed as (rows, m, 2), not copied
-            yield SampleBatch(protocol, x.reshape(len(x), 2, m).transpose(0, 2, 1), None, seed_path)
-            del x  # before the next block is drawn
+            rows = x.reshape(len(x), 2, m).transpose(0, 2, 1)
+            yield SampleBatch(protocol, rows, seed_path=seed_path)
+            del x, rows  # before the next block is drawn
         return
     normals = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(n * m))
     for x in state.phase_space_draws(0.0, n, normals):
         thetas = rng.uniform(-np.pi, np.pi, size=(len(x), m))
         qs = np.cos(thetas) * x[:, :m] - np.sin(thetas) * x[:, m:]
-        yield SampleBatch(HOMODYNE, qs, thetas, seed_path)
+        yield SampleBatch(HOMODYNE, np.stack([thetas, qs], axis=-1), seed_path=seed_path)
         del x, thetas, qs  # before the next block is drawn
 
 
@@ -620,11 +618,8 @@ def _whole_batch(blocks: Iterator[SampleBatch], n: int) -> SampleBatch:
     if first is None:  # no block is drawn for n = 0
         raise ValueError("a batch needs at least one round")
     outcomes = np.empty((n,) + first.outcomes.shape[1:])
-    thetas = None if first.thetas is None else np.empty(outcomes.shape)
     start = 0
     for block in itertools.chain([first], blocks):
         outcomes[start : start + block.n] = block.outcomes
-        if thetas is not None:
-            thetas[start : start + block.n] = block.thetas
         start += block.n
-    return replace(block, outcomes=outcomes, thetas=thetas)
+    return replace(block, outcomes=outcomes)

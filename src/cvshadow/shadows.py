@@ -309,28 +309,28 @@ def _profile_table(protocol: str, truncation: int, w: WindowSpec | None):
 
 
 def _radii(protocol: str, outcomes: np.ndarray) -> np.ndarray:
-    """Radius of each single-mode outcome: ``|q|``, or ``|x|`` of rows ``(x, p)``."""
+    """Radius of each single-mode row: ``|q|`` of ``(theta, q)``, or ``|x|`` of ``(x, p)``."""
     if protocol == HOMODYNE:
-        return np.abs(outcomes)
+        return np.abs(outcomes[:, 1])
     return np.hypot(outcomes[:, 0], outcomes[:, 1])
 
 
 def _mode_entries(
-    protocol: str, outcomes: np.ndarray, thetas, truncation: int, table: _ProfileTable
+    protocol: str, outcomes: np.ndarray, truncation: int, table: _ProfileTable
 ) -> np.ndarray:
     """Shadow matrices of K single-mode outcomes, shape (K, M+1, M+1).
 
-    ``outcomes`` holds K homodyne ``q`` with their angles ``thetas``, or K
-    heterodyne rows ``(x, p)``.  Entry ``(k + d, k)`` is ``c_d z^d
-    profile_{d,k}(r)`` and entry ``(k, k + d)`` its conjugate, with one
-    complex ``z`` per outcome: homodyne ``z = sign(q) exp(i beta)``, ``beta =
-    pi/2 - theta`` and ``c_d = 2 norm (-i)^(d mod 2)``; heterodyne ``z =
-    exp(-i psi)``, ``psi = atan2(x, p)`` and ``c_d = i^d``.
+    ``outcomes`` holds K rows, homodyne ``(theta, q)`` or heterodyne ``(x,
+    p)``.  Entry ``(k + d, k)`` is ``c_d z^d profile_{d,k}(r)`` and entry
+    ``(k, k + d)`` its conjugate, with one complex ``z`` per outcome:
+    homodyne ``z = sign(q) exp(i beta)``, ``beta = pi/2 - theta`` and ``c_d =
+    2 norm (-i)^(d mod 2)``; heterodyne ``z = exp(-i psi)``, ``psi = atan2(x,
+    p)`` and ``c_d = i^d``.
     """
     dim = truncation + 1
     if protocol == HOMODYNE:
-        sign = np.where(outcomes < 0, -1.0, 1.0)
-        z = sign * np.exp(1j * (0.5 * np.pi - thetas))
+        sign = np.where(outcomes[:, 1] < 0, -1.0, 1.0)
+        z = sign * np.exp(1j * (0.5 * np.pi - outcomes[:, 0]))
         scale = 2.0 * HOMODYNE_SHADOW_NORMALIZATION
         coeffs = [scale * (-1j if d % 2 else 1.0) for d in range(dim)]
     else:
@@ -379,9 +379,8 @@ def shadow_batch_entries(
 
     def chunk(a: int) -> np.ndarray:
         rows = np.s_[a : a + _CHUNK_ROUNDS, cols]
-        flat = batch.outcomes[rows].reshape(-1, *batch.outcomes.shape[2:])
-        thetas = None if batch.thetas is None else batch.thetas[rows].ravel()
-        blocks = _mode_entries(protocol, flat, thetas, truncation, table)
+        flat = batch.outcomes[rows].reshape(-1, 2)
+        blocks = _mode_entries(protocol, flat, truncation, table)
         blocks = blocks.reshape(-1, r, dim, dim)
         n, mats = len(blocks), blocks[:, 0]
         for i in range(1, r):

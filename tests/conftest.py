@@ -353,11 +353,12 @@ def b64_values(text: str) -> np.ndarray:
 def reference_jsonl(batch) -> bytes:
     """``records.jsonl`` bytes of ``batch``, one ``json.dumps`` per round."""
     lines = []
+    homodyne = batch.protocol == "homodyne"
     for i in range(batch.n):
         payload = {
             "protocol": batch.protocol,
-            "thetas": None if batch.thetas is None else b64_floats(batch.thetas[i]),
-            "outcome": b64_floats(batch.outcomes[i]),
+            "thetas": b64_floats(batch.outcomes[i, :, 0]) if homodyne else None,
+            "outcome": b64_floats(batch.outcomes[i, :, 1] if homodyne else batch.outcomes[i]),
             "seed_path": batch.seed_path,
         }
         lines.append(json.dumps(payload, separators=(",", ":")) + "\n")
@@ -577,15 +578,14 @@ def whole_gaussian_batch(state, protocol: str, n: int, seed_path: str) -> Sample
         thetas = rng.uniform(-np.pi, np.pi, size=(n, m))
         x = np.concatenate(list(state.phase_space_draws(0.0, n, rng)))
         qs = np.cos(thetas) * x[:, :m] - np.sin(thetas) * x[:, m:]
-        return SampleBatch(protocol, qs, thetas, seed_path)
+        return SampleBatch(protocol, np.stack([thetas, qs], axis=-1), seed_path=seed_path)
     x = np.concatenate(list(state.phase_space_draws(1.0, n, rng)))
-    return SampleBatch(protocol, x.reshape(n, 2, m).transpose(0, 2, 1), None, seed_path)
+    return SampleBatch(protocol, x.reshape(n, 2, m).transpose(0, 2, 1), seed_path=seed_path)
 
 
 def batch_rows(batch: SampleBatch, rows: slice) -> SampleBatch:
     """The rounds in the slice ``rows``, as a batch of the same stream."""
-    thetas = None if batch.thetas is None else batch.thetas[rows]
-    return replace(batch, outcomes=batch.outcomes[rows], thetas=thetas)
+    return replace(batch, outcomes=batch.outcomes[rows])
 
 
 def stacked_entries(batch: SampleBatch, subset, truncation: int, w=None) -> np.ndarray:

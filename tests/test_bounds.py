@@ -275,8 +275,8 @@ class TestSigmaPinnedToEstimator:
 
     @pytest.mark.parametrize("truncation", [0, 3, 6])
     def test_homodyne(self, truncation):
-        q = np.arange(0.0, 63.9, 1.0 / 64)[:, None]
-        batch = SampleBatch("homodyne", q, np.zeros_like(q))
+        q = np.arange(0.0, 63.9, 1.0 / 64)
+        batch = SampleBatch("homodyne", np.stack([np.zeros_like(q), q], axis=-1)[:, None, :])
         scale = 2.0 * HOMODYNE_SHADOW_NORMALIZATION
         block = _sigma_block(truncation, lambda t: scale * np.exp(-0.25 * t * t), 40.0)
         sigma = sigma_homodyne(truncation, 1, 0.0)

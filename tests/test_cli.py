@@ -441,7 +441,6 @@ def whole_batch_bytes(state, config: dict) -> bytes:
     if hasattr(state, "phase_space_draws"):
         whole = whole_gaussian_batch(state, config["protocol"], config["samples"], seed_path)
         assert np.array_equal(batch.outcomes, whole.outcomes)
-        assert batch.protocol == "heterodyne" or np.array_equal(batch.thetas, whole.thetas)
     text = io.StringIO()
     batch.to_jsonl(text)
     return text.getvalue().encode()
@@ -1029,6 +1028,23 @@ class TestMainEntrypoint:
         assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == (
             f"error: {batch}: line 1 holds numbers that are not base64 float64\n"
+        )
+        assert not (tmp_path / "r" / "manifest.json").exists()
+
+    def test_heterodyne_record_with_thetas_exit_code(self, tmp_path, capsys):
+        # a heterodyne round has no angles: a thetas field that is not null is refused
+        cfg_path = write_config(tmp_path, base_config(samples=30))
+        assert cli.main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 0
+        batch = tmp_path / "s" / "records.jsonl"
+        lines = batch.read_text().splitlines(keepends=True)
+        payload = json.loads(lines[12])
+        payload["thetas"] = payload["outcome"]
+        lines[12] = json.dumps(payload, separators=(",", ":")) + "\n"
+        batch.write_text("".join(lines))
+        argv = ["reconstruct", "--config", str(cfg_path), "--batch", str(batch)]
+        assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {batch}: line 13 is a heterodyne record whose thetas is not null\n"
         )
         assert not (tmp_path / "r" / "manifest.json").exists()
 

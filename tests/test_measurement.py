@@ -297,25 +297,24 @@ class TestSampleHomodyne:
         state = GaussianStateSpec.vacuum()
         a = sample_homodyne_batch(state, 5, "seed42")
         b = sample_homodyne_batch(state, 5, "seed42")
-        assert np.array_equal(a.thetas, b.thetas)
         assert np.array_equal(a.outcomes, b.outcomes)
 
     def test_vacuum_variance(self):
         batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 100_000, "var")
-        q = batch.outcomes[:, 0]
+        q = batch.outcomes[:, 0, 1]
         assert q.var() == pytest.approx(0.5, abs=0.01)
-        assert np.all(batch.thetas >= -np.pi)
-        assert np.all(batch.thetas < np.pi)
+        assert np.all(batch.outcomes[..., 0] >= -np.pi)
+        assert np.all(batch.outcomes[..., 0] < np.pi)
 
     def test_thermal_variance(self):
         batch = sample_homodyne_batch(GaussianStateSpec.thermal(1.0), 100_000, "th")
-        assert batch.outcomes[:, 0].var() == pytest.approx(1.5, abs=0.02)
+        assert batch.outcomes[:, 0, 1].var() == pytest.approx(1.5, abs=0.02)
 
     def test_uncoupled_chain_uncorrelated(self):
         # the dense state and the spectral one the CLI builds
         for state in (chain_ground_state(ChainSpec(2, 0.0)), chain_state(ChainSpec(2, 0.0))):
             batch = sample_homodyne_batch(state, 100_000, "chain0")
-            qs = batch.outcomes
+            qs = batch.outcomes[..., 1]
             corr = np.corrcoef(qs[:, 0], qs[:, 1])[0, 1]
             assert abs(corr) < 0.01
 
@@ -324,8 +323,8 @@ class TestSampleHomodyne:
         # conditional on the angle, Var(q) = (R_theta V R_theta^T)_11 / 2
         state = GaussianStateSpec(np.zeros(2), np.diag([2.0, 0.6]))
         batch = sample_homodyne_batch(state, 200_000, "rotvar")
-        thetas = batch.thetas[:, 0]
-        qs = batch.outcomes[:, 0]
+        thetas = batch.outcomes[:, 0, 0]
+        qs = batch.outcomes[:, 0, 1]
         mask = np.abs((thetas - theta + np.pi) % (2 * np.pi) - np.pi) < 0.06
         sel = qs[mask]
         row = np.array([np.cos(theta), -np.sin(theta)])
@@ -338,7 +337,7 @@ class TestSampleHomodyne:
         # angle-averaged E[q^2] = tr(rho (X^2 + P^2))/2 = <n> + 1/2
         spec = CatStateSpec(1 + 1j, "zero")
         batch = sample_homodyne_batch(spec, 50_000, "catmo")
-        qs = batch.outcomes[:, 0]
+        qs = batch.outcomes[:, 0, 1]
         coeffs = cat_fock_coefficients(spec, 40)
         expected = np.sum(np.arange(41) * np.abs(coeffs) ** 2) + 0.5
         stderr = (qs**2).std() / math.sqrt(len(qs))
@@ -357,7 +356,7 @@ class TestSampleHomodyne:
         grid = np.linspace(-10.0, 10.0, 40_001)
         pdf = diag @ hermite_stack(diag.size - 1, grid) ** 2
         cdf = cumulative_trapezoid(pdf, grid, initial=0.0)
-        qs = sample_homodyne_batch(state, 20_000, f"ks/{name}").outcomes[:, 0]
+        qs = sample_homodyne_batch(state, 20_000, f"ks/{name}").outcomes[:, 0, 1]
         result = kstest(qs, lambda q: np.interp(q, grid, cdf / cdf[-1]))
         assert result.pvalue > 0.01
 
@@ -366,7 +365,7 @@ class TestSampleHomodyne:
         # variance 0.86 to 8.9), so a wrong proposal density would tilt the
         # accepted angles away from uniform
         batch = sample_homodyne_batch(CatStateSpec(1 + 1j, "plus"), 20_000, "ks/theta")
-        result = kstest(batch.thetas[:, 0], "uniform", args=(-np.pi, 2 * np.pi))
+        result = kstest(batch.outcomes[:, 0, 0], "uniform", args=(-np.pi, 2 * np.pi))
         assert result.pvalue > 0.01
 
     def test_envelope_violation_aborts(self, monkeypatch):
@@ -432,7 +431,6 @@ class TestSampleHomodyne:
         again = sample(spec, 40_000, "one-eigh")
         assert len(calls) > 3
         assert np.array_equal(again.outcomes, batch.outcomes)
-        assert np.array_equal(again.thetas, batch.thetas)
 
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
     def test_first_chunk_sized_from_the_probe(self, sample):
@@ -517,8 +515,6 @@ class TestSampleHomodyne:
         assert set(whole.meta) == {"acceptance", "proposals"}
         outcomes = np.concatenate([block.outcomes for block in blocks])
         assert np.array_equal(outcomes, whole.outcomes)
-        if protocol == "homodyne":
-            assert np.array_equal(np.concatenate([b.thetas for b in blocks]), whole.thetas)
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
     def test_cat_sampler_memory_at_2e5(self, protocol):
@@ -541,7 +537,7 @@ class TestSampleHomodyne:
         sample(spec, 10, "warm")
         batches: list = []
         peak = traced_peak_mb(lambda: batches.append(sample(spec, n, "beyond")))
-        held = batches[0].outcomes.nbytes + (0 if protocol == "heterodyne" else batches[0].thetas.nbytes)
+        held = batches[0].outcomes.nbytes
         assert peak - held / 1e6 <= 10.0
 
     def test_gaussian_chain_memory_bounded(self):
@@ -558,8 +554,7 @@ class TestSampleHomodyne:
     def test_single_record_api(self):
         batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 1, "one")
         assert batch.protocol == "homodyne"
-        assert batch.thetas.shape == (1, 1)
-        assert batch.outcomes.shape == (1, 1)
+        assert batch.outcomes.shape == (1, 1, 2)
         assert batch.seed_path == "one"
 
 
@@ -779,7 +774,7 @@ class TestSampleHeterodyne:
         assert batch.meta["acceptance"] >= 0.1
         # the acceptance counts every accepted proposal, surplus included
         assert batch.meta["acceptance"] * batch.meta["proposals"] >= len(pts)
-        q, theta = batch.outcomes[:, 0], batch.thetas[:, 0]
+        theta, q = batch.outcomes[:, 0].T
         proj = np.stack([2 * q * np.cos(theta), -2 * q * np.sin(theta)], axis=-1)
         stderr = proj.std(axis=0) / math.sqrt(len(q))
         assert np.all(np.abs(proj.mean(axis=0) - mean_expected) < 3 * stderr)
@@ -819,7 +814,7 @@ class TestSampleHeterodyne:
     def test_single_record_api(self):
         batch = sample_heterodyne_batch(GaussianStateSpec.vacuum(), 1, "h1")
         assert batch.protocol == "heterodyne"
-        assert batch.thetas is None
+        assert not hasattr(batch, "thetas")
         assert batch.outcomes.shape == (1, 1, 2)
 
     def test_uncoupled_chain_factorizes(self):
@@ -861,9 +856,9 @@ class TestCorrelatedGaussian:
         rng = stream_rng("qcorr")
         thetas = rng.uniform(-np.pi, np.pi, size=(n, m))
         draws = np.concatenate(list(state.phase_space_draws(0.0, n, rng)))
-        assert np.array_equal(thetas, batch.thetas)
+        assert np.array_equal(thetas, batch.outcomes[..., 0])
         rounds = np.cos(thetas) * draws[:, :m] - np.sin(thetas) * draws[:, m:]
-        assert np.array_equal(rounds, batch.outcomes)
+        assert np.array_equal(rounds, batch.outcomes[..., 1])
         self.assert_moments(draws, state.mean, 0.5 * state.cov)
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
@@ -877,9 +872,9 @@ class TestCorrelatedGaussian:
             batch = sample_homodyne_batch(state, n, "spectral")
             thetas = rng.uniform(-np.pi, np.pi, size=(n, m))
             draws = np.concatenate(list(state.phase_space_draws(0.0, n, rng)))
-            assert np.array_equal(thetas, batch.thetas)
+            assert np.array_equal(thetas, batch.outcomes[..., 0])
             rounds = np.cos(thetas) * draws[:, :m] - np.sin(thetas) * draws[:, m:]
-            assert np.array_equal(rounds, batch.outcomes)
+            assert np.array_equal(rounds, batch.outcomes[..., 1])
             self.assert_moments(draws, dense.mean, 0.5 * dense.cov)
         else:
             pts = sample_heterodyne_batch(state, n, "spectral").outcomes
@@ -912,7 +907,7 @@ class TestThousandModeMemory:
     def records1000(self, tmp_path_factory):
         # 1000 rounds of 1000 modes: 21.4 MB of lines, 16 MB of outcomes
         path = tmp_path_factory.mktemp("records") / "records.jsonl"
-        write_jsonl(SampleBatch("heterodyne", np.full((1000, 1000, 2), -0.5), None, "mem"), path)
+        write_jsonl(SampleBatch("heterodyne", np.full((1000, 1000, 2), -0.5), seed_path="mem"), path)
         return path
 
     def test_from_jsonl(self, records1000):
@@ -933,7 +928,6 @@ class TestRecordsAndBatches:
         loaded = SampleBatch.from_jsonl(path)
         assert loaded.n == batch.n
         assert loaded.protocol == batch.protocol
-        assert np.array_equal(loaded.thetas, batch.thetas)
         assert np.array_equal(loaded.outcomes, batch.outcomes)
         assert loaded.seed_path == batch.seed_path == "rt"
         lines = path.read_text().splitlines()
@@ -971,7 +965,8 @@ class TestRecordsAndBatches:
         path = tmp_path / "bad.jsonl"
         half, tenth = b64_floats([0.5]), b64_floats([0.1])
         good = f'{{"protocol":"homodyne","thetas":"{tenth}","outcome":"{half}","seed_path":"x"}}'
-        het = good.replace('"homodyne"', '"heterodyne"')
+        het = good.replace('"homodyne"', '"heterodyne"').replace(f'"{tenth}"', "null")
+        het2 = het.replace(half, b64_floats([0.5, 0.6]))  # one mode (x, p)
         cases = {
             "\n": "no records",
             good.replace('"outcome"', '"outcomes"'): "line 1 is not a record",
@@ -1006,6 +1001,13 @@ class TestRecordsAndBatches:
             ),
             good + "\n" + good.replace(half, "AAAAAAAAAA=="): (
                 "line 2 holds numbers that are not base64 float64"
+            ),
+            # a heterodyne record's thetas is null, on line 1 and past it
+            het2.replace("null", f'"{tenth}"'): (
+                "line 1 is a heterodyne record whose thetas is not null"
+            ),
+            (het2 + "\n") * 2 + het2.replace("null", f'"{tenth}"'): (
+                "line 3 is a heterodyne record whose thetas is not null"
             ),
             het.replace(half, b64_floats([0.5, 0.6, 0.7])): (
                 "line 1 has outcome value count 3, not a whole positive number of "
@@ -1050,32 +1052,51 @@ class TestRecordsAndBatches:
                     yield line
 
         monkeypatch.setattr(meas, "open", Counted, raising=False)
-        assert jsonl_header(path) == ("heterodyne", "s/0", (1, 2))
+        assert jsonl_header(path) == ("heterodyne", "s/0", 1)
         assert len(taken) == 2
 
     def test_bad_record_shapes(self):
+        # both protocols hold (N, m, 2) rows: the (N, m) q of a homodyne batch
+        # without its angles, and rows of three values, are refused
+        for protocol, outcomes in (
+            ("homodyne", [[0.5]]),
+            ("heterodyne", [[0.5, 0.2]]),
+            ("homodyne", np.zeros((2, 1, 3))),
+            ("heterodyne", np.zeros((2, 1, 3))),
+        ):
+            with pytest.raises(ValueError, match=f"{protocol} outcomes must have shape"):
+                SampleBatch(protocol, outcomes, seed_path="x")
         with pytest.raises(ValueError):
-            SampleBatch("homodyne", [[0.5]], [[0.1, 0.2]], "x")
+            SampleBatch("heterodyne", [[[0.5, np.nan]]], seed_path="x")
+        for bad in (np.nan, np.inf):  # an angle, column 0 of a homodyne row
+            with pytest.raises(ValueError, match="outcomes must be finite"):
+                SampleBatch("homodyne", [[[0.2, 0.5], [bad, 0.1]]], seed_path="x")
         with pytest.raises(ValueError):
-            SampleBatch("heterodyne", [[0.5, 0.2]], None, "x")
-        with pytest.raises(ValueError):
-            SampleBatch("heterodyne", [[[0.5, np.nan]]], None, "x")
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="angles must be finite"):
-                SampleBatch("homodyne", [[0.5, 0.1]], [[0.2, bad]], "x")
-        with pytest.raises(ValueError):
-            SampleBatch("quadrature", [[0.5]], [[0.1]], "x")
+            SampleBatch("quadrature", [[[0.1, 0.5]]], seed_path="x")
+
+    def test_old_positional_calls_refused(self):
+        # seed_path and meta are keyword-only, so a call written for the layout
+        # with a separate thetas argument cannot store its seed path as meta
+        q = np.zeros((3, 2))
+        with pytest.raises(TypeError):
+            SampleBatch("heterodyne", np.zeros((3, 2, 2)), None, "s/0")
+        with pytest.raises(TypeError):
+            SampleBatch("homodyne", q, np.zeros_like(q), "s/0")
+        with pytest.raises(TypeError):
+            SampleBatch("homodyne", np.zeros((3, 2, 2)), "s/0")
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
     def test_writer_bytes_match_json_dumps(self, tmp_path, protocol):
         extremes = np.array([-0.0, 5e-324, 1.797e308, 1e16, -1e-300, 0.1, -2.5e-7, 3.0])
         path = tmp_path / "records.jsonl"
         for seed_path in ("", 'cvshadow/1/"q\\é"/%s %d %%', "s/1"):
-            if protocol == "homodyne":
-                outcomes, thetas = np.resize(extremes, (6, 3)), np.resize(extremes[::-1], (6, 3))
+            if protocol == "homodyne":  # rows (theta, q)
+                outcomes = np.stack(
+                    [np.resize(extremes[::-1], (6, 3)), np.resize(extremes, (6, 3))], axis=-1
+                )
             else:
-                outcomes, thetas = np.resize(extremes, (5, 3, 2)), None
-            batch = SampleBatch(protocol, outcomes, thetas, seed_path)
+                outcomes = np.resize(extremes, (5, 3, 2))
+            batch = SampleBatch(protocol, outcomes, seed_path=seed_path)
             write_jsonl(batch, path)
             assert path.read_bytes() == reference_jsonl(batch)
             loaded = SampleBatch.from_jsonl(path)
@@ -1098,8 +1119,6 @@ class TestRecordsAndBatches:
             loaded = SampleBatch.from_jsonl(path)
             assert loaded.n == rows
             assert np.array_equal(loaded.outcomes, batch.outcomes)
-            if batch.thetas is not None:
-                assert np.array_equal(loaded.thetas, batch.thetas)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1111,17 +1130,12 @@ class TestRecordsAndBatches:
         ),
     )
     def test_roundtrip_keeps_every_finite_float(self, tmp_path_factory, protocol, values):
-        if protocol == "homodyne":
-            batch = SampleBatch(protocol, values[:, :, 0], values[:, :, 1], "hyp")
-        else:
-            batch = SampleBatch(protocol, values, None, "hyp")
+        batch = SampleBatch(protocol, values, seed_path="hyp")
         path = tmp_path_factory.mktemp("hyp") / "records.jsonl"
         write_jsonl(batch, path)
         loaded = SampleBatch.from_jsonl(path)
-        for got, want in ((loaded.outcomes, batch.outcomes), (loaded.thetas, batch.thetas)):
-            if want is not None:
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(loaded.outcomes, batch.outcomes)
+        assert np.array_equal(np.signbit(loaded.outcomes), np.signbit(batch.outcomes))
 
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
     def test_kept_columns_match_full_parse(self, tmp_path, sample):
@@ -1132,10 +1146,8 @@ class TestRecordsAndBatches:
         for modes in ([3], [6, 0], [1, 2, 5], [], list(range(7))):
             kept = SampleBatch.from_jsonl(path, modes=modes)
             assert (kept.protocol, kept.seed_path, kept.n) == (full.protocol, "cols", 30)
-            assert kept.outcomes.shape == (30, len(modes)) + full.outcomes.shape[2:]
+            assert kept.outcomes.shape == (30, len(modes), 2)
             assert np.array_equal(kept.outcomes, full.outcomes[:, modes])
-            if full.thetas is not None:
-                assert np.array_equal(kept.thetas, full.thetas[:, modes])
         for modes in ([0, 0], [7]):
             with pytest.raises(ValueError, match="must be distinct"):
                 SampleBatch.from_jsonl(path, modes=modes)
@@ -1145,7 +1157,7 @@ class TestRecordsAndBatches:
         # a kept column is read from every line, and every value of a line is checked
         outcomes = np.zeros((3, 6, 2))
         path = tmp_path / "records.jsonl"
-        write_jsonl(SampleBatch("heterodyne", outcomes, None, "chk"), path)
+        write_jsonl(SampleBatch("heterodyne", outcomes, seed_path="chk"), path)
         text = path.read_text().splitlines()
         payload = json.loads(text[1])
         values = b64_values(payload["outcome"]).copy()

@@ -59,7 +59,7 @@ def fock_state(n: int, truncation: int) -> FockMatrix:
 
 def homodyne_entries(thetas, qs, truncation):
     """Batch entries of single-mode homodyne rounds given as arrays."""
-    batch = SampleBatch("homodyne", np.reshape(qs, (-1, 1)), np.reshape(thetas, (-1, 1)))
+    batch = SampleBatch("homodyne", np.stack([thetas, qs], axis=-1)[:, None, :])
     return stacked_entries(batch, [0], truncation)
 
 
@@ -239,9 +239,7 @@ class TestBuilders:
     def test_single_mode_m0_reduces_to_entry(self):
         batch = sample_homodyne_batch(GaussianStateSpec.vacuum(), 1, "b0")
         shadow = stacked_entries(batch, [0], 0)
-        expected = homodyne_shadow_entry(
-            0, 0, batch.thetas[0, 0], batch.outcomes[0, 0]
-        )
+        expected = homodyne_shadow_entry(0, 0, *batch.outcomes[0, 0])
         assert shadow[0, 0, 0] == pytest.approx(expected)
 
     def test_two_mode_factorization(self):
@@ -270,12 +268,7 @@ class TestBuilders:
         batch = sample(correlated_gaussian(3, 11), shadows._CHUNK_ROUNDS + 1, f"kron-{protocol}")
         stacked = stacked_entries(batch, subset, 1)
         per_mode = [
-            stacked_entries(
-                replace(batch, outcomes=batch.outcomes[:, [j]],
-                        thetas=None if batch.thetas is None else batch.thetas[:, [j]]),
-                [0],
-                1,
-            )
+            stacked_entries(replace(batch, outcomes=batch.outcomes[:, [j]]), [0], 1)
             for j in subset
         ]
         for i, row in enumerate(stacked):
@@ -284,18 +277,19 @@ class TestBuilders:
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_one_mode_entries_call_per_chunk(self, protocol, r, monkeypatch):
-        # the chunk's outcomes on the whole subset take a single call
+        # the chunk's outcomes on the whole subset take a single call, as rows
+        # (theta, q) or (x, p) for both protocols
         sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
         batch = sample(GaussianStateSpec.thermal(0.4, modes=3), shadows._CHUNK_ROUNDS + 1, "spy")
         calls, mode_entries = [], shadows._mode_entries
 
         def spy(protocol, outcomes, *args):
-            calls.append(len(outcomes))
+            calls.append(outcomes.shape)
             return mode_entries(protocol, outcomes, *args)
 
         monkeypatch.setattr(shadows, "_mode_entries", spy)
         stacked_entries(batch, list(range(r)), 1)
-        assert calls == [shadows._CHUNK_ROUNDS * r, r]
+        assert calls == [(shadows._CHUNK_ROUNDS * r, 2), (r, 2)]
 
     def test_subset_validation(self):
         for sample in (sample_homodyne_batch, sample_heterodyne_batch):
@@ -497,7 +491,8 @@ class TestProfileTable:
         parts = [stacked_entries(batch_rows(batch, slice(a, b)), [0], 1) for a, b in chunks]
         assert np.array_equal(whole, np.concatenate(parts))
         # a far outcome grows the table; earlier rounds keep their bits
-        far = replace(batch_rows(batch, slice(1)), outcomes=batch.outcomes[:1] + 9.0)
+        shift = (0.0, 9.0) if protocol == "homodyne" else 9.0  # q, or both of (x, p)
+        far = replace(batch_rows(batch, slice(1)), outcomes=batch.outcomes[:1] + shift)
         shadow_batch_entries(far, [0], 1)
         assert np.array_equal(whole, stacked_entries(batch, [0], 1))
 
@@ -505,7 +500,7 @@ class TestProfileTable:
     def test_radius_limit(self, protocol):
         r = shadows.PROFILE_MAX_RADIUS + 1.0
         if protocol == "homodyne":
-            batch = SampleBatch("homodyne", [[0.2], [-r]], [[0.1], [0.4]])
+            batch = SampleBatch("homodyne", [[[0.1, 0.2]], [[0.4, -r]]])
         else:
             batch = SampleBatch("heterodyne", [[[0.2, 0.1]], [[0.0, r]]])
         with pytest.raises(ValueError, match=f"outcome radius {r:g} exceeds"):
@@ -519,12 +514,8 @@ class TestProfileTable:
         monkeypatch.setattr(shadows, "_PROFILE_TABLES", {})
         n = shadows._CHUNK_ROUNDS + 1
         far = shadows.PROFILE_MAX_RADIUS + 1.0
-        if protocol == "homodyne":
-            batch = SampleBatch("homodyne", np.full((n, 1), 0.5), np.zeros((n, 1)))
-            batch.outcomes[-1] = far
-        else:
-            batch = SampleBatch("heterodyne", np.full((n, 1, 2), 0.5))
-            batch.outcomes[-1, 0] = (0.0, far)
+        batch = SampleBatch(protocol, np.full((n, 1, 2), 0.5))
+        batch.outcomes[-1, 0] = (0.0, far)  # homodyne (theta, q), heterodyne (x, p)
         with pytest.raises(ValueError, match="exceeds the profile-table limit"):
             shadow_batch_entries(batch, [0], 1)
         (table,) = shadows._PROFILE_TABLES.values()
