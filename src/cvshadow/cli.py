@@ -281,12 +281,14 @@ def write_manifest(
     files: list[Path],
     elapsed: float,
     sampler: dict | None = None,
-    inputs: tuple[Path, ...] = (),
+    inputs: dict[str, str] | None = None,
 ) -> None:
     """Write ``manifest.json``; ``sampler`` is the batch meta of a rejection sampler.
 
-    ``inventory`` hashes the ``files`` written and ``inputs`` the files read,
-    each by name, so a reader's input matches its producer's inventory.
+    ``inventory`` hashes the ``files`` written, and ``inputs`` maps the name
+    of each file read to its SHA-256, taken by the caller (``reconstruct``
+    as it reads the records), so a reader's input matches its producer's
+    inventory.
     """
     manifest = {
         "config_hash": json_sha256(config),
@@ -295,7 +297,7 @@ def write_manifest(
         "inventory": {p.name: _file_sha256(p) for p in sorted(files)},
     }
     if inputs:
-        manifest["inputs"] = {p.name: _file_sha256(p) for p in inputs}
+        manifest["inputs"] = inputs
     if sampler:
         manifest["sampler"] = sampler
     with open(out_dir / "manifest.json", "w") as fh:
@@ -373,7 +375,8 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
         _check_modes(pair, modes, "pair")
     # only the columns that the average and the grid read are parsed
     cols = sorted(set(subset) | set(pair or ()))
-    batch = SampleBatch.from_jsonl(batch_path, modes=cols)
+    records_hash = hashlib.sha256()
+    batch = SampleBatch.from_jsonl(batch_path, modes=cols, digest=records_hash)
     if hasattr(state, "marginal"):
         state = state.marginal(cols)
     files: list[Path] = []
@@ -405,7 +408,8 @@ def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) 
     with open(metrics_path, "w") as fh:
         json.dump(metrics, fh, indent=2, sort_keys=True)
     files.append(metrics_path)
-    write_manifest(out, config, files, time.perf_counter() - t0, inputs=(Path(batch_path),))
+    inputs = {Path(batch_path).name: records_hash.hexdigest()}
+    write_manifest(out, config, files, time.perf_counter() - t0, inputs=inputs)
     return metrics
 
 
@@ -484,8 +488,8 @@ def cmd_entropy(config: dict, average_path, out_dir) -> dict:
     report_path = out / "entropy.json"
     with open(report_path, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True, allow_nan=False)
-    write_manifest(out, config, [report_path], time.perf_counter() - t0,
-                   inputs=(Path(average_path),))
+    inputs = {Path(average_path).name: _file_sha256(Path(average_path))}
+    write_manifest(out, config, [report_path], time.perf_counter() - t0, inputs=inputs)
     print(json.dumps(result, indent=2, sort_keys=True))
     return result
 

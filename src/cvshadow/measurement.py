@@ -56,6 +56,9 @@ HETERODYNE = "heterodyne"
 _PROPOSAL_DOF = 4.0
 _ENVELOPE_MARGIN = 1.2
 _REJECTION_CHUNK = 32768
+# Proposals per slice of a chunk's target, envelope check and acceptance: a
+# multiple of 16, so each point's density keeps its bits (see `_slices`).
+_ACCEPT_POINTS = 4096
 # Values per slice of a density evaluation: a slice's (dim, points) block of
 # Hermite rows or coherent-state amplitudes holds at most this many, whatever
 # the number of points or the truncation.
@@ -114,7 +117,7 @@ class SampleBatch:
         fh.writelines(f'{head}{t},"outcome":"{o}"{tail}' for t, o in zip(thetas, outcomes))
 
     @classmethod
-    def from_jsonl(cls, path, modes=None) -> "SampleBatch":
+    def from_jsonl(cls, path, modes=None, *, digest=None) -> "SampleBatch":
         """Parse a file written by ``to_jsonl``, keeping the columns of ``modes``.
 
         ``modes`` are distinct measured modes (default: all of them), so a
@@ -124,14 +127,19 @@ class SampleBatch:
         protocol drawn from one RNG stream) and hold base64 float64 values,
         finite and as many as the first record's; a heterodyne line's thetas
         must be ``null``.  One pass counts the records, so the kept columns
-        are filled in place by the next.
+        are filled in place by the next; that pass also feeds every byte of
+        the file to ``digest`` (a ``hashlib`` object), when one is given.
         """
         protocol, seed_path, m = jsonl_header(path)
         cols = list(range(m) if modes is None else modes)
         _check_modes(cols, m)
         size = m if protocol == HOMODYNE else 2 * m  # values per base64 field
+        n = 0
         with open(path, "rb") as fh:
-            n = sum(1 for line in fh if not line.isspace())
+            for line in fh:
+                n += not line.isspace()
+                if digest is not None:
+                    digest.update(line)
         outcomes = np.empty((n, len(cols), 2))
         with open(path, "rb") as fh:
             kept = ((k, line) for k, line in enumerate(fh, 1) if not line.isspace())
@@ -418,13 +426,16 @@ def _rejection_draws(
     ``1 / bound`` (a normalised target's acceptance) until one is accepted
     and at the acceptance so far after that.  The samples stay exact: a
     chunk's size depends only on the probe and the counts of earlier chunks,
-    never on their points.  Yields each chunk's accepted points as rows,
-    with ``{}``, skipping a chunk that accepts none; the last chunk's points
-    come with ``{"acceptance", "proposals"}``, the acceptance being accepted
-    / proposed over every chunk drawn.  Memory does not grow with ``n``: the
-    target is called once on the probe and once per chunk (the densities
-    work through those points in fixed slices), and the probe and each
-    chunk's arrays are dropped before the next chunk is drawn.
+    never on their points.  Each chunk draws its proposals, then its
+    uniforms ``u``; the target, the envelope check and the acceptance run
+    over slices of ``_ACCEPT_POINTS`` proposals.  Yields each chunk's
+    accepted points as rows, with ``{}``, skipping a chunk that accepts
+    none; the last chunk's points come with ``{"acceptance", "proposals"}``,
+    the acceptance being accepted / proposed over every chunk drawn.
+    Memory does not grow with ``n``: the target is called once on the probe
+    and once per slice of a chunk (the densities work through those points
+    in fixed slices too), and the probe and each chunk's arrays are dropped
+    before the next chunk is drawn.
     """
     bound = _ENVELOPE_MARGIN * float(np.max(target(probe) / np.maximum(probe_density, 1e-300)))
     del probe, probe_density  # the chunks need only the bound
@@ -434,16 +445,20 @@ def _rejection_draws(
         size = min(_REJECTION_CHUNK, max(1024, math.ceil(wanted)))
         pts, proposal = draw(rng, size)
         u = rng.random(size)
-        density = target(pts)
-        ceiling = bound * proposal
-        if np.any(density > ceiling * (1.0 + 1e-9)):
-            worst = int(np.argmax(density - ceiling))
-            raise RuntimeError(
-                f"rejection envelope violated at {pts[worst]}: density "
-                f"{density[worst]:.3e} > envelope {ceiling[worst]:.3e}"
-            )
-        keep = pts[u * ceiling < density]
-        del pts, proposal, u, density, ceiling  # before the next chunk is drawn
+        accept = np.empty(size, dtype=bool)
+        for a in range(0, size, _ACCEPT_POINTS):
+            sl = slice(a, a + _ACCEPT_POINTS)
+            density = target(pts[sl])
+            ceiling = bound * proposal[sl]
+            if np.any(density > ceiling * (1.0 + 1e-9)):
+                worst = int(np.argmax(density - ceiling))
+                raise RuntimeError(
+                    f"rejection envelope violated at {pts[sl][worst]}: density "
+                    f"{density[worst]:.3e} > envelope {ceiling[worst]:.3e}"
+                )
+            accept[sl] = u[sl] * ceiling < density
+        keep = pts[accept]
+        del pts, proposal, u, accept  # before the next chunk is drawn
         proposed += size
         accepted += keep.shape[0]
         take = keep[: n - filled]

@@ -103,11 +103,18 @@ def default_window(truncation: int) -> WindowSpec:
 # conjugate variable and are within 1e-10 at 1/512.
 PROFILE_STEPS = {HOMODYNE: 1.0 / 512, HETERODYNE: 1.0 / 2048}
 _BLOCK_NODES = 512
+# Complex values of the cosines and sines of one sub-block of node offsets
+# against the t-rule, a table growth's largest temporary: the sub-block is the
+# largest power of two of offsets, 16 to _BLOCK_NODES, that keeps within it.
+_TURN_VALUES = 1 << 16
 PROFILE_MAX_RADIUS = 64.0
-# Rounds per chunk of the batch entries and the averages: temporaries stay one
-# chunk large, and the averages' bits depend on this size, not on N.  The grid
-# sums of :mod:`cvshadow.reconstruction` size their chunks by grid points.
+# Rounds per chunk of the batch entries and the averages: at most
+# _CHUNK_ROUNDS, and at most _CHUNK_VALUES matrix entries (D^2 per round), so
+# temporaries stay one chunk large at any subset size, and the averages' bits
+# depend on D, not on N.  D <= 4 keeps 4096 rounds.  The grid sums of
+# :mod:`cvshadow.reconstruction` size their chunks by grid points.
 _CHUNK_ROUNDS = 4096
+_CHUNK_VALUES = 1 << 16
 
 _PROFILE_TABLES: dict = {}
 
@@ -237,8 +244,11 @@ class _ProfileTable:
 
     def __init__(self, t: np.ndarray, rows: np.ndarray, odd: np.ndarray, step: float):
         self._t = t
-        self._weights = np.concatenate([rows, rows * t])
-        self._odd = odd
+        # every value and slope is the real part of its sum over t of w
+        # exp(i t r): a sin row's value is Im, its weights turned by -i, and
+        # a cos row's slope is -Im, its weights turned by +i
+        turn = np.where(odd, -1j, 1.0)[:, None]
+        self._weights = np.concatenate([rows * turn, rows * t * (1j * turn)])
         self.step = step
         self.values = self.slopes = np.empty((0, len(rows)))
 
@@ -246,10 +256,16 @@ class _ProfileTable:
         """Grow by whole blocks until nodes bracket ``r_max``.
 
         By angle addition, ``exp(i t (b + j step)) = exp(i t b) exp(i t j
-        step)`` at block start ``b``: the second factor is evaluated once per
-        growth, and each block is one matrix product.  ``j * step`` and ``b +
-        j * step`` are exact, since ``step`` is a power of two.  Raises
-        ``ValueError`` above ``PROFILE_MAX_RADIUS``, before building any block.
+        step)`` at block start ``b``.  The second factor is evaluated once
+        per growth, one sub-block of offsets ``j`` at a time
+        (``_TURN_VALUES``); the first, one row of t-values per block, once
+        per growth too.  Each block's weights are shifted by it for that
+        block alone, and each (sub-block, block) pair is one matrix product,
+        written straight into the grown table.  That table replaces the
+        cached one only once it is full, so a failure leaves the table as it
+        was.  ``j * step`` and ``b + j * step`` are exact, since ``step`` is
+        a power of two.  Raises ``ValueError`` above ``PROFILE_MAX_RADIUS``,
+        before building any block.
         """
         if r_max > PROFILE_MAX_RADIUS:
             raise ValueError(
@@ -257,25 +273,30 @@ class _ProfileTable:
                 f"{PROFILE_MAX_RADIUS}"
             )
         have = self.values.shape[0]
-        starts = self.step * np.arange(have, int(r_max / self.step) + 2, _BLOCK_NODES)
+        starts = np.arange(have, int(r_max / self.step) + 2, _BLOCK_NODES)
         if not starts.size:
             return
-        offsets = np.outer(self.step * np.arange(_BLOCK_NODES), self._t)
-        turns = np.empty(offsets.shape, dtype=complex)
-        np.cos(offsets, out=turns.real)
-        np.sin(offsets, out=turns.imag)
-        del offsets
-        values, slopes = [self.values], [self.slopes]
-        for b in starts:
-            # sums over t of w exp(i t r) and w t exp(i t r) at every node r
+        rows = self.values.shape[1]
+        values = np.empty((have + starts.size * _BLOCK_NODES, rows))
+        slopes = np.empty_like(values)
+        values[:have], slopes[:have] = self.values, self.slopes
+        sub = _BLOCK_NODES
+        while sub > 16 and sub * self._t.size > _TURN_VALUES:
+            sub //= 2
+        shifts = np.exp(1j * np.multiply.outer(self.step * starts, self._t))
+        for j in range(0, _BLOCK_NODES, sub):
+            offsets = np.outer(self.step * np.arange(j, j + sub), self._t)
+            turns = np.empty(offsets.shape, dtype=complex)
+            np.cos(offsets, out=turns.real)
+            np.sin(offsets, out=turns.imag)
+            del offsets
             with _one_blas_thread():
-                sums = turns @ (self._weights * np.exp(1j * b * self._t)).T
-            vals, slps = np.split(sums, 2, axis=1)
-            values.append(np.where(self._odd, vals.imag, vals.real))
-            slopes.append(np.where(self._odd, slps.real, -slps.imag))
-        del turns
-        self.values = np.concatenate(values)
-        self.slopes = np.concatenate(slopes)
+                for b, shift in zip(starts, shifts):
+                    # sums over t of w exp(i t r) and w t exp(i t r) at the sub-block's nodes r
+                    sums = turns @ (self._weights * shift).T
+                    nodes = slice(b + j, b + j + sub)
+                    values[nodes], slopes[nodes] = sums.real[:, :rows], sums.real[:, rows:]
+        self.values, self.slopes = values, slopes
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Cubic Hermite interpolation of every profile at radii ``r``: (rows, N).
@@ -349,21 +370,27 @@ def _mode_entries(
     return out
 
 
+def _chunk_rounds(dim: int) -> int:
+    """Rounds per chunk of ``dim x dim`` shadow matrices: at most ``_CHUNK_VALUES`` entries."""
+    return min(_CHUNK_ROUNDS, max(1, _CHUNK_VALUES // (dim * dim)))
+
+
 def shadow_batch_entries(
     batch: SampleBatch, subset, truncation: int, w: WindowSpec | None = None
 ) -> Iterator[np.ndarray]:
-    """Hermitian shadow matrices of a batch's rounds, ``_CHUNK_ROUNDS`` rounds at a time.
+    """Hermitian shadow matrices of a batch's rounds, one chunk of rounds at a time.
 
     Returns an iterator over arrays of shape ``(n, dim, dim)`` with ``dim =
-    (M+1)^len(subset)``, one per chunk of rounds in batch order, so no
-    array is sized by N; per-mode matrices are tensored in the order of
-    ``subset``.  A chunk's outcomes on the subset take one
-    :func:`_mode_entries` call, and each round's matrices fold into their
-    Kronecker product.  Each row depends only on its own round, so any
-    split of the batch into chunks gives the same bits.  Each per-mode
-    matrix is filled with entry ``(k, k + d)`` the conjugate of ``(k + d,
-    k)``, so it and every Kronecker product of such matrices is exactly
-    Hermitian.  A subset naming a mode the batch did not measure, or an
+    (M+1)^len(subset)``, one per chunk of rounds in batch order; a chunk
+    holds :func:`_chunk_rounds` rounds, at most 2^16 matrix entries, so no
+    array is sized by N or grows with dim beyond one round's matrix.
+    Per-mode matrices are tensored in the order of ``subset``.  A chunk's
+    outcomes on the subset take one :func:`_mode_entries` call, and each
+    round's matrices fold into their Kronecker product.  Each row depends
+    only on its own round, so any split of the batch into chunks gives the
+    same bits.  Each per-mode matrix is filled with entry ``(k, k + d)``
+    the conjugate of ``(k + d, k)``, so it and every Kronecker product of
+    such matrices is exactly Hermitian.  A subset naming a mode the batch did not measure, or an
     outcome radius above ``PROFILE_MAX_RADIUS`` anywhere in the batch,
     raises ``ValueError`` at the call, before any entry is built.
     Heterodyne batches use ``w`` (default window for M).
@@ -376,9 +403,10 @@ def shadow_batch_entries(
     w = (w or default_window(truncation)) if protocol == HETERODYNE else None
     table = _profile_table(protocol, truncation, w)
     table.cover(max(_radii(protocol, batch.outcomes[:, j]).max(initial=0.0) for j in cols))
+    step = _chunk_rounds(dim**r)
 
     def chunk(a: int) -> np.ndarray:
-        rows = np.s_[a : a + _CHUNK_ROUNDS, cols]
+        rows = np.s_[a : a + step, cols]
         flat = batch.outcomes[rows].reshape(-1, 2)
         blocks = _mode_entries(protocol, flat, truncation, table)
         blocks = blocks.reshape(-1, r, dim, dim)
@@ -389,7 +417,7 @@ def shadow_batch_entries(
             )
         return mats
 
-    return map(chunk, range(0, batch.n, _CHUNK_ROUNDS))
+    return map(chunk, range(0, batch.n, step))
 
 
 _AVERAGE_ARRAYS = ("entries_re", "entries_im", "stderr")
@@ -472,19 +500,28 @@ def average_entries(chunks, subset, truncation: int, protocol: str) -> ShadowAve
 
     ``chunks`` yields (n, dim, dim) arrays in round order, as
     :func:`shadow_batch_entries` returns them; an (N, dim, dim) array is read
-    ``_CHUNK_ROUNDS`` rows at a time.  Each chunk's sum and squared
-    deviations merge into the running ones by the pairwise update of Chan,
-    Golub & LeVeque (1979), so no temporary is larger than one chunk, and the
-    same rows in the same chunks give the same bits at any N.
+    in the same chunks, :func:`_chunk_rounds` rows at a time.  Each chunk's
+    sum and squared deviations merge into the running ones by the pairwise
+    update of Chan, Golub & LeVeque (1979).  The deviations are written
+    into one buffer, held across chunks, and squared in place; each chunk is
+    dropped before the next is built.  So no temporary is larger than one
+    chunk, no chunk-sized one is allocated per chunk, and the same rows in
+    the same chunks give the same bits at any N.
     """
     if isinstance(chunks, np.ndarray):
-        chunks = [chunks[a : a + _CHUNK_ROUNDS] for a in range(0, len(chunks), _CHUNK_ROUNDS)]
-    n, total, squares = 0, 0.0, 0.0
+        step = _chunk_rounds(chunks.shape[-1])
+        chunks = [chunks[a : a + step] for a in range(0, len(chunks), step)]
+    n, total, squares, buf = 0, 0.0, 0.0, None
     for rows in chunks:
         k = len(rows)
         chunk_sum = rows.sum(axis=0)
-        dev = rows - chunk_sum / k
-        squares = squares + (dev.real**2 + dev.imag**2).sum(axis=0)
+        if buf is None or len(buf) < k:
+            buf = np.empty(rows.shape, dtype=complex)
+        dev = np.subtract(rows, chunk_sum / k, out=buf[:k])
+        del rows  # before the next chunk is built
+        sq = np.square(dev.real, out=dev.real)
+        sq += np.square(dev.imag, out=dev.imag)
+        squares = squares + sq.sum(axis=0)
         if n:  # the shift between the two means, weighted n k / (n + k)
             shift = chunk_sum / k - total / n
             squares += (shift.real**2 + shift.imag**2) * (n * k / (n + k))
@@ -522,8 +559,10 @@ def project_PM(big: FockMatrix, truncation: int) -> FockMatrix:
     return FockMatrix(big.modes, truncation, entries)
 
 
-# Equispaced angles per radius of the P~_M pairing (K = 64 left 1.3e-4 at M = 6).
+# Equispaced angles per radius of the P~_M pairing (K = 64 left 1.3e-4 at M = 6),
+# and radii per evaluation of the characteristic function and its FFT.
 _PM_TILDE_ANGLES = 256
+_PM_TILDE_RADII = 16
 
 
 def project_PM_tilde(state, truncation: int, w: WindowSpec | None = None) -> FockMatrix:
@@ -534,7 +573,9 @@ def project_PM_tilde(state, truncation: int, w: WindowSpec | None = None) -> Foc
     exp(i d phi)``, ``d = n2 - n1``, its angular integral is Fourier
     coefficient d of ``chi_rho`` on a circle.  Radii are
     :func:`_heterodyne_rule`'s, and one FFT over ``_PM_TILDE_ANGLES`` = 256
-    angles per radius gives every d.  Against 3x the radial nodes and 2048
+    angles per radius gives every d; ``chi_rho`` and the FFT run on
+    ``_PM_TILDE_RADII`` radii at a time, so only the (radii, d) coefficients
+    are held for the whole rule.  Against 3x the radial nodes and 2048
     angles no entry moved by more than 3.9e-15 (M <= 31; coherent alpha up to
     8, cats up to 5, squeezing e^{+-2}).  Entries with n1 > n2 are the
     conjugates, and the diagonal keeps only its real part, so the result
@@ -551,7 +592,10 @@ def project_PM_tilde(state, truncation: int, w: WindowSpec | None = None) -> Foc
     circle = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     weight = np.pi * wt * rho * w.xi_radial(rho) / _PM_TILDE_ANGLES
     dim = truncation + 1
-    coeffs = np.fft.fft(state.char(rho[:, None, None] * circle), axis=1)[:, :dim]
+    coeffs = np.empty((rho.size, dim), dtype=complex)
+    for a in range(0, rho.size, _PM_TILDE_RADII):
+        ring = rho[a : a + _PM_TILDE_RADII, None, None] * circle
+        coeffs[a : a + _PM_TILDE_RADII] = np.fft.fft(state.char(ring), axis=1)[:, :dim]
     coeffs *= weight[:, None]
     mat = np.empty((dim, dim), dtype=complex)
     for n1 in range(dim):

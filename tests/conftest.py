@@ -14,6 +14,7 @@ kernel ``f_mu_homodyne`` and the entropy continuity bound.
 import base64
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -591,6 +592,17 @@ def batch_rows(batch: SampleBatch, rows: slice) -> SampleBatch:
 def stacked_entries(batch: SampleBatch, subset, truncation: int, w=None) -> np.ndarray:
     """Every round's shadow matrix in one (N, dim, dim) array, from the chunks."""
     return np.concatenate(list(shadow_batch_entries(batch, subset, truncation, w)))
+
+
+def traced_peak(fn, *args) -> float:
+    """Peak traced allocation of ``fn(*args)`` in MB, its result dropped."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-user CLI: configs, artifacts, determinism, error surfaces."""
 
+import builtins
 import hashlib
 import importlib
 import io
@@ -789,6 +790,27 @@ class TestReconstruct:
         cmd_sample(cfg, tmp_path / "s")
         cmd_reconstruct(cfg, tmp_path / "s" / "records.jsonl", tmp_path / "r")
         assert len(calls) == 1
+
+    def test_records_opened_four_times(self, tmp_path, monkeypatch):
+        # the header twice, the counting pass (which also takes the manifest's
+        # SHA-256) and the parsing pass; the manifest reads the file no more
+        cfg = base_config(samples=40)
+        cmd_sample(cfg, tmp_path / "s")
+        records = (tmp_path / "s" / "records.jsonl").resolve()
+        opened, real_open = [], builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and Path(file).resolve() == records:
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(builtins, "open", counting_open)
+            cmd_reconstruct(cfg, records, tmp_path / "r")
+        assert len(opened) == 4
+        manifest = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        digest = hashlib.sha256(records.read_bytes()).hexdigest()
+        assert manifest["inputs"] == {"records.jsonl": digest}
 
 
 class TestBounds:

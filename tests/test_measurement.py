@@ -3,7 +3,6 @@
 import json
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,6 +45,7 @@ from conftest import (
     homodyne_pdf,
     qmc_integrate,
     reference_jsonl,
+    traced_peak,
 )
 
 
@@ -53,16 +53,6 @@ def fock_state(n: int, truncation: int) -> FockMatrix:
     mat = np.zeros((truncation + 1, truncation + 1), dtype=complex)
     mat[n, n] = 1.0
     return FockMatrix(1, truncation, mat)
-
-
-def traced_peak_mb(fn) -> float:
-    """Peak traced allocation of ``fn()`` in MB."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
 
 
 def write_jsonl(batch: SampleBatch, path) -> None:
@@ -270,10 +260,10 @@ class TestDensitySlices:
         rng = np.random.default_rng(9)
         if density == "homodyne":
             thetas, q = rng.uniform(-np.pi, np.pi, 200_000), 2.0 * rng.standard_normal(200_000)
-            peak = traced_peak_mb(lambda: meas._homodyne_density(fock, thetas, q))
+            peak = traced_peak(lambda: meas._homodyne_density(fock, thetas, q))
         else:
             x = 2.0 * rng.standard_normal((200_000, 2))
-            peak = traced_peak_mb(lambda: fock_husimi(fock, x))
+            peak = traced_peak(lambda: fock_husimi(fock, x))
         assert peak <= 8.0
 
     def test_memory_bounded_in_values_at_large_truncation(self):
@@ -288,8 +278,8 @@ class TestDensitySlices:
         rng = np.random.default_rng(10)
         thetas, q = rng.uniform(-np.pi, np.pi, 192), 3.0 * rng.standard_normal(192)
         x = 3.0 * rng.standard_normal((192, 2))
-        assert traced_peak_mb(lambda: meas._homodyne_density(fock, thetas, q)) <= 2.5
-        assert traced_peak_mb(lambda: fock_husimi(fock, x)) <= 4.0
+        assert traced_peak(lambda: meas._homodyne_density(fock, thetas, q)) <= 2.5
+        assert traced_peak(lambda: fock_husimi(fock, x)) <= 4.0
 
 
 class TestSampleHomodyne:
@@ -465,8 +455,27 @@ class TestSampleHomodyne:
         # proposals come in fixed chunks: no intermediate grows with N
         spec = CatStateSpec(1 + 1j, "zero")
         sample_homodyne_batch(spec, 10, "warm")
-        peak = traced_peak_mb(lambda: sample_homodyne_batch(spec, 100_000, "mem"))
+        peak = traced_peak(lambda: sample_homodyne_batch(spec, 100_000, "mem"))
         assert peak < 150.0
+
+    @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
+    def test_target_runs_on_slices_of_a_chunk(self, monkeypatch, sample):
+        # the target, the envelope check and the acceptance work through each
+        # chunk of proposals 4096 at a time; the probe is the first call
+        import cvshadow.measurement as meas
+
+        sizes, real = [], meas._rejection_draws
+
+        def spy(target, draw, probe, probe_density, n, rng):
+            def sized(pts):
+                sizes.append(len(pts))
+                return target(pts)
+
+            return real(sized, draw, probe, probe_density, n, rng)
+
+        monkeypatch.setattr(meas, "_rejection_draws", spy)
+        sample(CatStateSpec(1 + 1j, "zero"), 50_000, "slices")
+        assert sizes[1] == max(sizes[1:]) == 4096
 
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
     def test_cat_factored_without_eigh(self, monkeypatch, sample):
@@ -523,7 +532,7 @@ class TestSampleHomodyne:
         sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
         spec = CatStateSpec(1 + 1j, "zero")
         sample(spec, 10, "warm")
-        peak = traced_peak_mb(lambda: sample(spec, 200_000, "mem2e5"))
+        peak = traced_peak(lambda: sample(spec, 200_000, "mem2e5"))
         assert peak <= 32.0
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
@@ -536,14 +545,14 @@ class TestSampleHomodyne:
         spec = CatStateSpec(1 + 1j, "zero")
         sample(spec, 10, "warm")
         batches: list = []
-        peak = traced_peak_mb(lambda: batches.append(sample(spec, n, "beyond")))
+        peak = traced_peak(lambda: batches.append(sample(spec, n, "beyond")))
         held = batches[0].outcomes.nbytes
         assert peak - held / 1e6 <= 10.0
 
     def test_gaussian_chain_memory_bounded(self):
         # one Cholesky of V/2 for the whole batch, no per-round covariances
         state = chain_ground_state(ChainSpec(200, 0.99))
-        peak = traced_peak_mb(lambda: sample_homodyne_batch(state, 200, "mem200"))
+        peak = traced_peak(lambda: sample_homodyne_batch(state, 200, "mem200"))
         assert peak < 10.0
 
     @pytest.mark.parametrize("kind", sorted(NOT_STATES))
@@ -893,15 +902,15 @@ class TestThousandModeMemory:
 
     @pytest.mark.parametrize("sample", [sample_heterodyne_batch, sample_homodyne_batch])
     def test_gaussian_sampler(self, chain1000, sample):
-        assert traced_peak_mb(lambda: sample(chain1000, 1000, "mem1000")) <= 64.0
+        assert traced_peak(lambda: sample(chain1000, 1000, "mem1000")) <= 64.0
 
     @pytest.mark.parametrize("sample", [sample_heterodyne_batch, sample_homodyne_batch])
     def test_spectral_chain_sampler(self, sample):
         state = chain_state(ChainSpec(1000, 0.99))
-        assert traced_peak_mb(lambda: sample(state, 1000, "mem1000")) <= 64.0
+        assert traced_peak(lambda: sample(state, 1000, "mem1000")) <= 64.0
 
     def test_chain_ground_state(self):
-        assert traced_peak_mb(lambda: chain_ground_state(ChainSpec(1000, 0.99))) <= 96.0
+        assert traced_peak(lambda: chain_ground_state(ChainSpec(1000, 0.99))) <= 96.0
 
     @pytest.fixture(scope="class")
     def records1000(self, tmp_path_factory):
@@ -911,12 +920,12 @@ class TestThousandModeMemory:
         return path
 
     def test_from_jsonl(self, records1000):
-        assert traced_peak_mb(lambda: SampleBatch.from_jsonl(records1000)) <= 20.0
+        assert traced_peak(lambda: SampleBatch.from_jsonl(records1000)) <= 20.0
 
     def test_from_jsonl_kept_columns(self, records1000):
         # the kept (1000, 2, 2) outcomes are 32 kB and one parsed line about 0.1 MB;
         # every line is still parsed and checked
-        peak = traced_peak_mb(lambda: SampleBatch.from_jsonl(records1000, modes=(0, 500)))
+        peak = traced_peak(lambda: SampleBatch.from_jsonl(records1000, modes=(0, 500)))
         assert peak <= 2.0
 
 

@@ -1,5 +1,6 @@
 """Shadow construction, windowing, projections, and averaging."""
 
+import contextlib
 import functools
 import json
 import math
@@ -46,6 +47,7 @@ from conftest import (
     homodyne_shadow_entry,
     homodyne_transform,
     stacked_entries,
+    traced_peak,
     window_at,
     windowed_dyad_char,
 )
@@ -289,7 +291,11 @@ class TestBuilders:
 
         monkeypatch.setattr(shadows, "_mode_entries", spy)
         stacked_entries(batch, list(range(r)), 1)
-        assert calls == [(shadows._CHUNK_ROUNDS * r, 2), (r, 2)]
+        # a chunk holds at most 2^16 matrix entries: 4096 rounds up to D = 4,
+        # 1024 at r = 3 (D = 8)
+        rounds = {1: 4096, 2: 4096, 3: 1024}[r]
+        full = shadows._CHUNK_ROUNDS // rounds
+        assert calls == [(rounds * r, 2)] * full + [(r, 2)]
 
     def test_subset_validation(self):
         for sample in (sample_homodyne_batch, sample_heterodyne_batch):
@@ -496,6 +502,50 @@ class TestProfileTable:
         shadow_batch_entries(far, [0], 1)
         assert np.array_equal(whole, stacked_entries(batch, [0], 1))
 
+    def test_growth_memory_bounded_by_values(self, monkeypatch):
+        # the grown table is written in place, one sub-block of node offsets
+        # at a time: no 512-node block of cosines and sines against the whole
+        # t-rule (7.4 MB homodyne), no list of blocks beside the joined table
+        monkeypatch.setattr(shadows, "_PROFILE_TABLES", {})
+        table = shadows._profile_table("homodyne", 3, None)
+        assert traced_peak(table.cover, 5.5) <= 4.0
+        table = shadows._profile_table("heterodyne", 6, default_window(6))
+        peak = traced_peak(table.cover, 9.7)
+        assert peak <= (table.values.nbytes + table.slopes.nbytes) / 1e6 + 4.0
+
+    @pytest.mark.parametrize("protocol, truncation", [("homodyne", 3), ("heterodyne", 2)])
+    def test_failed_growth_keeps_the_table(self, protocol, truncation, monkeypatch):
+        # a failure between two sub-blocks of a growth leaves the cached table
+        # as it was, and a later growth gives the bits of an uninterrupted one
+        monkeypatch.setattr(shadows, "_PROFILE_TABLES", {})
+        w = default_window(truncation) if protocol == "heterodyne" else None
+        table = shadows._profile_table(protocol, truncation, w)
+        table.cover(1.0)
+        before = table.values.copy(), table.slopes.copy()
+        one_thread, entered = shadows._one_blas_thread, []
+
+        @contextlib.contextmanager
+        def failing_second():
+            entered.append(True)
+            if len(entered) == 2:
+                raise MemoryError("injected")
+            with one_thread():
+                yield
+
+        with monkeypatch.context() as patched:
+            patched.setattr(shadows, "_one_blas_thread", failing_second)
+            with pytest.raises(MemoryError, match="injected"):
+                table.cover(6.0)
+        assert np.array_equal(table.values, before[0])
+        assert np.array_equal(table.slopes, before[1])
+        table.cover(6.0)
+        shadows._PROFILE_TABLES.clear()
+        reference = shadows._profile_table(protocol, truncation, w)
+        reference.cover(1.0)
+        reference.cover(6.0)
+        assert np.array_equal(table.values, reference.values)
+        assert np.array_equal(table.slopes, reference.slopes)
+
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
     def test_radius_limit(self, protocol):
         r = shadows.PROFILE_MAX_RADIUS + 1.0
@@ -589,6 +639,46 @@ class TestAveraging:
                 tracemalloc.stop()
         assert max(peaks) <= 8.0
         assert abs(peaks[1] - peaks[0]) <= 0.5
+
+    @pytest.mark.parametrize("r, truncation", [(2, 5), (3, 2)])
+    def test_average_memory_bounded_by_values(self, r, truncation):
+        # D = 36 and 27: a chunk holds at most 2^16 matrix entries (50 and 89
+        # rounds), not 4096 rounds (260 and 151 MB traced at N = 2e4)
+        subset = tuple(range(r))
+        peaks = []
+        for n in (5_000, 20_000):
+            batch = sample_homodyne_batch(GaussianStateSpec.thermal(0.4, modes=3), n, f"mem-{r}")
+            shadow_batch_entries(batch, subset, truncation)  # warm the profile table
+            chunks = shadow_batch_entries(batch, subset, truncation)
+            peaks.append(traced_peak(average_entries, chunks, subset, truncation, "homodyne"))
+        assert max(peaks) <= 8.0
+        assert abs(peaks[1] - peaks[0]) <= 0.5
+
+    def test_bench_cat_pipeline_memory(self, monkeypatch):
+        # the benchmark's cat batch: sampling, a cold table growth and the
+        # average stay within 7 MB traced beside the (N, 1, 2) batch itself
+        monkeypatch.setattr(shadows, "_PROFILE_TABLES", {})
+
+        def pipeline():
+            batch = sample_homodyne_batch(CatStateSpec(1 + 1j, "zero"), 100_000, "bench-cat")
+            average_entries(shadow_batch_entries(batch, [0], 3), (0,), 3, "homodyne")
+
+        assert traced_peak(pipeline) <= 7.0
+
+    @pytest.mark.parametrize("dim", [8, 36])
+    def test_value_sized_chunks_match_numpy(self, dim):
+        # above D = 4 a chunk holds fewer than 4096 rows; the one pass keeps
+        # the n eps agreement with the numpy mean and n - 1 variance
+        rng = np.random.default_rng(dim)
+        n = 10 * shadows._chunk_rounds(dim) + 5
+        draws = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+        for offset in (3.0, 1e3):
+            stacked = offset + draws
+            avg = average_entries(stacked, (0,), 2, "homodyne")
+            tol = n * np.finfo(float).eps
+            assert np.abs(avg.mean - stacked.mean(axis=0)).max() <= tol * np.abs(stacked).max()
+            stderr = np.sqrt(np.var(stacked, axis=0, ddof=1) / n)
+            assert np.abs(avg.stderr / stderr - 1.0).max() <= tol
 
     def test_vacuum_heterodyne_average(self):
         w = default_window(2)
@@ -816,6 +906,11 @@ class TestWindowedTarget:
         monkeypatch.setattr(shadows, "_PM_TILDE_ANGLES", 1024)
         finer = project_PM_tilde(state, truncation).entries
         assert np.abs(got - finer).max() <= 1e-13
+
+    def test_set_up_memory(self):
+        # the characteristic function and its FFT over the angles run 16
+        # radii at a time, not over the whole (radii, 256) polar grid (4.5 MB)
+        assert traced_peak(project_PM_tilde, GaussianStateSpec.vacuum(), 3) <= 1.0
 
     def test_refusals(self):
         with pytest.raises(ValueError, match="single-mode"):
