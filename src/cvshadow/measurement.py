@@ -30,13 +30,14 @@ import logging
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
 from .phase_space import alpha_of, hermite_stack
 from .states import (
+    SLICE_BUDGETS,
     CatStateSpec,
     FockKet,
     FockMatrix,
@@ -44,6 +45,7 @@ from .states import (
     cat_fock_coefficients,
     coherent_fock_coefficients,
     fock_moments,
+    value_slices,
 )
 
 log = logging.getLogger(__name__)
@@ -56,13 +58,6 @@ HETERODYNE = "heterodyne"
 _PROPOSAL_DOF = 4.0
 _ENVELOPE_MARGIN = 1.2
 _REJECTION_CHUNK = 32768
-# Proposals per slice of a chunk's target, envelope check and acceptance: a
-# multiple of 16, so each point's density keeps its bits (see `_slices`).
-_ACCEPT_POINTS = 4096
-# Values per slice of a density evaluation: a slice's (dim, points) block of
-# Hermite rows or coherent-state amplitudes holds at most this many, whatever
-# the number of points or the truncation.
-_DENSITY_VALUES = 1 << 17
 
 
 @dataclass
@@ -308,19 +303,6 @@ def _one_blas_thread():
         put(threads)
 
 
-def _slices(n: int, dim: int) -> Iterator[slice]:
-    """Consecutive slices of ``n`` points, each at most ``max(1, _DENSITY_VALUES // dim)`` long.
-
-    A length of 16 or more is rounded down to a multiple of 16, so that every
-    slice starts on a column block of the BLAS kernels and each point's
-    heterodyne density keeps the bits of one unsliced product.
-    """
-    step = max(1, _DENSITY_VALUES // dim)
-    if step >= 16:
-        step -= step % 16
-    return (slice(i, i + step) for i in range(0, n, step))
-
-
 def _homodyne_density(
     fock: FockMatrix | FockKet, theta, q: np.ndarray, factors=None
 ) -> np.ndarray:
@@ -330,14 +312,14 @@ def _homodyne_density(
     ``q`` is 1-D and ``theta`` broadcasts to it.  Each factor's amplitude
     ``sum_n conj(u_n) psi_n(q) z^n``, ``z = exp(-i theta)``, is one Horner
     pass over the rows of :func:`hermite_stack`: O(dim) per point and factor,
-    in the slices of :func:`_slices`.  ``factors`` are ``_factors(fock)``,
-    when the caller holds them.
+    in the ``"density"`` slices of :func:`~cvshadow.states.value_slices`.
+    ``factors`` are ``_factors(fock)``, when the caller holds them.
     """
     lam, u = _factors(fock) if factors is None else factors
     coeffs = u.conj()[:, :, None]
     theta = np.broadcast_to(theta, q.shape)
     out = np.empty(q.shape)
-    for sl in _slices(q.size, fock.truncation + 1):
+    for sl in value_slices(q.size, fock.truncation + 1, SLICE_BUDGETS["density"], align=16):
         psi = hermite_stack(fock.truncation, q[sl])
         z = np.exp(-1j * theta[sl])
         amps = coeffs[-1] * psi[-1]
@@ -355,9 +337,10 @@ def fock_husimi(fock: FockMatrix | FockKet, x, factors=None) -> np.ndarray:
     :func:`_factors` (or ``factors``, when the caller holds them), for the
     coherent-state amplitudes ``v = <n|x>`` of
     :func:`~cvshadow.states.coherent_fock_coefficients` at ``alpha(x)``,
-    in the slices of :func:`_slices`, on one BLAS thread so that the bits
-    do not follow the thread count.  Signed, like :func:`_homodyne_density`:
-    for a Hermitian matrix that is not a state it may read below zero.
+    in the ``"density"`` slices of :func:`~cvshadow.states.value_slices`, on
+    one BLAS thread, so that the bits follow neither the thread count nor the
+    slices.  Signed, like :func:`_homodyne_density`: for a Hermitian matrix
+    that is not a state it may read below zero.
     """
     if fock.modes != 1:
         raise ValueError("fock_husimi supports single-mode matrices")
@@ -366,7 +349,7 @@ def fock_husimi(fock: FockMatrix | FockKet, x, factors=None) -> np.ndarray:
     u_h = u.conj().T
     points = x.reshape(-1, 2)
     out = np.empty(len(points))
-    for sl in _slices(len(points), fock.truncation + 1):
+    for sl in value_slices(len(points), fock.truncation + 1, SLICE_BUDGETS["density"], align=16):
         with _one_blas_thread():
             amps = u_h @ coherent_fock_coefficients(alpha_of(points[sl]), fock.truncation)
             out[sl] = lam @ (amps.real**2 + amps.imag**2)
@@ -427,17 +410,14 @@ def _rejection_draws(
     and at the acceptance so far after that.  The samples stay exact: a
     chunk's size depends only on the probe and the counts of earlier chunks,
     never on their points.  Each chunk draws its proposals, then its
-    uniforms ``u``; the target, the envelope check and the acceptance run
-    over slices of ``_ACCEPT_POINTS`` proposals.  Yields each chunk's
-    accepted points as rows, with ``{}``, skipping a chunk that accepts
-    none; the last chunk's points come with ``{"acceptance", "proposals"}``,
-    the acceptance being accepted / proposed over every chunk drawn.
-    Memory does not grow with ``n``: the target is called once on the probe
-    and once per slice of a chunk (the densities work through those points
-    in fixed slices too), and the probe and each chunk's arrays are dropped
-    before the next chunk is drawn.
+    uniforms ``u``.  Yields each chunk's accepted points as rows, with
+    ``{}``, skipping a chunk that accepts none; the last chunk's points come
+    with ``{"acceptance", "proposals"}``, the acceptance being accepted /
+    proposed over every chunk drawn.  Memory does not grow with ``n``: the
+    target runs one ``"proposals"`` slice at a time, on the probe and on
+    each chunk, and a chunk's arrays are dropped before the next is drawn.
     """
-    bound = _ENVELOPE_MARGIN * float(np.max(target(probe) / np.maximum(probe_density, 1e-300)))
+    bound = _envelope_bound(target, probe, probe_density)
     del probe, probe_density  # the chunks need only the bound
     filled = accepted = proposed = 0
     while filled < n:
@@ -446,8 +426,7 @@ def _rejection_draws(
         pts, proposal = draw(rng, size)
         u = rng.random(size)
         accept = np.empty(size, dtype=bool)
-        for a in range(0, size, _ACCEPT_POINTS):
-            sl = slice(a, a + _ACCEPT_POINTS)
+        for sl in value_slices(size, 1, SLICE_BUDGETS["proposals"]):
             density = target(pts[sl])
             ceiling = bound * proposal[sl]
             if np.any(density > ceiling * (1.0 + 1e-9)):
@@ -457,17 +436,25 @@ def _rejection_draws(
                     f"{density[worst]:.3e} > envelope {ceiling[worst]:.3e}"
                 )
             accept[sl] = u[sl] * ceiling < density
-        keep = pts[accept]
+        take = pts[accept]
         del pts, proposal, u, accept  # before the next chunk is drawn
         proposed += size
-        accepted += keep.shape[0]
-        take = keep[: n - filled]
-        filled += take.shape[0]
+        accepted += len(take)
+        take = take[: n - filled]
+        filled += len(take)
         if filled == n:
             log.info("rejection sampling accepted %d of %d proposals", accepted, proposed)
             yield take, {"acceptance": accepted / proposed, "proposals": proposed}
-        elif take.shape[0]:
+        elif len(take):
             yield take, {}
+        del take  # before the next chunk is drawn
+
+
+def _envelope_bound(target, probe: np.ndarray, probe_density: np.ndarray) -> float:
+    """``_ENVELOPE_MARGIN`` times the largest ``target / proposal`` on the probe, by slices."""
+    cuts = value_slices(len(probe), 1, SLICE_BUDGETS["proposals"])
+    ratios = [np.max(target(probe[c]) / np.maximum(probe_density[c], 1e-300)) for c in cuts]
+    return _ENVELOPE_MARGIN * float(np.max(ratios))
 
 
 def _t_draws(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
@@ -535,9 +522,9 @@ def _rejection_rows(
     Homodyne rows are ``(theta, q)``: ``theta`` uniform, then ``q`` from
     :func:`_homodyne_proposals`, probed on a 129 x 513 grid of angles and
     ``z``.  Heterodyne rows are ``(x, p)`` from :func:`_heterodyne_proposals`,
-    probed on a 201 x 201 grid of ``z``.  Either proposal is a Student t
-    located and scaled by the state's moments; the rows come chunk by chunk,
-    as :func:`_rejection_draws` yields them.
+    probed on a 201 x 201 grid of ``z`` (either grid from :func:`_probe`).
+    Either proposal is a Student t located and scaled by the state's moments;
+    the rows come chunk by chunk, as :func:`_rejection_draws` yields them.
     """
     factors = _factors(fock)  # once per batch: the target is called per chunk
     if protocol == HOMODYNE:
@@ -551,8 +538,7 @@ def _rejection_rows(
             return _homodyne_density(fock, pts[:, 0], pts[:, 1], factors)
 
         axes = np.linspace(-np.pi, np.pi, 129), np.linspace(-6.0, 6.0, 513)
-        gt, gz = np.meshgrid(*axes, indexing="ij")
-        probe = proposals(gt.ravel(), gz.reshape(-1, 1))
+        probe = _probe(lambda t, z: proposals(t, z[:, None]), *axes)
     else:
         proposals = _heterodyne_proposals(fock)
 
@@ -562,9 +548,19 @@ def _rejection_rows(
         def target(pts):
             return fock_husimi(fock, pts, factors)
 
-        gx, gy = np.meshgrid(*[np.linspace(-6.0, 6.0, 201)] * 2, indexing="ij")
-        probe = proposals(np.stack([gx.ravel(), gy.ravel()], axis=-1))
+        axis = np.linspace(-6.0, 6.0, 201)
+        probe = _probe(lambda x, y: proposals(np.stack([x, y], axis=-1)), axis, axis)
     return _rejection_draws(target, draw, *probe, n, rng)
+
+
+def _probe(proposals, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points and densities of ``proposals`` on the a-major ``a x b`` grid, by slices."""
+    size = a.size * b.size
+    points, density = np.empty((size, 2)), np.empty(size)
+    for sl in value_slices(size, 1, SLICE_BUDGETS["proposals"]):
+        k = np.arange(sl.start, sl.stop)  # point k of np.meshgrid(a, b, indexing="ij")
+        points[sl], density[sl] = proposals(a[k // b.size], b[k % b.size])
+    return points, density
 
 
 def sample_homodyne_batch(state, n: int, seed_path: str) -> SampleBatch:
@@ -596,7 +592,7 @@ def sample_blocks(state, protocol: str, n: int, seed_path: str) -> Iterator[Samp
     """``n`` rounds of ``protocol`` on ``state``, as consecutive batches of one stream.
 
     A Gaussian state yields one batch per row block of its
-    ``phase_space_draws``, so no batch holds more than about 2^18 values.
+    ``phase_space_draws``, so no batch holds more than one slice budget.
     Homodyne angles are the stream's first ``n m`` uniforms (one 64-bit draw
     each) and the normals follow them, so they come from a copy of the
     generator moved on by ``n m`` draws.  A cat state or truncated Fock
@@ -610,6 +606,7 @@ def sample_blocks(state, protocol: str, n: int, seed_path: str) -> Iterator[Samp
     if not hasattr(state, "phase_space_draws"):
         for pts, meta in _rejection_rows(_sampling_fock(state), protocol, n, rng):
             yield SampleBatch(protocol, pts[:, None, :], seed_path=seed_path, meta=meta)
+            del pts  # before the next chunk is drawn
         return
     m = state.modes
     if protocol != HOMODYNE:
@@ -628,13 +625,15 @@ def sample_blocks(state, protocol: str, n: int, seed_path: str) -> Iterator[Samp
 
 
 def _whole_batch(blocks: Iterator[SampleBatch], n: int) -> SampleBatch:
-    """The ``n`` rounds of ``blocks`` as one batch, filled block by block."""
-    first = next(blocks, None)
-    if first is None:  # no block is drawn for n = 0
+    """The ``n`` rounds of ``blocks`` as one batch, each block dropped before the next is drawn."""
+    block = next(blocks, None)
+    if block is None:  # no block is drawn for n = 0
         raise ValueError("a batch needs at least one round")
-    outcomes = np.empty((n,) + first.outcomes.shape[1:])
-    start = 0
-    for block in itertools.chain([first], blocks):
+    outcomes, start = np.empty((n,) + block.outcomes.shape[1:]), 0
+    while block is not None:
         outcomes[start : start + block.n] = block.outcomes
         start += block.n
-    return replace(block, outcomes=outcomes)
+        protocol, seed_path, meta = block.protocol, block.seed_path, block.meta
+        del block  # before the next block is drawn
+        block = next(blocks, None)
+    return SampleBatch(protocol, outcomes, seed_path=seed_path, meta=meta)

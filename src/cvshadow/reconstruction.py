@@ -17,7 +17,7 @@ import numpy as np
 
 from .measurement import HETERODYNE, SampleBatch, _one_blas_thread
 from .phase_space import CharGrid, omega_apply
-from .states import _check_modes
+from .states import SLICE_BUDGETS, _check_modes, value_slices
 
 
 def _trial_char_grid(a, ya, b, yb) -> np.ndarray:
@@ -25,23 +25,21 @@ def _trial_char_grid(a, ya, b, yb) -> np.ndarray:
 
     Returns shape (len(a), len(b)).  The phase factorises per axis, so the
     sum over rounds is ``A @ B.T`` over chunks of rounds in order, then
-    divided by N.  A chunk is ``2^17 // max(len(a), len(b))`` rounds, rounded
-    down to a multiple of 16 and at least 16, so each axis's complex phase
-    buffer, allocated once, holds at most 2^17 values (2 MB) up to 8192
-    points, and the sum's bits depend on N and the grid size only.  Each
-    chunk's phases are written into the buffer's imaginary part, and their
-    cosines and sines in place, never grid x N.  The products run on one
+    divided by N.  The chunks are the ``"grid"`` slices of rounds
+    (:func:`~cvshadow.states.value_slices`), so each axis's complex phase
+    buffer, allocated once, is bounded in values up to 8192 points, and the
+    sum's bits depend on N and the grid size only.  Each chunk's phases are
+    written into the buffer's imaginary part, and their cosines and sines in
+    place, never grid x N.  The products run on one
     BLAS thread (:func:`~cvshadow.measurement._one_blas_thread`), so no
     threaded zgemm leaves a worker spinning beside the next chunk's phases.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     total = np.zeros((a.size, b.size), dtype=complex)
-    rounds = max(16, (1 << 17) // max(a.size, b.size) // 16 * 16)
-    chunk = min(rounds, len(ya))
-    buffers = np.empty((a.size, chunk), dtype=complex), np.empty((b.size, chunk), dtype=complex)
-    for start in range(0, len(ya), rounds):
-        sl = slice(start, start + rounds)
-        pa, pb = (buf[:, : len(ya[sl])] for buf in buffers)
+    cuts = value_slices(len(ya), max(a.size, b.size), SLICE_BUDGETS["grid"], align=16)
+    buffers = [np.empty((axis.size, cuts[0].stop if cuts else 0), complex) for axis in (a, b)]
+    for sl in cuts:
+        pa, pb = (buf[:, : sl.stop - sl.start] for buf in buffers)
         for axis, y, phase in ((a, ya, pa), (b, yb, pb)):
             np.multiply.outer(axis, y[sl], out=phase.imag)
             np.cos(phase.imag, out=phase.real)

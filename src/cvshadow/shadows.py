@@ -49,7 +49,7 @@ import numpy as np
 
 from .measurement import HETERODYNE, HOMODYNE, SampleBatch, _one_blas_thread
 from .phase_space import dyad_poly, fock_dyad_radial
-from .states import FockMatrix, _check_modes, multi_indices
+from .states import SLICE_BUDGETS, FockMatrix, _check_modes, multi_indices, value_slices
 
 # Normalization of the homodyne per-mode entry relative to `int dy |y| ...`,
 # fixed by the unbiasedness oracle; `bounds.sigma_homodyne` reads it, so the
@@ -103,18 +103,8 @@ def default_window(truncation: int) -> WindowSpec:
 # conjugate variable and are within 1e-10 at 1/512.
 PROFILE_STEPS = {HOMODYNE: 1.0 / 512, HETERODYNE: 1.0 / 2048}
 _BLOCK_NODES = 512
-# Complex values of the cosines and sines of one sub-block of node offsets
-# against the t-rule, a table growth's largest temporary: the sub-block is the
-# largest power of two of offsets, 16 to _BLOCK_NODES, that keeps within it.
-_TURN_VALUES = 1 << 16
 PROFILE_MAX_RADIUS = 64.0
-# Rounds per chunk of the batch entries and the averages: at most
-# _CHUNK_ROUNDS, and at most _CHUNK_VALUES matrix entries (D^2 per round), so
-# temporaries stay one chunk large at any subset size, and the averages' bits
-# depend on D, not on N.  D <= 4 keeps 4096 rounds.  The grid sums of
-# :mod:`cvshadow.reconstruction` size their chunks by grid points.
-_CHUNK_ROUNDS = 4096
-_CHUNK_VALUES = 1 << 16
+_CHUNK_ROUNDS = 4096  # most rounds per "rounds" slice: the averages' bits follow D, not N
 
 _PROFILE_TABLES: dict = {}
 
@@ -257,15 +247,15 @@ class _ProfileTable:
 
         By angle addition, ``exp(i t (b + j step)) = exp(i t b) exp(i t j
         step)`` at block start ``b``.  The second factor is evaluated once
-        per growth, one sub-block of offsets ``j`` at a time
-        (``_TURN_VALUES``); the first, one row of t-values per block, once
-        per growth too.  Each block's weights are shifted by it for that
-        block alone, and each (sub-block, block) pair is one matrix product,
-        written straight into the grown table.  That table replaces the
-        cached one only once it is full, so a failure leaves the table as it
-        was.  ``j * step`` and ``b + j * step`` are exact, since ``step`` is
-        a power of two.  Raises ``ValueError`` above ``PROFILE_MAX_RADIUS``,
-        before building any block.
+        per growth, one ``"turns"`` slice of offsets ``j`` at a time
+        (:func:`~cvshadow.states.value_slices`); the first, one row of
+        t-values per block, once per growth too.  Each block's weights are
+        shifted by it for that block alone, and each (slice, block) pair is
+        one matrix product, written straight into the grown table.  That
+        table replaces the cached one only once it is full, so a failure
+        leaves the table as it was.  ``j * step`` and ``b + j * step`` are
+        exact, since ``step`` is a power of two.  Raises ``ValueError`` above
+        ``PROFILE_MAX_RADIUS``, before building any block.
         """
         if r_max > PROFILE_MAX_RADIUS:
             raise ValueError(
@@ -280,12 +270,9 @@ class _ProfileTable:
         values = np.empty((have + starts.size * _BLOCK_NODES, rows))
         slopes = np.empty_like(values)
         values[:have], slopes[:have] = self.values, self.slopes
-        sub = _BLOCK_NODES
-        while sub > 16 and sub * self._t.size > _TURN_VALUES:
-            sub //= 2
         shifts = np.exp(1j * np.multiply.outer(self.step * starts, self._t))
-        for j in range(0, _BLOCK_NODES, sub):
-            offsets = np.outer(self.step * np.arange(j, j + sub), self._t)
+        for sub in value_slices(_BLOCK_NODES, self._t.size, SLICE_BUDGETS["turns"], align=16):
+            offsets = np.outer(self.step * np.arange(sub.start, sub.stop), self._t)
             turns = np.empty(offsets.shape, dtype=complex)
             np.cos(offsets, out=turns.real)
             np.sin(offsets, out=turns.imag)
@@ -294,7 +281,7 @@ class _ProfileTable:
                 for b, shift in zip(starts, shifts):
                     # sums over t of w exp(i t r) and w t exp(i t r) at the sub-block's nodes r
                     sums = turns @ (self._weights * shift).T
-                    nodes = slice(b + j, b + j + sub)
+                    nodes = slice(b + sub.start, b + sub.stop)
                     values[nodes], slopes[nodes] = sums.real[:, :rows], sums.real[:, rows:]
         self.values, self.slopes = values, slopes
 
@@ -370,27 +357,22 @@ def _mode_entries(
     return out
 
 
-def _chunk_rounds(dim: int) -> int:
-    """Rounds per chunk of ``dim x dim`` shadow matrices: at most ``_CHUNK_VALUES`` entries."""
-    return min(_CHUNK_ROUNDS, max(1, _CHUNK_VALUES // (dim * dim)))
-
-
 def shadow_batch_entries(
     batch: SampleBatch, subset, truncation: int, w: WindowSpec | None = None
 ) -> Iterator[np.ndarray]:
     """Hermitian shadow matrices of a batch's rounds, one chunk of rounds at a time.
 
     Returns an iterator over arrays of shape ``(n, dim, dim)`` with ``dim =
-    (M+1)^len(subset)``, one per chunk of rounds in batch order; a chunk
-    holds :func:`_chunk_rounds` rounds, at most 2^16 matrix entries, so no
-    array is sized by N or grows with dim beyond one round's matrix.
-    Per-mode matrices are tensored in the order of ``subset``.  A chunk's
-    outcomes on the subset take one :func:`_mode_entries` call, and each
-    round's matrices fold into their Kronecker product.  Each row depends
-    only on its own round, so any split of the batch into chunks gives the
-    same bits.  Each per-mode matrix is filled with entry ``(k, k + d)``
-    the conjugate of ``(k + d, k)``, so it and every Kronecker product of
-    such matrices is exactly Hermitian.  A subset naming a mode the batch did not measure, or an
+    (M+1)^len(subset)``, one per ``"rounds"`` slice of the batch
+    (:func:`~cvshadow.states.value_slices`), so no array is sized by N or
+    grows with dim beyond one round's matrix.  Per-mode matrices are
+    tensored in the order of ``subset``.  A chunk's outcomes on the subset
+    take one :func:`_mode_entries` call, and each round's matrices fold into
+    their Kronecker product.  Each row depends only on its own round, so any
+    split of the batch into chunks gives the same bits.  Each per-mode
+    matrix is filled with entry ``(k, k + d)`` the conjugate of ``(k + d,
+    k)``, so it and every Kronecker product of such matrices is exactly
+    Hermitian.  A subset naming a mode the batch did not measure, or an
     outcome radius above ``PROFILE_MAX_RADIUS`` anywhere in the batch,
     raises ``ValueError`` at the call, before any entry is built.
     Heterodyne batches use ``w`` (default window for M).
@@ -403,11 +385,9 @@ def shadow_batch_entries(
     w = (w or default_window(truncation)) if protocol == HETERODYNE else None
     table = _profile_table(protocol, truncation, w)
     table.cover(max(_radii(protocol, batch.outcomes[:, j]).max(initial=0.0) for j in cols))
-    step = _chunk_rounds(dim**r)
 
-    def chunk(a: int) -> np.ndarray:
-        rows = np.s_[a : a + step, cols]
-        flat = batch.outcomes[rows].reshape(-1, 2)
+    def chunk(rounds: slice) -> np.ndarray:
+        flat = batch.outcomes[rounds, cols].reshape(-1, 2)
         blocks = _mode_entries(protocol, flat, truncation, table)
         blocks = blocks.reshape(-1, r, dim, dim)
         n, mats = len(blocks), blocks[:, 0]
@@ -417,7 +397,8 @@ def shadow_batch_entries(
             )
         return mats
 
-    return map(chunk, range(0, batch.n, step))
+    cuts = value_slices(batch.n, dim ** (2 * r), SLICE_BUDGETS["rounds"], cap=_CHUNK_ROUNDS)
+    return map(chunk, cuts)
 
 
 _AVERAGE_ARRAYS = ("entries_re", "entries_im", "stderr")
@@ -500,17 +481,18 @@ def average_entries(chunks, subset, truncation: int, protocol: str) -> ShadowAve
 
     ``chunks`` yields (n, dim, dim) arrays in round order, as
     :func:`shadow_batch_entries` returns them; an (N, dim, dim) array is read
-    in the same chunks, :func:`_chunk_rounds` rows at a time.  Each chunk's
-    sum and squared deviations merge into the running ones by the pairwise
-    update of Chan, Golub & LeVeque (1979).  The deviations are written
-    into one buffer, held across chunks, and squared in place; each chunk is
-    dropped before the next is built.  So no temporary is larger than one
-    chunk, no chunk-sized one is allocated per chunk, and the same rows in
-    the same chunks give the same bits at any N.
+    in the same ``"rounds"`` slices.  Each chunk's sum and squared
+    deviations merge into the running ones by the pairwise update of Chan,
+    Golub & LeVeque (1979).  The deviations are written into one buffer,
+    held across chunks, and squared in place; each chunk is dropped before
+    the next is built.  So no temporary is larger than one chunk, no
+    chunk-sized one is allocated per chunk, and the same rows in the same
+    chunks give the same bits at any N.
     """
     if isinstance(chunks, np.ndarray):
-        step = _chunk_rounds(chunks.shape[-1])
-        chunks = [chunks[a : a + step] for a in range(0, len(chunks), step)]
+        dim = chunks.shape[-1]
+        cuts = value_slices(len(chunks), dim * dim, SLICE_BUDGETS["rounds"], cap=_CHUNK_ROUNDS)
+        chunks = [chunks[rounds] for rounds in cuts]
     n, total, squares, buf = 0, 0.0, 0.0, None
     for rows in chunks:
         k = len(rows)
@@ -559,10 +541,8 @@ def project_PM(big: FockMatrix, truncation: int) -> FockMatrix:
     return FockMatrix(big.modes, truncation, entries)
 
 
-# Equispaced angles per radius of the P~_M pairing (K = 64 left 1.3e-4 at M = 6),
-# and radii per evaluation of the characteristic function and its FFT.
+# Equispaced angles per radius of the P~_M pairing (K = 64 left 1.3e-4 at M = 6).
 _PM_TILDE_ANGLES = 256
-_PM_TILDE_RADII = 16
 
 
 def project_PM_tilde(state, truncation: int, w: WindowSpec | None = None) -> FockMatrix:
@@ -573,14 +553,15 @@ def project_PM_tilde(state, truncation: int, w: WindowSpec | None = None) -> Foc
     exp(i d phi)``, ``d = n2 - n1``, its angular integral is Fourier
     coefficient d of ``chi_rho`` on a circle.  Radii are
     :func:`_heterodyne_rule`'s, and one FFT over ``_PM_TILDE_ANGLES`` = 256
-    angles per radius gives every d; ``chi_rho`` and the FFT run on
-    ``_PM_TILDE_RADII`` radii at a time, so only the (radii, d) coefficients
-    are held for the whole rule.  Against 3x the radial nodes and 2048
-    angles no entry moved by more than 3.9e-15 (M <= 31; coherent alpha up to
-    8, cats up to 5, squeezing e^{+-2}).  Entries with n1 > n2 are the
-    conjugates, and the diagonal keeps only its real part, so the result
-    is exactly Hermitian.  Multimode states raise ``ValueError`` (product states follow
-    by tensoring), and so does ``M >= 128``, whose d the angles would alias.
+    angles per radius gives every d; ``chi_rho`` and the FFT run on the
+    ``"rings"`` slices of radii (:func:`~cvshadow.states.value_slices`), so
+    only the (radii, d) coefficients are held for the whole rule.  Against 3x
+    the radial nodes and 2048 angles no entry moved by more than 3.9e-15 (M
+    <= 31; coherent alpha up to 8, cats up to 5, squeezing e^{+-2}).
+    Entries with n1 > n2 are the conjugates, and the diagonal keeps only its
+    real part, so the result is exactly Hermitian.  Multimode states raise
+    ``ValueError`` (product states follow by tensoring), and so does ``M >=
+    128``, whose d the angles would alias.
     """
     w = w or default_window(truncation)
     if getattr(state, "modes", 1) != 1:
@@ -593,9 +574,8 @@ def project_PM_tilde(state, truncation: int, w: WindowSpec | None = None) -> Foc
     weight = np.pi * wt * rho * w.xi_radial(rho) / _PM_TILDE_ANGLES
     dim = truncation + 1
     coeffs = np.empty((rho.size, dim), dtype=complex)
-    for a in range(0, rho.size, _PM_TILDE_RADII):
-        ring = rho[a : a + _PM_TILDE_RADII, None, None] * circle
-        coeffs[a : a + _PM_TILDE_RADII] = np.fft.fft(state.char(ring), axis=1)[:, :dim]
+    for radii in value_slices(rho.size, _PM_TILDE_ANGLES, SLICE_BUDGETS["rings"]):
+        coeffs[radii] = np.fft.fft(state.char(rho[radii, None, None] * circle), axis=1)[:, :dim]
     coeffs *= weight[:, None]
     mat = np.empty((dim, dim), dtype=complex)
     for n1 in range(dim):

@@ -122,9 +122,8 @@ class GaussianStateSpec:
             raise ValueError(f"cov shape {cov.shape} does not match mean {mean.shape}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and covariance must be finite")
-        step = max(1, (1 << 16) // max(1, mean.size))  # rows per block of 2^16 values
-        for r in range(0, mean.size, step):
-            if np.abs(cov[r : r + step] - cov[:, r : r + step].T).max(initial=0.0) > 1e-10:
+        for rows in value_slices(mean.size, mean.size, SLICE_BUDGETS["covariance"]):
+            if np.abs(cov[rows] - cov[:, rows].T).max(initial=0.0) > 1e-10:
                 raise ValueError("covariance matrix must be symmetric")
         if not _is_quantum_covariance(cov):
             raise ValueError(
@@ -153,9 +152,9 @@ class GaussianStateSpec:
     def phase_space_draws(self, vacuum: float, n: int, rng) -> Iterator[np.ndarray]:
         """``n`` rows ``[x | p]`` from ``N(t, (V + vacuum I) / 2)``: Wigner 0, heterodyne 1.
 
-        Yields them in blocks of a multiple of 256 rows, about 2^18 values
-        each; a caller that drops each block before asking for the next holds
-        one at a time.  The m x m blocks are factored by
+        Yields them in ``"gaussian"`` blocks (:func:`value_slices`) of a
+        multiple of 256 rows; a caller that drops each block before asking for
+        the next holds one at a time.  The m x m blocks are factored by
         :func:`block_cholesky`, and a block's normals ``z`` become ``t + z
         L^T`` in place, 256 rows at a time; the normals are drawn in row
         order, so the rows do not depend on the block size.
@@ -166,9 +165,8 @@ class GaussianStateSpec:
             return 0.5 * xxpp_block(self.cov, i, j, diag)
 
         l11, l21, l22 = block_cholesky(half(0, 0, vacuum), half(0, 1), half(1, 1, vacuum))
-        step = 256 * max(1, (1 << 18) // (512 * m))
-        for r in range(0, n, step):
-            z = rng.standard_normal((min(step, n - r), 2 * m))
+        for rows in value_slices(n, 2 * m, SLICE_BUDGETS["gaussian"], align=256):
+            z = rng.standard_normal((rows.stop - rows.start, 2 * m))
             for s in range(0, len(z), 256):
                 x, p = z[s : s + 256, :m], z[s : s + 256, m:]
                 p[:] = x @ l21.T + p @ l22.T
@@ -209,6 +207,30 @@ def _check_modes(modes, m: int, name: str = "modes") -> None:
             f"{name} {modes} outside measured modes 0..{m - 1} or repeated: "
             "modes must be distinct"
         )
+
+
+# Values per slice of each loop cut by `value_slices`, whatever N, m or D: a
+# slice holds budget // per_item items, at most cap, rounded down to a multiple
+# of align and at least align.  Only the cuts marked "bits" move output bits.
+SLICE_BUDGETS = {
+    "covariance": 1 << 16,  # GaussianStateSpec's symmetry check, rows of V, 2m a row
+    "gaussian": 1 << 18,  # GaussianStateSpec draws, 2m a row, multiples of 256 rows
+    "chain": 1 << 18,  # bits (the stream order): CirculantChainState blocks, m a row
+    "chain_fft": 1 << 14,  # rows of a chain block per in-place FFT, m a row
+    "density": 1 << 17,  # bits (BLAS column blocks): density points, dim a point, align 16
+    "proposals": 1 << 12,  # rejection probe and acceptance, one value a proposal
+    "turns": 1 << 16,  # node offsets of a table growth, t-rule nodes an offset, align 16
+    "rounds": 1 << 16,  # bits (the averages' sums): shadow chunks, D^2 a round, cap 4096
+    "rings": 1 << 12,  # radii of the P~_M pairing, 256 angles a radius
+    "grid": 1 << 17,  # bits (the grid's sums): trial chi rounds, grid points a round, align 16
+}
+
+
+def value_slices(n: int, per_item: int, budget: int, align: int = 1, cap: int = 0) -> list[slice]:
+    """Consecutive slices of ``range(n)``, cut by the rule above ``SLICE_BUDGETS``."""
+    step = budget // max(1, per_item)
+    step = max(align, min(step, cap or step) // align * align)
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 def block_cholesky(a: np.ndarray, k: np.ndarray, b: np.ndarray):
@@ -464,24 +486,23 @@ class CirculantChainState:
 
         A block ``circ(c)`` with eigenvalues ``c_k`` is drawn exactly as ``Re
         FFT(sqrt(c_k / m) (z1 + i z2))`` for standard normal ``z1``, ``z2``.
-        The normals of each block of ``step`` rows are four runs of the stream
-        of about 2^18 values each, in order: Re x, Im x, Re p, Im p.  A copy of
-        ``rng`` starts each of the first three, set there by drawing through
+        The normals of each ``"chain"`` block of rows (:func:`value_slices`)
+        are four runs of the stream, in order: Re x, Im x, Re p, Im p.  A copy
+        of ``rng`` starts each of the first three, set there by drawing through
         the earlier runs and discarding the values; ``rng`` itself takes the
-        last and ends at the block's end.  Rows are built and yielded ``sub``
-        at a time (about 2^14 values in each of ``x`` and ``p``), scaled and
-        transformed in place in a preallocated complex sub-chunk, so nothing
-        holds a block or its normals.  ``step`` fixes the stream order; the
-        bits do not depend on ``sub``.
+        last and ends at the block's end.  Rows are built and yielded one
+        ``"chain_fft"`` slice at a time, scaled and transformed in place in a
+        preallocated complex sub-chunk, so nothing holds a block or its
+        normals.  The blocks fix the stream order; the slices move no bit.
         """
         m = self.modes
         root = np.sqrt(2.0 * self.lam)
         scales = [np.sqrt((c + vacuum) / (2.0 * m)) for c in (1.0 / root, root)]
-        step, sub = max(1, (1 << 18) // m), max(1, (1 << 14) // m)
-        chunk = np.empty((min(sub, n), m), dtype=complex)
-        for r in range(0, n, step):
-            size = min(step, n - r)
-            cuts = [min(sub, size - s) for s in range(0, size, sub)]
+        for block in value_slices(n, m, SLICE_BUDGETS["chain"]):
+            size = block.stop - block.start
+            cuts = [c.stop - c.start for c in value_slices(size, m, SLICE_BUDGETS["chain_fft"])]
+            if block.start == 0:  # the first block's first cut is the longest
+                chunk = np.empty((cuts[0], m), dtype=complex)
             runs = []
             for _ in range(3):
                 runs.append(copy.deepcopy(rng))

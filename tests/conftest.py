@@ -568,6 +568,30 @@ def circulant_draws_whole_chunk(state, vacuum: float, n: int, rng) -> np.ndarray
     return out
 
 
+def whole_probe(state, protocol: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """The rejection probe and its envelope bound as the samplers once formed them, whole.
+
+    One meshgrid of the probe grid, the proposals on all of it, and the
+    target on every point in one call.  Returns the points, their proposal
+    densities and the bound.
+    """
+    import cvshadow.measurement as meas
+
+    fock = meas._sampling_fock(state)
+    if protocol == "homodyne":
+        axes = np.linspace(-np.pi, np.pi, 129), np.linspace(-6.0, 6.0, 513)
+        gt, gz = np.meshgrid(*axes, indexing="ij")
+        probe, density = meas._homodyne_proposals(fock)(gt.ravel(), gz.reshape(-1, 1))
+        target = meas._homodyne_density(fock, probe[:, 0], probe[:, 1])
+    else:
+        gx, gy = np.meshgrid(*[np.linspace(-6.0, 6.0, 201)] * 2, indexing="ij")
+        grid = np.stack([gx.ravel(), gy.ravel()], axis=-1)
+        probe, density = meas._heterodyne_proposals(fock)(grid)
+        target = meas.fock_husimi(fock, probe)
+    bound = meas._ENVELOPE_MARGIN * float(np.max(target / np.maximum(density, 1e-300)))
+    return probe, density, bound
+
+
 def whole_gaussian_batch(state, protocol: str, n: int, seed_path: str) -> SampleBatch:
     """A Gaussian batch drawn whole, as the samplers once drew it.
 

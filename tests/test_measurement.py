@@ -21,6 +21,7 @@ from cvshadow.measurement import (
     stream_rng,
 )
 from cvshadow.states import (
+    SLICE_BUDGETS,
     CatStateSpec,
     ChainSpec,
     FockMatrix,
@@ -30,6 +31,7 @@ from cvshadow.states import (
     chain_state,
     fock_matrix_of,
     fock_moments,
+    value_slices,
 )
 from cvshadow.phase_space import hermite_stack
 from conftest import (
@@ -46,6 +48,7 @@ from conftest import (
     qmc_integrate,
     reference_jsonl,
     traced_peak,
+    whole_probe,
 )
 
 
@@ -53,6 +56,11 @@ def fock_state(n: int, truncation: int) -> FockMatrix:
     mat = np.zeros((truncation + 1, truncation + 1), dtype=complex)
     mat[n, n] = 1.0
     return FockMatrix(1, truncation, mat)
+
+
+def probe_slices(points: int) -> list[int]:
+    """Sizes of the target calls on a rejection probe of ``points`` proposals."""
+    return [s.stop - s.start for s in value_slices(points, 1, SLICE_BUDGETS["proposals"])]
 
 
 def write_jsonl(batch: SampleBatch, path) -> None:
@@ -193,14 +201,12 @@ class TestHomodynePdf:
 
 
 class TestDensitySlices:
-    """Both densities evaluate ``_DENSITY_VALUES // dim`` points at a time."""
+    """Both densities evaluate the "density" budget // dim points at a time."""
 
     @staticmethod
     def one_slice(monkeypatch, fock, n):
         # a value budget that fits all n points of fock in one slice
-        import cvshadow.measurement as meas
-
-        monkeypatch.setattr(meas, "_DENSITY_VALUES", n * (fock.truncation + 1))
+        monkeypatch.setitem(SLICE_BUDGETS, "density", n * (fock.truncation + 1))
 
     @staticmethod
     def densities(fock, n):
@@ -219,7 +225,7 @@ class TestDensitySlices:
         import cvshadow.measurement as meas
 
         fock = meas._sampling_fock(SCAN_STATES[name])
-        n = 2 * (meas._DENSITY_VALUES // (fock.truncation + 1)) + 3
+        n = 2 * (SLICE_BUDGETS["density"] // (fock.truncation + 1)) + 3
         sliced = self.densities(fock, n)
         self.one_slice(monkeypatch, fock, n)
         whole = self.densities(fock, n)
@@ -238,7 +244,7 @@ class TestDensitySlices:
             pytest.skip("numpy is not linked against its bundled OpenBLAS")
         get, put = calls
         fock = meas._sampling_fock(CatStateSpec(1 + 1j, "zero"))
-        n = 2 * (meas._DENSITY_VALUES // (fock.truncation + 1)) + 3
+        n = 2 * (SLICE_BUDGETS["density"] // (fock.truncation + 1)) + 3
         x = 3.0 * np.random.default_rng(8).standard_normal((n, 2))
         before = get()
         try:
@@ -363,13 +369,13 @@ class TestSampleHomodyne:
 
         spec = CatStateSpec(1 + 1j, "zero")
         real_density = meas._homodyne_density
-        probe_done: dict = {}
+        probe_done = {"calls": 0, "slices": len(probe_slices(129 * 513))}
 
         def spiked(fock, thetas, q, factors):
             vals = real_density(fock, thetas, q, factors)
-            if probe_done.get("armed"):
+            if probe_done["calls"] == probe_done["slices"]:
                 return vals * 50.0  # violate the calibrated bound
-            probe_done["armed"] = True  # first call is the probe grid
+            probe_done["calls"] += 1  # the first calls are the probe grid's slices
             return vals
 
         monkeypatch.setattr(meas, "_homodyne_density", spiked)
@@ -384,10 +390,12 @@ class TestSampleHomodyne:
         real_density = meas._homodyne_density
         calls: list = []
 
+        probe = probe_slices(129 * 513)
+
         def spiked(fock, thetas, q, factors):
             vals = real_density(fock, thetas, q, factors)
             calls.append(q.size)
-            if len(calls) == 2:  # the first chunk, after the probe
+            if len(calls) == len(probe) + 1:  # the first chunk, after the probe's slices
                 vals[123] = 1e6
             return vals
 
@@ -395,7 +403,7 @@ class TestSampleHomodyne:
         with pytest.raises(RuntimeError, match="envelope"):
             meas.sample_homodyne_batch(spec, 100, "abort-one")
         # the first chunk is sized from the probe: max(1024, ceil(1.1 * 100 * bound))
-        assert calls == [129 * 513, 1024]
+        assert calls == probe + [1024]
 
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
     def test_state_factored_once_per_batch(self, monkeypatch, sample):
@@ -477,6 +485,28 @@ class TestSampleHomodyne:
         sample(CatStateSpec(1 + 1j, "zero"), 50_000, "slices")
         assert sizes[1] == max(sizes[1:]) == 4096
 
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    @pytest.mark.parametrize("name", ["cat-zero", "thermal1-12"])
+    def test_sliced_probe_is_the_whole_probe(self, monkeypatch, protocol, name):
+        # the probe is formed and its ratios taken one slice of proposals at a
+        # time; points, densities and bound keep the bits of the whole grid
+        import cvshadow.measurement as meas
+
+        seen, real = {}, meas._rejection_draws
+
+        def spy(target, draw, probe, probe_density, n, rng):
+            seen.update(probe=probe.copy(), density=probe_density.copy())
+            seen["bound"] = meas._envelope_bound(target, probe, probe_density)
+            return real(target, draw, probe, probe_density, n, rng)
+
+        monkeypatch.setattr(meas, "_rejection_draws", spy)
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        sample(SCAN_STATES[name], 10, "probe")
+        probe, density, bound = whole_probe(SCAN_STATES[name], protocol)
+        assert np.array_equal(seen["probe"], probe)
+        assert np.array_equal(seen["density"], density)
+        assert seen["bound"] == bound
+
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
     def test_cat_factored_without_eigh(self, monkeypatch, sample):
         # a cat is its amplitudes c: one factor, weight |c|^2 and vector c / |c|,
@@ -548,6 +578,11 @@ class TestSampleHomodyne:
         peak = traced_peak(lambda: batches.append(sample(spec, n, "beyond")))
         held = batches[0].outcomes.nbytes
         assert peak - held / 1e6 <= 10.0
+        if protocol == "homodyne":
+            # the probe formed and evaluated in slices of proposals, and no
+            # block or chunk held past its use: 2.35 and 2.96 MB, where the
+            # whole probe took 5.5 and 3.7 MB
+            assert peak - held / 1e6 <= {20_000: 2.6, 200_000: 3.2}[n]
 
     def test_gaussian_chain_memory_bounded(self):
         # one Cholesky of V/2 for the whole batch, no per-round covariances
@@ -802,13 +837,13 @@ class TestSampleHeterodyne:
 
         spec = CatStateSpec(1 + 1j, "zero")
         real_husimi = meas.fock_husimi
-        probe_done: dict = {}
+        probe_done = {"calls": 0, "slices": len(probe_slices(201 * 201))}
 
         def spiked(fock, x, factors):
             vals = np.asarray(real_husimi(fock, x, factors), dtype=float)
-            if probe_done.get("armed"):
+            if probe_done["calls"] == probe_done["slices"]:
                 return vals * 50.0  # violate the calibrated bound
-            probe_done["armed"] = True  # first call is the probe grid
+            probe_done["calls"] += 1  # the first calls are the probe grid's slices
             return vals
 
         monkeypatch.setattr(meas, "fock_husimi", spiked)

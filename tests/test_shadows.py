@@ -27,12 +27,14 @@ from cvshadow.shadows import (
     shadow_batch_entries,
 )
 from cvshadow.states import (
+    SLICE_BUDGETS,
     CatStateSpec,
     ChainSpec,
     FockMatrix,
     GaussianStateSpec,
     chain_ground_state,
     fock_matrix_of,
+    value_slices,
 )
 from conftest import (
     _i0e,
@@ -670,7 +672,8 @@ class TestAveraging:
         # above D = 4 a chunk holds fewer than 4096 rows; the one pass keeps
         # the n eps agreement with the numpy mean and n - 1 variance
         rng = np.random.default_rng(dim)
-        n = 10 * shadows._chunk_rounds(dim) + 5
+        cuts = value_slices(1 << 20, dim * dim, SLICE_BUDGETS["rounds"], cap=shadows._CHUNK_ROUNDS)
+        n = 10 * cuts[0].stop + 5
         draws = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
         for offset in (3.0, 1e3):
             stacked = offset + draws

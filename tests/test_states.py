@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import cvshadow.measurement as meas
+import cvshadow.reconstruction as recon
+import cvshadow.shadows as shadows
+import cvshadow.states as states
 from cvshadow.phase_space import char_coherent_dyad
 from cvshadow.states import (
     CatStateSpec,
@@ -633,3 +637,141 @@ class TestFockMoments:
         spec = GaussianStateSpec(np.zeros(2), np.diag([2.0, 0.6]))
         _, cov = fock_moments(fock_matrix_of(spec, 40))
         assert np.allclose(cov, spec.cov, atol=1e-6)
+
+
+def _chain_draws(n):
+    state = chain_state(ChainSpec(1000, 0.99))
+    return list(state.phase_space_draws(0.0, n, np.random.default_rng(0)))
+
+
+def _densities(points, density):
+    fock = meas._sampling_fock(CatStateSpec(1 + 1j, "zero"))  # dim 22
+    if density == "homodyne":
+        return meas._homodyne_density(fock, np.zeros(points), np.zeros(points))
+    return meas.fock_husimi(fock, np.zeros((points, 2)))
+
+
+def _table_growth(protocol, truncation):
+    w = shadows.default_window(truncation) if protocol == "heterodyne" else None
+    shadows._profile_table(protocol, truncation, w).cover(1.0)
+
+
+def _shadow_chunks(rounds, truncation, modes):
+    batch = meas.sample_homodyne_batch(GaussianStateSpec.thermal(0.4, modes=2), rounds, "cuts")
+    return list(shadows.shadow_batch_entries(batch, list(range(modes)), truncation))
+
+
+def _stacked_average(rounds, dim):
+    return shadows.average_entries(np.zeros((rounds, dim, dim)), (0,), 1, "homodyne")
+
+
+def _rings(truncation):
+    return shadows.project_PM_tilde(GaussianStateSpec.vacuum(), truncation)
+
+
+def _grid(points):
+    return recon._trial_char_grid(np.zeros(points), np.zeros(5000), np.zeros(9), np.zeros(5000))
+
+
+def _rejection(protocol, n):
+    sample = meas.sample_homodyne_batch if protocol == "homodyne" else meas.sample_heterodyne_batch
+    return sample(CatStateSpec(1 + 1j, "zero"), n, "cuts")
+
+
+# Every site of value_slices at two sizes: its rule's key, align and cap, how
+# to run it, and the (n, per_item, slice lengths) of each call it makes.  The
+# lengths are those the hand-written rules gave before the one rule, except
+# the table growth's (powers of two then: 64 offsets against the 600-node
+# homodyne rule, 128 against the 314-node heterodyne one at M = 6; the tables
+# keep their bits) and the rejection probe's (evaluated whole then).
+_PROBE = {"homodyne": (66177, 1, [4096] * 16 + [641]), "heterodyne": (40401, 1, [4096] * 9 + [3537])}
+SLICE_SITES = {
+    "covariance": ("covariance", 1, 0, lambda m: GaussianStateSpec.thermal(0.1, modes=m), {
+        1: [(2, 2, [2])],
+        200: [(400, 400, [163, 163, 74])],
+    }),
+    "gaussian": ("gaussian", 256, 0, lambda n: list(
+        GaussianStateSpec.thermal(0.4, modes=3).phase_space_draws(0.0, n, np.random.default_rng(0))
+    ), {
+        1000: [(1000, 6, [1000])],
+        100_000: [(100_000, 6, [43520, 43520, 12960])],
+    }),
+    "chain": ("chain", 1, 0, _chain_draws, {
+        100: [(100, 1000, [100])],
+        300: [(300, 1000, [262, 38])],
+    }),
+    "chain_fft": ("chain_fft", 1, 0, _chain_draws, {
+        100: [(100, 1000, [16] * 6 + [4])],
+        300: [(262, 1000, [16] * 16 + [6]), (38, 1000, [16, 16, 6])],
+    }),
+    "homodyne density": ("density", 16, 0, lambda n: _densities(n, "homodyne"), {
+        100: [(100, 22, [100])],
+        10_000: [(10_000, 22, [5952, 4048])],
+    }),
+    "heterodyne density": ("density", 16, 0, lambda n: _densities(n, "heterodyne"), {
+        100: [(100, 22, [100])],
+        10_000: [(10_000, 22, [5952, 4048])],
+    }),
+    "homodyne rejection": ("proposals", 1, 0, lambda n: _rejection("homodyne", n), {
+        100: [_PROBE["homodyne"]] * 2 + [(1024, 1, [1024])],
+        20_000: [_PROBE["homodyne"]] * 2 + [(30292, 1, [4096] * 7 + [1620])],
+    }),
+    "heterodyne rejection": ("proposals", 1, 0, lambda n: _rejection("heterodyne", n), {
+        100: [_PROBE["heterodyne"]] * 2 + [(1024, 1, [1024])],
+        20_000: [_PROBE["heterodyne"]] * 2 + [(32768, 1, [4096] * 8)],
+    }),
+    "table growth": ("turns", 16, 0, lambda key: _table_growth(*key), {
+        ("homodyne", 3): [(512, 600, [96] * 5 + [32])],
+        ("heterodyne", 6): [(512, 314, [208, 208, 96])],
+    }),
+    "shadow chunks": ("rounds", 1, 4096, lambda key: _shadow_chunks(9000, *key), {
+        (3, 1): [(9000, 16, [4096, 4096, 808])],
+        (5, 2): [(9000, 1296, [50] * 180)],
+    }),
+    "stacked average": ("rounds", 1, 4096, lambda n: _stacked_average(n, 36), {
+        120: [(120, 1296, [50, 50, 20])],
+        5000: [(5000, 1296, [50] * 100)],
+    }),
+    "P~_M radii": ("rings", 1, 0, _rings, {
+        3: [(220, 256, [16] * 13 + [12])],
+        6: [(314, 256, [16] * 19 + [10])],
+    }),
+    "trial chi grid": ("grid", 16, 0, _grid, {
+        101: [(5000, 101, [1296] * 3 + [1112])],
+        401: [(5000, 401, [320] * 15 + [200])],
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "site, size",
+    [(site, size) for site, (*_, sizes) in SLICE_SITES.items() for size in sizes],
+)
+def test_value_slices_sites(monkeypatch, site, size):
+    # one rule for every value-bounded loop: each site passes its budget from
+    # SLICE_BUDGETS and its align and cap, and keeps its slice lengths
+    key, align, cap, run, sizes = SLICE_SITES[site]
+    real, calls = states.value_slices, []
+
+    def spy(n, per_item, budget, align=1, cap=0):
+        cuts = real(n, per_item, budget, align, cap)
+        calls.append((n, per_item, budget, align, cap, [s.stop - s.start for s in cuts]))
+        return cuts
+
+    for module in (states, meas, shadows, recon):
+        monkeypatch.setattr(module, "value_slices", spy)
+    monkeypatch.setattr(shadows, "_PROFILE_TABLES", {})
+    run(size)
+    rule = (states.SLICE_BUDGETS[key], align, cap)
+    got = [(n, per_item, lengths) for n, per_item, *args, lengths in calls if tuple(args) == rule]
+    assert got == sizes[size]
+
+
+def test_value_slices_rule():
+    value_slices = states.value_slices
+    assert value_slices(0, 5, 100) == []
+    assert value_slices(10, 3, 12) == [slice(0, 4), slice(4, 8), slice(8, 10)]
+    assert value_slices(10, 0, 4, cap=3) == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 10)]
+    # rounded down to a multiple of align, and never below it
+    assert [s.stop - s.start for s in value_slices(50, 1, 40, align=16)] == [32, 18]
+    assert [s.stop - s.start for s in value_slices(50, 100, 40, align=16)] == [16, 16, 16, 2]
