@@ -270,7 +270,7 @@ def config_window(config: dict) -> WindowSpec:
 def _file_sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
+        for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
 
@@ -282,19 +282,21 @@ def write_manifest(
     elapsed: float,
     sampler: dict | None = None,
     inputs: dict[str, str] | None = None,
+    written: dict[str, str] | None = None,
 ) -> None:
     """Write ``manifest.json``; ``sampler`` is the batch meta of a rejection sampler.
 
-    ``inventory`` hashes the ``files`` written, and ``inputs`` maps the name
-    of each file read to its SHA-256, taken by the caller (``reconstruct``
-    as it reads the records), so a reader's input matches its producer's
-    inventory.
+    ``inventory`` hashes the ``files`` written, and adds ``written``, which
+    maps the name of each file the caller hashed as it wrote it (``sample``
+    its records) to that SHA-256.  ``inputs`` maps the name of each file
+    read to its SHA-256, taken by the caller (``reconstruct`` as it reads
+    the records), so a reader's input matches its producer's inventory.
     """
     manifest = {
         "config_hash": json_sha256(config),
         "tool_version": __version__,
         "elapsed_seconds": elapsed,
-        "inventory": {p.name: _file_sha256(p) for p in sorted(files)},
+        "inventory": {p.name: _file_sha256(p) for p in files} | (written or {}),
     }
     if inputs:
         manifest["inputs"] = inputs
@@ -309,7 +311,8 @@ def cmd_sample(config: dict, out_dir, seed: int | None = None) -> dict:
 
     Each block of rounds is written as it is drawn, to a temporary file that
     replaces ``records.jsonl`` only once the last block is in, so a sampler
-    error leaves no partial records file.
+    error leaves no partial records file.  The records are hashed for the
+    manifest as they are written, so the file is never read back.
     """
     t0 = time.perf_counter()
     config = config if seed is None else {**config, "seed": seed}
@@ -318,18 +321,19 @@ def cmd_sample(config: dict, out_dir, seed: int | None = None) -> dict:
     seed_path = f"cvshadow/{config['seed']}/{config['protocol']}"
     records_path = out / "records.jsonl"
     partial = out / f".records.jsonl.{os.getpid()}.partial"
-    n, meta = 0, {}
+    n, meta, records_hash = 0, {}, hashlib.sha256()
     state = build_state(config["state"])
     try:
         with open(partial, "w", encoding="ascii", newline="") as fh:
             for block in sample_blocks(state, config["protocol"], config["samples"], seed_path):
                 n, meta = n + block.n, block.meta
-                block.to_jsonl(fh)
+                block.to_jsonl(fh, digest=records_hash)
                 del block  # before the next block is drawn
         os.replace(partial, records_path)
     finally:
         partial.unlink(missing_ok=True)
-    write_manifest(out, config, [records_path], time.perf_counter() - t0, meta)
+    written = {records_path.name: records_hash.hexdigest()}
+    write_manifest(out, config, [], time.perf_counter() - t0, meta, written=written)
     return {"records": str(records_path), "n": n, "meta": meta}
 
 

@@ -91,7 +91,7 @@ class SampleBatch:
     def modes(self) -> int:
         return self.outcomes.shape[1]
 
-    def to_jsonl(self, fh) -> None:
+    def to_jsonl(self, fh, digest=None) -> None:
         """Append one JSON line per round to the open text handle ``fh``.
 
         A line's bytes are those of ``json.dumps(payload, separators=(",",
@@ -100,7 +100,9 @@ class SampleBatch:
         1) its outcome; a heterodyne round's rows are its outcome (x0, p0,
         x1, p1, ...), and its thetas ``null``.  Each is one string: the padded
         standard base64 of the little-endian float64 values, so a reader gets
-        back the bits that were drawn.
+        back the bits that were drawn.  Every line is ASCII, and its bytes
+        are fed to ``digest`` (a ``hashlib`` object) as it is written, when
+        one is given.
         """
         head = f'{{"protocol":{json.dumps(self.protocol)},"thetas":'
         tail = f',"seed_path":{json.dumps(self.seed_path)}}}\n'
@@ -109,7 +111,10 @@ class SampleBatch:
             outcomes = _base64_rows(self.outcomes[..., 1])
         else:
             thetas, outcomes = itertools.repeat("null"), _base64_rows(self.outcomes)
-        fh.writelines(f'{head}{t},"outcome":"{o}"{tail}' for t, o in zip(thetas, outcomes))
+        lines = (f'{head}{t},"outcome":"{o}"{tail}' for t, o in zip(thetas, outcomes))
+        if digest is not None:
+            lines = _fed(lines, digest)
+        fh.writelines(lines)
 
     @classmethod
     def from_jsonl(cls, path, modes=None, *, digest=None) -> "SampleBatch":
@@ -157,6 +162,13 @@ class SampleBatch:
                 else:
                     outcomes[i] = _row(outcome, size, path, k).reshape(m, 2)[cols]
         return cls(protocol, outcomes, seed_path=seed_path)
+
+
+def _fed(lines: Iterator[str], digest) -> Iterator[str]:
+    """``lines`` as they are, each one's ASCII bytes fed to ``digest`` first."""
+    for line in lines:
+        digest.update(line.encode("ascii"))
+        yield line
 
 
 def _base64_rows(values: np.ndarray) -> Iterator[str]:

@@ -27,12 +27,13 @@ def _trial_char_grid(a, ya, b, yb) -> np.ndarray:
     sum over rounds is ``A @ B.T`` over chunks of rounds in order, then
     divided by N.  The chunks are the ``"grid"`` slices of rounds
     (:func:`~cvshadow.states.value_slices`), so each axis's complex phase
-    buffer, allocated once, is bounded in values up to 8192 points, and the
-    sum's bits depend on N and the grid size only.  Each chunk's phases are
-    written into the buffer's imaginary part, and their cosines and sines in
-    place, never grid x N.  The products run on one
-    BLAS thread (:func:`~cvshadow.measurement._one_blas_thread`), so no
-    threaded zgemm leaves a worker spinning beside the next chunk's phases.
+    buffer, allocated once, holds at most 2^15 values up to 2048 points (400
+    rounds at 81 points, 0.5 MB), and the sum's bits depend on N and the
+    grid size only.  Each chunk's phases are written into the buffer's
+    imaginary part, and their cosines and sines in place, never grid x N.
+    The products run on one BLAS thread
+    (:func:`~cvshadow.measurement._one_blas_thread`), so no threaded zgemm
+    leaves a worker spinning beside the next chunk's phases.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     total = np.zeros((a.size, b.size), dtype=complex)

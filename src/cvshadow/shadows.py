@@ -104,7 +104,7 @@ def default_window(truncation: int) -> WindowSpec:
 PROFILE_STEPS = {HOMODYNE: 1.0 / 512, HETERODYNE: 1.0 / 2048}
 _BLOCK_NODES = 512
 PROFILE_MAX_RADIUS = 64.0
-_CHUNK_ROUNDS = 4096  # most rounds per "rounds" slice: the averages' bits follow D, not N
+_CHUNK_ROUNDS = 1024  # most rounds per "rounds" slice (D <= 8): the averages' bits follow D, not N
 
 _PROFILE_TABLES: dict = {}
 
@@ -248,8 +248,11 @@ class _ProfileTable:
         By angle addition, ``exp(i t (b + j step)) = exp(i t b) exp(i t j
         step)`` at block start ``b``.  The second factor is evaluated once
         per growth, one ``"turns"`` slice of offsets ``j`` at a time
-        (:func:`~cvshadow.states.value_slices`); the first, one row of
-        t-values per block, once per growth too.  Each block's weights are
+        (:func:`~cvshadow.states.value_slices`): the slice's phases ``t j
+        step`` are written into the imaginary part of its complex buffer,
+        and their cosines and sines taken in place, so no float array of
+        phases sits beside it.  The first factor, one row of t-values per
+        block, is evaluated once per growth too.  Each block's weights are
         shifted by it for that block alone, and each (slice, block) pair is
         one matrix product, written straight into the grown table.  That
         table replaces the cached one only once it is full, so a failure
@@ -272,11 +275,10 @@ class _ProfileTable:
         values[:have], slopes[:have] = self.values, self.slopes
         shifts = np.exp(1j * np.multiply.outer(self.step * starts, self._t))
         for sub in value_slices(_BLOCK_NODES, self._t.size, SLICE_BUDGETS["turns"], align=16):
-            offsets = np.outer(self.step * np.arange(sub.start, sub.stop), self._t)
-            turns = np.empty(offsets.shape, dtype=complex)
-            np.cos(offsets, out=turns.real)
-            np.sin(offsets, out=turns.imag)
-            del offsets
+            turns = np.empty((sub.stop - sub.start, self._t.size), dtype=complex)
+            np.multiply.outer(self.step * np.arange(sub.start, sub.stop), self._t, out=turns.imag)
+            np.cos(turns.imag, out=turns.real)
+            np.sin(turns.imag, out=turns.imag)
             with _one_blas_thread():
                 for b, shift in zip(starts, shifts):
                     # sums over t of w exp(i t r) and w t exp(i t r) at the sub-block's nodes r
@@ -364,11 +366,14 @@ def shadow_batch_entries(
 
     Returns an iterator over arrays of shape ``(n, dim, dim)`` with ``dim =
     (M+1)^len(subset)``, one per ``"rounds"`` slice of the batch
-    (:func:`~cvshadow.states.value_slices`), so no array is sized by N or
-    grows with dim beyond one round's matrix.  Per-mode matrices are
-    tensored in the order of ``subset``.  A chunk's outcomes on the subset
-    take one :func:`_mode_entries` call, and each round's matrices fold into
-    their Kronecker product.  Each row depends only on its own round, so any
+    (:func:`~cvshadow.states.value_slices`): at most 1024 rounds and 2^16
+    matrix entries, so no array is sized by N or grows with dim beyond one
+    round's matrix.  The profile table is grown once, to the largest
+    outcome radius found over the same slices, so that scan holds no
+    N-sized array either.  Per-mode matrices are tensored in the order of
+    ``subset``.  A chunk's outcomes on the subset take one
+    :func:`_mode_entries` call, and each round's matrices fold into their
+    Kronecker product.  Each row depends only on its own round, so any
     split of the batch into chunks gives the same bits.  Each per-mode
     matrix is filled with entry ``(k, k + d)`` the conjugate of ``(k + d,
     k)``, so it and every Kronecker product of such matrices is exactly
@@ -378,16 +383,17 @@ def shadow_batch_entries(
     Heterodyne batches use ``w`` (default window for M).
     """
     subset = tuple(int(j) for j in np.atleast_1d(subset))
-    if not subset:
-        raise ValueError(f"subset () outside measured modes 0..{batch.modes - 1}")
     _check_modes(subset, batch.modes, "subset")
     protocol, cols, r, dim = batch.protocol, list(subset), len(subset), truncation + 1
     w = (w or default_window(truncation)) if protocol == HETERODYNE else None
     table = _profile_table(protocol, truncation, w)
-    table.cover(max(_radii(protocol, batch.outcomes[:, j]).max(initial=0.0) for j in cols))
+    cuts = value_slices(batch.n, dim ** (2 * r), SLICE_BUDGETS["rounds"], cap=_CHUNK_ROUNDS)
+    outcomes = batch.outcomes
+    radii = (_radii(protocol, outcomes[c, j]).max() for c in cuts for j in cols)
+    table.cover(max(radii, default=0.0))
 
     def chunk(rounds: slice) -> np.ndarray:
-        flat = batch.outcomes[rounds, cols].reshape(-1, 2)
+        flat = outcomes[rounds, cols].reshape(-1, 2)
         blocks = _mode_entries(protocol, flat, truncation, table)
         blocks = blocks.reshape(-1, r, dim, dim)
         n, mats = len(blocks), blocks[:, 0]
@@ -397,7 +403,6 @@ def shadow_batch_entries(
             )
         return mats
 
-    cuts = value_slices(batch.n, dim ** (2 * r), SLICE_BUDGETS["rounds"], cap=_CHUNK_ROUNDS)
     return map(chunk, cuts)
 
 
@@ -481,7 +486,8 @@ def average_entries(chunks, subset, truncation: int, protocol: str) -> ShadowAve
 
     ``chunks`` yields (n, dim, dim) arrays in round order, as
     :func:`shadow_batch_entries` returns them; an (N, dim, dim) array is read
-    in the same ``"rounds"`` slices.  Each chunk's sum and squared
+    in the same ``"rounds"`` slices (at most 1024 rounds and 2^16 matrix
+    entries, so 0.25 MB at D = 4).  Each chunk's sum and squared
     deviations merge into the running ones by the pairwise update of Chan,
     Golub & LeVeque (1979).  The deviations are written into one buffer,
     held across chunks, and squared in place; each chunk is dropped before

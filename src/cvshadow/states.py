@@ -116,8 +116,8 @@ class GaussianStateSpec:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1 or mean.size % 2 != 0:
-            raise ValueError("mean must be a flat even-length vector")
+        if mean.ndim != 1 or mean.size % 2 != 0 or mean.size == 0:
+            raise ValueError("mean must be a flat even-length vector of at least one mode")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(f"cov shape {cov.shape} does not match mean {mean.shape}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
@@ -201,8 +201,8 @@ class GaussianStateSpec:
 
 
 def _check_modes(modes, m: int, name: str = "modes") -> None:
-    """Refuse ``modes`` unless they are distinct and in ``0..m-1``; ``name`` labels them."""
-    if any(not 0 <= i < m for i in modes) or len(set(modes)) != len(modes):
+    """Refuse ``modes`` unless one or more, distinct and in ``0..m-1``; ``name`` labels them."""
+    if not len(modes) or any(not 0 <= i < m for i in modes) or len(set(modes)) != len(modes):
         raise ValueError(
             f"{name} {modes} outside measured modes 0..{m - 1} or repeated: "
             "modes must be distinct"
@@ -212,6 +212,8 @@ def _check_modes(modes, m: int, name: str = "modes") -> None:
 # Values per slice of each loop cut by `value_slices`, whatever N, m or D: a
 # slice holds budget // per_item items, at most cap, rounded down to a multiple
 # of align and at least align.  Only the cuts marked "bits" move output bits.
+# The "rounds" cap and the "grid" budget hold a D = 4 shadow chunk to 0.25 MB
+# and the two phase buffers of an 81-point grid (400 rounds) to 1 MB.
 SLICE_BUDGETS = {
     "covariance": 1 << 16,  # GaussianStateSpec's symmetry check, rows of V, 2m a row
     "gaussian": 1 << 18,  # GaussianStateSpec draws, 2m a row, multiples of 256 rows
@@ -220,9 +222,9 @@ SLICE_BUDGETS = {
     "density": 1 << 17,  # bits (BLAS column blocks): density points, dim a point, align 16
     "proposals": 1 << 12,  # rejection probe and acceptance, one value a proposal
     "turns": 1 << 16,  # node offsets of a table growth, t-rule nodes an offset, align 16
-    "rounds": 1 << 16,  # bits (the averages' sums): shadow chunks, D^2 a round, cap 4096
+    "rounds": 1 << 16,  # bits (the averages' sums): shadow chunks, D^2 a round, cap 1024
     "rings": 1 << 12,  # radii of the P~_M pairing, 256 angles a radius
-    "grid": 1 << 17,  # bits (the grid's sums): trial chi rounds, grid points a round, align 16
+    "grid": 1 << 15,  # bits (the grid's sums): trial chi rounds, grid points a round, align 16
 }
 
 

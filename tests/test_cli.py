@@ -411,11 +411,14 @@ class TestSample:
         first = json.loads((tmp_path / "records.jsonl").read_text().splitlines()[0])
         assert b64_values(first["outcome"]).size == 2000
 
-    def test_manifest_inventory(self, tmp_path):
+    def test_manifest_inventory(self, tmp_path, monkeypatch):
+        # the records are hashed as they are written: no file is read back
+        monkeypatch.setattr(cli, "_file_sha256", lambda path: pytest.fail(f"read {path}"))
         cfg = base_config()
         cmd_sample(cfg, tmp_path)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert "records.jsonl" in manifest["inventory"]
+        records = (tmp_path / "records.jsonl").read_bytes()
+        assert manifest["inventory"] == {"records.jsonl": hashlib.sha256(records).hexdigest()}
         assert manifest["config_hash"]
         assert "sampler" not in manifest  # the Gaussian sampler rejects nothing
 
@@ -463,6 +466,17 @@ class TestStreamedSample:
             tracemalloc.stop()
         return config, out / "records.jsonl", peak
 
+    def test_vacuum_memory(self, tmp_path):
+        # the benchmark's vacuum sample: the records are hashed as written;
+        # reading them back to hash them traced 1.96 MB, the sample 0.20 MB
+        tracemalloc.start()
+        try:
+            cmd_sample(base_config(samples=8000, truncation=3, seed=5), tmp_path)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0
+
     def test_chain_memory(self, chain_run):
         # rows come 16 at a time, 0.26 MB with their normals and sub-chunk beside
         # them; one 262-row block's rows and its normals were 4.2 MB each, and the
@@ -472,6 +486,13 @@ class TestStreamedSample:
     def test_chain_bytes(self, chain_run):
         config, records, _ = chain_run
         assert records.read_bytes() == whole_batch_bytes(build_state(CHAIN1000), config)
+
+    def test_chain_manifest_hash(self, chain_run):
+        # four runs of rows, each hashed as it is written: the hash of the whole file
+        _, records, _ = chain_run
+        manifest = json.loads((records.parent / "manifest.json").read_text())
+        digest = hashlib.sha256(records.read_bytes()).hexdigest()
+        assert manifest["inventory"] == {"records.jsonl": digest}
 
     @pytest.mark.parametrize(
         "name, protocol, samples",
@@ -595,6 +616,22 @@ class TestReconstruct:
         assert len(grid) == 1 + 81 * 81
         avg = ShadowAverage.from_json(tmp_path / "r" / "shadow_average.json")
         assert avg.count == 400
+
+    def test_bench_vacuum_traced_peak(self, tmp_path, monkeypatch):
+        # the benchmark's vacuum reconstruct (heterodyne, M = 3, N = 8000, 81
+        # points) with a cold table: 3.96 MB traced with 1024-round shadow
+        # chunks, 400-round grid chunks and in-place table phases, 5.16 MB
+        # with 4096- and 1616-round chunks and a float phase array
+        cfg = base_config(samples=8000, truncation=3, seed=5)
+        cmd_sample(cfg, tmp_path / "s")
+        monkeypatch.setattr("cvshadow.shadows._PROFILE_TABLES", {})
+        tracemalloc.start()
+        try:
+            cmd_reconstruct(cfg, tmp_path / "s" / "records.jsonl", tmp_path / "r")
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5
 
     def test_recon_exact_at_origin(self, tmp_path):
         # every heterodyne summand is exactly 1 at u = 0

@@ -1,5 +1,6 @@
 """Synthetic homodyne/heterodyne samplers and their outcome densities."""
 
+import hashlib
 import json
 import math
 import re
@@ -1149,17 +1150,19 @@ class TestRecordsAndBatches:
             assert np.array_equal(np.signbit(loaded.outcomes), np.signbit(batch.outcomes))
 
     def test_multi_block_roundtrip_bit_exact(self, tmp_path):
-        # a batch written block by block has the bytes of one to_jsonl call
+        # a batch written block by block has the bytes of one to_jsonl call,
+        # and a digest fed as the blocks are written is the hash of those bytes
         modes, rows = 40, 413
         for batch in (
             sample_homodyne_batch(GaussianStateSpec.thermal(0.3, modes=modes), rows, "mb/h"),
             sample_heterodyne_batch(GaussianStateSpec.thermal(0.3, modes=modes), rows, "mb/x"),
         ):
-            path = tmp_path / f"{batch.protocol}.jsonl"
+            path, digest = tmp_path / f"{batch.protocol}.jsonl", hashlib.sha256()
             with open(path, "w") as fh:
                 for start, stop in ((0, 1), (1, 200), (200, rows)):
-                    batch_rows(batch, slice(start, stop)).to_jsonl(fh)
+                    batch_rows(batch, slice(start, stop)).to_jsonl(fh, digest=digest)
             assert path.read_bytes() == reference_jsonl(batch)
+            assert digest.hexdigest() == hashlib.sha256(reference_jsonl(batch)).hexdigest()
             loaded = SampleBatch.from_jsonl(path)
             assert loaded.n == rows
             assert np.array_equal(loaded.outcomes, batch.outcomes)
@@ -1187,13 +1190,14 @@ class TestRecordsAndBatches:
         path = tmp_path / "records.jsonl"
         write_jsonl(batch, path)
         full = SampleBatch.from_jsonl(path)
-        for modes in ([3], [6, 0], [1, 2, 5], [], list(range(7))):
+        for modes in ([3], [6, 0], [1, 2, 5], list(range(7))):
             kept = SampleBatch.from_jsonl(path, modes=modes)
             assert (kept.protocol, kept.seed_path, kept.n) == (full.protocol, "cols", 30)
             assert kept.outcomes.shape == (30, len(modes), 2)
             assert np.array_equal(kept.outcomes, full.outcomes[:, modes])
-        for modes in ([0, 0], [7]):
-            with pytest.raises(ValueError, match="must be distinct"):
+        # no modes is refused too: it kept (30, 0, 2) outcomes, which no reader can use
+        for modes in ([0, 0], [7], []):
+            with pytest.raises(ValueError, match="outside measured modes 0..6 or repeated"):
                 SampleBatch.from_jsonl(path, modes=modes)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -70,9 +70,10 @@ class TestTrialChar:
         assert peak < 200 * 2**20
 
     def test_phase_matrices_exponentiated_in_place(self):
-        # the bench vacuum grid: N = 8000, 81 points, 1616-round chunks.  Two
-        # complex 81 x 1616 phase matrices are 4.2 MB; a float outer product
-        # beside them would add 1.0 MB, and a copy for exp(1j * outer) 2.1 MB
+        # the bench vacuum grid: N = 8000, 81 points, 400-round chunks.  Two
+        # complex 81 x 400 phase matrices are 1.0 MB (1.52 MB traced); a float
+        # outer product beside them would add 0.26 MB, and a copy for
+        # exp(1j * outer) 0.52 MB
         rng = np.random.default_rng(8)
         axis, ya, yb = np.linspace(-2.0, 2.0, 81), rng.normal(size=8000), rng.normal(size=8000)
         tracemalloc.start()
@@ -85,12 +86,12 @@ class TestTrialChar:
             np.exp(1j * np.outer(axis, ya)) @ np.exp(1j * np.outer(axis, yb)).T / 8000
         )
         assert np.abs(grid - direct).max() <= 1e-12
-        assert peak <= 5.5
+        assert peak <= 1.7
 
     def test_phase_buffers_follow_grid_points(self):
-        # at 401 points a chunk is 320 rounds: two 401 x 320 phase matrices are
-        # 4.1 MB and the 401 x 401 sum and its scaled copies 2.6 MB each; the
-        # 4096-round chunks they replace were 52.6 MB
+        # at 401 points a chunk is 80 rounds: two 401 x 80 phase matrices are
+        # 1.0 MB and the 401 x 401 sum and its scaled copies 2.6 MB each; the
+        # 4096-round chunks of an older version were 52.6 MB
         rng = np.random.default_rng(9)
         axis, ya, yb = np.linspace(-2.0, 2.0, 401), rng.normal(size=8000), rng.normal(size=8000)
         tracemalloc.start()
@@ -102,8 +103,8 @@ class TestTrialChar:
         assert peak <= 12.0
 
     def test_chunked_grid_matches_direct_exp(self):
-        # 3 x 1616 + 5 rounds at 81 points: three full chunks and a partial one
-        n = 3 * 1616 + 5
+        # 3 x 400 + 5 rounds at 81 points: three full chunks and a partial one
+        n = 3 * 400 + 5
         rng = np.random.default_rng(10)
         axis, ya, yb = np.linspace(-2.0, 2.0, 81), rng.normal(size=n), rng.normal(size=n)
         direct = np.exp(0.25 * (axis[:, None] ** 2 + axis[None, :] ** 2)) * (

@@ -293,11 +293,9 @@ class TestBuilders:
 
         monkeypatch.setattr(shadows, "_mode_entries", spy)
         stacked_entries(batch, list(range(r)), 1)
-        # a chunk holds at most 2^16 matrix entries: 4096 rounds up to D = 4,
-        # 1024 at r = 3 (D = 8)
-        rounds = {1: 4096, 2: 4096, 3: 1024}[r]
-        full = shadows._CHUNK_ROUNDS // rounds
-        assert calls == [(rounds * r, 2)] * full + [(r, 2)]
+        # a chunk holds at most 1024 rounds and 2^16 matrix entries: the
+        # cap binds at every D up to 8 (r = 3), where both give 1024
+        assert calls == [(1024 * r, 2), (r, 2)]
 
     def test_subset_validation(self):
         for sample in (sample_homodyne_batch, sample_heterodyne_batch):
@@ -330,7 +328,7 @@ class TestBuilders:
         sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
         batch = sample(GaussianStateSpec.thermal(0.4, modes=2), n, f"rows-{protocol}")
         whole = stacked_entries(batch, [1, 0], 1)
-        cuts = (0, 1, 4000, 4097, 9000, 3 * shadows._CHUNK_ROUNDS, n)
+        cuts = (0, 1, 1000, 1025, 2250, 3 * shadows._CHUNK_ROUNDS, n)
         parts = [
             stacked_entries(batch_rows(batch, slice(a, b)), [1, 0], 1)
             for a, b in zip(cuts, cuts[1:])
@@ -669,8 +667,8 @@ class TestAveraging:
 
     @pytest.mark.parametrize("dim", [8, 36])
     def test_value_sized_chunks_match_numpy(self, dim):
-        # above D = 4 a chunk holds fewer than 4096 rows; the one pass keeps
-        # the n eps agreement with the numpy mean and n - 1 variance
+        # a chunk holds 1024 rows at D = 8 and 50 at D = 36; the one pass
+        # keeps the n eps agreement with the numpy mean and n - 1 variance
         rng = np.random.default_rng(dim)
         cuts = value_slices(1 << 20, dim * dim, SLICE_BUDGETS["rounds"], cap=shadows._CHUNK_ROUNDS)
         n = 10 * cuts[0].stop + 5

@@ -91,7 +91,14 @@ class TestGaussianSpec:
         assert np.allclose(marg.mean, [2.0, 4.0])
         assert np.allclose(marg.cov, np.diag([2.0, 0.5]))
 
-    @pytest.mark.parametrize("modes", [[-1], [3], [0, 0], [2, 1, 2]])
+    def test_zero_modes_rejected(self):
+        # an empty mean once passed and drew (n, 0) rows
+        with pytest.raises(ValueError, match="at least one mode"):
+            GaussianStateSpec(np.zeros(0), np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="at least one mode"):
+            GaussianStateSpec.vacuum(0)
+
+    @pytest.mark.parametrize("modes", [[-1], [3], [0, 0], [2, 1, 2], []])
     def test_marginal_bad_modes_rejected(self, modes):
         # mode -1 would index (p_3, x_3): a swapped pair, not the state of mode 3
         spec = GaussianStateSpec(np.zeros(6), np.diag(np.arange(1.0, 7.0)))
@@ -431,7 +438,7 @@ class TestChain:
 
     def test_spectral_marginal_rejects_bad_modes(self):
         spec = ChainSpec(5, 0.5)
-        for modes in ([0, 0], [0, 5], [-1]):
+        for modes in ([0, 0], [0, 5], [-1], []):
             with pytest.raises(ValueError) as dense:
                 chain_ground_state(spec).marginal(modes)
             with pytest.raises(ValueError, match=re.escape(str(dense.value))):
@@ -724,11 +731,11 @@ SLICE_SITES = {
         ("homodyne", 3): [(512, 600, [96] * 5 + [32])],
         ("heterodyne", 6): [(512, 314, [208, 208, 96])],
     }),
-    "shadow chunks": ("rounds", 1, 4096, lambda key: _shadow_chunks(9000, *key), {
-        (3, 1): [(9000, 16, [4096, 4096, 808])],
+    "shadow chunks": ("rounds", 1, 1024, lambda key: _shadow_chunks(9000, *key), {
+        (3, 1): [(9000, 16, [1024] * 8 + [808])],
         (5, 2): [(9000, 1296, [50] * 180)],
     }),
-    "stacked average": ("rounds", 1, 4096, lambda n: _stacked_average(n, 36), {
+    "stacked average": ("rounds", 1, 1024, lambda n: _stacked_average(n, 36), {
         120: [(120, 1296, [50, 50, 20])],
         5000: [(5000, 1296, [50] * 100)],
     }),
@@ -737,8 +744,8 @@ SLICE_SITES = {
         6: [(314, 256, [16] * 19 + [10])],
     }),
     "trial chi grid": ("grid", 16, 0, _grid, {
-        101: [(5000, 101, [1296] * 3 + [1112])],
-        401: [(5000, 401, [320] * 15 + [200])],
+        101: [(5000, 101, [320] * 15 + [200])],
+        401: [(5000, 401, [80] * 62 + [40])],
     }),
 }
 
