@@ -48,12 +48,14 @@ from .shadows import (
     shadow_batch_entries,
 )
 from .states import (
+    SLICE_BUDGETS,
     CatStateSpec,
     ChainSpec,
     FockMatrix,
     GaussianStateSpec,
     _check_modes,
     chain_state,
+    value_slices,
 )
 
 _NON_NEGATIVE_INT = {"type": "integer", "minimum": 0}
@@ -338,7 +340,13 @@ def cmd_sample(config: dict, out_dir, seed: int | None = None) -> dict:
 
 
 def _write_grid_csv(path: Path, points: np.ndarray, exact, recon) -> None:
-    """One row per grid point: its coordinates u1.., then exact and reconstructed chi."""
+    """One row per grid point: its coordinates u1.., then exact and reconstructed chi.
+
+    Each value is written as ``repr`` of its float, from the columns'
+    ``tolist`` over one ``"csv"`` slice of rows at a time
+    (:func:`~cvshadow.states.value_slices`), so no list of the whole grid's
+    Python floats is held.
+    """
     coords = points.reshape(-1, points.shape[-1])
     names = [f"u{i + 1}" for i in range(coords.shape[1])]
     header = ",".join(names + ["re_true", "im_true", "re_recon", "im_recon"])
@@ -350,8 +358,9 @@ def _write_grid_csv(path: Path, points: np.ndarray, exact, recon) -> None:
     ]
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for rows in value_slices(len(coords), len(cols), SLICE_BUDGETS["csv"]):
+            lines = zip(*(col[rows].tolist() for col in cols))
+            fh.writelines(",".join(map(repr, line)) + "\n" for line in lines)
 
 
 def cmd_reconstruct(config: dict, batch_path, out_dir, seed: int | None = None) -> dict:

@@ -402,81 +402,93 @@ def _sampling_fock(state) -> FockMatrix | FockKet:
 
 
 def _rejection_draws(
-    target,
-    draw,
-    probe: np.ndarray,
-    probe_density: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
+    target, proposals, draw, bound: float, n: int, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, dict]]:
     """Exact rejection sampling of ``n`` points from the density ``target``.
 
-    ``draw(rng, size)`` returns ``size`` proposal points as rows and their
-    proposal density; ``probe_density`` is the proposal density at the
-    ``probe`` points.  The dominating constant is ``_ENVELOPE_MARGIN`` times
-    the largest ratio ``target / proposal`` on the probe, re-checked at every
-    proposal: a proposal above the bound aborts, since clipping would
+    ``draw(rng, size)`` returns the random inputs of ``size`` proposals as
+    rows of two values, and ``proposals(rows)`` maps rows of them to
+    proposal points (rows of two values) and their proposal density.  The
+    dominating constant ``bound`` (:func:`_envelope_bound`) is re-checked at
+    every proposal: a proposal above it aborts, since clipping would
     silently bias the sampler.  Each chunk asks for ``ceil(1.1 missing /
     acceptance)`` proposals, clamped to ``[1024, _REJECTION_CHUNK]``, at
     ``1 / bound`` (a normalised target's acceptance) until one is accepted
     and at the acceptance so far after that.  The samples stay exact: a
-    chunk's size depends only on the probe and the counts of earlier chunks,
-    never on their points.  Each chunk draws its proposals, then its
-    uniforms ``u``.  Yields each chunk's accepted points as rows, with
-    ``{}``, skipping a chunk that accepts none; the last chunk's points come
-    with ``{"acceptance", "proposals"}``, the acceptance being accepted /
-    proposed over every chunk drawn.  Memory does not grow with ``n``: the
-    target runs one ``"proposals"`` slice at a time, on the probe and on
-    each chunk, and a chunk's arrays are dropped before the next is drawn.
+    chunk's size depends only on the bound and the counts of earlier
+    chunks, never on their points.  Each chunk draws its inputs whole, then
+    its uniforms ``u``; the proposal map, the target, the envelope check and
+    the acceptance then run one ``"proposals"`` slice at a time.  Each
+    slice's accepted points are written over the inputs already used, in
+    order, so no chunk-sized points, densities or gathered rows are formed.
+    Yields each chunk's accepted points as rows, with ``{}``, skipping a
+    chunk that accepts none; the last chunk's points come with
+    ``{"acceptance", "proposals"}``, the acceptance being accepted /
+    proposed over every chunk drawn.  Memory does not grow with ``n``: a
+    chunk's arrays are dropped before the next is drawn.
     """
-    bound = _envelope_bound(target, probe, probe_density)
-    del probe, probe_density  # the chunks need only the bound
     filled = accepted = proposed = 0
     while filled < n:
         wanted = 1.1 * (n - filled) * proposed / accepted if accepted else 1.1 * n * bound
         size = min(_REJECTION_CHUNK, max(1024, math.ceil(wanted)))
-        pts, proposal = draw(rng, size)
+        rows = draw(rng, size)
         u = rng.random(size)
-        accept = np.empty(size, dtype=bool)
+        kept = 0  # accepted points so far, rows[:kept]; never past the slice in hand
         for sl in value_slices(size, 1, SLICE_BUDGETS["proposals"]):
-            density = target(pts[sl])
-            ceiling = bound * proposal[sl]
+            pts, ceiling = proposals(rows[sl])
+            density = target(pts)
+            ceiling *= bound
             if np.any(density > ceiling * (1.0 + 1e-9)):
                 worst = int(np.argmax(density - ceiling))
                 raise RuntimeError(
-                    f"rejection envelope violated at {pts[sl][worst]}: density "
+                    f"rejection envelope violated at {pts[worst]}: density "
                     f"{density[worst]:.3e} > envelope {ceiling[worst]:.3e}"
                 )
-            accept[sl] = u[sl] * ceiling < density
-        take = pts[accept]
-        del pts, proposal, u, accept  # before the next chunk is drawn
+            hits = pts[u[sl] * ceiling < density]
+            rows[kept : kept + len(hits)] = hits
+            kept += len(hits)
+        del u, pts, ceiling, density, hits  # before the chunk's points are handed on
         proposed += size
-        accepted += len(take)
-        take = take[: n - filled]
+        accepted += kept
+        take = rows[: min(kept, n - filled)]
         filled += len(take)
         if filled == n:
             log.info("rejection sampling accepted %d of %d proposals", accepted, proposed)
             yield take, {"acceptance": accepted / proposed, "proposals": proposed}
         elif len(take):
             yield take, {}
-        del take  # before the next chunk is drawn
+        del rows, take  # before the next chunk is drawn
 
 
-def _envelope_bound(target, probe: np.ndarray, probe_density: np.ndarray) -> float:
-    """``_ENVELOPE_MARGIN`` times the largest ``target / proposal`` on the probe, by slices."""
-    cuts = value_slices(len(probe), 1, SLICE_BUDGETS["proposals"])
-    ratios = [np.max(target(probe[c]) / np.maximum(probe_density[c], 1e-300)) for c in cuts]
-    return _ENVELOPE_MARGIN * float(np.max(ratios))
+def _envelope_bound(target, proposals, a: np.ndarray, b: np.ndarray) -> float:
+    """``_ENVELOPE_MARGIN`` times the largest ``target / proposal`` on the probe grid.
+
+    The probe is the a-major ``a x b`` grid of proposal inputs, row ``k``
+    that of ``np.meshgrid(a, b, indexing="ij")``, which ``proposals`` maps
+    to points and their proposal density.  Each ``"proposals"`` slice of the
+    grid is formed, evaluated and reduced to its largest ratio in one pass,
+    so no array holds the whole probe; a max, so the bound has the bits of
+    the whole grid's.
+    """
+    largest = -np.inf
+    for sl in value_slices(a.size * b.size, 1, SLICE_BUDGETS["proposals"]):
+        k = np.arange(sl.start, sl.stop)
+        points, density = proposals(np.stack([a[k // b.size], b[k % b.size]], axis=-1))
+        largest = np.maximum(largest, np.max(target(points) / np.maximum(density, 1e-300)))
+    return _ENVELOPE_MARGIN * float(largest)
 
 
 def _t_draws(rng: np.random.Generator, size: int, dim: int) -> np.ndarray:
     """``size`` rows of the standard ``dim``-dimensional Student t.
 
     ``nu = _PROPOSAL_DOF`` degrees of freedom: ``normal / sqrt(chisquare(nu) / nu)``,
-    one chi-square per row.
+    one chi-square per row, divided in place.
     """
     z = rng.standard_normal((size, dim))
-    return z / np.sqrt(rng.chisquare(_PROPOSAL_DOF, (size, 1)) / _PROPOSAL_DOF)
+    scale = rng.chisquare(_PROPOSAL_DOF, (size, 1))
+    scale /= _PROPOSAL_DOF
+    z /= np.sqrt(scale, out=scale)
+    return z
 
 
 def _t_density(z: np.ndarray, scale) -> np.ndarray:
@@ -492,15 +504,16 @@ def _t_density(z: np.ndarray, scale) -> np.ndarray:
 
 
 def _homodyne_proposals(fock: FockMatrix | FockKet):
-    """Map ``(theta, z) -> (points, density)`` of the homodyne proposal.
+    """Map rows ``(theta, z) -> (points, density)`` of the homodyne proposal.
 
     ``q = mean + std z`` with the state's rotated-quadrature mean and std at
-    each angle, the variance floored at the vacuum's; ``z`` holds rows of
+    each angle, the variance floored at the vacuum's; ``z`` is a draw of
     :func:`_t_draws` with ``dim = 1``.  The uniform angle density cancels.
     """
     t_fit, v_fit = fock_moments(fock)
 
-    def proposals(theta, z):
+    def proposals(rows):
+        theta, z = rows[:, 0], rows[:, 1:]
         c, s = np.cos(theta), np.sin(theta)
         var = c * c * v_fit[0, 0] - 2.0 * c * s * v_fit[0, 1] + s * s * v_fit[1, 1]
         std = np.sqrt(0.5 * np.maximum(var, 1.0))
@@ -511,7 +524,7 @@ def _homodyne_proposals(fock: FockMatrix | FockKet):
 
 
 def _heterodyne_proposals(fock: FockMatrix | FockKet):
-    """Map ``z -> (points, density)`` of the heterodyne proposal.
+    """Map rows ``z -> (points, density)`` of the heterodyne proposal.
 
     ``x = t + L z`` with ``L L^T = (V + I)/2`` from the state's moments;
     ``z`` holds rows of :func:`_t_draws` with ``dim = 2``.
@@ -534,45 +547,36 @@ def _rejection_rows(
     Homodyne rows are ``(theta, q)``: ``theta`` uniform, then ``q`` from
     :func:`_homodyne_proposals`, probed on a 129 x 513 grid of angles and
     ``z``.  Heterodyne rows are ``(x, p)`` from :func:`_heterodyne_proposals`,
-    probed on a 201 x 201 grid of ``z`` (either grid from :func:`_probe`).
+    probed on a 201 x 201 grid of ``z`` (either probe by :func:`_envelope_bound`).
     Either proposal is a Student t located and scaled by the state's moments;
     the rows come chunk by chunk, as :func:`_rejection_draws` yields them.
     """
-    factors = _factors(fock)  # once per batch: the target is called per chunk
+    factors = _factors(fock)  # once per batch: the target is called per slice
     if protocol == HOMODYNE:
         proposals = _homodyne_proposals(fock)
 
-        def draw(rng, size):
-            thetas = rng.uniform(-np.pi, np.pi, size)
-            return proposals(thetas, _t_draws(rng, size, 1))
+        def draw(rng, size):  # rows (theta, z)
+            rows = np.empty((size, 2))
+            rows[:, 0] = rng.uniform(-np.pi, np.pi, size)
+            rows[:, 1:] = _t_draws(rng, size, 1)
+            return rows
 
         def target(pts):
             return _homodyne_density(fock, pts[:, 0], pts[:, 1], factors)
 
-        axes = np.linspace(-np.pi, np.pi, 129), np.linspace(-6.0, 6.0, 513)
-        probe = _probe(lambda t, z: proposals(t, z[:, None]), *axes)
+        probe = np.linspace(-np.pi, np.pi, 129), np.linspace(-6.0, 6.0, 513)
     else:
         proposals = _heterodyne_proposals(fock)
 
-        def draw(rng, size):
-            return proposals(_t_draws(rng, size, 2))
+        def draw(rng, size):  # rows z
+            return _t_draws(rng, size, 2)
 
         def target(pts):
             return fock_husimi(fock, pts, factors)
 
-        axis = np.linspace(-6.0, 6.0, 201)
-        probe = _probe(lambda x, y: proposals(np.stack([x, y], axis=-1)), axis, axis)
-    return _rejection_draws(target, draw, *probe, n, rng)
-
-
-def _probe(proposals, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Points and densities of ``proposals`` on the a-major ``a x b`` grid, by slices."""
-    size = a.size * b.size
-    points, density = np.empty((size, 2)), np.empty(size)
-    for sl in value_slices(size, 1, SLICE_BUDGETS["proposals"]):
-        k = np.arange(sl.start, sl.stop)  # point k of np.meshgrid(a, b, indexing="ij")
-        points[sl], density[sl] = proposals(a[k // b.size], b[k % b.size])
-    return points, density
+        probe = (np.linspace(-6.0, 6.0, 201),) * 2
+    bound = _envelope_bound(target, proposals, *probe)
+    return _rejection_draws(target, proposals, draw, bound, n, rng)
 
 
 def sample_homodyne_batch(state, n: int, seed_path: str) -> SampleBatch:

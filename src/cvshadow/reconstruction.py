@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .measurement import HETERODYNE, SampleBatch, _one_blas_thread
-from .phase_space import CharGrid, omega_apply
+from .phase_space import CharGrid
 from .states import SLICE_BUDGETS, _check_modes, value_slices
 
 
@@ -66,7 +66,9 @@ def _section(batch: SampleBatch, state, modes, lo, hi, points):
     They index ``[x | p]`` of the marginal on ``modes``, (x, p) of one mode or
     the two x's of a pair; ``u`` is zero elsewhere.  Along coordinate ``c`` the
     phase of ``u^T Omega x`` is ``-(Omega x)_c``: ``-p_k`` on an x-axis and
-    ``+x_k`` on a p-axis.  Only the marginal is touched (cat and Fock states,
+    ``+x_k`` on a p-axis.  The grid reads that column of the batch in place,
+    the sign moved onto the axis (exact: ``(-a) p = a (-p)``), so no N-sized
+    copy is formed.  Only the marginal is touched (cat and Fock states,
     which have none, are single-mode), so this scales to long chains.
     """
     if batch.protocol != HETERODYNE:
@@ -75,9 +77,14 @@ def _section(batch: SampleBatch, state, modes, lo, hi, points):
     axis = np.linspace(lo, hi, points)
     u = np.zeros((points, points, 2 * len(modes)))
     u[..., 0], u[..., 1] = np.meshgrid(axis, axis, indexing="ij")
-    rounds = batch.outcomes[:, modes, :].transpose(0, 2, 1).reshape(batch.n, -1)
-    phases = -omega_apply(rounds)
-    recon = _trial_char_grid(axis, phases[:, 0], axis, phases[:, 1])
+
+    def phase(c):  # coordinate c's signed axis and batch column
+        k = modes[c % len(modes)]
+        if c < len(modes):  # an x-axis: -p_k
+            return -axis, batch.outcomes[:, k, 1]
+        return axis, batch.outcomes[:, k, 0]  # a p-axis: +x_k
+
+    recon = _trial_char_grid(*phase(0), *phase(1))
     exact = (state.marginal(modes) if hasattr(state, "marginal") else state).char(u)
     return CharGrid(u, exact), CharGrid(u, recon), v_metric(exact, recon, (hi - lo) ** 2)
 

@@ -249,12 +249,13 @@ class _ProfileTable:
         step)`` at block start ``b``.  The second factor is evaluated once
         per growth, one ``"turns"`` slice of offsets ``j`` at a time
         (:func:`~cvshadow.states.value_slices`): the slice's phases ``t j
-        step`` are written into the imaginary part of its complex buffer,
-        and their cosines and sines taken in place, so no float array of
-        phases sits beside it.  The first factor, one row of t-values per
-        block, is evaluated once per growth too.  Each block's weights are
-        shifted by it for that block alone, and each (slice, block) pair is
-        one matrix product, written straight into the grown table.  That
+        step`` are written into the imaginary part of one complex buffer,
+        which every slice reuses, and their cosines and sines taken in
+        place, so no float array of phases sits beside it.  The first
+        factor, one row of t-values per block, is evaluated once per growth
+        too.  Each block's weights are shifted by it into one buffer, for
+        that block alone, and each (slice, block) pair is one matrix
+        product, written straight into the grown table.  That
         table replaces the cached one only once it is full, so a failure
         leaves the table as it was.  ``j * step`` and ``b + j * step`` are
         exact, since ``step`` is a power of two.  Raises ``ValueError`` above
@@ -274,15 +275,18 @@ class _ProfileTable:
         slopes = np.empty_like(values)
         values[:have], slopes[:have] = self.values, self.slopes
         shifts = np.exp(1j * np.multiply.outer(self.step * starts, self._t))
-        for sub in value_slices(_BLOCK_NODES, self._t.size, SLICE_BUDGETS["turns"], align=16):
-            turns = np.empty((sub.stop - sub.start, self._t.size), dtype=complex)
+        subs = value_slices(_BLOCK_NODES, self._t.size, SLICE_BUDGETS["turns"], align=16)
+        buffer = np.empty((subs[0].stop, self._t.size), dtype=complex)
+        shifted = np.empty_like(self._weights)
+        for sub in subs:
+            turns = buffer[: sub.stop - sub.start]
             np.multiply.outer(self.step * np.arange(sub.start, sub.stop), self._t, out=turns.imag)
             np.cos(turns.imag, out=turns.real)
             np.sin(turns.imag, out=turns.imag)
             with _one_blas_thread():
                 for b, shift in zip(starts, shifts):
                     # sums over t of w exp(i t r) and w t exp(i t r) at the sub-block's nodes r
-                    sums = turns @ (self._weights * shift).T
+                    sums = turns @ np.multiply(self._weights, shift, out=shifted).T
                     nodes = slice(b + sub.start, b + sub.stop)
                     values[nodes], slopes[nodes] = sums.real[:, :rows], sums.real[:, rows:]
         self.values, self.slopes = values, slopes
@@ -290,16 +294,23 @@ class _ProfileTable:
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """Cubic Hermite interpolation of every profile at radii ``r``: (rows, N).
 
-        The result is the transpose of an (N, rows) array.
+        The result is the transpose of an (N, rows) array.  The caller covers
+        the radii first (:meth:`cover`); a radius whose bracketing nodes are
+        not built raises ``ValueError``, it is never clipped.
         """
-        self.cover(r.max(initial=0.0))
         pos = r / self.step
         i = pos.astype(np.int64)
         u = (pos - i)[:, None]
         one_u = 1.0 - u
         v, s = self.values, self.slopes
+        try:
+            upper = v.take(i + 1, axis=0)  # the nodes above r, and so every node read
+        except IndexError:
+            raise ValueError(
+                f"a radius lies beyond the {len(v)} table nodes built; cover it first"
+            ) from None
         out = v.take(i, axis=0) * ((1.0 + 2.0 * u) * one_u * one_u)
-        out += v.take(i + 1, axis=0) * (u * u * (3.0 - 2.0 * u))
+        out += upper * (u * u * (3.0 - 2.0 * u))
         out += (one_u * s.take(i, axis=0) - u * s.take(i + 1, axis=0)) * (
             self.step * u * one_u
         )

@@ -220,11 +220,12 @@ SLICE_BUDGETS = {
     "chain": 1 << 18,  # bits (the stream order): CirculantChainState blocks, m a row
     "chain_fft": 1 << 14,  # rows of a chain block per in-place FFT, m a row
     "density": 1 << 17,  # bits (BLAS column blocks): density points, dim a point, align 16
-    "proposals": 1 << 12,  # rejection probe and acceptance, one value a proposal
-    "turns": 1 << 16,  # node offsets of a table growth, t-rule nodes an offset, align 16
+    "proposals": 1 << 12,  # rejection probe and chunks (map, target, acceptance), one a proposal
+    "turns": 1 << 15,  # node offsets of a table growth, t-rule nodes an offset, align 16
     "rounds": 1 << 16,  # bits (the averages' sums): shadow chunks, D^2 a round, cap 1024
     "rings": 1 << 12,  # radii of the P~_M pairing, 256 angles a radius
     "grid": 1 << 15,  # bits (the grid's sums): trial chi rounds, grid points a round, align 16
+    "csv": 1 << 12,  # rows of a grid CSV formatted at a time, its columns a row
 }
 
 

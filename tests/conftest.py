@@ -581,7 +581,7 @@ def whole_probe(state, protocol: str) -> tuple[np.ndarray, np.ndarray, float]:
     if protocol == "homodyne":
         axes = np.linspace(-np.pi, np.pi, 129), np.linspace(-6.0, 6.0, 513)
         gt, gz = np.meshgrid(*axes, indexing="ij")
-        probe, density = meas._homodyne_proposals(fock)(gt.ravel(), gz.reshape(-1, 1))
+        probe, density = meas._homodyne_proposals(fock)(np.stack([gt.ravel(), gz.ravel()], -1))
         target = meas._homodyne_density(fock, probe[:, 0], probe[:, 1])
     else:
         gx, gy = np.meshgrid(*[np.linspace(-6.0, 6.0, 201)] * 2, indexing="ij")

@@ -469,43 +469,58 @@ class TestSampleHomodyne:
 
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
     def test_target_runs_on_slices_of_a_chunk(self, monkeypatch, sample):
-        # the target, the envelope check and the acceptance work through each
-        # chunk of proposals 4096 at a time; the probe is the first call
+        # the proposal map, the target, the envelope check and the acceptance
+        # work through each chunk of proposals 4096 at a time
         import cvshadow.measurement as meas
 
-        sizes, real = [], meas._rejection_draws
+        mapped, sizes, real = [], [], meas._rejection_draws
 
-        def spy(target, draw, probe, probe_density, n, rng):
+        def spy(target, proposals, draw, bound, n, rng):
+            def mapping(rows):
+                mapped.append(len(rows))
+                return proposals(rows)
+
             def sized(pts):
                 sizes.append(len(pts))
                 return target(pts)
 
-            return real(sized, draw, probe, probe_density, n, rng)
+            return real(sized, mapping, draw, bound, n, rng)
 
         monkeypatch.setattr(meas, "_rejection_draws", spy)
         sample(CatStateSpec(1 + 1j, "zero"), 50_000, "slices")
-        assert sizes[1] == max(sizes[1:]) == 4096
+        assert sizes[0] == max(sizes) == 4096
+        assert mapped == sizes
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
     @pytest.mark.parametrize("name", ["cat-zero", "thermal1-12"])
     def test_sliced_probe_is_the_whole_probe(self, monkeypatch, protocol, name):
         # the probe is formed and its ratios taken one slice of proposals at a
-        # time; points, densities and bound keep the bits of the whole grid
+        # time, in one pass; points, densities and bound keep the bits of the
+        # whole grid
         import cvshadow.measurement as meas
 
-        seen, real = {}, meas._rejection_draws
+        points, densities, seen, real = [], [], {}, meas._envelope_bound
 
-        def spy(target, draw, probe, probe_density, n, rng):
-            seen.update(probe=probe.copy(), density=probe_density.copy())
-            seen["bound"] = meas._envelope_bound(target, probe, probe_density)
-            return real(target, draw, probe, probe_density, n, rng)
+        def spy(target, proposals, a, b):
+            def mapping(rows):
+                pts, density = proposals(rows)
+                densities.append(density.copy())
+                return pts, density
 
-        monkeypatch.setattr(meas, "_rejection_draws", spy)
+            def seen_target(pts):
+                points.append(pts.copy())
+                return target(pts)
+
+            seen["bound"] = real(seen_target, mapping, a, b)
+            return seen["bound"]
+
+        monkeypatch.setattr(meas, "_envelope_bound", spy)
         sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
         sample(SCAN_STATES[name], 10, "probe")
         probe, density, bound = whole_probe(SCAN_STATES[name], protocol)
-        assert np.array_equal(seen["probe"], probe)
-        assert np.array_equal(seen["density"], density)
+        assert [len(pts) for pts in points] == probe_slices(len(probe))
+        assert np.array_equal(np.concatenate(points), probe)
+        assert np.array_equal(np.concatenate(densities), density)
         assert seen["bound"] == bound
 
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
@@ -585,6 +600,46 @@ class TestSampleHomodyne:
             # whole probe took 5.5 and 3.7 MB
             assert peak - held / 1e6 <= {20_000: 2.6, 200_000: 3.2}[n]
 
+    @pytest.mark.parametrize("protocol, bound", [("homodyne", 2.6), ("heterodyne", 3.6)])
+    def test_cat_sampler_streams_its_chunks(self, protocol, bound):
+        # each chunk keeps only its drawn inputs and uniforms; the proposal
+        # map, the target and the acceptance run per 4096-proposal slice, and
+        # the accepted points are written over the used inputs: 1.99 and 3.36
+        # MB beyond the batch at N = 1e5, where chunk-sized points, densities
+        # and mapping temporaries read 2.96 and 3.55 MB
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        spec = CatStateSpec(1 + 1j, "zero")
+        sample(spec, 10, "warm")
+        batches: list = []
+        peak = traced_peak(lambda: batches.append(sample(spec, 100_000, "beyond")))
+        assert peak - batches[0].outcomes.nbytes / 1e6 <= bound
+
+    @pytest.mark.parametrize(
+        "protocol, digest, acceptance, proposals",
+        [
+            (
+                "homodyne",
+                "b6beaaaf950cdfad03b9a0be81940f31a1ce12341e27b7956d942693941864dc",
+                "0x1.72f3980498ee4p-1",
+                30292,
+            ),
+            (
+                "heterodyne",
+                "c61ae879ef24c60f87292b950dde53fc6cf847ba47bd44a1c526253d2d2c2b09",
+                "0x1.54c0000000000p-1",
+                32768,
+            ),
+        ],
+    )
+    def test_seeded_cat_batches_keep_their_bits(self, protocol, digest, acceptance, proposals):
+        # the bench cat's rounds, acceptance and proposal count, as the
+        # sampler drew them when it mapped, checked and accepted whole chunks
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        batch = sample(CatStateSpec(1 + 1j, "zero"), 20_000, f"pin/{protocol}")
+        outcomes = np.ascontiguousarray(batch.outcomes, "<f8").tobytes()
+        assert hashlib.sha256(outcomes).hexdigest() == digest
+        assert batch.meta == {"acceptance": float.fromhex(acceptance), "proposals": proposals}
+
     def test_gaussian_chain_memory_bounded(self):
         # one Cholesky of V/2 for the whole batch, no per-round covariances
         state = chain_ground_state(ChainSpec(200, 0.99))
@@ -615,18 +670,19 @@ SCAN_STATES = {
 
 
 def calibrated_probe(monkeypatch, protocol: str, state) -> dict:
-    """The target ``_rejection_draws`` gets for ``state``, and its largest
-    target / proposal ratio on the probe."""
+    """The target the probe of ``state`` reads, and the envelope bound it gives:
+    ``_ENVELOPE_MARGIN`` times the largest target / proposal ratio on the probe."""
     import cvshadow.measurement as meas
 
     seen: dict = {}
-    real = meas._rejection_draws
+    real = meas._envelope_bound
 
-    def spy(target, draw, probe, probe_density, n, rng):
-        seen.update(target=target, probe_max=float((target(probe) / probe_density).max()))
-        return real(target, draw, probe, probe_density, n, rng)
+    def spy(target, proposals, a, b):
+        bound = real(target, proposals, a, b)
+        seen.update(target=target, bound=bound)
+        return bound
 
-    monkeypatch.setattr(meas, "_rejection_draws", spy)
+    monkeypatch.setattr(meas, "_envelope_bound", spy)
     sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
     sample(state, 10, "probe")
     return seen
@@ -679,7 +735,7 @@ class TestStudentTProposal:
         mean, cov = fock_moments(fock)
         rng = np.random.default_rng(2)
         thetas, z = rng.uniform(-np.pi, np.pi, 300), 3.0 * rng.standard_normal((300, 1))
-        pts, density = meas._homodyne_proposals(fock)(thetas, z)
+        pts, density = meas._homodyne_proposals(fock)(np.concatenate([thetas[:, None], z], 1))
         c, s = np.cos(thetas), np.sin(thetas)
         rows = np.stack([c, -s], axis=1)
         std = np.sqrt(0.5 * np.maximum(np.einsum("ni,ij,nj->n", rows, cov, rows), 1.0))
@@ -697,9 +753,9 @@ class TestStudentTProposal:
         seen = calibrated_probe(monkeypatch, "homodyne", SCAN_STATES[name])
         proposals = meas._homodyne_proposals(meas._sampling_fock(SCAN_STATES[name]))
         thetas, z = np.linspace(-np.pi, np.pi, 121), np.linspace(-40.0, 40.0, 2001)
-        pts, density = proposals(np.repeat(thetas, z.size), np.tile(z, thetas.size)[:, None])
+        pts, density = proposals(np.stack([np.repeat(thetas, z.size), np.tile(z, thetas.size)], -1))
         scanned = float((seen["target"](pts) / density).max())
-        assert scanned <= meas._ENVELOPE_MARGIN * seen["probe_max"]
+        assert scanned <= seen["bound"]
 
     @pytest.mark.parametrize("name", sorted(SCAN_STATES))
     def test_heterodyne_bound_holds_far_out(self, monkeypatch, name):
@@ -711,7 +767,7 @@ class TestStudentTProposal:
         z = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         pts, density = proposals(z)
         scanned = float((seen["target"](pts) / density).max())
-        assert scanned <= meas._ENVELOPE_MARGIN * seen["probe_max"]
+        assert scanned <= seen["bound"]
 
     def test_bench_cat_acceptance(self):
         spec = CatStateSpec(1 + 1j, "zero")

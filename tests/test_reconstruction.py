@@ -69,6 +69,23 @@ class TestTrialChar:
         assert recon.values.shape == (81, 81)
         assert peak < 200 * 2**20
 
+    def test_memory_beyond_the_batch_flat_in_samples(self):
+        # the grid reads each chunk's two phase columns from the batch in
+        # place: 1.64 and 1.68 MB traced at N = 5e4 and 2e5 (batches of 0.8
+        # and 3.2 MB), where an (N, 2) copy of the mode's rows and its
+        # -Omega image read 3.24 and 8.11 MB
+        state = GaussianStateSpec.vacuum()
+        peaks = []
+        for n in (50_000, 200_000):
+            batch = sample_heterodyne_batch(state, n, "grid-flat")
+            tracemalloc.start()
+            try:
+                reconstruct_single_mode(batch, state, points=81)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 1e6)
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.5
+
     def test_phase_matrices_exponentiated_in_place(self):
         # the bench vacuum grid: N = 8000, 81 points, 400-round chunks.  Two
         # complex 81 x 400 phase matrices are 1.0 MB (1.52 MB traced); a float

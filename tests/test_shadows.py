@@ -428,8 +428,23 @@ class TestProfileTable:
             block = heterodyne_transform(truncation, w)
         r = np.random.default_rng(5).uniform(0.0, 4.0, 64)
         table = shadows._profile_table(protocol, truncation, w)
+        table.cover(r.max())
         exact = block(r)[0]
         assert np.abs(table(r) - exact).max() <= 1e-10 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    def test_uncovered_radius_raises(self, protocol, monkeypatch):
+        # the batch path covers a batch's largest radius once; a chunk read
+        # past the nodes built raises, it is never clipped to the last node
+        monkeypatch.setattr(shadows, "_PROFILE_TABLES", {})
+        w = default_window(2) if protocol == "heterodyne" else None
+        table = shadows._profile_table(protocol, 2, w)
+        table.cover(1.0)
+        last = table.step * (table.values.shape[0] - 1)
+        assert table(np.array([0.5, last - table.step])).shape[1] == 2
+        for r in (last, last + 0.3, 40.0):
+            with pytest.raises(ValueError, match="cover it first"):
+                table(np.array([0.5, r]))
 
     @staticmethod
     def _table_at_every_node(protocol, truncation, w):
@@ -512,6 +527,16 @@ class TestProfileTable:
         table = shadows._profile_table("heterodyne", 6, default_window(6))
         peak = traced_peak(table.cover, 9.7)
         assert peak <= (table.values.nbytes + table.slopes.nbytes) / 1e6 + 4.0
+
+    def test_homodyne_growth_in_half_sized_sub_blocks(self, monkeypatch):
+        # 48 offsets a sub-block against the 600-node rule (0.46 MB of turns,
+        # one buffer for every sub-block) and one buffer of shifted weights:
+        # 1.35 MB for M = 3 to r = 5.5, where 96-offset sub-blocks, each
+        # allocated beside the last, and a product per (sub-block, block) read
+        # 2.43 MB
+        monkeypatch.setattr(shadows, "_PROFILE_TABLES", {})
+        table = shadows._profile_table("homodyne", 3, None)
+        assert traced_peak(table.cover, 5.5) <= 2.0
 
     @pytest.mark.parametrize("protocol, truncation", [("homodyne", 3), ("heterodyne", 2)])
     def test_failed_growth_keeps_the_table(self, protocol, truncation, monkeypatch):

@@ -2,12 +2,15 @@
 
 import math
 import re
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import cvshadow.cli as cli
 import cvshadow.measurement as meas
 import cvshadow.reconstruction as recon
 import cvshadow.shadows as shadows
@@ -680,6 +683,13 @@ def _grid(points):
     return recon._trial_char_grid(np.zeros(points), np.zeros(5000), np.zeros(9), np.zeros(5000))
 
 
+def _grid_csv(coords):
+    # an 81 x 81 grid of one mode (u1, u2) or of a pair (u1..u4), as reconstruct writes it
+    points, values = np.zeros((81, 81, coords)), np.zeros((81, 81), dtype=complex)
+    with tempfile.TemporaryDirectory() as tmp:
+        cli._write_grid_csv(Path(tmp) / "grid.csv", points, values, values)
+
+
 def _rejection(protocol, n):
     sample = meas.sample_homodyne_batch if protocol == "homodyne" else meas.sample_heterodyne_batch
     return sample(CatStateSpec(1 + 1j, "zero"), n, "cuts")
@@ -690,7 +700,9 @@ def _rejection(protocol, n):
 # lengths are those the hand-written rules gave before the one rule, except
 # the table growth's (powers of two then: 64 offsets against the 600-node
 # homodyne rule, 128 against the 314-node heterodyne one at M = 6; the tables
-# keep their bits) and the rejection probe's (evaluated whole then).
+# keep their bits), the rejection probe's (evaluated whole then; now one
+# pass of slices, each formed and reduced to its largest ratio) and the grid
+# CSV's (formatted whole then).
 _PROBE = {"homodyne": (66177, 1, [4096] * 16 + [641]), "heterodyne": (40401, 1, [4096] * 9 + [3537])}
 SLICE_SITES = {
     "covariance": ("covariance", 1, 0, lambda m: GaussianStateSpec.thermal(0.1, modes=m), {
@@ -720,16 +732,16 @@ SLICE_SITES = {
         10_000: [(10_000, 22, [5952, 4048])],
     }),
     "homodyne rejection": ("proposals", 1, 0, lambda n: _rejection("homodyne", n), {
-        100: [_PROBE["homodyne"]] * 2 + [(1024, 1, [1024])],
-        20_000: [_PROBE["homodyne"]] * 2 + [(30292, 1, [4096] * 7 + [1620])],
+        100: [_PROBE["homodyne"], (1024, 1, [1024])],
+        20_000: [_PROBE["homodyne"], (30292, 1, [4096] * 7 + [1620])],
     }),
     "heterodyne rejection": ("proposals", 1, 0, lambda n: _rejection("heterodyne", n), {
-        100: [_PROBE["heterodyne"]] * 2 + [(1024, 1, [1024])],
-        20_000: [_PROBE["heterodyne"]] * 2 + [(32768, 1, [4096] * 8)],
+        100: [_PROBE["heterodyne"], (1024, 1, [1024])],
+        20_000: [_PROBE["heterodyne"], (32768, 1, [4096] * 8)],
     }),
     "table growth": ("turns", 16, 0, lambda key: _table_growth(*key), {
-        ("homodyne", 3): [(512, 600, [96] * 5 + [32])],
-        ("heterodyne", 6): [(512, 314, [208, 208, 96])],
+        ("homodyne", 3): [(512, 600, [48] * 10 + [32])],
+        ("heterodyne", 6): [(512, 314, [96] * 5 + [32])],
     }),
     "shadow chunks": ("rounds", 1, 1024, lambda key: _shadow_chunks(9000, *key), {
         (3, 1): [(9000, 16, [1024] * 8 + [808])],
@@ -746,6 +758,10 @@ SLICE_SITES = {
     "trial chi grid": ("grid", 16, 0, _grid, {
         101: [(5000, 101, [320] * 15 + [200])],
         401: [(5000, 401, [80] * 62 + [40])],
+    }),
+    "grid CSV rows": ("csv", 1, 0, _grid_csv, {
+        2: [(6561, 6, [682] * 9 + [423])],
+        4: [(6561, 8, [512] * 12 + [417])],
     }),
 }
 
@@ -765,7 +781,7 @@ def test_value_slices_sites(monkeypatch, site, size):
         calls.append((n, per_item, budget, align, cap, [s.stop - s.start for s in cuts]))
         return cuts
 
-    for module in (states, meas, shadows, recon):
+    for module in (states, meas, shadows, recon, cli):
         monkeypatch.setattr(module, "value_slices", spy)
     monkeypatch.setattr(shadows, "_PROFILE_TABLES", {})
     run(size)
