@@ -14,7 +14,8 @@ stays below every child's peak (``launcher_rss_mb``).
     python3 scripts/command_peaks.py [--runs 3] [--seed 1]
 
 Prints one JSON object: per command its peaks (MB), wall times (s) and exit
-codes, one entry per run, and the command with the highest median peak.
+codes, one entry per run, the command with the highest median peak, and the
+SHA-256 of each output file the benchmark hashes, from the first run.
 Exits 1 if any command failed.
 """
 
@@ -37,7 +38,10 @@ BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH_DIR))
 
 from run import THREAD_VARS, child_env  # noqa: E402
-from workloads import CHAIN_CONFIG, VACUUM_CONFIG, _cli_commands  # noqa: E402
+from workloads import CHAIN_CONFIG, VACUUM_CONFIG, _cli_commands, file_sha256  # noqa: E402
+
+# the outputs whose SHA-256 bench/workloads.py records for cli-roundtrip
+HASHED = ("chain_s/records.jsonl", "vac_s/records.jsonl", "chain_r/pair_grid.csv", "vac_r/grid.csv")
 
 
 def run_command(argv: list[str], env: dict) -> dict:
@@ -69,6 +73,7 @@ def main(argv=None) -> int:
     env = child_env()
     spec = {"workload": "cli-roundtrip", "seed": args.seed, "iteration": 0}
     commands: dict[str, dict] = {}
+    hashes: dict[str, str | None] = {}
     work = Path(tempfile.mkdtemp(prefix="command-peaks-"))
     try:
         for run in range(args.runs):
@@ -82,6 +87,10 @@ def main(argv=None) -> int:
                 record = commands.setdefault(f"{config} {kind}", {})
                 for key, value in entry.items():
                     record.setdefault(key, []).append(value)
+            if run == 0:
+                for name in HASHED:
+                    path = run_dir / name
+                    hashes[name] = file_sha256(path) if path.exists() else None
     finally:
         shutil.rmtree(work, ignore_errors=True)
     medians = {name: statistics.median(c["peak_rss_mb"]) for name, c in commands.items()}
@@ -99,6 +108,7 @@ def main(argv=None) -> int:
         "launcher_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "commands": commands,
         "peak": {"command": top, "median_peak_rss_mb": medians[top]},
+        "sha256": hashes,
         "failed": failed,
     }, indent=1))
     return 1 if failed else 0

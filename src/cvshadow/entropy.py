@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _log_required_n, sigma_homodyne
 from .states import CatStateSpec, FockMatrix, GaussianStateSpec
 
 
@@ -96,8 +97,6 @@ def plan_entropy(
     )
     eps_prime = 2.0**log2_eps_prime if log2_eps_prime > -1000 else 0.0
     log10_eps_prime = log2_eps_prime * math.log10(2.0)
-
-    from .bounds import _log_required_n, sigma_homodyne
 
     # the homodyne Bernstein sample size at accuracy 2 eps' with additive
     # constant 1: N = (M+1)^{2r} (6 S^2 + 2 (S+1) eps') / (3 eps'^2)

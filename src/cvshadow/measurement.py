@@ -26,7 +26,6 @@ import ctypes
 import hashlib
 import itertools
 import json
-import logging
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -47,8 +46,6 @@ from .states import (
     fock_moments,
     value_slices,
 )
-
-log = logging.getLogger(__name__)
 
 HOMODYNE = "homodyne"
 HETERODYNE = "heterodyne"
@@ -453,7 +450,6 @@ def _rejection_draws(
         take = rows[: min(kept, n - filled)]
         filled += len(take)
         if filled == n:
-            log.info("rejection sampling accepted %d of %d proposals", accepted, proposed)
             yield take, {"acceptance": accepted / proposed, "proposals": proposed}
         elif len(take):
             yield take, {}

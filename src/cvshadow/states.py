@@ -9,7 +9,6 @@ raveled row-major (first mode slowest).
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from collections.abc import Iterator
@@ -19,6 +18,7 @@ import numpy as np
 
 from .phase_space import (
     char_coherent_dyad,
+    char_fock_dyad,
     char_gaussian_raw,
     omega_matrix,
 )
@@ -64,8 +64,6 @@ class FockMatrix:
         """Characteristic function Tr[T D(u)] of a single-mode matrix."""
         if self.modes != 1:
             raise ValueError("char is implemented for single-mode matrices")
-        from .phase_space import char_fock_dyad
-
         u = np.asarray(u, dtype=float)
         out = np.zeros(u.shape[:-1], dtype=complex)
         for j in range(self.dim):
@@ -211,14 +209,14 @@ def _check_modes(modes, m: int, name: str = "modes") -> None:
 
 # Values per slice of each loop cut by `value_slices`, whatever N, m or D: a
 # slice holds budget // per_item items, at most cap, rounded down to a multiple
-# of align and at least align.  Only the cuts marked "bits" move output bits.
+# of align and at least align.  Only the cuts marked "bits" move output bits;
+# the samplers draw their normals in row order, so theirs move none.
 # The "rounds" cap and the "grid" budget hold a D = 4 shadow chunk to 0.25 MB
 # and the two phase buffers of an 81-point grid (400 rounds) to 1 MB.
 SLICE_BUDGETS = {
     "covariance": 1 << 16,  # GaussianStateSpec's symmetry check, rows of V, 2m a row
     "gaussian": 1 << 18,  # GaussianStateSpec draws, 2m a row, multiples of 256 rows
-    "chain": 1 << 18,  # bits (the stream order): CirculantChainState blocks, m a row
-    "chain_fft": 1 << 14,  # rows of a chain block per in-place FFT, m a row
+    "chain": 1 << 15,  # CirculantChainState draws and in-place FFTs, 4m a row
     "density": 1 << 17,  # bits (BLAS column blocks): density points, dim a point, align 16
     "proposals": 1 << 12,  # rejection probe and chunks (map, target, acceptance), one a proposal
     "turns": 1 << 15,  # node offsets of a table growth, t-rule nodes an offset, align 16
@@ -489,39 +487,28 @@ class CirculantChainState:
 
         A block ``circ(c)`` with eigenvalues ``c_k`` is drawn exactly as ``Re
         FFT(sqrt(c_k / m) (z1 + i z2))`` for standard normal ``z1``, ``z2``.
-        The normals of each ``"chain"`` block of rows (:func:`value_slices`)
-        are four runs of the stream, in order: Re x, Im x, Re p, Im p.  A copy
-        of ``rng`` starts each of the first three, set there by drawing through
-        the earlier runs and discarding the values; ``rng`` itself takes the
-        last and ends at the block's end.  Rows are built and yielded one
-        ``"chain_fft"`` slice at a time, scaled and transformed in place in a
-        preallocated complex sub-chunk, so nothing holds a block or its
-        normals.  The blocks fix the stream order; the slices move no bit.
+        Each ``"chain"`` slice of rows (:func:`value_slices`) draws its normals
+        once, shaped ``(rows, 4, m)``: row r's Re x, Im x, Re p and Im p.
+        Each half is scaled and transformed in place in one preallocated
+        complex sub-chunk, so nothing holds more than a slice.  The normals
+        are drawn in row order, so the rows do not depend on the slice size.
         """
         m = self.modes
         root = np.sqrt(2.0 * self.lam)
         scales = [np.sqrt((c + vacuum) / (2.0 * m)) for c in (1.0 / root, root)]
-        for block in value_slices(n, m, SLICE_BUDGETS["chain"]):
-            size = block.stop - block.start
-            cuts = [c.stop - c.start for c in value_slices(size, m, SLICE_BUDGETS["chain_fft"])]
-            if block.start == 0:  # the first block's first cut is the longest
-                chunk = np.empty((cuts[0], m), dtype=complex)
-            runs = []
-            for _ in range(3):
-                runs.append(copy.deepcopy(rng))
-                for rows in cuts:
-                    rng.standard_normal((rows, m))  # discarded: the run another copy takes
-            runs.append(rng)
-            for rows in cuts:
-                c, out = chunk[:rows], np.empty((rows, 2 * m))
-                for half, scale in enumerate(scales):
-                    c.real[:] = runs[2 * half].standard_normal((rows, m))
-                    c.imag[:] = runs[2 * half + 1].standard_normal((rows, m))
-                    c *= scale
-                    np.fft.fft(c, out=c)
-                    out[:, half * m : (half + 1) * m] = c.real
-                yield out
-                del out  # freed before the next rows, once the caller lets them go
+        cuts = value_slices(n, 4 * m, SLICE_BUDGETS["chain"])
+        chunk = np.empty((cuts[0].stop if cuts else 0, m), dtype=complex)
+        for sl in cuts:
+            z = rng.standard_normal((sl.stop - sl.start, 4, m))  # Re x, Im x, Re p, Im p
+            c, out = chunk[: len(z)], np.empty((len(z), 2 * m))
+            for half, scale in enumerate(scales):
+                c.real[:], c.imag[:] = z[:, 2 * half], z[:, 2 * half + 1]
+                c *= scale
+                np.fft.fft(c, out=c)
+                out[:, half * m : (half + 1) * m] = c.real
+            del z  # before the rows are handed on
+            yield out
+            del out  # freed before the next rows, once the caller lets them go
 
 
 def chain_state(spec: ChainSpec):

@@ -544,27 +544,20 @@ def sigma_block_quad(truncation: int, kernel, upper: float, joins=()) -> np.ndar
 
 
 def circulant_draws_whole_chunk(state, vacuum: float, n: int, rng) -> np.ndarray:
-    """``CirculantChainState.phase_space_draws`` as it was, one complex chunk per block.
+    """``CirculantChainState.phase_space_draws`` drawn whole, in one complex chunk.
 
-    The same ``rng.standard_normal((2, rows, m))`` call per block of about
-    2^18 values, scaled and transformed in one (rows, m) complex array.
+    Every row's normals come from one ``rng.standard_normal((n, 4, m))``
+    call, and each half is scaled and transformed in one (n, m) complex array.
     """
     m = state.modes
     root = np.sqrt(2.0 * state.lam)
     scales = [np.sqrt((c + vacuum) / (2.0 * m)) for c in (1.0 / root, root)]
-    out = np.empty((n, 2 * m))
-    step = max(1, (1 << 18) // m)
-    chunk = np.empty((min(step, n), m), dtype=complex)
-    for r in range(0, n, step):
-        rows = out[r : r + step]
-        c = chunk[: len(rows)]
-        for block, scale in enumerate(scales):
-            z = rng.standard_normal((2, len(rows), m))
-            c.real[:], c.imag[:] = z
-            del z
-            c *= scale
-            np.fft.fft(c, out=c)
-            rows[:, block * m : (block + 1) * m] = c.real
+    z, c, out = rng.standard_normal((n, 4, m)), np.empty((n, m), dtype=complex), np.empty((n, 2 * m))
+    for half, scale in enumerate(scales):
+        c.real[:], c.imag[:] = z[:, 2 * half], z[:, 2 * half + 1]
+        c *= scale
+        np.fft.fft(c, out=c)
+        out[:, half * m : (half + 1) * m] = c.real
     return out
 
 

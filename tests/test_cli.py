@@ -455,7 +455,7 @@ class TestStreamedSample:
 
     @pytest.fixture(scope="class")
     def chain_run(self, tmp_path_factory):
-        # 1000 rounds of the m = 1000 chain: four runs of at most 262 rows, 16-row blocks
+        # 1000 rounds of the m = 1000 chain, drawn and written 8 rows at a time
         out = tmp_path_factory.mktemp("chain")
         config = base_config(state=CHAIN1000, samples=1000, seed=11)
         tracemalloc.start()
@@ -478,17 +478,17 @@ class TestStreamedSample:
         assert peak <= 1.0
 
     def test_chain_memory(self, chain_run):
-        # rows come 16 at a time, 0.26 MB with their normals and sub-chunk beside
-        # them; one 262-row block's rows and its normals were 4.2 MB each, and the
-        # whole (1000, 1000, 2) outcomes alone would be 16 MB (20.6 MB peak when held)
-        assert chain_run[2] <= 4.0
+        # rows come 8 at a time, 0.13 MB with 0.26 MB of normals and a 0.13 MB
+        # sub-chunk beside them: 1.52 MB traced in a fresh process; the whole
+        # (1000, 1000, 2) outcomes alone would be 16 MB (20.6 MB peak when held)
+        assert chain_run[2] <= 2.0
 
     def test_chain_bytes(self, chain_run):
         config, records, _ = chain_run
         assert records.read_bytes() == whole_batch_bytes(build_state(CHAIN1000), config)
 
     def test_chain_manifest_hash(self, chain_run):
-        # four runs of rows, each hashed as it is written: the hash of the whole file
+        # slices of rows, each hashed as it is written: the hash of the whole file
         _, records, _ = chain_run
         manifest = json.loads((records.parent / "manifest.json").read_text())
         digest = hashlib.sha256(records.read_bytes()).hexdigest()
@@ -497,7 +497,7 @@ class TestStreamedSample:
     @pytest.mark.parametrize(
         "name, protocol, samples",
         [
-            ("chain", "homodyne", 300),  # runs of 262 and 38 rows, in blocks of 16
+            ("chain", "homodyne", 300),  # 37 slices of 8 rows and one of 4
             ("thermal3", "homodyne", 43520 + 1),  # blocks of 43520 and 1 row
             ("thermal3", "heterodyne", 43520 + 7),
             ("cat", "homodyne", 500),  # one block, by rejection
@@ -1388,7 +1388,8 @@ class TestMainEntrypoint:
         # the homodyne vacuum and cat pairs build shadows from the homodyne
         # table, whose Fock-dyad coefficients come from math.lgamma, as do
         # the cat's coherent-state amplitudes; heterodyne shadows are covered
-        # by the next test
+        # by the next test.  Nor is logging loaded: the rejection acceptance
+        # is recorded in the last block's meta and the sample manifest
         chain = base_config(
             state={"kind": "chain", "m": 6, "kappa": 0.5},
             samples=200,
@@ -1416,9 +1417,9 @@ class TestMainEntrypoint:
             "import json, sys, cvshadow.cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    assert cvshadow.cli.main(argv) == 0, argv\n"
-            "print('scipy.special' in sys.modules)"
+            "print('scipy.special' in sys.modules, 'logging' in sys.modules)"
         )
-        assert _run_python(code, json.dumps(commands)).stdout.strip() == "False"
+        assert _run_python(code, json.dumps(commands)).stdout.strip() == "False False"
         assert (tmp_path / "cr" / "pair_grid.csv").exists()
         assert (tmp_path / "cr" / "shadow_average.json").exists()
         assert (tmp_path / "hr" / "shadow_average.json").exists()

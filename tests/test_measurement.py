@@ -17,6 +17,7 @@ from cvshadow.measurement import (
     SampleBatch,
     fock_husimi,
     jsonl_header,
+    sample_blocks,
     sample_heterodyne_batch,
     sample_homodyne_batch,
     stream_rng,
@@ -982,6 +983,19 @@ class TestCorrelatedGaussian:
             draws = np.concatenate(list(state.phase_space_draws(1.0, n, rng)))
             assert np.array_equal(draws, np.concatenate([pts[:, :, 0], pts[:, :, 1]], axis=1))
             self.assert_moments(draws, dense.mean, heterodyne_covariance(dense))
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    def test_chain_rows_do_not_follow_the_slice_budget(self, monkeypatch, protocol):
+        # each slice draws its rows' normals in row order, so 2, 8 and 65 rows
+        # of the 1000-mode chain a slice give the same rounds
+        state = chain_state(ChainSpec(1000, 0.99))
+        rounds = []
+        for budget in (1 << 13, SLICE_BUDGETS["chain"], 1 << 18):
+            monkeypatch.setitem(SLICE_BUDGETS, "chain", budget)
+            blocks = list(sample_blocks(state, protocol, 150, "chain-slices"))
+            assert len(blocks) == -(-150 // (budget // 4000))
+            rounds.append(np.concatenate([block.outcomes for block in blocks]))
+        assert all(np.array_equal(rounds[0], r) for r in rounds[1:])
 
 
 @pytest.fixture(scope="module")

@@ -456,14 +456,14 @@ class TestChain:
     @pytest.mark.parametrize("m", [1, 2, 3, 50])
     @pytest.mark.parametrize("vacuum", [0.0, 1.0])
     def test_spectral_draws_have_exact_covariance(self, m, vacuum):
-        # draws are linear in the normals: feeding the 2m unit vectors of one
-        # block's (z1, z2) as 2m rows gives rows whose Gram matrix is its covariance
+        # draws are linear in the normals: feeding the 2m unit vectors of (z1, z2)
+        # as 2m rows gives rows whose Gram matrix is the covariance
         class UnitNormals:
-            """The unit vectors' entries as a stream: runs Re x, Im x, Re p, Im p."""
+            """The unit vectors, row by row: row i's (Re x | Im x) and (Re p | Im p) are e_i."""
 
             def __init__(self):
                 eye = np.eye(2 * m)
-                self.values = np.concatenate([eye[:, :m].ravel(), eye[:, m:].ravel()] * 2)
+                self.values = np.concatenate([eye, eye], axis=1).ravel()
                 self.used = 0
 
             def standard_normal(self, shape):
@@ -475,7 +475,7 @@ class TestChain:
         spec = ChainSpec(m, 0.99 if m > 2 else 0.5)
         blocks = chain_state(spec).phase_space_draws(vacuum, 2 * m, normals)
         rows = np.concatenate(list(blocks))
-        assert normals.used == normals.values.size  # the whole block's runs, once each
+        assert normals.used == normals.values.size  # every row's normals, once each
         target = 0.5 * (chain_ground_state(spec).cov + vacuum * np.eye(2 * m))
         for b in (slice(0, m), slice(m, 2 * m)):
             assert np.abs(rows[:, b].T @ rows[:, b] - target[b, b]).max() <= 1e-13
@@ -484,9 +484,9 @@ class TestChain:
     @pytest.mark.parametrize(
         "m, n",
         [
-            (3, 1), (3, 12_000),  # 5461-row sub-chunks, the last one partial
-            (1000, 16), (1000, 1000),  # 16-row sub-chunks in 262-row blocks, 1000 = 62.5 x 16
-            (1000, 17), (1000, 263),  # one sub-chunk plus one row; one block plus one row
+            (3, 1), (3, 12_000),  # 2730-row slices, the last one partial
+            (1000, 16), (1000, 1000),  # 8-row slices, 1000 = 125 x 8
+            (1000, 17), (1000, 263),  # two slices plus one row; 32 slices plus seven rows
         ],
     )
     @pytest.mark.parametrize("vacuum", [0.0, 1.0])
@@ -498,9 +498,9 @@ class TestChain:
         assert np.array_equal(draws, reference)
 
     def test_spectral_draws_memory(self):
-        # 16 rows of 2000 are 0.26 MB, their complex sub-chunk 0.26 MB and one
-        # run's normals for them 0.13 MB; one block's (262, 2000) rows, or its
-        # normals, would be 4.2 MB, and every block's (1000, 2000) rows 16 MB
+        # 8 rows of 2000 are 0.13 MB, their (8, 4, 1000) normals 0.26 MB and
+        # their complex sub-chunk 0.13 MB; every slice's (1000, 2000) rows
+        # would be 16 MB
         state = chain_state(ChainSpec(1000, 0.99))
         rng = np.random.default_rng(3)
         tracemalloc.start()
@@ -701,8 +701,9 @@ def _rejection(protocol, n):
 # the table growth's (powers of two then: 64 offsets against the 600-node
 # homodyne rule, 128 against the 314-node heterodyne one at M = 6; the tables
 # keep their bits), the rejection probe's (evaluated whole then; now one
-# pass of slices, each formed and reduced to its largest ratio) and the grid
-# CSV's (formatted whole then).
+# pass of slices, each formed and reduced to its largest ratio), the grid
+# CSV's (formatted whole then) and the chain's (262-row blocks of 16-row FFT
+# slices then; now 8-row slices, each drawing its own normals).
 _PROBE = {"homodyne": (66177, 1, [4096] * 16 + [641]), "heterodyne": (40401, 1, [4096] * 9 + [3537])}
 SLICE_SITES = {
     "covariance": ("covariance", 1, 0, lambda m: GaussianStateSpec.thermal(0.1, modes=m), {
@@ -716,12 +717,8 @@ SLICE_SITES = {
         100_000: [(100_000, 6, [43520, 43520, 12960])],
     }),
     "chain": ("chain", 1, 0, _chain_draws, {
-        100: [(100, 1000, [100])],
-        300: [(300, 1000, [262, 38])],
-    }),
-    "chain_fft": ("chain_fft", 1, 0, _chain_draws, {
-        100: [(100, 1000, [16] * 6 + [4])],
-        300: [(262, 1000, [16] * 16 + [6]), (38, 1000, [16, 16, 6])],
+        100: [(100, 4000, [8] * 12 + [4])],
+        300: [(300, 4000, [8] * 37 + [4])],
     }),
     "homodyne density": ("density", 16, 0, lambda n: _densities(n, "homodyne"), {
         100: [(100, 22, [100])],
@@ -739,6 +736,10 @@ SLICE_SITES = {
         100: [_PROBE["heterodyne"], (1024, 1, [1024])],
         20_000: [_PROBE["heterodyne"], (32768, 1, [4096] * 8)],
     }),
+    "stacked average": ("rounds", 1, 1024, lambda n: _stacked_average(n, 36), {
+        120: [(120, 1296, [50, 50, 20])],
+        5000: [(5000, 1296, [50] * 100)],
+    }),
     "table growth": ("turns", 16, 0, lambda key: _table_growth(*key), {
         ("homodyne", 3): [(512, 600, [48] * 10 + [32])],
         ("heterodyne", 6): [(512, 314, [96] * 5 + [32])],
@@ -746,10 +747,6 @@ SLICE_SITES = {
     "shadow chunks": ("rounds", 1, 1024, lambda key: _shadow_chunks(9000, *key), {
         (3, 1): [(9000, 16, [1024] * 8 + [808])],
         (5, 2): [(9000, 1296, [50] * 180)],
-    }),
-    "stacked average": ("rounds", 1, 1024, lambda n: _stacked_average(n, 36), {
-        120: [(120, 1296, [50, 50, 20])],
-        5000: [(5000, 1296, [50] * 100)],
     }),
     "P~_M radii": ("rings", 1, 0, _rings, {
         3: [(220, 256, [16] * 13 + [12])],
