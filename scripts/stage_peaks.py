@@ -19,9 +19,10 @@ The stage after which ``ru_maxrss`` last rises sets the workload's peak.
     python3 scripts/stage_peaks.py [--runs 3] [--seed 1]
 
 Prints one JSON object: per stage the values of each run (MB) and their
-medians, the stage that sets the median peak, and the SHA-256 of each run's
-shadow mean (the benchmark's ``shadow_mean`` hash).  Exits 1 if a child
-failed.
+medians, the stage that sets the median peak, the distinct SHA-256 of the
+runs' shadow means and standard errors (the benchmark's ``shadow_mean`` and
+``shadow_stderr`` hashes), and each run's batch ``meta`` (the sampler's
+acceptance and proposal count).  Exits 1 if a child failed.
 """
 
 from __future__ import annotations
@@ -69,7 +70,12 @@ def child(seed: int) -> dict:
     chunks = api.shadow_batch_entries(batch, [0], TRUNCATION)
     avg = api.average_entries(chunks, (0,), TRUNCATION, "homodyne")
     marks["shadow"] = _rss()
-    return {"stages": marks, "shadow_mean": sha256(avg.mean.tobytes())}
+    return {
+        "stages": marks,
+        "shadow_mean": sha256(avg.mean.tobytes()),
+        "shadow_stderr": sha256(avg.stderr.tobytes()),
+        "meta": batch.meta,
+    }
 
 
 def main(argv=None) -> int:
@@ -120,6 +126,8 @@ def main(argv=None) -> int:
         "stages": stages,
         "peak_stage": STAGES[highs.index(max(highs))],
         "shadow_mean": sorted({run["shadow_mean"] for run in runs}),
+        "shadow_stderr": sorted({run["shadow_stderr"] for run in runs}),
+        "meta": [run["meta"] for run in runs],
         "failed": failed,
     }, indent=1))
     return 1 if failed else 0

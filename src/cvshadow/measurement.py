@@ -54,7 +54,6 @@ HETERODYNE = "heterodyne"
 # dominates the Gaussian-decaying tail of every truncated state.
 _PROPOSAL_DOF = 4.0
 _ENVELOPE_MARGIN = 1.2
-_REJECTION_CHUNK = 32768
 
 
 @dataclass
@@ -408,52 +407,39 @@ def _rejection_draws(
     proposal points (rows of two values) and their proposal density.  The
     dominating constant ``bound`` (:func:`_envelope_bound`) is re-checked at
     every proposal: a proposal above it aborts, since clipping would
-    silently bias the sampler.  Each chunk asks for ``ceil(1.1 missing /
-    acceptance)`` proposals, clamped to ``[1024, _REJECTION_CHUNK]``, at
-    ``1 / bound`` (a normalised target's acceptance) until one is accepted
-    and at the acceptance so far after that.  The samples stay exact: a
-    chunk's size depends only on the bound and the counts of earlier
-    chunks, never on their points.  Each chunk draws its inputs whole, then
-    its uniforms ``u``; the proposal map, the target, the envelope check and
-    the acceptance then run one ``"proposals"`` slice at a time.  Each
-    slice's accepted points are written over the inputs already used, in
-    order, so no chunk-sized points, densities or gathered rows are formed.
-    Yields each chunk's accepted points as rows, with ``{}``, skipping a
-    chunk that accepts none; the last chunk's points come with
-    ``{"acceptance", "proposals"}``, the acceptance being accepted /
-    proposed over every chunk drawn.  Memory does not grow with ``n``: a
-    chunk's arrays are dropped before the next is drawn.
+    silently bias the sampler.  Every chunk is ``SLICE_BUDGETS["proposals"]``
+    proposals: their inputs, then their uniforms ``u``, are drawn whole, and
+    the proposal map, the target, the envelope check and the acceptance run
+    on the whole chunk.  No chunk's size depends on ``n``, so these points
+    are the first ``n`` of any longer run on the same stream.  Yields each
+    chunk's accepted points, cut to the points still missing, as rows with
+    ``{}``, skipping a chunk that accepts none; the last chunk's points come
+    with ``{"acceptance", "proposals"}``, the acceptance being accepted /
+    proposed over every chunk drawn.  Memory does not grow with ``n``.
     """
+    size = SLICE_BUDGETS["proposals"]
     filled = accepted = proposed = 0
     while filled < n:
-        wanted = 1.1 * (n - filled) * proposed / accepted if accepted else 1.1 * n * bound
-        size = min(_REJECTION_CHUNK, max(1024, math.ceil(wanted)))
         rows = draw(rng, size)
         u = rng.random(size)
-        kept = 0  # accepted points so far, rows[:kept]; never past the slice in hand
-        for sl in value_slices(size, 1, SLICE_BUDGETS["proposals"]):
-            pts, ceiling = proposals(rows[sl])
-            density = target(pts)
-            ceiling *= bound
-            if np.any(density > ceiling * (1.0 + 1e-9)):
-                worst = int(np.argmax(density - ceiling))
-                raise RuntimeError(
-                    f"rejection envelope violated at {pts[worst]}: density "
-                    f"{density[worst]:.3e} > envelope {ceiling[worst]:.3e}"
-                )
-            hits = pts[u[sl] * ceiling < density]
-            rows[kept : kept + len(hits)] = hits
-            kept += len(hits)
-        del u, pts, ceiling, density, hits  # before the chunk's points are handed on
+        pts, ceiling = proposals(rows)
+        density = target(pts)
+        ceiling *= bound
+        if np.any(density > ceiling * (1.0 + 1e-9)):
+            worst = int(np.argmax(density - ceiling))
+            raise RuntimeError(
+                f"rejection envelope violated at {pts[worst]}: density "
+                f"{density[worst]:.3e} > envelope {ceiling[worst]:.3e}"
+            )
+        hits = pts[u * ceiling < density]
         proposed += size
-        accepted += kept
-        take = rows[: min(kept, n - filled)]
+        accepted += len(hits)
+        take = hits[: n - filled]
         filled += len(take)
         if filled == n:
             yield take, {"acceptance": accepted / proposed, "proposals": proposed}
         elif len(take):
             yield take, {}
-        del rows, take  # before the next chunk is drawn
 
 
 def _envelope_bound(target, proposals, a: np.ndarray, b: np.ndarray) -> float:
@@ -608,11 +594,13 @@ def sample_blocks(state, protocol: str, n: int, seed_path: str) -> Iterator[Samp
     Homodyne angles are the stream's first ``n m`` uniforms (one 64-bit draw
     each) and the normals follow them, so they come from a copy of the
     generator moved on by ``n m`` draws.  A cat state or truncated Fock
-    matrix is drawn by rejection and yields one batch per proposal chunk
-    that accepts a point, its rows those of :func:`_rejection_rows`; the
-    last batch's ``meta`` holds the acceptance and proposal count.  However
-    the blocks fall, the rounds are the same bits, and a caller that drops
-    each batch before asking for the next holds one block at a time.
+    matrix is drawn by rejection and yields one batch per 4096-proposal
+    chunk that accepts a point, its rows those of :func:`_rejection_rows`,
+    so its ``n`` rounds are the first ``n`` of any longer batch on the same
+    ``seed_path``; the last batch's ``meta`` holds the acceptance and
+    proposal count.  However the blocks fall, the rounds are the same bits,
+    and a caller that drops each batch before asking for the next holds one
+    block at a time.
     """
     rng = stream_rng(seed_path)
     if not hasattr(state, "phase_space_draws"):

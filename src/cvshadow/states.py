@@ -210,7 +210,7 @@ def _check_modes(modes, m: int, name: str = "modes") -> None:
 # Values per slice of each loop cut by `value_slices`, whatever N, m or D: a
 # slice holds budget // per_item items, at most cap, rounded down to a multiple
 # of align and at least align.  Only the cuts marked "bits" move output bits;
-# the samplers draw their normals in row order, so theirs move none.
+# the Gaussian samplers draw their normals in row order, so theirs move none.
 # The "rounds" cap and the "grid" budget hold a D = 4 shadow chunk to 0.25 MB
 # and the two phase buffers of an 81-point grid (400 rounds) to 1 MB.
 SLICE_BUDGETS = {
@@ -218,7 +218,7 @@ SLICE_BUDGETS = {
     "gaussian": 1 << 18,  # GaussianStateSpec draws, 2m a row, multiples of 256 rows
     "chain": 1 << 15,  # CirculantChainState draws and in-place FFTs, 4m a row
     "density": 1 << 17,  # bits (BLAS column blocks): density points, dim a point, align 16
-    "proposals": 1 << 12,  # rejection probe and chunks (map, target, acceptance), one a proposal
+    "proposals": 1 << 12,  # bits (the draw order): rejection probe slices and chunks, one a proposal
     "turns": 1 << 15,  # node offsets of a table growth, t-rule nodes an offset, align 16
     "rounds": 1 << 16,  # bits (the averages' sums): shadow chunks, D^2 a round, cap 1024
     "rings": 1 << 12,  # radii of the P~_M pairing, 256 angles a radius

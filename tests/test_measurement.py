@@ -404,8 +404,8 @@ class TestSampleHomodyne:
         monkeypatch.setattr(meas, "_homodyne_density", spiked)
         with pytest.raises(RuntimeError, match="envelope"):
             meas.sample_homodyne_batch(spec, 100, "abort-one")
-        # the first chunk is sized from the probe: max(1024, ceil(1.1 * 100 * bound))
-        assert calls == probe + [1024]
+        # every chunk holds the "proposals" budget, whatever N is
+        assert calls == probe + [SLICE_BUDGETS["proposals"]]
 
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
     def test_state_factored_once_per_batch(self, monkeypatch, sample):
@@ -422,7 +422,7 @@ class TestSampleHomodyne:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         batch = sample(spec, 40_000, "one-eigh")
-        assert batch.meta["proposals"] > meas._REJECTION_CHUNK  # the probe and 2+ chunks
+        assert batch.meta["proposals"] > SLICE_BUDGETS["proposals"]  # 2+ chunks
         assert len(calls) == 1
         # each call factoring for itself draws the same bits
         real_density, real_husimi = meas._homodyne_density, meas.fock_husimi
@@ -434,16 +434,17 @@ class TestSampleHomodyne:
 
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
     def test_first_chunk_sized_from_the_probe(self, sample):
-        # the probe's bound is 1 / acceptance for a normalised target, so at
-        # N = 1e4 the first chunk asks for about 15k proposals, not 32768
+        # 4096-proposal chunks: at N = 1e4 the batch stops after four of
+        # them (16384 proposals) at the bench cat's 67-73 % acceptance, not
+        # after one chunk of 32768
         batch = sample(CatStateSpec(1 + 1j, "zero"), 10_000, "first-chunk")
         assert batch.n == 10_000
         assert batch.meta["proposals"] <= 20_000
 
-    def test_later_chunks_sized_for_the_remainder(self, monkeypatch):
-        # at N = 1e5 the first chunk is full; later ones ask for 1.1 x the missing points
-        # at the acceptance so far, so the bench cat at N = 1e5 stops near
-        # 138k proposals instead of five full chunks (163840)
+    def test_every_chunk_holds_the_budget(self, monkeypatch):
+        # every chunk draws SLICE_BUDGETS["proposals"] proposals, whatever is
+        # missing, so the bench cat at N = 1e5 stops at 34 chunks (139264
+        # proposals), past the last point by less than one chunk
         import cvshadow.measurement as meas
 
         sizes: list = []
@@ -457,9 +458,7 @@ class TestSampleHomodyne:
         batch = sample_homodyne_batch(CatStateSpec(1 + 1j, "zero"), 100_000, "chunks")
         assert batch.n == 100_000
         assert batch.meta["proposals"] == sum(sizes) <= 150_000
-        assert sizes[0] == meas._REJECTION_CHUNK
-        assert all(1024 <= size <= meas._REJECTION_CHUNK for size in sizes)
-        assert sizes[-1] < meas._REJECTION_CHUNK
+        assert set(sizes) == {SLICE_BUDGETS["proposals"]}
 
     def test_cat_batch_memory_bounded(self):
         # proposals come in fixed chunks: no intermediate grows with N
@@ -471,7 +470,7 @@ class TestSampleHomodyne:
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
     def test_target_runs_on_slices_of_a_chunk(self, monkeypatch, sample):
         # the proposal map, the target, the envelope check and the acceptance
-        # work through each chunk of proposals 4096 at a time
+        # work through the proposals one 4096-proposal chunk at a time
         import cvshadow.measurement as meas
 
         mapped, sizes, real = [], [], meas._rejection_draws
@@ -565,12 +564,26 @@ class TestSampleHomodyne:
         blocks = list(meas.sample_blocks(spec, protocol, 40_000, "blocks"))
         whole = sample(spec, 40_000, "blocks")
         assert len(blocks) >= 2
-        assert all(block.n <= meas._REJECTION_CHUNK for block in blocks)
+        assert all(block.n <= SLICE_BUDGETS["proposals"] for block in blocks)
         assert all(block.meta == {} for block in blocks[:-1])
         assert blocks[-1].meta == whole.meta
         assert set(whole.meta) == {"acceptance", "proposals"}
         outcomes = np.concatenate([block.outcomes for block in blocks])
         assert np.array_equal(outcomes, whole.outcomes)
+
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    @pytest.mark.parametrize(
+        "state",
+        [CatStateSpec(1 + 1j, "zero"), fock_matrix_of(CatStateSpec(1 + 1j, "plus"), 21)],
+        ids=["cat", "fock"],
+    )
+    def test_rounds_do_not_depend_on_n(self, protocol, state):
+        # no chunk is sized from N, so N rounds are the first N rounds of any
+        # longer batch on the same seed path
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        short = sample(state, 5000, "prefix")
+        long = sample(state, 20_000, "prefix")
+        assert np.array_equal(short.outcomes, long.outcomes[:5000])
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
     def test_cat_sampler_memory_at_2e5(self, protocol):
@@ -596,18 +609,20 @@ class TestSampleHomodyne:
         held = batches[0].outcomes.nbytes
         assert peak - held / 1e6 <= 10.0
         if protocol == "homodyne":
-            # the probe formed and evaluated in slices of proposals, and no
-            # block or chunk held past its use: 2.35 and 2.96 MB, where the
-            # whole probe took 5.5 and 3.7 MB
-            assert peak - held / 1e6 <= {20_000: 2.6, 200_000: 3.2}[n]
+            # the probe formed and evaluated in slices of proposals, and one
+            # 4096-proposal chunk at a time: 1.30 MB at either N, where
+            # 32768-proposal chunks took 1.61 and 1.99 MB and the whole probe
+            # 5.5 and 3.7 MB
+            assert peak - held / 1e6 <= 1.8
 
-    @pytest.mark.parametrize("protocol, bound", [("homodyne", 2.6), ("heterodyne", 3.6)])
+    @pytest.mark.parametrize(
+        "protocol, bound", [("homodyne", 1.8), ("heterodyne", 3.2)], ids=["homodyne", "heterodyne"]
+    )
     def test_cat_sampler_streams_its_chunks(self, protocol, bound):
-        # each chunk keeps only its drawn inputs and uniforms; the proposal
-        # map, the target and the acceptance run per 4096-proposal slice, and
-        # the accepted points are written over the used inputs: 1.99 and 3.36
-        # MB beyond the batch at N = 1e5, where chunk-sized points, densities
-        # and mapping temporaries read 2.96 and 3.55 MB
+        # each chunk is 4096 proposals, drawn, mapped, evaluated and accepted
+        # whole: 1.30 and 2.68 MB beyond the batch at N = 1e5, where 32768-
+        # proposal chunks read 1.99 and 3.36 MB, and with chunk-sized
+        # points, densities and mapping temporaries 2.96 and 3.55 MB
         sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
         spec = CatStateSpec(1 + 1j, "zero")
         sample(spec, 10, "warm")
@@ -620,21 +635,22 @@ class TestSampleHomodyne:
         [
             (
                 "homodyne",
-                "b6beaaaf950cdfad03b9a0be81940f31a1ce12341e27b7956d942693941864dc",
-                "0x1.72f3980498ee4p-1",
-                30292,
+                "ffef6371f815fa41720d15f1c3cc61c161fe10ff8c537125ab4314d0d0f58cb1",
+                "0x1.7296db6db6db7p-1",
+                28672,
             ),
             (
                 "heterodyne",
-                "c61ae879ef24c60f87292b950dde53fc6cf847ba47bd44a1c526253d2d2c2b09",
-                "0x1.54c0000000000p-1",
+                "759cbfafc4a312789bcbeec0a2ff51affe03ba3fc4b1a41014c7c8aa393ac5a8",
+                "0x1.58a0000000000p-1",
                 32768,
             ),
         ],
+        ids=["homodyne", "heterodyne"],
     )
     def test_seeded_cat_batches_keep_their_bits(self, protocol, digest, acceptance, proposals):
         # the bench cat's rounds, acceptance and proposal count, as the
-        # sampler drew them when it mapped, checked and accepted whole chunks
+        # sampler draws them in chunks of 4096 proposals
         sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
         batch = sample(CatStateSpec(1 + 1j, "zero"), 20_000, f"pin/{protocol}")
         outcomes = np.ascontiguousarray(batch.outcomes, "<f8").tobytes()

@@ -701,7 +701,8 @@ def _rejection(protocol, n):
 # the table growth's (powers of two then: 64 offsets against the 600-node
 # homodyne rule, 128 against the 314-node heterodyne one at M = 6; the tables
 # keep their bits), the rejection probe's (evaluated whole then; now one
-# pass of slices, each formed and reduced to its largest ratio), the grid
+# pass of slices, each formed and reduced to its largest ratio; a rejection
+# chunk is one budget of proposals and cuts no slices), the grid
 # CSV's (formatted whole then) and the chain's (262-row blocks of 16-row FFT
 # slices then; now 8-row slices, each drawing its own normals).
 _PROBE = {"homodyne": (66177, 1, [4096] * 16 + [641]), "heterodyne": (40401, 1, [4096] * 9 + [3537])}
@@ -729,12 +730,12 @@ SLICE_SITES = {
         10_000: [(10_000, 22, [5952, 4048])],
     }),
     "homodyne rejection": ("proposals", 1, 0, lambda n: _rejection("homodyne", n), {
-        100: [_PROBE["homodyne"], (1024, 1, [1024])],
-        20_000: [_PROBE["homodyne"], (30292, 1, [4096] * 7 + [1620])],
+        100: [_PROBE["homodyne"]],
+        20_000: [_PROBE["homodyne"]],
     }),
     "heterodyne rejection": ("proposals", 1, 0, lambda n: _rejection("heterodyne", n), {
-        100: [_PROBE["heterodyne"], (1024, 1, [1024])],
-        20_000: [_PROBE["heterodyne"], (32768, 1, [4096] * 8)],
+        100: [_PROBE["heterodyne"]],
+        20_000: [_PROBE["heterodyne"]],
     }),
     "stacked average": ("rounds", 1, 1024, lambda n: _stacked_average(n, 36), {
         120: [(120, 1296, [50, 50, 20])],
@@ -766,6 +767,8 @@ SLICE_SITES = {
 @pytest.mark.parametrize(
     "site, size",
     [(site, size) for site, (*_, sizes) in SLICE_SITES.items() for size in sizes],
+    # site and size, a tuple size's parts joined: [table growth-homodyne-3]
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else None,
 )
 def test_value_slices_sites(monkeypatch, site, size):
     # one rule for every value-bounded loop: each site passes its budget from
