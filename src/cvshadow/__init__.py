@@ -1,6 +1,6 @@
 """cvshadow: classical shadow tomography for continuous-variable states."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .phase_space import (
     CharGrid,

@@ -24,7 +24,6 @@ import base64
 import copy
 import ctypes
 import hashlib
-import itertools
 import json
 import math
 from collections.abc import Iterator
@@ -91,23 +90,17 @@ class SampleBatch:
         """Append one JSON line per round to the open text handle ``fh``.
 
         A line's bytes are those of ``json.dumps(payload, separators=(",",
-        ":"))`` for the keys protocol, thetas, outcome and seed_path.  A
-        homodyne round's angles (column 0) are its thetas and its q (column
-        1) its outcome; a heterodyne round's rows are its outcome (x0, p0,
-        x1, p1, ...), and its thetas ``null``.  Each is one string: the padded
-        standard base64 of the little-endian float64 values, so a reader gets
-        back the bits that were drawn.  Every line is ASCII, and its bytes
-        are fed to ``digest`` (a ``hashlib`` object) as it is written, when
-        one is given.
+        ":"))`` for the keys protocol, rows and seed_path.  ``rows`` is the
+        padded standard base64 of the round's (m, 2) little-endian float64
+        rows in row-major order (homodyne theta0, q0, theta1, q1, ...;
+        heterodyne x0, p0, x1, p1, ...), so a reader gets back the bits that
+        were drawn.  Every line is ASCII, and its bytes are fed to ``digest``
+        (a ``hashlib`` object) as it is written, when one is given.
         """
-        head = f'{{"protocol":{json.dumps(self.protocol)},"thetas":'
-        tail = f',"seed_path":{json.dumps(self.seed_path)}}}\n'
-        if self.protocol == HOMODYNE:
-            thetas = (f'"{t}"' for t in _base64_rows(self.outcomes[..., 0]))
-            outcomes = _base64_rows(self.outcomes[..., 1])
-        else:
-            thetas, outcomes = itertools.repeat("null"), _base64_rows(self.outcomes)
-        lines = (f'{head}{t},"outcome":"{o}"{tail}' for t, o in zip(thetas, outcomes))
+        head = f'{{"protocol":{json.dumps(self.protocol)},"rows":"'
+        tail = f'","seed_path":{json.dumps(self.seed_path)}}}\n'
+        rows = np.ascontiguousarray(self.outcomes, "<f8")
+        lines = (f"{head}{base64.b64encode(row).decode()}{tail}" for row in rows)
         if digest is not None:
             lines = _fed(lines, digest)
         fh.writelines(lines)
@@ -120,16 +113,15 @@ class SampleBatch:
         reader of a few modes of a long chain never holds the (N, m) batch.
         Every line is checked, whichever columns are kept: it must name the
         protocol and ``seed_path`` of the first record (a batch is one
-        protocol drawn from one RNG stream) and hold base64 float64 values,
-        finite and as many as the first record's; a heterodyne line's thetas
-        must be ``null``.  One pass counts the records, so the kept columns
-        are filled in place by the next; that pass also feeds every byte of
-        the file to ``digest`` (a ``hashlib`` object), when one is given.
+        protocol drawn from one RNG stream) and hold base64 float64 rows,
+        finite and as many values as the first record's.  One pass counts the
+        records, so the kept columns are filled in place by the next; that
+        pass also feeds every byte of the file to ``digest`` (a ``hashlib``
+        object), when one is given.
         """
         protocol, seed_path, m = jsonl_header(path)
         cols = list(range(m) if modes is None else modes)
         _check_modes(cols, m)
-        size = m if protocol == HOMODYNE else 2 * m  # values per base64 field
         n = 0
         with open(path, "rb") as fh:
             for line in fh:
@@ -140,7 +132,7 @@ class SampleBatch:
         with open(path, "rb") as fh:
             kept = ((k, line) for k, line in enumerate(fh, 1) if not line.isspace())
             for i, (k, line) in enumerate(kept):
-                line_protocol, line_seed_path, line_thetas, outcome = _fields(path, k, line)
+                line_protocol, line_seed_path, rows = _fields(path, k, line)
                 if line_protocol != protocol or line_seed_path != seed_path:
                     raise ValueError(
                         f"{path}: line {k} has protocol {line_protocol!r} and "
@@ -148,15 +140,7 @@ class SampleBatch:
                         f"{protocol!r} and {seed_path!r} (a batch file holds one "
                         "protocol drawn from one RNG stream)"
                     )
-                if protocol == HOMODYNE:
-                    outcomes[i, :, 0] = _row(line_thetas, size, path, k)[cols]
-                    outcomes[i, :, 1] = _row(outcome, size, path, k)[cols]
-                elif line_thetas is not None:
-                    raise ValueError(
-                        f"{path}: line {k} is a heterodyne record whose thetas is not null"
-                    )
-                else:
-                    outcomes[i] = _row(outcome, size, path, k).reshape(m, 2)[cols]
+                outcomes[i] = _row(rows, 2 * m, path, k).reshape(m, 2)[cols]
         return cls(protocol, outcomes, seed_path=seed_path)
 
 
@@ -167,17 +151,11 @@ def _fed(lines: Iterator[str], digest) -> Iterator[str]:
         yield line
 
 
-def _base64_rows(values: np.ndarray) -> Iterator[str]:
-    """The standard base64 of each row's little-endian float64 values."""
-    rows = np.ascontiguousarray(values.reshape(len(values), -1), "<f8")
-    return (base64.b64encode(row).decode() for row in rows)
-
-
 def jsonl_header(path) -> tuple[str, str, int]:
     """``(protocol, seed_path, modes)`` of a records file, from its first record.
 
-    Reading stops at the first record line; ``modes >= 1`` is the count of
-    its outcome values, halved for heterodyne.
+    Reading stops at the first record line; ``modes >= 1`` is half the count
+    of its row values.
     """
     with open(path, "rb") as fh:
         for first, line in enumerate(fh, 1):
@@ -185,29 +163,23 @@ def jsonl_header(path) -> tuple[str, str, int]:
                 break
         else:
             raise ValueError(f"{path}: no records")
-    protocol, seed_path, _, outcome = _fields(path, first, line)
+    protocol, seed_path, rows = _fields(path, first, line)
     if protocol not in (HOMODYNE, HETERODYNE):
         raise ValueError(f"{path}: line {first} has unknown protocol {protocol!r}")
-    size = _values(outcome, path, first).size
-    per_mode = 1 if protocol == HOMODYNE else 2
-    if size == 0 or size % per_mode:
+    size = _values(rows, path, first).size
+    if size == 0 or size % 2:
         raise ValueError(
-            f"{path}: line {first} has outcome value count {size}, not a whole "
-            f"positive number of {protocol} modes"
+            f"{path}: line {first} has row value count {size}, not two values "
+            "for each of one or more modes"
         )
-    return protocol, seed_path, size // per_mode
+    return protocol, seed_path, size // 2
 
 
 def _fields(path, line: int, raw: bytes) -> tuple:
-    """(protocol, seed_path, thetas, outcome) of one JSONL record line, read as bytes."""
+    """(protocol, seed_path, rows) of one JSONL record line, read as bytes."""
     try:
         payload = json.loads(raw.decode("utf-8"))
-        return (
-            payload["protocol"],
-            payload.get("seed_path", ""),
-            payload.get("thetas"),
-            payload["outcome"],
-        )
+        return payload["protocol"], payload.get("seed_path", ""), payload["rows"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: line {line} is not a record ({exc!r})") from None
 

@@ -354,12 +354,10 @@ def b64_values(text: str) -> np.ndarray:
 def reference_jsonl(batch) -> bytes:
     """``records.jsonl`` bytes of ``batch``, one ``json.dumps`` per round."""
     lines = []
-    homodyne = batch.protocol == "homodyne"
     for i in range(batch.n):
         payload = {
             "protocol": batch.protocol,
-            "thetas": b64_floats(batch.outcomes[i, :, 0]) if homodyne else None,
-            "outcome": b64_floats(batch.outcomes[i, :, 1] if homodyne else batch.outcomes[i]),
+            "rows": b64_floats(batch.outcomes[i]),
             "seed_path": batch.seed_path,
         }
         lines.append(json.dumps(payload, separators=(",", ":")) + "\n")

@@ -39,7 +39,7 @@ from cvshadow.states import (
     chain_ground_state,
     fock_matrix_of,
 )
-from conftest import b64_values, whole_gaussian_batch
+from conftest import b64_floats, b64_values, whole_gaussian_batch
 
 
 def base_config(**overrides):
@@ -377,7 +377,7 @@ class TestSample:
         )
         cmd_sample(cfg, tmp_path)
         thetas = [
-            b64_values(json.loads(line)["thetas"])[0]
+            b64_values(json.loads(line)["rows"])[0]  # rows (theta, q)
             for line in (tmp_path / "records.jsonl").read_text().splitlines()
         ]
         assert len(thetas) == 200
@@ -389,8 +389,8 @@ class TestSample:
         )
         cmd_sample(cfg, tmp_path)
         first = json.loads((tmp_path / "records.jsonl").read_text().splitlines()[0])
-        assert first["thetas"] is None
-        assert b64_values(first["outcome"]).size == 40 * 2
+        assert list(first) == ["protocol", "rows", "seed_path"]
+        assert b64_values(first["rows"]).size == 40 * 2
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
     def test_chain_records_deterministic(self, tmp_path, protocol):
@@ -402,14 +402,14 @@ class TestSample:
         assert rec_a == (tmp_path / "b" / "records.jsonl").read_bytes()
 
     def test_thousand_oscillator_chain_completes(self, tmp_path):
-        # strongly coupled kilomode chain: per-record outcome carries 2000
+        # strongly coupled kilomode chain: per-record rows carry 2000
         # coordinates; only pairwise-reduced artifacts downstream
         cfg = base_config(
             state={"kind": "chain", "m": 1000, "kappa": 0.99}, samples=3
         )
         cmd_sample(cfg, tmp_path)
         first = json.loads((tmp_path / "records.jsonl").read_text().splitlines()[0])
-        assert b64_values(first["outcome"]).size == 2000
+        assert b64_values(first["rows"]).size == 2000
 
     def test_manifest_inventory(self, tmp_path, monkeypatch):
         # the records are hashed as they are written: no file is read back
@@ -1086,26 +1086,33 @@ class TestMainEntrypoint:
         argv = ["reconstruct", "--config", str(cfg_path), "--batch", str(batch)]
         assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == (
-            f"error: {batch}: line 1 holds numbers that are not base64 float64\n"
+            f"error: {batch}: line 1 is not a record (KeyError('rows'))\n"
         )
         assert not (tmp_path / "r" / "manifest.json").exists()
 
-    def test_heterodyne_record_with_thetas_exit_code(self, tmp_path, capsys):
-        # a heterodyne round has no angles: a thetas field that is not null is refused
-        cfg_path = write_config(tmp_path, base_config(samples=30))
-        assert cli.main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 0
-        batch = tmp_path / "s" / "records.jsonl"
-        lines = batch.read_text().splitlines(keepends=True)
-        payload = json.loads(lines[12])
-        payload["thetas"] = payload["outcome"]
-        lines[12] = json.dumps(payload, separators=(",", ":")) + "\n"
-        batch.write_text("".join(lines))
-        argv = ["reconstruct", "--config", str(cfg_path), "--batch", str(batch)]
-        assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {batch}: line 13 is a heterodyne record whose thetas is not null\n"
-        )
-        assert not (tmp_path / "r" / "manifest.json").exists()
+    def test_records_of_version_0_4_0_exit_code(self, tmp_path, capsys):
+        # 0.4.0 wrote a homodyne round as thetas and outcome fields and a
+        # heterodyne round with "thetas":null; neither is read as rows
+        for protocol in ("homodyne", "heterodyne"):
+            cfg_path = write_config(tmp_path, base_config(protocol=protocol, samples=30))
+            out = tmp_path / protocol
+            assert cli.main(["sample", "--config", str(cfg_path), "--out", str(out / "s")]) == 0
+            batch = out / "s" / "records.jsonl"
+            lines = []
+            for line in batch.read_text().splitlines():
+                payload = json.loads(line)
+                rows = b64_values(payload["rows"]).reshape(-1, 2)
+                thetas = b64_floats(rows[:, 0]) if protocol == "homodyne" else None
+                outcome = b64_floats(rows[:, 1] if protocol == "homodyne" else rows)
+                lines.append(json.dumps({"protocol": protocol, "thetas": thetas, "outcome": outcome,
+                                         "seed_path": payload["seed_path"]}, separators=(",", ":")))
+            batch.write_text("\n".join(lines) + "\n")
+            argv = ["reconstruct", "--config", str(cfg_path), "--batch", str(batch)]
+            assert cli.main(argv + ["--out", str(out / "r")]) == 2
+            assert capsys.readouterr().err == (
+                f"error: {batch}: line 1 is not a record (KeyError('rows'))\n"
+            )
+            assert not (out / "r" / "manifest.json").exists()
 
     def test_manifests_hash_the_files_read(self, tmp_path):
         # each reader's manifest holds the digest its producer's inventory holds

@@ -433,7 +433,7 @@ class TestSampleHomodyne:
         assert np.array_equal(again.outcomes, batch.outcomes)
 
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
-    def test_first_chunk_sized_from_the_probe(self, sample):
+    def test_stops_within_one_chunk_of_n_rounds(self, sample):
         # 4096-proposal chunks: at N = 1e4 the batch stops after four of
         # them (16384 proposals) at the bench cat's 67-73 % acceptance, not
         # after one chunk of 32768
@@ -468,7 +468,7 @@ class TestSampleHomodyne:
         assert peak < 150.0
 
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
-    def test_target_runs_on_slices_of_a_chunk(self, monkeypatch, sample):
+    def test_map_and_target_run_on_whole_chunks(self, monkeypatch, sample):
         # the proposal map, the target, the envelope check and the acceptance
         # work through the proposals one 4096-proposal chunk at a time
         import cvshadow.measurement as meas
@@ -1094,59 +1094,59 @@ class TestRecordsAndBatches:
 
     def test_malformed_files_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        half, tenth = b64_floats([0.5]), b64_floats([0.1])
-        good = f'{{"protocol":"homodyne","thetas":"{tenth}","outcome":"{half}","seed_path":"x"}}'
-        het = good.replace('"homodyne"', '"heterodyne"').replace(f'"{tenth}"', "null")
-        het2 = het.replace(half, b64_floats([0.5, 0.6]))  # one mode (x, p)
+        row, two = b64_floats([0.1, 0.5]), b64_floats([0.1, 0.5, 0.2, 0.6])  # one and two modes
+        tenth, half = b64_floats([0.1]), b64_floats([0.5])
+        good = f'{{"protocol":"homodyne","rows":"{row}","seed_path":"x"}}'
+        het = good.replace('"homodyne"', '"heterodyne"')
         cases = {
             "\n": "no records",
-            good.replace('"outcome"', '"outcomes"'): "line 1 is not a record",
+            good.replace('"rows"', '"row"'): "line 1 is not a record",
             "[1, 2]\n": "line 1 is not a record",
             # a count that differs from line 1's
-            good + "\n" + good.replace(half, b64_floats([0.5, 0.6])): (
-                "line 2 has value count 2, expected 1 as on the first record"
+            good + "\n" + good.replace(row, two): (
+                "line 2 has value count 4, expected 2 as on the first record"
             ),
-            het.replace(half, b64_floats([0.5, 0.6])) + "\n" + het.replace(half, b64_floats([0.5])): (
-                "line 2 has value count 1, expected 2 as on the first record"
+            het.replace(row, two) + "\n" + het: (
+                "line 2 has value count 2, expected 4 as on the first record"
             ),
             # a truncated last line, numbers that are not base64 float64 past
             # the first line, and on it, all name the file and the line
             (good + "\n") * 5 + good[:40]: "line 6 is not a record",
-            (good + "\n") * 3 + good.replace(f'"{half}"', "[0.5]"): (
+            (good + "\n") * 3 + good.replace(f'"{row}"', "[0.1,0.5]"): (
                 "line 4 holds numbers that are not base64 float64"
             ),
-            (good + "\n") * 3 + good.replace(f'"{tenth}"', "null"): (
+            (good + "\n") * 3 + good.replace(f'"{row}"', "null"): (
                 "line 4 holds numbers that are not base64 float64"
             ),
-            good.replace(f'"{half}"', "[0.5]"): "line 1 holds numbers that are not base64 float64",
+            good.replace(f'"{row}"', "[0.1,0.5]"): "line 1 holds numbers that are not base64 float64",
             # a character outside the base64 alphabet, bad padding, and a byte
             # count that is not a whole number of float64 values or of modes
-            good + "\n" + good.replace(half, half[:3] + "*" + half[4:]): (
+            good + "\n" + good.replace(row, row[:3] + "*" + row[4:]): (
                 "line 2 holds numbers that are not base64 float64"
             ),
-            good + "\n" + good.replace(half, half.rstrip("=")): (
+            good + "\n" + good.replace(row, row.rstrip("=")): (
                 "line 2 holds numbers that are not base64 float64"
             ),
-            good + "\n" + good.replace(half, half + "=="): (
+            good + "\n" + good.replace(row, row + "=="): (
                 "line 2 holds numbers that are not base64 float64"
             ),
-            good + "\n" + good.replace(half, "AAAAAAAAAA=="): (
+            good + "\n" + good.replace(row, "AAAAAAAAAA=="): (
                 "line 2 holds numbers that are not base64 float64"
             ),
-            # a heterodyne record's thetas is null, on line 1 and past it
-            het2.replace("null", f'"{tenth}"'): (
-                "line 1 is a heterodyne record whose thetas is not null"
-            ),
-            (het2 + "\n") * 2 + het2.replace("null", f'"{tenth}"'): (
-                "line 3 is a heterodyne record whose thetas is not null"
-            ),
-            het.replace(half, b64_floats([0.5, 0.6, 0.7])): (
-                "line 1 has outcome value count 3, not a whole positive number of "
-                "heterodyne modes"
+            het.replace(row, b64_floats([0.5, 0.6, 0.7])): (
+                "line 1 has row value count 3, not two values for each of one or more modes"
             ),
             # bytes that are not UTF-8 are a line that is not a record
             ((good + "\n") * 3).encode() + b"\xff\xfe\n" + good.encode(): (
                 "line 4 is not a record"
+            ),
+            # 0.4.0 and older wrote thetas and outcome fields, not rows: their
+            # first line is refused, so no such file is read as data
+            f'{{"protocol":"homodyne","thetas":"{tenth}","outcome":"{half}"}}\n' * 2: (
+                r"line 1 is not a record \(KeyError\('rows'\)\)"
+            ),
+            f'{{"protocol":"heterodyne","thetas":null,"outcome":"{row}"}}\n' * 2: (
+                r"line 1 is not a record \(KeyError\('rows'\)\)"
             ),
         }
         for text, message in cases.items():
@@ -1253,6 +1253,31 @@ class TestRecordsAndBatches:
             assert loaded.n == rows
             assert np.array_equal(loaded.outcomes, batch.outcomes)
 
+    @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
+    @pytest.mark.parametrize(
+        "state, kept",
+        [
+            (GaussianStateSpec.vacuum(), [0]),
+            (GaussianStateSpec.thermal(0.3, modes=3), [2, 0]),
+            (chain_state(ChainSpec(6, 0.99)), [4, 1, 3]),
+            (CatStateSpec(1 + 1j, "plus"), [0]),
+            (fock_state(2, 4), [0]),
+        ],
+        ids=["gaussian1", "gaussian3", "chain", "cat", "fock"],
+    )
+    def test_every_state_kind_roundtrips(self, tmp_path, protocol, state, kept):
+        # every sampler's rows come back with their bits, on all modes and on
+        # a reordered subset of them; the bytes pin the row-major layout, so
+        # each homodyne angle sits beside its own q (theta0, q0, theta1, ...)
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        batch = sample(state, 40, f"kinds/{protocol}")
+        path = tmp_path / "records.jsonl"
+        write_jsonl(batch, path)
+        assert path.read_bytes() == reference_jsonl(batch)
+        assert np.array_equal(SampleBatch.from_jsonl(path).outcomes, batch.outcomes)
+        subset = SampleBatch.from_jsonl(path, modes=kept)
+        assert np.array_equal(subset.outcomes, batch.outcomes[:, kept])
+
     @settings(max_examples=60, deadline=None)
     @given(
         protocol=st.sampled_from(["homodyne", "heterodyne"]),
@@ -1294,9 +1319,9 @@ class TestRecordsAndBatches:
         write_jsonl(SampleBatch("heterodyne", outcomes, seed_path="chk"), path)
         text = path.read_text().splitlines()
         payload = json.loads(text[1])
-        values = b64_values(payload["outcome"]).copy()
+        values = b64_values(payload["rows"]).copy()
         values[11] = bad  # mode 5, p
-        payload["outcome"] = b64_floats(values)
+        payload["rows"] = b64_floats(values)
         text[1] = json.dumps(payload)
         path.write_text("\n".join(text) + "\n")
         for modes in (None, [0]):
@@ -1305,13 +1330,12 @@ class TestRecordsAndBatches:
 
     def test_first_record_shape_checked(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        for values, protocol in (([], "homodyne"), ([], "heterodyne"),
+        for values, protocol in (([], "homodyne"), ([], "heterodyne"), ([0.5], "homodyne"),
                                  ([0.5], "heterodyne"), ([0.5, 0.1, 0.2], "heterodyne")):
-            outcome = b64_floats(values)
-            path.write_text(f'{{"protocol":"{protocol}","thetas":null,"outcome":"{outcome}"}}\n')
-            with pytest.raises(ValueError, match=f"line 1 has outcome value count {len(values)}, not a whole"):
+            path.write_text(f'{{"protocol":"{protocol}","rows":"{b64_floats(values)}"}}\n')
+            with pytest.raises(ValueError, match=f"line 1 has row value count {len(values)}, not two"):
                 SampleBatch.from_jsonl(path)
-        path.write_text(f'{{"protocol":"quadrature","thetas":null,"outcome":"{b64_floats([0.5])}"}}\n')
+        path.write_text(f'{{"protocol":"quadrature","rows":"{b64_floats([0.5, 0.1])}"}}\n')
         with pytest.raises(ValueError, match="unknown protocol 'quadrature'"):
             SampleBatch.from_jsonl(path)
 
