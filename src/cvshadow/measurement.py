@@ -37,12 +37,10 @@ from .phase_space import alpha_of, hermite_stack
 from .states import (
     SLICE_BUDGETS,
     CatStateSpec,
-    FockKet,
     FockMatrix,
     _check_modes,
     cat_fock_coefficients,
     coherent_fock_coefficients,
-    fock_moments,
     value_slices,
 )
 
@@ -227,22 +225,6 @@ def _hermitian(rho: np.ndarray) -> bool:
     return float(np.abs(rho - rho.conj().T).max(initial=0.0)) <= 1e-8
 
 
-def _factors(fock: FockMatrix | FockKet) -> tuple[np.ndarray, np.ndarray]:
-    """``(lam, u)`` with ``rho = sum_k lam_k u_k u_k^H`` for the matrix ``rho`` of ``fock``.
-
-    A :class:`FockKet` ``c`` is its one factor, weight ``|c|^2`` and vector
-    ``c / |c|``.  A matrix takes one ``eigh``: eigenpairs with ``|lam| <= dim
-    eps max|lam|`` are dropped and the rest keep their sign, so the factors
-    hold for any Hermitian matrix, not only states.
-    """
-    if isinstance(fock, FockKet):
-        weight = float(np.vdot(fock.coeffs, fock.coeffs).real)
-        return np.array([weight]), (fock.coeffs / math.sqrt(weight))[:, None]
-    lam, u = np.linalg.eigh(fock.entries)
-    keep = np.abs(lam) > lam.size * np.finfo(float).eps * np.abs(lam).max(initial=0.0)
-    return lam[keep], u[:, keep]
-
-
 @cache
 def _openblas_threads():
     """``(get, set)`` of the thread count of numpy's bundled OpenBLAS, or ``None``.
@@ -283,55 +265,53 @@ def _one_blas_thread():
         put(threads)
 
 
-def _homodyne_density(
-    fock: FockMatrix | FockKet, theta, q: np.ndarray, factors=None
-) -> np.ndarray:
-    """``p(q_i | theta_i)`` of a single-mode truncated state, one angle per point.
+def _homodyne_density(factors, theta, q: np.ndarray) -> np.ndarray:
+    """``p(q_i | theta_i)`` of the single-mode state ``factors``, one angle per point.
 
-    ``p(q|theta) = <v|rho|v>`` with ``v_n = exp(-i n theta) psi_n(q)``;
-    ``q`` is 1-D and ``theta`` broadcasts to it.  Each factor's amplitude
-    ``sum_n conj(u_n) psi_n(q) z^n``, ``z = exp(-i theta)``, is one Horner
-    pass over the rows of :func:`hermite_stack`: O(dim) per point and factor,
-    in the ``"density"`` slices of :func:`~cvshadow.states.value_slices`.
-    ``factors`` are ``_factors(fock)``, when the caller holds them.
+    ``factors`` are ``(lam, u)`` with ``rho = sum_k lam_k u_k u_k^H``,
+    truncated at ``len(u) - 1`` photons.  ``p(q|theta) = <v|rho|v>`` with
+    ``v_n = exp(-i n theta) psi_n(q)``; ``q`` is 1-D and ``theta``
+    broadcasts to it.  Each factor's amplitude ``sum_n conj(u_n) psi_n(q)
+    z^n``, ``z = exp(-i theta)``, is one Horner pass over the rows of
+    :func:`hermite_stack`: O(dim) per point and factor, in the ``"density"``
+    slices of :func:`~cvshadow.states.value_slices`.
     """
-    lam, u = _factors(fock) if factors is None else factors
+    lam, u = factors
+    trunc = len(u) - 1
     coeffs = u.conj()[:, :, None]
     theta = np.broadcast_to(theta, q.shape)
     out = np.empty(q.shape)
-    for sl in value_slices(q.size, fock.truncation + 1, SLICE_BUDGETS["density"], align=16):
-        psi = hermite_stack(fock.truncation, q[sl])
+    for sl in value_slices(q.size, len(u), SLICE_BUDGETS["density"], align=16):
+        psi = hermite_stack(trunc, q[sl])
         z = np.exp(-1j * theta[sl])
         amps = coeffs[-1] * psi[-1]
-        for n in range(fock.truncation - 1, -1, -1):
+        for n in range(trunc - 1, -1, -1):
             amps *= z
             amps += coeffs[n] * psi[n]
         out[sl] = lam @ (amps.real**2 + amps.imag**2)
     return out
 
 
-def fock_husimi(fock: FockMatrix | FockKet, x, factors=None) -> np.ndarray:
-    """Heterodyne outcome density ``<x|rho|x> / (2 pi)`` of a truncated state.
+def fock_husimi(factors, x) -> np.ndarray:
+    """Heterodyne outcome density ``<x|rho|x> / (2 pi)`` of the single-mode ``factors``.
 
-    ``<x|rho|x> = sum_k lam_k |u_k^H v|^2`` over the factors of
-    :func:`_factors` (or ``factors``, when the caller holds them), for the
-    coherent-state amplitudes ``v = <n|x>`` of
+    ``<x|rho|x> = sum_k lam_k |u_k^H v|^2`` over the factors ``(lam, u)``
+    of ``rho``, truncated at ``len(u) - 1`` photons, for the coherent-state
+    amplitudes ``v = <n|x>`` of
     :func:`~cvshadow.states.coherent_fock_coefficients` at ``alpha(x)``,
     in the ``"density"`` slices of :func:`~cvshadow.states.value_slices`, on
     one BLAS thread, so that the bits follow neither the thread count nor the
     slices.  Signed, like :func:`_homodyne_density`: for a Hermitian matrix
     that is not a state it may read below zero.
     """
-    if fock.modes != 1:
-        raise ValueError("fock_husimi supports single-mode matrices")
     x = np.asarray(x, dtype=float)
-    lam, u = _factors(fock) if factors is None else factors
+    lam, u = factors
     u_h = u.conj().T
     points = x.reshape(-1, 2)
     out = np.empty(len(points))
-    for sl in value_slices(len(points), fock.truncation + 1, SLICE_BUDGETS["density"], align=16):
+    for sl in value_slices(len(points), len(u), SLICE_BUDGETS["density"], align=16):
         with _one_blas_thread():
-            amps = u_h @ coherent_fock_coefficients(alpha_of(points[sl]), fock.truncation)
+            amps = u_h @ coherent_fock_coefficients(alpha_of(points[sl]), len(u) - 1)
             out[sl] = lam @ (amps.real**2 + amps.imag**2)
     out = (out / (2.0 * np.pi)).reshape(x.shape[:-1])
     return out if np.ndim(out) else float(out)
@@ -342,17 +322,20 @@ def fock_husimi(fock: FockMatrix | FockKet, x, factors=None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _sampling_fock(state) -> FockMatrix | FockKet:
-    """The single-mode truncated state a non-Gaussian sampler draws from.
+def _sampling_factors(state) -> tuple[np.ndarray, np.ndarray]:
+    """The state a non-Gaussian sampler draws from, as ``(lam, u)``.
 
-    A cat is its truncated amplitudes, a :class:`FockKet`.  A matrix must be
-    Hermitian (to an absolute 1e-8), positive semidefinite (to -1e-10) and
-    of positive trace, or ``ValueError`` is raised: the samplers never clip
-    a density.
+    ``rho = sum_k lam_k u_k u_k^H``.  A cat is its one factor, weight 1 and
+    its truncated amplitudes ``c``, so no (dim, dim) matrix is formed and no
+    ``eigh`` run.  A matrix must be single mode, Hermitian (to an absolute
+    1e-8), positive semidefinite (to -1e-10) and of positive trace, or
+    ``ValueError`` is raised: the samplers never clip a density.  Its one
+    ``eigh`` gives the check its smallest eigenvalue and the factors their
+    pairs; pairs with ``|lam| <= dim eps max|lam|`` are dropped.
     """
     if isinstance(state, CatStateSpec):
         trunc = int(np.ceil(abs(state.alpha) ** 2 + 6.0 * abs(state.alpha) + 10))
-        return FockKet(cat_fock_coefficients(state, trunc))
+        return np.ones(1), cat_fock_coefficients(state, trunc)[:, None]
     if not isinstance(state, FockMatrix):
         raise ValueError(f"unsupported state kind: {type(state).__name__}")
     if state.modes != 1:
@@ -360,13 +343,14 @@ def _sampling_fock(state) -> FockMatrix | FockKet:
     rho = state.entries
     if not _hermitian(rho):
         raise ValueError("cannot sample a non-Hermitian state matrix")
-    lowest = float(np.linalg.eigvalsh(rho).min())
-    if lowest < -1e-10 or np.trace(rho).real <= 0:
+    lam, u = np.linalg.eigh(rho)
+    if lam[0] < -1e-10 or np.trace(rho).real <= 0:
         raise ValueError(
             f"cannot sample a matrix that is not a state (minimum eigenvalue "
-            f"{lowest:.3e}, trace {np.trace(rho).real:.3e})"
+            f"{lam[0]:.3e}, trace {np.trace(rho).real:.3e})"
         )
-    return state
+    keep = np.abs(lam) > lam.size * np.finfo(float).eps * np.abs(lam).max()
+    return lam[keep], u[:, keep]
 
 
 def _rejection_draws(
@@ -457,14 +441,38 @@ def _t_density(z: np.ndarray, scale) -> np.ndarray:
     return c * (1.0 + np.sum(z * z, axis=-1) / nu) ** (-0.5 * (nu + d)) / scale
 
 
-def _homodyne_proposals(fock: FockMatrix | FockKet):
+def _moments(lam: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean vector and covariance matrix of the single-mode state ``sum_k lam_k u_k u_k^H``.
+
+    Uses the ladder-operator sums over the diagonals ``rho[n + k, n] =
+    (u[n + k] * conj(u[n])) @ lam``, ``k = 0, 1, 2``.  The covariance
+    follows the anticommutator convention in which the vacuum has V = I.
+    """
+    diag = [(u[k:] * u[: len(u) - k].conj()) @ lam for k in range(3)]
+    n = np.arange(len(u))
+    tr = np.sum(diag[0]).real
+    a_mean = np.sum(np.sqrt(n[1:]) * diag[1])
+    aa = np.sum(np.sqrt(n[2:] * (n[2:] - 1)) * diag[2])
+    adaga = np.sum(n * diag[0].real)
+    tx = np.sqrt(2.0) * a_mean.real / tr
+    tp = np.sqrt(2.0) * a_mean.imag / tr
+    x2 = aa.real + adaga + 0.5 * tr
+    p2 = -aa.real + adaga + 0.5 * tr
+    xp = aa.imag
+    v_xx = 2.0 * x2 / tr - 2.0 * tx * tx
+    v_pp = 2.0 * p2 / tr - 2.0 * tp * tp
+    v_xp = 2.0 * xp / tr - 2.0 * tx * tp
+    return np.array([tx, tp]), np.array([[v_xx, v_xp], [v_xp, v_pp]])
+
+
+def _homodyne_proposals(factors):
     """Map rows ``(theta, z) -> (points, density)`` of the homodyne proposal.
 
     ``q = mean + std z`` with the state's rotated-quadrature mean and std at
     each angle, the variance floored at the vacuum's; ``z`` is a draw of
     :func:`_t_draws` with ``dim = 1``.  The uniform angle density cancels.
     """
-    t_fit, v_fit = fock_moments(fock)
+    t_fit, v_fit = _moments(*factors)
 
     def proposals(rows):
         theta, z = rows[:, 0], rows[:, 1:]
@@ -477,13 +485,13 @@ def _homodyne_proposals(fock: FockMatrix | FockKet):
     return proposals
 
 
-def _heterodyne_proposals(fock: FockMatrix | FockKet):
+def _heterodyne_proposals(factors):
     """Map rows ``z -> (points, density)`` of the heterodyne proposal.
 
     ``x = t + L z`` with ``L L^T = (V + I)/2`` from the state's moments;
     ``z`` holds rows of :func:`_t_draws` with ``dim = 2``.
     """
-    t_fit, v_fit = fock_moments(fock)
+    t_fit, v_fit = _moments(*factors)
     chol = np.linalg.cholesky(0.5 * (v_fit + np.eye(2)))
     det = float(np.prod(np.diag(chol)))
 
@@ -494,9 +502,9 @@ def _heterodyne_proposals(fock: FockMatrix | FockKet):
 
 
 def _rejection_rows(
-    fock: FockMatrix | FockKet, protocol: str, n: int, rng: np.random.Generator
+    factors, protocol: str, n: int, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, dict]]:
-    """Draw rows for ``n`` rounds of ``protocol`` on a single-mode truncated state.
+    """Draw rows for ``n`` rounds of ``protocol`` on the single-mode state ``factors``.
 
     Homodyne rows are ``(theta, q)``: ``theta`` uniform, then ``q`` from
     :func:`_homodyne_proposals`, probed on a 129 x 513 grid of angles and
@@ -505,9 +513,8 @@ def _rejection_rows(
     Either proposal is a Student t located and scaled by the state's moments;
     the rows come chunk by chunk, as :func:`_rejection_draws` yields them.
     """
-    factors = _factors(fock)  # once per batch: the target is called per slice
     if protocol == HOMODYNE:
-        proposals = _homodyne_proposals(fock)
+        proposals = _homodyne_proposals(factors)
 
         def draw(rng, size):  # rows (theta, z)
             rows = np.empty((size, 2))
@@ -516,17 +523,17 @@ def _rejection_rows(
             return rows
 
         def target(pts):
-            return _homodyne_density(fock, pts[:, 0], pts[:, 1], factors)
+            return _homodyne_density(factors, pts[:, 0], pts[:, 1])
 
         probe = np.linspace(-np.pi, np.pi, 129), np.linspace(-6.0, 6.0, 513)
     else:
-        proposals = _heterodyne_proposals(fock)
+        proposals = _heterodyne_proposals(factors)
 
         def draw(rng, size):  # rows z
             return _t_draws(rng, size, 2)
 
         def target(pts):
-            return fock_husimi(fock, pts, factors)
+            return fock_husimi(factors, pts)
 
         probe = (np.linspace(-6.0, 6.0, 201),) * 2
     bound = _envelope_bound(target, proposals, *probe)
@@ -576,7 +583,7 @@ def sample_blocks(state, protocol: str, n: int, seed_path: str) -> Iterator[Samp
     """
     rng = stream_rng(seed_path)
     if not hasattr(state, "phase_space_draws"):
-        for pts, meta in _rejection_rows(_sampling_fock(state), protocol, n, rng):
+        for pts, meta in _rejection_rows(_sampling_factors(state), protocol, n, rng):
             yield SampleBatch(protocol, pts[:, None, :], seed_path=seed_path, meta=meta)
             del pts  # before the next chunk is drawn
         return

@@ -73,27 +73,6 @@ class FockMatrix:
         return out if np.ndim(out) else complex(out)
 
 
-@dataclass(frozen=True, eq=False)
-class FockKet:
-    """Single-mode pure state ``c c^H``, held as its amplitudes ``c_n``, ``n <= M``.
-
-    It stands in for its :class:`FockMatrix` where only the state's factor
-    and moments are read, so the samplers never form the (dim, dim) matrix
-    of a large cat; ``entries`` builds that matrix.
-    """
-
-    coeffs: np.ndarray
-    modes = 1
-
-    @property
-    def truncation(self) -> int:
-        return self.coeffs.size - 1
-
-    @property
-    def entries(self) -> np.ndarray:
-        return np.outer(self.coeffs, self.coeffs.conj())
-
-
 # ---------------------------------------------------------------------------
 # Gaussian states
 # ---------------------------------------------------------------------------
@@ -599,38 +578,8 @@ def fock_matrix_of(state, truncation: int) -> FockMatrix:
     if truncation < 0:
         raise ValueError("truncation must be non-negative")
     if isinstance(state, CatStateSpec):
-        return FockMatrix(1, truncation, FockKet(cat_fock_coefficients(state, truncation)).entries)
+        c = cat_fock_coefficients(state, truncation)
+        return FockMatrix(1, truncation, np.outer(c, c.conj()))
     if isinstance(state, GaussianStateSpec):
         return _gaussian_fock(state, truncation)
     raise ValueError(f"unsupported state kind: {type(state).__name__}")
-
-
-def fock_moments(fock: FockMatrix | FockKet) -> tuple[np.ndarray, np.ndarray]:
-    """Mean vector and covariance matrix implied by a single-mode Fock matrix.
-
-    Uses the ladder-operator sums over the matrix's diagonals ``rho[n + k,
-    n]``, ``k = 0, 1, 2``; a :class:`FockKet` ``c`` gives the same products
-    ``c[k:] conj(c[:-k])``.  The covariance follows the anticommutator
-    convention in which the vacuum has V = I.
-    """
-    if fock.modes != 1:
-        raise ValueError("fock_moments supports single-mode matrices")
-    if isinstance(fock, FockKet):
-        c = fock.coeffs
-        diag = [c[k:] * c[: c.size - k].conj() for k in range(3)]
-    else:
-        diag = [np.diag(fock.entries, k=-k) for k in range(3)]
-    n = np.arange(fock.truncation + 1)
-    tr = np.sum(diag[0]).real
-    a_mean = np.sum(np.sqrt(n[1:]) * diag[1])
-    aa = np.sum(np.sqrt(n[2:] * (n[2:] - 1)) * diag[2])
-    adaga = np.sum(n * diag[0].real)
-    tx = np.sqrt(2.0) * a_mean.real / tr
-    tp = np.sqrt(2.0) * a_mean.imag / tr
-    x2 = aa.real + adaga + 0.5 * tr
-    p2 = -aa.real + adaga + 0.5 * tr
-    xp = aa.imag
-    v_xx = 2.0 * x2 / tr - 2.0 * tx * tx
-    v_pp = 2.0 * p2 / tr - 2.0 * tp * tp
-    v_xp = 2.0 * xp / tr - 2.0 * tx * tp
-    return np.array([tx, tp]), np.array([[v_xx, v_xp], [v_xp, v_pp]])

@@ -410,8 +410,44 @@ def heterodyne_pdf(state, x):
     if isinstance(state, CatStateSpec):
         return cat_position_pdf(state, x) / (2.0 * np.pi)
     if isinstance(state, FockMatrix):
-        return fock_husimi(state, x)
+        return fock_husimi(rank_factors(state), x)
     raise ValueError(f"unsupported state kind: {type(state).__name__}")
+
+
+def rank_factors(fock: FockMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam, u)`` with ``rho = sum_k lam_k u_k u_k^H``: every eigenpair of a Hermitian matrix.
+
+    The form both outcome densities read, for any single-mode Hermitian
+    matrix, a state or not; the samplers' own factors also drop the
+    negligible pairs.
+    """
+    if fock.modes != 1:
+        raise ValueError("the outcome densities are single mode")
+    return np.linalg.eigh(fock.entries)
+
+
+def diagonal_moments(fock: FockMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Mean vector and covariance matrix of a single-mode Fock matrix, from its diagonals.
+
+    The ladder-operator sums over ``rho[n + k, n]``, ``k = 0, 1, 2``, read
+    off the matrix; the covariance follows the anticommutator convention in
+    which the vacuum has V = I.
+    """
+    diag = [np.diag(fock.entries, k=-k) for k in range(3)]
+    n = np.arange(fock.truncation + 1)
+    tr = np.sum(diag[0]).real
+    a_mean = np.sum(np.sqrt(n[1:]) * diag[1])
+    aa = np.sum(np.sqrt(n[2:] * (n[2:] - 1)) * diag[2])
+    adaga = np.sum(n * diag[0].real)
+    tx = np.sqrt(2.0) * a_mean.real / tr
+    tp = np.sqrt(2.0) * a_mean.imag / tr
+    x2 = aa.real + adaga + 0.5 * tr
+    p2 = -aa.real + adaga + 0.5 * tr
+    xp = aa.imag
+    v_xx = 2.0 * x2 / tr - 2.0 * tx * tx
+    v_pp = 2.0 * p2 / tr - 2.0 * tp * tp
+    v_xp = 2.0 * xp / tr - 2.0 * tx * tp
+    return np.array([tx, tp]), np.array([[v_xx, v_xp], [v_xp, v_pp]])
 
 
 def sobolev_norm(mat: FockMatrix, alpha: float) -> float:
@@ -568,17 +604,18 @@ def whole_probe(state, protocol: str) -> tuple[np.ndarray, np.ndarray, float]:
     """
     import cvshadow.measurement as meas
 
-    fock = meas._sampling_fock(state)
+    factors = meas._sampling_factors(state)
     if protocol == "homodyne":
         axes = np.linspace(-np.pi, np.pi, 129), np.linspace(-6.0, 6.0, 513)
         gt, gz = np.meshgrid(*axes, indexing="ij")
-        probe, density = meas._homodyne_proposals(fock)(np.stack([gt.ravel(), gz.ravel()], -1))
-        target = meas._homodyne_density(fock, probe[:, 0], probe[:, 1])
+        rows = np.stack([gt.ravel(), gz.ravel()], -1)
+        probe, density = meas._homodyne_proposals(factors)(rows)
+        target = meas._homodyne_density(factors, probe[:, 0], probe[:, 1])
     else:
         gx, gy = np.meshgrid(*[np.linspace(-6.0, 6.0, 201)] * 2, indexing="ij")
         grid = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-        probe, density = meas._heterodyne_proposals(fock)(grid)
-        target = meas.fock_husimi(fock, probe)
+        probe, density = meas._heterodyne_proposals(factors)(grid)
+        target = meas.fock_husimi(factors, probe)
     bound = meas._ENVELOPE_MARGIN * float(np.max(target / np.maximum(density, 1e-300)))
     return probe, density, bound
 
@@ -784,7 +821,7 @@ def homodyne_pdf(rho: FockMatrix, theta: float, q):
     if not _hermitian(rho.entries):
         raise ValueError("homodyne_pdf requires a Hermitian state matrix")
     scalar = np.ndim(q) == 0
-    vals = _homodyne_density(rho, theta, np.atleast_1d(np.asarray(q, dtype=float)))
+    vals = _homodyne_density(rank_factors(rho), theta, np.atleast_1d(np.asarray(q, dtype=float)))
     return float(vals[0]) if scalar else vals
 
 

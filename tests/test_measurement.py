@@ -32,9 +32,9 @@ from cvshadow.states import (
     chain_ground_state,
     chain_state,
     fock_matrix_of,
-    fock_moments,
     value_slices,
 )
+from cvshadow.cli import build_state
 from cvshadow.phase_space import hermite_stack
 from conftest import (
     BoxDomain,
@@ -43,11 +43,13 @@ from conftest import (
     batch_rows,
     cat_position_pdf,
     correlated_gaussian,
+    diagonal_moments,
     hermite_wavefunction,
     heterodyne_covariance,
     heterodyne_pdf,
     homodyne_pdf,
     qmc_integrate,
+    rank_factors,
     reference_jsonl,
     traced_peak,
     whole_probe,
@@ -77,18 +79,23 @@ def dense_expectation(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
 
 def factored_inputs() -> dict:
     """Matrices whose factored densities are pinned against the dense form."""
-    import cvshadow.measurement as meas
-
     rng = np.random.default_rng(17)
     mixed = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
     square = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     return {
-        "cat": meas._sampling_fock(CatStateSpec(1 + 1j, "zero")),
+        "cat": fock_matrix_of(CatStateSpec(1 + 1j, "zero"), 21),
         "fock3": fock_state(3, 5),
         "rank3": FockMatrix(1, 7, mixed @ mixed.conj().T / np.sum(np.abs(mixed) ** 2)),
         "thermal": fock_matrix_of(GaussianStateSpec.thermal(0.7), 10),
         "not-psd": FockMatrix(1, 5, 0.5 * (square + square.conj().T)),
     }
+
+
+def input_factors(name: str, rho: FockMatrix):
+    """The samplers' own factors of a state; every eigenpair of a matrix that is not one."""
+    import cvshadow.measurement as meas
+
+    return rank_factors(rho) if name == "not-psd" else meas._sampling_factors(rho)
 
 
 NOT_STATES = {
@@ -146,7 +153,7 @@ class TestHomodynePdf:
         rng = np.random.default_rng(3)
         thetas, qs = rng.uniform(-np.pi, np.pi, 9), rng.normal(0.0, 2.0, 9)
         n = np.arange(13)
-        for theta, q, val in zip(thetas, qs, _homodyne_density(rho, thetas, qs)):
+        for theta, q, val in zip(thetas, qs, _homodyne_density(rank_factors(rho), thetas, qs)):
             psi = hermite_stack(12, q)
             phase = np.exp(1j * np.subtract.outer(n, n) * theta)
             expected = np.sum(rho.entries * phase * np.outer(psi, psi)).real
@@ -176,13 +183,16 @@ class TestHomodynePdf:
     def test_factored_matches_dense(self, name):
         # the rank-factored density against sum conj(v) (rho v), with
         # v_n = exp(-i n theta) psi_n(q)
+        import cvshadow.measurement as meas
+
         rho = factored_inputs()[name]
+        factors = input_factors(name, rho)
         q = np.linspace(-6.0, 6.0, 61)
         n = np.arange(rho.truncation + 1)[:, None]
         for theta in (-2.5, 0.0, 0.7, 3.0):
             kets = hermite_stack(rho.truncation, q) * np.exp(-1j * n * theta)
             dense = dense_expectation(rho.entries, kets)
-            vals = homodyne_pdf(rho, theta, q)
+            vals = meas._homodyne_density(factors, theta, q)
             assert np.abs(vals - dense).max() <= 1e-12 * np.abs(dense).max()
             if name == "not-psd":  # both signs: the signed weights matter
                 assert dense.min() < 0 < dense.max()
@@ -196,9 +206,8 @@ class TestHomodynePdf:
         spec = CatStateSpec(alpha, "plus")
         truncation = int(alpha * alpha + 10 * alpha + 40)
         coeffs = cat_fock_coefficients(spec, truncation)
-        fock = FockMatrix(1, truncation, np.diag(np.abs(coeffs) ** 2))  # only M is read
         q = np.array([-1.0, 1.0]) * math.sqrt(2.0) * alpha
-        density = meas._homodyne_density(fock, 0.0, q, (np.ones(1), coeffs[:, None]))
+        density = meas._homodyne_density((np.ones(1), coeffs[:, None]), 0.0, q)
         assert np.abs(density - 0.5 / math.sqrt(math.pi)).max() <= 1e-6
 
 
@@ -206,18 +215,18 @@ class TestDensitySlices:
     """Both densities evaluate the "density" budget // dim points at a time."""
 
     @staticmethod
-    def one_slice(monkeypatch, fock, n):
-        # a value budget that fits all n points of fock in one slice
-        monkeypatch.setitem(SLICE_BUDGETS, "density", n * (fock.truncation + 1))
+    def one_slice(monkeypatch, factors, n):
+        # a value budget that fits all n points of the state in one slice
+        monkeypatch.setitem(SLICE_BUDGETS, "density", n * len(factors[1]))
 
     @staticmethod
-    def densities(fock, n):
+    def densities(factors, n):
         import cvshadow.measurement as meas
 
         rng = np.random.default_rng(8)
         thetas, q = rng.uniform(-np.pi, np.pi, n), 3.0 * rng.standard_normal(n)
         x = 3.0 * rng.standard_normal((n, 2))
-        return meas._homodyne_density(fock, thetas, q), fock_husimi(fock, x)
+        return meas._homodyne_density(factors, thetas, q), fock_husimi(factors, x)
 
     @pytest.mark.parametrize("name", ["cat-zero", "fock3", "thermal1-12"])
     def test_slices_are_the_whole_evaluation(self, monkeypatch, name):
@@ -226,11 +235,11 @@ class TestDensitySlices:
         # rounding may follow the number of points and threads
         import cvshadow.measurement as meas
 
-        fock = meas._sampling_fock(SCAN_STATES[name])
-        n = 2 * (SLICE_BUDGETS["density"] // (fock.truncation + 1)) + 3
-        sliced = self.densities(fock, n)
-        self.one_slice(monkeypatch, fock, n)
-        whole = self.densities(fock, n)
+        factors = meas._sampling_factors(SCAN_STATES[name])
+        n = 2 * (SLICE_BUDGETS["density"] // len(factors[1])) + 3
+        sliced = self.densities(factors, n)
+        self.one_slice(monkeypatch, factors, n)
+        whole = self.densities(factors, n)
         for got, expected in zip(sliced, whole):
             assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
         if name == "cat-zero":
@@ -245,15 +254,15 @@ class TestDensitySlices:
         if calls is None:
             pytest.skip("numpy is not linked against its bundled OpenBLAS")
         get, put = calls
-        fock = meas._sampling_fock(CatStateSpec(1 + 1j, "zero"))
-        n = 2 * (SLICE_BUDGETS["density"] // (fock.truncation + 1)) + 3
+        factors = meas._sampling_factors(CatStateSpec(1 + 1j, "zero"))
+        n = 2 * (SLICE_BUDGETS["density"] // len(factors[1])) + 3
         x = 3.0 * np.random.default_rng(8).standard_normal((n, 2))
         before = get()
         try:
             put(2)
-            sliced = fock_husimi(fock, x)
-            self.one_slice(monkeypatch, fock, n)
-            assert np.array_equal(sliced, fock_husimi(fock, x))
+            sliced = fock_husimi(factors, x)
+            self.one_slice(monkeypatch, factors, n)
+            assert np.array_equal(sliced, fock_husimi(factors, x))
             assert get() == 2
         finally:
             put(before)
@@ -264,14 +273,14 @@ class TestDensitySlices:
         # time: 45 and 111 MB while the whole (dim, 2e5) block was built
         import cvshadow.measurement as meas
 
-        fock = meas._sampling_fock(CatStateSpec(1 + 1j, "zero"))
+        factors = meas._sampling_factors(CatStateSpec(1 + 1j, "zero"))
         rng = np.random.default_rng(9)
         if density == "homodyne":
             thetas, q = rng.uniform(-np.pi, np.pi, 200_000), 2.0 * rng.standard_normal(200_000)
-            peak = traced_peak(lambda: meas._homodyne_density(fock, thetas, q))
+            peak = traced_peak(lambda: meas._homodyne_density(factors, thetas, q))
         else:
             x = 2.0 * rng.standard_normal((200_000, 2))
-            peak = traced_peak(lambda: fock_husimi(fock, x))
+            peak = traced_peak(lambda: fock_husimi(factors, x))
         assert peak <= 8.0
 
     def test_memory_bounded_in_values_at_large_truncation(self):
@@ -281,13 +290,13 @@ class TestDensitySlices:
         # heterodyne's; 2.9 and 8.9 MB while the 192 points were one slice
         import cvshadow.measurement as meas
 
-        fock = meas._sampling_fock(CatStateSpec(40, "zero"))
-        assert fock.truncation + 1 == 1851
+        factors = meas._sampling_factors(CatStateSpec(40, "zero"))
+        assert len(factors[1]) == 1851
         rng = np.random.default_rng(10)
         thetas, q = rng.uniform(-np.pi, np.pi, 192), 3.0 * rng.standard_normal(192)
         x = 3.0 * rng.standard_normal((192, 2))
-        assert traced_peak(lambda: meas._homodyne_density(fock, thetas, q)) <= 2.5
-        assert traced_peak(lambda: fock_husimi(fock, x)) <= 4.0
+        assert traced_peak(lambda: meas._homodyne_density(factors, thetas, q)) <= 2.5
+        assert traced_peak(lambda: fock_husimi(factors, x)) <= 4.0
 
 
 class TestSampleHomodyne:
@@ -373,8 +382,8 @@ class TestSampleHomodyne:
         real_density = meas._homodyne_density
         probe_done = {"calls": 0, "slices": len(probe_slices(129 * 513))}
 
-        def spiked(fock, thetas, q, factors):
-            vals = real_density(fock, thetas, q, factors)
+        def spiked(factors, thetas, q):
+            vals = real_density(factors, thetas, q)
             if probe_done["calls"] == probe_done["slices"]:
                 return vals * 50.0  # violate the calibrated bound
             probe_done["calls"] += 1  # the first calls are the probe grid's slices
@@ -394,8 +403,8 @@ class TestSampleHomodyne:
 
         probe = probe_slices(129 * 513)
 
-        def spiked(fock, thetas, q, factors):
-            vals = real_density(fock, thetas, q, factors)
+        def spiked(factors, thetas, q):
+            vals = real_density(factors, thetas, q)
             calls.append(q.size)
             if len(calls) == len(probe) + 1:  # the first chunk, after the probe's slices
                 vals[123] = 1e6
@@ -409,28 +418,23 @@ class TestSampleHomodyne:
 
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
     def test_state_factored_once_per_batch(self, monkeypatch, sample):
-        # the target is evaluated on the probe and on every chunk, and each
-        # evaluation once ran its own eigh; the factors are those eigh gave
-        import cvshadow.measurement as meas
-
+        # the state check reads the smallest eigenvalue, and the target is
+        # evaluated on the probe and on every chunk: one eigh serves them all
         spec = fock_matrix_of(CatStateSpec(1 + 1j, "zero"), 21)
-        real_eigh, calls = np.linalg.eigh, []
+        calls: list = []
 
-        def counted(a, *args, **kwargs):
-            calls.append(a.shape)
-            return real_eigh(a, *args, **kwargs)
+        def counted(real):
+            def call(a, *args, **kwargs):
+                calls.append((real.__name__, a.shape))
+                return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
+            return call
+
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
         batch = sample(spec, 40_000, "one-eigh")
         assert batch.meta["proposals"] > SLICE_BUDGETS["proposals"]  # 2+ chunks
-        assert len(calls) == 1
-        # each call factoring for itself draws the same bits
-        real_density, real_husimi = meas._homodyne_density, meas.fock_husimi
-        monkeypatch.setattr(meas, "_homodyne_density", lambda f, t, q, _: real_density(f, t, q))
-        monkeypatch.setattr(meas, "fock_husimi", lambda f, x, _: real_husimi(f, x))
-        again = sample(spec, 40_000, "one-eigh")
-        assert len(calls) > 3
-        assert np.array_equal(again.outcomes, batch.outcomes)
+        assert calls == [("eigh", (22, 22))]
 
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
     def test_stops_within_one_chunk_of_n_rounds(self, sample):
@@ -525,8 +529,8 @@ class TestSampleHomodyne:
 
     @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
     def test_cat_factored_without_eigh(self, monkeypatch, sample):
-        # a cat is its amplitudes c: one factor, weight |c|^2 and vector c / |c|,
-        # and no (dim, dim) matrix or eigh (6 s at alpha = 40, truncation 1850)
+        # a cat is its amplitudes c: one factor, weight 1 and vector c, and
+        # no (dim, dim) matrix or eigh (6 s at alpha = 40, truncation 1850)
         import cvshadow.measurement as meas
 
         def refused(*args, **kwargs):
@@ -537,11 +541,13 @@ class TestSampleHomodyne:
         batch = sample(CatStateSpec(1 + 1j, "zero"), 2000, "no-eigh")
         assert batch.n == 2000 and batch.meta["acceptance"] > 0.5
         monkeypatch.undo()
-        ket = meas._sampling_fock(CatStateSpec(1 + 1j, "plus"))
-        lam, u = meas._factors(ket)
-        dense_lam, dense_u = meas._factors(fock_matrix_of(CatStateSpec(1 + 1j, "plus"), 21))
-        assert lam == pytest.approx(dense_lam, abs=1e-15)
-        assert abs(np.vdot(u[:, 0], dense_u[:, 0])) == pytest.approx(1.0, abs=1e-15)
+        spec = CatStateSpec(1 + 1j, "plus")
+        lam, u = meas._sampling_factors(spec)
+        dense_lam, dense_u = meas._sampling_factors(fock_matrix_of(spec, 21))
+        assert lam.tolist() == [1.0]
+        norm = np.linalg.norm(u[:, 0])
+        assert lam * norm**2 == pytest.approx(dense_lam, abs=1e-15)
+        assert abs(np.vdot(u[:, 0], dense_u[:, 0])) / norm == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("name", ["cat-zero", "cat-plus-2", "cat-minus-1.5j"])
     def test_cat_moments_are_the_dense_bits(self, name):
@@ -549,9 +555,9 @@ class TestSampleHomodyne:
         # the dense matrix's diagonals hold, so the proposals keep their bits
         import cvshadow.measurement as meas
 
-        ket = meas._sampling_fock(SCAN_STATES[name])
-        dense = fock_matrix_of(SCAN_STATES[name], ket.truncation)
-        for got, expected in zip(fock_moments(ket), fock_moments(dense)):
+        lam, u = meas._sampling_factors(SCAN_STATES[name])
+        dense = fock_matrix_of(SCAN_STATES[name], len(u) - 1)
+        for got, expected in zip(meas._moments(lam, u), diagonal_moments(dense)):
             assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("protocol", ["homodyne", "heterodyne"])
@@ -657,6 +663,38 @@ class TestSampleHomodyne:
         assert hashlib.sha256(outcomes).hexdigest() == digest
         assert batch.meta == {"acceptance": float.fromhex(acceptance), "proposals": proposals}
 
+    @pytest.mark.parametrize(
+        "protocol, n, digest",
+        [
+            ("homodyne", 0, "bee27b07e6fb86c920fbd18ee3d90be4910ac3a8dea7fd1492103c882a41600c"),
+            ("homodyne", 2, "3308900a5b007b1da2f21b280b542a8d4647e2a8aaec4e2b539da57dbd5dfebe"),
+            ("homodyne", 5, "5e5a83f4dc63ce45f9e407341f316aa751f253a5e1541df69dc5abfb4ff4415c"),
+            ("heterodyne", 0, "3f8bd2e02c87fd80c0b7d89dc7e299b979feea7226b08df29de5ceb77f095cec"),
+            ("heterodyne", 2, "c6ce0d8352d30ed054b3ea5d8d6f789388b671b738cc28e1c0231d4e282a93a5"),
+            ("heterodyne", 5, "8c6fcfc38601845e9869a20bc4742dcef239a8d67d9296154fc0f19a352df0eb"),
+        ],
+        ids=[f"{protocol}-{n}" for protocol in ("homodyne", "heterodyne") for n in (0, 2, 5)],
+    )
+    def test_seeded_fock_batches_keep_their_bits(self, protocol, n, digest):
+        # the config's fock kind, a diagonal matrix: its factors are eigh's
+        # and its moments their diagonal sums, with the bits that the
+        # matrix's own diagonals gave
+        sample = sample_homodyne_batch if protocol == "homodyne" else sample_heterodyne_batch
+        batch = sample(build_state({"kind": "fock", "n": n}), 8000, f"pin/fock{n}/{protocol}")
+        outcomes = np.ascontiguousarray(batch.outcomes, "<f8").tobytes()
+        assert hashlib.sha256(outcomes).hexdigest() == digest
+
+    @pytest.mark.parametrize("sample", [sample_homodyne_batch, sample_heterodyne_batch])
+    def test_state_checks_at_their_bounds(self, sample):
+        # an eigenvalue down to -1e-10 is rounding and is sampled; below it
+        # the matrix is refused, and so is a matrix of two modes
+        near = FockMatrix(1, 1, np.diag([1.0, -1e-11]))
+        assert sample(near, 100, "bounds").n == 100
+        with pytest.raises(ValueError, match=r"not a state \(minimum eigenvalue -1\.000e-09"):
+            sample(FockMatrix(1, 1, np.diag([1.0, -1e-9])), 100, "bounds")
+        with pytest.raises(ValueError, match="single mode"):
+            sample(FockMatrix(2, 1, np.eye(4) / 4.0), 100, "bounds")
+
     def test_gaussian_chain_memory_bounded(self):
         # one Cholesky of V/2 for the whole batch, no per-round covariances
         state = chain_ground_state(ChainSpec(200, 0.99))
@@ -748,18 +786,18 @@ class TestStudentTProposal:
 
         import cvshadow.measurement as meas
 
-        fock = meas._sampling_fock(SCAN_STATES[name])
-        mean, cov = fock_moments(fock)
+        factors = meas._sampling_factors(SCAN_STATES[name])
+        mean, cov = meas._moments(*factors)
         rng = np.random.default_rng(2)
         thetas, z = rng.uniform(-np.pi, np.pi, 300), 3.0 * rng.standard_normal((300, 1))
-        pts, density = meas._homodyne_proposals(fock)(np.concatenate([thetas[:, None], z], 1))
+        pts, density = meas._homodyne_proposals(factors)(np.concatenate([thetas[:, None], z], 1))
         c, s = np.cos(thetas), np.sin(thetas)
         rows = np.stack([c, -s], axis=1)
         std = np.sqrt(0.5 * np.maximum(np.einsum("ni,ij,nj->n", rows, cov, rows), 1.0))
         expected = t.pdf(pts[:, 1], df=4, loc=rows @ mean, scale=std)
         assert np.array_equal(pts[:, 0], thetas)
         assert np.abs(density / expected - 1.0).max() <= 1e-12
-        pts, density = meas._heterodyne_proposals(fock)(3.0 * rng.standard_normal((300, 2)))
+        pts, density = meas._heterodyne_proposals(factors)(3.0 * rng.standard_normal((300, 2)))
         expected = multivariate_t(mean, 0.5 * (cov + np.eye(2)), df=4).pdf(pts)
         assert np.abs(density / expected - 1.0).max() <= 1e-12
 
@@ -768,7 +806,7 @@ class TestStudentTProposal:
         import cvshadow.measurement as meas
 
         seen = calibrated_probe(monkeypatch, "homodyne", SCAN_STATES[name])
-        proposals = meas._homodyne_proposals(meas._sampling_fock(SCAN_STATES[name]))
+        proposals = meas._homodyne_proposals(meas._sampling_factors(SCAN_STATES[name]))
         thetas, z = np.linspace(-np.pi, np.pi, 121), np.linspace(-40.0, 40.0, 2001)
         pts, density = proposals(np.stack([np.repeat(thetas, z.size), np.tile(z, thetas.size)], -1))
         scanned = float((seen["target"](pts) / density).max())
@@ -779,7 +817,7 @@ class TestStudentTProposal:
         import cvshadow.measurement as meas
 
         seen = calibrated_probe(monkeypatch, "heterodyne", SCAN_STATES[name])
-        proposals = meas._heterodyne_proposals(meas._sampling_fock(SCAN_STATES[name]))
+        proposals = meas._heterodyne_proposals(meas._sampling_factors(SCAN_STATES[name]))
         axis = np.linspace(-40.0, 40.0, 601)
         z = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
         pts, density = proposals(z)
@@ -819,16 +857,18 @@ class TestHeterodynePdf:
         norms = np.sqrt([float(math.factorial(k)) for k in range(rho.truncation + 1)])
         kets = np.exp(-0.25 * np.sum(x * x, axis=1)) * alpha**n / norms[:, None]
         dense = dense_expectation(rho.entries, kets) / (2.0 * np.pi)
-        vals = fock_husimi(rho, x)
+        vals = fock_husimi(input_factors(name, rho), x)
         assert np.abs(vals - dense).max() <= 1e-12 * np.abs(dense).max()
         if name == "not-psd":  # both signs: no value is clipped
             assert dense.min() < 0 < dense.max()
 
     def test_fock_path_matches_cat(self):
+        import cvshadow.measurement as meas
+
         spec = CatStateSpec(1 + 1j, "one")
-        fock = fock_matrix_of(spec, 40)
+        factors = meas._sampling_factors(fock_matrix_of(spec, 40))
         x = np.array([1.2, 0.4])
-        assert fock_husimi(fock, x) == pytest.approx(
+        assert fock_husimi(factors, x) == pytest.approx(
             heterodyne_pdf(spec, x), abs=1e-10
         )
 
@@ -842,7 +882,7 @@ class TestHeterodynePdf:
         spec = CatStateSpec(alpha, "zero")
         x = spec.center + np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.3], [0.0, -1.0]])
         x = np.concatenate([x, -x])
-        vals = fock_husimi(meas._sampling_fock(spec), x)
+        vals = fock_husimi(meas._sampling_factors(spec), x)
         assert np.abs(vals - cat_position_pdf(spec, x) / (2 * np.pi)).max() <= 1e-7
 
     def test_chain_normalization_by_qmc(self):
@@ -881,7 +921,7 @@ class TestSampleHeterodyne:
         batch = sample_heterodyne_batch(spec, 40_000, "hcat")
         assert batch.meta["acceptance"] >= 0.1
         pts = batch.outcomes[:, 0, :]
-        mean_expected, cov = fock_moments(fock_matrix_of(spec, 40))
+        mean_expected, cov = diagonal_moments(fock_matrix_of(spec, 40))
         sigma = 0.5 * (cov + np.eye(2))
         stderr = np.sqrt(np.diag(sigma) / len(pts))
         assert np.all(np.abs(pts.mean(axis=0) - mean_expected) < 3 * stderr + 1e-9)
@@ -913,8 +953,8 @@ class TestSampleHeterodyne:
         real_husimi = meas.fock_husimi
         probe_done = {"calls": 0, "slices": len(probe_slices(201 * 201))}
 
-        def spiked(fock, x, factors):
-            vals = np.asarray(real_husimi(fock, x, factors), dtype=float)
+        def spiked(factors, x):
+            vals = np.asarray(real_husimi(factors, x), dtype=float)
             if probe_done["calls"] == probe_done["slices"]:
                 return vals * 50.0  # violate the calibrated bound
             probe_done["calls"] += 1  # the first calls are the probe grid's slices

@@ -26,7 +26,6 @@ from cvshadow.states import (
     chain_ground_state,
     chain_state,
     fock_matrix_of,
-    fock_moments,
     multi_indices,
 )
 from conftest import (
@@ -631,21 +630,26 @@ class TestFockMatrices:
         assert idx.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
+def matrix_moments(fock):
+    """The moments the rejection samplers read, from the factors of ``fock``."""
+    return meas._moments(*meas._sampling_factors(fock))
+
+
 class TestFockMoments:
     def test_coherent(self):
         alpha = 0.4 + 0.9j
-        mean, cov = fock_moments(fock_matrix_of(GaussianStateSpec.coherent(alpha), 30))
+        mean, cov = matrix_moments(fock_matrix_of(GaussianStateSpec.coherent(alpha), 30))
         assert np.allclose(mean, np.sqrt(2) * np.array([alpha.real, alpha.imag]), atol=1e-8)
         assert np.allclose(cov, np.eye(2), atol=1e-6)
 
     def test_thermal(self):
-        mean, cov = fock_moments(fock_matrix_of(GaussianStateSpec.thermal(1.0), 60))
+        mean, cov = matrix_moments(fock_matrix_of(GaussianStateSpec.thermal(1.0), 60))
         assert np.allclose(mean, 0.0, atol=1e-12)
         assert np.allclose(cov, 3.0 * np.eye(2), atol=1e-6)
 
     def test_squeezed(self):
         spec = GaussianStateSpec(np.zeros(2), np.diag([2.0, 0.6]))
-        _, cov = fock_moments(fock_matrix_of(spec, 40))
+        _, cov = matrix_moments(fock_matrix_of(spec, 40))
         assert np.allclose(cov, spec.cov, atol=1e-6)
 
 
@@ -655,10 +659,10 @@ def _chain_draws(n):
 
 
 def _densities(points, density):
-    fock = meas._sampling_fock(CatStateSpec(1 + 1j, "zero"))  # dim 22
+    factors = meas._sampling_factors(CatStateSpec(1 + 1j, "zero"))  # dim 22
     if density == "homodyne":
-        return meas._homodyne_density(fock, np.zeros(points), np.zeros(points))
-    return meas.fock_husimi(fock, np.zeros((points, 2)))
+        return meas._homodyne_density(factors, np.zeros(points), np.zeros(points))
+    return meas.fock_husimi(factors, np.zeros((points, 2)))
 
 
 def _table_growth(protocol, truncation):
